@@ -1,5 +1,9 @@
 """Command line entry point: data generation, training, certification,
-simulation, benchmarking and the end-to-end pipeline."""
+simulation and the end-to-end pipeline.
+
+Timing lives in the benchmark harness, perfbench/run.py, which drives the
+closed loop and the offline labeling through this package's public API.
+"""
 from __future__ import annotations
 
 import argparse
@@ -123,64 +127,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    from . import dynamics as dyn
-    from .environment import build_profile
-    from .oracle import build_theta, oracle_solve
-    from .path import straight_path
-    from .simkit import build_controller, run, scenario_template
-    from .surrogate import load_model
-    config = _load_config(args.config)
-    log = run(config, use_oracle=False)
-    mode, kind, model_file = _mode_by_name(config, args.mode)
-    template = scenario_template(config, kind)
-    model = load_model(model_file)
-
-    # replay the logged cycle inputs through both routes
-    path = straight_path(config.path_length, lane_width=config.lane_width)
-    stack_d_safe = scenario_template(config, kind).stack.d_safe
-    records = []
-    for k in range(0, len(log), max(1, args.stride)):
-        x = log.states[k]
-        from .environment import RoadUserState
-        ru = None
-        if np.isfinite(log.ru_lon[k]):
-            ru = RoadUserState(lon=float(log.ru_lon[k]), lat=float(log.ru_lat[k]))
-        profile = build_profile(path, ru, config.horizon.n_constraint,
-                                config.horizon.t_s, config.growth,
-                                stack_d_safe)
-        theta = build_theta(template, x, profile)
-        t0 = time.perf_counter()
-        feasible, slack, _ = oracle_solve(template, mode, theta)
-        t_oracle = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        _, _, t_nn = model.infer(theta)
-        t_nn = time.perf_counter() - t0
-        records.append((k, t_oracle, t_nn, int(feasible)))
-
-    os.makedirs(args.out, exist_ok=True)
-    bench_file = os.path.join(args.out, f"bench_{mode.name}.csv")
-    with open(bench_file, "w") as fh:
-        fh.write("k,oracle_s,surrogate_s,oracle_feasible\n")
-        for k, to, tn, f in records:
-            fh.write(f"{k},{to:.6e},{tn:.6e},{f}\n")
-    t_oracle = np.array([r[1] for r in records])
-    t_nn = np.array([r[2] for r in records])
-    summary = {
-        "mode": mode.name,
-        "cycles": len(records),
-        "oracle_mean_s": float(np.mean(t_oracle)),
-        "oracle_p95_s": float(np.percentile(t_oracle, 95)),
-        "surrogate_mean_s": float(np.mean(t_nn)),
-        "surrogate_p95_s": float(np.percentile(t_nn, 95)),
-        "speedup_mean": float(np.mean(t_oracle) / max(np.mean(t_nn), 1e-12)),
-    }
-    with open(os.path.join(args.out, f"bench_{mode.name}.json"), "w") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
-    print(json.dumps(summary, indent=1, sort_keys=True))
-    return EXIT_OK
-
-
 def cmd_pipeline(args) -> int:
     """gen-data -> train -> certify -> simulate -> plots for every mode."""
     from types import SimpleNamespace
@@ -275,13 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use oracle feasibility instead of the surrogates")
     p.add_argument("--allow-failure", action="store_true")
     p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("bench", help="oracle vs surrogate timing comparison")
-    p.add_argument("--config", required=True)
-    p.add_argument("--mode", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--stride", type=int, default=4)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("pipeline", help="gen-data, train, certify, simulate")
     p.add_argument("--config", required=True)

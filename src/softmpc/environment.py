@@ -7,7 +7,7 @@ bounds, and step-to-step consistency deltas of those offsets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -16,6 +16,17 @@ from .path import PathGeometry
 # sentinel for steps with an empty collision window: the longitudinal
 # constraints are vacuously satisfied there
 NO_BOUND = float("inf")
+
+
+def lane_bounds(lane: str, lane_width: float) -> tuple[float, float]:
+    """Lateral (lower, upper) bounds of the right or the left lane; the
+    path runs along the middle of the right lane."""
+    half = 0.5 * lane_width
+    if lane == "right":
+        return -half, half
+    if lane == "left":
+        return half, 3.0 * half
+    raise ValueError("lane must be 'right' or 'left'")
 
 
 @dataclass(frozen=True)
@@ -89,10 +100,6 @@ class ConsistencyDelta:
     norm: float                  # Euclidean norm of the stacked finite deltas
     max_delta: float
     consistent: bool             # no row became more restrictive
-
-    @property
-    def assumption_holds(self) -> bool:
-        return self.consistent
 
 
 def predict_reachable(ru: RoadUserState, horizon: int, t_s: float,
@@ -206,21 +213,10 @@ def lane_corridor(reach: ReachableSet, ego_lane: str, lane_width: float
     adjacent lane; if that lane is occupied too the step is flagged blocked
     (bounds left at the ego lane, caller decides how to fail).
     """
-    if ego_lane not in ("right", "left"):
-        raise ValueError("ego_lane must be 'right' or 'left'")
-    half = 0.5 * lane_width
-    lanes = {
-        "right": (-half, half),
-        "left": (half, 3.0 * half),
-    }
-    other = {"right": "left", "left": "right"}[ego_lane]
+    ego_lo, ego_hi = lane_bounds(ego_lane, lane_width)
     # adjacent-lane corridor on the opposite side of the ego lane
-    if ego_lane == "right":
-        evasive = lanes["left"]
-    else:
-        evasive = lanes["right"]
-    ego_lo, ego_hi = lanes[ego_lane]
-    ev_lo, ev_hi = evasive
+    ev_lo, ev_hi = lane_bounds("left" if ego_lane == "right" else "right",
+                               lane_width)
 
     n = len(reach)
     lo = np.full(n, ego_lo)
@@ -273,8 +269,7 @@ def consistency_delta(prev: DisturbanceProfile, curr: DisturbanceProfile,
 def nominal_profile(horizon: int, lane_width: float, ego_lane: str = "right"
                     ) -> DisturbanceProfile:
     """Profile with no road user: free yield bound, nominal corridor."""
-    half = 0.5 * lane_width
-    lo, hi = {"right": (-half, half), "left": (half, 3.0 * half)}[ego_lane]
+    lo, hi = lane_bounds(ego_lane, lane_width)
     n = horizon + 1
     return DisturbanceProfile(
         yield_bound=np.full(n, NO_BOUND),
@@ -299,11 +294,7 @@ def build_profile(path: PathGeometry, ru: RoadUserState | None, horizon: int,
     bounds, window = collision_window(path, reach, d_safe)
     if evasive:
         lo, hi, blocked = lane_corridor(reach, ego_lane, path.lane_width)
-    else:
-        half = 0.5 * path.lane_width
-        lo_v, hi_v = {"right": (-half, half), "left": (half, 3.0 * half)}[ego_lane]
-        lo = np.full(horizon + 1, lo_v)
-        hi = np.full(horizon + 1, hi_v)
-        blocked = None
-    return DisturbanceProfile(yield_bound=bounds, corridor_lo=lo, corridor_hi=hi,
-                              window=window, blocked=blocked)
+        return DisturbanceProfile(yield_bound=bounds, corridor_lo=lo,
+                                  corridor_hi=hi, window=window, blocked=blocked)
+    return replace(nominal_profile(horizon, path.lane_width, ego_lane),
+                   yield_bound=bounds, window=window)

@@ -1,19 +1,23 @@
 """Optimal-control problem assembly for the soft-constrained vehicle MPC.
 
-Builds three problem flavors on top of the generic horizon NLP:
+Builds two problem flavors on top of the generic horizon NLP:
 
 * the nominal problem (hard constraint stack),
-* the relaxed problem (selected rows lifted by a fixed slack vector),
-* the slack problem (slack channels as decision variables, minimal norm).
+* the relaxed problem (selected rows lifted by a fixed slack vector).
 
 The constraint stack stacks bound/comfort rows on states and inputs with the
 environment-coupled rows (yield bound, lane corridor, time headway), each row
-carrying a stable label used by relaxation-mode selectors.
+carrying a stable label used by relaxation-mode selectors. The same stage
+and terminal row providers also serve the oracle: with the mode's channels
+as a global decision block and the rows restricted to LON_ROW_LABELS or
+LAT_ROW_LABELS, they give the rows of its decoupled slack problems, which
+it projects onto the subsystem's states (see oracle.py).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -123,8 +127,21 @@ H_ROW_LABELS = (
 )
 G_ROW_LABELS = ("g_lon_safe", "g_lat_ub", "g_lat_lb", "g_follow")
 ROW_LABELS = H_ROW_LABELS + G_ROW_LABELS
-N_H = len(H_ROW_LABELS)
-N_G = len(G_ROW_LABELS)
+# terminal rows carry the label of the stage row they tighten: standstill
+# on v and a, the corridor, and the stop-behind margin on the yield bound
+TERMINAL_ROW_LABELS = ("v_ub", "v_lb", "a_ub", "a_lb",
+                       "g_lat_ub", "g_lat_lb", "g_lon_safe")
+# rows of the decoupled subsystems (state blocks dyn.LON_IDX / dyn.LAT_IDX);
+# the oracle's slack problems keep exactly these rows of the stack
+LON_ROW_LABELS = ("v_ub", "v_lb", "a_ub", "a_lb", "a_req_ub", "a_req_lb",
+                  "a_req_comfort_lb", "g_lon_safe", "g_follow")
+LAT_ROW_LABELS = ("e_psi_ub", "e_psi_lb", "delta_ub", "delta_lb",
+                  "delta_sp_ub", "delta_sp_lb", "alpha_ub", "alpha_lb",
+                  "a_y_ub", "a_y_lb", "j_y_ub", "j_y_lb",
+                  "g_lat_ub", "g_lat_lb")
+_ROW = {label: k for k, label in enumerate(ROW_LABELS)}
+# a_y_ub, a_y_lb, j_y_ub, j_y_lb: the rows whose Jacobian depends on the point
+_COMFORT_ROWS = slice(_ROW["a_y_ub"], _ROW["j_y_lb"] + 1)
 
 
 @dataclass(frozen=True)
@@ -146,22 +163,23 @@ class ConstraintStack:
         """
         p = self.params
         a_y, j_y = dyn.comfort_quantities(x, p)
-        s, e_y, e_psi, delta, alpha, v, a = x
+        s, e_y, e_psi, delta, alpha, v, a = x.tolist()
+        u0, u1 = u
         lon_active = math.isfinite(sigma)
         vals = np.array([
             e_psi - p.e_psi_max,
             -e_psi - p.e_psi_max,
             delta - p.delta_max,
             -delta - p.delta_max,
-            u[0] - p.delta_max,
-            -u[0] - p.delta_max,
+            u0 - p.delta_max,
+            -u0 - p.delta_max,
             v - p.v_max,
             -v,
             a - p.accel_max,
             p.accel_min - a,
-            u[1] - p.accel_max,
-            p.accel_min - u[1],
-            self.a_req_comfort_min - u[1],
+            u1 - p.accel_max,
+            p.accel_min - u1,
+            self.a_req_comfort_min - u1,
             alpha - p.alpha_max,
             -alpha - p.alpha_max,
             a_y - p.lat_accel_max,
@@ -175,43 +193,40 @@ class ConstraintStack:
         ])
         return vals
 
+    @cached_property
+    def _linear_jacobians(self):
+        """(Cx, Cu) of every row, with the comfort rows left at zero."""
+        Cx = np.zeros((len(ROW_LABELS), NX))
+        Cu = np.zeros((len(ROW_LABELS), NU))
+        for name, col in (("e_psi", dyn.IDX_EPSI), ("delta", dyn.IDX_DELTA),
+                          ("v", dyn.IDX_V), ("a", dyn.IDX_A),
+                          ("alpha", dyn.IDX_ALPHA), ("g_lat", dyn.IDX_EY)):
+            Cx[_ROW[name + "_ub"], col] = 1.0
+            Cx[_ROW[name + "_lb"], col] = -1.0
+        for name, col in (("delta_sp", 0), ("a_req", 1)):
+            Cu[_ROW[name + "_ub"], col] = 1.0
+            Cu[_ROW[name + "_lb"], col] = -1.0
+        Cu[_ROW["a_req_comfort_lb"], 1] = -1.0
+        Cx[_ROW["g_lon_safe"], dyn.IDX_S] = 1.0
+        Cx[_ROW["g_follow"], dyn.IDX_S] = 1.0
+        Cx[_ROW["g_follow"], dyn.IDX_V] = self.t_gap
+        return Cx, Cu
+
     def linearize(self, x: np.ndarray, u: np.ndarray, sigma: float,
-                  beta_lo: float, beta_hi: float):
-        """(vals, Cx, Cu) with rows on an empty window dropped, plus the
-        indices of the rows kept (into ROW_LABELS)."""
-        p = self.params
+                  beta_lo: float, beta_hi: float,
+                  allowed: np.ndarray | None = None):
+        """(vals, Cx, Cu) of the finite rows that the optional mask over
+        ROW_LABELS allows, plus the indices of the rows kept."""
         vals = self.evaluate(x, u, sigma, beta_lo, beta_hi)
-        g_ay, g_jy = dyn.comfort_jacobians(x, p)
-        Cx = np.zeros((N_H + N_G, NX))
-        Cu = np.zeros((N_H + N_G, NU))
-        i = {label: k for k, label in enumerate(ROW_LABELS)}
-        Cx[i["e_psi_ub"], dyn.IDX_EPSI] = 1.0
-        Cx[i["e_psi_lb"], dyn.IDX_EPSI] = -1.0
-        Cx[i["delta_ub"], dyn.IDX_DELTA] = 1.0
-        Cx[i["delta_lb"], dyn.IDX_DELTA] = -1.0
-        Cu[i["delta_sp_ub"], 0] = 1.0
-        Cu[i["delta_sp_lb"], 0] = -1.0
-        Cx[i["v_ub"], dyn.IDX_V] = 1.0
-        Cx[i["v_lb"], dyn.IDX_V] = -1.0
-        Cx[i["a_ub"], dyn.IDX_A] = 1.0
-        Cx[i["a_lb"], dyn.IDX_A] = -1.0
-        Cu[i["a_req_ub"], 1] = 1.0
-        Cu[i["a_req_lb"], 1] = -1.0
-        Cu[i["a_req_comfort_lb"], 1] = -1.0
-        Cx[i["alpha_ub"], dyn.IDX_ALPHA] = 1.0
-        Cx[i["alpha_lb"], dyn.IDX_ALPHA] = -1.0
-        Cx[i["a_y_ub"]] = g_ay
-        Cx[i["a_y_lb"]] = -g_ay
-        Cx[i["j_y_ub"]] = g_jy
-        Cx[i["j_y_lb"]] = -g_jy
-        Cx[i["g_lon_safe"], dyn.IDX_S] = 1.0
-        Cx[i["g_lat_ub"], dyn.IDX_EY] = 1.0
-        Cx[i["g_lat_lb"], dyn.IDX_EY] = -1.0
-        Cx[i["g_follow"], dyn.IDX_S] = 1.0
-        Cx[i["g_follow"], dyn.IDX_V] = self.t_gap
+        Cx_lin, Cu = self._linear_jacobians
+        Cx = Cx_lin.copy()
+        g_ay, g_jy = dyn.comfort_jacobians(x, self.params)
+        Cx[_COMFORT_ROWS] = (g_ay, -g_ay, g_jy, -g_jy)
         keep = np.isfinite(vals)
-        idx = np.where(keep)[0]
-        return vals[idx], Cx[idx], Cu[idx], idx
+        if allowed is not None:
+            keep &= allowed
+        idx = np.flatnonzero(keep)
+        return vals.take(idx), Cx.take(idx, axis=0), Cu.take(idx, axis=0), idx
 
 
 @dataclass(frozen=True)
@@ -310,8 +325,7 @@ _TAIL_INPUT_REG = 1e-6
 
 
 def _stage_cost_arrays(weights: CostWeights, horizon: HorizonConfig,
-                       x_refs: np.ndarray, u_refs: np.ndarray,
-                       slack_objective: bool = False):
+                       x_refs: np.ndarray, u_refs: np.ndarray):
     M, N = horizon.n_constraint, horizon.n_cost
     nz = NX + NU
     W = np.zeros((M, nz, nz))
@@ -322,15 +336,11 @@ def _stage_cost_arrays(weights: CostWeights, horizon: HorizonConfig,
     Wtail = np.zeros((nz, nz))
     Wtail[NX:, NX:] = _TAIL_INPUT_REG * np.eye(NU)
     for n in range(M):
-        # the slack problem minimizes the slack norm alone; tracking weights
-        # are dropped and only the tie-breaking input regularization stays
-        W[n] = Wtail if (slack_objective or n >= N) else Wfull
+        W[n] = Wtail if n >= N else Wfull
         ref[n, :NX] = x_refs[n]
         ref[n, NX:] = u_refs[n]
     # the mid-horizon terminal cost lands on the state block of stage N
-    if slack_objective:
-        P_M = np.zeros((NX, NX))
-    elif N < M:
+    if N < M:
         W[N][:NX, :NX] += weights.P
         P_M = np.zeros((NX, NX))
     else:
@@ -339,81 +349,79 @@ def _stage_cost_arrays(weights: CostWeights, horizon: HorizonConfig,
 
 
 def _make_stage_rows(stack: ConstraintStack, profile: DisturbanceProfile,
-                     mode: RelaxationMode, slack_fixed: np.ndarray | None,
-                     n_gamma: int, horizon: HorizonConfig, x_refs: np.ndarray,
-                     tube: np.ndarray):
-    """Stage row provider combining the stack, tube rows and relaxation."""
-    E_full = mode.selector() if mode.n_channels else None
-    drop_idx = {ROW_LABELS.index(lbl) for lbl in mode.drop}
+                     mode: RelaxationMode, slack: np.ndarray | None,
+                     horizon: HorizonConfig, x_refs: np.ndarray,
+                     tube: np.ndarray, labels: tuple = ROW_LABELS):
+    """Stage row provider combining the stack, tube rows and relaxation.
+
+    The mode's rows are lifted by the fixed slack vector, or, with slack
+    None, its channels become the global decision block (Cg columns). Only
+    rows named in labels and not dropped by the mode are kept; non-finite
+    tube widths disable their rows.
+    """
+    allowed = np.array([lbl in labels and lbl not in mode.drop
+                        for lbl in ROW_LABELS])
+    E = mode.selector() if mode.n_channels else None
     N = horizon.n_cost
-    tube_idx = np.where(np.isfinite(tube))[0]
+    tube_idx = np.flatnonzero(np.isfinite(tube))
     tube_w = tube[tube_idx]
+    k = tube_idx.size
+    t_Cx = np.zeros((2 * k, NX))
+    t_Cx[np.arange(k), tube_idx] = 1.0
+    t_Cx[np.arange(k, 2 * k), tube_idx] = -1.0
+    t_Cu = np.zeros((2 * k, NU))
+    t_Cg = None if E is None else np.zeros((2 * k, E.shape[1]))
 
     def rows(n, x, u):
         vals, Cx, Cu, kept = stack.linearize(
             x, u, profile.yield_bound[n],
-            profile.corridor_lo[n], profile.corridor_hi[n])
-        if drop_idx:
-            keep_mask = np.array([k not in drop_idx for k in kept])
-            vals, Cx, Cu, kept = (vals[keep_mask], Cx[keep_mask],
-                                  Cu[keep_mask], kept[keep_mask])
+            profile.corridor_lo[n], profile.corridor_hi[n], allowed)
         Cg = None
-        if E_full is not None:
-            E_kept = E_full[kept]
-            if slack_fixed is not None:
-                vals = vals - E_kept @ slack_fixed
-            elif n_gamma:
+        if E is not None:
+            E_kept = E.take(kept, axis=0)
+            if slack is not None:
+                vals = vals - E_kept @ slack
+            else:
                 Cg = -E_kept
-        if n >= N:
+        if n >= N and k:
             # stabilizing tube on the error state
             err = x[tube_idx] - x_refs[n][tube_idx]
-            t_vals = np.concatenate([err - tube_w, -err - tube_w])
-            t_Cx = np.zeros((2 * tube_idx.size, NX))
-            for j, k in enumerate(tube_idx):
-                t_Cx[j, k] = 1.0
-                t_Cx[tube_idx.size + j, k] = -1.0
-            vals = np.concatenate([vals, t_vals])
-            Cx = np.vstack([Cx, t_Cx])
-            Cu = np.vstack([Cu, np.zeros((2 * tube_idx.size, NU))])
+            vals = np.concatenate([vals, err - tube_w, -err - tube_w])
+            Cx = np.concatenate([Cx, t_Cx])
+            Cu = np.concatenate([Cu, t_Cu])
             if Cg is not None:
-                Cg = np.vstack([Cg, np.zeros((2 * tube_idx.size, n_gamma))])
+                Cg = np.concatenate([Cg, t_Cg])
         return vals, Cx, Cu, Cg
 
     return rows
 
 
 def _make_terminal_rows(profile: DisturbanceProfile, terminal: TerminalSets,
-                        x_refs: np.ndarray, n_gamma: int,
-                        mode: RelaxationMode = None):
+                        mode: RelaxationMode = NOMINAL_MODE,
+                        labels: tuple = ROW_LABELS):
+    """Terminal row provider; rows read sign * x[col] - offset.
+
+    A row is kept when its label is in labels, the mode does not drop it and
+    its offset is finite. A mode that drops the longitudinal stack rows
+    abandons the yielding strategy, and with it the stop-behind row.
+    """
     M = len(profile) - 1
-    sigma_M = profile.yield_bound[M]
-    beta_lo = profile.corridor_lo[M]
-    beta_hi = profile.corridor_hi[M]
     tol = terminal.standstill_tol
-    # a mode that drops the longitudinal stack rows abandons the yielding
-    # strategy; the terminal stop-behind row encodes the same bound
-    drop_yield = mode is not None and "g_lon_safe" in mode.drop
-    with_yield = math.isfinite(sigma_M) and not drop_yield
+    offset = np.array([tol, tol, tol, tol,
+                       profile.corridor_hi[M], -profile.corridor_lo[M],
+                       profile.yield_bound[M] - terminal.stop_margin])
+    keep = [k for k, lbl in enumerate(TERMINAL_ROW_LABELS)
+            if lbl in labels and lbl not in mode.drop
+            and math.isfinite(offset[k])]
+    cols = np.array([dyn.IDX_V, dyn.IDX_V, dyn.IDX_A, dyn.IDX_A,
+                     dyn.IDX_EY, dyn.IDX_EY, dyn.IDX_S])[keep]
+    sign = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0])[keep]
+    offset = offset[keep]
+    Cx = np.zeros((len(keep), NX))
+    Cx[np.arange(len(keep)), cols] = sign
 
     def rows(x):
-        vals = [x[dyn.IDX_V] - tol, -x[dyn.IDX_V] - tol,
-                x[dyn.IDX_A] - tol, -x[dyn.IDX_A] - tol,
-                x[dyn.IDX_EY] - beta_hi, beta_lo - x[dyn.IDX_EY]]
-        Cx = np.zeros((7, NX))
-        Cx[0, dyn.IDX_V] = 1.0
-        Cx[1, dyn.IDX_V] = -1.0
-        Cx[2, dyn.IDX_A] = 1.0
-        Cx[3, dyn.IDX_A] = -1.0
-        Cx[4, dyn.IDX_EY] = 1.0
-        Cx[5, dyn.IDX_EY] = -1.0
-        if with_yield:
-            vals.append(x[dyn.IDX_S] - (sigma_M - terminal.stop_margin))
-            Cx[6, dyn.IDX_S] = 1.0
-        else:
-            Cx = Cx[:6]
-        v = np.asarray(vals)
-        Cg = np.zeros((v.size, n_gamma)) if n_gamma else None
-        return v, Cx, Cg
+        return sign * x[cols] - offset, Cx, None
 
     return rows
 
@@ -421,17 +429,16 @@ def _make_terminal_rows(profile: DisturbanceProfile, terminal: TerminalSets,
 def _base_nlp(x_k, path: PathGeometry, params: VehicleParams,
               weights: CostWeights, horizon: HorizonConfig,
               x_refs, u_refs, stage_rows, terminal_rows,
-              u_init=None, slack_objective=False, **gamma_kw) -> NlpDescription:
+              u_init=None) -> NlpDescription:
     t_s = horizon.t_s
-    W, ref, P_M = _stage_cost_arrays(weights, horizon, x_refs, u_refs,
-                                     slack_objective=slack_objective)
+    W, ref, P_M = _stage_cost_arrays(weights, horizon, x_refs, u_refs)
     return NlpDescription(
         nx=NX, nu=NU, horizon=horizon.n_constraint, x0=np.asarray(x_k, dtype=float),
         dyn_f=lambda n, x, u: dyn.f_discrete(x, u, path, params, t_s),
         dyn_jac=lambda n, x, u: dyn.jacobians(x, u, path, params, t_s),
         cost_W=W, cost_ref=ref, cost_P=P_M, cost_ref_M=x_refs[horizon.n_constraint],
         stage_rows=stage_rows, terminal_rows=terminal_rows,
-        u_init=u_init, **gamma_kw)
+        u_init=u_init)
 
 
 def build_nominal(x_k, path, params, weights, horizon, stack: ConstraintStack,
@@ -439,9 +446,9 @@ def build_nominal(x_k, path, params, weights, horizon, stack: ConstraintStack,
                   x_refs, u_refs, u_init=None) -> NlpDescription:
     """Hard-constrained tracking problem over the full constraint horizon."""
     _check_profile(profile, horizon)
-    rows = _make_stage_rows(stack, profile, NOMINAL_MODE, None, 0,
+    rows = _make_stage_rows(stack, profile, NOMINAL_MODE, None,
                             horizon, x_refs, terminal.tube)
-    term = _make_terminal_rows(profile, terminal, x_refs, 0)
+    term = _make_terminal_rows(profile, terminal)
     return _base_nlp(x_k, path, params, weights, horizon, x_refs, u_refs,
                      rows, term, u_init=u_init)
 
@@ -457,38 +464,11 @@ def build_relaxed(x_k, path, params, weights, horizon, stack, profile,
     ceil = mode.ceiling_vector()
     if np.any(slack < -1e-12) or np.any(slack > ceil + 1e-9):
         raise ValueError("slack outside [0, ceiling] for mode " + mode.name)
-    rows = _make_stage_rows(stack, profile, mode, slack, 0,
+    rows = _make_stage_rows(stack, profile, mode, slack,
                             horizon, x_refs, terminal.tube)
-    term = _make_terminal_rows(profile, terminal, x_refs, 0, mode=mode)
+    term = _make_terminal_rows(profile, terminal, mode)
     return _base_nlp(x_k, path, params, weights, horizon, x_refs, u_refs,
                      rows, term, u_init=u_init)
-
-
-def build_slack_problem(x_k, path, params, weights, horizon, stack, profile,
-                        terminal, mode: RelaxationMode, x_refs, u_refs,
-                        u_init=None) -> NlpDescription:
-    """Minimal-norm slack problem: channels become global decision variables.
-
-    Constant move blocking holds each channel at one value across the
-    horizon, so the squared-norm objective reduces to the blocked vector
-    scaled by the cost-horizon length.
-    """
-    _check_profile(profile, horizon)
-    q = mode.n_channels
-    if q == 0:
-        raise ValueError("slack problem needs a mode with relaxable rows")
-    rows = _make_stage_rows(stack, profile, mode, None, q,
-                            horizon, x_refs, terminal.tube)
-    term = _make_terminal_rows(profile, terminal, x_refs, q, mode=mode)
-    return _base_nlp(
-        x_k, path, params, weights, horizon, x_refs, u_refs, rows, term,
-        u_init=u_init, slack_objective=True, n_gamma=q,
-        gamma_weight=2.0 * horizon.n_cost * np.eye(q),
-        # linear bias keeps at-zero bounds strictly complementary and pins
-        # unused channels to zero; constraint-pinned channels are unaffected
-        # and flat directions shift by far less than the oracle tolerance
-        gamma_linear=np.full(q, 0.5),
-        gamma_lo=np.zeros(q), gamma_hi=mode.ceiling_vector())
 
 
 def _check_profile(profile: DisturbanceProfile, horizon: HorizonConfig):

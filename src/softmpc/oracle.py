@@ -13,21 +13,31 @@ Each oracle call reconstructs the decoupled subproblem implied by theta
 (longitudinal chain s/v/a or lateral chain e_y/e_psi/delta/alpha), solves
 the minimal-slack problem, and snaps interior-point center offsets below
 snap_tol to an exact zero so feasible instances report a zero slack.
+
+The subproblems are derived, not written out: theta becomes a disturbance
+profile (the yield bound, or the corridor plus the stabilizing tube on the
+lateral states), and the controller's own stage and terminal rows
+(ocp._make_stage_rows / _make_terminal_rows, restricted to the subsystem's
+row labels) are evaluated on the iterate embedded into the full state, then
+cut down to the subsystem's columns. The lateral chain steps the full
+vehicle model on a straight path at constant speed; the longitudinal chain
+is linear, and its RK4 step is taken in closed form (_lon_discrete).
 """
 from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dynamics as dyn
-from .dynamics import VehicleParams
-from .environment import DisturbanceProfile, NO_BOUND
+from . import ocp
+from .dynamics import NU, NX, VehicleParams
+from .environment import NO_BOUND, DisturbanceProfile, lane_bounds
 from .ocp import ConstraintStack, HorizonConfig, RelaxationMode, TerminalSets, build_reference
+from .path import PathGeometry
 from .sqp import STATUS_OPTIMAL, NlpDescription, SolverOptions, SolveReport, solve
 
 SNAP_TOL = 1e-3     # below the dataset's brute-force grid resolution
@@ -50,9 +60,10 @@ ORACLE_SOLVER_OPTS = SolverOptions(penalty_init=1e4, penalty_max=1e4,
 class ScenarioTemplate:
     """Canonical placement of the collision window for one scenario family.
 
-    kind selects the decoupled subsystem the slack problem runs on. v_ref is
-    the cruise reference the subproblem tracks; lane geometry serves the
-    lateral corridor rows.
+    kind selects the decoupled subsystem the slack problem runs on; stack
+    serves both kinds, as the subproblem keeps the subsystem's rows of it.
+    v_ref is the cruise reference the subproblem tracks; lane geometry
+    serves the lateral corridor rows.
     """
     kind: str                      # "lon" | "lat"
     horizon: HorizonConfig
@@ -111,8 +122,9 @@ def build_theta(template: ScenarioTemplate, x: np.ndarray,
 def _lon_discrete(params: VehicleParams, t_s: float):
     """Fourth-order Taylor step of the linear longitudinal chain (s, v, a).
 
-    Identical to the longitudinal block of the full vehicle RK4 step on a
-    straight path with the lateral states at rest.
+    Equal, to rounding (below 1e-15), to the longitudinal block of the full
+    vehicle RK4 step on a straight path with the lateral states at rest;
+    the closed form keeps the longitudinal labels reproducible bit for bit.
     """
     L = np.array([[0.0, 1.0, 0.0],
                   [0.0, 0.0, 1.0],
@@ -138,255 +150,110 @@ def _lon_discrete(params: VehicleParams, t_s: float):
     return A, B
 
 
-def _lon_nlp(template: ScenarioTemplate, theta: np.ndarray,
-             mode: RelaxationMode, with_slack: bool) -> NlpDescription:
-    h = template.horizon
-    p = template.params
-    st = template.stack
-    M = h.n_constraint
-    sigma = np.asarray(theta[:M + 1], dtype=float)
-    s0, v0, a0 = theta[M + 1], theta[M + 2], theta[M + 3]
-    x0 = np.array([s0, v0, a0])
-
-    A_d, B_d = _lon_discrete(p, h.t_s)
-    x_refs7, u_refs7 = build_reference(s0, template.v_ref, 0.0, h, p)
-    ref_s = x_refs7[:, dyn.IDX_S]
-    ref_v = x_refs7[:, dyn.IDX_V]
-    ref_a = x_refs7[:, dyn.IDX_A]
-
-    relax_follow = "g_follow" in mode.relax
-    relax_comfort = "a_req_comfort_lb" in mode.relax
-    drop_lon = "g_lon_safe" in mode.drop
-    drop_follow = "g_follow" in mode.drop
-    chan = {ch: j for j, ch in enumerate(mode.channels)}
-    q = mode.n_channels if with_slack else 0
-
-    def rows(n, x, u):
-        s, v, a = x
-        vals = [v - p.v_max, -v,
-                a - p.accel_max, p.accel_min - a,
-                u[0] - p.accel_max, p.accel_min - u[0],
-                st.a_req_comfort_min - u[0]]
-        Cx = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0],
-                       [0.0, 0.0, 1.0], [0.0, 0.0, -1.0],
-                       [0.0, 0.0, 0.0], [0.0, 0.0, 0.0],
-                       [0.0, 0.0, 0.0]])
-        Cu = np.array([[0.0], [0.0], [0.0], [0.0], [1.0], [-1.0], [-1.0]])
-        Cg_rows = [None] * 7
-        if q and relax_comfort:
-            g = np.zeros(q)
-            g[chan["delta_a"]] = -1.0
-            Cg_rows[6] = g
-        if not drop_lon:
-            vals.append(s - sigma[n])
-            Cx = np.vstack([Cx, [1.0, 0.0, 0.0]])
-            Cu = np.vstack([Cu, [0.0]])
-            Cg_rows.append(None)
-        if not drop_follow:
-            vals.append(s + st.t_gap * v - sigma[n])
-            Cx = np.vstack([Cx, [1.0, st.t_gap, 0.0]])
-            Cu = np.vstack([Cu, [0.0]])
-            if q and relax_follow:
-                g = np.zeros(q)
-                g[chan["delta_g"]] = -1.0
-                Cg_rows.append(g)
-            else:
-                Cg_rows.append(None)
-        v_arr = np.asarray(vals)
-        Cg = None
-        if q:
-            Cg = np.zeros((v_arr.size, q))
-            for i, g in enumerate(Cg_rows):
-                if g is not None:
-                    Cg[i] = g
-        return v_arr, Cx, Cu, Cg
-
-    tol = template.terminal.standstill_tol
-    margin = template.terminal.stop_margin
-    with_yield = not drop_lon
-
-    def terminal_rows(x):
-        s, v, a = x
-        vals = [v - tol, -v - tol, a - tol, -a - tol]
-        Cx = [[0.0, 1.0, 0.0], [0.0, -1.0, 0.0],
-              [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]
-        if with_yield:
-            vals.append(s - (sigma[M] - margin))
-            Cx.append([1.0, 0.0, 0.0])
-        v_arr = np.asarray(vals)
-        Cg = np.zeros((v_arr.size, q)) if q else None
-        return v_arr, np.asarray(Cx), Cg
-
-    W = np.zeros((M, 4, 4))
-    # input tie-break regularization: picks among equivalent inputs without
-    # moving the constraint-pinned slack optimum
-    W[:, 3, 3] = 1e-4
-    ref = np.zeros((M, 4))
-    ref[:, 0] = ref_s[:M]
-    ref[:, 1] = ref_v[:M]
-    ref[:, 2] = ref_a[:M]
-    ref[:, 3] = u_refs7[:, 1]
-    u_init = u_refs7[:, 1:2]
-
-    kw = {}
-    if q:
-        kw = dict(n_gamma=q, gamma_weight=2.0 * h.n_cost * np.eye(q),
-                  gamma_linear=np.full(q, 0.5),
-                  gamma_lo=np.zeros(q), gamma_hi=mode.ceiling_vector())
-    return NlpDescription(
-        nx=3, nu=1, horizon=M, x0=x0,
-        dyn_f=lambda n, x, u: A_d @ x + B_d @ u,
-        dyn_jac=lambda n, x, u: (A_d, B_d),
-        cost_W=W, cost_ref=ref, cost_P=np.zeros((3, 3)),
-        cost_ref_M=np.array([ref_s[M], ref_v[M], ref_a[M]]),
-        stage_rows=rows, terminal_rows=terminal_rows, u_init=u_init, **kw)
+# state columns and input column of each decoupled subsystem in the full
+# model, with the stack rows it keeps
+_SUBSYSTEMS = {"lon": (np.array(dyn.LON_IDX), 1, ocp.LON_ROW_LABELS),
+               "lat": (np.array(dyn.LAT_IDX), 0, ocp.LAT_ROW_LABELS)}
+_LAT_A = np.ix_(dyn.LAT_IDX, dyn.LAT_IDX)
+_LAT_B = np.ix_(dyn.LAT_IDX, (0,))
+# the lateral chain runs at constant speed on a straight path; its position
+# restarts at 0 on every step, so the path only covers one step's travel
+_STRAIGHT = PathGeometry(s=np.array([-1e4, 1e4]),
+                         xy=np.array([[-1e4, 0.0], [1e4, 0.0]]),
+                         heading=np.zeros(2), curvature=np.zeros(2))
 
 
-def _lat_nlp(template: ScenarioTemplate, theta: np.ndarray,
-             mode: RelaxationMode, with_slack: bool) -> NlpDescription:
+def _subproblem_nlp(template: ScenarioTemplate, theta: np.ndarray,
+                    mode: RelaxationMode) -> NlpDescription:
+    """Minimal-slack problem of the template's subsystem for one theta.
+
+    The profile implied by theta feeds the controller's own stage and
+    terminal rows, restricted to the subsystem's labels; each 3- or 4-state
+    iterate is embedded into the full state (other states at rest, or at
+    the constant speed for the lateral chain) and the row Jacobians are
+    cut down to the subsystem's columns.
+    """
     h = template.horizon
     p = template.params
     M = h.n_constraint
     nw = M + 1
-    beta_lo = np.asarray(theta[:nw], dtype=float)
-    beta_hi = np.asarray(theta[nw:2 * nw], dtype=float)
-    v, ey0, epsi0, delta0, alpha0 = theta[2 * nw:]
-    x0 = np.array([ey0, epsi0, delta0, alpha0])
-    l = p.wheelbase
-    w0, w1 = p.steer_w0, p.steer_w1
-    t_s = h.t_s
+    x_idx, u_col, labels = _SUBSYSTEMS[template.kind]
+    x_rest = np.zeros(NX)
+    tube = np.full(NX, np.inf)
 
-    invaded = beta_lo > 0.0
-    e_y_ref = template.lane_width if np.any(invaded) else 0.0
+    def embed(x):
+        full = x_rest.copy()
+        full[x_idx] = x
+        return full
 
-    def f(n, x, u):
-        def fc(xx):
-            ey, epsi, delta, alpha = xx
-            return np.array([v * math.sin(epsi),
-                             v * math.tan(delta) / l,
-                             alpha,
-                             w0 ** 2 * (u[0] - delta) - 2.0 * w0 * w1 * alpha])
-        k1 = fc(x)
-        k2 = fc(x + 0.5 * t_s * k1)
-        k3 = fc(x + 0.5 * t_s * k2)
-        k4 = fc(x + t_s * k3)
-        return x + (t_s / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    def embed_u(u):
+        full = np.zeros(NU)
+        full[u_col] = u[0]
+        return full
 
-    def jac_cont(x):
-        ey, epsi, delta, alpha = x
-        A = np.zeros((4, 4))
-        A[0, 1] = v * math.cos(epsi)
-        A[1, 2] = v * (1.0 + math.tan(delta) ** 2) / l
-        A[2, 3] = 1.0
-        A[3, 2] = -w0 ** 2
-        A[3, 3] = -2.0 * w0 * w1
-        B = np.array([[0.0], [0.0], [0.0], [w0 ** 2]])
-        return A, B
+    if template.kind == "lon":
+        profile = DisturbanceProfile(
+            yield_bound=theta[:nw], corridor_lo=np.full(nw, -np.inf),
+            corridor_hi=np.full(nw, np.inf), window=None)
+        x0 = theta[nw:nw + 3].copy()
+        s0, e_y_ref = x0[0], 0.0
+        A_d, B_d = _lon_discrete(p, h.t_s)
+        dyn_f = lambda n, x, u: A_d @ x + B_d @ u
+        dyn_jac = lambda n, x, u: (A_d, B_d)
+    else:
+        profile = DisturbanceProfile(
+            yield_bound=np.full(nw, NO_BOUND), corridor_lo=theta[:nw],
+            corridor_hi=theta[nw:2 * nw], window=None)
+        x_rest[dyn.IDX_V] = theta[2 * nw]
+        x0 = theta[2 * nw + 1:].copy()
+        s0 = 0.0
+        e_y_ref = template.lane_width if np.any(profile.corridor_lo > 0.0) else 0.0
+        tube[x_idx] = template.terminal.tube[x_idx]
 
-    def jac(n, x, u):
-        hh = t_s
-        J1, Bc = jac_cont(x)
-        def fc(xx):
-            ey, epsi, delta, alpha = xx
-            return np.array([v * math.sin(epsi),
-                             v * math.tan(delta) / l,
-                             alpha,
-                             w0 ** 2 * (u[0] - delta) - 2.0 * w0 * w1 * alpha])
-        k1 = fc(x)
-        x2 = x + 0.5 * hh * k1
-        J2, _ = jac_cont(x2)
-        k2 = fc(x2)
-        x3 = x + 0.5 * hh * k2
-        J3, _ = jac_cont(x3)
-        k3 = fc(x3)
-        x4 = x + hh * k3
-        J4, _ = jac_cont(x4)
-        I = np.eye(4)
-        K1 = J1
-        K2 = J2 @ (I + 0.5 * hh * K1)
-        K3 = J3 @ (I + 0.5 * hh * K2)
-        K4 = J4 @ (I + hh * K3)
-        A = I + (hh / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
-        K1u = Bc
-        K2u = Bc + J2 @ (0.5 * hh * K1u)
-        K3u = Bc + J3 @ (0.5 * hh * K2u)
-        K4u = Bc + J4 @ (hh * K3u)
-        B = (hh / 6.0) * (K1u + 2 * K2u + 2 * K3u + K4u)
-        return A, B
+        def dyn_f(n, x, u):
+            return dyn.f_discrete(embed(x), embed_u(u), _STRAIGHT, p, h.t_s)[x_idx]
 
-    chan = {ch: j for j, ch in enumerate(mode.channels)}
-    q = mode.n_channels if with_slack else 0
-    tube = template.terminal.tube
-    tube_w = np.array([tube[dyn.IDX_EY], tube[dyn.IDX_EPSI],
-                       tube[dyn.IDX_DELTA], tube[dyn.IDX_ALPHA]])
-    N = h.n_cost
+        def dyn_jac(n, x, u):
+            A, B = dyn.jacobians(embed(x), embed_u(u), _STRAIGHT, p, h.t_s)
+            return A[_LAT_A], B[_LAT_B]
 
-    def rows(n, x, u):
-        ey, epsi, delta, alpha = x
-        tan_d = math.tan(delta)
-        sec2 = 1.0 + tan_d * tan_d
-        a_y = v * v * tan_d / l
-        j_y = v * v * alpha * sec2 / l
-        g_ay = np.array([0.0, 0.0, v * v * sec2 / l, 0.0])
-        g_jy = np.array([0.0, 0.0, v * v * alpha * 2.0 * tan_d * sec2 / l,
-                         v * v * sec2 / l])
-        vals = [epsi - p.e_psi_max, -epsi - p.e_psi_max,
-                delta - p.delta_max, -delta - p.delta_max,
-                u[0] - p.delta_max, -u[0] - p.delta_max,
-                alpha - p.alpha_max, -alpha - p.alpha_max,
-                a_y - p.lat_accel_max, -a_y - p.lat_accel_max,
-                j_y - p.lat_jerk_max, -j_y - p.lat_jerk_max,
-                ey - beta_hi[n], beta_lo[n] - ey]
-        Cx = np.zeros((14, 4))
-        Cx[0, 1], Cx[1, 1] = 1.0, -1.0
-        Cx[2, 2], Cx[3, 2] = 1.0, -1.0
-        Cx[6, 3], Cx[7, 3] = 1.0, -1.0
-        Cx[8] = g_ay
-        Cx[9] = -g_ay
-        Cx[10] = g_jy
-        Cx[11] = -g_jy
-        Cx[12, 0], Cx[13, 0] = 1.0, -1.0
-        Cu = np.zeros((14, 1))
-        Cu[4, 0], Cu[5, 0] = 1.0, -1.0
-        if n >= N:
-            err = x - np.array([e_y_ref, 0.0, 0.0, 0.0])
-            vals.extend(list(err - tube_w))
-            vals.extend(list(-err - tube_w))
-            Cx = np.vstack([Cx, np.eye(4), -np.eye(4)])
-            Cu = np.vstack([Cu, np.zeros((8, 1))])
-        v_arr = np.asarray(vals)
-        Cg = None
-        if q:
-            Cg = np.zeros((v_arr.size, q))
-            Cg[8, chan["d_ay_hi"]] = -1.0
-            Cg[9, chan["d_ay_lo"]] = -1.0
-            Cg[10, chan["d_jy_hi"]] = -1.0
-            Cg[11, chan["d_jy_lo"]] = -1.0
-        return v_arr, Cx, Cu, Cg
+    x_refs, u_refs = build_reference(s0, template.v_ref, e_y_ref, h, p)
+    stage = ocp._make_stage_rows(template.stack, profile, mode, None, h,
+                                 x_refs, tube, labels)
+    terminal = ocp._make_terminal_rows(profile, template.terminal, mode, labels)
+
+    def stage_rows(n, x, u):
+        vals, Cx, Cu, Cg = stage(n, embed(x), embed_u(u))
+        return vals, Cx.take(x_idx, axis=1), Cu.take([u_col], axis=1), Cg
 
     def terminal_rows(x):
-        vals = np.array([x[0] - beta_hi[M], beta_lo[M] - x[0]])
-        Cx = np.array([[1.0, 0, 0, 0], [-1.0, 0, 0, 0]])
-        Cg = np.zeros((2, q)) if q else None
-        return vals, Cx, Cg
+        vals, Cx, Cg = terminal(embed(x))
+        return vals, Cx.take(x_idx, axis=1), Cg
 
-    W = np.zeros((M, 5, 5))
-    W[:, 4, 4] = 1e-4
-    ref = np.zeros((M, 5))
-    ref[:, 0] = e_y_ref
-
+    nx = x_idx.size
+    W = np.zeros((M, nx + 1, nx + 1))
+    # input tie-break regularization: picks among equivalent inputs without
+    # moving the constraint-pinned slack optimum
+    W[:, nx, nx] = 1e-4
+    ref = np.concatenate([x_refs[:M].take(x_idx, axis=1),
+                          u_refs[:, [u_col]]], axis=1)
+    q = mode.n_channels
     kw = {}
     if q:
+        # constant move blocking holds each channel at one value across the
+        # horizon, so the squared-norm objective is the vector scaled by the
+        # cost-horizon length. The linear bias keeps at-zero bounds strictly
+        # complementary and pins unused channels to zero; constraint-pinned
+        # channels are unaffected and flat directions shift by far less than
+        # the oracle tolerance
         kw = dict(n_gamma=q, gamma_weight=2.0 * h.n_cost * np.eye(q),
                   gamma_linear=np.full(q, 0.5),
                   gamma_lo=np.zeros(q), gamma_hi=mode.ceiling_vector())
     return NlpDescription(
-        nx=4, nu=1, horizon=M, x0=x0,
-        dyn_f=f, dyn_jac=jac,
-        cost_W=W, cost_ref=ref, cost_P=np.zeros((4, 4)),
-        cost_ref_M=np.array([e_y_ref, 0.0, 0.0, 0.0]),
-        stage_rows=rows, terminal_rows=terminal_rows,
-        u_init=np.zeros((M, 1)), **kw)
+        nx=nx, nu=1, horizon=M, x0=x0, dyn_f=dyn_f, dyn_jac=dyn_jac,
+        cost_W=W, cost_ref=ref, cost_P=np.zeros((nx, nx)),
+        cost_ref_M=x_refs[M].take(x_idx), stage_rows=stage_rows,
+        terminal_rows=terminal_rows, u_init=u_refs[:, [u_col]], **kw)
 
 
 def oracle_solve(template: ScenarioTemplate, mode: RelaxationMode,
@@ -403,11 +270,8 @@ def oracle_solve(template: ScenarioTemplate, mode: RelaxationMode,
     if theta.shape != (template.theta_dim,):
         raise ValueError(
             f"theta has shape {theta.shape}, expected ({template.theta_dim},)")
-    if template.kind == "lon":
-        nlp = _lon_nlp(template, theta, mode, with_slack=True)
-    else:
-        nlp = _lat_nlp(template, theta, mode, with_slack=True)
-    rep = solve(nlp, opts or ORACLE_SOLVER_OPTS)
+    rep = solve(_subproblem_nlp(template, theta, mode),
+                opts or ORACLE_SOLVER_OPTS)
     feasible = rep.status == STATUS_OPTIMAL or (
         rep.status != "infeasible"
         and rep.infeasibility_measure <= 1e-6)
@@ -478,11 +342,13 @@ def _lon_theta_from_params(template: ScenarioTemplate, p: dict) -> np.ndarray:
 
 def _lat_theta_from_params(template: ScenarioTemplate, p: dict) -> np.ndarray:
     M = template.horizon.n_constraint
-    half = 0.5 * template.lane_width
     n = np.arange(M + 1, dtype=float)
     invaded = n >= p["invade_start"]
-    lo = np.where(invaded, half, -half)
-    hi = np.where(invaded, 3.0 * half, half)
+    # the road user invades the right lane; the corridor moves to the left
+    right = lane_bounds("right", template.lane_width)
+    left = lane_bounds("left", template.lane_width)
+    lo = np.where(invaded, left[0], right[0])
+    hi = np.where(invaded, left[1], right[1])
     return np.concatenate([lo, hi, [p["v"], p["e_y"], p["e_psi"],
                                     p["delta"], p["alpha"]]])
 

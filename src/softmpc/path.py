@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +42,7 @@ class PathGeometry:
         object.__setattr__(self, "curvature", np.asarray(self.curvature, dtype=float).reshape(s.size))
         # unwrapped copy keeps heading interpolation safe across +-pi
         object.__setattr__(self, "_heading_cont", np.unwrap(self.heading))
+        object.__setattr__(self, "_span", (float(s[0]), float(s[-1])))
 
     @property
     def s_min(self) -> float:
@@ -53,24 +54,31 @@ class PathGeometry:
 
     def _check_range(self, s: float) -> float:
         s = float(s)
-        if s < self.s[0] - 1e-9 or s > self.s[-1] + 1e-9:
+        lo, hi = self._span
+        if s < lo - 1e-9 or s > hi + 1e-9:
             raise PathRangeError(
                 f"arc length {s:.6g} outside sampled interval "
-                f"[{self.s[0]:.6g}, {self.s[-1]:.6g}]"
+                f"[{lo:.6g}, {hi:.6g}]"
             )
-        return min(max(s, float(self.s[0])), float(self.s[-1]))
+        return min(max(s, lo), hi)
 
     def curvature_at(self, s: float) -> float:
         """Piecewise-linear interpolation of the sampled curvature."""
         s = self._check_range(s)
         return float(np.interp(s, self.s, self.curvature))
 
-    def curvature_slope_at(self, s: float) -> float:
-        """d(kappa)/ds of the interpolant; piecewise constant between samples."""
+    def curvature_and_slope_at(self, s: float) -> tuple[float, float]:
+        """Curvature and its slope d(kappa)/ds at s, with one range check.
+
+        The slope of the piecewise-linear interpolant is constant between
+        samples.
+        """
         s = self._check_range(s)
         i = int(np.searchsorted(self.s, s, side="right")) - 1
         i = min(max(i, 0), self.s.size - 2)
-        return float((self.curvature[i + 1] - self.curvature[i]) / (self.s[i + 1] - self.s[i]))
+        return (float(np.interp(s, self.s, self.curvature)),
+                float((self.curvature[i + 1] - self.curvature[i])
+                      / (self.s[i + 1] - self.s[i])))
 
     def reference_steering_at(self, s: float, wheelbase: float) -> float:
         """Kinematic steering angle tracking the path: atan(l * kappa)."""

@@ -24,7 +24,7 @@ from . import ocp, plots
 from .controller import (BRANCH_FAILURE, BRANCH_NOMINAL, ModeRuntime,
                          PriorityController)
 from .dynamics import VehicleParams, params_from_config
-from .environment import NO_BOUND, RoadUserState, build_profile
+from .environment import RoadUserState, build_profile
 from .oracle import ScenarioTemplate
 from .path import PathGeometry, straight_path
 from .sqp import SolverOptions

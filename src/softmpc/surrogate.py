@@ -81,9 +81,6 @@ class DenseNet:
                 g = (g @ self.weights[i]) * (pre[i - 1] > 0.0)
         return gW, gb
 
-    def spectral_norms(self) -> list:
-        return [float(np.linalg.svd(W, compute_uv=False)[0]) for W in self.weights]
-
     def lipschitz_per_output(self, input_scale: np.ndarray) -> np.ndarray:
         """Upper bound on each output's Lipschitz constant wrt raw inputs.
 

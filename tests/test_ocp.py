@@ -4,7 +4,9 @@ import pytest
 from softmpc import dynamics as dyn
 from softmpc import ocp
 from softmpc.dynamics import VehicleParams
+from softmpc.controller import HARD_ROW_TOL, PriorityController
 from softmpc.environment import NO_BOUND, DisturbanceProfile, nominal_profile
+from softmpc.oracle import ScenarioTemplate, build_theta, oracle_solve
 from softmpc.path import straight_path
 from softmpc.sqp import STATUS_INFEASIBLE, STATUS_OPTIMAL, solve
 
@@ -252,40 +254,49 @@ def test_mode_e3_drops_longitudinal_rows():
     assert solve(rel).status == STATUS_OPTIMAL
 
 
-def test_slack_problem_zero_when_nominal_feasible():
-    weights = _weights()
-    x0 = dyn.state(s=5.0, v=7.0)
-    x_refs, u_refs = _refs(5.0)
-    nlp = ocp.build_slack_problem(x0, PATH, PARAMS, weights, HORIZON, STACK,
-                                  _free_profile(), TERMINAL, MODE_E2,
-                                  x_refs, u_refs, u_init=u_refs)
-    rep = solve(nlp)
-    assert rep.status in (STATUS_OPTIMAL, "max-iter")
-    # interior-point center offset allowed; the oracle layer resolves
-    # feasible instances to an exact zero via its nominal-first shortcut
-    np.testing.assert_allclose(rep.gamma, 0.0, atol=5e-5)
+def _oracle_slack_in_relaxed_problem(kind, mode, x0, profile, v_ref):
+    """Minimal slack of the oracle's decoupled subproblem, used as the fixed
+    lift of the relaxed problem on the full model with the same profile."""
+    template = ScenarioTemplate(kind=kind, horizon=HORIZON, params=PARAMS,
+                                stack=STACK, terminal=TERMINAL, v_ref=v_ref)
+    feasible, slack, _ = oracle_solve(template, mode,
+                                      build_theta(template, x0, profile))
+    assert feasible
+    assert np.max(slack) > 0.0
+    center = 0.5 * (profile.corridor_lo[-1] + profile.corridor_hi[-1])
+    x_refs, u_refs = ocp.build_reference(x0[dyn.IDX_S], v_ref, center,
+                                         HORIZON, PARAMS)
+    rel = ocp.build_relaxed(x0, PATH, PARAMS, _weights(v_ref), HORIZON, STACK,
+                            profile, TERMINAL, mode, slack, x_refs, u_refs,
+                            u_init=u_refs)
+    rep = solve(rel)
+    assert PriorityController._solve_usable(rep)
+    res = ocp.eval_constraints(rep.xs, rep.us, STACK, profile)
+    res = np.where(np.isfinite(res), res, -np.inf)
+    assert np.max(res[mode.hard_row_indices()]) <= HARD_ROW_TOL
 
 
-def test_slack_problem_recovers_needed_headway_lift():
-    weights = _weights()
-    x0 = dyn.state(s=0.0, v=7.0)
-    x_refs, u_refs = _refs(0.0)
+def test_lon_oracle_slack_solves_the_relaxed_problem():
+    # headway violated at the fixed initial state (8 < 0 + 1.5*7): the
+    # oracle's lift of g_follow must let the full model hold every hard row
     M = HORIZON.n_constraint
     sigma = 8.0 + 5.0 * HORIZON.t_s * np.arange(M + 1)
     profile = DisturbanceProfile(yield_bound=sigma,
                                  corridor_lo=np.full(M + 1, -1.75),
                                  corridor_hi=np.full(M + 1, 1.75),
                                  window=(0, M))
-    nlp = ocp.build_slack_problem(x0, PATH, PARAMS, weights, HORIZON, STACK,
-                                  profile, TERMINAL, MODE_E1, x_refs, u_refs,
-                                  u_init=u_refs)
-    rep = solve(nlp)
-    assert rep.status == STATUS_OPTIMAL
-    # at stage 0 the headway row is violated by s + t_gap v - sigma = 2.5
-    # and no input can change the initial state: slack must cover it
-    assert rep.gamma[0] >= 2.5 - 1e-6
-    # self-consistency: the relaxed problem accepts the recovered slack
-    rel = ocp.build_relaxed(x0, PATH, PARAMS, weights, HORIZON, STACK, profile,
-                            TERMINAL, MODE_E1, np.minimum(rep.gamma + 1e-6, 30.0),
-                            x_refs, u_refs, u_init=rep.us)
-    assert solve(rel).status == STATUS_OPTIMAL
+    _oracle_slack_in_relaxed_problem("lon", MODE_E1, dyn.state(s=0.0, v=7.0),
+                                     profile, v_ref=7.0)
+
+
+def test_lat_oracle_slack_solves_the_relaxed_problem():
+    # the road user invades the ego lane from step 20: merging left in time
+    # needs the comfort lift the lateral oracle labels
+    M = HORIZON.n_constraint
+    invaded = np.arange(M + 1) >= 20
+    profile = DisturbanceProfile(yield_bound=np.full(M + 1, NO_BOUND),
+                                 corridor_lo=np.where(invaded, 1.75, -1.75),
+                                 corridor_hi=np.where(invaded, 5.25, 1.75),
+                                 window=None)
+    _oracle_slack_in_relaxed_problem("lat", MODE_E3, dyn.state(s=10.0, v=8.0),
+                                     profile, v_ref=8.0)

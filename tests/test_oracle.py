@@ -3,12 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from softmpc import dynamics as dyn
 from softmpc import oracle
 from softmpc.dynamics import VehicleParams
 from softmpc.ocp import ConstraintStack, HorizonConfig, RelaxationMode, TerminalSets
 from softmpc.oracle import (LatSampler, LonSampler, ScenarioTemplate,
                             generate_dataset, load_dataset, oracle_solve,
                             sample_thetas, save_dataset)
+from softmpc.path import straight_path
 
 PARAMS = VehicleParams()
 HORIZON = HorizonConfig(n_cost=10, n_constraint=40, t_s=0.1)
@@ -195,13 +197,26 @@ def test_feasible_relaxed_self_consistency():
     theta = _lon_theta(gap0=10.0, lead_speed=5.0, v0=10.0)
     feasible, slack, _ = oracle_solve(LON_TEMPLATE, MODE_E1, theta)
     assert feasible
-    nlp = oracle._lon_nlp(LON_TEMPLATE, theta, MODE_E1, with_slack=True)
+    nlp = oracle._subproblem_nlp(LON_TEMPLATE, theta, MODE_E1)
+    assert (nlp.nx, nlp.nu, nlp.n_gamma) == (3, 1, 1)
     # shrink the ceiling to just above the found slack: still feasible
     tight = RelaxationMode(name="E1t", priority=1, relax={"g_follow": "delta_g"},
                            ceilings={"delta_g": float(slack[0]) + 0.05})
     feas2, slack2, _ = oracle_solve(LON_TEMPLATE, tight, theta)
     assert feas2
     assert slack2[0] <= slack[0] + 0.05 + 1e-9
+
+
+def test_lon_discrete_is_the_longitudinal_block_of_the_rk4_step():
+    # the closed form stands in for the full model's RK4 step on the
+    # longitudinal chain: on a straight path at rest the two agree
+    A_d, B_d = oracle._lon_discrete(PARAMS, HORIZON.t_s)
+    A, B = dyn.jacobians(dyn.state(), np.zeros(2), straight_path(100.0),
+                         PARAMS, HORIZON.t_s)
+    np.testing.assert_allclose(A_d, A[np.ix_(dyn.LON_IDX, dyn.LON_IDX)],
+                               rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(B_d, B[np.ix_(dyn.LON_IDX, (1,))],
+                               rtol=0.0, atol=1e-15)
 
 
 def _toy_min_slack_bruteforce(gap0, lead_speed, v0, template, mode,
