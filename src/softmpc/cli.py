@@ -110,17 +110,25 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
+def _write_outputs(log, out: str, config) -> dict:
+    """Trajectory CSV, decision log, plots and metrics JSON of one run;
+    returns the metrics."""
+    from .simkit import emit_plots, metrics, write_decision_log, write_log_csv
+    write_log_csv(log, os.path.join(out, f"{config.name}_traj.csv"))
+    write_decision_log(log, os.path.join(out, f"{config.name}_decisions.jsonl"))
+    emit_plots(log, out, config.name, config)
+    m = metrics(log)
+    with open(os.path.join(out, f"{config.name}_metrics.json"), "w") as fh:
+        json.dump(m, fh, indent=1, sort_keys=True)
+    return m
+
+
 def cmd_simulate(args) -> int:
-    from .simkit import emit_plots, metrics, run, write_decision_log, write_log_csv
+    from .simkit import run
     config = _load_config(args.config)
     log = run(config, use_oracle=args.oracle)
     os.makedirs(args.out, exist_ok=True)
-    write_log_csv(log, os.path.join(args.out, f"{config.name}_traj.csv"))
-    write_decision_log(log, os.path.join(args.out, f"{config.name}_decisions.jsonl"))
-    emit_plots(log, args.out, config.name, config)
-    m = metrics(log)
-    with open(os.path.join(args.out, f"{config.name}_metrics.json"), "w") as fh:
-        json.dump(m, fh, indent=1, sort_keys=True)
+    m = _write_outputs(log, args.out, config)
     print(json.dumps(m, indent=1, sort_keys=True))
     if log.failed and not args.allow_failure:
         return EXIT_CONTROLLER
@@ -167,13 +175,9 @@ def cmd_pipeline(args) -> int:
         config2.mode_specs = [
             (mode, kind, model_files[mode.name])
             for mode, kind, _ in config2.mode_specs]
-        from .simkit import emit_plots, metrics, run, write_decision_log, write_log_csv
+        from .simkit import run
         log = run(config2, use_oracle=False)
-        write_log_csv(log, os.path.join(out, f"{config2.name}_traj.csv"))
-        write_decision_log(log, os.path.join(out, f"{config2.name}_decisions.jsonl"))
-        emit_plots(log, out, config2.name, config2)
-        with open(os.path.join(out, f"{config2.name}_metrics.json"), "w") as fh:
-            json.dump(metrics(log), fh, indent=1, sort_keys=True)
+        _write_outputs(log, out, config2)
         if log.failed:
             raise StageError("simulate", "controller reported failure",
                              EXIT_CONTROLLER)

@@ -146,8 +146,9 @@ class PriorityController:
 
     def _residuals(self, rep, profile, mode: ocp.RelaxationMode | None,
                    slack_cmd: np.ndarray | None):
+        # rows without a finite bound read -inf; NaN and +inf residuals
+        # propagate through the max and fail the gate
         res = ocp.eval_constraints(rep.xs, rep.us, self.stack, profile)
-        res = np.where(np.isfinite(res), res, -np.inf)
         if mode is None or mode.n_channels == 0:
             hard = float(np.max(res))
             return hard, hard
@@ -235,7 +236,7 @@ class PriorityController:
                     gates[name]["solve_status"] = rep.status
                     continue
                 hard, soft = self._residuals(rep, profile, rt.mode, slack_cmd)
-                if hard > HARD_ROW_TOL:
+                if not hard <= HARD_ROW_TOL:     # NaN fails too
                     gates[name]["solve_status"] = "hard-row-violation"
                     continue
                 decision = ControlDecision(

@@ -23,8 +23,9 @@ Continuous model:
     a'     = t_acc (a_req - a)
 
 where the e_psi' path term uses the kinematic reference steering
-tan(delta_ref) = l * kappa(s). Discretization is one RK4 step; Jacobians
-are propagated analytically through the RK4 stages.
+tan(delta_ref) = l * kappa(s). Discretization is one RK4 step, taken one
+point at a time (the rollout is sequential); its Jacobians are propagated
+analytically through the RK4 stages for a whole horizon of points at once.
 """
 from __future__ import annotations
 
@@ -100,16 +101,18 @@ def f_continuous(x: np.ndarray, u: np.ndarray, path: PathGeometry,
     ])
 
 
-def _f_and_jac(x, u, path, params):
-    """Derivative plus its Jacobians wrt x and u at one point."""
-    s, e_y, e_psi, delta, alpha, v, a = x.tolist()
-    u0, u1 = u
+def _derivatives(xs, us, path, params):
+    """Derivatives (M, NX) plus their Jacobians wrt x (M, NX, NX) and u
+    (NX, NU, constant) at M points."""
+    s, e_y, e_psi, delta, alpha, v, a = xs.T
+    u0, u1 = us.T
     kappa, dkappa = path.curvature_and_slope_at(s)
     den = 1.0 - kappa * e_y
-    if abs(den) < 1e-9:
-        raise FrenetSingularity(f"kappa*e_y = {kappa * e_y:.6g} at s = {s:.6g}")
-    cos_ep, sin_ep = math.cos(e_psi), math.sin(e_psi)
-    tan_d = math.tan(delta)
+    if np.any(np.abs(den) < 1e-9):
+        i = np.argmin(np.abs(den))
+        raise FrenetSingularity(f"kappa*e_y = {kappa[i] * e_y[i]:.6g} at s = {s[i]:.6g}")
+    cos_ep, sin_ep = np.cos(e_psi), np.sin(e_psi)
+    tan_d = np.tan(delta)
     sec2_d = 1.0 + tan_d * tan_d
     w0, w1, tc, l = params.steer_w0, params.steer_w1, params.accel_tc, params.wheelbase
 
@@ -122,7 +125,7 @@ def _f_and_jac(x, u, path, params):
         w0 ** 2 * (u0 - delta) - 2.0 * w0 * w1 * alpha,
         a,
         tc * (u1 - a),
-    ])
+    ]).T
 
     # partials of s_dot
     dsdot_ds = v * cos_ep * e_y * dkappa / den ** 2
@@ -130,7 +133,7 @@ def _f_and_jac(x, u, path, params):
     dsdot_depsi = -v * sin_ep / den
     dsdot_dv = cos_ep / den
 
-    A = np.zeros((NX, NX))
+    A = np.zeros((NX, NX, s.size))
     A[IDX_S, IDX_S] = dsdot_ds
     A[IDX_S, IDX_EY] = dsdot_dey
     A[IDX_S, IDX_EPSI] = dsdot_depsi
@@ -155,7 +158,7 @@ def _f_and_jac(x, u, path, params):
     B = np.zeros((NX, NU))
     B[IDX_ALPHA, 0] = w0 ** 2
     B[IDX_A, 1] = tc
-    return f, A, B
+    return f, np.ascontiguousarray(A.transpose(2, 0, 1)), B
 
 
 def f_discrete(x: np.ndarray, u: np.ndarray, path: PathGeometry,
@@ -180,17 +183,18 @@ def f_discrete(x: np.ndarray, u: np.ndarray, path: PathGeometry,
     return x_next
 
 
-def jacobians(x: np.ndarray, u: np.ndarray, path: PathGeometry,
+def jacobians(xs: np.ndarray, us: np.ndarray, path: PathGeometry,
               params: VehicleParams, t_s: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact Jacobians (A, B) of the RK4 step, chained through all stages."""
+    """Exact Jacobians (A (M, NX, NX), B (M, NX, NU)) of the RK4 step at M
+    points xs (M, NX), us (M, NU), chained through all stages."""
     h = t_s
-    f1, J1x, J1u = _f_and_jac(x, u, path, params)
-    x2 = x + 0.5 * h * f1
-    f2, J2x, J2u = _f_and_jac(x2, u, path, params)
-    x3 = x + 0.5 * h * f2
-    f3, J3x, J3u = _f_and_jac(x3, u, path, params)
-    x4 = x + h * f3
-    f4, J4x, J4u = _f_and_jac(x4, u, path, params)
+    f1, J1x, J1u = _derivatives(xs, us, path, params)
+    x2 = xs + 0.5 * h * f1
+    f2, J2x, J2u = _derivatives(x2, us, path, params)
+    x3 = xs + 0.5 * h * f2
+    f3, J3x, J3u = _derivatives(x3, us, path, params)
+    x4 = xs + h * f3
+    f4, J4x, J4u = _derivatives(x4, us, path, params)
 
     I = _EYE
     K1x = J1x
@@ -207,32 +211,33 @@ def jacobians(x: np.ndarray, u: np.ndarray, path: PathGeometry,
     return A, B
 
 
-def comfort_quantities(x: np.ndarray, params: VehicleParams) -> tuple[float, float]:
-    """Lateral acceleration and jerk implied by the kinematic steering model.
+def comfort_quantities(x: np.ndarray, params: VehicleParams):
+    """Lateral acceleration and jerk implied by the kinematic steering model,
+    at one state or along the leading axes of a state array.
 
     a_y = v^2 tan(delta) / l
     j_y = v^2 alpha (1 + tan^2(delta)) / l
     """
-    v, delta, alpha = x[IDX_V], x[IDX_DELTA], x[IDX_ALPHA]
-    tan_d = math.tan(delta)
+    v, delta, alpha = x[..., IDX_V], x[..., IDX_DELTA], x[..., IDX_ALPHA]
+    tan_d = np.tan(delta)
     a_y = v * v * tan_d / params.wheelbase
     j_y = v * v * alpha * (1.0 + tan_d * tan_d) / params.wheelbase
-    return float(a_y), float(j_y)
+    return a_y, j_y
 
 
 def comfort_jacobians(x: np.ndarray, params: VehicleParams) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of (a_y, j_y) wrt the state; used for constraint linearization."""
-    v, delta, alpha = x[IDX_V], x[IDX_DELTA], x[IDX_ALPHA]
-    tan_d = math.tan(delta)
+    """Gradients of (a_y, j_y) wrt the state, shaped like x (row linearization)."""
+    v, delta, alpha = x[..., IDX_V], x[..., IDX_DELTA], x[..., IDX_ALPHA]
+    tan_d = np.tan(delta)
     sec2 = 1.0 + tan_d * tan_d
     l = params.wheelbase
-    g_ay = np.zeros(NX)
-    g_ay[IDX_V] = 2.0 * v * tan_d / l
-    g_ay[IDX_DELTA] = v * v * sec2 / l
-    g_jy = np.zeros(NX)
-    g_jy[IDX_V] = 2.0 * v * alpha * sec2 / l
-    g_jy[IDX_DELTA] = v * v * alpha * 2.0 * tan_d * sec2 / l
-    g_jy[IDX_ALPHA] = v * v * sec2 / l
+    g_ay = np.zeros(np.shape(x))
+    g_ay[..., IDX_V] = 2.0 * v * tan_d / l
+    g_ay[..., IDX_DELTA] = v * v * sec2 / l
+    g_jy = np.zeros(np.shape(x))
+    g_jy[..., IDX_V] = 2.0 * v * alpha * sec2 / l
+    g_jy[..., IDX_DELTA] = v * v * alpha * 2.0 * tan_d * sec2 / l
+    g_jy[..., IDX_ALPHA] = v * v * sec2 / l
     return g_ay, g_jy
 
 

@@ -7,11 +7,15 @@ Builds two problem flavors on top of the generic horizon NLP:
 
 The constraint stack stacks bound/comfort rows on states and inputs with the
 environment-coupled rows (yield bound, lane corridor, time headway), each row
-carrying a stable label used by relaxation-mode selectors. The same stage
-and terminal row providers also serve the oracle: with the mode's channels
-as a global decision block and the rows restricted to LON_ROW_LABELS or
-LAT_ROW_LABELS, they give the rows of its decoupled slack problems, which
-it projects onto the subsystem's states (see oracle.py).
+carrying a stable label used by relaxation-mode selectors. One vectorized
+evaluator, ConstraintStack.evaluate over (xs, us, profile), gives the rows
+of a whole horizon; the solver's stage rows and the controller's hard-row
+gate (eval_constraints) both run it. Each problem fixes its row layout when
+it is built, from the profile, the mode's dropped rows and the tube. The
+same stage and terminal row providers also serve the oracle: with the
+mode's channels as a global decision block and the rows restricted to
+LON_ROW_LABELS or LAT_ROW_LABELS, they give the rows of its decoupled slack
+problems, which it cuts down to the subsystem's states (see oracle.py).
 """
 from __future__ import annotations
 
@@ -80,8 +84,8 @@ def terminal_weights(path: PathGeometry, params: VehicleParams, t_s: float,
     R = CostWeights.default_r() if R is None else np.asarray(R, dtype=float)
 
     x_ref = dyn.state(s=max(path.s_min + 1.0, 1.0), v=v_ref)
-    u_ref = np.zeros(NU)
-    A, B = dyn.jacobians(x_ref, u_ref, path, params, t_s)
+    A, B = (J[0] for J in dyn.jacobians(x_ref[None], np.zeros((1, NU)),
+                                         path, params, t_s))
 
     lon = list(dyn.LON_IDX)
     lat = list(dyn.LAT_IDX)
@@ -140,93 +144,82 @@ LAT_ROW_LABELS = ("e_psi_ub", "e_psi_lb", "delta_ub", "delta_lb",
                   "a_y_ub", "a_y_lb", "j_y_ub", "j_y_lb",
                   "g_lat_ub", "g_lat_lb")
 _ROW = {label: k for k, label in enumerate(ROW_LABELS)}
+NZ = NX + NU
+# rows that read one entry of z = (x, u), with its sign
+_LINEAR = [(_ROW[name + side], col, sign)
+           for name, col in (("e_psi", dyn.IDX_EPSI), ("delta", dyn.IDX_DELTA),
+                             ("delta_sp", NX), ("v", dyn.IDX_V),
+                             ("a", dyn.IDX_A), ("a_req", NX + 1),
+                             ("alpha", dyn.IDX_ALPHA), ("g_lat", dyn.IDX_EY))
+           for side, sign in (("_ub", 1.0), ("_lb", -1.0))]
+_LINEAR += [(_ROW["a_req_comfort_lb"], NX + 1, -1.0),
+            (_ROW["g_lon_safe"], dyn.IDX_S, 1.0)]
+_LIN_ROW, _LIN_COL, _LIN_SIGN = (np.array(v) for v in zip(*_LINEAR))
 # a_y_ub, a_y_lb, j_y_ub, j_y_lb: the rows whose Jacobian depends on the point
 _COMFORT_ROWS = slice(_ROW["a_y_ub"], _ROW["j_y_lb"] + 1)
 
 
 @dataclass(frozen=True)
 class ConstraintStack:
-    """Row definitions shared by all problem flavors for one scenario."""
+    """Row definitions shared by all problem flavors for one scenario.
+
+    Row k at step n reads g_k(x_n, u_n) <= b_k(n). The bounds b come from
+    the vehicle parameters and the disturbance profile; a row whose bound
+    is not finite (an empty collision window, an open corridor side) is
+    not a row of the problem.
+    """
     params: VehicleParams
     t_gap: float = 1.5
     d_safe: float = 6.0
     a_req_comfort_min: float = -3.0
 
-    def row_index(self, label: str) -> int:
-        return ROW_LABELS.index(label)
-
-    def evaluate(self, x: np.ndarray, u: np.ndarray,
-                 sigma: float, beta_lo: float, beta_hi: float) -> np.ndarray:
-        """Signed residuals of every row at one step; <= 0 means satisfied.
-
-        Rows tied to an empty collision window evaluate to -inf.
-        """
+    def bounds(self, profile: DisturbanceProfile) -> np.ndarray:
+        """Bounds b (len(profile), n_rows) of every row at every step."""
         p = self.params
-        a_y, j_y = dyn.comfort_quantities(x, p)
-        s, e_y, e_psi, delta, alpha, v, a = x.tolist()
-        u0, u1 = u
-        lon_active = math.isfinite(sigma)
-        vals = np.array([
-            e_psi - p.e_psi_max,
-            -e_psi - p.e_psi_max,
-            delta - p.delta_max,
-            -delta - p.delta_max,
-            u0 - p.delta_max,
-            -u0 - p.delta_max,
-            v - p.v_max,
-            -v,
-            a - p.accel_max,
-            p.accel_min - a,
-            u1 - p.accel_max,
-            p.accel_min - u1,
-            self.a_req_comfort_min - u1,
-            alpha - p.alpha_max,
-            -alpha - p.alpha_max,
-            a_y - p.lat_accel_max,
-            -a_y - p.lat_accel_max,
-            j_y - p.lat_jerk_max,
-            -j_y - p.lat_jerk_max,
-            (s - sigma) if lon_active else -np.inf,
-            e_y - beta_hi,
-            beta_lo - e_y,
-            (s + self.t_gap * v - sigma) if lon_active else -np.inf,
-        ])
-        return vals
+        # in ROW_LABELS order; the last four rows take the profile's values
+        b = np.tile([p.e_psi_max, p.e_psi_max, p.delta_max, p.delta_max,
+                     p.delta_max, p.delta_max, p.v_max, 0.0,
+                     p.accel_max, -p.accel_min, p.accel_max, -p.accel_min,
+                     -self.a_req_comfort_min, p.alpha_max, p.alpha_max,
+                     p.lat_accel_max, p.lat_accel_max,
+                     p.lat_jerk_max, p.lat_jerk_max,
+                     np.nan, np.nan, np.nan, np.nan], (len(profile), 1))
+        b[:, _ROW["g_lon_safe"]] = b[:, _ROW["g_follow"]] = profile.yield_bound
+        b[:, _ROW["g_lat_ub"]] = profile.corridor_hi
+        b[:, _ROW["g_lat_lb"]] = -profile.corridor_lo
+        return b
 
     @cached_property
-    def _linear_jacobians(self):
-        """(Cx, Cu) of every row, with the comfort rows left at zero."""
-        Cx = np.zeros((len(ROW_LABELS), NX))
-        Cu = np.zeros((len(ROW_LABELS), NU))
-        for name, col in (("e_psi", dyn.IDX_EPSI), ("delta", dyn.IDX_DELTA),
-                          ("v", dyn.IDX_V), ("a", dyn.IDX_A),
-                          ("alpha", dyn.IDX_ALPHA), ("g_lat", dyn.IDX_EY)):
-            Cx[_ROW[name + "_ub"], col] = 1.0
-            Cx[_ROW[name + "_lb"], col] = -1.0
-        for name, col in (("delta_sp", 0), ("a_req", 1)):
-            Cu[_ROW[name + "_ub"], col] = 1.0
-            Cu[_ROW[name + "_lb"], col] = -1.0
-        Cu[_ROW["a_req_comfort_lb"], 1] = -1.0
-        Cx[_ROW["g_lon_safe"], dyn.IDX_S] = 1.0
-        Cx[_ROW["g_follow"], dyn.IDX_S] = 1.0
-        Cx[_ROW["g_follow"], dyn.IDX_V] = self.t_gap
-        return Cx, Cu
+    def _linear_jacobian(self) -> np.ndarray:
+        """Jacobian (n_rows, NZ) of every row wrt z, comfort rows left at zero."""
+        C = np.zeros((len(ROW_LABELS), NZ))
+        C[_LIN_ROW, _LIN_COL] = _LIN_SIGN
+        C[_ROW["g_follow"], dyn.IDX_S] = 1.0
+        C[_ROW["g_follow"], dyn.IDX_V] = self.t_gap
+        return C
 
-    def linearize(self, x: np.ndarray, u: np.ndarray, sigma: float,
-                  beta_lo: float, beta_hi: float,
-                  allowed: np.ndarray | None = None):
-        """(vals, Cx, Cu) of the finite rows that the optional mask over
-        ROW_LABELS allows, plus the indices of the rows kept."""
-        vals = self.evaluate(x, u, sigma, beta_lo, beta_hi)
-        Cx_lin, Cu = self._linear_jacobians
-        Cx = Cx_lin.copy()
-        g_ay, g_jy = dyn.comfort_jacobians(x, self.params)
-        Cx[_COMFORT_ROWS] = (g_ay, -g_ay, g_jy, -g_jy)
-        keep = np.isfinite(vals)
-        if allowed is not None:
-            keep &= allowed
-        idx = np.flatnonzero(keep)
-        return vals.take(idx), Cx.take(idx, axis=0), Cu.take(idx, axis=0), idx
+    def evaluate(self, xs: np.ndarray, us: np.ndarray,
+                 profile: DisturbanceProfile):
+        """Residuals g - b (M, n_rows) of every row along M steps
+        (xs (M, NX), us (M, NU)), <= 0 meaning satisfied, and their
+        Jacobians C (M, n_rows, NZ) wrt z = (x, u).
+
+        Rows whose bound is not finite evaluate to -inf.
+        """
+        M = xs.shape[0]
+        z = np.concatenate([xs, us], axis=1)
+        g = np.empty((M, len(ROW_LABELS)))
+        g[:, _LIN_ROW] = z[:, _LIN_COL] * _LIN_SIGN
+        a_y, j_y = dyn.comfort_quantities(xs, self.params)
+        g[:, _COMFORT_ROWS] = np.stack([a_y, -a_y, j_y, -j_y], axis=1)
+        g[:, _ROW["g_follow"]] = xs[:, dyn.IDX_S] + self.t_gap * xs[:, dyn.IDX_V]
+        b = self.bounds(profile)[:M]
+        vals = np.where(np.isfinite(b), g - b, -np.inf)
+
+        C = np.repeat(self._linear_jacobian[None], M, axis=0)
+        g_ay, g_jy = dyn.comfort_jacobians(xs, self.params)
+        C[:, _COMFORT_ROWS, :NX] = np.stack([g_ay, -g_ay, g_jy, -g_jy], axis=1)
+        return vals, C
 
 
 @dataclass(frozen=True)
@@ -352,48 +345,46 @@ def _make_stage_rows(stack: ConstraintStack, profile: DisturbanceProfile,
                      mode: RelaxationMode, slack: np.ndarray | None,
                      horizon: HorizonConfig, x_refs: np.ndarray,
                      tube: np.ndarray, labels: tuple = ROW_LABELS):
-    """Stage row provider combining the stack, tube rows and relaxation.
+    """Whole-horizon stage row provider combining the stack, tube rows and
+    relaxation, with its fixed row layout.
 
-    The mode's rows are lifted by the fixed slack vector, or, with slack
-    None, its channels become the global decision block (Cg columns). Only
-    rows named in labels and not dropped by the mode are kept; non-finite
-    tube widths disable their rows.
+    Returns (rows, mask). rows(xs, us) gives (vals (M, m), C (M, m, NZ), G)
+    over the stack rows followed by the tube rows. The mode's rows are
+    lifted by the fixed slack vector (G None), or, with slack None, its
+    channels become the global decision block (G (M, m, q) columns).
+    mask (M, m) holds the rows of each stage: stack rows named in labels,
+    not dropped by the mode and with a finite bound, plus, beyond the cost
+    horizon, the tube rows of the finite tube widths.
     """
+    M, N = horizon.n_constraint, horizon.n_cost
     allowed = np.array([lbl in labels and lbl not in mode.drop
                         for lbl in ROW_LABELS])
-    E = mode.selector() if mode.n_channels else None
-    N = horizon.n_cost
     tube_idx = np.flatnonzero(np.isfinite(tube))
     tube_w = tube[tube_idx]
     k = tube_idx.size
-    t_Cx = np.zeros((2 * k, NX))
-    t_Cx[np.arange(k), tube_idx] = 1.0
-    t_Cx[np.arange(k, 2 * k), tube_idx] = -1.0
-    t_Cu = np.zeros((2 * k, NU))
-    t_Cg = None if E is None else np.zeros((2 * k, E.shape[1]))
+    tube_mask = np.zeros((M, 2 * k), dtype=bool)
+    tube_mask[N:] = True
+    mask = np.concatenate(
+        [np.isfinite(stack.bounds(profile)[:M]) & allowed, tube_mask], axis=1)
+    tube_C = np.zeros((M, 2 * k, NZ))
+    tube_C[:, np.arange(k), tube_idx] = 1.0
+    tube_C[:, np.arange(k, 2 * k), tube_idx] = -1.0
+    ref = x_refs[:M, tube_idx]
 
-    def rows(n, x, u):
-        vals, Cx, Cu, kept = stack.linearize(
-            x, u, profile.yield_bound[n],
-            profile.corridor_lo[n], profile.corridor_hi[n], allowed)
-        Cg = None
-        if E is not None:
-            E_kept = E.take(kept, axis=0)
-            if slack is not None:
-                vals = vals - E_kept @ slack
-            else:
-                Cg = -E_kept
-        if n >= N and k:
-            # stabilizing tube on the error state
-            err = x[tube_idx] - x_refs[n][tube_idx]
-            vals = np.concatenate([vals, err - tube_w, -err - tube_w])
-            Cx = np.concatenate([Cx, t_Cx])
-            Cu = np.concatenate([Cu, t_Cu])
-            if Cg is not None:
-                Cg = np.concatenate([Cg, t_Cg])
-        return vals, Cx, Cu, Cg
+    E = np.concatenate([mode.selector(), np.zeros((2 * k, mode.n_channels))])
+    lift = None if slack is None else E @ slack
+    G = None if slack is not None else np.broadcast_to(-E, (M,) + E.shape)
 
-    return rows
+    def rows(xs, us):
+        vals, C = stack.evaluate(xs, us, profile)
+        # stabilizing tube on the error state
+        err = xs[:, tube_idx] - ref
+        vals = np.concatenate([vals, err - tube_w, -err - tube_w], axis=1)
+        if lift is not None:
+            vals = vals - lift
+        return vals, np.concatenate([C, tube_C], axis=1), G
+
+    return rows, mask
 
 
 def _make_terminal_rows(profile: DisturbanceProfile, terminal: TerminalSets,
@@ -428,17 +419,17 @@ def _make_terminal_rows(profile: DisturbanceProfile, terminal: TerminalSets,
 
 def _base_nlp(x_k, path: PathGeometry, params: VehicleParams,
               weights: CostWeights, horizon: HorizonConfig,
-              x_refs, u_refs, stage_rows, terminal_rows,
+              x_refs, u_refs, stage_rows, stage_row_mask, terminal_rows,
               u_init=None) -> NlpDescription:
     t_s = horizon.t_s
     W, ref, P_M = _stage_cost_arrays(weights, horizon, x_refs, u_refs)
     return NlpDescription(
         nx=NX, nu=NU, horizon=horizon.n_constraint, x0=np.asarray(x_k, dtype=float),
         dyn_f=lambda n, x, u: dyn.f_discrete(x, u, path, params, t_s),
-        dyn_jac=lambda n, x, u: dyn.jacobians(x, u, path, params, t_s),
+        dyn_jac=lambda xs, us: dyn.jacobians(xs, us, path, params, t_s),
         cost_W=W, cost_ref=ref, cost_P=P_M, cost_ref_M=x_refs[horizon.n_constraint],
-        stage_rows=stage_rows, terminal_rows=terminal_rows,
-        u_init=u_init)
+        stage_rows=stage_rows, stage_row_mask=stage_row_mask,
+        terminal_rows=terminal_rows, u_init=u_init)
 
 
 def build_nominal(x_k, path, params, weights, horizon, stack: ConstraintStack,
@@ -446,11 +437,11 @@ def build_nominal(x_k, path, params, weights, horizon, stack: ConstraintStack,
                   x_refs, u_refs, u_init=None) -> NlpDescription:
     """Hard-constrained tracking problem over the full constraint horizon."""
     _check_profile(profile, horizon)
-    rows = _make_stage_rows(stack, profile, NOMINAL_MODE, None,
-                            horizon, x_refs, terminal.tube)
+    rows, mask = _make_stage_rows(stack, profile, NOMINAL_MODE, None,
+                                  horizon, x_refs, terminal.tube)
     term = _make_terminal_rows(profile, terminal)
     return _base_nlp(x_k, path, params, weights, horizon, x_refs, u_refs,
-                     rows, term, u_init=u_init)
+                     rows, mask, term, u_init=u_init)
 
 
 def build_relaxed(x_k, path, params, weights, horizon, stack, profile,
@@ -464,11 +455,11 @@ def build_relaxed(x_k, path, params, weights, horizon, stack, profile,
     ceil = mode.ceiling_vector()
     if np.any(slack < -1e-12) or np.any(slack > ceil + 1e-9):
         raise ValueError("slack outside [0, ceiling] for mode " + mode.name)
-    rows = _make_stage_rows(stack, profile, mode, slack,
-                            horizon, x_refs, terminal.tube)
+    rows, mask = _make_stage_rows(stack, profile, mode, slack,
+                                  horizon, x_refs, terminal.tube)
     term = _make_terminal_rows(profile, terminal, mode)
     return _base_nlp(x_k, path, params, weights, horizon, x_refs, u_refs,
-                     rows, term, u_init=u_init)
+                     rows, mask, term, u_init=u_init)
 
 
 def _check_profile(profile: DisturbanceProfile, horizon: HorizonConfig):
@@ -479,10 +470,6 @@ def _check_profile(profile: DisturbanceProfile, horizon: HorizonConfig):
 
 def eval_constraints(xs: np.ndarray, us: np.ndarray, stack: ConstraintStack,
                      profile: DisturbanceProfile) -> np.ndarray:
-    """Residual matrix (n_rows, M) of the full stack along a trajectory."""
-    M = us.shape[0]
-    out = np.empty((len(ROW_LABELS), M))
-    for n in range(M):
-        out[:, n] = stack.evaluate(xs[n], us[n], profile.yield_bound[n],
-                                   profile.corridor_lo[n], profile.corridor_hi[n])
-    return out
+    """Residual matrix (n_rows, M) of the full stack along a trajectory;
+    rows whose bound is not finite read -inf."""
+    return stack.evaluate(xs[:us.shape[0]], us, profile)[0].T

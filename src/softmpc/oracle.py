@@ -18,10 +18,11 @@ The subproblems are derived, not written out: theta becomes a disturbance
 profile (the yield bound, or the corridor plus the stabilizing tube on the
 lateral states), and the controller's own stage and terminal rows
 (ocp._make_stage_rows / _make_terminal_rows, restricted to the subsystem's
-row labels) are evaluated on the iterate embedded into the full state, then
-cut down to the subsystem's columns. The lateral chain steps the full
-vehicle model on a straight path at constant speed; the longitudinal chain
-is linear, and its RK4 step is taken in closed form (_lon_discrete).
+row labels, with the row layout they fix) are evaluated on the iterate
+embedded into the full state, whole horizon at once, then cut down to the
+subsystem's columns. The lateral chain steps the full vehicle model on a
+straight path at constant speed; the longitudinal chain is linear, and its
+RK4 step is taken in closed form (_lon_discrete).
 """
 from __future__ import annotations
 
@@ -154,8 +155,6 @@ def _lon_discrete(params: VehicleParams, t_s: float):
 # model, with the stack rows it keeps
 _SUBSYSTEMS = {"lon": (np.array(dyn.LON_IDX), 1, ocp.LON_ROW_LABELS),
                "lat": (np.array(dyn.LAT_IDX), 0, ocp.LAT_ROW_LABELS)}
-_LAT_A = np.ix_(dyn.LAT_IDX, dyn.LAT_IDX)
-_LAT_B = np.ix_(dyn.LAT_IDX, (0,))
 # the lateral chain runs at constant speed on a straight path; its position
 # restarts at 0 on every step, so the path only covers one step's travel
 _STRAIGHT = PathGeometry(s=np.array([-1e4, 1e4]),
@@ -163,33 +162,34 @@ _STRAIGHT = PathGeometry(s=np.array([-1e4, 1e4]),
                          heading=np.zeros(2), curvature=np.zeros(2))
 
 
+def _embed(sub: np.ndarray, idx, rest: np.ndarray) -> np.ndarray:
+    """Full-model vectors along the leading axes of sub, which holds their
+    entries idx; the other entries are rest's."""
+    full = np.empty(sub.shape[:-1] + rest.shape)
+    full[...] = rest
+    full[..., idx] = sub
+    return full
+
+
 def _subproblem_nlp(template: ScenarioTemplate, theta: np.ndarray,
                     mode: RelaxationMode) -> NlpDescription:
     """Minimal-slack problem of the template's subsystem for one theta.
 
     The profile implied by theta feeds the controller's own stage and
-    terminal rows, restricted to the subsystem's labels; each 3- or 4-state
-    iterate is embedded into the full state (other states at rest, or at
-    the constant speed for the lateral chain) and the row Jacobians are
-    cut down to the subsystem's columns.
+    terminal rows, restricted to the subsystem's labels; the 3- or 4-state
+    iterate is embedded into full states (other states at rest, or at the
+    constant speed for the lateral chain), for the whole horizon at once,
+    and the row Jacobians are cut down to the subsystem's columns.
     """
     h = template.horizon
     p = template.params
     M = h.n_constraint
     nw = M + 1
     x_idx, u_col, labels = _SUBSYSTEMS[template.kind]
+    u_idx = [u_col]
     x_rest = np.zeros(NX)
+    u_rest = np.zeros(NU)
     tube = np.full(NX, np.inf)
-
-    def embed(x):
-        full = x_rest.copy()
-        full[x_idx] = x
-        return full
-
-    def embed_u(u):
-        full = np.zeros(NU)
-        full[u_col] = u[0]
-        return full
 
     if template.kind == "lon":
         profile = DisturbanceProfile(
@@ -199,7 +199,8 @@ def _subproblem_nlp(template: ScenarioTemplate, theta: np.ndarray,
         s0, e_y_ref = x0[0], 0.0
         A_d, B_d = _lon_discrete(p, h.t_s)
         dyn_f = lambda n, x, u: A_d @ x + B_d @ u
-        dyn_jac = lambda n, x, u: (A_d, B_d)
+        dyn_jac = lambda xs, us: (np.broadcast_to(A_d, (M,) + A_d.shape),
+                                  np.broadcast_to(B_d, (M,) + B_d.shape))
     else:
         profile = DisturbanceProfile(
             yield_bound=np.full(nw, NO_BOUND), corridor_lo=theta[:nw],
@@ -211,23 +212,26 @@ def _subproblem_nlp(template: ScenarioTemplate, theta: np.ndarray,
         tube[x_idx] = template.terminal.tube[x_idx]
 
         def dyn_f(n, x, u):
-            return dyn.f_discrete(embed(x), embed_u(u), _STRAIGHT, p, h.t_s)[x_idx]
+            return dyn.f_discrete(_embed(x, x_idx, x_rest), _embed(u, u_idx, u_rest),
+                                  _STRAIGHT, p, h.t_s)[x_idx]
 
-        def dyn_jac(n, x, u):
-            A, B = dyn.jacobians(embed(x), embed_u(u), _STRAIGHT, p, h.t_s)
-            return A[_LAT_A], B[_LAT_B]
+        def dyn_jac(xs, us):
+            A, B = dyn.jacobians(_embed(xs, x_idx, x_rest),
+                                 _embed(us, u_idx, u_rest), _STRAIGHT, p, h.t_s)
+            return A[:, x_idx[:, None], x_idx], B[:, x_idx[:, None], u_idx]
 
     x_refs, u_refs = build_reference(s0, template.v_ref, e_y_ref, h, p)
-    stage = ocp._make_stage_rows(template.stack, profile, mode, None, h,
-                                 x_refs, tube, labels)
+    stage, mask = ocp._make_stage_rows(template.stack, profile, mode, None, h,
+                                       x_refs, tube, labels)
     terminal = ocp._make_terminal_rows(profile, template.terminal, mode, labels)
+    cols = np.append(x_idx, NX + u_col)     # subsystem columns of (x, u)
 
-    def stage_rows(n, x, u):
-        vals, Cx, Cu, Cg = stage(n, embed(x), embed_u(u))
-        return vals, Cx.take(x_idx, axis=1), Cu.take([u_col], axis=1), Cg
+    def stage_rows(xs, us):
+        vals, C, G = stage(_embed(xs, x_idx, x_rest), _embed(us, u_idx, u_rest))
+        return vals, C[:, :, cols], G
 
     def terminal_rows(x):
-        vals, Cx, Cg = terminal(embed(x))
+        vals, Cx, Cg = terminal(_embed(x, x_idx, x_rest))
         return vals, Cx.take(x_idx, axis=1), Cg
 
     nx = x_idx.size
@@ -253,7 +257,8 @@ def _subproblem_nlp(template: ScenarioTemplate, theta: np.ndarray,
         nx=nx, nu=1, horizon=M, x0=x0, dyn_f=dyn_f, dyn_jac=dyn_jac,
         cost_W=W, cost_ref=ref, cost_P=np.zeros((nx, nx)),
         cost_ref_M=x_refs[M].take(x_idx), stage_rows=stage_rows,
-        terminal_rows=terminal_rows, u_init=u_refs[:, [u_col]], **kw)
+        stage_row_mask=mask, terminal_rows=terminal_rows,
+        u_init=u_refs[:, [u_col]], **kw)
 
 
 def oracle_solve(template: ScenarioTemplate, mode: RelaxationMode,

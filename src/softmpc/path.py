@@ -6,7 +6,6 @@ positive offsets point to the left of the direction of travel.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -67,30 +66,25 @@ class PathGeometry:
         s = self._check_range(s)
         return float(np.interp(s, self.s, self.curvature))
 
-    def curvature_and_slope_at(self, s: float) -> tuple[float, float]:
-        """Curvature and its slope d(kappa)/ds at s, with one range check.
+    def curvature_and_slope_at(self, s: np.ndarray
+                               ) -> tuple[np.ndarray, np.ndarray]:
+        """Curvatures and their slopes d(kappa)/ds at an array of arc lengths,
+        with one range check.
 
         The slope of the piecewise-linear interpolant is constant between
         samples.
         """
-        s = self._check_range(s)
-        i = int(np.searchsorted(self.s, s, side="right")) - 1
-        i = min(max(i, 0), self.s.size - 2)
-        return (float(np.interp(s, self.s, self.curvature)),
-                float((self.curvature[i + 1] - self.curvature[i])
-                      / (self.s[i + 1] - self.s[i])))
-
-    def reference_steering_at(self, s: float, wheelbase: float) -> float:
-        """Kinematic steering angle tracking the path: atan(l * kappa)."""
-        return math.atan(wheelbase * self.curvature_at(s))
-
-    def pose_at(self, s: float) -> tuple[float, float, float]:
-        """Interpolated (x, y, heading) at arc length s."""
-        s = self._check_range(s)
-        x = float(np.interp(s, self.s, self.xy[:, 0]))
-        y = float(np.interp(s, self.s, self.xy[:, 1]))
-        h = float(np.interp(s, self.s, self._heading_cont))
-        return x, y, h
+        s = np.asarray(s, dtype=float)
+        lo, hi = self._span
+        out = np.flatnonzero((s < lo - 1e-9) | (s > hi + 1e-9))
+        if out.size:
+            self._check_range(s[out[0]])      # raises, naming the interval
+        s = np.clip(s, lo, hi)
+        i = np.clip(np.searchsorted(self.s, s, side="right") - 1,
+                    0, self.s.size - 2)
+        return (np.interp(s, self.s, self.curvature),
+                (self.curvature[i + 1] - self.curvature[i])
+                / (self.s[i + 1] - self.s[i]))
 
     def poses_at(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized pose interpolation; values clipped to the sampled range."""
@@ -100,56 +94,15 @@ class PathGeometry:
         h = np.interp(s, self.s, self._heading_cont)
         return x, y, h
 
-    def to_global(self, s: float, lateral: float) -> tuple[float, float]:
-        """Map path coordinates (s, lateral offset) to the global frame.
+    def to_global_arr(self, s: np.ndarray, lateral: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+        """Map path coordinates (s, lateral offset), given as parallel
+        arrays, to the global frame; values clipped to the sampled range.
 
         Positive offsets go along the left normal of the path tangent.
         """
-        x, y, h = self.pose_at(s)
-        return x - lateral * math.sin(h), y + lateral * math.cos(h)
-
-    def to_global_arr(self, s: np.ndarray, lateral: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized to_global over parallel arrays."""
         x, y, h = self.poses_at(s)
         return x - lateral * np.sin(h), y + lateral * np.cos(h)
-
-    def project(self, x: float, y: float) -> tuple[float, float]:
-        """Inverse of to_global: path coordinates (s, lateral) of a global point.
-
-        Finds the arc length whose interpolated heading makes the offset purely
-        normal, so project(to_global(s, e)) recovers (s, e) to solver precision
-        for |lateral| below the local curvature radius.
-        """
-
-        def along_track(s):
-            px, py, h = self.pose_at(s)
-            return (x - px) * math.cos(h) + (y - py) * math.sin(h)
-
-        d2 = (self.xy[:, 0] - x) ** 2 + (self.xy[:, 1] - y) ** 2
-        i = int(np.argmin(d2))
-        lo_i, hi_i = max(i - 2, 0), min(i + 2, self.s.size - 1)
-        a, b = float(self.s[lo_i]), float(self.s[hi_i])
-        fa, fb = along_track(a), along_track(b)
-        # widen the bracket if the sign change is not yet captured
-        while fa * fb > 0.0 and (lo_i > 0 or hi_i < self.s.size - 1):
-            lo_i, hi_i = max(lo_i - 4, 0), min(hi_i + 4, self.s.size - 1)
-            a, b = float(self.s[lo_i]), float(self.s[hi_i])
-            fa, fb = along_track(a), along_track(b)
-        if fa * fb > 0.0:
-            s_star = a if abs(fa) < abs(fb) else b
-        else:
-            while b - a > 1e-10:
-                mid = 0.5 * (a + b)
-                fm = along_track(mid)
-                if fa * fm <= 0.0:
-                    b, fb = mid, fm
-                else:
-                    a, fa = mid, fm
-            s_star = 0.5 * (a + b)
-        px, py, h = self.pose_at(s_star)
-        lateral = -(x - px) * math.sin(h) + (y - py) * math.cos(h)
-        return float(s_star), float(lateral)
 
 
 def straight_path(length: float, spacing: float = 0.5, lane_width: float = 3.5,
@@ -186,31 +139,3 @@ def clothoid_path(length: float, curv_rate: float, spacing: float = 0.5,
     cy = np.concatenate([[0.0], np.cumsum(0.5 * (np.sin(heading[1:]) + np.sin(heading[:-1])) * np.diff(s))])
     return PathGeometry(s=s, xy=np.stack([cx, cy], axis=1), heading=heading,
                         curvature=kappa, lane_width=lane_width)
-
-
-def load_path_csv(filename: str, lane_width: float = 3.5) -> PathGeometry:
-    """Load a path from CSV with header s,x,y,psi,kappa; validates monotone s."""
-    rows = []
-    with open(filename, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"s", "x", "y", "psi", "kappa"}
-        if reader.fieldnames is None or not required.issubset(set(reader.fieldnames)):
-            raise ValueError(f"path CSV must have header with columns {sorted(required)}")
-        for row in reader:
-            rows.append((float(row["s"]), float(row["x"]), float(row["y"]),
-                         float(row["psi"]), float(row["kappa"])))
-    if len(rows) < 2:
-        raise ValueError("path CSV needs at least two rows")
-    arr = np.asarray(rows)
-    return PathGeometry(s=arr[:, 0], xy=arr[:, 1:3], heading=arr[:, 3],
-                        curvature=arr[:, 4], lane_width=lane_width)
-
-
-def save_path_csv(path: PathGeometry, filename: str) -> None:
-    with open(filename, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "x", "y", "psi", "kappa"])
-        for i in range(path.s.size):
-            writer.writerow([repr(float(path.s[i])), repr(float(path.xy[i, 0])),
-                             repr(float(path.xy[i, 1])), repr(float(path.heading[i])),
-                             repr(float(path.curvature[i]))])

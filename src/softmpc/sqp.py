@@ -5,6 +5,12 @@ smooth stage inequality rows, and optionally a small global variable block
 (shared slack channels) entering rows linearly and the objective
 quadratically.
 
+The problem is described by whole-horizon callbacks: stage rows and
+dynamics Jacobians come for every stage in one call, and the stage row
+layout is fixed when the problem is built (see NlpDescription), so the
+solver groups the rows once per solve. Only the one-stage step dyn_f is
+called per stage, by the sequential rollout.
+
 The iterate stores the input trajectory; states follow by forward rollout,
 so dynamics hold exactly at every iterate. Each iteration linearizes
 dynamics and rows, forms the Gauss-Newton quadratic subproblem and solves it
@@ -84,9 +90,14 @@ class SolveReport:
         }
 
 
-# Row providers return (vals, Cx, Cu, Cg) with vals <= 0 meaning satisfied;
-# Cg may be None when the problem has no global block.
-StageRowFn = Callable[[int, np.ndarray, np.ndarray], Optional[tuple]]
+# Row providers, vals <= 0 meaning satisfied. Stage rows come for the whole
+# horizon in one call: stage_rows(xs (M, nx), us (M, nu)) returns
+# (vals (M, m), C (M, m, nx+nu), G (M, m, n_gamma) or None), with C the
+# Jacobian wrt (x, u) and G the one wrt the global block. Which of the m rows
+# exist at each stage is fixed for the problem by stage_row_mask (M, m); the
+# values of the other rows are ignored.
+# terminal_rows(x_M) returns (vals, Cx, Cg), Cg None without a global block.
+StageRowFn = Callable[[np.ndarray, np.ndarray], tuple]
 TerminalRowFn = Callable[[np.ndarray], Optional[tuple]]
 
 
@@ -96,20 +107,23 @@ class NlpDescription:
 
     cost_W[n] is the (nx+nu)^2 quadratic weight at stage n around
     cost_ref[n]; cost_P / cost_ref_M the terminal state quadratic. The
-    global block gamma enters rows via their Cg columns, the objective via
-    gamma_weight, and is boxed by [gamma_lo, gamma_hi].
+    global block gamma enters rows via their G columns, the objective via
+    gamma_weight, and is boxed by [gamma_lo, gamma_hi]. dyn_f(n, x, u)
+    steps one stage, as the rollout is sequential; dyn_jac(xs, us) returns
+    the Jacobians (A (M, nx, nx), B (M, nx, nu)) of every stage at once.
     """
     nx: int
     nu: int
     horizon: int
     x0: np.ndarray
     dyn_f: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
-    dyn_jac: Callable[[int, np.ndarray, np.ndarray], tuple]
+    dyn_jac: Callable[[np.ndarray, np.ndarray], tuple]
     cost_W: np.ndarray
     cost_ref: np.ndarray
     cost_P: np.ndarray
     cost_ref_M: np.ndarray
     stage_rows: StageRowFn | None = None
+    stage_row_mask: np.ndarray | None = None
     terminal_rows: TerminalRowFn | None = None
     n_gamma: int = 0
     gamma_weight: np.ndarray | None = None
@@ -132,63 +146,62 @@ class NlpDescription:
             self.gamma_linear = np.asarray(self.gamma_linear, dtype=float)
             self.gamma_lo = np.asarray(self.gamma_lo, dtype=float)
             self.gamma_hi = np.asarray(self.gamma_hi, dtype=float)
+        if self.stage_rows is not None and self.stage_row_mask is None:
+            raise ValueError("stage_rows needs its stage_row_mask")
+
+
+class _Layout:
+    """Stage row layout of one problem, fixed for the whole solve.
+
+    Rows are numbered stage by stage. Stages with the same row pattern form
+    one group, in the order of their first stage, so the hot row operations
+    run as batched tensor products over C-contiguous (k, m, nz) blocks.
+    """
+
+    def __init__(self, nlp: NlpDescription):
+        self.mask = (np.zeros((nlp.horizon, 0), dtype=bool)
+                     if nlp.stage_rows is None
+                     else np.asarray(nlp.stage_row_mask, dtype=bool))
+        counts = self.mask.sum(axis=1)
+        starts = np.concatenate([[0], np.cumsum(counts)])
+        self.n_rows = int(starts[-1])
+        patterns = {}
+        for n in np.flatnonzero(counts):
+            patterns.setdefault(self.mask[n].tobytes(), []).append(n)
+        self.groups = []      # (stages (k,), columns (m,), row_idx (k, m))
+        for stages in patterns.values():
+            stages = np.array(stages)
+            cols = np.flatnonzero(self.mask[stages[0]])
+            self.groups.append((stages, cols,
+                                starts[stages][:, None] + np.arange(cols.size)))
 
 
 class _Rows:
     """Linearized inequality rows at one point, flattened across the horizon.
 
-    Stage blocks are grouped by shape so the hot row operations run as
-    batched tensor products; the terminal block and the global box keep
-    their own slices into the flat value/dual arrays.
+    Stage blocks come grouped as the layout groups them, so the hot row
+    operations run as batched tensor products; the terminal block and the
+    global box keep their own slices into the flat value/dual arrays.
     """
 
-    def __init__(self, nlp: NlpDescription, xs, us, gamma):
-        M, nx, nu, q = nlp.horizon, nlp.nx, nlp.nu, nlp.n_gamma
-        self.q = q
-        stage_data = []       # (stage, vals, C, G)
-        pos = 0
-        for n in range(M):
-            if nlp.stage_rows is None:
-                break
-            out = nlp.stage_rows(n, xs[n], us[n])
-            if out is None:
-                continue
-            v, Cx, Cu, Cg = out
-            v = np.asarray(v, dtype=float)
-            if v.size == 0:
-                continue
-            C = np.concatenate([np.asarray(Cx, dtype=float),
-                                np.asarray(Cu, dtype=float)], axis=1)
-            G = None
-            if q:
-                G = np.zeros((v.size, q)) if Cg is None else np.asarray(Cg, dtype=float)
-                v = v + G @ gamma     # rows are affine in the global block
-            stage_data.append((n, v, C, G))
-
+    def __init__(self, nlp: NlpDescription, layout: _Layout, xs, us, gamma):
+        q = nlp.n_gamma
         vals = []
-        starts = []
-        for n, v, C, G in stage_data:
-            starts.append(pos)
-            vals.append(v)
-            pos += v.size
-
-        # group stages with the same row count for batched products
         self.groups = []      # (stage_idx (k,), row_idx (k, m), C (k,m,nz), G)
-        by_m = {}
-        for i, (n, v, C, G) in enumerate(stage_data):
-            by_m.setdefault(v.size, []).append(i)
-        for m, idxs in by_m.items():
-            stages = np.array([stage_data[i][0] for i in idxs])
-            rows_idx = np.array([
-                np.arange(starts[i], starts[i] + m) for i in idxs])
-            C_stack = np.stack([stage_data[i][2] for i in idxs])
-            G_stack = (np.stack([stage_data[i][3] for i in idxs])
-                       if q else None)
-            self.groups.append((stages, rows_idx, C_stack, G_stack))
+        if nlp.stage_rows is not None:
+            v, C, G = nlp.stage_rows(xs[:-1], us)
+            if q:
+                G = np.zeros(v.shape + (q,)) if G is None else G
+                v = v + G @ gamma     # rows are affine in the global block
+            vals.append(v[layout.mask])
+            for stages, cols, ridx in layout.groups:
+                sel = (stages[:, None], cols)
+                self.groups.append((stages, ridx, C[sel], G[sel] if q else None))
+        pos = layout.n_rows
 
         self.term = None      # (slice, Cx (m, nx), G)
         if nlp.terminal_rows is not None:
-            out = nlp.terminal_rows(xs[M])
+            out = nlp.terminal_rows(xs[-1])
             if out is not None:
                 v, Cx, Cg = out
                 v = np.asarray(v, dtype=float)
@@ -256,10 +269,9 @@ class _Subproblem:
         self.opts = opts
         self.penalty = penalty
         M, nx, nu = nlp.horizon, nlp.nx, nlp.nu
-        self.A = np.empty((M, nx, nx))
-        self.B = np.empty((M, nx, nu))
-        for n in range(M):
-            self.A[n], self.B[n] = nlp.dyn_jac(n, xs[n], us[n])
+        A, B = nlp.dyn_jac(xs[:-1], us)
+        self.A = np.ascontiguousarray(A, dtype=float)
+        self.B = np.ascontiguousarray(B, dtype=float)
         self.F = np.concatenate([self.A, self.B], axis=2)       # (M, nx, nz)
         self.FT = np.ascontiguousarray(self.F.transpose(0, 2, 1))
         self.g_stage, self.g_term, self.g_gamma = _cost_gradients(nlp, xs, us, gamma)
@@ -651,13 +663,14 @@ def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport
     status = STATUS_MAX_ITER
     sqp_iters = 0
     xs = _rollout(nlp, us)
+    layout = _Layout(nlp)
     final_rows = None
     final_kkt = (float("inf"), float("inf"), float("inf"))
     polish_streak = 0
 
     for it in range(opts.max_sqp_iter):
         sqp_iters = it + 1
-        rows = _Rows(nlp, xs, us, gamma)
+        rows = _Rows(nlp, layout, xs, us, gamma)
         obj = _objective(nlp, xs, us, gamma)
         viol1 = rows.violation_l1()
         viol_inf = rows.violation_inf()
@@ -722,7 +735,7 @@ def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport
             us_try = us + du
             gamma_try = gamma + dgamma if nlp.n_gamma else gamma
             xs_try = _rollout(nlp, us_try)
-            rows_try = _Rows(nlp, xs_try, us_try, gamma_try)
+            rows_try = _Rows(nlp, layout, xs_try, us_try, gamma_try)
             merit_try = (_objective(nlp, xs_try, us_try, gamma_try)
                          + penalty * rows_try.violation_l1())
             if merit_try <= merit + 1e-6 * (1.0 + abs(merit)):
@@ -738,7 +751,7 @@ def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport
             us_new = us + alpha * du
             gamma_new = gamma + alpha * dgamma if nlp.n_gamma else gamma
             xs_new = _rollout(nlp, us_new)
-            rows_new = _Rows(nlp, xs_new, us_new, gamma_new)
+            rows_new = _Rows(nlp, layout, xs_new, us_new, gamma_new)
             merit_new = (_objective(nlp, xs_new, us_new, gamma_new)
                          + penalty * rows_new.violation_l1())
             if merit_new <= merit + opts.armijo_c1 * alpha * descent:
@@ -764,7 +777,7 @@ def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport
             continue
 
     if final_rows is None:
-        final_rows = _Rows(nlp, xs, us, gamma)
+        final_rows = _Rows(nlp, layout, xs, us, gamma)
 
     return SolveReport(
         status=status,
@@ -783,8 +796,6 @@ def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport
 def _nlp_kkt(nlp, xs, us, gamma, rows: _Rows, sub: _Subproblem):
     """KKT residuals of the NLP recomputed from primal/dual values alone."""
     primal = rows.violation_inf()
-    if sub is None or rows.n_rows != sub.m:
-        return float("inf"), primal, float("inf")
     z = sub.z
     g_stage, g_term, g_gamma = _cost_gradients(nlp, xs, us, gamma)
     M, nx, q = nlp.horizon, nlp.nx, nlp.n_gamma

@@ -1,9 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from softmpc import dynamics as dyn
 from softmpc import ocp
-from softmpc.controller import (BRANCH_FAILURE, BRANCH_NOMINAL,
+from softmpc.controller import (BRANCH_FAILURE, BRANCH_NOMINAL, HARD_ROW_TOL,
                                 ControlDecision, ModeRuntime,
                                 PriorityController)
 from softmpc.dynamics import VehicleParams
@@ -11,6 +13,7 @@ from softmpc.environment import (DisturbanceProfile, NO_BOUND, RoadUserState,
                                  build_profile, nominal_profile)
 from softmpc.oracle import LonSampler, ScenarioTemplate, generate_dataset
 from softmpc.path import straight_path
+from softmpc.sqp import STATUS_OPTIMAL
 from softmpc.surrogate import LipschitzBudget, train_mode_model
 
 PARAMS = VehicleParams()
@@ -100,6 +103,35 @@ def test_failure_when_no_mode_feasible():
     assert decision.branch == BRANCH_FAILURE
     assert decision.u is None
     assert decision.mode_gates["E1"]["predicted_feasible"] is False
+
+
+def test_hard_row_gate_fails_nan_and_inf_residuals():
+    # a predicted trajectory that holds every row, then the same one with a
+    # NaN lateral error at step 5 and an infinite speed at step 7
+    ctrl = _controller()
+    M = HORIZON.n_constraint
+    profile = nominal_profile(M, PATH.lane_width)
+    xs = np.zeros((M + 1, dyn.NX))
+    xs[:, dyn.IDX_V] = 5.0
+    us = np.zeros((M, dyn.NU))
+    hard, _ = ctrl._residuals(SimpleNamespace(xs=xs, us=us), profile, None, None)
+    assert hard == pytest.approx(-0.3)
+    bad = xs.copy()
+    bad[5, dyn.IDX_EY] = np.nan
+    bad[7, dyn.IDX_V] = np.inf
+    for mode, slack in ((None, None), (MODE_E1, np.array([1.0]))):
+        hard, _ = ctrl._residuals(SimpleNamespace(xs=bad, us=us), profile,
+                                  mode, slack)
+        assert not hard <= HARD_ROW_TOL
+    # every solve returning that trajectory: neither the nominal nor a
+    # relaxed branch may accept it
+    ctrl._run = lambda nlp: SimpleNamespace(
+        status=STATUS_OPTIMAL, xs=bad, us=us, infeasibility_measure=0.0,
+        stationarity=0.0)
+    decision = ctrl.step(xs[0], profile)
+    assert decision.branch == BRANCH_FAILURE
+    assert [g["solve_status"] for g in decision.mode_gates.values()] == \
+        ["hard-row-violation"] * 2
 
 
 def test_decision_log_record_is_json_friendly():

@@ -3,7 +3,7 @@ import pytest
 
 from softmpc import dynamics as dyn
 from softmpc.dynamics import VehicleParams, comfort_quantities, f_continuous, f_discrete, jacobians, state
-from softmpc.path import circular_path, clothoid_path, straight_path
+from softmpc.path import PathRangeError, circular_path, clothoid_path, straight_path
 
 PARAMS = VehicleParams()
 
@@ -114,8 +114,9 @@ def test_jacobians_match_finite_differences_on_random_states():
     path = clothoid_path(400.0, 5e-5, spacing=0.5)
     rng = np.random.default_rng(42)
     t_s = 0.1
+    xs, us = [], []
     for _ in range(200):
-        x = state(
+        xs.append(state(
             s=rng.uniform(5.0, 360.0),
             e_y=rng.uniform(-1.5, 1.5),
             e_psi=rng.uniform(-0.25, 0.25),
@@ -123,9 +124,14 @@ def test_jacobians_match_finite_differences_on_random_states():
             alpha=rng.uniform(-0.5, 0.5),
             v=rng.uniform(0.0, 30.0),
             a=rng.uniform(-6.0, 3.0),
-        )
-        u = np.array([rng.uniform(-0.4, 0.4), rng.uniform(-6.0, 3.0)])
-        A, B = jacobians(x, u, path, PARAMS, t_s)
+        ))
+        us.append(np.array([rng.uniform(-0.4, 0.4), rng.uniform(-6.0, 3.0)]))
+    As, Bs = jacobians(np.array(xs), np.array(us), path, PARAMS, t_s)
+    for x, u, A, B in zip(xs, us, As, Bs):
+        # the stages of a horizon pass do not mix: one point alone gives
+        # the same bits
+        A1, B1 = jacobians(x[None], u[None], path, PARAMS, t_s)
+        assert np.array_equal(A1[0], A) and np.array_equal(B1[0], B)
         A_fd, B_fd = _fd_jacobians(x, u, path, t_s)
         scale_A = np.maximum(np.abs(A_fd), 1.0)
         scale_B = np.maximum(np.abs(B_fd), 1.0)
@@ -138,14 +144,30 @@ def test_jacobian_lateral_coupling_block():
     path = straight_path(200.0)
     v = 20.0
     t_s = 0.01
-    A, _ = jacobians(state(s=10.0, v=v), np.zeros(2), path, PARAMS, t_s)
-    assert A[dyn.IDX_EY, dyn.IDX_EPSI] == pytest.approx(v * t_s, rel=1e-3)
+    A, _ = jacobians(state(s=10.0, v=v)[None], np.zeros((1, 2)), path,
+                     PARAMS, t_s)
+    assert A[0, dyn.IDX_EY, dyn.IDX_EPSI] == pytest.approx(v * t_s, rel=1e-3)
+
+
+def test_horizon_jacobians_keep_range_and_singularity_checks():
+    # one bad point among good ones stops the whole pass
+    path = circular_path(radius=10.0, arc=50.0)
+    xs = np.array([state(s=5.0, v=5.0)] * 3)
+    us = np.zeros((3, 2))
+    beyond = xs.copy()
+    beyond[1, dyn.IDX_S] = 60.0
+    with pytest.raises(PathRangeError):
+        jacobians(beyond, us, path, PARAMS, 0.1)
+    singular = xs.copy()
+    singular[2, dyn.IDX_EY] = 10.0
+    with pytest.raises(dyn.FrenetSingularity):
+        jacobians(singular, us, path, PARAMS, 0.1)
 
 
 def test_input_column_structure():
     path = straight_path(200.0)
     x = state(s=10.0, v=15.0)
-    _, _, B_cont = dyn._f_and_jac(x, np.zeros(2), path, PARAMS)
+    _, _, B_cont = dyn._derivatives(x[None], np.zeros((1, 2)), path, PARAMS)
     # a_req only drives the acceleration row in continuous time
     col = B_cont[:, 1]
     assert col[dyn.IDX_A] == pytest.approx(PARAMS.accel_tc)

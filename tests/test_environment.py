@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from softmpc.environment import (NO_BOUND, ConsistencyDelta, DisturbanceProfile,
                                  ReachableSet, RoadUserState, build_profile,
@@ -97,13 +99,38 @@ def test_collision_window_on_curved_path():
     assert abs(bounds[0] - oracle) <= 0.01 + 1e-9
 
 
-def test_sigma_monotone_in_box_inflation():
+@st.composite
+def nested_boxes(draw):
+    """(base, grown, d_safe): per step, grown contains base's box."""
+    n = draw(st.integers(1, 4))
+    coord = st.floats(0.0, 6.0)
+
+    def arrays(elements):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)))
+    lon_lo = arrays(st.floats(0.0, 190.0))
+    lat_lo = arrays(st.floats(-8.0, 6.0))
+    base = ReachableSet(lon_lo=lon_lo, lon_hi=lon_lo + arrays(coord),
+                        lat_lo=lat_lo, lat_hi=lat_lo + arrays(coord))
+    grown = ReachableSet(lon_lo=base.lon_lo - arrays(coord),
+                         lon_hi=base.lon_hi + arrays(coord),
+                         lat_lo=base.lat_lo - arrays(coord),
+                         lat_hi=base.lat_hi + arrays(coord))
+    return base, grown, draw(st.floats(0.5, 7.0))
+
+
+@given(nested_boxes())
+@example((ReachableSet(lon_lo=[80.0], lon_hi=[85.0], lat_lo=[-1.0], lat_hi=[1.0]),
+          ReachableSet(lon_lo=[78.0], lon_hi=[87.0], lat_lo=[-2.0], lat_hi=[2.0]),
+          5.0))
+@settings(max_examples=60, deadline=None)
+def test_collision_window_monotone_under_box_nesting(boxes):
+    # a larger box is met no later: its yield bound is never above the one
+    # of a box it contains, and it has a bound wherever that box has one
+    base, grown, d_safe = boxes
     path = straight_path(200.0)
-    base = ReachableSet(lon_lo=[80.0], lon_hi=[85.0], lat_lo=[-1.0], lat_hi=[1.0])
-    grown = ReachableSet(lon_lo=[78.0], lon_hi=[87.0], lat_lo=[-2.0], lat_hi=[2.0])
-    b0, _ = collision_window(path, base, d_safe=5.0)
-    b1, _ = collision_window(path, grown, d_safe=5.0)
-    assert b1[0] <= b0[0] + 1e-9
+    b0, _ = collision_window(path, base, d_safe)
+    b1, _ = collision_window(path, grown, d_safe)
+    assert np.all(b1 <= b0 + 1e-9)
 
 
 def test_lane_corridor_nominal_when_clear():
@@ -137,9 +164,30 @@ def test_lane_corridor_invasion_right_lane_free():
     assert blocked[0]
 
 
-def test_consistency_identical_profiles_is_zero():
-    prof = nominal_profile(horizon=20, lane_width=3.5)
-    delta = consistency_delta(prof, prof)
+@st.composite
+def shifted_profiles(draw):
+    """(prev, curr): curr is prev one step later, with no new information
+    about the steps both cover; its last step is new and arbitrary."""
+    n = draw(st.integers(3, 30))
+
+    def values(elements, size):
+        return np.array(draw(st.lists(elements, min_size=size, max_size=size)))
+    sigma = values(st.one_of(st.floats(0.0, 500.0), st.just(NO_BOUND)), n + 1)
+    lo = values(st.floats(-6.0, 4.0), n + 1)
+    hi = lo + values(st.floats(0.0, 4.0), n + 1)
+    prev = DisturbanceProfile(yield_bound=sigma[:n], corridor_lo=lo[:n],
+                              corridor_hi=hi[:n], window=None)
+    curr = DisturbanceProfile(yield_bound=sigma[1:], corridor_lo=lo[1:],
+                              corridor_hi=hi[1:], window=None)
+    return prev, curr
+
+
+@given(shifted_profiles())
+@example((nominal_profile(horizon=20, lane_width=3.5),) * 2)
+@settings(max_examples=60, deadline=None)
+def test_consistency_delta_is_zero_for_a_shifted_profile(profiles):
+    # a constant profile (the nominal one) is its own shift
+    delta = consistency_delta(*profiles)
     assert delta.norm == 0.0
     assert delta.consistent
 

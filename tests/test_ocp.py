@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -68,49 +70,92 @@ def test_mode_requires_known_labels_and_ceilings():
                            ceilings={})
 
 
+def _one_step_profile(sigma, beta_lo=-1.75, beta_hi=1.75):
+    return DisturbanceProfile(yield_bound=[sigma], corridor_lo=[beta_lo],
+                              corridor_hi=[beta_hi], window=None)
+
+
 def test_eval_constraint_examples():
     # worked arithmetic for the headway and yield rows
     x = dyn.state(s=40.0, v=10.0)
     u = np.zeros(2)
-    vals = STACK.evaluate(x, u, sigma=45.0, beta_lo=-1.75, beta_hi=1.75)
+    vals, _ = STACK.evaluate(x[None], u[None], _one_step_profile(45.0))
     i = {lbl: k for k, lbl in enumerate(ocp.ROW_LABELS)}
-    assert vals[i["g_lon_safe"]] == pytest.approx(-5.0)
-    assert vals[i["g_follow"]] == pytest.approx(40.0 + 1.5 * 10.0 - 45.0)  # +10
-    assert vals[i["g_lat_ub"]] == pytest.approx(-1.75)
-    assert vals[i["g_lat_lb"]] == pytest.approx(-1.75)
+    assert vals[0, i["g_lon_safe"]] == pytest.approx(-5.0)
+    assert vals[0, i["g_follow"]] == pytest.approx(40.0 + 1.5 * 10.0 - 45.0)  # +10
+    assert vals[0, i["g_lat_ub"]] == pytest.approx(-1.75)
+    assert vals[0, i["g_lat_lb"]] == pytest.approx(-1.75)
 
 
 def test_eval_constraints_window_sentinel():
     x = dyn.state(s=40.0, v=10.0)
-    vals = STACK.evaluate(x, np.zeros(2), sigma=NO_BOUND, beta_lo=-1.75, beta_hi=1.75)
+    vals, _ = STACK.evaluate(x[None], np.zeros((1, 2)),
+                             _one_step_profile(NO_BOUND))
     i = {lbl: k for k, lbl in enumerate(ocp.ROW_LABELS)}
-    assert vals[i["g_lon_safe"]] == -np.inf
-    assert vals[i["g_follow"]] == -np.inf
+    assert vals[0, i["g_lon_safe"]] == -np.inf
+    assert vals[0, i["g_follow"]] == -np.inf
+
+
+def _scalar_rows(x, u, sigma, beta_lo, beta_hi):
+    """Reference: every row of the stack written out at one step."""
+    p = PARAMS
+    s, e_y, e_psi, delta, alpha, v, a = x
+    u0, u1 = u
+    a_y = v * v * math.tan(delta) / p.wheelbase
+    j_y = v * v * alpha * (1.0 + math.tan(delta) ** 2) / p.wheelbase
+    return np.array([
+        e_psi - p.e_psi_max, -e_psi - p.e_psi_max,
+        delta - p.delta_max, -delta - p.delta_max,
+        u0 - p.delta_max, -u0 - p.delta_max,
+        v - p.v_max, -v,
+        a - p.accel_max, p.accel_min - a,
+        u1 - p.accel_max, p.accel_min - u1,
+        STACK.a_req_comfort_min - u1,
+        alpha - p.alpha_max, -alpha - p.alpha_max,
+        a_y - p.lat_accel_max, -a_y - p.lat_accel_max,
+        j_y - p.lat_jerk_max, -j_y - p.lat_jerk_max,
+        s - sigma if math.isfinite(sigma) else -np.inf,
+        e_y - beta_hi, beta_lo - e_y,
+        s + STACK.t_gap * v - sigma if math.isfinite(sigma) else -np.inf,
+    ])
+
+
+def test_stack_rows_match_the_scalar_formulas():
+    rng = np.random.default_rng(8)
+    n = 40
+    xs = rng.uniform(-1.0, 1.0, (n, dyn.NX)) * [50, 2, 0.3, 0.5, 0.6, 30, 6]
+    us = rng.uniform(-1.0, 1.0, (n, dyn.NU)) * [0.5, 6]
+    sigma = np.where(rng.random(n) < 0.3, NO_BOUND, rng.uniform(0, 80, n))
+    lo = rng.uniform(-3, 1, n)
+    profile = DisturbanceProfile(yield_bound=sigma, corridor_lo=lo,
+                                 corridor_hi=lo + 3.5, window=None)
+    vals, _ = STACK.evaluate(xs, us, profile)
+    ref = np.array([_scalar_rows(xs[k], us[k], sigma[k], lo[k], lo[k] + 3.5)
+                    for k in range(n)])
+    # the vectorized tan may differ from the scalar one in the last bit
+    np.testing.assert_allclose(vals, ref, rtol=1e-14, atol=1e-12)
 
 
 def test_stack_linearization_matches_finite_differences():
     rng = np.random.default_rng(2)
-    for _ in range(25):
-        x = dyn.state(s=rng.uniform(5, 50), e_y=rng.uniform(-1, 1),
-                      e_psi=rng.uniform(-0.2, 0.2), delta=rng.uniform(-0.3, 0.3),
-                      alpha=rng.uniform(-0.4, 0.4), v=rng.uniform(0, 25),
-                      a=rng.uniform(-4, 2))
-        u = np.array([rng.uniform(-0.3, 0.3), rng.uniform(-5, 2)])
-        sigma, lo, hi = 60.0, -1.75, 1.75
-        vals, Cx, Cu, kept = STACK.linearize(x, u, sigma, lo, hi)
-        h = 1e-7
-        for j in range(dyn.NX):
-            dx = np.zeros(dyn.NX)
-            dx[j] = h
-            fp = STACK.evaluate(x + dx, u, sigma, lo, hi)[kept]
-            fm = STACK.evaluate(x - dx, u, sigma, lo, hi)[kept]
-            np.testing.assert_allclose(Cx[:, j], (fp - fm) / (2 * h), atol=1e-5)
-        for j in range(dyn.NU):
-            du = np.zeros(dyn.NU)
-            du[j] = h
-            fp = STACK.evaluate(x, u + du, sigma, lo, hi)[kept]
-            fm = STACK.evaluate(x, u - du, sigma, lo, hi)[kept]
-            np.testing.assert_allclose(Cu[:, j], (fp - fm) / (2 * h), atol=1e-5)
+    n = 25
+    xs = np.stack([rng.uniform(5, 50, n), rng.uniform(-1, 1, n),
+                   rng.uniform(-0.2, 0.2, n), rng.uniform(-0.3, 0.3, n),
+                   rng.uniform(-0.4, 0.4, n), rng.uniform(0, 25, n),
+                   rng.uniform(-4, 2, n)], axis=1)
+    us = np.stack([rng.uniform(-0.3, 0.3, n), rng.uniform(-5, 2, n)], axis=1)
+    profile = DisturbanceProfile(yield_bound=np.full(n, 60.0),
+                                 corridor_lo=np.full(n, -1.75),
+                                 corridor_hi=np.full(n, 1.75), window=None)
+    _, C = STACK.evaluate(xs, us, profile)
+    h = 1e-7
+    z = np.concatenate([xs, us], axis=1)
+    for j in range(dyn.NX + dyn.NU):
+        dz = np.zeros(dyn.NX + dyn.NU)
+        dz[j] = h
+        fp, _ = STACK.evaluate((z + dz)[:, :dyn.NX], (z + dz)[:, dyn.NX:], profile)
+        fm, _ = STACK.evaluate((z - dz)[:, :dyn.NX], (z - dz)[:, dyn.NX:], profile)
+        np.testing.assert_allclose(C[:, :, j], (fp - fm) / (2 * h), atol=1e-5)
 
 
 def test_reference_is_kinematically_consistent():
@@ -136,7 +181,8 @@ def test_terminal_cost_lyapunov_decrease():
     # p(x+) - p(x) <= -q(x, Kx) on the linearized model, 1000 tube samples
     w = _weights()
     x_ref = dyn.state(s=1.0, v=7.0)  # same operating point the weights use
-    A, B = dyn.jacobians(x_ref, np.zeros(2), PATH, PARAMS, HORIZON.t_s)
+    A, B = (J[0] for J in dyn.jacobians(x_ref[None], np.zeros((1, 2)), PATH,
+                                         PARAMS, HORIZON.t_s))
     rng = np.random.default_rng(4)
     scale = np.array([1.0, 0.5, 0.1, 0.1, 0.2, 1.0, 0.5])
     for _ in range(1000):
@@ -224,6 +270,28 @@ def test_relaxed_lifts_only_selected_rows():
     follow = ocp.ROW_LABELS.index("g_follow")
     assert np.max(res[follow]) <= slack[0] + 1e-6
     assert np.max(res[follow]) > 1e-3  # the lift was actually used
+
+
+def test_row_layout_follows_profile_mode_and_tube():
+    # yield bound from step 20 on; the tube's 6 finite widths add 12 rows
+    # beyond the cost horizon (n_cost 8)
+    M = HORIZON.n_constraint
+    sigma = np.where(np.arange(M + 1) >= 20, 300.0, NO_BOUND)
+    profile = DisturbanceProfile(yield_bound=sigma,
+                                 corridor_lo=np.full(M + 1, -1.75),
+                                 corridor_hi=np.full(M + 1, 1.75),
+                                 window=(20, M))
+    x_refs, u_refs = _refs(0.0)
+    args = (dyn.state(v=7.0), PATH, PARAMS, _weights(), HORIZON, STACK,
+            profile, TERMINAL)
+    nom = ocp.build_nominal(*args, x_refs, u_refs)
+    counts = nom.stage_row_mask.sum(axis=1)
+    assert list(counts[:8]) == [21] * 8
+    assert list(counts[8:20]) == [33] * 12
+    assert list(counts[20:]) == [35] * 20
+    # E3 drops both yield rows wherever they are
+    rel = ocp.build_relaxed(*args, MODE_E3, np.zeros(4), x_refs, u_refs)
+    assert list(rel.stage_row_mask.sum(axis=1)) == [21] * 8 + [33] * 32
 
 
 def test_relaxed_rejects_slack_beyond_ceiling():

@@ -211,11 +211,11 @@ def test_lon_discrete_is_the_longitudinal_block_of_the_rk4_step():
     # the closed form stands in for the full model's RK4 step on the
     # longitudinal chain: on a straight path at rest the two agree
     A_d, B_d = oracle._lon_discrete(PARAMS, HORIZON.t_s)
-    A, B = dyn.jacobians(dyn.state(), np.zeros(2), straight_path(100.0),
-                         PARAMS, HORIZON.t_s)
-    np.testing.assert_allclose(A_d, A[np.ix_(dyn.LON_IDX, dyn.LON_IDX)],
+    A, B = dyn.jacobians(dyn.state()[None], np.zeros((1, 2)),
+                         straight_path(100.0), PARAMS, HORIZON.t_s)
+    np.testing.assert_allclose(A_d, A[0][np.ix_(dyn.LON_IDX, dyn.LON_IDX)],
                                rtol=0.0, atol=1e-15)
-    np.testing.assert_allclose(B_d, B[np.ix_(dyn.LON_IDX, (1,))],
+    np.testing.assert_allclose(B_d, B[0][np.ix_(dyn.LON_IDX, (1,))],
                                rtol=0.0, atol=1e-15)
 
 

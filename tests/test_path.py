@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from softmpc.path import (PathGeometry, PathRangeError, circular_path,
-                          clothoid_path, load_path_csv, save_path_csv,
-                          straight_path)
+                          clothoid_path, straight_path)
 
 
 def test_straight_path_zero_curvature():
@@ -33,39 +32,24 @@ def test_curvature_out_of_range_names_interval():
     with pytest.raises(PathRangeError, match=r"\[0, 50\]"):
         path.curvature_at(51.0)
     with pytest.raises(PathRangeError):
-        path.to_global(-1.0, 0.0)
+        path.curvature_at(-1.0)
 
 
 def test_to_global_on_straight_path():
     path = straight_path(100.0)
-    assert path.to_global(10.0, 0.0) == pytest.approx((10.0, 0.0), abs=1e-12)
+    x, y = path.to_global_arr(np.array([10.0, 10.0]), np.array([0.0, 2.0]))
+    assert (x[0], y[0]) == pytest.approx((10.0, 0.0), abs=1e-12)
     # left normal of +X travel is +Y
-    assert path.to_global(10.0, 2.0) == pytest.approx((10.0, 2.0), abs=1e-12)
+    assert (x[1], y[1]) == pytest.approx((10.0, 2.0), abs=1e-12)
 
 
 def test_to_global_on_circle_left_normal_points_inward():
     # CCW circle R=50 from (50, 0); left offset 1 m lands at radius 49.
     path = circular_path(radius=50.0, arc=math.pi * 50.0, spacing=0.05)
-    x, y = path.to_global(math.pi * 25.0, 1.0)
+    x, y = path.to_global_arr(np.array([math.pi * 25.0]), np.array([1.0]))
     # analytic: radius-49 point at angle pi/2
-    assert x == pytest.approx(49.0 * math.cos(math.pi / 2.0), abs=1e-4)
-    assert y == pytest.approx(49.0 * math.sin(math.pi / 2.0), abs=1e-4)
-
-
-def test_round_trip_projection():
-    rng = np.random.default_rng(7)
-    paths = [straight_path(120.0), circular_path(80.0, 120.0, spacing=0.2),
-             clothoid_path(100.0, 2e-4, spacing=0.2)]
-    for path in paths:
-        max_kappa = float(np.max(np.abs(path.curvature))) or 1e-9
-        lat_lim = min(1.0 / (2.0 * max_kappa), 5.0)
-        for _ in range(50):
-            s = rng.uniform(path.s_min + 1.0, path.s_max - 1.0)
-            lat = rng.uniform(-lat_lim, lat_lim)
-            x, y = path.to_global(s, lat)
-            s_back, lat_back = path.project(x, y)
-            assert s_back == pytest.approx(s, abs=1e-6)
-            assert lat_back == pytest.approx(lat, abs=1e-6)
+    assert x[0] == pytest.approx(49.0 * math.cos(math.pi / 2.0), abs=1e-4)
+    assert y[0] == pytest.approx(49.0 * math.sin(math.pi / 2.0), abs=1e-4)
 
 
 def test_curvature_interpolant_is_lipschitz():
@@ -81,30 +65,7 @@ def test_curvature_interpolant_is_lipschitz():
         assert lhs <= bound * abs(s1 - s2) + 1e-12
 
 
-def test_reference_steering_from_curvature():
-    path = circular_path(radius=100.0, arc=50.0)
-    assert path.reference_steering_at(10.0, wheelbase=2.9) == pytest.approx(
-        math.atan(2.9 * 0.01), abs=1e-12)
-
-
 def test_monotone_s_required():
     with pytest.raises(ValueError, match="strictly increasing"):
         PathGeometry(s=np.array([0.0, 1.0, 1.0]), xy=np.zeros((3, 2)),
                      heading=np.zeros(3), curvature=np.zeros(3))
-
-
-def test_csv_round_trip(tmp_path):
-    path = clothoid_path(40.0, 1e-4)
-    fname = tmp_path / "ref.csv"
-    save_path_csv(path, str(fname))
-    loaded = load_path_csv(str(fname))
-    np.testing.assert_allclose(loaded.s, path.s)
-    np.testing.assert_allclose(loaded.xy, path.xy)
-    np.testing.assert_allclose(loaded.curvature, path.curvature)
-
-
-def test_csv_loader_rejects_bad_header(tmp_path):
-    fname = tmp_path / "bad.csv"
-    fname.write_text("s,x,y\n0,0,0\n1,1,0\n")
-    with pytest.raises(ValueError, match="header"):
-        load_path_csv(str(fname))

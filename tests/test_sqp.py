@@ -8,17 +8,34 @@ from softmpc.sqp import (STATUS_INFEASIBLE, STATUS_OPTIMAL, NlpDescription,
 
 
 def _linear_nlp(A, B, Q, R, P, x0, M, rows=None, terminal_rows=None, **kw):
+    """rows = (stage_rows, rows per stage), every row present at every stage."""
     nx, nu = B.shape
     W = np.zeros((M, nx + nu, nx + nu))
     W[:, :nx, :nx] = Q
     W[:, nx:, nx:] = R
+    stage_rows, mask = None, None
+    if rows is not None:
+        stage_rows, m = rows
+        mask = np.ones((M, m), dtype=bool)
     return NlpDescription(
         nx=nx, nu=nu, horizon=M, x0=x0,
         dyn_f=lambda n, x, u: A @ x + B @ u,
-        dyn_jac=lambda n, x, u: (A, B),
+        dyn_jac=lambda xs, us: (np.broadcast_to(A, (M, nx, nx)),
+                                np.broadcast_to(B, (M, nx, nu))),
         cost_W=W, cost_ref=np.zeros((M, nx + nu)),
         cost_P=P, cost_ref_M=np.zeros(nx),
-        stage_rows=rows, terminal_rows=terminal_rows, **kw)
+        stage_rows=stage_rows, stage_row_mask=mask,
+        terminal_rows=terminal_rows, **kw)
+
+
+def _constant_rows(offset, C, G=None):
+    """Affine stage rows C (x, u) + offset, the same at every stage."""
+    def rows(xs, us):
+        vals = np.concatenate([xs, us], axis=1) @ C.T + offset
+        M = xs.shape[0]
+        return (vals, np.broadcast_to(C, (M,) + C.shape),
+                None if G is None else np.broadcast_to(G, (M,) + G.shape))
+    return rows, C.shape[0]
 
 
 def _riccati_lqr(A, B, Q, R, P, x0, M):
@@ -95,13 +112,11 @@ def test_lqr_matches_batch_least_squares():
 
 
 def _box_rows(umin, umax, xmin, xmax):
-    def rows(n, x, u):
-        nxv, nuv = x.size, u.size
-        vals = np.concatenate([u - umax, umin - u, x - xmax, xmin - x])
-        Cx = np.vstack([np.zeros((2 * nuv, nxv)), np.eye(nxv), -np.eye(nxv)])
-        Cu = np.vstack([np.eye(nuv), -np.eye(nuv), np.zeros((2 * nxv, nuv))])
-        return vals, Cx, Cu, None
-    return rows
+    nxv, nuv = xmin.size, umin.size
+    Cx = np.vstack([np.zeros((2 * nuv, nxv)), np.eye(nxv), -np.eye(nxv)])
+    Cu = np.vstack([np.eye(nuv), -np.eye(nuv), np.zeros((2 * nxv, nuv))])
+    return _constant_rows(np.concatenate([-umax, umin, -xmax, xmin]),
+                          np.hstack([Cx, Cu]))
 
 
 def _enumerate_active_sets(H, g, Cin, din, tol=1e-9):
@@ -174,12 +189,9 @@ def test_contradictory_bounds_detected_infeasible():
     A = np.array([[1.0]])
     B = np.array([[1.0]])
 
-    def rows(n, x, u):
-        # x <= -1 and x >= +1 simultaneously
-        vals = np.array([x[0] + 1.0, 1.0 - x[0]])
-        Cx = np.array([[1.0], [-1.0]])
-        Cu = np.zeros((2, 1))
-        return vals, Cx, Cu, None
+    # x <= -1 and x >= +1 simultaneously
+    rows = _constant_rows(np.array([1.0, 1.0]),
+                          np.array([[1.0, 0.0], [-1.0, 0.0]]))
 
     nlp = _linear_nlp(A, B, np.eye(1), np.eye(1), np.eye(1),
                       np.array([0.0]), 4, rows=rows)
@@ -208,20 +220,46 @@ def test_solution_invariant_under_row_permutation():
     x0 = np.array([1.2, -0.4])
     perm = rng.permutation(4)
 
-    def rows_base(n, x, u):
-        vals = np.array([u[0] - 0.5, -0.5 - u[0], x[1] - 0.8, -0.8 - x[1]])
-        Cx = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        Cu = np.array([[1.0], [-1.0], [0.0], [0.0]])
-        return vals, Cx, Cu, None
-
-    def rows_perm(n, x, u):
-        vals, Cx, Cu, _ = rows_base(n, x, u)
-        return vals[perm], Cx[perm], Cu[perm], None
+    offset = np.array([-0.5, -0.5, -0.8, -0.8])
+    C = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0],
+                  [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
+    rows_base = _constant_rows(offset, C)
+    rows_perm = _constant_rows(offset[perm], C[perm])
 
     rep1 = solve(_linear_nlp(A, B, Q, R, P, x0, 12, rows=rows_base))
     rep2 = solve(_linear_nlp(A, B, Q, R, P, x0, 12, rows=rows_perm))
     assert rep1.status == rep2.status == STATUS_OPTIMAL
     assert np.max(np.abs(rep1.us - rep2.us)) < 1e-8
+
+
+def test_rows_outside_the_layout_are_ignored():
+    # the state box exists at even stages only; the values the provider
+    # returns for the missing rows (NaN or real) must not matter
+    A = np.array([[1.0, 0.1], [0.0, 1.0]])
+    B = np.array([[0.005], [0.1]])
+    Q, R, P = np.diag([1.0, 0.2]), np.array([[0.1]]), np.diag([1.0, 0.2])
+    x0 = np.array([1.2, -0.2])
+    M = 12
+    rows, m = _box_rows(np.array([-0.5]), np.array([0.5]),
+                        np.array([-5.0, -0.3]), np.array([5.0, 0.3]))
+    mask = np.ones((M, m), dtype=bool)
+    mask[1::2, 2:] = False
+
+    def rows_nan(xs, us):
+        vals, C, G = rows(xs, us)
+        vals = vals.copy()
+        vals[~mask] = np.nan
+        return vals, C, G
+
+    reps = []
+    for fn in (rows, rows_nan):
+        nlp = _linear_nlp(A, B, Q, R, P, x0, M)
+        nlp.stage_rows, nlp.stage_row_mask = fn, mask
+        reps.append(solve(nlp))
+    assert reps[0].status == reps[1].status == STATUS_OPTIMAL
+    assert np.array_equal(reps[0].us, reps[1].us)
+    assert np.all(np.abs(reps[0].xs[2:M:2, 1]) <= 0.3 + 1e-8)
+    assert np.max(np.abs(reps[0].xs[1:M:2, 1])) > 0.3 + 1e-3
 
 
 def test_global_slack_block_analytic_toy():
@@ -232,12 +270,9 @@ def test_global_slack_block_analytic_toy():
     B = np.array([[1.0]])
     M = 5
 
-    def rows(n, x, u):
-        vals = np.array([x[0] - b, u[0], -u[0]])
-        Cx = np.array([[1.0], [0.0], [0.0]])
-        Cu = np.array([[0.0], [1.0], [-1.0]])
-        Cg = np.array([[-1.0], [0.0], [0.0]])
-        return vals, Cx, Cu, Cg
+    rows = _constant_rows(np.array([-b, 0.0, 0.0]),
+                          np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+                          G=np.array([[-1.0], [0.0], [0.0]]))
 
     nlp = _linear_nlp(A, B, np.zeros((1, 1)), np.eye(1), np.zeros((1, 1)),
                       np.array([x0]), M, rows=rows,
@@ -282,10 +317,12 @@ def test_nonlinear_dynamics_pendulum_swing():
         th, om = x
         return np.array([th + dt * om, om + dt * (-9.81 * np.sin(th) - 0.2 * om + u[0])])
 
-    def jac(n, x, u):
-        th, om = x
-        A = np.array([[1.0, dt], [-dt * 9.81 * np.cos(th), 1.0 - dt * 0.2]])
-        B = np.array([[0.0], [dt]])
+    def jac(xs, us):
+        th = xs[:, 0]
+        A = np.empty((th.size, 2, 2))
+        A[:] = [[1.0, dt], [0.0, 1.0 - dt * 0.2]]
+        A[:, 1, 0] = -dt * 9.81 * np.cos(th)
+        B = np.broadcast_to([[0.0], [dt]], (th.size, 2, 1))
         return A, B
 
     M = 40
