@@ -22,7 +22,7 @@ from . import ocp
 from .environment import ConsistencyDelta, DisturbanceProfile, consistency_delta
 from .oracle import ScenarioTemplate, build_theta, oracle_solve
 from .path import PathGeometry
-from .sqp import STATUS_OPTIMAL, SolverOptions, solve
+from .sqp import STATUS_OPTIMAL, solve
 from .surrogate import SurrogateModel
 
 HARD_ROW_TOL = 1e-6
@@ -93,8 +93,7 @@ class PriorityController:
     def __init__(self, path: PathGeometry, params, weights: ocp.CostWeights,
                  horizon: ocp.HorizonConfig, stack: ocp.ConstraintStack,
                  terminal: ocp.TerminalSets, modes: list,
-                 v_ref: float = 20.0, use_oracle: bool = False,
-                 solver_options: SolverOptions | None = None):
+                 v_ref: float = 20.0, use_oracle: bool = False):
         self.path = path
         self.params = params
         self.weights = weights
@@ -111,7 +110,6 @@ class PriorityController:
                     raise ValueError(f"mode {m.mode.name} needs a trained model")
         self.v_ref = v_ref
         self.use_oracle = use_oracle
-        self.opts = solver_options or SolverOptions()
         self._warm_us = None
         self._prev_profile = None
         self._prev_x = None
@@ -129,9 +127,6 @@ class PriorityController:
             return None
         shifted = np.vstack([self._warm_us[1:], self._warm_us[-1:]])
         return shifted
-
-    def _run(self, nlp):
-        return solve(nlp, self.opts)
 
     @staticmethod
     def _solve_usable(rep) -> bool:
@@ -187,7 +182,7 @@ class PriorityController:
             nlp = ocp.build_nominal(x_k, self.path, self.params, self.weights,
                                     self.horizon, self.stack, profile,
                                     self.terminal, x_refs, u_refs, u_init=warm)
-            rep = self._run(nlp)
+            rep = solve(nlp)
             if self._solve_usable(rep):
                 hard, _ = self._residuals(rep, profile, None, None)
                 if hard <= HARD_ROW_TOL:
@@ -216,8 +211,8 @@ class PriorityController:
                     budget = rt.model.admissible_disturbance(state_step)
                     drift = 0.0 if delta is None else delta.norm
                     budget_ok = drift <= budget
-                    slack_pred, infeasible, _ = rt.model.infer(theta)
-                    scores[name] = float(rt.model.classify_score(theta[None, :])[0])
+                    slack_pred, infeasible, score = rt.model.infer(theta)
+                    scores[name] = float(score)
                     gates[name] = {"budget_ok": bool(budget_ok),
                                    "budget": float(budget),
                                    "drift": float(drift),
@@ -231,7 +226,7 @@ class PriorityController:
                                         self.weights, self.horizon, self.stack,
                                         profile, self.terminal, rt.mode,
                                         slack_cmd, x_refs, u_refs, u_init=warm)
-                rep = self._run(nlp)
+                rep = solve(nlp)
                 if not self._solve_usable(rep):
                     gates[name]["solve_status"] = rep.status
                     continue

@@ -262,8 +262,7 @@ def _subproblem_nlp(template: ScenarioTemplate, theta: np.ndarray,
 
 
 def oracle_solve(template: ScenarioTemplate, mode: RelaxationMode,
-                 theta: np.ndarray, opts: SolverOptions | None = None
-                 ) -> tuple[bool, np.ndarray | None, SolveReport]:
+                 theta: np.ndarray) -> tuple[bool, np.ndarray | None, SolveReport]:
     """Minimal slack for one surrogate input; (feasible, slack, report).
 
     Slack center offsets below SNAP_TOL collapse to exact zeros, so feasible
@@ -275,8 +274,7 @@ def oracle_solve(template: ScenarioTemplate, mode: RelaxationMode,
     if theta.shape != (template.theta_dim,):
         raise ValueError(
             f"theta has shape {theta.shape}, expected ({template.theta_dim},)")
-    rep = solve(_subproblem_nlp(template, theta, mode),
-                opts or ORACLE_SOLVER_OPTS)
+    rep = solve(_subproblem_nlp(template, theta, mode), ORACLE_SOLVER_OPTS)
     feasible = rep.status == STATUS_OPTIMAL or (
         rep.status != "infeasible"
         and rep.infeasibility_measure <= 1e-6)
@@ -380,23 +378,20 @@ def sample_thetas(template: ScenarioTemplate, sampler, count: int,
 _WORKER_CTX = {}
 
 
-def _dataset_worker_init(template, mode, opts):
+def _dataset_worker_init(template, mode):
     _WORKER_CTX["template"] = template
     _WORKER_CTX["mode"] = mode
-    _WORKER_CTX["opts"] = opts
 
 
 def _dataset_worker(args):
     i, theta = args
     feasible, slack, _ = oracle_solve(_WORKER_CTX["template"],
-                                      _WORKER_CTX["mode"], theta,
-                                      _WORKER_CTX["opts"])
+                                      _WORKER_CTX["mode"], theta)
     return i, bool(feasible), slack
 
 
 def generate_dataset(template: ScenarioTemplate, mode: RelaxationMode,
                      count: int, seed: int, sampler=None,
-                     opts: SolverOptions | None = None,
                      workers: int | None = None):
     """Labeled samples (theta, feasible, slack) for one relaxation mode.
 
@@ -417,12 +412,12 @@ def generate_dataset(template: ScenarioTemplate, mode: RelaxationMode,
         import multiprocessing as mp
         ctx = mp.get_context("fork")
         with ctx.Pool(workers, initializer=_dataset_worker_init,
-                      initargs=(template, mode, opts)) as pool:
+                      initargs=(template, mode)) as pool:
             for i, feasible, slack in pool.imap_unordered(
                     _dataset_worker, list(enumerate(thetas)), chunksize=4):
                 results[i] = (feasible, slack)
     else:
-        _dataset_worker_init(template, mode, opts)
+        _dataset_worker_init(template, mode)
         for i in range(count):
             _, feasible, slack = _dataset_worker((i, thetas[i]))
             results[i] = (feasible, slack)

@@ -27,7 +27,6 @@ from .dynamics import VehicleParams, params_from_config
 from .environment import RoadUserState, build_profile
 from .oracle import ScenarioTemplate
 from .path import PathGeometry, straight_path
-from .sqp import SolverOptions
 from .surrogate import load_model
 
 
@@ -129,7 +128,6 @@ class ScenarioConfig:
     params: VehicleParams = field(default_factory=VehicleParams)
     horizon: ocp.HorizonConfig = field(default_factory=ocp.HorizonConfig)
     stack_kw: dict = field(default_factory=dict)
-    solver_kw: dict = field(default_factory=dict)
     surrogate_kw: dict = field(default_factory=dict)
     data_counts: dict = field(default_factory=dict)
     mode_specs: list = field(default_factory=list)   # (RelaxationMode, kind, model file)
@@ -162,12 +160,23 @@ def _parse_kv_list(text: str) -> dict:
     return out
 
 
+INI_SECTIONS = ("scenario", "vehicle", "horizon", "prediction", "stack",
+                "surrogate", "data")      # plus one mode.<name> per mode
+
+
 def load_scenario(filename: str) -> ScenarioConfig:
     """Scenario configuration from an INI file (see configs/ for examples)."""
     cp = configparser.ConfigParser()
     read = cp.read(filename)
     if not read:
         raise FileNotFoundError(filename)
+    unknown = [s for s in cp.sections()
+               if s not in INI_SECTIONS and not s.startswith("mode.")]
+    if unknown:
+        raise ValueError(f"{filename}: unknown section(s) "
+                         + ", ".join(f"[{s}]" for s in unknown)
+                         + "; known are " + ", ".join(f"[{s}]" for s in INI_SECTIONS)
+                         + " and [mode.<name>]")
     base = os.path.dirname(os.path.abspath(filename))
 
     sc = cp["scenario"] if "scenario" in cp else {}
@@ -196,10 +205,6 @@ def load_scenario(filename: str) -> ScenarioConfig:
                 stack_kw[key] = float(st[key])
     if "d_safe" in pred:
         stack_kw.setdefault("d_safe", float(pred["d_safe"]))
-    solver_kw = {}
-    if "solver" in cp:
-        for key, val in cp["solver"].items():
-            solver_kw[key] = float(val) if "." in val or "e" in val.lower() else int(val)
     surrogate_kw = {}
     if "surrogate" in cp:
         for key, val in cp["surrogate"].items():
@@ -246,7 +251,7 @@ def load_scenario(filename: str) -> ScenarioConfig:
         evasive=sc.get("evasive", "false").strip().lower() in ("1", "true", "yes"),
         with_ru=sc.get("with_ru", "true").strip().lower() in ("1", "true", "yes"),
         cut_in=cut, ru_file=ru_file or None, growth=growth, params=params,
-        horizon=horizon, stack_kw=stack_kw, solver_kw=solver_kw,
+        horizon=horizon, stack_kw=stack_kw,
         surrogate_kw=surrogate_kw, data_counts=data_counts,
         mode_specs=mode_specs)
 
@@ -281,11 +286,9 @@ def build_controller(config: ScenarioConfig, use_oracle: bool = False,
         runtimes.append(ModeRuntime(mode=mode,
                                     template=scenario_template(config, kind),
                                     model=model))
-    opts = SolverOptions(**config.solver_kw) if config.solver_kw else SolverOptions()
     return PriorityController(path, config.params, weights, config.horizon,
                               stack, ocp.TerminalSets(), runtimes,
-                              v_ref=config.v_ref, use_oracle=use_oracle,
-                              solver_options=opts)
+                              v_ref=config.v_ref, use_oracle=use_oracle)
 
 
 @dataclass

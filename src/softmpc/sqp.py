@@ -12,18 +12,22 @@ solver groups the rows once per solve. Only the one-stage step dyn_f is
 called per stage, by the sequential rollout.
 
 The iterate stores the input trajectory; states follow by forward rollout,
-so dynamics hold exactly at every iterate. Each iteration linearizes
-dynamics and rows, forms the Gauss-Newton quadratic subproblem and solves it
-with a Mehrotra predictor-corrector interior-point method. Every inequality
-row carries an elastic variable penalized in the l1 sense, which keeps the
-subproblem feasible and turns infeasibility detection into penalty
+so dynamics hold exactly at every iterate. Each iterate is evaluated once
+(rollout, linearized rows, objective): a line-search or polish trial that is
+accepted becomes the next iterate together with its rows. Each iteration
+linearizes the dynamics, forms the Gauss-Newton quadratic subproblem and
+solves it with a Mehrotra predictor-corrector interior-point method. Every
+inequality row carries an elastic variable penalized in the l1 sense, which
+keeps the subproblem feasible and turns infeasibility detection into penalty
 escalation: if the elastics refuse to vanish at the penalty ceiling, the
 problem is declared infeasible. The elastics and the inequality slack/dual
 pairs are eliminated analytically, reducing each Newton system to the
 block-tridiagonal (banded) horizon KKT form, factorized stage-by-stage in a
 Riccati sweep with the global block handled through its Schur complement;
-cost per iteration is linear in the horizon length. Step acceptance uses an
-Armijo backtracking line search on the l1 merit function.
+cost per iteration is linear in the horizon length. The row blocks (stage
+groups, terminal block, global box) and their products with the Newton
+system live in one place, _Rows. Step acceptance uses an Armijo
+backtracking line search on the l1 merit function.
 """
 from __future__ import annotations
 
@@ -38,31 +42,46 @@ STATUS_INFEASIBLE = "infeasible"
 STATUS_MAX_ITER = "max-iter"
 
 
+TOL_STEP = 1e-8            # step norm below which a step makes no progress
+ELASTIC_REG = 1e-8         # quadratic term on elastic variables
+CONTROL_REG = 1e-9         # Riccati Quu regularization
+IP_TAU = 0.995             # fraction-to-boundary
+ARMIJO_C1 = 1e-4
+MIN_STEP = 1e-10           # smallest line-search step tried
+INFEASIBILITY_TOL = 1e-6   # violation that escalates the penalty
+
+
 @dataclass
 class SolverOptions:
+    """Settings that differ between the two kinds of solve.
+
+    The controller solves with the defaults. The oracle labels slacks with
+    oracle.ORACLE_SOLVER_OPTS: KKT targets matched to the labeling accuracy
+    (tolerances), fewer SQP and interior-point iterations and an earlier
+    stall exit (iteration caps) and one fixed penalty above the slack
+    problems' multiplier scale (penalty bounds). Every other setting is a
+    module constant.
+    """
     tol_stationarity: float = 1e-6
     tol_feasibility: float = 1e-8
     tol_complementarity: float = 1e-8
-    tol_step: float = 1e-8
     max_sqp_iter: int = 50
     max_ip_iter: int = 100
     penalty_init: float = 1e2
     penalty_max: float = 1e8
-    elastic_reg: float = 1e-8      # quadratic term on elastic variables
-    control_reg: float = 1e-9      # Riccati Quu regularization
-    ip_tau: float = 0.995          # fraction-to-boundary
-    ip_tol_mu: float = 1e-11
-    armijo_c1: float = 1e-4
-    min_step: float = 1e-10
-    infeasibility_tol: float = 1e-6
     ip_stall_limit: int = 25
 
 
 @dataclass
 class SolveReport:
-    """Solver outcome. KKT residuals follow the usual scaled convention:
-    complementarity is normalized by (1 + max multiplier magnitude), so the
-    reported value stays meaningful when constraint forces are large."""
+    """Solver outcome at the returned point (us, xs, gamma).
+
+    objective and infeasibility_measure (the largest row violation) belong
+    to the returned point. The KKT residuals belong to the last
+    linearization point, with the multipliers of its subproblem; they
+    follow the usual scaled convention: complementarity is normalized by
+    (1 + max multiplier magnitude), so the reported value stays meaningful
+    when constraint forces are large."""
     status: str
     us: np.ndarray
     xs: np.ndarray
@@ -177,7 +196,8 @@ class _Layout:
 
 
 class _Rows:
-    """Linearized inequality rows at one point, flattened across the horizon.
+    """Linearized inequality rows at one point, flattened across the horizon,
+    and the products of their Jacobians with the Newton system.
 
     Stage blocks come grouped as the layout groups them, so the hot row
     operations run as batched tensor products; the terminal block and the
@@ -230,6 +250,69 @@ class _Rows:
 
     def violation_inf(self) -> float:
         return float(np.max(np.maximum(self.vals, 0.0))) if self.n_rows else 0.0
+
+    # Each block keeps its own reduction (einsum for the stage groups,
+    # matmul for the terminal block and the global box): folding one block
+    # into another would reorder the sums and move the results in the last
+    # bits.
+    def product(self, w, wM, dgamma) -> np.ndarray:
+        """C w + G dgamma per row, w (M, nz) the stage steps, wM the
+        terminal state step."""
+        out = np.zeros(self.n_rows)
+        for stages, ridx, C, G in self.groups:
+            prod = np.einsum("kmi,ki->km", C, w[stages])
+            if G is not None:
+                prod = prod + G @ dgamma
+            out[ridx] = prod
+        if self.term is not None:
+            sl, Cx, G = self.term
+            out[sl] = Cx @ wM
+            if G is not None:
+                out[sl] += G @ dgamma
+        if self.glob is not None:
+            sl, G = self.glob
+            out[sl] = G @ dgamma
+        return out
+
+    def add_transpose(self, y, F, F_M, F_g) -> None:
+        """F += C'y over the stages, F_M += Cx'y over the terminal block and
+        F_g += G'y, all in place."""
+        for stages, ridx, C, G in self.groups:
+            yr = y[ridx]
+            F[stages] += np.einsum("kmi,km->ki", C, yr)
+            if G is not None:
+                F_g += np.einsum("kmj,km->j", G, yr)
+        if self.term is not None:
+            sl, Cx, G = self.term
+            yr = y[sl]
+            F_M += Cx.T @ yr
+            if G is not None:
+                F_g += G.T @ yr
+        if self.glob is not None:
+            sl, G = self.glob
+            F_g += G.T @ y[sl]
+
+    def add_gram(self, D, H, U, P_M, U_M, Gamma) -> None:
+        """Row curvature with weights D, in place: C'DC into the stage
+        Hessians H and the terminal P_M, C'DG into U and U_M, G'DG into
+        Gamma (U, U_M and Gamma are None without a global block)."""
+        for stages, ridx, C, G in self.groups:
+            Dr = D[ridx]
+            H[stages] += np.einsum("kmi,km,kmj->kij", C, Dr, C)
+            if G is not None:
+                U[stages] += np.einsum("kmi,km,kmj->kij", C, Dr, G)
+                Gamma += np.einsum("kmi,km,kmj->ij", G, Dr, G)
+        if self.term is not None:
+            sl, Cx, G = self.term
+            Dr = D[sl]
+            P_M += Cx.T @ (Dr[:, None] * Cx)
+            if G is not None:
+                U_M += Cx.T @ (Dr[:, None] * G)
+                Gamma += G.T @ (Dr[:, None] * G)
+        if self.glob is not None:
+            sl, G = self.glob
+            Dr = D[sl]
+            Gamma += G.T @ (Dr[:, None] * G)
 
 
 def _rollout(nlp: NlpDescription, us: np.ndarray) -> np.ndarray:
@@ -293,51 +376,14 @@ class _Subproblem:
         else:
             self.t = self.s = self.z = np.zeros(0)
 
-    def z0(self) -> np.ndarray:
-        return self.penalty + self.opts.elastic_reg * self.t - self.z
-
-    # -- row/space products ------------------------------------------------
-    def row_product(self, w, wM, dgamma) -> np.ndarray:
-        """C w + G gamma per row for the given point."""
-        rows = self.rows
-        out = np.zeros(self.m)
-        for stages, ridx, C, G in rows.groups:
-            prod = np.einsum("kmi,ki->km", C, w[stages])
-            if G is not None:
-                prod = prod + G @ dgamma
-            out[ridx] = prod
-        if rows.term is not None:
-            sl, Cx, G = rows.term
-            out[sl] = Cx @ wM
-            if G is not None:
-                out[sl] += G @ dgamma
-        if rows.glob is not None:
-            sl, G = rows.glob
-            out[sl] = G @ dgamma
-        return out
-
     def stationarity(self):
         """Residuals of the QP stationarity equations at the current point."""
         nlp = self.nlp
-        rows = self.rows
         M, nx, q = nlp.horizon, nlp.nx, nlp.n_gamma
         F = np.einsum("nij,nj->ni", nlp.cost_W, self.w) + self.g_stage
         F_M = nlp.cost_P @ self.wM + self.g_term
         F_g = (nlp.gamma_weight @ self.dgamma + self.g_gamma) if q else np.zeros(0)
-        for stages, ridx, C, G in rows.groups:
-            zr = self.z[ridx]
-            F[stages] += np.einsum("kmi,km->ki", C, zr)
-            if G is not None:
-                F_g += np.einsum("kmj,km->j", G, zr)
-        if rows.term is not None:
-            sl, Cx, G = rows.term
-            zr = self.z[sl]
-            F_M += Cx.T @ zr
-            if G is not None:
-                F_g += G.T @ zr
-        if rows.glob is not None:
-            sl, G = rows.glob
-            F_g += G.T @ self.z[sl]
+        self.rows.add_transpose(self.z, F, F_M, F_g)
         # dynamics dual terms
         F[:, nx:] -= np.einsum("nji,nj->ni", self.B, self.lam)
         F[1:, :nx] += self.lam[:-1] - np.einsum("nji,nj->ni", self.A[1:], self.lam[1:])
@@ -356,31 +402,14 @@ def _factorize(sub: _Subproblem, D: np.ndarray) -> dict:
     """
     nlp = sub.nlp
     M, nx, nu, q = nlp.horizon, nlp.nx, nlp.nu, nlp.n_gamma
-    reg_eye = sub.opts.control_reg * np.eye(nu)
+    reg_eye = CONTROL_REG * np.eye(nu)
 
-    rows = sub.rows
     H = nlp.cost_W.copy()
     U = np.zeros((M, nx + nu, q)) if q else None
     P_M = nlp.cost_P.copy()
     U_M = np.zeros((nx, q)) if q else None
     Gamma = nlp.gamma_weight.copy() if q else None
-    for stages, ridx, C, G in rows.groups:
-        Dr = D[ridx]
-        H[stages] += np.einsum("kmi,km,kmj->kij", C, Dr, C)
-        if q and G is not None:
-            U[stages] += np.einsum("kmi,km,kmj->kij", C, Dr, G)
-            Gamma += np.einsum("kmi,km,kmj->ij", G, Dr, G)
-    if rows.term is not None:
-        sl, Cx, G = rows.term
-        Dr = D[sl]
-        P_M += Cx.T @ (Dr[:, None] * Cx)
-        if q and G is not None:
-            U_M += Cx.T @ (Dr[:, None] * G)
-            Gamma += G.T @ (Dr[:, None] * G)
-    if rows.glob is not None:
-        sl, G = rows.glob
-        Dr = D[sl]
-        Gamma += G.T @ (Dr[:, None] * G)
+    sub.rows.add_gram(D, H, U, P_M, U_M, Gamma)
 
     Ks = np.empty((M, nu, nx))
     Kgs = np.empty((M, nu, q)) if q else None
@@ -465,24 +494,10 @@ def _backsolve(sub: _Subproblem, fac: dict, F, F_M, F_g, e: np.ndarray):
     nlp = sub.nlp
     M, nx, nu, q = nlp.horizon, nlp.nx, nlp.nu, nlp.n_gamma
 
-    rows = sub.rows
     r = -F.copy()
     r_M = -F_M.copy()
     r_g = -F_g.copy() if q else np.zeros(0)
-    for stages, ridx, C, G in rows.groups:
-        er = e[ridx]
-        r[stages] -= np.einsum("kmi,km->ki", C, er)
-        if q and G is not None:
-            r_g -= np.einsum("kmj,km->j", G, er)
-    if rows.term is not None:
-        sl, Cx, G = rows.term
-        er = e[sl]
-        r_M -= Cx.T @ er
-        if q and G is not None:
-            r_g -= G.T @ er
-    if rows.glob is not None:
-        sl, G = rows.glob
-        r_g -= G.T @ e[sl]
+    sub.rows.add_transpose(-e, r, r_M, r_g)
 
     # backward linear sweep
     ks = np.empty((M, nu))
@@ -540,7 +555,7 @@ def _ip_solve(sub: _Subproblem):
     nlp, opts = sub.nlp, sub.opts
     M, nx = nlp.horizon, nlp.nx
     m = sub.m
-    rho, eps = sub.penalty, opts.elastic_reg
+    rho, eps = sub.penalty, ELASTIC_REG
 
     if m == 0:
         F, F_M, F_g = sub.stationarity()
@@ -568,7 +583,7 @@ def _ip_solve(sub: _Subproblem):
         z0 = rho + eps * t - z
         mu = (s @ z + t @ z0) / (2.0 * m)
 
-        cw = sub.row_product(sub.w, sub.wM, sub.dgamma)
+        cw = sub.rows.product(sub.w, sub.wM, sub.dgamma)
         r1 = (-sub.rows.vals) - cw + t - s
         F, F_M, F_g = sub.stationarity()
         stat_inf = max(float(np.max(np.abs(F))),
@@ -603,7 +618,7 @@ def _ip_solve(sub: _Subproblem):
         def newton(r2, r4):
             e = -D * (r1 + r4 / zcap - r2 / z)
             dw, dxM, dgamma, dlam = _backsolve(sub, fac, F, F_M, F_g, e)
-            cdw = sub.row_product(dw, dxM, dgamma)
+            cdw = sub.rows.product(dw, dxM, dgamma)
             dz = D * cdw + e
             dt = (r4 + t * dz) / zcap
             ds = (r2 - s * dz) / z
@@ -624,13 +639,12 @@ def _ip_solve(sub: _Subproblem):
         r2 = sigma * mu - s * z - aff[6] * aff[5]
         r4 = sigma * mu - t * z0 - aff[4] * aff[7]
         dw, dxM, dgamma, dlam, dt, dz, ds, dz0 = newton(r2, r4)
-        tau = opts.ip_tau
-        a = _max_step([(s, ds), (t, dt), (z, dz), (z0, dz0)], tau)
+        a = _max_step([(s, ds), (t, dt), (z, dz), (z0, dz0)], IP_TAU)
         if a < 0.05 and a < 0.25 * a_aff:
             sigma_c = max(sigma, 0.5)
             dw, dxM, dgamma, dlam, dt, dz, ds, dz0 = newton(
                 sigma_c * mu - s * z, sigma_c * mu - t * z0)
-            a = _max_step([(s, ds), (t, dt), (z, dz), (z0, dz0)], tau)
+            a = _max_step([(s, ds), (t, dt), (z, dz), (z0, dz0)], IP_TAU)
 
         sub.w += a * dw
         sub.wM += a * dxM
@@ -657,21 +671,22 @@ def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport
     gamma = (np.array(nlp.gamma_init, dtype=float)
              if (nlp.n_gamma and nlp.gamma_init is not None)
              else np.zeros(nlp.n_gamma))
+    layout = _Layout(nlp)
+
+    def evaluate(us, gamma):
+        xs = _rollout(nlp, us)
+        return xs, _Rows(nlp, layout, xs, us, gamma), _objective(nlp, xs, us, gamma)
 
     penalty = opts.penalty_init
     total_ip = 0
     status = STATUS_MAX_ITER
     sqp_iters = 0
-    xs = _rollout(nlp, us)
-    layout = _Layout(nlp)
-    final_rows = None
+    xs, rows, obj = evaluate(us, gamma)
     final_kkt = (float("inf"), float("inf"), float("inf"))
     polish_streak = 0
 
     for it in range(opts.max_sqp_iter):
         sqp_iters = it + 1
-        rows = _Rows(nlp, layout, xs, us, gamma)
-        obj = _objective(nlp, xs, us, gamma)
         viol1 = rows.violation_l1()
         viol_inf = rows.violation_inf()
         merit = obj + penalty * viol1
@@ -681,8 +696,7 @@ def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport
         du = sub.w[:, nlp.nx:].copy()
         dgamma = sub.dgamma.copy()
 
-        final_rows = rows
-        final_kkt = _nlp_kkt(nlp, xs, us, gamma, rows, sub)
+        final_kkt = _nlp_kkt(sub)
 
         if (viol_inf <= opts.tol_feasibility
                 and final_kkt[0] <= opts.tol_stationarity
@@ -697,7 +711,7 @@ def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport
         def stalled_verdict():
             """True to stop; sets status. May escalate the penalty instead."""
             nonlocal penalty, status
-            if viol_inf > opts.infeasibility_tol:
+            if viol_inf > INFEASIBILITY_TOL:
                 if penalty < opts.penalty_max:
                     # violation the subproblem itself cannot remove warrants
                     # the aggressive escalation
@@ -711,7 +725,7 @@ def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport
                 status = STATUS_OPTIMAL
             return True
 
-        if step_norm <= opts.tol_step:
+        if step_norm <= TOL_STEP:
             if stalled_verdict():
                 break
             continue
@@ -734,12 +748,10 @@ def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport
                 break
             us_try = us + du
             gamma_try = gamma + dgamma if nlp.n_gamma else gamma
-            xs_try = _rollout(nlp, us_try)
-            rows_try = _Rows(nlp, layout, xs_try, us_try, gamma_try)
-            merit_try = (_objective(nlp, xs_try, us_try, gamma_try)
-                         + penalty * rows_try.violation_l1())
+            xs_try, rows_try, obj_try = evaluate(us_try, gamma_try)
+            merit_try = obj_try + penalty * rows_try.violation_l1()
             if merit_try <= merit + 1e-6 * (1.0 + abs(merit)):
-                us, gamma, xs = us_try, gamma_try, xs_try
+                us, gamma, xs, rows, obj = us_try, gamma_try, xs_try, rows_try, obj_try
                 polish_streak += 1
                 continue
         polish_streak = 0
@@ -747,19 +759,17 @@ def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport
 
         alpha = 1.0
         accepted = False
-        while alpha >= opts.min_step:
+        while alpha >= MIN_STEP:
             us_new = us + alpha * du
             gamma_new = gamma + alpha * dgamma if nlp.n_gamma else gamma
-            xs_new = _rollout(nlp, us_new)
-            rows_new = _Rows(nlp, layout, xs_new, us_new, gamma_new)
-            merit_new = (_objective(nlp, xs_new, us_new, gamma_new)
-                         + penalty * rows_new.violation_l1())
-            if merit_new <= merit + opts.armijo_c1 * alpha * descent:
-                us, gamma, xs = us_new, gamma_new, xs_new
+            xs_new, rows_new, obj_new = evaluate(us_new, gamma_new)
+            merit_new = obj_new + penalty * rows_new.violation_l1()
+            if merit_new <= merit + ARMIJO_C1 * alpha * descent:
+                us, gamma, xs, rows, obj = us_new, gamma_new, xs_new, rows_new, obj_new
                 accepted = True
                 break
             alpha *= 0.5
-        if accepted and alpha * step_norm <= opts.tol_step:
+        if accepted and alpha * step_norm <= TOL_STEP:
             # accepted in float terms but no real progress
             if stalled_verdict():
                 break
@@ -768,7 +778,7 @@ def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport
             if stalled_verdict():
                 break
             continue
-        if (viol_inf > opts.infeasibility_tol
+        if (viol_inf > INFEASIBILITY_TOL
                 and model_viol >= 0.999 * viol1):
             # restoration converged: the subproblem cannot reduce the
             # violation from here; escalate or declare infeasibility
@@ -776,50 +786,33 @@ def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport
                 break
             continue
 
-    if final_rows is None:
-        final_rows = _Rows(nlp, layout, xs, us, gamma)
-
     return SolveReport(
         status=status,
         us=us, xs=xs, gamma=gamma,
-        objective=_objective(nlp, xs, us, gamma),
+        objective=obj,
         stationarity=final_kkt[0],
         primal_infeasibility=final_kkt[1],
         complementarity=final_kkt[2],
         sqp_iterations=sqp_iters,
         ip_iterations=total_ip,
         wall_time=time.perf_counter() - t_start,
-        infeasibility_measure=final_rows.violation_inf(),
+        infeasibility_measure=rows.violation_inf(),
     )
 
 
-def _nlp_kkt(nlp, xs, us, gamma, rows: _Rows, sub: _Subproblem):
-    """KKT residuals of the NLP recomputed from primal/dual values alone."""
-    primal = rows.violation_inf()
-    z = sub.z
-    g_stage, g_term, g_gamma = _cost_gradients(nlp, xs, us, gamma)
+def _nlp_kkt(sub: _Subproblem):
+    """KKT residuals of the NLP at the subproblem's linearization point,
+    recomputed from primal/dual values alone."""
+    nlp, rows, z = sub.nlp, sub.rows, sub.z
     M, nx, q = nlp.horizon, nlp.nx, nlp.n_gamma
 
-    grad_x = np.vstack([g_stage[:, :nx], g_term[None, :]]).copy()
-    grad_u = g_stage[:, nx:].copy()
-    grad_g = g_gamma.copy() if q else np.zeros(0)
-    for stages, ridx, C, G in rows.groups:
-        zr = z[ridx]
-        grad_x[stages] += np.einsum("kmi,km->ki", C[:, :, :nx], zr)
-        grad_u[stages] += np.einsum("kmi,km->ki", C[:, :, nx:], zr)
-        if G is not None:
-            grad_g += np.einsum("kmj,km->j", G, zr)
-    if rows.term is not None:
-        sl, Cx, G = rows.term
-        zr = z[sl]
-        grad_x[M] += Cx.T @ zr
-        if G is not None:
-            grad_g += G.T @ zr
-    if rows.glob is not None:
-        sl, G = rows.glob
-        grad_g += G.T @ z[sl]
+    grad = sub.g_stage.copy()
+    grad_M = sub.g_term.copy()
+    grad_g = sub.g_gamma.copy()
+    rows.add_transpose(z, grad, grad_M, grad_g)
+    grad_x, grad_u = grad[:, :nx], grad[:, nx:]
 
-    lam = grad_x[M]
+    lam = grad_M
     stat = float(np.max(np.abs(grad_g))) if q else 0.0
     for n in range(M - 1, -1, -1):
         su = grad_u[n] + sub.B[n].T @ lam
@@ -831,4 +824,4 @@ def _nlp_kkt(nlp, xs, us, gamma, rows: _Rows, sub: _Subproblem):
         compl = float(np.max(np.abs(z * np.minimum(rows.vals, 0.0)))) / dual_scale
     else:
         compl = 0.0
-    return stat, primal, compl
+    return stat, rows.violation_inf(), compl

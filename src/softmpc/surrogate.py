@@ -13,7 +13,6 @@ from __future__ import annotations
 import base64
 import json
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -185,22 +184,20 @@ class SurrogateModel:
         return bool(np.any(zed > margin))
 
     def infer(self, theta: np.ndarray):
-        """(clamped slack, infeasibility flag, inference seconds)."""
-        t0 = time.perf_counter()
+        """(clamped slack, infeasibility flag, classifier score) for one
+        input; the flag is score >= threshold."""
         z = self.normalize(np.asarray(theta, dtype=float))
         raw = self.regressor.forward(z[None, :])[0]
         slack = np.clip(raw, 0.0, self.ceilings)
         score = _sigmoid(self.classifier.forward(z[None, :])[0, 0])
         infeasible = bool(score >= self.threshold)
-        return slack, infeasible, time.perf_counter() - t0
+        return slack, infeasible, score
 
     def classify_score(self, thetas: np.ndarray) -> np.ndarray:
-        z = (thetas - self.input_shift) / self.input_scale
-        return _sigmoid(self.classifier.forward(z)[:, 0])
+        return _sigmoid(self.classifier.forward(self.normalize(thetas))[:, 0])
 
     def predict_slack(self, thetas: np.ndarray) -> np.ndarray:
-        z = (thetas - self.input_shift) / self.input_scale
-        raw = self.regressor.forward(z)
+        raw = self.regressor.forward(self.normalize(thetas))
         return np.clip(raw, 0.0, self.ceilings[None, :])
 
     def admissible_disturbance(self, state_step_norm: float) -> float:
@@ -386,10 +383,8 @@ def certify(model: SurrogateModel, n_pairs: int = 0, seed: int = 0) -> dict:
         d = model.input_shift.size
         a = model.input_shift + model.input_scale * rng.normal(0, 2.0, (n_pairs, d))
         b = model.input_shift + model.input_scale * rng.normal(0, 2.0, (n_pairs, d))
-        za = (a - model.input_shift) / model.input_scale
-        zb = (b - model.input_shift) / model.input_scale
-        fa = model.regressor.forward(za)
-        fb = model.regressor.forward(zb)
+        fa = model.regressor.forward(model.normalize(a))
+        fb = model.regressor.forward(model.normalize(b))
         dist = np.linalg.norm(a - b, axis=1)
         dist[dist < 1e-12] = 1e-12
         quot = np.abs(fa - fb) / dist[:, None]

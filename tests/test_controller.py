@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from softmpc import controller
 from softmpc import dynamics as dyn
 from softmpc import ocp
 from softmpc.controller import (BRANCH_FAILURE, BRANCH_NOMINAL, HARD_ROW_TOL,
@@ -105,7 +106,7 @@ def test_failure_when_no_mode_feasible():
     assert decision.mode_gates["E1"]["predicted_feasible"] is False
 
 
-def test_hard_row_gate_fails_nan_and_inf_residuals():
+def test_hard_row_gate_fails_nan_and_inf_residuals(monkeypatch):
     # a predicted trajectory that holds every row, then the same one with a
     # NaN lateral error at step 5 and an infinite speed at step 7
     ctrl = _controller()
@@ -125,9 +126,9 @@ def test_hard_row_gate_fails_nan_and_inf_residuals():
         assert not hard <= HARD_ROW_TOL
     # every solve returning that trajectory: neither the nominal nor a
     # relaxed branch may accept it
-    ctrl._run = lambda nlp: SimpleNamespace(
+    monkeypatch.setattr(controller, "solve", lambda nlp: SimpleNamespace(
         status=STATUS_OPTIMAL, xs=bad, us=us, infeasibility_measure=0.0,
-        stationarity=0.0)
+        stationarity=0.0))
     decision = ctrl.step(xs[0], profile)
     assert decision.branch == BRANCH_FAILURE
     assert [g["solve_status"] for g in decision.mode_gates.values()] == \

@@ -84,6 +84,17 @@ def test_bad_cut_in_ini_key_reaches_the_cli_config_error(tmp_path, capsys):
     assert err.startswith("[config]") and "ru_cut_duration" in err
 
 
+def test_unknown_ini_section_reaches_the_cli_config_error(tmp_path, capsys):
+    from softmpc import cli
+    ini = tmp_path / "bad.ini"
+    ini.write_text("[scenario]\nduration = 2.0\n\n[solver]\nmax_sqp_iter = 5\n")
+    code = cli.main(["simulate", "--config", str(ini), "--oracle",
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("[config]") and "[solver]" in err
+
+
 def test_scenario_may_end_during_the_cut_in_ramp():
     # the ramp runs from 1.0 s to 2.0 s; stopping midway through it is legitimate
     assert _small_config(duration=1.5).n_steps == 15

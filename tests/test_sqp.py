@@ -212,6 +212,24 @@ def test_optimal_report_kkt_residuals():
     assert rep.complementarity <= 1e-8
 
 
+def test_infeasibility_measure_is_taken_at_the_returned_point():
+    # the inputs start outside the box |u| <= 0.3; the one SQP iteration
+    # allowed takes a step that removes the violation, so the report must
+    # describe the point it returns, not the one it linearized at
+    rng = np.random.default_rng(17)
+    A, B, Q, R, P, x0 = _random_lqr_instance(rng, 3, 1, 10)
+    rows, m = _box_rows(np.array([-0.3]), np.array([0.3]),
+                        np.full(3, -100.0), np.full(3, 100.0))
+    nlp = _linear_nlp(A, B, Q, R, P, x0, 10, rows=(rows, m),
+                      u_init=np.ones((10, 1)))
+    rep = solve(nlp, SolverOptions(max_sqp_iter=1))
+    assert rep.sqp_iterations == 1
+    assert np.max(np.abs(rep.us - 1.0)) > 0.5     # the step was accepted
+    vals, _, _ = rows(rep.xs[:-1], rep.us)
+    assert rep.infeasibility_measure == max(float(np.max(vals)), 0.0)
+    assert rep.infeasibility_measure < 0.1
+
+
 def test_solution_invariant_under_row_permutation():
     rng = np.random.default_rng(13)
     A = np.array([[1.0, 0.1], [0.0, 1.0]])
@@ -339,22 +357,20 @@ def test_nonlinear_dynamics_pendulum_swing():
 
 
 def test_factorization_time_scales_linearly_in_horizon():
-    # runtime per iteration should roughly double when the horizon doubles
+    # runtime per iteration should roughly double when the horizon doubles.
+    # The two horizons alternate and their fastest runs are compared, so a
+    # slow stretch of a shared host cannot land on one horizon only
     rng = np.random.default_rng(5)
     A, B, Q, R, P, x0 = _random_lqr_instance(rng, 4, 2, 1)
     rows = _box_rows(np.full(2, -0.5), np.full(2, 0.5),
                      np.full(4, -100.0), np.full(4, 100.0))
-
-    def timed(M, repeats=10):
-        times = []
-        nlp = _linear_nlp(A, B, Q, R, P, x0, M, rows=rows)
-        for _ in range(repeats):
+    nlps = {M: _linear_nlp(A, B, Q, R, P, x0, M, rows=rows) for M in (50, 100)}
+    best = {M: np.inf for M in nlps}
+    for repeat in range(11):
+        for M, nlp in nlps.items():
             t0 = time.perf_counter()
             rep = solve(nlp)
-            times.append((time.perf_counter() - t0) / max(rep.ip_iterations, 1))
-        return float(np.median(times))
-
-    timed(50, repeats=2)  # warm-up
-    t1 = timed(50)
-    t2 = timed(100)
-    assert t2 / t1 <= 2.5
+            per_iter = (time.perf_counter() - t0) / max(rep.ip_iterations, 1)
+            if repeat:      # the first round warms up
+                best[M] = min(best[M], per_iter)
+    assert best[100] / best[50] <= 2.5

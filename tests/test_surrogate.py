@@ -127,10 +127,12 @@ def test_infer_clamps_and_is_deterministic():
     model = train_mode_model("T", ("c0",), np.array([0.1]), thetas, feasible,
                              slacks, budget, epochs=300, seed=14)
     theta = thetas[0]
-    s1, f1, t1 = model.infer(theta)
-    s2, f2, _ = model.infer(theta)
+    s1, f1, score1 = model.infer(theta)
+    s2, f2, score2 = model.infer(theta)
     np.testing.assert_array_equal(s1, s2)
     assert f1 == f2
+    assert score1 == score2 == model.classify_score(theta[None, :])[0]
+    assert f1 == bool(score1 >= model.threshold)
     assert np.all(s1 <= 0.1 + 1e-15)
     assert np.all(s1 >= 0.0)
 
