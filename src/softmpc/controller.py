@@ -1,17 +1,22 @@
-"""Per-cycle control decision: consistency check, nominal solve, or
-priority-ordered relaxation escalation.
+"""Per-cycle control decision: one escalation ladder from the nominal
+problem through the priority-ordered relaxation modes.
 
-Each cycle compares the fresh environment profile against the previous one.
-When nothing tightened, the nominal problem runs. Otherwise the certified
-drift budget gates the learned route: classifiers are queried from the
-lowest priority upward, the first mode predicted feasible supplies a slack
-from its regressor (inflated by the model's error margin and clamped to the
-ceilings), and the relaxed problem is solved. A failed solve escalates to
-the next mode rather than trusting the classifier; exhaustion reports
-failure and the caller applies its fallback.
+Rung 0, the nominal problem (ocp.NOMINAL_MODE, no slack), is tried when the
+fresh profile tightened nothing against the previous one. The relaxation
+modes follow from the lowest priority up, gated by the oracle (which gives
+the minimal slack) or by the certified drift budget and the classifier (the
+regressor's slack plus the model's margin, clamped to the ceilings). Each
+rung that passes its gate is built and solved, and is accepted when the
+solve is usable and holds the hard rows; else the next rung is tried, and
+exhaustion reports failure. A rung's dropped rows and the lift its slack
+puts on each stack row fix its problem and hard-row gate within a cycle, so
+a rung repeating a problem that already failed (a zero oracle slack repeats
+the nominal one) is not solved again: its gate reads solve_status
+"duplicate" and names the rung it repeats.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -22,12 +27,12 @@ from . import ocp
 from .environment import ConsistencyDelta, DisturbanceProfile, consistency_delta
 from .oracle import ScenarioTemplate, build_theta, oracle_solve
 from .path import PathGeometry
-from .sqp import STATUS_OPTIMAL, solve
+from .sqp import STATUS_MAX_ITER, STATUS_OPTIMAL, solve
 from .surrogate import SurrogateModel
 
 HARD_ROW_TOL = 1e-6
 
-BRANCH_NOMINAL = "nominal"
+BRANCH_NOMINAL = ocp.NOMINAL_MODE.name    # rung 0 names its branch
 BRANCH_FAILURE = "failure"
 
 
@@ -47,16 +52,18 @@ class ModeRuntime:
 
 @dataclass
 class ControlDecision:
+    """A cycle's branch and first input (None on failure), with the record
+    of the ladder that chose them."""
     branch: str
-    u: np.ndarray | None
-    slack: dict
-    eps_used: float
     consistency: ConsistencyDelta | None
-    solver_status: str | None
-    hard_residual: float
-    soft_residual: float
-    predicted_xs: np.ndarray | None
-    wall_time: float
+    u: np.ndarray | None = None
+    slack: dict = field(default_factory=dict)
+    eps_used: float = 0.0
+    solver_status: str | None = None
+    hard_residual: float = math.nan
+    soft_residual: float = math.nan
+    wall_time: float = 0.0
+    nominal_gate: dict | None = None   # rung 0; None when not tried
     mode_gates: dict = field(default_factory=dict)  # per-mode gate diagnostics
     classifier_scores: dict = field(default_factory=dict)
 
@@ -77,6 +84,7 @@ class ControlDecision:
             "solver_status": self.solver_status,
             "hard_residual": self.hard_residual,
             "soft_residual": self.soft_residual,
+            "nominal": self.nominal_gate,
             "gates": self.mode_gates,
             "scores": self.classifier_scores,
         }
@@ -122,11 +130,11 @@ class PriorityController:
         return ocp.build_reference(float(x_k[dyn.IDX_S]), self.v_ref, center,
                                    self.horizon, self.params)
 
-    def _warm_start(self):
+    def _warm_start(self, u_refs):
+        """The last accepted plan shifted by one step, else the references."""
         if self._warm_us is None:
-            return None
-        shifted = np.vstack([self._warm_us[1:], self._warm_us[-1:]])
-        return shifted
+            return u_refs
+        return np.vstack([self._warm_us[1:], self._warm_us[-1:]])
 
     @staticmethod
     def _solve_usable(rep) -> bool:
@@ -135,28 +143,52 @@ class PriorityController:
         stays the authoritative safety gate."""
         if rep.status == STATUS_OPTIMAL:
             return True
-        return (rep.status == "max-iter"
+        return (rep.status == STATUS_MAX_ITER
                 and rep.infeasibility_measure <= 1e-8
                 and rep.stationarity <= 1e-3)
 
-    def _residuals(self, rep, profile, mode: ocp.RelaxationMode | None,
-                   slack_cmd: np.ndarray | None):
+    def _residuals(self, rep, profile, mode: ocp.RelaxationMode,
+                   slack_cmd: np.ndarray):
+        """(hard, soft): the largest residual of the rows the mode neither
+        lifts nor drops, and of the lifted ones less their lift."""
         # rows without a finite bound read -inf; NaN and +inf residuals
         # propagate through the max and fail the gate
         res = ocp.eval_constraints(rep.xs, rep.us, self.stack, profile)
-        if mode is None or mode.n_channels == 0:
-            hard = float(np.max(res))
-            return hard, hard
         lift = mode.selector() @ slack_cmd
         soft_rows = lift > 0.0
-        dropped = [ocp.ROW_LABELS.index(lbl) for lbl in mode.drop]
-        hard_mask = np.ones(len(ocp.ROW_LABELS), dtype=bool)
-        hard_mask[soft_rows] = False
-        hard_mask[dropped] = False
-        hard = float(np.max(res[hard_mask])) if np.any(hard_mask) else -np.inf
-        soft = float(np.max(res[soft_rows] - lift[soft_rows, None])) \
-            if np.any(soft_rows) else -np.inf
+        hard_mask = ~soft_rows
+        hard_mask[[ocp.ROW_LABELS.index(lbl) for lbl in mode.drop]] = False
+        hard = float(np.max(res[hard_mask], initial=-np.inf))
+        soft = float(np.max(res[soft_rows] - lift[soft_rows, None],
+                            initial=-np.inf))
         return hard, soft
+
+    def _rungs(self, x_k, profile, nominal, drift, state_step, gates, scores):
+        """The ladder, gated only as far as it is climbed: (mode, gate
+        record, commanded slack or None where the gate rejects, eps_used)
+        per rung. Rung 0 is on it when its record nominal is not None;
+        each relaxation mode's record goes into gates."""
+        if nominal is not None:
+            yield ocp.NOMINAL_MODE, nominal, np.zeros(0), 0.0
+        for rt in self.modes:
+            name, ceil = rt.mode.name, rt.mode.ceiling_vector()
+            theta = build_theta(rt.template, x_k, profile)
+            if self.use_oracle:
+                feasible, slack_star, _ = oracle_solve(rt.template, rt.mode, theta)
+                gates[name] = {"budget_ok": True, "predicted_feasible": feasible}
+                yield (rt.mode, gates[name],
+                       np.clip(slack_star, 0.0, ceil) if feasible else None, 0.0)
+                continue
+            budget = rt.model.admissible_disturbance(state_step)
+            slack_pred, infeasible, score = rt.model.infer(theta)
+            scores[name] = float(score)
+            gates[name] = {"budget_ok": bool(drift <= budget),
+                           "budget": float(budget), "drift": float(drift),
+                           "predicted_feasible": not infeasible}
+            eps = rt.model.eps
+            ok = gates[name]["budget_ok"] and not infeasible
+            yield (rt.mode, gates[name],
+                   np.clip(slack_pred + eps, 0.0, ceil) if ok else None, eps)
 
     # -- main entry ---------------------------------------------------------
     def step(self, x_k: np.ndarray, profile: DisturbanceProfile) -> ControlDecision:
@@ -164,93 +196,53 @@ class PriorityController:
         delta = None
         if self._prev_profile is not None:
             delta = consistency_delta(self._prev_profile, profile)
-        consistent = delta is None or delta.consistent
         state_step = 0.0
         if self._prev_x is not None:
             state_step = float(np.linalg.norm(x_k - self._prev_x))
 
         x_refs, u_refs = self._references(x_k, profile)
-        warm = self._warm_start()
-        if warm is None:
-            warm = u_refs
-
-        decision = None
-        gates = {}
-        scores = {}
-
-        if consistent:
-            nlp = ocp.build_nominal(x_k, self.path, self.params, self.weights,
-                                    self.horizon, self.stack, profile,
-                                    self.terminal, x_refs, u_refs, u_init=warm)
+        warm = self._warm_start(u_refs)
+        args = (x_k, self.path, self.params, self.weights, self.horizon,
+                self.stack, profile, self.terminal)
+        nominal = {} if delta is None or delta.consistent else None
+        gates, scores = {}, {}
+        failed = {}        # problem key -> the rung whose solve of it failed
+        for mode, gate, slack_cmd, eps_used in self._rungs(
+                x_k, profile, nominal, 0.0 if delta is None else delta.norm,
+                state_step, gates, scores):
+            if slack_cmd is None:
+                continue
+            key = (mode.drop, (mode.selector() @ slack_cmd).tobytes())
+            if key in failed:
+                gate.update(solve_status="duplicate", duplicate_of=failed[key])
+                continue
+            if mode is ocp.NOMINAL_MODE:
+                nlp = ocp.build_nominal(*args, x_refs, u_refs, u_init=warm)
+            else:
+                nlp = ocp.build_relaxed(*args, mode, slack_cmd, x_refs, u_refs,
+                                        u_init=warm)
             rep = solve(nlp)
+            gate["solve"] = rep.to_dict()
+            del gate["solve"]["wall_time"]   # keeps decision logs reproducible
+            gate["solve_status"] = rep.status
             if self._solve_usable(rep):
-                hard, _ = self._residuals(rep, profile, None, None)
-                if hard <= HARD_ROW_TOL:
+                hard, soft = self._residuals(rep, profile, mode, slack_cmd)
+                if hard <= HARD_ROW_TOL:     # NaN fails
                     decision = ControlDecision(
-                        branch=BRANCH_NOMINAL, u=rep.us[0].copy(),
-                        slack={}, eps_used=0.0, consistency=delta,
-                        solver_status=rep.status, hard_residual=hard,
-                        soft_residual=hard, predicted_xs=rep.xs,
-                        wall_time=0.0)
+                        branch=mode.name, consistency=delta, u=rep.us[0].copy(),
+                        slack=dict(zip(mode.channels, slack_cmd)),
+                        eps_used=eps_used, solver_status=rep.status,
+                        hard_residual=hard, soft_residual=soft,
+                        nominal_gate=nominal, mode_gates=gates,
+                        classifier_scores=scores)
                     self._warm_us = rep.us
-
-        if decision is None:
-            # escalate through the relaxation modes in priority order; a
-            # consistent-but-unsolvable nominal problem lands here too
-            for rt in self.modes:
-                name = rt.mode.name
-                theta = build_theta(rt.template, x_k, profile)
-                if self.use_oracle:
-                    feasible, slack_star, _ = oracle_solve(rt.template, rt.mode, theta)
-                    gates[name] = {"budget_ok": True, "predicted_feasible": feasible}
-                    if not feasible:
-                        continue
-                    slack_cmd = np.clip(slack_star, 0.0, rt.mode.ceiling_vector())
-                    eps_used = 0.0
-                else:
-                    budget = rt.model.admissible_disturbance(state_step)
-                    drift = 0.0 if delta is None else delta.norm
-                    budget_ok = drift <= budget
-                    slack_pred, infeasible, score = rt.model.infer(theta)
-                    scores[name] = float(score)
-                    gates[name] = {"budget_ok": bool(budget_ok),
-                                   "budget": float(budget),
-                                   "drift": float(drift),
-                                   "predicted_feasible": not infeasible}
-                    if not budget_ok or infeasible:
-                        continue
-                    eps_used = rt.model.eps
-                    slack_cmd = np.clip(slack_pred + eps_used, 0.0,
-                                        rt.mode.ceiling_vector())
-                nlp = ocp.build_relaxed(x_k, self.path, self.params,
-                                        self.weights, self.horizon, self.stack,
-                                        profile, self.terminal, rt.mode,
-                                        slack_cmd, x_refs, u_refs, u_init=warm)
-                rep = solve(nlp)
-                if not self._solve_usable(rep):
-                    gates[name]["solve_status"] = rep.status
-                    continue
-                hard, soft = self._residuals(rep, profile, rt.mode, slack_cmd)
-                if not hard <= HARD_ROW_TOL:     # NaN fails too
-                    gates[name]["solve_status"] = "hard-row-violation"
-                    continue
-                decision = ControlDecision(
-                    branch=name, u=rep.us[0].copy(),
-                    slack=dict(zip(rt.mode.channels, slack_cmd)),
-                    eps_used=eps_used, consistency=delta,
-                    solver_status=rep.status, hard_residual=hard,
-                    soft_residual=soft, predicted_xs=rep.xs, wall_time=0.0,
-                    mode_gates=gates, classifier_scores=scores)
-                self._warm_us = rep.us
-                break
-
-        if decision is None:
+                    break
+                gate["solve_status"] = "hard-row-violation"
+            failed[key] = mode.name
+        else:
             decision = ControlDecision(
-                branch=BRANCH_FAILURE, u=None, slack={}, eps_used=0.0,
-                consistency=delta, solver_status=None,
-                hard_residual=float("nan"), soft_residual=float("nan"),
-                predicted_xs=None, wall_time=0.0, mode_gates=gates,
-                classifier_scores=scores)
+                branch=BRANCH_FAILURE, consistency=delta, nominal_gate=nominal,
+                mode_gates=gates, classifier_scores=scores)
             self._warm_us = None
 
         decision.wall_time = time.perf_counter() - t0

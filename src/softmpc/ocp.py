@@ -1,9 +1,9 @@
 """Optimal-control problem assembly for the soft-constrained vehicle MPC.
 
-Builds two problem flavors on top of the generic horizon NLP:
-
-* the nominal problem (hard constraint stack),
-* the relaxed problem (selected rows lifted by a fixed slack vector).
+Builds the relaxed problem on top of the generic horizon NLP: the mode's
+selected rows lifted by a fixed slack vector and its dropped rows removed.
+The nominal problem is the relaxed problem of NOMINAL_MODE, which lifts and
+drops nothing.
 
 The constraint stack stacks bound/comfort rows on states and inputs with the
 environment-coupled rows (yield bound, lane corridor, time headway), each row
@@ -388,8 +388,7 @@ def _make_stage_rows(stack: ConstraintStack, profile: DisturbanceProfile,
 
 
 def _make_terminal_rows(profile: DisturbanceProfile, terminal: TerminalSets,
-                        mode: RelaxationMode = NOMINAL_MODE,
-                        labels: tuple = ROW_LABELS):
+                        mode: RelaxationMode, labels: tuple = ROW_LABELS):
     """Terminal row provider; rows read sign * x[col] - offset.
 
     A row is kept when its label is in labels, the mode does not drop it and
@@ -435,13 +434,10 @@ def _base_nlp(x_k, path: PathGeometry, params: VehicleParams,
 def build_nominal(x_k, path, params, weights, horizon, stack: ConstraintStack,
                   profile: DisturbanceProfile, terminal: TerminalSets,
                   x_refs, u_refs, u_init=None) -> NlpDescription:
-    """Hard-constrained tracking problem over the full constraint horizon."""
-    _check_profile(profile, horizon)
-    rows, mask = _make_stage_rows(stack, profile, NOMINAL_MODE, None,
-                                  horizon, x_refs, terminal.tube)
-    term = _make_terminal_rows(profile, terminal)
-    return _base_nlp(x_k, path, params, weights, horizon, x_refs, u_refs,
-                     rows, mask, term, u_init=u_init)
+    """The relaxed problem of NOMINAL_MODE: every row of the stack hard."""
+    return build_relaxed(x_k, path, params, weights, horizon, stack, profile,
+                         terminal, NOMINAL_MODE, np.zeros(0), x_refs, u_refs,
+                         u_init=u_init)
 
 
 def build_relaxed(x_k, path, params, weights, horizon, stack, profile,

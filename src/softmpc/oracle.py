@@ -39,7 +39,8 @@ from .dynamics import NU, NX, VehicleParams
 from .environment import NO_BOUND, DisturbanceProfile, lane_bounds
 from .ocp import ConstraintStack, HorizonConfig, RelaxationMode, TerminalSets, build_reference
 from .path import PathGeometry
-from .sqp import STATUS_OPTIMAL, NlpDescription, SolverOptions, SolveReport, solve
+from .sqp import (STATUS_INFEASIBLE, STATUS_OPTIMAL, NlpDescription,
+                  SolverOptions, SolveReport, solve)
 
 SNAP_TOL = 1e-3     # below the dataset's brute-force grid resolution
 SIGMA_CAP = 250.0   # relative yield bound treated as unconstrained
@@ -276,7 +277,7 @@ def oracle_solve(template: ScenarioTemplate, mode: RelaxationMode,
             f"theta has shape {theta.shape}, expected ({template.theta_dim},)")
     rep = solve(_subproblem_nlp(template, theta, mode), ORACLE_SOLVER_OPTS)
     feasible = rep.status == STATUS_OPTIMAL or (
-        rep.status != "infeasible"
+        rep.status != STATUS_INFEASIBLE
         and rep.infeasibility_measure <= 1e-6)
     if not feasible:
         return False, None, rep

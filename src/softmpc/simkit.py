@@ -416,8 +416,17 @@ def metrics(log: SimLog) -> dict:
         "soft_violations": int(np.sum(soft > 1e-6)),
         "failed": log.failed,
         "mean_controller_time": float(np.mean(log.controller_times)),
+        "p95_controller_time": float(np.percentile(log.controller_times, 95)),
         "max_controller_time": float(np.max(log.controller_times)),
+        # a cycle's deadline is the sampling time of the log's time grid
+        "deadline_misses": int(np.sum(log.controller_times > _grid_step(log))),
+        "transitions": sum(a != b for a, b in zip(log.branches, log.branches[1:])),
     }
+
+
+# a one-step log has no time grid and reads the shipped configs' 0.1 s
+def _grid_step(log: SimLog) -> float:
+    return log.t[1] - log.t[0] if len(log) > 1 else 0.1
 
 
 def _branch_bands(log: SimLog):
@@ -425,7 +434,7 @@ def _branch_bands(log: SimLog):
     bands = []
     start = None
     current = None
-    t_s = log.t[1] - log.t[0] if len(log) > 1 else 0.1
+    t_s = _grid_step(log)
     for k, b in enumerate(log.branches + [BRANCH_NOMINAL]):
         if b != current:
             if current not in (None, BRANCH_NOMINAL):

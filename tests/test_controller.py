@@ -14,7 +14,7 @@ from softmpc.environment import (DisturbanceProfile, NO_BOUND, RoadUserState,
                                  build_profile, nominal_profile)
 from softmpc.oracle import LonSampler, ScenarioTemplate, generate_dataset
 from softmpc.path import straight_path
-from softmpc.sqp import STATUS_OPTIMAL
+from softmpc.sqp import STATUS_INFEASIBLE, STATUS_OPTIMAL, SolveReport
 from softmpc.surrogate import LipschitzBudget, train_mode_model
 
 PARAMS = VehicleParams()
@@ -106,6 +106,14 @@ def test_failure_when_no_mode_feasible():
     assert decision.mode_gates["E1"]["predicted_feasible"] is False
 
 
+def _report(status, xs, us):
+    return SolveReport(status=status, us=us, xs=xs, gamma=np.zeros(0),
+                       objective=0.0, stationarity=0.0,
+                       primal_infeasibility=0.0, complementarity=0.0,
+                       sqp_iterations=1, ip_iterations=1, wall_time=0.0,
+                       infeasibility_measure=0.0)
+
+
 def test_hard_row_gate_fails_nan_and_inf_residuals(monkeypatch):
     # a predicted trajectory that holds every row, then the same one with a
     # NaN lateral error at step 5 and an infinite speed at step 7
@@ -115,24 +123,77 @@ def test_hard_row_gate_fails_nan_and_inf_residuals(monkeypatch):
     xs = np.zeros((M + 1, dyn.NX))
     xs[:, dyn.IDX_V] = 5.0
     us = np.zeros((M, dyn.NU))
-    hard, _ = ctrl._residuals(SimpleNamespace(xs=xs, us=us), profile, None, None)
+    hard, _ = ctrl._residuals(SimpleNamespace(xs=xs, us=us), profile,
+                              ocp.NOMINAL_MODE, np.zeros(0))
     assert hard == pytest.approx(-0.3)
     bad = xs.copy()
     bad[5, dyn.IDX_EY] = np.nan
     bad[7, dyn.IDX_V] = np.inf
-    for mode, slack in ((None, None), (MODE_E1, np.array([1.0]))):
+    for mode, slack in ((ocp.NOMINAL_MODE, np.zeros(0)),
+                        (MODE_E1, np.array([1.0]))):
         hard, _ = ctrl._residuals(SimpleNamespace(xs=bad, us=us), profile,
                                   mode, slack)
         assert not hard <= HARD_ROW_TOL
     # every solve returning that trajectory: neither the nominal nor a
-    # relaxed branch may accept it
-    monkeypatch.setattr(controller, "solve", lambda nlp: SimpleNamespace(
-        status=STATUS_OPTIMAL, xs=bad, us=us, infeasibility_measure=0.0,
-        stationarity=0.0))
+    # relaxed branch may accept it. A nonzero oracle slack gives each
+    # relaxed rung a problem of its own, so each is solved and gated.
+    monkeypatch.setattr(controller, "solve",
+                        lambda nlp: _report(STATUS_OPTIMAL, bad, us))
+    monkeypatch.setattr(controller, "oracle_solve", lambda template, mode, theta: (
+        True, np.ones(mode.n_channels), None))
     decision = ctrl.step(xs[0], profile)
     assert decision.branch == BRANCH_FAILURE
+    assert decision.nominal_gate["solve_status"] == "hard-row-violation"
     assert [g["solve_status"] for g in decision.mode_gates.values()] == \
         ["hard-row-violation"] * 2
+
+
+MODE_E3 = ocp.RelaxationMode(name="E3", priority=3, relax={"a_y_ub": "d_ay"},
+                             ceilings={"d_ay": 4.0},
+                             drop=("g_lon_safe", "g_follow"))
+
+
+@pytest.mark.parametrize("modes, slacks, solved, duplicate_of", [
+    # zero slack without dropped rows: the nominal problem again
+    ((MODE_E1, MODE_E2), {"E1": [0.0], "E2": [0.0, 0.0]},
+     ["nominal"], {"E1": "nominal", "E2": "nominal"}),
+    # E2 at [x, 0] lifts the rows E1 at [x] lifts
+    ((MODE_E1, MODE_E2), {"E1": [2.0], "E2": [2.0, 0.0]},
+     ["nominal", "E1"], {"E2": "E1"}),
+    # a nonzero slack, and a mode that drops rows, are problems of their own
+    ((MODE_E1, MODE_E2, MODE_E3), {"E1": [0.0], "E2": [0.0, 1.0], "E3": [0.0]},
+     ["nominal", "E2", "E3"], {"E1": "nominal"}),
+], ids=["zero-slack", "same-lift", "own-problems"])
+def test_ladder_solves_each_distinct_problem_once(monkeypatch, modes, slacks,
+                                                  solved, duplicate_of):
+    M = HORIZON.n_constraint
+    profile = nominal_profile(M, PATH.lane_width)
+    calls = []
+
+    def failing_solve(nlp):
+        calls.append(nlp)
+        return _report(STATUS_INFEASIBLE, np.zeros((M + 1, dyn.NX)),
+                       np.zeros((M, dyn.NU)))
+    monkeypatch.setattr(controller, "solve", failing_solve)
+    monkeypatch.setattr(controller, "oracle_solve", lambda template, mode, theta: (
+        True, np.array(slacks[mode.name]), None))
+    ctrl = _controller(modes=[ModeRuntime(mode=m, template=LON_TEMPLATE)
+                              for m in modes])
+    decision = ctrl.step(dyn.state(v=5.0), profile)
+    assert decision.branch == BRANCH_FAILURE
+    assert len(calls) == len(solved)
+    rungs = {"nominal": decision.nominal_gate, **decision.mode_gates}
+    assert [name for name, g in rungs.items() if "solve" in g] == solved
+    for name in solved:
+        assert rungs[name]["solve_status"] == STATUS_INFEASIBLE
+        assert rungs[name]["solve"] == {
+            "status": STATUS_INFEASIBLE, "objective": 0.0,
+            "stationarity": 0.0, "primal_infeasibility": 0.0,
+            "complementarity": 0.0, "sqp_iterations": 1, "ip_iterations": 1,
+            "infeasibility_measure": 0.0}
+    assert {name: g["duplicate_of"] for name, g in rungs.items()
+            if g.get("solve_status") == "duplicate"} == duplicate_of
+    assert len(decision.mode_gates) == len(modes)
 
 
 def test_decision_log_record_is_json_friendly():

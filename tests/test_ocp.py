@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softmpc import dynamics as dyn
 from softmpc import ocp
@@ -292,6 +294,54 @@ def test_row_layout_follows_profile_mode_and_tube():
     # E3 drops both yield rows wherever they are
     rel = ocp.build_relaxed(*args, MODE_E3, np.zeros(4), x_refs, u_refs)
     assert list(rel.stage_row_mask.sum(axis=1)) == [21] * 8 + [33] * 32
+
+
+def _rows_bytes(nlp, xs, us):
+    """Every row value, Jacobian and the row layout of a problem at one
+    trajectory, as raw bytes."""
+    vals, C, G = nlp.stage_rows(xs[:-1], us)
+    t_vals, t_C, t_G = nlp.terminal_rows(xs[-1])
+    return (vals.tobytes(), C.tobytes(), G is None,
+            nlp.stage_row_mask.tobytes(), t_vals.tobytes(), t_C.tobytes(),
+            t_G is None)
+
+
+@st.composite
+def states_and_yield_bounds(draw):
+    """(x0, yield bound per step, trajectory xs (M+1, NX), us (M, NU))."""
+    M = HORIZON.n_constraint
+    x0 = dyn.state(s=draw(st.floats(0.0, 50.0)), e_y=draw(st.floats(-1.5, 1.5)),
+                   v=draw(st.floats(0.0, 30.0)), a=draw(st.floats(-6.0, 2.5)))
+    sigma = np.array(draw(st.lists(
+        st.one_of(st.floats(-20.0, 300.0), st.just(NO_BOUND)),
+        min_size=M + 1, max_size=M + 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = x0 + rng.normal(scale=0.5, size=(M + 1, dyn.NX))
+    us = rng.normal(scale=0.5, size=(M, dyn.NU))
+    return x0, sigma, xs, us
+
+
+@given(states_and_yield_bounds(), st.floats(0.0, 30.0))
+@settings(max_examples=40, deadline=None)
+def test_zero_lift_builds_the_nominal_rows_bit_for_bit(case, x):
+    # the controller solves a problem once per cycle, keyed by the mode's
+    # dropped rows and the lift on each stack row; equal keys must build
+    # equal rows
+    x0, sigma, xs, us = case
+    M = HORIZON.n_constraint
+    profile = DisturbanceProfile(yield_bound=sigma,
+                                 corridor_lo=np.full(M + 1, -1.75),
+                                 corridor_hi=np.full(M + 1, 1.75), window=None)
+    x_refs, u_refs = _refs(float(x0[dyn.IDX_S]))
+    args = (x0, PATH, PARAMS, _weights(), HORIZON, STACK, profile, TERMINAL)
+    nominal = _rows_bytes(ocp.build_nominal(*args, x_refs, u_refs), xs, us)
+    for mode in (MODE_E1, MODE_E2):
+        rel = ocp.build_relaxed(*args, mode, np.zeros(mode.n_channels),
+                                x_refs, u_refs)
+        assert _rows_bytes(rel, xs, us) == nominal
+    e1 = ocp.build_relaxed(*args, MODE_E1, np.array([x]), x_refs, u_refs)
+    e2 = ocp.build_relaxed(*args, MODE_E2, np.array([x, 0.0]), x_refs, u_refs)
+    assert _rows_bytes(e1, xs, us) == _rows_bytes(e2, xs, us)
 
 
 def test_relaxed_rejects_slack_beyond_ceiling():

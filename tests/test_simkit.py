@@ -130,6 +130,28 @@ def test_metrics_shapes_and_recomputation():
     assert m["min_gap"] == pytest.approx(float(np.min(gaps[np.isfinite(gaps)])))
 
 
+def test_metrics_deadline_percentile_and_transitions():
+    # six 50 ms cycles: two over the 50 ms deadline, one exactly on it
+    n = 6
+    times = np.array([0.01, 0.06, 0.05, 0.02, 0.09, 0.03])
+    zeros = np.zeros(n)
+    log = SimLog(t=0.05 * np.arange(n), states=np.zeros((n, dyn.NX)),
+                 inputs=np.zeros((n, dyn.NU)),
+                 branches=["nominal", "E1", "E1", "nominal", "failure",
+                           "failure"],
+                 slacks=[{}] * n, sigma=np.full(n, np.inf),
+                 corridor_lo=zeros, corridor_hi=zeros, ru_lon=zeros,
+                 ru_lat=zeros, a_y=zeros, j_y=zeros, hard_residuals=zeros,
+                 soft_residuals=zeros, consistent=np.ones(n, dtype=bool),
+                 delta_norms=zeros, controller_times=times, failed=True)
+    m = metrics(log)
+    assert m["deadline_misses"] == 2
+    assert m["transitions"] == 3
+    # linear interpolation between the two largest times
+    assert m["p95_controller_time"] == pytest.approx(0.06 + 0.75 * 0.03)
+    assert m["max_controller_time"] == 0.09
+
+
 def test_log_csv_round_trip(tmp_path):
     config = _small_config(duration=1.0)
     log = run(config, use_oracle=True)
