@@ -223,7 +223,8 @@ class PriorityController:
                                         u_init=warm)
             rep = solve(nlp)
             gate["solve"] = rep.to_dict()
-            del gate["solve"]["wall_time"]   # keeps decision logs reproducible
+            # timings would make decision logs differ from run to run
+            del gate["solve"]["wall_time"], gate["solve"]["phase_s"]
             gate["solve_status"] = rep.status
             if self._solve_usable(rep):
                 hard, soft = self._residuals(rep, profile, mode, slack_cmd)

@@ -269,12 +269,6 @@ class RelaxationMode:
             E[ROW_LABELS.index(label), chan_idx[ch]] = 1.0
         return E
 
-    def hard_row_indices(self) -> np.ndarray:
-        """Rows neither relaxed nor dropped (must hold exactly)."""
-        out = [k for k, label in enumerate(ROW_LABELS)
-               if label not in self.relax and label not in self.drop]
-        return np.asarray(out, dtype=int)
-
 
 NOMINAL_MODE = RelaxationMode(name="nominal", priority=0, relax={}, ceilings={})
 

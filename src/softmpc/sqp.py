@@ -24,7 +24,13 @@ problem is declared infeasible. The elastics and the inequality slack/dual
 pairs are eliminated analytically, reducing each Newton system to the
 block-tridiagonal (banded) horizon KKT form, factorized stage-by-stage in a
 Riccati sweep with the global block handled through its Schur complement;
-cost per iteration is linear in the horizon length. The row blocks (stage
+cost per iteration is linear in the horizon length. The Python loops of the
+sweeps keep only the stage recursion; every product that does not depend
+on the previous stage runs as one batched np.matmul before or after them,
+with the same operands in the same order, so the sweeps return what plain
+per-stage loops return, bit for bit. Batched matmul runs the BLAS kernel
+that `@` runs on each stage; np.einsum does not, and its sums would move
+the results in the last bits. The row blocks (stage
 groups, terminal block, global box) and their products with the Newton
 system live in one place, _Rows. Step acceptance uses an Armijo
 backtracking line search on the l1 merit function.
@@ -32,7 +38,7 @@ backtracking line search on the l1 merit function.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -49,6 +55,7 @@ IP_TAU = 0.995             # fraction-to-boundary
 ARMIJO_C1 = 1e-4
 MIN_STEP = 1e-10           # smallest line-search step tried
 INFEASIBILITY_TOL = 1e-6   # violation that escalates the penalty
+PHASES = ("factorize", "backsolve", "evaluate")
 
 
 @dataclass
@@ -81,7 +88,12 @@ class SolveReport:
     linearization point, with the multipliers of its subproblem; they
     follow the usual scaled convention: complementarity is normalized by
     (1 + max multiplier magnitude), so the reported value stays meaningful
-    when constraint forces are large."""
+    when constraint forces are large.
+
+    phase_s sums the solve's seconds in each of PHASES: the Riccati
+    factorizations, the Newton back-solves, and the evaluation (rollout,
+    rows and objective) of every iterate and trial point. Like wall_time
+    it varies from run to run."""
     status: str
     us: np.ndarray
     xs: np.ndarray
@@ -94,6 +106,7 @@ class SolveReport:
     ip_iterations: int
     wall_time: float
     infeasibility_measure: float
+    phase_s: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -106,6 +119,7 @@ class SolveReport:
             "ip_iterations": self.ip_iterations,
             "wall_time": self.wall_time,
             "infeasibility_measure": self.infeasibility_measure,
+            "phase_s": dict(self.phase_s),
         }
 
 
@@ -399,10 +413,16 @@ def _factorize(sub: _Subproblem, D: np.ndarray) -> dict:
     global block couples through C'DG and its Schur complement is
     accumulated alongside. Returns gains and value-function quadratics for
     reuse across the predictor and corrector right-hand sides.
+
+    The loop keeps only what needs the next stage's value function (P,
+    Lam): Qzz, Qzg, the gains and the next P and Lam. The Schur complement
+    terms Qug' Kg do not feed back into it: they are one batched np.matmul
+    after the loop, subtracted from Gamma in the loop's stage order (see
+    _subtract_in_order). np.einsum is not used for them: its sums would
+    differ from the per-stage products in the last bits.
     """
     nlp = sub.nlp
     M, nx, nu, q = nlp.horizon, nlp.nx, nlp.nu, nlp.n_gamma
-    reg_eye = CONTROL_REG * np.eye(nu)
 
     H = nlp.cost_W.copy()
     U = np.zeros((M, nx + nu, q)) if q else None
@@ -411,68 +431,76 @@ def _factorize(sub: _Subproblem, D: np.ndarray) -> dict:
     Gamma = nlp.gamma_weight.copy() if q else None
     sub.rows.add_gram(D, H, U, P_M, U_M, Gamma)
 
-    Ks = np.empty((M, nu, nx))
-    Kgs = np.empty((M, nu, q)) if q else None
+    F, FT = sub.F, sub.FT
+    Qzzs = np.empty((M, nx + nu, nx + nu))
     Quu_invs = np.empty((M, nu, nu))
-    Qxus = np.empty((M, nx, nu))
-    Qugs = np.empty((M, nu, q)) if q else None
+    Ks = np.empty((M, nu, nx))
     Ps = np.empty((M + 1, nx, nx))
-    Lams = np.empty((M + 1, nx, q)) if q else None
-    Ps[M] = P_M
+    Ps[M] = P = P_M
+    Qzgs = Qugs = Kgs = Lams = None
     if q:
-        Lams[M] = U_M
-    P = P_M
-    Lam = U_M
+        Qzgs = np.empty((M, nx + nu, q))
+        Kgs = np.empty((M, nu, q))
+        Lams = np.empty((M + 1, nx, q))
+        Lams[M] = Lam = U_M
     for n in range(M - 1, -1, -1):
-        F = sub.F[n]
-        FT = sub.FT[n]
-        Qzz = H[n] + FT @ (P @ F)
-        Qxx = Qzz[:nx, :nx]
+        Qzz = np.add(H[n], FT[n] @ (P @ F[n]), out=Qzzs[n])
         Qxu = Qzz[:nx, nx:]
-        Quu = 0.5 * (Qzz[nx:, nx:] + Qzz[nx:, nx:].T) + reg_eye
-        Quu_inv = _inv_pd(Quu)
-        K = Quu_inv @ Qxu.T
-        Quu_invs[n] = Quu_inv
-        Ks[n] = K
-        Qxus[n] = Qxu
+        Quu_invs[n] = Quu_inv = _inv_pd(Qzz[nx:, nx:])
+        Ks[n] = K = Quu_inv @ Qxu.T
         if q:
-            Qzg = U[n] + FT @ Lam
-            Qxg, Qug = Qzg[:nx], Qzg[nx:]
-            Kg = Quu_inv @ Qug
-            Kgs[n] = Kg
-            Qugs[n] = Qug
-            Gamma = Gamma - Qug.T @ Kg
-            Lam = Qxg - Qxu @ Kg
-            Lams[n] = Lam
-        P = Qxx - Qxu @ K
-        P = 0.5 * (P + P.T)
-        Ps[n] = P
+            Qzg = np.add(U[n], FT[n] @ Lam, out=Qzgs[n])
+            Kgs[n] = Kg = Quu_inv @ Qzg[nx:]
+            Lams[n] = Lam = Qzg[:nx] - Qxu @ Kg
+        P = Qzz[:nx, :nx] - Qxu @ K
+        Ps[n] = P = 0.5 * (P + P.T)
     if q:
+        Qugs = Qzgs[:, nx:]
+        Gamma = _subtract_in_order(Gamma, np.matmul(Qugs.transpose(0, 2, 1), Kgs))
         Gamma = 0.5 * (Gamma + Gamma.T)
-    return {"Ks": Ks, "Kgs": Kgs, "Quu_invs": Quu_invs, "Qxus": Qxus,
+    return {"Ks": Ks, "Kgs": Kgs, "Quu_invs": Quu_invs,
+            "Qxus": np.ascontiguousarray(Qzzs[:, :nx, nx:]),
             "Qugs": Qugs, "Ps": Ps, "Lams": Lams, "Gamma": Gamma}
 
 
+def _subtract_in_order(x, terms):
+    """x - terms[M-1] - terms[M-2] - ... - terms[0], one subtraction at a
+    time, as a backward sweep over the stages would accumulate it. A
+    subtract reduction folds left in order (only add reductions are summed
+    pairwise), so the result is the loop's bit for bit."""
+    return np.subtract.reduce(np.concatenate([x[None], terms[::-1]]), axis=0)
+
+
 def _inv_pd(Q):
-    """Inverse of a small (near) positive-definite matrix with bump fallback."""
+    """Inverse of the control Hessian 0.5 (Q + Q') + CONTROL_REG I of the
+    raw block Q, with a bump fallback where it is not positive definite.
+
+    Blocks of size 1 and 2 are symmetrized and inverted in Python floats,
+    with the operations numpy would apply elementwise, so the result is the
+    one of the array expression bit for bit at a fraction of its overhead.
+    """
     n = Q.shape[0]
     if n == 1:
-        v = Q[0, 0]
+        v = Q.item()
+        v = 0.5 * (v + v) + CONTROL_REG
         return np.array([[1.0 / (v if v > 1e-300 else 1e-300)]])
     if n == 2:
-        a, b = Q[0, 0], Q[0, 1]
-        c, d = Q[1, 0], Q[1, 1]
+        (a, b), (c, d) = Q.tolist()
+        a = 0.5 * (a + a) + CONTROL_REG
+        d = 0.5 * (d + d) + CONTROL_REG
+        b = c = 0.5 * (b + c) + 0.0     # the identity's zero: -0.0 -> 0.0
         det = a * d - b * c
         if det > 1e-300 and a > 0.0:
-            return np.array([[d, -b], [-c, a]]) / det
+            return np.array([[d / det, -b / det], [-c / det, a / det]])
         bump = 1e-12 * max(a + d, 1.0)
         for _ in range(40):
             a2, d2 = a + bump, d + bump
             det = a2 * d2 - b * c
             if det > 1e-300 and a2 > 0.0:
-                return np.array([[d2, -b], [-c, a2]]) / det
+                return np.array([[d2 / det, -b / det], [-c / det, a2 / det]])
             bump *= 10.0
         raise np.linalg.LinAlgError("could not regularize control Hessian")
+    Q = 0.5 * (Q + Q.T) + CONTROL_REG * np.eye(n)
     scale = max(float(np.max(np.abs(Q))), 1.0)
     bump = 0.0
     for _ in range(14):
@@ -490,53 +518,65 @@ def _backsolve(sub: _Subproblem, fac: dict, F, F_M, F_g, e: np.ndarray):
 
     e are the eliminated-row offsets entering the right-hand side. Returns
     the directions (dw (M,nz), dwM, dgamma, dlam (M,nx)).
+
+    Each sweep's loop keeps only its recursion: the value-function linear
+    term p and the gain offset k backwards, the state and input steps
+    forwards. What only reads the recursion's results is batched around
+    the loops with np.matmul (not np.einsum, whose sums would move the last
+    bits): the global-block right-hand side after the backward sweep
+    (subtracted in stage order), Kg dgamma before the forward sweep and the
+    multiplier steps after it.
     """
     nlp = sub.nlp
     M, nx, nu, q = nlp.horizon, nlp.nx, nlp.nu, nlp.n_gamma
 
-    r = -F.copy()
-    r_M = -F_M.copy()
-    r_g = -F_g.copy() if q else np.zeros(0)
+    r = -F
+    r_M = -F_M
+    r_g = -F_g if q else np.zeros(0)
     sub.rows.add_transpose(-e, r, r_M, r_g)
 
-    # backward linear sweep
+    # backward linear sweep; p_n stores the value-function linear term
+    FT, Quu_invs, Qxus = sub.FT, fac["Quu_invs"], fac["Qxus"]
+    neg_r = -r
     ks = np.empty((M, nu))
     ps = np.empty((M + 1, nx))
-    ps[M] = -r_M
-    p = -r_M          # p_n stores the value-function linear term (= -r at M)
-    qg = -r_g if q else None
-    Quu_invs = fac["Quu_invs"]
-    Qxus = fac["Qxus"]
+    ps[M] = p = -r_M
     for n in range(M - 1, -1, -1):
-        qz = -r[n] + sub.FT[n] @ p
-        qx, qu = qz[:nx], qz[nx:]
-        k = Quu_invs[n] @ qu
-        ks[n] = k
-        if q:
-            qg = qg - fac["Qugs"][n].T @ k
-        p = qx - Qxus[n] @ k
-        ps[n] = p
+        qz = neg_r[n] + FT[n] @ p
+        ks[n] = k = Quu_invs[n] @ qz[nx:]
+        ps[n] = p = qz[:nx] - Qxus[n] @ k
 
+    dgamma = np.zeros(0)
     if q:
-        dgamma = -np.linalg.solve(fac["Gamma"], qg)
-    else:
-        dgamma = np.zeros(0)
+        Qug_k = np.matmul(fac["Qugs"].transpose(0, 2, 1), ks[:, :, None])[:, :, 0]
+        dgamma = -np.linalg.solve(fac["Gamma"], _subtract_in_order(-r_g, Qug_k))
 
-    dw = np.zeros((M, nx + nu))
-    dlam = np.empty((M, nx))
-    dx = np.zeros(nx)
+    # forward sweep; -k - K dx is -(K dx) - k bit for bit (negation is
+    # exact and rounding symmetric)
+    Ks, A, B = fac["Ks"], sub.A, sub.B
+    neg_ks = -ks
+    Kg_dgamma = np.matmul(fac["Kgs"], dgamma) if q else None
+    dus = np.empty((M, nu))
+    dxs = np.empty((M + 1, nx))
+    dxs[0] = dx = np.zeros(nx)
     for n in range(M):
-        du = -(fac["Ks"][n] @ dx) - ks[n]
+        du = neg_ks[n] - Ks[n] @ dx
         if q:
-            du = du - fac["Kgs"][n] @ dgamma
-        dw[n, :nx] = dx
-        dw[n, nx:] = du
-        dx = sub.A[n] @ dx + sub.B[n] @ du
-        lam_next = fac["Ps"][n + 1] @ dx + ps[n + 1]
-        if q:
-            lam_next = lam_next + fac["Lams"][n + 1] @ dgamma
-        dlam[n] = -lam_next
-    return dw, dx, dgamma, dlam
+            du = du - Kg_dgamma[n]
+        dus[n] = du
+        dxs[n + 1] = dx = A[n] @ dx + B[n] @ du
+    lam_next = np.matmul(fac["Ps"][1:], dxs[1:, :, None])[:, :, 0] + ps[1:]
+    if q:
+        lam_next = lam_next + np.matmul(fac["Lams"][1:], dgamma)
+    return np.concatenate([dxs[:-1], dus], axis=1), dx, dgamma, -lam_next
+
+
+def _timed(phase_s, phase, fn, *args):
+    """fn(*args), its seconds added to phase_s[phase]."""
+    t0 = time.perf_counter()
+    out = fn(*args)
+    phase_s[phase] += time.perf_counter() - t0
+    return out
 
 
 def _max_step(pairs, tau):
@@ -550,8 +590,9 @@ def _max_step(pairs, tau):
     return min(alpha, 1.0)
 
 
-def _ip_solve(sub: _Subproblem):
-    """Mehrotra predictor-corrector on the elastic Gauss-Newton QP."""
+def _ip_solve(sub: _Subproblem, phase_s: dict):
+    """Mehrotra predictor-corrector on the elastic Gauss-Newton QP; adds its
+    factorize and backsolve seconds to phase_s."""
     nlp, opts = sub.nlp, sub.opts
     M, nx = nlp.horizon, nlp.nx
     m = sub.m
@@ -559,8 +600,9 @@ def _ip_solve(sub: _Subproblem):
 
     if m == 0:
         F, F_M, F_g = sub.stationarity()
-        fac = _factorize(sub, np.zeros(0))
-        dw, dxM, dgamma, dlam = _backsolve(sub, fac, F, F_M, F_g, np.zeros(0))
+        fac = _timed(phase_s, "factorize", _factorize, sub, np.zeros(0))
+        dw, dxM, dgamma, dlam = _timed(phase_s, "backsolve", _backsolve,
+                                       sub, fac, F, F_M, F_g, np.zeros(0))
         sub.w += dw
         sub.wM += dxM
         sub.dgamma += dgamma
@@ -613,11 +655,12 @@ def _ip_solve(sub: _Subproblem):
         zcap = z0 + eps * t                       # z0 + eps t > 0 throughout
         # effective row weight of the dual-bounded l1 penalty
         D = np.clip(1.0 / (t / zcap + s / z), 1e-12, 1e10)
-        fac = _factorize(sub, D)
+        fac = _timed(phase_s, "factorize", _factorize, sub, D)
 
         def newton(r2, r4):
             e = -D * (r1 + r4 / zcap - r2 / z)
-            dw, dxM, dgamma, dlam = _backsolve(sub, fac, F, F_M, F_g, e)
+            dw, dxM, dgamma, dlam = _timed(phase_s, "backsolve", _backsolve,
+                                           sub, fac, F, F_M, F_g, e)
             cdw = sub.rows.product(dw, dxM, dgamma)
             dz = D * cdw + e
             dt = (r4 + t * dz) / zcap
@@ -672,10 +715,14 @@ def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport
              if (nlp.n_gamma and nlp.gamma_init is not None)
              else np.zeros(nlp.n_gamma))
     layout = _Layout(nlp)
+    phase_s = dict.fromkeys(PHASES, 0.0)
 
     def evaluate(us, gamma):
+        t0 = time.perf_counter()
         xs = _rollout(nlp, us)
-        return xs, _Rows(nlp, layout, xs, us, gamma), _objective(nlp, xs, us, gamma)
+        out = xs, _Rows(nlp, layout, xs, us, gamma), _objective(nlp, xs, us, gamma)
+        phase_s["evaluate"] += time.perf_counter() - t0
+        return out
 
     penalty = opts.penalty_init
     total_ip = 0
@@ -692,7 +739,7 @@ def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport
         merit = obj + penalty * viol1
 
         sub = _Subproblem(nlp, xs, us, gamma, rows, penalty, opts)
-        total_ip += _ip_solve(sub)
+        total_ip += _ip_solve(sub, phase_s)
         du = sub.w[:, nlp.nx:].copy()
         dgamma = sub.dgamma.copy()
 
@@ -797,6 +844,7 @@ def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport
         ip_iterations=total_ip,
         wall_time=time.perf_counter() - t_start,
         infeasibility_measure=rows.violation_inf(),
+        phase_s=phase_s,
     )
 
 

@@ -206,6 +206,25 @@ def test_decision_log_record_is_json_friendly():
     assert rec["branch"] == BRANCH_NOMINAL
 
 
+def test_identical_cycles_log_identical_records():
+    # solve timings (wall_time, phase_s) stay on the SolveReport: the
+    # decision log of the same cycles is the same dict on every run
+    def run_once():
+        ctrl = _controller()
+        x = dyn.state(s=0.0, v=V_REF)
+        return [ctrl.step(x, _profile_from_ru(
+                    RoadUserState(lon=lon, lat=0.0, v_lon=v))).log_record()
+                for lon, v in ((50.0, 7.0), (14.0, 6.5))]
+    a, b = run_once(), run_once()
+    assert a == b
+    assert a[1]["branch"] in ("E1", "E2")
+    solved = [a[0]["nominal"]["solve"]] + [
+        g["solve"] for g in a[1]["gates"].values() if "solve" in g]
+    assert len(solved) >= 2
+    for rec in solved:
+        assert "wall_time" not in rec and "phase_s" not in rec
+
+
 def test_deterministic_decisions():
     def run_once():
         ctrl = _controller()

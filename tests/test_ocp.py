@@ -242,6 +242,15 @@ def test_zero_slack_relaxed_equals_nominal_feasible_set():
         assert np.array_equal(res_nom <= 1e-9, res_rel <= 1e-9)
 
 
+def _hard_rows(mode, slack):
+    """The rows the controller's hard-row gate checks (see
+    PriorityController._residuals): neither lifted by a positive commanded
+    slack nor dropped by the mode."""
+    hard = ~(mode.selector() @ slack > 0.0)
+    hard[[ocp.ROW_LABELS.index(lbl) for lbl in mode.drop]] = False
+    return hard
+
+
 def test_relaxed_lifts_only_selected_rows():
     weights = _weights()
     x0 = dyn.state(s=0.0, v=7.0)
@@ -267,7 +276,8 @@ def test_relaxed_lifts_only_selected_rows():
     rep_rel = solve(rel)
     assert rep_rel.status == STATUS_OPTIMAL
     res = ocp.eval_constraints(rep_rel.xs, rep_rel.us, STACK, profile)
-    hard = MODE_E1.hard_row_indices()
+    hard = _hard_rows(MODE_E1, slack)
+    assert hard.sum() == 22
     assert np.max(res[hard]) <= 1e-6
     follow = ocp.ROW_LABELS.index("g_follow")
     assert np.max(res[follow]) <= slack[0] + 1e-6
@@ -374,7 +384,8 @@ def test_mode_e3_drops_longitudinal_rows():
 
 def _oracle_slack_in_relaxed_problem(kind, mode, x0, profile, v_ref):
     """Minimal slack of the oracle's decoupled subproblem, used as the fixed
-    lift of the relaxed problem on the full model with the same profile."""
+    lift of the relaxed problem on the full model with the same profile.
+    Returns the number of hard rows the solution was checked on."""
     template = ScenarioTemplate(kind=kind, horizon=HORIZON, params=PARAMS,
                                 stack=STACK, terminal=TERMINAL, v_ref=v_ref)
     feasible, slack, _ = oracle_solve(template, mode,
@@ -391,7 +402,9 @@ def _oracle_slack_in_relaxed_problem(kind, mode, x0, profile, v_ref):
     assert PriorityController._solve_usable(rep)
     res = ocp.eval_constraints(rep.xs, rep.us, STACK, profile)
     res = np.where(np.isfinite(res), res, -np.inf)
-    assert np.max(res[mode.hard_row_indices()]) <= HARD_ROW_TOL
+    hard = _hard_rows(mode, slack)
+    assert np.max(res[hard]) <= HARD_ROW_TOL
+    return int(hard.sum())
 
 
 def test_lon_oracle_slack_solves_the_relaxed_problem():
@@ -403,8 +416,9 @@ def test_lon_oracle_slack_solves_the_relaxed_problem():
                                  corridor_lo=np.full(M + 1, -1.75),
                                  corridor_hi=np.full(M + 1, 1.75),
                                  window=(0, M))
-    _oracle_slack_in_relaxed_problem("lon", MODE_E1, dyn.state(s=0.0, v=7.0),
-                                     profile, v_ref=7.0)
+    # every row but the lifted g_follow is hard
+    assert _oracle_slack_in_relaxed_problem(
+        "lon", MODE_E1, dyn.state(s=0.0, v=7.0), profile, v_ref=7.0) == 22
 
 
 def test_lat_oracle_slack_solves_the_relaxed_problem():
@@ -416,5 +430,6 @@ def test_lat_oracle_slack_solves_the_relaxed_problem():
                                  corridor_lo=np.where(invaded, 1.75, -1.75),
                                  corridor_hi=np.where(invaded, 5.25, 1.75),
                                  window=None)
-    _oracle_slack_in_relaxed_problem("lat", MODE_E3, dyn.state(s=10.0, v=8.0),
-                                     profile, v_ref=8.0)
+    # E3 drops two rows and every one of its four lateral lifts is used
+    assert _oracle_slack_in_relaxed_problem(
+        "lat", MODE_E3, dyn.state(s=10.0, v=8.0), profile, v_ref=8.0) == 17

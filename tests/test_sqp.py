@@ -2,9 +2,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from softmpc.sqp import (STATUS_INFEASIBLE, STATUS_OPTIMAL, NlpDescription,
-                         SolverOptions, solve)
+from softmpc import sqp
+from softmpc.sqp import (CONTROL_REG, STATUS_INFEASIBLE, STATUS_OPTIMAL,
+                         NlpDescription, SolverOptions, solve)
 
 
 def _linear_nlp(A, B, Q, R, P, x0, M, rows=None, terminal_rows=None, **kw):
@@ -356,6 +359,21 @@ def test_nonlinear_dynamics_pendulum_swing():
     assert rep.stationarity <= 1e-6
 
 
+def test_phase_times_are_part_of_the_wall_time():
+    rng = np.random.default_rng(2)
+    A, B, Q, R, P, x0 = _random_lqr_instance(rng, 4, 2, 1)
+    rows = _box_rows(np.full(2, -0.5), np.full(2, 0.5),
+                     np.full(4, -100.0), np.full(4, 100.0))
+    # with rows (interior point) and without (one Newton step)
+    for nlp in (_linear_nlp(A, B, Q, R, P, x0, 30, rows=rows),
+                _linear_nlp(A, B, Q, R, P, x0, 30)):
+        rep = solve(nlp)
+        assert tuple(rep.phase_s) == sqp.PHASES
+        assert all(t > 0.0 for t in rep.phase_s.values())
+        assert sum(rep.phase_s.values()) <= rep.wall_time
+        assert rep.to_dict()["phase_s"] == rep.phase_s
+
+
 def test_factorization_time_scales_linearly_in_horizon():
     # runtime per iteration should roughly double when the horizon doubles.
     # The two horizons alternate and their fastest runs are compared, so a
@@ -368,9 +386,244 @@ def test_factorization_time_scales_linearly_in_horizon():
     best = {M: np.inf for M in nlps}
     for repeat in range(11):
         for M, nlp in nlps.items():
-            t0 = time.perf_counter()
+            # CPU time of this process: time spent descheduled on a busy
+            # host does not count
+            t0 = time.process_time()
             rep = solve(nlp)
-            per_iter = (time.perf_counter() - t0) / max(rep.ip_iterations, 1)
+            per_iter = (time.process_time() - t0) / max(rep.ip_iterations, 1)
             if repeat:      # the first round warms up
                 best[M] = min(best[M], per_iter)
     assert best[100] / best[50] <= 2.5
+
+# ---------------------------------------------------------------------------
+# Riccati sweeps against the plain per-stage loops, bit for bit
+# ---------------------------------------------------------------------------
+# The solver's sweeps batch every product that does not depend on the
+# previous stage. The functions below are the plain loops they replaced,
+# kept verbatim: every array the sweeps return must equal theirs exactly,
+# since decisions and oracle labels are compared bit for bit downstream.
+
+
+def _reference_factorize(sub, D):
+    nlp = sub.nlp
+    M, nx, nu, q = nlp.horizon, nlp.nx, nlp.nu, nlp.n_gamma
+    reg_eye = CONTROL_REG * np.eye(nu)
+
+    H = nlp.cost_W.copy()
+    U = np.zeros((M, nx + nu, q)) if q else None
+    P_M = nlp.cost_P.copy()
+    U_M = np.zeros((nx, q)) if q else None
+    Gamma = nlp.gamma_weight.copy() if q else None
+    sub.rows.add_gram(D, H, U, P_M, U_M, Gamma)
+
+    Ks = np.empty((M, nu, nx))
+    Kgs = np.empty((M, nu, q)) if q else None
+    Quu_invs = np.empty((M, nu, nu))
+    Qxus = np.empty((M, nx, nu))
+    Qugs = np.empty((M, nu, q)) if q else None
+    Ps = np.empty((M + 1, nx, nx))
+    Lams = np.empty((M + 1, nx, q)) if q else None
+    Ps[M] = P_M
+    if q:
+        Lams[M] = U_M
+    P = P_M
+    Lam = U_M
+    for n in range(M - 1, -1, -1):
+        F = sub.F[n]
+        FT = sub.FT[n]
+        Qzz = H[n] + FT @ (P @ F)
+        Qxx = Qzz[:nx, :nx]
+        Qxu = Qzz[:nx, nx:]
+        Quu = 0.5 * (Qzz[nx:, nx:] + Qzz[nx:, nx:].T) + reg_eye
+        Quu_inv = _reference_inv_pd(Quu)
+        K = Quu_inv @ Qxu.T
+        Quu_invs[n] = Quu_inv
+        Ks[n] = K
+        Qxus[n] = Qxu
+        if q:
+            Qzg = U[n] + FT @ Lam
+            Qxg, Qug = Qzg[:nx], Qzg[nx:]
+            Kg = Quu_inv @ Qug
+            Kgs[n] = Kg
+            Qugs[n] = Qug
+            Gamma = Gamma - Qug.T @ Kg
+            Lam = Qxg - Qxu @ Kg
+            Lams[n] = Lam
+        P = Qxx - Qxu @ K
+        P = 0.5 * (P + P.T)
+        Ps[n] = P
+    if q:
+        Gamma = 0.5 * (Gamma + Gamma.T)
+    return {"Ks": Ks, "Kgs": Kgs, "Quu_invs": Quu_invs, "Qxus": Qxus,
+            "Qugs": Qugs, "Ps": Ps, "Lams": Lams, "Gamma": Gamma}
+
+
+def _reference_inv_pd(Q):
+    n = Q.shape[0]
+    if n == 1:
+        v = Q[0, 0]
+        return np.array([[1.0 / (v if v > 1e-300 else 1e-300)]])
+    if n == 2:
+        a, b = Q[0, 0], Q[0, 1]
+        c, d = Q[1, 0], Q[1, 1]
+        det = a * d - b * c
+        if det > 1e-300 and a > 0.0:
+            return np.array([[d, -b], [-c, a]]) / det
+        bump = 1e-12 * max(a + d, 1.0)
+        for _ in range(40):
+            a2, d2 = a + bump, d + bump
+            det = a2 * d2 - b * c
+            if det > 1e-300 and a2 > 0.0:
+                return np.array([[d2, -b], [-c, a2]]) / det
+            bump *= 10.0
+        raise np.linalg.LinAlgError("could not regularize control Hessian")
+    scale = max(float(np.max(np.abs(Q))), 1.0)
+    bump = 0.0
+    for _ in range(14):
+        try:
+            cho = np.linalg.cholesky(Q + bump * np.eye(n))
+            inv_l = np.linalg.inv(cho)
+            return inv_l.T @ inv_l
+        except np.linalg.LinAlgError:
+            bump = max(2.0 * bump, 1e-12 * scale)
+    raise np.linalg.LinAlgError("could not regularize control Hessian")
+
+
+def _reference_backsolve(sub, fac, F, F_M, F_g, e):
+    nlp = sub.nlp
+    M, nx, nu, q = nlp.horizon, nlp.nx, nlp.nu, nlp.n_gamma
+
+    r = -F.copy()
+    r_M = -F_M.copy()
+    r_g = -F_g.copy() if q else np.zeros(0)
+    sub.rows.add_transpose(-e, r, r_M, r_g)
+
+    # backward linear sweep
+    ks = np.empty((M, nu))
+    ps = np.empty((M + 1, nx))
+    ps[M] = -r_M
+    p = -r_M          # p_n stores the value-function linear term (= -r at M)
+    qg = -r_g if q else None
+    Quu_invs = fac["Quu_invs"]
+    Qxus = fac["Qxus"]
+    for n in range(M - 1, -1, -1):
+        qz = -r[n] + sub.FT[n] @ p
+        qx, qu = qz[:nx], qz[nx:]
+        k = Quu_invs[n] @ qu
+        ks[n] = k
+        if q:
+            qg = qg - fac["Qugs"][n].T @ k
+        p = qx - Qxus[n] @ k
+        ps[n] = p
+
+    if q:
+        dgamma = -np.linalg.solve(fac["Gamma"], qg)
+    else:
+        dgamma = np.zeros(0)
+
+    dw = np.zeros((M, nx + nu))
+    dlam = np.empty((M, nx))
+    dx = np.zeros(nx)
+    for n in range(M):
+        du = -(fac["Ks"][n] @ dx) - ks[n]
+        if q:
+            du = du - fac["Kgs"][n] @ dgamma
+        dw[n, :nx] = dx
+        dw[n, nx:] = du
+        dx = sub.A[n] @ dx + sub.B[n] @ du
+        lam_next = fac["Ps"][n + 1] @ dx + ps[n + 1]
+        if q:
+            lam_next = lam_next + fac["Lams"][n + 1] @ dgamma
+        dlam[n] = -lam_next
+    return dw, dx, dgamma, dlam
+
+
+def _random_subproblem(rng, nx, nu, q, M, terminal, uu_shift=0.0):
+    """A Gauss-Newton subproblem with random time-varying dynamics, stage
+    rows on a random layout, optional terminal rows and a global block of q
+    channels. uu_shift is added to the input block of the stage weights."""
+    nz = nx + nu
+    A = rng.normal(size=(M, nx, nx))
+    B = rng.normal(size=(M, nx, nu))
+    L = rng.normal(size=(M, nz, nz))
+    W = L @ L.transpose(0, 2, 1) / nz
+    W[:, nx:, nx:] += uu_shift * np.eye(nu)
+    m = 3
+    C = rng.normal(size=(M, m, nz))
+    G = rng.normal(size=(M, m, q)) if q else None
+
+    def stage_rows(xs, us):
+        vals = np.einsum("nmi,ni->nm", C, np.concatenate([xs, us], axis=1))
+        return vals - 1.0, C, G
+
+    Cx = rng.normal(size=(2, nx))
+    Cg = rng.normal(size=(2, q)) if q else None
+
+    def terminal_rows(x):
+        return Cx @ x - 1.0, Cx, Cg
+
+    Lg = rng.normal(size=(q, q))
+    kw = dict(n_gamma=q, gamma_weight=Lg @ Lg.T + np.eye(q),
+              gamma_lo=-np.ones(q), gamma_hi=np.ones(q)) if q else {}
+    nlp = NlpDescription(
+        nx=nx, nu=nu, horizon=M, x0=rng.normal(size=nx),
+        dyn_f=lambda n, x, u: A[n] @ x + B[n] @ u,
+        dyn_jac=lambda xs, us: (A, B),
+        cost_W=W, cost_ref=rng.normal(size=(M, nz)),
+        cost_P=np.eye(nx), cost_ref_M=rng.normal(size=nx),
+        stage_rows=stage_rows, stage_row_mask=rng.random((M, m)) < 0.7,
+        terminal_rows=terminal_rows if terminal else None, **kw)
+    us = rng.normal(size=(M, nu))
+    gamma = rng.uniform(-0.5, 0.5, q)
+    xs = sqp._rollout(nlp, us)
+    rows = sqp._Rows(nlp, sqp._Layout(nlp), xs, us, gamma)
+    return sqp._Subproblem(nlp, xs, us, gamma, rows, 1e2, SolverOptions())
+
+
+def _assert_sweeps_match_reference(sub, rng, D_max=1e2):
+    nlp, m = sub.nlp, sub.rows.n_rows
+    D = rng.uniform(1e-3 * D_max, D_max, m)
+    F = rng.normal(size=(nlp.horizon, nlp.nx + nlp.nu))
+    F_M = rng.normal(size=nlp.nx)
+    F_g = rng.normal(size=nlp.n_gamma)
+    e = rng.normal(size=m)
+
+    fac = sqp._factorize(sub, D)
+    ref = _reference_factorize(sub, D)
+    for key, want in ref.items():
+        got = fac[key]
+        assert (got is None) == (want is None), key
+        assert want is None or np.array_equal(got, want), key
+    got = sqp._backsolve(sub, fac, F, F_M, F_g, e)
+    want = _reference_backsolve(sub, ref, F, F_M, F_g, e)
+    for name, g, w in zip(("dw", "dx", "dgamma", "dlam"), got, want):
+        assert np.array_equal(g, w), name
+
+
+@given(nx=st.integers(1, 7), nu=st.sampled_from([1, 2]),
+       q=st.sampled_from([0, 1, 4]), M=st.integers(1, 40),
+       terminal=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_riccati_sweeps_equal_the_plain_loops_bit_for_bit(nx, nu, q, M,
+                                                          terminal, seed):
+    rng = np.random.default_rng(seed)
+    sub = _random_subproblem(rng, nx, nu, q, M, terminal)
+    _assert_sweeps_match_reference(sub, rng)
+
+
+@pytest.mark.parametrize("q", [0, 4])
+def test_riccati_sweeps_equal_the_plain_loops_on_an_indefinite_input_block(
+        q, monkeypatch):
+    # a negative input weight and tiny row weights leave Quu indefinite, so
+    # the 2x2 inverse takes its bump fallback
+    inverted = []
+    inv_pd = sqp._inv_pd
+
+    def spy(Q):
+        inverted.append(np.min(np.linalg.eigvalsh(0.5 * (Q + Q.T))))
+        return inv_pd(Q)
+    monkeypatch.setattr(sqp, "_inv_pd", spy)
+    rng = np.random.default_rng(11)
+    sub = _random_subproblem(rng, 3, 2, q, 12, True, uu_shift=-50.0)
+    _assert_sweeps_match_reference(sub, rng, D_max=1e-6)
+    assert min(inverted) < 0.0
