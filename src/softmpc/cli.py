@@ -7,6 +7,7 @@ closed loop and the offline labeling through this package's public API.
 from __future__ import annotations
 
 import argparse
+import configparser
 import json
 import os
 import sys
@@ -31,7 +32,7 @@ def _load_config(path: str):
     from .simkit import load_scenario
     try:
         return load_scenario(path)
-    except (FileNotFoundError, KeyError, ValueError) as exc:
+    except (FileNotFoundError, ValueError, configparser.Error) as exc:
         raise StageError("config", str(exc), EXIT_CONFIG)
 
 
@@ -66,27 +67,26 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     from .oracle import load_dataset
+    from .simkit import SURROGATE_DEFAULTS
     from .surrogate import LipschitzBudget, max_state_step, save_model, train_mode_model
     config = _load_config(args.config)
     mode, kind, _ = _mode_by_name(config, args.mode)
     thetas, feasible, slacks = load_dataset(args.data)
-    kw = config.surrogate_kw
-    dist_key = "max_disturbance_lon" if kind == "lon" else "max_disturbance_lat"
-    max_dist = float(kw.get(dist_key, 40.0))
-    step_bound = float(kw.get("max_state_step", 0.0))
+    kw = {**SURROGATE_DEFAULTS, **config.surrogate_kw}
+    step_bound = kw["max_state_step"]
     if step_bound <= 0.0:
         step_bound = max_state_step(config.params, config.horizon,
                                     config.params.v_max,
                                     n_samples=20_000, seed=args.seed)
-    budget = LipschitzBudget(max_disturbance=max_dist,
+    budget = LipschitzBudget(max_disturbance=kw[f"max_disturbance_{kind}"],
                              max_state_step=step_bound,
                              ceilings=mode.ceiling_vector())
     slacks_f = np.where(np.isnan(slacks), 0.0, slacks)
     t0 = time.perf_counter()
     model = train_mode_model(
         mode.name, mode.channels, mode.ceiling_vector(), thetas, feasible,
-        slacks_f, budget, hidden=tuple(kw.get("hidden", (64, 64))),
-        epochs=int(kw.get("epochs", 2000)), seed=args.seed)
+        slacks_f, budget, hidden=kw["hidden"], epochs=kw["epochs"],
+        seed=args.seed)
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     save_model(model, args.out)
     hist = model.train_history

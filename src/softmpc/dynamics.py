@@ -30,7 +30,7 @@ analytically through the RK4 stages for a whole horizon of points at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -240,16 +240,3 @@ def comfort_jacobians(x: np.ndarray, params: VehicleParams) -> tuple[np.ndarray,
     g_jy[..., IDX_ALPHA] = v * v * sec2 / l
     return g_ay, g_jy
 
-
-def params_from_config(section) -> VehicleParams:
-    """Build VehicleParams from a config mapping; all fields optional."""
-    base = VehicleParams()
-    names = {
-        "wheelbase": "wheelbase", "steer_w0": "steer_w0", "steer_w1": "steer_w1",
-        "accel_tc": "accel_tc", "e_y_max": "e_y_max", "e_psi_max": "e_psi_max",
-        "delta_max": "delta_max", "alpha_max": "alpha_max", "v_max": "v_max",
-        "accel_min": "accel_min", "accel_max": "accel_max",
-        "lat_accel_max": "lat_accel_max", "lat_jerk_max": "lat_jerk_max",
-    }
-    overrides = {attr: float(section[key]) for key, attr in names.items() if key in section}
-    return replace(base, **overrides)

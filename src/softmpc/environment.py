@@ -16,6 +16,13 @@ from .path import PathGeometry
 # sentinel for steps with an empty collision window: the longitudinal
 # constraints are vacuously satisfied there
 NO_BOUND = float("inf")
+# collision-window scan step along the path and bisection tolerance [m]
+SCAN_STEP = 0.5
+WINDOW_TOL = 1e-6
+# drift of a yield bound appearing where the previous cycle saw none [m]
+NEWBORN_CAP = 1e3
+# largest tightening that still counts as consistent [m]
+CONSISTENCY_TOL = 1e-7
 
 
 def lane_bounds(lane: str, lane_width: float) -> tuple[float, float]:
@@ -84,19 +91,15 @@ class DisturbanceProfile:
     def __len__(self) -> int:
         return int(self.yield_bound.size)
 
-    def any_blocked(self) -> bool:
-        return self.blocked is not None and bool(np.any(self.blocked))
-
 
 @dataclass(frozen=True)
 class ConsistencyDelta:
     """Step-wise drift of the constraint offsets between consecutive cycles.
 
-    Positive entries mean the environment became more restrictive than
-    predicted. rows: yield bound, corridor upper, corridor lower (as the
-    right-hand sides of the corresponding constraint rows).
+    Deltas are taken per step on the right-hand sides of the yield-bound,
+    corridor-upper and corridor-lower rows; positive ones mean the
+    environment became more restrictive than predicted.
     """
-    per_row: np.ndarray          # (3, overlap) deltas, +inf-free
     norm: float                  # Euclidean norm of the stacked finite deltas
     max_delta: float
     consistent: bool             # no row became more restrictive
@@ -135,21 +138,20 @@ def _box_distance(path: PathGeometry, s, lon_lo, lon_hi, lat_lo, lat_hi):
     return np.hypot(qx - px, qy - py)
 
 
-def collision_window(path: PathGeometry, reach: ReachableSet, d_safe: float,
-                     coarse: float = 0.5, refine_tol: float = 1e-6
+def collision_window(path: PathGeometry, reach: ReachableSet, d_safe: float
                      ) -> tuple[np.ndarray, tuple[int, int] | None]:
     """Per-step yield bound: smallest path coordinate within d_safe of the box.
 
     Steps whose box stays clear of the path carry NO_BOUND. The scan grid is
     anchored at the path start so repeated calls with nested boxes produce
-    monotone bounds; a bisection pass refines the entry point below the
-    stated tolerance, returning the conservative (lower) end.
+    monotone bounds; a bisection pass refines the entry point below
+    WINDOW_TOL, returning the conservative (lower) end.
     """
     if d_safe <= 0.0:
         raise ValueError("d_safe must be positive")
     n_steps = len(reach)
     bounds = np.full(n_steps, NO_BOUND)
-    grid = np.arange(path.s_min, path.s_max + coarse, coarse)
+    grid = np.arange(path.s_min, path.s_max + SCAN_STEP, SCAN_STEP)
     grid = grid[grid <= path.s_max]
 
     lo_ref = np.empty(n_steps)
@@ -161,11 +163,11 @@ def collision_window(path: PathGeometry, reach: ReachableSet, d_safe: float,
         lat_gap = 0.0 if lat_lo <= 0.0 <= lat_hi else min(abs(lat_lo), abs(lat_hi))
         if lat_gap > d_safe:
             continue
-        lo_s = max(path.s_min, lon_lo - d_safe - coarse)
-        hi_s = min(path.s_max, lon_hi + d_safe + coarse)
+        lo_s = max(path.s_min, lon_lo - d_safe - SCAN_STEP)
+        hi_s = min(path.s_max, lon_hi + d_safe + SCAN_STEP)
         if lo_s > hi_s:
             continue
-        sub = grid[(grid >= lo_s - coarse) & (grid <= hi_s + coarse)]
+        sub = grid[(grid >= lo_s - SCAN_STEP) & (grid <= hi_s + SCAN_STEP)]
         if sub.size == 0:
             continue
         inside = _box_distance(path, sub, lon_lo, lon_hi, lat_lo, lat_hi) <= d_safe
@@ -173,7 +175,7 @@ def collision_window(path: PathGeometry, reach: ReachableSet, d_safe: float,
         if not inside[idx]:
             continue
         hit = float(sub[idx])
-        lo = hit - coarse
+        lo = hit - SCAN_STEP
         if lo < path.s_min or float(
                 _box_distance(path, lo, lon_lo, lon_hi, lat_lo, lat_hi)) <= d_safe:
             bounds[k] = max(lo, path.s_min)
@@ -188,7 +190,7 @@ def collision_window(path: PathGeometry, reach: ReachableSet, d_safe: float,
         hi = hi_ref[act]
         lon_lo_a, lon_hi_a = reach.lon_lo[act], reach.lon_hi[act]
         lat_w = np.clip(0.0, reach.lat_lo[act], reach.lat_hi[act])
-        n_iter = int(math.ceil(math.log2(coarse / refine_tol))) + 1
+        n_iter = int(math.ceil(math.log2(SCAN_STEP / WINDOW_TOL))) + 1
         for _ in range(n_iter):
             mid = 0.5 * (lo + hi)
             w_lon = np.clip(mid, lon_lo_a, lon_hi_a)
@@ -234,14 +236,14 @@ def lane_corridor(reach: ReachableSet, ego_lane: str, lane_width: float
     return lo, hi, blocked
 
 
-def consistency_delta(prev: DisturbanceProfile, curr: DisturbanceProfile,
-                      newborn_cap: float = 1e3, tol: float = 1e-7) -> ConsistencyDelta:
+def consistency_delta(prev: DisturbanceProfile, curr: DisturbanceProfile
+                      ) -> ConsistencyDelta:
     """Drift of the constraint offsets from the previous cycle to this one.
 
     The previous profile is shifted by one step so entries refer to the same
     absolute time. Deltas are positive where a bound tightened. A yield bound
     appearing where the previous cycle saw none counts as a tightening capped
-    at newborn_cap; one disappearing counts as a (harmless) relaxation.
+    at NEWBORN_CAP; one disappearing counts as a (harmless) relaxation.
     """
     if len(prev) != len(curr):
         raise ValueError("profiles must share horizon length")
@@ -253,17 +255,17 @@ def consistency_delta(prev: DisturbanceProfile, curr: DisturbanceProfile,
     d_sig = np.zeros(prev_sig.size)
     d_sig[both] = prev_sig[both] - curr_sig[both]
     newborn = ~np.isfinite(prev_sig) & np.isfinite(curr_sig)
-    d_sig[newborn] = newborn_cap
+    d_sig[newborn] = NEWBORN_CAP
 
     # corridor rows: rhs are (hi, -lo)
     d_hi = prev.corridor_hi[1:m] - curr.corridor_hi[0:m - 1]
     d_lo = curr.corridor_lo[0:m - 1] - prev.corridor_lo[1:m]
 
-    per_row = np.stack([d_sig, d_hi, d_lo])
-    norm = float(np.linalg.norm(per_row))
-    max_delta = float(np.max(per_row)) if per_row.size else 0.0
-    return ConsistencyDelta(per_row=per_row, norm=norm, max_delta=max_delta,
-                            consistent=bool(max_delta <= tol))
+    deltas = np.stack([d_sig, d_hi, d_lo])
+    max_delta = float(np.max(deltas)) if deltas.size else 0.0
+    return ConsistencyDelta(norm=float(np.linalg.norm(deltas)),
+                            max_delta=max_delta,
+                            consistent=bool(max_delta <= CONSISTENCY_TOL))
 
 
 def nominal_profile(horizon: int, lane_width: float, ego_lane: str = "right"

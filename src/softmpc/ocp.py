@@ -51,6 +51,13 @@ class HorizonConfig:
             raise ValueError("t_s must be positive")
 
 
+# stage weights on the state and on the input
+COST_Q = (0.0, 5.0, 10.0, 1.0, 1.0, 2.0, 1.0)
+COST_R = (10.0, 5.0)
+# keeps the zero-weighted position mode detectable in the terminal Riccati
+DETECT_REG = 1e-6
+
+
 @dataclass(frozen=True)
 class CostWeights:
     """Quadratic tracking weights; terminal matrix from decoupled LQR."""
@@ -59,19 +66,9 @@ class CostWeights:
     P: np.ndarray
     K: np.ndarray        # terminal LQR gain (u = -K (x - ref)), for analysis
 
-    @staticmethod
-    def default_q() -> np.ndarray:
-        return np.diag([0.0, 5.0, 10.0, 1.0, 1.0, 2.0, 1.0])
-
-    @staticmethod
-    def default_r() -> np.ndarray:
-        return np.diag([10.0, 5.0])
-
 
 def terminal_weights(path: PathGeometry, params: VehicleParams, t_s: float,
-                     v_ref: float, Q: np.ndarray | None = None,
-                     R: np.ndarray | None = None,
-                     detect_reg: float = 1e-6) -> CostWeights:
+                     v_ref: float) -> CostWeights:
     """Terminal cost from two decoupled discrete Riccati solutions.
 
     The model linearized at the straight-path reference decouples into a
@@ -80,8 +77,8 @@ def terminal_weights(path: PathGeometry, params: VehicleParams, t_s: float,
     diagonal regularization keeps the (possibly zero-weighted) position mode
     detectable, which preserves the Lyapunov decrease for the original Q.
     """
-    Q = CostWeights.default_q() if Q is None else np.asarray(Q, dtype=float)
-    R = CostWeights.default_r() if R is None else np.asarray(R, dtype=float)
+    Q = np.diag(COST_Q)
+    R = np.diag(COST_R)
 
     x_ref = dyn.state(s=max(path.s_min + 1.0, 1.0), v=v_ref)
     A, B = (J[0] for J in dyn.jacobians(x_ref[None], np.zeros((1, NU)),
@@ -94,7 +91,7 @@ def terminal_weights(path: PathGeometry, params: VehicleParams, t_s: float,
     for idx, u_col in ((lon, 1), (lat, 0)):
         A_b = A[np.ix_(idx, idx)]
         B_b = B[np.ix_(idx, [u_col])]
-        Q_b = Q[np.ix_(idx, idx)] + detect_reg * np.eye(len(idx))
+        Q_b = Q[np.ix_(idx, idx)] + DETECT_REG * np.eye(len(idx))
         R_b = R[u_col:u_col + 1, u_col:u_col + 1]
         P_b = scipy.linalg.solve_discrete_are(A_b, B_b, Q_b, R_b)
         K_b = np.linalg.solve(R_b + B_b.T @ P_b @ B_b, B_b.T @ P_b @ A_b)
@@ -278,20 +275,24 @@ NOMINAL_MODE = RelaxationMode(name="nominal", priority=0, relax={}, ceilings={})
 # ---------------------------------------------------------------------------
 
 
+# deceleration of the reference beyond the cost horizon [m/s^2]
+BRAKE_DECEL = 2.5
+
+
 def build_reference(x0_s: float, v_ref: float, e_y_ref: float,
-                    horizon: HorizonConfig, params: VehicleParams,
-                    brake_decel: float = 2.5) -> tuple[np.ndarray, np.ndarray]:
+                    horizon: HorizonConfig, params: VehicleParams
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Per-step reference over the horizon: cruise, then a comfortable stop.
 
     Within the cost horizon the reference cruises at v_ref; beyond it the
-    speed ramps down at brake_decel so the standstill terminal set stays
+    speed ramps down at BRAKE_DECEL so the standstill terminal set stays
     inside the stabilizing tube. Returns (x_refs (M+1, NX), u_refs (M, NU)).
     """
     M, N, t_s = horizon.n_constraint, horizon.n_cost, horizon.t_s
     v = np.empty(M + 1)
     v[:N + 1] = v_ref
     for n in range(N, M):
-        v[n + 1] = max(v[n] - brake_decel * t_s, 0.0)
+        v[n + 1] = max(v[n] - BRAKE_DECEL * t_s, 0.0)
     s = x0_s + np.concatenate([[0.0], np.cumsum(0.5 * (v[1:] + v[:-1]) * t_s)])
     a = np.concatenate([np.diff(v) / t_s, [0.0]])
     x_refs = np.zeros((M + 1, NX))

@@ -58,6 +58,10 @@ ORACLE_SOLVER_OPTS = SolverOptions(penalty_init=1e4, penalty_max=1e4,
                                    tol_complementarity=1e-6)
 
 
+# the decoupled subsystems a slack problem can run on
+TEMPLATE_KINDS = ("lon", "lat")
+
+
 @dataclass(frozen=True)
 class ScenarioTemplate:
     """Canonical placement of the collision window for one scenario family.
@@ -76,7 +80,7 @@ class ScenarioTemplate:
     lane_width: float = 3.5
 
     def __post_init__(self):
-        if self.kind not in ("lon", "lat"):
+        if self.kind not in TEMPLATE_KINDS:
             raise ValueError("template kind must be 'lon' or 'lat'")
 
     @property

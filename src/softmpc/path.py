@@ -12,6 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# default arc-length spacing of the samples [m]
+SPACING = 0.5
+
+
 class PathRangeError(ValueError):
     """Arc length outside the sampled interval."""
 
@@ -105,30 +109,28 @@ class PathGeometry:
         return x - lateral * np.sin(h), y + lateral * np.cos(h)
 
 
-def straight_path(length: float, spacing: float = 0.5, lane_width: float = 3.5,
-                  heading: float = 0.0, origin: tuple[float, float] = (0.0, 0.0)) -> PathGeometry:
-    """Straight path starting at origin with constant heading."""
-    n = max(int(round(length / spacing)) + 1, 2)
+def straight_path(length: float, lane_width: float = 3.5) -> PathGeometry:
+    """Straight path along the x axis from the origin."""
+    n = max(int(round(length / SPACING)) + 1, 2)
     s = np.linspace(0.0, length, n)
-    xy = np.stack([origin[0] + s * math.cos(heading),
-                   origin[1] + s * math.sin(heading)], axis=1)
-    return PathGeometry(s=s, xy=xy, heading=np.full(n, heading),
-                        curvature=np.zeros(n), lane_width=lane_width)
+    return PathGeometry(s=s, xy=np.stack([s, np.zeros(n)], axis=1),
+                        heading=np.zeros(n), curvature=np.zeros(n),
+                        lane_width=lane_width)
 
 
-def circular_path(radius: float, arc: float, spacing: float = 0.5,
-                  lane_width: float = 3.5) -> PathGeometry:
+def circular_path(radius: float, arc: float,
+                  spacing: float = SPACING) -> PathGeometry:
     """Counter-clockwise circle of given radius, starting at (R, 0) heading +Y."""
     n = max(int(round(arc / spacing)) + 1, 2)
     s = np.linspace(0.0, arc, n)
     ang = s / radius
     xy = np.stack([radius * np.cos(ang), radius * np.sin(ang)], axis=1)
     return PathGeometry(s=s, xy=xy, heading=ang + math.pi / 2.0,
-                        curvature=np.full(n, 1.0 / radius), lane_width=lane_width)
+                        curvature=np.full(n, 1.0 / radius))
 
 
-def clothoid_path(length: float, curv_rate: float, spacing: float = 0.5,
-                  lane_width: float = 3.5) -> PathGeometry:
+def clothoid_path(length: float, curv_rate: float,
+                  spacing: float = SPACING) -> PathGeometry:
     """Clothoid (linearly growing curvature) integrated at the sample spacing."""
     n = max(int(round(length / spacing)) + 1, 2)
     s = np.linspace(0.0, length, n)
@@ -138,4 +140,4 @@ def clothoid_path(length: float, curv_rate: float, spacing: float = 0.5,
     cx = np.concatenate([[0.0], np.cumsum(0.5 * (np.cos(heading[1:]) + np.cos(heading[:-1])) * np.diff(s))])
     cy = np.concatenate([[0.0], np.cumsum(0.5 * (np.sin(heading[1:]) + np.sin(heading[:-1])) * np.diff(s))])
     return PathGeometry(s=s, xy=np.stack([cx, cy], axis=1), heading=heading,
-                        curvature=kappa, lane_width=lane_width)
+                        curvature=kappa)

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import configparser
 import csv
+import functools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -23,11 +24,11 @@ from . import dynamics as dyn
 from . import ocp, plots
 from .controller import (BRANCH_FAILURE, BRANCH_NOMINAL, ModeRuntime,
                          PriorityController)
-from .dynamics import VehicleParams, params_from_config
+from .dynamics import VehicleParams
 from .environment import RoadUserState, build_profile
-from .oracle import ScenarioTemplate
-from .path import PathGeometry, straight_path
-from .surrogate import load_model
+from .oracle import TEMPLATE_KINDS, ScenarioTemplate
+from .path import straight_path
+from .surrogate import DEFAULT_EPOCHS, DEFAULT_HIDDEN, load_model
 
 
 @dataclass
@@ -114,7 +115,6 @@ class ScenarioConfig:
     `duration` (see `CutInSpec`)."""
     name: str = "scenario"
     duration: float = 15.0
-    seed: int = 7
     v_ref: float = 20.0
     ego_s0: float = 0.0
     ego_v0: float = 20.0
@@ -160,15 +160,77 @@ def _parse_kv_list(text: str) -> dict:
     return out
 
 
-INI_SECTIONS = ("scenario", "vehicle", "horizon", "prediction", "stack",
-                "surrogate", "data")      # plus one mode.<name> per mode
+def _defaults(cls) -> dict:
+    """Field name -> default of the dataclass fields that have a plain one."""
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+
+
+def _parse(text: str, like):
+    """An INI value as the type of the default `like`: a bool, an int, a
+    float, a comma-separated tuple of ints, or else the text itself."""
+    if isinstance(like, bool):
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    if isinstance(like, (int, float)):
+        return type(like)(text)
+    if isinstance(like, tuple):
+        return tuple(int(v) for v in text.split(","))
+    return text
+
+
+def _read(cp, filename: str, section: str, schema: dict) -> dict:
+    """The keys set in `section`, each parsed as the type of its default in
+    `schema`; a key outside the schema raises ValueError."""
+    out = {}
+    for key, text in cp.items(section) if cp.has_section(section) else ():
+        if key not in schema:
+            raise ValueError(f"{filename}: unknown key {key!r} in [{section}]; "
+                             f"known keys are {', '.join(schema) or 'none'}")
+        try:
+            out[key] = _parse(text, schema[key])
+        except (KeyError, ValueError):
+            raise ValueError(f"{filename}: [{section}] {key} = {text!r} is "
+                             f"not a {type(schema[key]).__name__}") from None
+    return out
+
+
+# [surrogate] keys, read by `softmpc train`, with their defaults
+SURROGATE_DEFAULTS = {"max_disturbance_lon": 40.0, "max_disturbance_lat": 40.0,
+                      "max_state_step": 0.0, "hidden": DEFAULT_HIDDEN,
+                      "epochs": DEFAULT_EPOCHS}
+_RU_KEYS = {f"ru_{k}": v for k, v in _defaults(CutInSpec).items()}
+_SCALARS = {k: v for k, v in _defaults(ScenarioConfig).items()
+            if not isinstance(v, tuple)}
+_EPS0, _EPS1 = ScenarioConfig.growth
+# the keys of each section with a fixed key set, and their defaults
+_SCHEMAS = {
+    "scenario": {**_RU_KEYS, **_SCALARS},
+    "vehicle": _defaults(VehicleParams),
+    "horizon": _defaults(ocp.HorizonConfig),
+    "prediction": {"eps0": _EPS0, "eps1": _EPS1,
+                   "d_safe": ocp.ConstraintStack.d_safe},
+    "stack": {k: v for k, v in _defaults(ocp.ConstraintStack).items()
+              if k != "d_safe"},
+    "surrogate": SURROGATE_DEFAULTS,
+}
+INI_SECTIONS = (*_SCHEMAS, "data")      # plus one mode.<name> per mode
+_MODE_DEFAULTS = {"priority": 0, "template": "lon", "relax": "",
+                  "ceilings": "", "drop": "", "model": ""}
 
 
 def load_scenario(filename: str) -> ScenarioConfig:
-    """Scenario configuration from an INI file (see configs/ for examples)."""
+    """Scenario configuration from an INI file (see configs/ for examples).
+
+    Keys set dataclass fields by name, each value parsed as the type of the
+    field's default; any other key raises ValueError. [scenario]: ru_<f>
+    sets CutInSpec.f, the other keys the scalar fields of ScenarioConfig.
+    [vehicle], [horizon]: the fields of VehicleParams, ocp.HorizonConfig.
+    [prediction]: eps0, eps1 (the growth) and d_safe. [stack]: the other
+    fields of ocp.ConstraintStack. [surrogate]: SURROGATE_DEFAULTS. [data]:
+    one dataset size per mode name. [mode.<name>]: priority (required),
+    template (lon or lat), relax and ceilings (k:v lists), drop, model.
+    """
     cp = configparser.ConfigParser()
-    read = cp.read(filename)
-    if not read:
+    if not cp.read(filename):
         raise FileNotFoundError(filename)
     unknown = [s for s in cp.sections()
                if s not in INI_SECTIONS and not s.startswith("mode.")]
@@ -177,82 +239,49 @@ def load_scenario(filename: str) -> ScenarioConfig:
                          + ", ".join(f"[{s}]" for s in unknown)
                          + "; known are " + ", ".join(f"[{s}]" for s in INI_SECTIONS)
                          + " and [mode.<name>]")
+    if cp.has_option("stack", "d_safe"):
+        raise ValueError(f"{filename}: d_safe belongs in [prediction], "
+                         "not [stack]")
     base = os.path.dirname(os.path.abspath(filename))
+    read = functools.partial(_read, cp, filename)
+    got = {section: read(section, schema) for section, schema in _SCHEMAS.items()}
 
-    sc = cp["scenario"] if "scenario" in cp else {}
-    cut = CutInSpec(
-        initial_gap=float(sc.get("ru_initial_gap", 45.0)),
-        initial_lat=float(sc.get("ru_initial_lat", 3.5)),
-        target_lat=float(sc.get("ru_target_lat", 0.0)),
-        speed=float(sc.get("ru_speed", 20.0)),
-        cut_start=float(sc.get("ru_cut_start", 2.0)),
-        cut_duration=float(sc.get("ru_cut_duration", 1.5)),
-        post_cut_speed=float(sc.get("ru_post_cut_speed", 12.0)),
-        post_cut_decel=float(sc.get("ru_post_cut_decel", 4.0)))
-    params = params_from_config(cp["vehicle"]) if "vehicle" in cp else VehicleParams()
-    hz = cp["horizon"] if "horizon" in cp else {}
-    horizon = ocp.HorizonConfig(
-        n_cost=int(hz.get("n_cost", 20)),
-        n_constraint=int(hz.get("n_constraint", 100)),
-        t_s=float(hz.get("t_s", 0.1)))
-    pred = cp["prediction"] if "prediction" in cp else {}
-    growth = (float(pred.get("eps0", 0.25)), float(pred.get("eps1", 0.3)))
-    stack_kw = {}
-    if "stack" in cp:
-        st = cp["stack"]
-        for key in ("t_gap", "d_safe", "a_req_comfort_min"):
-            if key in st:
-                stack_kw[key] = float(st[key])
-    if "d_safe" in pred:
-        stack_kw.setdefault("d_safe", float(pred["d_safe"]))
-    surrogate_kw = {}
-    if "surrogate" in cp:
-        for key, val in cp["surrogate"].items():
-            if key == "hidden":
-                surrogate_kw[key] = tuple(int(v) for v in val.split(","))
-            elif key in ("epochs",):
-                surrogate_kw[key] = int(val)
-            else:
-                surrogate_kw[key] = float(val)
-    data_counts = {}
-    if "data" in cp:
-        for key, val in cp["data"].items():
-            data_counts[key.upper()] = int(val)
+    def path_in_base(name: str) -> str:
+        return os.path.join(base, name) if name else name
 
     mode_specs = []
     for section in cp.sections():
         if not section.startswith("mode."):
             continue
-        ms = cp[section]
-        name = section.split(".", 1)[1]
-        relax = {k: v for k, v in _parse_kv_list(ms.get("relax", "")).items()}
-        ceilings = {k: float(v) for k, v in _parse_kv_list(ms.get("ceilings", "")).items()}
-        drop = tuple(v.strip() for v in ms.get("drop", "").split(",") if v.strip())
-        mode = ocp.RelaxationMode(name=name, priority=int(ms["priority"]),
-                                  relax=relax, ceilings=ceilings, drop=drop)
-        model_file = ms.get("model", "")
-        if model_file and not os.path.isabs(model_file):
-            model_file = os.path.join(base, model_file)
-        mode_specs.append((mode, ms.get("template", "lon"), model_file))
+        if not cp.has_option(section, "priority"):
+            raise ValueError(f"{filename}: [{section}] needs a priority")
+        ms = {**_MODE_DEFAULTS, **read(section, _MODE_DEFAULTS)}
+        if ms["template"] not in TEMPLATE_KINDS:
+            raise ValueError(f"{filename}: [{section}] template = "
+                             f"{ms['template']!r}; known templates are "
+                             + ", ".join(TEMPLATE_KINDS))
+        mode = ocp.RelaxationMode(
+            name=section.split(".", 1)[1], priority=ms["priority"],
+            relax=_parse_kv_list(ms["relax"]),
+            ceilings={k: float(v) for k, v in _parse_kv_list(ms["ceilings"]).items()},
+            drop=tuple(v.strip() for v in ms["drop"].split(",") if v.strip()))
+        mode_specs.append((mode, ms["template"], path_in_base(ms["model"])))
+    data = read("data", {m.name.lower(): 0 for m, _, _ in mode_specs})
 
-    ru_file = sc.get("ru_file", "")
-    if ru_file and not os.path.isabs(ru_file):
-        ru_file = os.path.join(base, ru_file)
-
+    sc, pred = got["scenario"], got["prediction"]
+    sc.setdefault("name", os.path.splitext(os.path.basename(filename))[0])
+    sc["ru_file"] = path_in_base(sc.get("ru_file", "")) or None
+    stack_kw = got["stack"]
+    if "d_safe" in pred:
+        stack_kw["d_safe"] = pred["d_safe"]
     return ScenarioConfig(
-        name=sc.get("name", os.path.splitext(os.path.basename(filename))[0]),
-        duration=float(sc.get("duration", 15.0)),
-        seed=int(sc.get("seed", 7)),
-        v_ref=float(sc.get("v_ref", 20.0)),
-        ego_s0=float(sc.get("ego_s0", 0.0)),
-        ego_v0=float(sc.get("ego_v0", 20.0)),
-        path_length=float(sc.get("path_length", 800.0)),
-        lane_width=float(sc.get("lane_width", 3.5)),
-        evasive=sc.get("evasive", "false").strip().lower() in ("1", "true", "yes"),
-        with_ru=sc.get("with_ru", "true").strip().lower() in ("1", "true", "yes"),
-        cut_in=cut, ru_file=ru_file or None, growth=growth, params=params,
-        horizon=horizon, stack_kw=stack_kw,
-        surrogate_kw=surrogate_kw, data_counts=data_counts,
+        **{k: v for k, v in sc.items() if k in _SCALARS},
+        cut_in=CutInSpec(**{k[3:]: v for k, v in sc.items() if k in _RU_KEYS}),
+        growth=(pred.get("eps0", _EPS0), pred.get("eps1", _EPS1)),
+        params=VehicleParams(**got["vehicle"]),
+        horizon=ocp.HorizonConfig(**got["horizon"]),
+        stack_kw=stack_kw, surrogate_kw=got["surrogate"],
+        data_counts={k.upper(): v for k, v in data.items()},
         mode_specs=mode_specs)
 
 
@@ -267,8 +296,8 @@ def scenario_template(config: ScenarioConfig, kind: str) -> ScenarioTemplate:
                             lane_width=config.lane_width)
 
 
-def build_controller(config: ScenarioConfig, use_oracle: bool = False,
-                     models: dict | None = None) -> PriorityController:
+def build_controller(config: ScenarioConfig,
+                     use_oracle: bool = False) -> PriorityController:
     path = straight_path(config.path_length, lane_width=config.lane_width)
     stack = scenario_stack(config)
     weights = ocp.terminal_weights(path, config.params, config.horizon.t_s,
@@ -277,9 +306,7 @@ def build_controller(config: ScenarioConfig, use_oracle: bool = False,
     for mode, kind, model_file in config.mode_specs:
         model = None
         if not use_oracle:
-            if models and mode.name in models:
-                model = models[mode.name]
-            elif model_file:
+            if model_file:
                 model = load_model(model_file)
             else:
                 raise FileNotFoundError(f"no model for mode {mode.name}")
@@ -312,17 +339,17 @@ class SimLog:
     delta_norms: np.ndarray
     controller_times: np.ndarray
     failed: bool
+    t_s: float                  # sampling time, the deadline of each cycle
     decisions: list = field(default_factory=list)   # raw log records
 
     def __len__(self):
         return self.t.size
 
 
-def run(config: ScenarioConfig, use_oracle: bool = False,
-        models: dict | None = None) -> SimLog:
+def run(config: ScenarioConfig, use_oracle: bool = False) -> SimLog:
     """Closed-loop simulation of one scenario."""
     path = straight_path(config.path_length, lane_width=config.lane_width)
-    controller = build_controller(config, use_oracle=use_oracle, models=models)
+    controller = build_controller(config, use_oracle=use_oracle)
     if config.ru_file:
         ru_truth = CsvTrajectory(config.ru_file)
     else:
@@ -392,7 +419,7 @@ def run(config: ScenarioConfig, use_oracle: bool = False,
                   a_y=a_y, j_y=j_y, hard_residuals=hard_res,
                   soft_residuals=soft_res, consistent=consistent,
                   delta_norms=delta_norms, controller_times=ctrl_times,
-                  failed=failed, decisions=decisions)
+                  failed=failed, t_s=t_s, decisions=decisions)
 
 
 def metrics(log: SimLog) -> dict:
@@ -418,15 +445,9 @@ def metrics(log: SimLog) -> dict:
         "mean_controller_time": float(np.mean(log.controller_times)),
         "p95_controller_time": float(np.percentile(log.controller_times, 95)),
         "max_controller_time": float(np.max(log.controller_times)),
-        # a cycle's deadline is the sampling time of the log's time grid
-        "deadline_misses": int(np.sum(log.controller_times > _grid_step(log))),
+        "deadline_misses": int(np.sum(log.controller_times > log.t_s)),
         "transitions": sum(a != b for a, b in zip(log.branches, log.branches[1:])),
     }
-
-
-# a one-step log has no time grid and reads the shipped configs' 0.1 s
-def _grid_step(log: SimLog) -> float:
-    return log.t[1] - log.t[0] if len(log) > 1 else 0.1
 
 
 def _branch_bands(log: SimLog):
@@ -434,13 +455,12 @@ def _branch_bands(log: SimLog):
     bands = []
     start = None
     current = None
-    t_s = _grid_step(log)
     for k, b in enumerate(log.branches + [BRANCH_NOMINAL]):
         if b != current:
             if current not in (None, BRANCH_NOMINAL):
-                bands.append((current, start, k * t_s))
+                bands.append((current, start, k * log.t_s))
             current = b
-            start = k * t_s
+            start = k * log.t_s
     return bands
 
 

@@ -19,6 +19,12 @@ import numpy as np
 
 DEFAULT_HIDDEN = (64, 64)
 DEFAULT_EPOCHS = 2000
+# full-batch gradient descent: initial rate, momentum, weight decay, and the
+# fraction of the initial rate the exponential decay reaches at the end
+LEARNING_RATE = 3e-3
+MOMENTUM = 0.9
+WEIGHT_DECAY = 1e-6
+LR_FLOOR_FRAC = 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -112,22 +118,21 @@ class DenseNet:
             self.biases[i] = self.biases[i] * cum
 
 
-def _train(net: DenseNet, x, y, grad_fn, epochs, lr, momentum=0.9,
-           weight_decay=1e-6, lr_floor_frac=0.01):
+def _train(net: DenseNet, x, y, grad_fn, epochs):
     """Full-batch gradient descent with momentum and exponential lr decay."""
     vel_W = [np.zeros_like(W) for W in net.weights]
     vel_b = [np.zeros_like(b) for b in net.biases]
     n = x.shape[0]
-    decay = lr_floor_frac ** (1.0 / max(epochs - 1, 1))
-    rate = lr
+    decay = LR_FLOOR_FRAC ** (1.0 / max(epochs - 1, 1))
+    rate = LEARNING_RATE
     for _ in range(epochs):
         acts, pre = net.forward_cached(x)
         g_out = grad_fn(acts[-1], y) / n
         gW, gb = net.backward(acts, pre, g_out)
         for i in range(net.n_layers):
-            gW[i] += weight_decay * net.weights[i]
-            vel_W[i] = momentum * vel_W[i] - rate * gW[i]
-            vel_b[i] = momentum * vel_b[i] - rate * gb[i]
+            gW[i] += WEIGHT_DECAY * net.weights[i]
+            vel_W[i] = MOMENTUM * vel_W[i] - rate * gW[i]
+            vel_b[i] = MOMENTUM * vel_b[i] - rate * gb[i]
             net.weights[i] += vel_W[i]
             net.biases[i] += vel_b[i]
         rate *= decay
@@ -186,12 +191,10 @@ class SurrogateModel:
     def infer(self, theta: np.ndarray):
         """(clamped slack, infeasibility flag, classifier score) for one
         input; the flag is score >= threshold."""
-        z = self.normalize(np.asarray(theta, dtype=float))
-        raw = self.regressor.forward(z[None, :])[0]
-        slack = np.clip(raw, 0.0, self.ceilings)
-        score = _sigmoid(self.classifier.forward(z[None, :])[0, 0])
-        infeasible = bool(score >= self.threshold)
-        return slack, infeasible, score
+        thetas = np.asarray(theta, dtype=float)[None]
+        score = self.classify_score(thetas)[0]
+        return (self.predict_slack(thetas)[0], bool(score >= self.threshold),
+                score)
 
     def classify_score(self, thetas: np.ndarray) -> np.ndarray:
         return _sigmoid(self.classifier.forward(self.normalize(thetas))[:, 0])
@@ -221,8 +224,7 @@ def _splits(n: int, seed: int):
 
 
 def train_regressor(thetas, slacks, feasible, budget: LipschitzBudget,
-                    hidden=DEFAULT_HIDDEN, epochs=DEFAULT_EPOCHS,
-                    lr=3e-3, seed=0):
+                    hidden=DEFAULT_HIDDEN, epochs=DEFAULT_EPOCHS, seed=0):
     """Fit the slack regressor on feasible samples and certify it.
 
     Returns (net, shift, scale, eps, stats). eps is the validation max
@@ -257,7 +259,7 @@ def train_regressor(thetas, slacks, feasible, budget: LipschitzBudget,
     def grad_mse(out, target):
         return 2.0 * (out - target)
 
-    _train(net, xn[i_tr], yn[i_tr], grad_mse, epochs, lr)
+    _train(net, xn[i_tr], yn[i_tr], grad_mse, epochs)
     net.weights[-1] = net.weights[-1] * y_scale[:, None]
     net.biases[-1] = net.biases[-1] * y_scale + y_shift
 
@@ -292,8 +294,7 @@ def train_regressor(thetas, slacks, feasible, budget: LipschitzBudget,
 
 
 def train_classifier(thetas, feasible, hidden=DEFAULT_HIDDEN,
-                     epochs=DEFAULT_EPOCHS, lr=3e-3, seed=0,
-                     shift=None, scale=None):
+                     epochs=DEFAULT_EPOCHS, seed=0, shift=None, scale=None):
     """Fit the infeasibility classifier; calibrate the score threshold so
     no validation sample is predicted feasible while actually infeasible."""
     x = np.asarray(thetas, dtype=float)
@@ -315,7 +316,7 @@ def train_classifier(thetas, feasible, hidden=DEFAULT_HIDDEN,
     def grad_bce(out, target):
         return _sigmoid(out) - target
 
-    _train(net, xn[i_tr], labels[i_tr][:, None], grad_bce, epochs, lr)
+    _train(net, xn[i_tr], labels[i_tr][:, None], grad_bce, epochs)
 
     score_va = _sigmoid(net.forward(xn[i_va])[:, 0])
     infeas_va = labels[i_va] > 0.5
@@ -341,12 +342,12 @@ def train_classifier(thetas, feasible, hidden=DEFAULT_HIDDEN,
 
 def train_mode_model(mode_name, channels, ceilings, thetas, feasible, slacks,
                      budget: LipschitzBudget, hidden=DEFAULT_HIDDEN,
-                     epochs=DEFAULT_EPOCHS, lr=3e-3, seed=0) -> SurrogateModel:
+                     epochs=DEFAULT_EPOCHS, seed=0) -> SurrogateModel:
     """Train the regressor/classifier pair for one relaxation mode."""
     reg, shift, scale, eps, reg_stats = train_regressor(
-        thetas, slacks, feasible, budget, hidden, epochs, lr, seed)
+        thetas, slacks, feasible, budget, hidden, epochs, seed)
     clf, _, _, threshold, clf_stats = train_classifier(
-        thetas, feasible, hidden, epochs, lr, seed, shift=shift, scale=scale)
+        thetas, feasible, hidden, epochs, seed, shift=shift, scale=scale)
     model = SurrogateModel(
         mode_name=mode_name, channels=tuple(channels),
         ceilings=np.asarray(ceilings, dtype=float),

@@ -204,10 +204,3 @@ def test_comfort_jacobians_match_fd():
             ay_m, jy_m = comfort_quantities(x - dx, PARAMS)
             assert g_ay[j] == pytest.approx((ay_p - ay_m) / (2 * h), abs=1e-5)
             assert g_jy[j] == pytest.approx((jy_p - jy_m) / (2 * h), abs=1e-5)
-
-
-def test_params_from_config_mapping():
-    params = dyn.params_from_config({"wheelbase": "3.1", "v_max": "40"})
-    assert params.wheelbase == 3.1
-    assert params.v_max == 40.0
-    assert params.steer_w0 == 15.0  # default retained

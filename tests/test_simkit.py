@@ -1,6 +1,8 @@
 import copy
+import dataclasses
 import json
 import math
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -20,7 +22,7 @@ def _small_config(**kw):
                               relax={"g_follow": "delta_g"},
                               ceilings={"delta_g": 30.0})
     defaults = dict(
-        name="mini", duration=3.0, seed=1, v_ref=7.0, ego_v0=7.0,
+        name="mini", duration=3.0, v_ref=7.0, ego_v0=7.0,
         path_length=400.0,
         horizon=ocp.HorizonConfig(n_cost=8, n_constraint=40, t_s=0.1),
         cut_in=CutInSpec(initial_gap=50.0, initial_lat=0.0, target_lat=0.0,
@@ -130,26 +132,37 @@ def test_metrics_shapes_and_recomputation():
     assert m["min_gap"] == pytest.approx(float(np.min(gaps[np.isfinite(gaps)])))
 
 
+def _timed_log(times, t_s, branches):
+    """A log of len(times) cycles that took `times` seconds each."""
+    n = len(times)
+    zeros = np.zeros(n)
+    return SimLog(t=t_s * np.arange(n), states=np.zeros((n, dyn.NX)),
+                  inputs=np.zeros((n, dyn.NU)), branches=branches,
+                  slacks=[{}] * n, sigma=np.full(n, np.inf),
+                  corridor_lo=zeros, corridor_hi=zeros, ru_lon=zeros,
+                  ru_lat=zeros, a_y=zeros, j_y=zeros, hard_residuals=zeros,
+                  soft_residuals=zeros, consistent=np.ones(n, dtype=bool),
+                  delta_norms=zeros, controller_times=np.asarray(times),
+                  failed="failure" in branches, t_s=t_s)
+
+
 def test_metrics_deadline_percentile_and_transitions():
     # six 50 ms cycles: two over the 50 ms deadline, one exactly on it
-    n = 6
-    times = np.array([0.01, 0.06, 0.05, 0.02, 0.09, 0.03])
-    zeros = np.zeros(n)
-    log = SimLog(t=0.05 * np.arange(n), states=np.zeros((n, dyn.NX)),
-                 inputs=np.zeros((n, dyn.NU)),
-                 branches=["nominal", "E1", "E1", "nominal", "failure",
-                           "failure"],
-                 slacks=[{}] * n, sigma=np.full(n, np.inf),
-                 corridor_lo=zeros, corridor_hi=zeros, ru_lon=zeros,
-                 ru_lat=zeros, a_y=zeros, j_y=zeros, hard_residuals=zeros,
-                 soft_residuals=zeros, consistent=np.ones(n, dtype=bool),
-                 delta_norms=zeros, controller_times=times, failed=True)
+    times = [0.01, 0.06, 0.05, 0.02, 0.09, 0.03]
+    log = _timed_log(times, 0.05, ["nominal", "E1", "E1", "nominal",
+                                   "failure", "failure"])
     m = metrics(log)
     assert m["deadline_misses"] == 2
     assert m["transitions"] == 3
     # linear interpolation between the two largest times
     assert m["p95_controller_time"] == pytest.approx(0.06 + 0.75 * 0.03)
     assert m["max_controller_time"] == 0.09
+
+
+def test_one_cycle_log_uses_the_run_sampling_time():
+    # a single cycle has no time grid; its deadline is still the run's t_s
+    m = metrics(_timed_log([0.07], 0.05, ["nominal"]))
+    assert m["deadline_misses"] == 1
 
 
 def test_log_csv_round_trip(tmp_path):
@@ -271,3 +284,137 @@ def test_observer_matching_truth_keeps_deltas_zero():
     config = _small_config(growth=(0.0, 0.0))
     log = run(config, use_oracle=True)
     np.testing.assert_allclose(log.delta_norms[1:], 0.0, atol=1e-9)
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS)))
+def test_shipped_config_loads_and_builds_an_oracle_controller(name):
+    config = load_scenario(os.path.join(CONFIGS, name))
+    assert config.name == os.path.splitext(name)[0]
+    assert config.mode_specs
+    controller = simkit.build_controller(config, use_oracle=True)
+    assert [rt.mode.name for rt in controller.modes] == [
+        mode.name for mode, _, _ in config.mode_specs]
+
+
+_VALID_INI = """
+[scenario]
+duration = 2.0
+
+[vehicle]
+
+[horizon]
+
+[prediction]
+
+[stack]
+
+[surrogate]
+
+[data]
+e1 = 10
+
+[mode.E1]
+priority = 1
+relax = g_follow:delta_g
+ceilings = delta_g:25
+"""
+
+
+def _write_ini(tmp_path, text) -> str:
+    ini = tmp_path / "s.ini"
+    ini.write_text(text)
+    return str(ini)
+
+
+def _simulate_ini(tmp_path, text):
+    from softmpc import cli
+    return cli.main(["simulate", "--config", _write_ini(tmp_path, text),
+                     "--oracle", "--out", str(tmp_path / "out")])
+
+
+def _with_line(section, line):
+    """_VALID_INI with `line` appended to `section`."""
+    head = f"[{section}]\n"
+    assert head in _VALID_INI
+    return _VALID_INI.replace(head, head + line + "\n")
+
+
+@pytest.mark.parametrize("section, line", [
+    ("scenario", "ru_cut_strat = 9.0"),
+    ("scenario", "seed = 7"),
+    ("vehicle", "wheelbse = 3.0"),
+    ("horizon", "n_cots = 30"),
+    ("prediction", "esp0 = 0.1"),
+    ("stack", "t_gpa = 9.9"),
+    ("surrogate", "epoch = 10"),
+    ("data", "e3 = 10"),
+    ("mode.E1", "tempalte = lat"),
+    ("mode.E1", "dorp = g_follow"),
+])
+def test_misspelled_key_is_a_config_error(tmp_path, capsys, section, line):
+    assert load_scenario(_write_ini(tmp_path, _VALID_INI)).data_counts == {"E1": 10}
+    code = _simulate_ini(tmp_path, _with_line(section, line))
+    from softmpc import cli
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    key = line.split("=")[0].strip()
+    assert err.startswith("[config]")
+    assert f"[{section}]" in err and repr(key) in err
+
+
+@pytest.mark.parametrize("section, line, words", [
+    ("mode.E1", "template = lateral", ["[mode.E1]", "'lateral'", "lon"]),
+    ("stack", "d_safe = 5.0", ["d_safe", "[prediction]"]),
+    ("scenario", "evasive = maybe", ["[scenario]", "evasive"]),
+    ("horizon", "n_cost = 2.5", ["[horizon]", "n_cost"]),
+])
+def test_bad_value_is_a_config_error(tmp_path, capsys, section, line, words):
+    from softmpc import cli
+    assert _simulate_ini(tmp_path, _with_line(section, line)) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("[config]")
+    assert all(w in err for w in words), err
+
+
+def test_missing_priority_names_its_section(tmp_path, capsys):
+    from softmpc import cli
+    text = _VALID_INI.replace("priority = 1\n", "")
+    assert _simulate_ini(tmp_path, text) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "[mode.E1]" in err and "priority" in err
+
+
+def test_every_dataclass_field_is_settable_from_its_section(tmp_path):
+    # every field moved off its default: ints by one, floats by a half
+    def moved(cls, skip=()):
+        return {f.name: f.default + (1 if isinstance(f.default, int) else 0.5)
+                for f in dataclasses.fields(cls)
+                if f.default is not dataclasses.MISSING and f.name not in skip}
+
+    vehicle = moved(VehicleParams)
+    horizon = moved(ocp.HorizonConfig)
+    cut_in = moved(CutInSpec)
+    stack = moved(ocp.ConstraintStack, skip=("d_safe",))
+    d_safe = ocp.ConstraintStack.d_safe + 0.5
+
+    def lines(values, prefix=""):
+        return "".join(f"{prefix}{k} = {v!r}\n" for k, v in values.items())
+
+    ini = tmp_path / "all.ini"
+    ini.write_text(
+        f"[scenario]\nduration = {20 * horizon['t_s']!r}\n"
+        + lines(cut_in, "ru_")
+        + "[vehicle]\n" + lines(vehicle)
+        + "[horizon]\n" + lines(horizon)
+        + f"[prediction]\nd_safe = {d_safe!r}\n"
+        + "[stack]\n" + lines(stack))
+    config = load_scenario(str(ini))
+    assert dataclasses.asdict(config.params) == vehicle
+    assert dataclasses.asdict(config.horizon) == horizon
+    assert dataclasses.asdict(config.cut_in) == cut_in
+    assert config.stack_kw == {**stack, "d_safe": d_safe}
+    built = simkit.scenario_stack(config)
+    assert (built.d_safe, built.params) == (d_safe, config.params)

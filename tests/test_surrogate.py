@@ -135,6 +135,18 @@ def test_infer_clamps_and_is_deterministic():
     assert f1 == bool(score1 >= model.threshold)
     assert np.all(s1 <= 0.1 + 1e-15)
     assert np.all(s1 >= 0.0)
+    # the batch path gives every bit of the single-input normalize, clip and
+    # sigmoid steps
+    for theta in thetas[:50]:
+        z = model.normalize(theta)
+        slack = np.clip(model.regressor.forward(z[None, :])[0], 0.0,
+                        model.ceilings)
+        score = 0.5 * (1.0 + np.tanh(0.5 * model.classifier.forward(
+            z[None, :])[0, 0]))
+        s, f, sc = model.infer(theta)
+        assert np.array_equal(s, slack)
+        assert np.array_equal(sc, score) and type(sc) is type(score)
+        assert f == bool(score >= model.threshold)
 
 
 def test_training_point_error_within_eps():
