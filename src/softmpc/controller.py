@@ -53,41 +53,47 @@ class ModeRuntime:
 @dataclass
 class ControlDecision:
     """A cycle's branch and first input (None on failure), with the record
-    of the ladder that chose them."""
+    of the ladder that chose them: each rung's gate and, where it was
+    solved, the solve's to_dict, timings included."""
     branch: str
     consistency: ConsistencyDelta | None
     u: np.ndarray | None = None
     slack: dict = field(default_factory=dict)
-    eps_used: float = 0.0
-    solver_status: str | None = None
     hard_residual: float = math.nan
     soft_residual: float = math.nan
     wall_time: float = 0.0
     nominal_gate: dict | None = None   # rung 0; None when not tried
     mode_gates: dict = field(default_factory=dict)  # per-mode gate diagnostics
-    classifier_scores: dict = field(default_factory=dict)
 
     @property
     def failed(self) -> bool:
         return self.branch == BRANCH_FAILURE
 
     def log_record(self) -> dict:
+        """The record as plain JSON types, less every timing (the cycle's
+        wall_time, each solve's wall_time and phase_s): the same cycle
+        logs the same record on every run."""
         return {
             "branch": self.branch,
             "u": None if self.u is None else [float(v) for v in self.u],
             "slack": {k: float(v) for k, v in self.slack.items()},
-            "eps": self.eps_used,
             "consistent": None if self.consistency is None
             else self.consistency.consistent,
             "delta_norm": None if self.consistency is None
             else self.consistency.norm,
-            "solver_status": self.solver_status,
             "hard_residual": self.hard_residual,
             "soft_residual": self.soft_residual,
-            "nominal": self.nominal_gate,
-            "gates": self.mode_gates,
-            "scores": self.classifier_scores,
+            "nominal": _untimed(self.nominal_gate),
+            "gates": {name: _untimed(g) for name, g in self.mode_gates.items()},
         }
+
+
+def _untimed(gate: dict | None) -> dict | None:
+    """The gate record less its solve's timings."""
+    if gate is None or "solve" not in gate:
+        return gate
+    return {**gate, "solve": {k: v for k, v in gate["solve"].items()
+                              if k not in ("wall_time", "phase_s")}}
 
 
 class PriorityController:
@@ -128,7 +134,7 @@ class PriorityController:
         # an armed evasive corridor pulls the reference into the target lane
         center = 0.5 * (profile.corridor_lo[-1] + profile.corridor_hi[-1])
         return ocp.build_reference(float(x_k[dyn.IDX_S]), self.v_ref, center,
-                                   self.horizon, self.params)
+                                   self.horizon)
 
     def _warm_start(self, u_refs):
         """The last accepted plan shifted by one step, else the references."""
@@ -163,13 +169,14 @@ class PriorityController:
                             initial=-np.inf))
         return hard, soft
 
-    def _rungs(self, x_k, profile, nominal, drift, state_step, gates, scores):
+    def _rungs(self, x_k, profile, nominal, drift, state_step, gates):
         """The ladder, gated only as far as it is climbed: (mode, gate
-        record, commanded slack or None where the gate rejects, eps_used)
-        per rung. Rung 0 is on it when its record nominal is not None;
-        each relaxation mode's record goes into gates."""
+        record, commanded slack or None where the gate rejects) per rung.
+        Rung 0 is on it when its record nominal is not None; each
+        relaxation mode's record goes into gates, with the surrogate's
+        classifier score and margin eps on the learned route."""
         if nominal is not None:
-            yield ocp.NOMINAL_MODE, nominal, np.zeros(0), 0.0
+            yield ocp.NOMINAL_MODE, nominal, np.zeros(0)
         for rt in self.modes:
             name, ceil = rt.mode.name, rt.mode.ceiling_vector()
             theta = build_theta(rt.template, x_k, profile)
@@ -177,18 +184,18 @@ class PriorityController:
                 feasible, slack_star, _ = oracle_solve(rt.template, rt.mode, theta)
                 gates[name] = {"budget_ok": True, "predicted_feasible": feasible}
                 yield (rt.mode, gates[name],
-                       np.clip(slack_star, 0.0, ceil) if feasible else None, 0.0)
+                       np.clip(slack_star, 0.0, ceil) if feasible else None)
                 continue
             budget = rt.model.admissible_disturbance(state_step)
             slack_pred, infeasible, score = rt.model.infer(theta)
-            scores[name] = float(score)
+            eps = rt.model.eps
             gates[name] = {"budget_ok": bool(drift <= budget),
                            "budget": float(budget), "drift": float(drift),
-                           "predicted_feasible": not infeasible}
-            eps = rt.model.eps
+                           "predicted_feasible": not infeasible,
+                           "score": float(score), "eps": eps}
             ok = gates[name]["budget_ok"] and not infeasible
             yield (rt.mode, gates[name],
-                   np.clip(slack_pred + eps, 0.0, ceil) if ok else None, eps)
+                   np.clip(slack_pred + eps, 0.0, ceil) if ok else None)
 
     # -- main entry ---------------------------------------------------------
     def step(self, x_k: np.ndarray, profile: DisturbanceProfile) -> ControlDecision:
@@ -205,11 +212,11 @@ class PriorityController:
         args = (x_k, self.path, self.params, self.weights, self.horizon,
                 self.stack, profile, self.terminal)
         nominal = {} if delta is None or delta.consistent else None
-        gates, scores = {}, {}
+        gates = {}
         failed = {}        # problem key -> the rung whose solve of it failed
-        for mode, gate, slack_cmd, eps_used in self._rungs(
+        for mode, gate, slack_cmd in self._rungs(
                 x_k, profile, nominal, 0.0 if delta is None else delta.norm,
-                state_step, gates, scores):
+                state_step, gates):
             if slack_cmd is None:
                 continue
             key = (mode.drop, (mode.selector() @ slack_cmd).tobytes())
@@ -223,8 +230,6 @@ class PriorityController:
                                         u_init=warm)
             rep = solve(nlp)
             gate["solve"] = rep.to_dict()
-            # timings would make decision logs differ from run to run
-            del gate["solve"]["wall_time"], gate["solve"]["phase_s"]
             gate["solve_status"] = rep.status
             if self._solve_usable(rep):
                 hard, soft = self._residuals(rep, profile, mode, slack_cmd)
@@ -232,10 +237,8 @@ class PriorityController:
                     decision = ControlDecision(
                         branch=mode.name, consistency=delta, u=rep.us[0].copy(),
                         slack=dict(zip(mode.channels, slack_cmd)),
-                        eps_used=eps_used, solver_status=rep.status,
                         hard_residual=hard, soft_residual=soft,
-                        nominal_gate=nominal, mode_gates=gates,
-                        classifier_scores=scores)
+                        nominal_gate=nominal, mode_gates=gates)
                     self._warm_us = rep.us
                     break
                 gate["solve_status"] = "hard-row-violation"
@@ -243,7 +246,7 @@ class PriorityController:
         else:
             decision = ControlDecision(
                 branch=BRANCH_FAILURE, consistency=delta, nominal_gate=nominal,
-                mode_gates=gates, classifier_scores=scores)
+                mode_gates=gates)
             self._warm_us = None
 
         decision.wall_time = time.perf_counter() - t0

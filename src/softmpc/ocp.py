@@ -242,6 +242,14 @@ class RelaxationMode:
         for ch in self.relax.values():
             if ch not in self.ceilings:
                 raise ValueError(f"channel {ch!r} missing a ceiling")
+        for ch, ceil in self.ceilings.items():
+            if ch not in self.relax.values():
+                raise ValueError(f"mode {self.name}: ceiling for channel "
+                                 f"{ch!r}, which no relaxed row uses")
+            if not 0.0 < ceil < math.inf:       # also rejects NaN
+                raise ValueError(f"mode {self.name}: ceiling for channel "
+                                 f"{ch!r} must be finite and positive, "
+                                 f"got {ceil}")
 
     @property
     def channels(self) -> tuple:
@@ -280,8 +288,7 @@ BRAKE_DECEL = 2.5
 
 
 def build_reference(x0_s: float, v_ref: float, e_y_ref: float,
-                    horizon: HorizonConfig, params: VehicleParams
-                    ) -> tuple[np.ndarray, np.ndarray]:
+                    horizon: HorizonConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-step reference over the horizon: cruise, then a comfortable stop.
 
     Within the cost horizon the reference cruises at v_ref; beyond it the

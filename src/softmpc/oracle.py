@@ -225,7 +225,7 @@ def _subproblem_nlp(template: ScenarioTemplate, theta: np.ndarray,
                                  _embed(us, u_idx, u_rest), _STRAIGHT, p, h.t_s)
             return A[:, x_idx[:, None], x_idx], B[:, x_idx[:, None], u_idx]
 
-    x_refs, u_refs = build_reference(s0, template.v_ref, e_y_ref, h, p)
+    x_refs, u_refs = build_reference(s0, template.v_ref, e_y_ref, h)
     stage, mask = ocp._make_stage_rows(template.stack, profile, mode, None, h,
                                        x_refs, tube, labels)
     terminal = ocp._make_terminal_rows(profile, template.terminal, mode, labels)

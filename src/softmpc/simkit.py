@@ -260,11 +260,15 @@ def load_scenario(filename: str) -> ScenarioConfig:
             raise ValueError(f"{filename}: [{section}] template = "
                              f"{ms['template']!r}; known templates are "
                              + ", ".join(TEMPLATE_KINDS))
-        mode = ocp.RelaxationMode(
-            name=section.split(".", 1)[1], priority=ms["priority"],
-            relax=_parse_kv_list(ms["relax"]),
-            ceilings={k: float(v) for k, v in _parse_kv_list(ms["ceilings"]).items()},
-            drop=tuple(v.strip() for v in ms["drop"].split(",") if v.strip()))
+        try:
+            mode = ocp.RelaxationMode(
+                name=section.split(".", 1)[1], priority=ms["priority"],
+                relax=_parse_kv_list(ms["relax"]),
+                ceilings={k: float(v) for k, v
+                          in _parse_kv_list(ms["ceilings"]).items()},
+                drop=tuple(v.strip() for v in ms["drop"].split(",") if v.strip()))
+        except ValueError as exc:
+            raise ValueError(f"{filename}: [{section}] {exc}") from None
         mode_specs.append((mode, ms["template"], path_in_base(ms["model"])))
     data = read("data", {m.name.lower(): 0 for m, _, _ in mode_specs})
 
@@ -320,30 +324,32 @@ def build_controller(config: ScenarioConfig,
 
 @dataclass
 class SimLog:
-    """Per-step trajectories and decisions of one closed-loop run."""
-    t: np.ndarray
+    """One closed-loop run, per cycle: the state the cycle started from,
+    the applied input, the environment profile, the road user (None
+    without one) and the controller's decision. Every column of the
+    artifacts derives from these."""
     states: np.ndarray          # (n, 7)
     inputs: np.ndarray          # (n, 2)
-    branches: list
-    slacks: list                # dict per step
-    sigma: np.ndarray           # yield bound at the current step
-    corridor_lo: np.ndarray
-    corridor_hi: np.ndarray
-    ru_lon: np.ndarray
-    ru_lat: np.ndarray
-    a_y: np.ndarray
-    j_y: np.ndarray
-    hard_residuals: np.ndarray
-    soft_residuals: np.ndarray
-    consistent: np.ndarray
-    delta_norms: np.ndarray
-    controller_times: np.ndarray
-    failed: bool
+    profiles: list              # DisturbanceProfile per cycle
+    road_users: list            # RoadUserState or None per cycle
+    decisions: list             # ControlDecision per cycle
     t_s: float                  # sampling time, the deadline of each cycle
-    decisions: list = field(default_factory=list)   # raw log records
+    params: VehicleParams
 
     def __len__(self):
-        return self.t.size
+        return len(self.decisions)
+
+    @property
+    def t(self) -> np.ndarray:
+        return np.arange(len(self)) * self.t_s
+
+    @property
+    def branches(self) -> list:
+        return [d.branch for d in self.decisions]
+
+    @property
+    def failed(self) -> bool:
+        return any(d.failed for d in self.decisions)
 
 
 def run(config: ScenarioConfig, use_oracle: bool = False) -> SimLog:
@@ -359,94 +365,64 @@ def run(config: ScenarioConfig, use_oracle: bool = False) -> SimLog:
     t_s = config.horizon.t_s
     x = dyn.state(s=config.ego_s0, v=config.ego_v0)
     half = 0.5 * config.lane_width
-
-    t_arr = np.arange(n) * t_s
-    states = np.empty((n, dyn.NX))
-    inputs = np.empty((n, dyn.NU))
-    sigma = np.empty(n)
-    cor_lo = np.empty(n)
-    cor_hi = np.empty(n)
-    ru_lon = np.empty(n)
-    ru_lat = np.empty(n)
-    a_y = np.empty(n)
-    j_y = np.empty(n)
-    hard_res = np.empty(n)
-    soft_res = np.empty(n)
-    consistent = np.zeros(n, dtype=bool)
-    delta_norms = np.zeros(n)
-    ctrl_times = np.empty(n)
-    branches = []
-    slacks = []
-    decisions = []
-    failed = False
+    log = SimLog(states=np.empty((n, dyn.NX)), inputs=np.empty((n, dyn.NU)),
+                 profiles=[], road_users=[], decisions=[], t_s=t_s,
+                 params=config.params)
 
     for k in range(n):
-        t = k * t_s
-        ru = ru_truth.state_at(t, config.ego_s0) if config.with_ru else None
+        ru = ru_truth.state_at(k * t_s, config.ego_s0) if config.with_ru else None
         ego_lane = "right" if x[dyn.IDX_EY] < half else "left"
         profile = build_profile(path, ru, config.horizon.n_constraint, t_s,
                                 config.growth, controller.stack.d_safe,
                                 ego_lane=ego_lane, evasive=config.evasive)
         decision = controller.step(x, profile)
         if decision.failed:
-            failed = True
             u = np.array([x[dyn.IDX_DELTA], config.params.accel_min])
         else:
             u = decision.u
-
-        states[k] = x
-        inputs[k] = u
-        sigma[k] = profile.yield_bound[0]
-        cor_lo[k] = profile.corridor_lo[0]
-        cor_hi[k] = profile.corridor_hi[0]
-        ru_lon[k] = ru.lon if ru else math.nan
-        ru_lat[k] = ru.lat if ru else math.nan
-        a_y[k], j_y[k] = dyn.comfort_quantities(x, config.params)
-        hard_res[k] = decision.hard_residual
-        soft_res[k] = decision.soft_residual
-        consistent[k] = decision.consistency is None or decision.consistency.consistent
-        delta_norms[k] = 0.0 if decision.consistency is None else decision.consistency.norm
-        ctrl_times[k] = decision.wall_time
-        branches.append(decision.branch)
-        slacks.append(decision.slack)
-        decisions.append(decision.log_record())
-
+        log.states[k] = x
+        log.inputs[k] = u
+        log.profiles.append(profile)
+        log.road_users.append(ru)
+        log.decisions.append(decision)
         x = dyn.f_discrete(x, u, path, config.params, t_s, project_speed=True)
+    return log
 
-    return SimLog(t=t_arr, states=states, inputs=inputs, branches=branches,
-                  slacks=slacks, sigma=sigma, corridor_lo=cor_lo,
-                  corridor_hi=cor_hi, ru_lon=ru_lon, ru_lat=ru_lat,
-                  a_y=a_y, j_y=j_y, hard_residuals=hard_res,
-                  soft_residuals=soft_res, consistent=consistent,
-                  delta_norms=delta_norms, controller_times=ctrl_times,
-                  failed=failed, t_s=t_s, decisions=decisions)
+
+def _gaps(log: SimLog) -> np.ndarray:
+    """Distance from the ego to the yield bound at each cycle."""
+    return (np.array([p.yield_bound[0] for p in log.profiles])
+            - log.states[:, dyn.IDX_S])
 
 
 def metrics(log: SimLog) -> dict:
     """Aggregate run statistics; gap uses the step-wise yield bound."""
     if len(log) == 0:
         raise ValueError("empty log")
-    gaps = log.sigma - log.states[:, dyn.IDX_S]
+    gaps = _gaps(log)
     finite = np.isfinite(gaps)
+    branches = log.branches
     occupancy = {}
-    for b in log.branches:
+    for b in branches:
         occupancy[b] = occupancy.get(b, 0) + 1
-    hard = log.hard_residuals[np.isfinite(log.hard_residuals)]
-    soft = log.soft_residuals[np.isfinite(log.soft_residuals)]
+    hard = np.array([d.hard_residual for d in log.decisions])
+    soft = np.array([d.soft_residual for d in log.decisions])
+    a_y, j_y = dyn.comfort_quantities(log.states, log.params)
+    times = np.array([d.wall_time for d in log.decisions])
     return {
         "min_gap": float(np.min(gaps[finite])) if np.any(finite) else math.inf,
         "max_abs_accel": float(np.max(np.abs(log.states[:, dyn.IDX_A]))),
-        "max_abs_lat_accel": float(np.max(np.abs(log.a_y))),
-        "max_abs_lat_jerk": float(np.max(np.abs(log.j_y))),
+        "max_abs_lat_accel": float(np.max(np.abs(a_y))),
+        "max_abs_lat_jerk": float(np.max(np.abs(j_y))),
         "mode_occupancy": {k: v / len(log) for k, v in sorted(occupancy.items())},
-        "hard_violations": int(np.sum(hard > 1e-6)),
-        "soft_violations": int(np.sum(soft > 1e-6)),
+        "hard_violations": int(np.sum(hard[np.isfinite(hard)] > 1e-6)),
+        "soft_violations": int(np.sum(soft[np.isfinite(soft)] > 1e-6)),
         "failed": log.failed,
-        "mean_controller_time": float(np.mean(log.controller_times)),
-        "p95_controller_time": float(np.percentile(log.controller_times, 95)),
-        "max_controller_time": float(np.max(log.controller_times)),
-        "deadline_misses": int(np.sum(log.controller_times > log.t_s)),
-        "transitions": sum(a != b for a, b in zip(log.branches, log.branches[1:])),
+        "mean_controller_time": float(np.mean(times)),
+        "p95_controller_time": float(np.percentile(times, 95)),
+        "max_controller_time": float(np.max(times)),
+        "deadline_misses": int(np.sum(times > log.t_s)),
+        "transitions": sum(a != b for a, b in zip(branches, branches[1:])),
     }
 
 
@@ -470,7 +446,9 @@ _BAND_COLORS = {"E1": "#79d2e6", "E2": "#e38b8b", "E3": "#8ed68f",
 
 def write_log_csv(log: SimLog, filename: str) -> None:
     """Trajectory table without timing columns (those are run-dependent)."""
-    channels = sorted({ch for s in log.slacks for ch in s})
+    channels = sorted({ch for d in log.decisions for ch in d.slack})
+    gaps = _gaps(log)
+    a_y, j_y = dyn.comfort_quantities(log.states, log.params)
     with open(filename, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -479,29 +457,28 @@ def write_log_csv(log: SimLog, filename: str) -> None:
              "corridor_hi", "ru_lon", "ru_lat", "a_y", "j_y", "gap",
              "hard_residual", "soft_residual", "consistent", "delta_norm"]
             + [f"slack_{c}" for c in channels])
-        for k in range(len(log)):
-            gap = log.sigma[k] - log.states[k, dyn.IDX_S]
-            row = ([repr(float(log.t[k]))]
+        for k, (p, ru, d) in enumerate(zip(log.profiles, log.road_users,
+                                           log.decisions)):
+            delta = d.consistency
+            row = ([repr(float(k * log.t_s))]
                    + [repr(float(v)) for v in log.states[k]]
                    + [repr(float(v)) for v in log.inputs[k]]
-                   + [log.branches[k], repr(float(log.sigma[k])),
-                      repr(float(log.corridor_lo[k])),
-                      repr(float(log.corridor_hi[k])),
-                      repr(float(log.ru_lon[k])), repr(float(log.ru_lat[k])),
-                      repr(float(log.a_y[k])), repr(float(log.j_y[k])),
-                      repr(float(gap)),
-                      repr(float(log.hard_residuals[k])),
-                      repr(float(log.soft_residuals[k])),
-                      int(log.consistent[k]),
-                      repr(float(log.delta_norms[k]))]
-                   + [repr(float(log.slacks[k].get(c, 0.0))) for c in channels])
+                   + [d.branch]
+                   + [repr(float(v)) for v in (
+                       p.yield_bound[0], p.corridor_lo[0], p.corridor_hi[0],
+                       ru.lon if ru else math.nan, ru.lat if ru else math.nan,
+                       a_y[k], j_y[k], gaps[k], d.hard_residual,
+                       d.soft_residual)]
+                   + [int(delta is None or delta.consistent),
+                      repr(float(0.0 if delta is None else delta.norm))]
+                   + [repr(float(d.slack.get(c, 0.0))) for c in channels])
             writer.writerow(row)
 
 
 def write_decision_log(log: SimLog, filename: str) -> None:
     with open(filename, "w") as fh:
-        for k, rec in enumerate(log.decisions):
-            rec = dict(rec)
+        for k, decision in enumerate(log.decisions):
+            rec = decision.log_record()
             rec["k"] = k
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
@@ -517,7 +494,7 @@ def emit_plots(log: SimLog, out_dir: str, name: str, config: ScenarioConfig) -> 
     p.add_series(log.t, log.states[:, dyn.IDX_V])
     lon.append(p)
     p = plots.Panel("gap to yield bound", "gap [m]")
-    gaps = log.sigma - log.states[:, dyn.IDX_S]
+    gaps = _gaps(log)
     p.add_series(log.t, np.where(np.isfinite(gaps), gaps, np.nan))
     p.add_hline(0.0)
     lon.append(p)
@@ -535,16 +512,19 @@ def emit_plots(log: SimLog, out_dir: str, name: str, config: ScenarioConfig) -> 
     lat = []
     p = plots.Panel("lateral position", "e_y [m]")
     p.add_series(log.t, log.states[:, dyn.IDX_EY])
-    p.add_series(log.t, log.corridor_lo, color="#999999", label="corridor")
-    p.add_series(log.t, log.corridor_hi, color="#999999")
+    p.add_series(log.t, np.array([pr.corridor_lo[0] for pr in log.profiles]),
+                 color="#999999", label="corridor")
+    p.add_series(log.t, np.array([pr.corridor_hi[0] for pr in log.profiles]),
+                 color="#999999")
     lat.append(p)
+    a_y, j_y = dyn.comfort_quantities(log.states, log.params)
     p = plots.Panel("lateral acceleration", "a_y [m/s^2]")
-    p.add_series(log.t, log.a_y)
+    p.add_series(log.t, a_y)
     p.add_hline(config.params.lat_accel_max)
     p.add_hline(-config.params.lat_accel_max)
     lat.append(p)
     p = plots.Panel("lateral jerk", "j_y [m/s^3]")
-    p.add_series(log.t, log.j_y)
+    p.add_series(log.t, j_y)
     p.add_hline(config.params.lat_jerk_max)
     p.add_hline(-config.params.lat_jerk_max)
     lat.append(p)

@@ -141,9 +141,10 @@ class NlpDescription:
     cost_W[n] is the (nx+nu)^2 quadratic weight at stage n around
     cost_ref[n]; cost_P / cost_ref_M the terminal state quadratic. The
     global block gamma enters rows via their G columns, the objective via
-    gamma_weight, and is boxed by [gamma_lo, gamma_hi]. dyn_f(n, x, u)
-    steps one stage, as the rollout is sequential; dyn_jac(xs, us) returns
-    the Jacobians (A (M, nx, nx), B (M, nx, nu)) of every stage at once.
+    gamma_weight, starts at zero and is boxed by [gamma_lo, gamma_hi].
+    dyn_f(n, x, u) steps one stage, as the rollout is sequential;
+    dyn_jac(xs, us) returns the Jacobians (A (M, nx, nx), B (M, nx, nu))
+    of every stage at once.
     """
     nx: int
     nu: int
@@ -164,7 +165,6 @@ class NlpDescription:
     gamma_lo: np.ndarray | None = None
     gamma_hi: np.ndarray | None = None
     u_init: np.ndarray | None = None
-    gamma_init: np.ndarray | None = None
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float)
@@ -711,9 +711,7 @@ def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport
 
     us = (np.array(nlp.u_init, dtype=float).reshape(M, nu)
           if nlp.u_init is not None else np.zeros((M, nu)))
-    gamma = (np.array(nlp.gamma_init, dtype=float)
-             if (nlp.n_gamma and nlp.gamma_init is not None)
-             else np.zeros(nlp.n_gamma))
+    gamma = np.zeros(nlp.n_gamma)
     layout = _Layout(nlp)
     phase_s = dict.fromkeys(PHASES, 0.0)
 

@@ -156,30 +156,35 @@ class LipschitzBudget:
     max_state_step: float
     ceilings: np.ndarray
 
+    def __post_init__(self):
+        self.ceilings = np.asarray(self.ceilings, dtype=float)
+
     def caps(self) -> np.ndarray:
         denom = self.max_disturbance + self.max_state_step
         if denom <= 0.0:
             raise ValueError("budget denominators must be positive")
-        return np.asarray(self.ceilings, dtype=float) / denom
+        return self.ceilings / denom
 
 
 @dataclass
 class SurrogateModel:
-    """Regressor + classifier pair with normalization and certificate."""
+    """Regressor + classifier pair with normalization and certificate; the
+    budget holds the slack ceilings and the Lipschitz caps L-bar (caps())."""
     mode_name: str
     channels: tuple
-    ceilings: np.ndarray
     regressor: DenseNet
     classifier: DenseNet
     input_shift: np.ndarray
     input_scale: np.ndarray
+    budget: LipschitzBudget
     eps: float = 0.0                    # validation max abs error
     threshold: float = 0.5              # infeasibility score cutoff
-    lipschitz_bound: np.ndarray | None = None   # certified L-hat per output
-    lipschitz_cap: np.ndarray | None = None     # budget caps L-bar
-    budget: LipschitzBudget | None = None
     seed: int = 0
     train_history: dict = field(default_factory=dict)
+
+    @property
+    def ceilings(self) -> np.ndarray:
+        return self.budget.ceilings
 
     def normalize(self, theta: np.ndarray) -> np.ndarray:
         return (theta - self.input_shift) / self.input_scale
@@ -205,9 +210,8 @@ class SurrogateModel:
 
     def admissible_disturbance(self, state_step_norm: float) -> float:
         """Online drift budget from the certificate (worst-output rule)."""
-        caps = self.lipschitz_cap
-        etas = np.asarray(self.budget.ceilings, dtype=float)
-        return float(np.min((etas - self.eps) / caps) - state_step_norm)
+        return float(np.min((self.ceilings - self.eps) / self.budget.caps())
+                     - state_step_norm)
 
 
 def _sigmoid(x):
@@ -343,22 +347,21 @@ def train_classifier(thetas, feasible, hidden=DEFAULT_HIDDEN,
 def train_mode_model(mode_name, channels, ceilings, thetas, feasible, slacks,
                      budget: LipschitzBudget, hidden=DEFAULT_HIDDEN,
                      epochs=DEFAULT_EPOCHS, seed=0) -> SurrogateModel:
-    """Train the regressor/classifier pair for one relaxation mode."""
+    """Train the regressor/classifier pair for one relaxation mode; the
+    ceilings must be the budget's."""
+    if not np.array_equal(np.asarray(ceilings, dtype=float), budget.ceilings):
+        raise ValueError(f"ceilings {list(ceilings)} disagree with the "
+                         f"budget's {list(budget.ceilings)}")
     reg, shift, scale, eps, reg_stats = train_regressor(
         thetas, slacks, feasible, budget, hidden, epochs, seed)
     clf, _, _, threshold, clf_stats = train_classifier(
         thetas, feasible, hidden, epochs, seed, shift=shift, scale=scale)
-    model = SurrogateModel(
+    return SurrogateModel(
         mode_name=mode_name, channels=tuple(channels),
-        ceilings=np.asarray(ceilings, dtype=float),
         regressor=reg, classifier=clf,
-        input_shift=shift, input_scale=scale,
-        eps=eps, threshold=threshold,
-        lipschitz_bound=np.asarray(reg_stats["lipschitz"]),
-        lipschitz_cap=budget.caps(),
-        budget=budget, seed=seed,
+        input_shift=shift, input_scale=scale, budget=budget,
+        eps=eps, threshold=threshold, seed=seed,
         train_history={"regressor": reg_stats, "classifier": clf_stats})
-    return model
 
 
 def certify(model: SurrogateModel, n_pairs: int = 0, seed: int = 0) -> dict:
@@ -368,7 +371,7 @@ def certify(model: SurrogateModel, n_pairs: int = 0, seed: int = 0) -> dict:
     (a sampled quotient can only ever fall below a valid bound).
     """
     lip = model.regressor.lipschitz_per_output(model.input_scale)
-    caps = model.lipschitz_cap
+    caps = model.budget.caps()
     ok = bool(np.all(lip <= caps * (1.0 + 1e-9)))
     report = {
         "mode": model.mode_name,
@@ -443,6 +446,7 @@ def _dec(blob: dict) -> np.ndarray:
 
 
 def save_model(model: SurrogateModel, filename: str) -> None:
+    lipschitz = model.regressor.lipschitz_per_output(model.input_scale)
     doc = {
         "format": "softmpc-surrogate-v1",
         "mode": model.mode_name,
@@ -462,8 +466,8 @@ def save_model(model: SurrogateModel, filename: str) -> None:
             "biases": [_enc(b) for b in model.classifier.biases],
         },
         "certificate": {
-            "lipschitz": [float(v) for v in model.lipschitz_bound],
-            "caps": [float(v) for v in model.lipschitz_cap],
+            "lipschitz": [float(v) for v in lipschitz],
+            "caps": [float(v) for v in model.budget.caps()],
             "max_disturbance": model.budget.max_disturbance,
             "max_state_step": model.budget.max_state_step,
         },
@@ -483,17 +487,14 @@ def load_model(filename: str) -> SurrogateModel:
     clf = DenseNet([_dec(W) for W in doc["classifier"]["weights"]],
                    [_dec(b) for b in doc["classifier"]["biases"]])
     cert = doc["certificate"]
-    ceilings = np.asarray(doc["ceilings"], dtype=float)
     budget = LipschitzBudget(max_disturbance=cert["max_disturbance"],
                              max_state_step=cert["max_state_step"],
-                             ceilings=ceilings)
+                             ceilings=doc["ceilings"])
     return SurrogateModel(
         mode_name=doc["mode"], channels=tuple(doc["channels"]),
-        ceilings=ceilings, regressor=reg, classifier=clf,
+        regressor=reg, classifier=clf,
         input_shift=_dec(doc["input_shift"]),
-        input_scale=_dec(doc["input_scale"]),
+        input_scale=_dec(doc["input_scale"]), budget=budget,
         eps=float(doc["eps"]), threshold=float(doc["threshold"]),
-        lipschitz_bound=np.asarray(cert["lipschitz"]),
-        lipschitz_cap=np.asarray(cert["caps"]),
-        budget=budget, seed=int(doc["seed"]),
+        seed=int(doc["seed"]),
         train_history=doc.get("train_history", {}))

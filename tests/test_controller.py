@@ -14,7 +14,7 @@ from softmpc.environment import (DisturbanceProfile, NO_BOUND, RoadUserState,
                                  build_profile, nominal_profile)
 from softmpc.oracle import LonSampler, ScenarioTemplate, generate_dataset
 from softmpc.path import straight_path
-from softmpc.sqp import STATUS_INFEASIBLE, STATUS_OPTIMAL, SolveReport
+from softmpc.sqp import PHASES, STATUS_INFEASIBLE, STATUS_OPTIMAL, SolveReport
 from softmpc.surrogate import LipschitzBudget, train_mode_model
 
 PARAMS = VehicleParams()
@@ -190,7 +190,7 @@ def test_ladder_solves_each_distinct_problem_once(monkeypatch, modes, slacks,
             "status": STATUS_INFEASIBLE, "objective": 0.0,
             "stationarity": 0.0, "primal_infeasibility": 0.0,
             "complementarity": 0.0, "sqp_iterations": 1, "ip_iterations": 1,
-            "infeasibility_measure": 0.0}
+            "infeasibility_measure": 0.0, "wall_time": 0.0, "phase_s": {}}
     assert {name: g["duplicate_of"] for name, g in rungs.items()
             if g.get("solve_status") == "duplicate"} == duplicate_of
     assert len(decision.mode_gates) == len(modes)
@@ -207,22 +207,35 @@ def test_decision_log_record_is_json_friendly():
 
 
 def test_identical_cycles_log_identical_records():
-    # solve timings (wall_time, phase_s) stay on the SolveReport: the
-    # decision log of the same cycles is the same dict on every run
+    # the decision keeps each solve's timings (wall_time, phase_s) and
+    # log_record leaves them out: the decision log of the same cycles is
+    # the same dict on every run
     def run_once():
         ctrl = _controller()
         x = dyn.state(s=0.0, v=V_REF)
         return [ctrl.step(x, _profile_from_ru(
-                    RoadUserState(lon=lon, lat=0.0, v_lon=v))).log_record()
+                    RoadUserState(lon=lon, lat=0.0, v_lon=v)))
                 for lon, v in ((50.0, 7.0), (14.0, 6.5))]
-    a, b = run_once(), run_once()
+
+    def solves(nominal, gates):
+        return [nominal["solve"]] + [g["solve"] for g in gates.values()
+                                     if "solve" in g]
+    decisions = run_once()
+    a = [d.log_record() for d in decisions]
+    b = [d.log_record() for d in run_once()]
     assert a == b
     assert a[1]["branch"] in ("E1", "E2")
-    solved = [a[0]["nominal"]["solve"]] + [
-        g["solve"] for g in a[1]["gates"].values() if "solve" in g]
+    solved = solves(a[0]["nominal"], a[1]["gates"])
     assert len(solved) >= 2
     for rec in solved:
         assert "wall_time" not in rec and "phase_s" not in rec
+    kept = solves(decisions[0].nominal_gate, decisions[1].mode_gates)
+    assert len(kept) == len(solved)
+    for rec, logged in zip(kept, solved):
+        assert rec["wall_time"] > 0.0
+        assert tuple(rec["phase_s"]) == PHASES
+        assert {k: v for k, v in rec.items()
+                if k not in ("wall_time", "phase_s")} == logged
 
 
 def test_deterministic_decisions():
@@ -266,9 +279,11 @@ def test_surrogate_backed_controller_runs():
     assert d0.branch == BRANCH_NOMINAL
     d1 = ctrl.step(x, _profile_from_ru(RoadUserState(lon=16.0, lat=0.0, v_lon=6.8)))
     assert d1.branch in ("E1", BRANCH_FAILURE)
+    gate = d1.mode_gates["E1"]
+    assert gate["eps"] == model.eps
+    assert 0.0 <= gate["score"] <= 1.0
     if d1.branch == "E1":
         # applied slack includes the model margin and stays under the ceiling
-        assert d1.eps_used == model.eps
         assert d1.slack["delta_g"] <= 30.0 + 1e-12
         assert d1.hard_residual <= 1e-6
 

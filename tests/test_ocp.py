@@ -40,7 +40,7 @@ def _weights(v_ref=7.0):
 
 
 def _refs(x0_s, v_ref=7.0, e_y_ref=0.0):
-    return ocp.build_reference(x0_s, v_ref, e_y_ref, HORIZON, PARAMS)
+    return ocp.build_reference(x0_s, v_ref, e_y_ref, HORIZON)
 
 
 def _free_profile():
@@ -70,6 +70,12 @@ def test_mode_requires_known_labels_and_ceilings():
     with pytest.raises(ValueError, match="ceiling"):
         ocp.RelaxationMode(name="x", priority=1, relax={"g_follow": "c"},
                            ceilings={})
+    # a ceiling must be finite and positive, and name a relaxed channel
+    for ceilings in ({"c": -30.0}, {"c": 0.0}, {"c": math.inf},
+                     {"c": math.nan}, {"c": 30.0, "d": 5.0}):
+        with pytest.raises(ValueError, match="ceiling for channel"):
+            ocp.RelaxationMode(name="x", priority=1, relax={"g_follow": "c"},
+                               ceilings=ceilings)
 
 
 def _one_step_profile(sigma, beta_lo=-1.75, beta_hi=1.75):
@@ -161,7 +167,7 @@ def test_stack_linearization_matches_finite_differences():
 
 
 def test_reference_is_kinematically_consistent():
-    x_refs, u_refs = ocp.build_reference(10.0, 15.0, 0.0, HORIZON, PARAMS)
+    x_refs, u_refs = ocp.build_reference(10.0, 15.0, 0.0, HORIZON)
     t_s = HORIZON.t_s
     v = x_refs[:, dyn.IDX_V]
     s = x_refs[:, dyn.IDX_S]
@@ -394,7 +400,7 @@ def _oracle_slack_in_relaxed_problem(kind, mode, x0, profile, v_ref):
     assert np.max(slack) > 0.0
     center = 0.5 * (profile.corridor_lo[-1] + profile.corridor_hi[-1])
     x_refs, u_refs = ocp.build_reference(x0[dyn.IDX_S], v_ref, center,
-                                         HORIZON, PARAMS)
+                                         HORIZON)
     rel = ocp.build_relaxed(x0, PATH, PARAMS, _weights(v_ref), HORIZON, STACK,
                             profile, TERMINAL, mode, slack, x_refs, u_refs,
                             u_init=u_refs)

@@ -11,7 +11,8 @@ import pytest
 from softmpc import dynamics as dyn
 from softmpc import ocp, simkit
 from softmpc.dynamics import VehicleParams
-from softmpc.environment import RoadUserState
+from softmpc.controller import ControlDecision
+from softmpc.environment import RoadUserState, nominal_profile
 from softmpc.oracle import ScenarioTemplate
 from softmpc.simkit import (CutInSpec, ScenarioConfig, SimLog, emit_plots,
                             load_scenario, metrics, run, write_log_csv)
@@ -116,8 +117,8 @@ def test_consistent_ru_keeps_nominal_branch():
     log = run(config, use_oracle=True)
     assert not log.failed
     assert all(b == "nominal" for b in log.branches)
-    assert bool(np.all(log.consistent[1:]))
-    assert float(np.max(log.hard_residuals)) <= 1e-6
+    assert all(d.consistency.consistent for d in log.decisions[1:])
+    assert max(d.hard_residual for d in log.decisions) <= 1e-6
 
 
 def test_metrics_shapes_and_recomputation():
@@ -128,22 +129,21 @@ def test_metrics_shapes_and_recomputation():
     assert m["hard_violations"] == 0
     assert not m["failed"]
     # min gap recomputed from the log columns matches the metric
-    gaps = log.sigma - log.states[:, dyn.IDX_S]
+    gaps = (np.array([p.yield_bound[0] for p in log.profiles])
+            - log.states[:, dyn.IDX_S])
     assert m["min_gap"] == pytest.approx(float(np.min(gaps[np.isfinite(gaps)])))
 
 
 def _timed_log(times, t_s, branches):
-    """A log of len(times) cycles that took `times` seconds each."""
+    """A log of len(times) cycles, each on `branches` and taking `times`
+    seconds, with no road user."""
     n = len(times)
-    zeros = np.zeros(n)
-    return SimLog(t=t_s * np.arange(n), states=np.zeros((n, dyn.NX)),
-                  inputs=np.zeros((n, dyn.NU)), branches=branches,
-                  slacks=[{}] * n, sigma=np.full(n, np.inf),
-                  corridor_lo=zeros, corridor_hi=zeros, ru_lon=zeros,
-                  ru_lat=zeros, a_y=zeros, j_y=zeros, hard_residuals=zeros,
-                  soft_residuals=zeros, consistent=np.ones(n, dtype=bool),
-                  delta_norms=zeros, controller_times=np.asarray(times),
-                  failed="failure" in branches, t_s=t_s)
+    return SimLog(states=np.zeros((n, dyn.NX)), inputs=np.zeros((n, dyn.NU)),
+                  profiles=[nominal_profile(1, 3.5)] * n, road_users=[None] * n,
+                  decisions=[ControlDecision(branch=b, consistency=None,
+                                             wall_time=t)
+                             for b, t in zip(branches, times)],
+                  t_s=t_s, params=VehicleParams())
 
 
 def test_metrics_deadline_percentile_and_transitions():
@@ -180,6 +180,20 @@ def test_log_csv_round_trip(tmp_path):
     assert all("time" not in k for k in rows[0].keys() if k != "t")
 
 
+def test_identical_runs_write_identical_trajectories_and_decisions(tmp_path):
+    # the per-cycle record keeps timings, the two artifacts leave them out
+    config = _small_config(duration=1.0)
+    files = []
+    for name in ("a", "b"):
+        log = run(config, use_oracle=True)
+        traj, decisions = tmp_path / f"{name}.csv", tmp_path / f"{name}.jsonl"
+        write_log_csv(log, str(traj))
+        simkit.write_decision_log(log, str(decisions))
+        files.append((traj.read_bytes(), decisions.read_bytes()))
+    assert files[0] == files[1]
+    assert len(files[0][1].splitlines()) == config.n_steps
+
+
 def test_emit_plots_degenerate_log(tmp_path):
     config = _small_config(duration=0.2)
     log = run(config, use_oracle=True)
@@ -207,7 +221,8 @@ def test_band_edges_align_with_branch_transitions(tmp_path):
     # synthesize a log with a known activation window
     config = _small_config(duration=1.0)
     log = run(config, use_oracle=True)
-    log.branches = ["nominal"] * 3 + ["E1"] * 4 + ["nominal"] * (len(log) - 7)
+    for k, d in enumerate(log.decisions):
+        d.branch = "E1" if 3 <= k < 7 else "nominal"
     files = emit_plots(log, str(tmp_path), "mini", config)
     root = ET.parse(files[0]).getroot()
     bands = [el for el in root.iter()
@@ -283,7 +298,8 @@ def test_observer_matching_truth_keeps_deltas_zero():
     # the controller sees never tightens
     config = _small_config(growth=(0.0, 0.0))
     log = run(config, use_oracle=True)
-    np.testing.assert_allclose(log.delta_norms[1:], 0.0, atol=1e-9)
+    np.testing.assert_allclose([d.consistency.norm for d in log.decisions[1:]],
+                               0.0, atol=1e-9)
 
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -377,6 +393,17 @@ def test_bad_value_is_a_config_error(tmp_path, capsys, section, line, words):
     err = capsys.readouterr().err
     assert err.startswith("[config]")
     assert all(w in err for w in words), err
+
+
+def test_negative_ceiling_is_a_config_error(tmp_path, capsys):
+    # the controller would clip the commanded slack to -30 and tighten the
+    # row it is meant to lift
+    from softmpc import cli
+    text = _VALID_INI.replace("ceilings = delta_g:25", "ceilings = delta_g:-30")
+    assert _simulate_ini(tmp_path, text) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("[config]")
+    assert all(w in err for w in ("[mode.E1]", "'delta_g'", "-30")), err
 
 
 def test_missing_priority_names_its_section(tmp_path, capsys):

@@ -55,15 +55,14 @@ def test_certify_examples_scaled_identity():
     # single linear layer 2*I: spectral bound per output is 2
     net = DenseNet([2.0 * np.eye(3)], [np.zeros(3)])
     model = SurrogateModel(
-        mode_name="x", channels=("a", "b", "c"), ceilings=np.ones(3) * 9,
+        mode_name="x", channels=("a", "b", "c"),
         regressor=net, classifier=DenseNet([np.ones((1, 3))], [np.zeros(1)]),
         input_shift=np.zeros(3), input_scale=np.ones(3),
-        lipschitz_bound=np.full(3, 2.0), lipschitz_cap=np.full(3, 3.0),
-        budget=LipschitzBudget(2.0, 1.0, np.full(3, 9.0)))
+        budget=LipschitzBudget(2.0, 1.0, np.full(3, 9.0)))   # caps 3
     rep = certify(model)
     np.testing.assert_allclose(rep["lipschitz"], 2.0)
     assert rep["certified"]
-    model.lipschitz_cap = np.full(3, 1.0)
+    model.budget = LipschitzBudget(8.0, 1.0, np.full(3, 9.0))   # caps 1
     rep = certify(model)
     assert not rep["certified"]
     assert rep["violations"] == ["a", "b", "c"]
@@ -163,6 +162,16 @@ def test_training_point_error_within_eps():
     assert float(np.max(pred)) <= model.eps + 1e-9
 
 
+def test_ceilings_must_be_the_budget_ceilings():
+    rng = np.random.default_rng(19)
+    thetas, feasible, slacks = _toy_dataset(rng, n=40)
+    budget = LipschitzBudget(max_disturbance=3.0, max_state_step=1.0,
+                             ceilings=np.array([4.0]))
+    with pytest.raises(ValueError, match="disagree"):
+        train_mode_model("T", ("c0",), np.array([5.0]), thetas, feasible,
+                         slacks, budget, epochs=10, seed=0)
+
+
 def test_model_json_round_trip(tmp_path):
     rng = np.random.default_rng(17)
     thetas, feasible, slacks = _toy_dataset(rng)
@@ -190,11 +199,11 @@ def test_admissible_disturbance_budget():
                              ceilings=np.array([30.0, 6.0]))
     caps = budget.caps()
     model = SurrogateModel(
-        mode_name="x", channels=("a", "b"), ceilings=budget.ceilings,
+        mode_name="x", channels=("a", "b"),
         regressor=DenseNet([np.eye(2)], [np.zeros(2)]),
         classifier=DenseNet([np.ones((1, 2))], [np.zeros(1)]),
         input_shift=np.zeros(2), input_scale=np.ones(2),
-        eps=0.5, lipschitz_bound=caps, lipschitz_cap=caps, budget=budget)
+        budget=budget, eps=0.5)
     got = model.admissible_disturbance(state_step_norm=2.0)
     expected = min((30.0 - 0.5) / caps[0], (6.0 - 0.5) / caps[1]) - 2.0
     assert got == pytest.approx(expected)
