@@ -49,13 +49,16 @@ SIGMA_CAP = 250.0   # relative yield bound treated as unconstrained
 # penalty above that spares most of the escalation ladder on infeasible
 # samples without affecting exactness. KKT targets match the labeling
 # accuracy actually needed (slacks to the grid resolution), not the
-# controller-grade defaults
+# controller-grade defaults. The multiplier certificate stays off until the
+# labeling reference is re-recorded: it moves a few labels by ~1e-6 (see
+# SolverOptions)
 ORACLE_SOLVER_OPTS = SolverOptions(penalty_init=1e4, penalty_max=1e4,
                                    max_sqp_iter=20, max_ip_iter=50,
                                    ip_stall_limit=10,
                                    tol_stationarity=1e-5,
                                    tol_feasibility=1e-7,
-                                   tol_complementarity=1e-6)
+                                   tol_complementarity=1e-6,
+                                   multiplier_certificate=False)
 
 
 # the decoupled subsystems a slack problem can run on

@@ -34,6 +34,19 @@ the results in the last bits. The row blocks (stage
 groups, terminal block, global box) and their products with the Newton
 system live in one place, _Rows. Step acceptance uses an Armijo
 backtracking line search on the l1 merit function.
+
+The loop has three exits that end a solve or a QP early, all judged by one
+KKT verdict (kkt_met in solve, on the residuals of _nlp_kkt):
+- KKT after the QP: the QP's own row duals, taken as the NLP multipliers at
+  its linearization point, pass the check. The QP's step is not applied.
+- The multiplier certificate: at an iterate a QP step reached, the duals of
+  that QP pass the check there (the standard SQP multiplier estimate, Nocedal
+  & Wright 2006, ch. 18), so the solve stops before running the next QP.
+  The linearization it needs is the one that QP would use.
+- The IP stall exit: an interior-point loop that has not improved its best
+  KKT error by 3% in ip_stall_limit iterations stops and returns its best
+  iterate (Wright 1997, on termination); its duals then serve the two
+  checks above.
 """
 from __future__ import annotations
 
@@ -64,10 +77,25 @@ class SolverOptions:
 
     The controller solves with the defaults. The oracle labels slacks with
     oracle.ORACLE_SOLVER_OPTS: KKT targets matched to the labeling accuracy
-    (tolerances), fewer SQP and interior-point iterations and an earlier
-    stall exit (iteration caps) and one fixed penalty above the slack
-    problems' multiplier scale (penalty bounds). Every other setting is a
-    module constant.
+    (tolerances), fewer SQP and interior-point iterations (iteration caps),
+    one fixed penalty above the slack problems' multiplier scale (penalty
+    bounds), a later stall exit and no multiplier certificate. Every other
+    setting is a module constant.
+
+    ip_stall_limit ends a QP's interior-point loop after that many
+    iterations without a 3% gain on its best KKT error, returning the best
+    iterate (the stall exit). The controller's QPs mostly stall on row
+    complementarity with every other residual far below its target; ending
+    them after 6 such iterations instead of 25 moves the shipped configs'
+    applied inputs by at most 7e-6.
+
+    multiplier_certificate lets solve stop at an accepted iterate before
+    its QP when the previous QP's row duals already pass the KKT check there
+    (the multiplier certificate). The oracle turns it off: with it, 3 of 60
+    labels of the benchmark's labeling batch move, the first by |dslack|
+    1.34e-6, beyond the 1e-6 its recorded reference allows. The oracle keeps
+    the two-QP exit until that reference is re-recorded; then this field
+    goes.
     """
     tol_stationarity: float = 1e-6
     tol_feasibility: float = 1e-8
@@ -76,7 +104,8 @@ class SolverOptions:
     max_ip_iter: int = 100
     penalty_init: float = 1e2
     penalty_max: float = 1e8
-    ip_stall_limit: int = 25
+    ip_stall_limit: int = 6
+    multiplier_certificate: bool = True
 
 
 @dataclass
@@ -85,10 +114,16 @@ class SolveReport:
 
     objective and infeasibility_measure (the largest row violation) belong
     to the returned point. The KKT residuals belong to the last
-    linearization point, with the multipliers of its subproblem; they
+    linearization point, with the multipliers of the last KKT check there:
+    after the multiplier certificate, the point returned and the duals of
+    the QP whose step reached it; after every other exit, the QP solved
+    there (its best iterate if it stalled) and its own duals. They
     follow the usual scaled convention: complementarity is normalized by
     (1 + max multiplier magnitude), so the reported value stays meaningful
-    when constraint forces are large.
+    when constraint forces are large. sqp_iterations counts linearization
+    points, so an exit by the certificate counts as an iteration that ran
+    no QP; ip_iterations counts the interior-point iterations of the QPs
+    that ran.
 
     phase_s sums the solve's seconds in each of PHASES: the Riccati
     factorizations, the Newton back-solves, and the evaluation (rollout,
@@ -722,6 +757,13 @@ def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport
         phase_s["evaluate"] += time.perf_counter() - t0
         return out
 
+    def kkt_met(kkt, tol_feasibility=opts.tol_feasibility) -> bool:
+        """The one optimality verdict, on the (stationarity, violation,
+        complementarity) residuals of _nlp_kkt."""
+        return (kkt[1] <= tol_feasibility
+                and kkt[0] <= opts.tol_stationarity
+                and kkt[2] <= opts.tol_complementarity)
+
     penalty = opts.penalty_init
     total_ip = 0
     status = STATUS_MAX_ITER
@@ -729,6 +771,7 @@ def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport
     xs, rows, obj = evaluate(us, gamma)
     final_kkt = (float("inf"), float("inf"), float("inf"))
     polish_streak = 0
+    z_step = None     # row duals of the QP whose step gave the iterate
 
     for it in range(opts.max_sqp_iter):
         sqp_iters = it + 1
@@ -737,15 +780,21 @@ def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport
         merit = obj + penalty * viol1
 
         sub = _Subproblem(nlp, xs, us, gamma, rows, penalty, opts)
+        if z_step is not None and opts.multiplier_certificate:
+            # multiplier certificate: the last QP's duals as the NLP's
+            # multiplier estimate at the iterate its step reached
+            final_kkt = _nlp_kkt(sub, z_step)
+            if kkt_met(final_kkt):
+                status = STATUS_OPTIMAL
+                break
+        z_step = None
         total_ip += _ip_solve(sub, phase_s)
         du = sub.w[:, nlp.nx:].copy()
         dgamma = sub.dgamma.copy()
 
-        final_kkt = _nlp_kkt(sub)
+        final_kkt = _nlp_kkt(sub, sub.z)
 
-        if (viol_inf <= opts.tol_feasibility
-                and final_kkt[0] <= opts.tol_stationarity
-                and final_kkt[2] <= opts.tol_complementarity):
+        if kkt_met(final_kkt):
             status = STATUS_OPTIMAL
             break
 
@@ -765,8 +814,9 @@ def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport
                     return False
                 status = STATUS_INFEASIBLE
                 return True
-            if (final_kkt[0] <= opts.tol_stationarity
-                    and final_kkt[2] <= opts.tol_complementarity):
+            # a stalled iterate within INFEASIBILITY_TOL is as feasible as
+            # the penalty can make it
+            if kkt_met(final_kkt, INFEASIBILITY_TOL):
                 status = STATUS_OPTIMAL
             return True
 
@@ -797,6 +847,7 @@ def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport
             merit_try = obj_try + penalty * rows_try.violation_l1()
             if merit_try <= merit + 1e-6 * (1.0 + abs(merit)):
                 us, gamma, xs, rows, obj = us_try, gamma_try, xs_try, rows_try, obj_try
+                z_step = sub.z
                 polish_streak += 1
                 continue
         polish_streak = 0
@@ -811,6 +862,7 @@ def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport
             merit_new = obj_new + penalty * rows_new.violation_l1()
             if merit_new <= merit + ARMIJO_C1 * alpha * descent:
                 us, gamma, xs, rows, obj = us_new, gamma_new, xs_new, rows_new, obj_new
+                z_step = sub.z
                 accepted = True
                 break
             alpha *= 0.5
@@ -846,10 +898,11 @@ def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport
     )
 
 
-def _nlp_kkt(sub: _Subproblem):
-    """KKT residuals of the NLP at the subproblem's linearization point,
-    recomputed from primal/dual values alone."""
-    nlp, rows, z = sub.nlp, sub.rows, sub.z
+def _nlp_kkt(sub: _Subproblem, z: np.ndarray):
+    """KKT residuals (stationarity, violation, complementarity) of the NLP at
+    the subproblem's linearization point with row multipliers z, recomputed
+    from primal/dual values alone."""
+    nlp, rows = sub.nlp, sub.rows
     M, nx, q = nlp.horizon, nlp.nx, nlp.n_gamma
 
     grad = sub.g_stage.copy()

@@ -148,21 +148,30 @@ def _enumerate_active_sets(H, g, Cin, din, tol=1e-9):
     return best
 
 
-def test_box_constrained_double_integrator_matches_enumeration():
+_DI_DT = 0.2
+_DI = (np.array([[1.0, _DI_DT], [0.0, 1.0]]),       # A, B, Q, R, P
+       np.array([[0.5 * _DI_DT * _DI_DT], [_DI_DT]]),
+       np.diag([1.0, 0.1]), np.array([[0.2]]), np.diag([2.0, 0.5]))
+
+
+def _box_double_integrators():
+    """Ten double integrators with a random input box |u| <= umax and a
+    state box that never binds: (nlp, x0, umax) each."""
     rng = np.random.default_rng(7)
-    dt = 0.2
-    A = np.array([[1.0, dt], [0.0, 1.0]])
-    B = np.array([[0.5 * dt * dt], [dt]])
-    Q = np.diag([1.0, 0.1])
-    R = np.array([[0.2]])
-    P = np.diag([2.0, 0.5])
     for _ in range(10):
         M = int(rng.integers(3, 6))
         x0 = rng.uniform(-1.5, 1.5, 2)
         umax = rng.uniform(0.4, 1.2)
         rows = _box_rows(np.array([-umax]), np.array([umax]),
                          np.array([-50.0, -50.0]), np.array([50.0, 50.0]))
-        rep = solve(_linear_nlp(A, B, Q, R, P, x0, M, rows=rows))
+        yield _linear_nlp(*_DI, x0, M, rows=rows), x0, umax
+
+
+def test_box_constrained_double_integrator_matches_enumeration():
+    A, B, Q, R, P = _DI
+    for nlp, x0, umax in _box_double_integrators():
+        M = nlp.horizon
+        rep = solve(nlp)
         assert rep.status == STATUS_OPTIMAL
 
         # dense condensed QP for the oracle (state boxes never active here)
@@ -313,7 +322,7 @@ def test_global_slack_block_analytic_toy():
     assert rep2.status == STATUS_INFEASIBLE
 
 
-def test_terminal_rows_enforced():
+def _terminal_standstill_nlp():
     A = np.array([[1.0, 0.1], [0.0, 1.0]])
     B = np.array([[0.005], [0.1]])
     Q, R, P = np.diag([0.0, 0.0]), np.array([[1.0]]), np.zeros((2, 2))
@@ -325,13 +334,17 @@ def test_terminal_rows_enforced():
         Cx = np.array([[0.0, 1.0], [0.0, -1.0]])
         return vals, Cx, None
 
-    rep = solve(_linear_nlp(A, B, Q, R, P, x0, 10, terminal_rows=terminal))
+    return _linear_nlp(A, B, Q, R, P, x0, 10, terminal_rows=terminal)
+
+
+def test_terminal_rows_enforced():
+    rep = solve(_terminal_standstill_nlp())
     assert rep.status == STATUS_OPTIMAL
     assert abs(rep.xs[-1, 1]) < 1e-6
 
 
-def test_nonlinear_dynamics_pendulum_swing():
-    # damped pendulum regulation; checks the SQP loop on nonlinear dynamics
+def _pendulum_nlp():
+    # damped pendulum regulation, no rows
     dt = 0.05
 
     def f(n, x, u):
@@ -349,14 +362,70 @@ def test_nonlinear_dynamics_pendulum_swing():
     M = 40
     W = np.zeros((M, 3, 3))
     W[:] = np.diag([5.0, 0.5, 0.05])
-    nlp = NlpDescription(nx=2, nu=1, horizon=M, x0=np.array([0.6, 0.0]),
-                         dyn_f=f, dyn_jac=jac,
-                         cost_W=W, cost_ref=np.zeros((M, 3)),
-                         cost_P=np.diag([20.0, 2.0]), cost_ref_M=np.zeros(2))
-    rep = solve(nlp)
+    return NlpDescription(nx=2, nu=1, horizon=M, x0=np.array([0.6, 0.0]),
+                          dyn_f=f, dyn_jac=jac,
+                          cost_W=W, cost_ref=np.zeros((M, 3)),
+                          cost_P=np.diag([20.0, 2.0]), cost_ref_M=np.zeros(2))
+
+
+def test_nonlinear_dynamics_pendulum_swing():
+    # checks the SQP loop on nonlinear dynamics
+    rep = solve(_pendulum_nlp())
     assert rep.status == STATUS_OPTIMAL
     assert abs(rep.xs[-1, 0]) < 0.05
     assert rep.stationarity <= 1e-6
+
+
+# the exits without the multiplier certificate and with the 25-iteration
+# stall exit the controller used before
+TWO_QP_EXITS = SolverOptions(ip_stall_limit=25, multiplier_certificate=False)
+
+
+@pytest.mark.parametrize("problems", [
+    lambda: [nlp for nlp, _, _ in _box_double_integrators()],
+    lambda: [_pendulum_nlp()],
+    lambda: [_terminal_standstill_nlp()],
+], ids=["box-double-integrator", "pendulum", "terminal-rows"])
+def test_multiplier_certificate_skips_the_confirming_qp(problems):
+    for nlp in problems():
+        before = solve(nlp, TWO_QP_EXITS)
+        # the certificate alone returns the same point: the QP it skips would
+        # only have confirmed it. The skipped linearization still counts
+        cert = solve(nlp, SolverOptions(ip_stall_limit=25))
+        assert cert.status == before.status == STATUS_OPTIMAL
+        assert np.max(np.abs(cert.us - before.us)) <= 1e-9
+        assert cert.ip_iterations < before.ip_iterations
+        assert cert.sqp_iterations == before.sqp_iterations
+        assert cert.stationarity <= 1e-6 and cert.complementarity <= 1e-8
+        # with the 6-iteration stall exit too, a stalled QP returns an
+        # earlier iterate: the box problems' inputs move by up to 4e-7,
+        # inside the stationarity target
+        rep = solve(nlp)
+        assert rep.status == STATUS_OPTIMAL
+        assert np.max(np.abs(rep.us - before.us)) <= 1e-6
+        assert rep.ip_iterations < before.ip_iterations
+
+
+def test_inactive_rows_end_optimal_in_fewer_ip_iterations():
+    # a double integrator whose rows all stay at least 2 inside their
+    # bounds, like a cycle with no road user. The first QP stalls on row
+    # complementarity: with the 25-iteration stall exit it ran 31 IP
+    # iterations and a second QP confirmed in 6 more (37); now the stall
+    # exit ends it after 12 and its duals certify the step's iterate
+    dt = 0.1
+    A = np.array([[1.0, dt], [0.0, 1.0]])
+    B = np.array([[0.5 * dt * dt], [dt]])
+    rows, m = _box_rows(np.array([-3.0]), np.array([3.0]),
+                        np.array([-100.0, -3.0]), np.array([100.0, 3.0]))
+    nlp = _linear_nlp(A, B, np.diag([1.0, 0.1]), np.array([[0.2]]),
+                      np.diag([2.0, 0.5]), np.array([1.0, -0.5]), 30,
+                      rows=(rows, m))
+    before = solve(nlp, TWO_QP_EXITS)
+    rep = solve(nlp)
+    assert before.status == rep.status == STATUS_OPTIMAL
+    assert (before.ip_iterations, rep.ip_iterations) == (37, 12)
+    vals, _, _ = rows(rep.xs[:-1], rep.us)
+    assert np.max(vals) < -2.0
 
 
 def test_phase_times_are_part_of_the_wall_time():
