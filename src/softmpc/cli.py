@@ -45,18 +45,17 @@ def _mode_by_name(config, name: str):
 
 
 def cmd_gen_data(args) -> int:
-    from .oracle import generate_dataset, save_dataset, LonSampler, LatSampler
+    from .oracle import generate_dataset, save_dataset
     from .simkit import scenario_template
     config = _load_config(args.config)
     mode, kind, _ = _mode_by_name(config, args.mode)
     template = scenario_template(config, kind)
     count = args.count or config.data_counts.get(mode.name.upper(), 500)
-    sampler = LonSampler() if kind == "lon" else LatSampler()
     t0 = time.perf_counter()
     rows, balance = generate_dataset(template, mode, count, args.seed,
-                                     sampler=sampler, workers=args.workers)
+                                     workers=args.workers)
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
-    save_dataset(rows, args.out, template, mode, args.seed, balance, sampler)
+    save_dataset(rows, args.out, template, mode, args.seed, balance)
     print(f"gen-data {mode.name}: {count} samples, "
           f"{balance:.2%} feasible, {time.perf_counter() - t0:.1f}s -> {args.out}")
     if balance in (0.0, 1.0):

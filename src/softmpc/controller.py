@@ -106,14 +106,12 @@ class PriorityController:
 
     def __init__(self, path: PathGeometry, params, weights: ocp.CostWeights,
                  horizon: ocp.HorizonConfig, stack: ocp.ConstraintStack,
-                 terminal: ocp.TerminalSets, modes: list,
-                 v_ref: float = 20.0, use_oracle: bool = False):
+                 modes: list, v_ref: float = 20.0, use_oracle: bool = False):
         self.path = path
         self.params = params
         self.weights = weights
         self.horizon = horizon
         self.stack = stack
-        self.terminal = terminal
         self.modes = sorted(modes, key=lambda m: m.mode.priority)
         priorities = [m.mode.priority for m in self.modes]
         if len(set(priorities)) != len(priorities):
@@ -210,7 +208,7 @@ class PriorityController:
         x_refs, u_refs = self._references(x_k, profile)
         warm = self._warm_start(u_refs)
         args = (x_k, self.path, self.params, self.weights, self.horizon,
-                self.stack, profile, self.terminal)
+                self.stack, profile)
         nominal = {} if delta is None or delta.consistent else None
         gates = {}
         failed = {}        # problem key -> the rung whose solve of it failed

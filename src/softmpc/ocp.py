@@ -20,7 +20,7 @@ problems, which it cuts down to the subsystem's states (see oracle.py).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -100,20 +100,15 @@ def terminal_weights(path: PathGeometry, params: VehicleParams, t_s: float,
     return CostWeights(Q=Q, R=R, P=P, K=K)
 
 
-@dataclass(frozen=True)
-class TerminalSets:
-    """Stabilizing tube widths (error-state box) and safe-set parameters.
-
-    tube widths apply to x - ref on steps beyond the cost horizon; the safe
-    set demands standstill behind the yield bound at the final step.
-    Non-finite widths disable the corresponding row.
-    """
-    tube: np.ndarray = field(default_factory=lambda: np.array(
-        [np.inf, 2.5, 0.3, 0.5, 0.6, 36.0, 12.0]))
-    stop_margin: float = 2.0       # distance kept behind the final yield bound
-    # narrow band instead of exact equalities: keeps the terminal rows
-    # strictly complementary, which the interior-point solver needs
-    standstill_tol: float = 1e-4
+# stabilizing tube: widths of the box on x - ref on the steps beyond the cost
+# horizon, per state; a non-finite width has no row
+TUBE = np.array([np.inf, 2.5, 0.3, 0.5, 0.6, 36.0, 12.0])
+TUBE.flags.writeable = False
+# safe set: standstill behind the yield bound at the final step
+STOP_MARGIN = 2.0       # distance kept behind the final yield bound
+# narrow band instead of exact equalities: keeps the terminal rows strictly
+# complementary, which the interior-point solver needs
+STANDSTILL_TOL = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +384,8 @@ def _make_stage_rows(stack: ConstraintStack, profile: DisturbanceProfile,
     return rows, mask
 
 
-def _make_terminal_rows(profile: DisturbanceProfile, terminal: TerminalSets,
-                        mode: RelaxationMode, labels: tuple = ROW_LABELS):
+def _make_terminal_rows(profile: DisturbanceProfile, mode: RelaxationMode,
+                        labels: tuple = ROW_LABELS):
     """Terminal row provider; rows read sign * x[col] - offset.
 
     A row is kept when its label is in labels, the mode does not drop it and
@@ -398,10 +393,10 @@ def _make_terminal_rows(profile: DisturbanceProfile, terminal: TerminalSets,
     abandons the yielding strategy, and with it the stop-behind row.
     """
     M = len(profile) - 1
-    tol = terminal.standstill_tol
+    tol = STANDSTILL_TOL
     offset = np.array([tol, tol, tol, tol,
                        profile.corridor_hi[M], -profile.corridor_lo[M],
-                       profile.yield_bound[M] - terminal.stop_margin])
+                       profile.yield_bound[M] - STOP_MARGIN])
     keep = [k for k, lbl in enumerate(TERMINAL_ROW_LABELS)
             if lbl in labels and lbl not in mode.drop
             and math.isfinite(offset[k])]
@@ -434,16 +429,16 @@ def _base_nlp(x_k, path: PathGeometry, params: VehicleParams,
 
 
 def build_nominal(x_k, path, params, weights, horizon, stack: ConstraintStack,
-                  profile: DisturbanceProfile, terminal: TerminalSets,
-                  x_refs, u_refs, u_init=None) -> NlpDescription:
+                  profile: DisturbanceProfile, x_refs, u_refs,
+                  u_init=None) -> NlpDescription:
     """The relaxed problem of NOMINAL_MODE: every row of the stack hard."""
     return build_relaxed(x_k, path, params, weights, horizon, stack, profile,
-                         terminal, NOMINAL_MODE, np.zeros(0), x_refs, u_refs,
+                         NOMINAL_MODE, np.zeros(0), x_refs, u_refs,
                          u_init=u_init)
 
 
 def build_relaxed(x_k, path, params, weights, horizon, stack, profile,
-                  terminal, mode: RelaxationMode, slack: np.ndarray,
+                  mode: RelaxationMode, slack: np.ndarray,
                   x_refs, u_refs, u_init=None) -> NlpDescription:
     """Problem with the mode's rows lifted by a fixed slack vector."""
     _check_profile(profile, horizon)
@@ -454,8 +449,8 @@ def build_relaxed(x_k, path, params, weights, horizon, stack, profile,
     if np.any(slack < -1e-12) or np.any(slack > ceil + 1e-9):
         raise ValueError("slack outside [0, ceiling] for mode " + mode.name)
     rows, mask = _make_stage_rows(stack, profile, mode, slack,
-                                  horizon, x_refs, terminal.tube)
-    term = _make_terminal_rows(profile, terminal, mode)
+                                  horizon, x_refs, TUBE)
+    term = _make_terminal_rows(profile, mode)
     return _base_nlp(x_k, path, params, weights, horizon, x_refs, u_refs,
                      rows, mask, term, u_init=u_init)
 

@@ -37,7 +37,7 @@ from . import dynamics as dyn
 from . import ocp
 from .dynamics import NU, NX, VehicleParams
 from .environment import NO_BOUND, DisturbanceProfile, lane_bounds
-from .ocp import ConstraintStack, HorizonConfig, RelaxationMode, TerminalSets, build_reference
+from .ocp import ConstraintStack, HorizonConfig, RelaxationMode, build_reference
 from .path import PathGeometry
 from .sqp import (STATUS_INFEASIBLE, STATUS_OPTIMAL, NlpDescription,
                   SolverOptions, SolveReport, solve)
@@ -78,7 +78,6 @@ class ScenarioTemplate:
     horizon: HorizonConfig
     params: VehicleParams
     stack: ConstraintStack
-    terminal: TerminalSets
     v_ref: float = 20.0
     lane_width: float = 3.5
 
@@ -217,7 +216,7 @@ def _subproblem_nlp(template: ScenarioTemplate, theta: np.ndarray,
         x0 = theta[2 * nw + 1:].copy()
         s0 = 0.0
         e_y_ref = template.lane_width if np.any(profile.corridor_lo > 0.0) else 0.0
-        tube[x_idx] = template.terminal.tube[x_idx]
+        tube[x_idx] = ocp.TUBE[x_idx]
 
         def dyn_f(n, x, u):
             return dyn.f_discrete(_embed(x, x_idx, x_rest), _embed(u, u_idx, u_rest),
@@ -231,7 +230,7 @@ def _subproblem_nlp(template: ScenarioTemplate, theta: np.ndarray,
     x_refs, u_refs = build_reference(s0, template.v_ref, e_y_ref, h)
     stage, mask = ocp._make_stage_rows(template.stack, profile, mode, None, h,
                                        x_refs, tube, labels)
-    terminal = ocp._make_terminal_rows(profile, template.terminal, mode, labels)
+    terminal = ocp._make_terminal_rows(profile, mode, labels)
     cols = np.append(x_idx, NX + u_col)     # subsystem columns of (x, u)
 
     def stage_rows(xs, us):
@@ -299,33 +298,18 @@ def oracle_solve(template: ScenarioTemplate, mode: RelaxationMode,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LonSampler:
-    """Parameter ranges for synthetic yield-bound profiles (cut-in shaped)."""
-    v0: tuple = (3.0, 28.0)
-    a0: tuple = (-6.0, 2.5)
-    gap0: tuple = (2.0, 90.0)
-    lead_speed: tuple = (0.0, 25.0)
-    drop: tuple = (0.0, 35.0)
-    drop_start: tuple = (0.0, 70.0)
-    drop_len: tuple = (1.0, 25.0)
-    lead_speed_after: tuple = (0.0, 20.0)
-
-    names = ("v0", "a0", "gap0", "lead_speed", "drop", "drop_start",
-             "drop_len", "lead_speed_after")
-
-
-@dataclass(frozen=True)
-class LatSampler:
-    """Parameter ranges for corridor-switch profiles and lateral states."""
-    v: tuple = (5.0, 28.0)
-    e_y: tuple = (-0.3, 3.8)
-    e_psi: tuple = (-0.15, 0.15)
-    delta: tuple = (-0.1, 0.1)
-    alpha: tuple = (-0.3, 0.3)
-    invade_start: tuple = (1.0, 130.0)   # beyond the horizon: no invasion
-
-    names = ("v", "e_y", "e_psi", "delta", "alpha", "invade_start")
+# Latin-hypercube ranges of the synthetic sample parameters per template
+# kind, in draw order: cut-in shaped yield-bound profiles (lon), and
+# corridor switches with lateral states (lat)
+SAMPLE_RANGES = {
+    "lon": {"v0": (3.0, 28.0), "a0": (-6.0, 2.5), "gap0": (2.0, 90.0),
+            "lead_speed": (0.0, 25.0), "drop": (0.0, 35.0),
+            "drop_start": (0.0, 70.0), "drop_len": (1.0, 25.0),
+            "lead_speed_after": (0.0, 20.0)},
+    "lat": {"v": (5.0, 28.0), "e_y": (-0.3, 3.8), "e_psi": (-0.15, 0.15),
+            "delta": (-0.1, 0.1), "alpha": (-0.3, 0.3),
+            "invade_start": (1.0, 130.0)},   # beyond the horizon: no invasion
+}
 
 
 def _latin_hypercube(rng: np.random.Generator, count: int, dims: int) -> np.ndarray:
@@ -364,18 +348,17 @@ def _lat_theta_from_params(template: ScenarioTemplate, p: dict) -> np.ndarray:
                                     p["delta"], p["alpha"]]])
 
 
-def sample_thetas(template: ScenarioTemplate, sampler, count: int,
+def sample_thetas(template: ScenarioTemplate, count: int,
                   seed: int) -> np.ndarray:
-    """Deterministic Latin-hypercube draw mapped to theta vectors."""
+    """Deterministic Latin-hypercube draw over the kind's SAMPLE_RANGES,
+    mapped to theta vectors."""
     rng = np.random.default_rng(seed)
-    names = sampler.names
-    unit = _latin_hypercube(rng, count, len(names))
+    ranges = list(SAMPLE_RANGES[template.kind].items())
+    unit = _latin_hypercube(rng, count, len(ranges))
     thetas = np.empty((count, template.theta_dim))
     for i in range(count):
-        p = {}
-        for j, name in enumerate(names):
-            lo, hi = getattr(sampler, name)
-            p[name] = lo + unit[i, j] * (hi - lo)
+        p = {name: lo + unit[i, j] * (hi - lo)
+             for j, (name, (lo, hi)) in enumerate(ranges)}
         if template.kind == "lon":
             thetas[i] = _lon_theta_from_params(template, p)
         else:
@@ -399,8 +382,7 @@ def _dataset_worker(args):
 
 
 def generate_dataset(template: ScenarioTemplate, mode: RelaxationMode,
-                     count: int, seed: int, sampler=None,
-                     workers: int | None = None):
+                     count: int, seed: int, workers: int | None = None):
     """Labeled samples (theta, feasible, slack) for one relaxation mode.
 
     Samples are independent, so labeling fans out over worker processes;
@@ -409,9 +391,7 @@ def generate_dataset(template: ScenarioTemplate, mode: RelaxationMode,
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if sampler is None:
-        sampler = LonSampler() if template.kind == "lon" else LatSampler()
-    thetas = sample_thetas(template, sampler, count, seed)
+    thetas = sample_thetas(template, count, seed)
 
     if workers is None:
         workers = os.cpu_count() or 1
@@ -441,8 +421,7 @@ def generate_dataset(template: ScenarioTemplate, mode: RelaxationMode,
 
 
 def save_dataset(rows, filename: str, template: ScenarioTemplate,
-                 mode: RelaxationMode, seed: int, balance: float,
-                 sampler=None) -> None:
+                 mode: RelaxationMode, seed: int, balance: float) -> None:
     """CSV with theta/label/slack columns plus a JSON metadata sidecar."""
     d = len(rows[0][0])
     n_ch = mode.n_channels
@@ -471,8 +450,8 @@ def save_dataset(rows, filename: str, template: ScenarioTemplate,
         "feasible_fraction": balance,
         "v_ref": template.v_ref,
         "lane_width": template.lane_width,
-        "sampler": {name: list(getattr(sampler, name)) for name in sampler.names}
-        if sampler is not None else None,
+        "sampler": {name: list(r)
+                    for name, r in SAMPLE_RANGES[template.kind].items()},
     }
     with open(filename.rsplit(".", 1)[0] + ".json", "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)

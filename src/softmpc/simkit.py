@@ -296,8 +296,7 @@ def scenario_stack(config: ScenarioConfig) -> ocp.ConstraintStack:
 def scenario_template(config: ScenarioConfig, kind: str) -> ScenarioTemplate:
     return ScenarioTemplate(kind=kind, horizon=config.horizon,
                             params=config.params, stack=scenario_stack(config),
-                            terminal=ocp.TerminalSets(), v_ref=config.v_ref,
-                            lane_width=config.lane_width)
+                            v_ref=config.v_ref, lane_width=config.lane_width)
 
 
 def build_controller(config: ScenarioConfig,
@@ -318,8 +317,8 @@ def build_controller(config: ScenarioConfig,
                                     template=scenario_template(config, kind),
                                     model=model))
     return PriorityController(path, config.params, weights, config.horizon,
-                              stack, ocp.TerminalSets(), runtimes,
-                              v_ref=config.v_ref, use_oracle=use_oracle)
+                              stack, runtimes, v_ref=config.v_ref,
+                              use_oracle=use_oracle)
 
 
 @dataclass
@@ -354,8 +353,8 @@ class SimLog:
 
 def run(config: ScenarioConfig, use_oracle: bool = False) -> SimLog:
     """Closed-loop simulation of one scenario."""
-    path = straight_path(config.path_length, lane_width=config.lane_width)
     controller = build_controller(config, use_oracle=use_oracle)
+    path = controller.path
     if config.ru_file:
         ru_truth = CsvTrajectory(config.ru_file)
     else:

@@ -12,9 +12,9 @@ solver groups the rows once per solve. Only the one-stage step dyn_f is
 called per stage, by the sequential rollout.
 
 The iterate stores the input trajectory; states follow by forward rollout,
-so dynamics hold exactly at every iterate. Each iterate is evaluated once
-(rollout, linearized rows, objective): a line-search or polish trial that is
-accepted becomes the next iterate together with its rows. Each iteration
+so dynamics hold exactly at every iterate. Each point is evaluated once
+(rollout, linearized rows, objective): the trial that is accepted becomes
+the next iterate together with its rows. Each iteration
 linearizes the dynamics, forms the Gauss-Newton quadratic subproblem and
 solves it with a Mehrotra predictor-corrector interior-point method. Every
 inequality row carries an elastic variable penalized in the l1 sense, which
@@ -32,11 +32,15 @@ per-stage loops return, bit for bit. Batched matmul runs the BLAS kernel
 that `@` runs on each stage; np.einsum does not, and its sums would move
 the results in the last bits. The row blocks (stage
 groups, terminal block, global box) and their products with the Newton
-system live in one place, _Rows. Step acceptance uses an Armijo
-backtracking line search on the l1 merit function.
+system live in one place, _Rows.
+
+Step acceptance is one backtracking line search on the l1 merit function,
+from the full step down to MIN_STEP. Every trial needs the Armijo decrease
+but one: the full step of a small step at a feasible iterate (a polish
+step) passes within merit noise, a watchdog against the Maratos effect.
 
 The loop has three exits that end a solve or a QP early, all judged by one
-KKT verdict (kkt_met in solve, on the residuals of _nlp_kkt):
+KKT verdict (_kkt_met, on the residuals of _nlp_kkt):
 - KKT after the QP: the QP's own row duals, taken as the NLP multipliers at
   its linearization point, pass the check. The QP's step is not applied.
 - The multiplier certificate: at an iterate a QP step reached, the duals of
@@ -47,6 +51,13 @@ KKT verdict (kkt_met in solve, on the residuals of _nlp_kkt):
   KKT error by 3% in ip_stall_limit iterations stops and returns its best
   iterate (Wright 1997, on termination); its duals then serve the two
   checks above.
+An iteration that makes no progress meets the one no-progress verdict: its
+QP gave no step, the line search accepted no trial or only one too small to
+count, the restoration cannot reduce the violation any more, or the fourth
+polish step in a row would be tried. Above INFEASIBILITY_TOL the verdict
+raises the penalty, or at the penalty ceiling ends the solve infeasible;
+within it the solve ends optimal if the KKT check passes with that looser
+violation bound, and max-iter otherwise.
 """
 from __future__ import annotations
 
@@ -179,7 +190,8 @@ class NlpDescription:
     gamma_weight, starts at zero and is boxed by [gamma_lo, gamma_hi].
     dyn_f(n, x, u) steps one stage, as the rollout is sequential;
     dyn_jac(xs, us) returns the Jacobians (A (M, nx, nx), B (M, nx, nu))
-    of every stage at once.
+    of every stage at once. nu is 1 or 2: the Riccati sweep inverts the
+    control Hessian in closed form (_inv_pd).
     """
     nx: int
     nu: int
@@ -202,6 +214,8 @@ class NlpDescription:
     u_init: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.nu not in (1, 2):
+            raise ValueError(f"nu must be 1 or 2, got {self.nu}")
         self.x0 = np.asarray(self.x0, dtype=float)
         self.cost_W = np.asarray(self.cost_W, dtype=float)
         self.cost_ref = np.asarray(self.cost_ref, dtype=float)
@@ -508,43 +522,31 @@ def _subtract_in_order(x, terms):
 
 def _inv_pd(Q):
     """Inverse of the control Hessian 0.5 (Q + Q') + CONTROL_REG I of the
-    raw block Q, with a bump fallback where it is not positive definite.
+    raw block Q (1x1 or 2x2, see NlpDescription.nu), with a bump fallback
+    where it is not positive definite.
 
-    Blocks of size 1 and 2 are symmetrized and inverted in Python floats,
-    with the operations numpy would apply elementwise, so the result is the
-    one of the array expression bit for bit at a fraction of its overhead.
+    The block is symmetrized and inverted in Python floats, with the
+    operations numpy would apply elementwise, so the result is the one of
+    the array expression bit for bit at a fraction of its overhead.
     """
-    n = Q.shape[0]
-    if n == 1:
+    if Q.shape[0] == 1:
         v = Q.item()
         v = 0.5 * (v + v) + CONTROL_REG
         return np.array([[1.0 / (v if v > 1e-300 else 1e-300)]])
-    if n == 2:
-        (a, b), (c, d) = Q.tolist()
-        a = 0.5 * (a + a) + CONTROL_REG
-        d = 0.5 * (d + d) + CONTROL_REG
-        b = c = 0.5 * (b + c) + 0.0     # the identity's zero: -0.0 -> 0.0
-        det = a * d - b * c
-        if det > 1e-300 and a > 0.0:
-            return np.array([[d / det, -b / det], [-c / det, a / det]])
-        bump = 1e-12 * max(a + d, 1.0)
-        for _ in range(40):
-            a2, d2 = a + bump, d + bump
-            det = a2 * d2 - b * c
-            if det > 1e-300 and a2 > 0.0:
-                return np.array([[d2 / det, -b / det], [-c / det, a2 / det]])
-            bump *= 10.0
-        raise np.linalg.LinAlgError("could not regularize control Hessian")
-    Q = 0.5 * (Q + Q.T) + CONTROL_REG * np.eye(n)
-    scale = max(float(np.max(np.abs(Q))), 1.0)
-    bump = 0.0
-    for _ in range(14):
-        try:
-            cho = np.linalg.cholesky(Q + bump * np.eye(n))
-            inv_l = np.linalg.inv(cho)
-            return inv_l.T @ inv_l
-        except np.linalg.LinAlgError:
-            bump = max(2.0 * bump, 1e-12 * scale)
+    (a, b), (c, d) = Q.tolist()
+    a = 0.5 * (a + a) + CONTROL_REG
+    d = 0.5 * (d + d) + CONTROL_REG
+    b = c = 0.5 * (b + c) + 0.0     # the identity's zero: -0.0 -> 0.0
+    det = a * d - b * c
+    if det > 1e-300 and a > 0.0:
+        return np.array([[d / det, -b / det], [-c / det, a / det]])
+    bump = 1e-12 * max(a + d, 1.0)
+    for _ in range(40):
+        a2, d2 = a + bump, d + bump
+        det = a2 * d2 - b * c
+        if det > 1e-300 and a2 > 0.0:
+            return np.array([[d2 / det, -b / det], [-c / det, a2 / det]])
+        bump *= 10.0
     raise np.linalg.LinAlgError("could not regularize control Hessian")
 
 
@@ -738,6 +740,20 @@ def _ip_solve(sub: _Subproblem, phase_s: dict):
     return iters
 
 
+def _evaluate(nlp: NlpDescription, layout: _Layout, us, gamma):
+    """Rollout, rows and objective of one point."""
+    xs = _rollout(nlp, us)
+    return xs, _Rows(nlp, layout, xs, us, gamma), _objective(nlp, xs, us, gamma)
+
+
+def _kkt_met(kkt, opts: SolverOptions, tol_feasibility: float) -> bool:
+    """The one optimality verdict, on the (stationarity, violation,
+    complementarity) residuals of _nlp_kkt."""
+    return (kkt[1] <= tol_feasibility
+            and kkt[0] <= opts.tol_stationarity
+            and kkt[2] <= opts.tol_complementarity)
+
+
 def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport:
     """Run the SQP loop on the given problem and report the outcome."""
     opts = opts or SolverOptions()
@@ -750,25 +766,11 @@ def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport
     layout = _Layout(nlp)
     phase_s = dict.fromkeys(PHASES, 0.0)
 
-    def evaluate(us, gamma):
-        t0 = time.perf_counter()
-        xs = _rollout(nlp, us)
-        out = xs, _Rows(nlp, layout, xs, us, gamma), _objective(nlp, xs, us, gamma)
-        phase_s["evaluate"] += time.perf_counter() - t0
-        return out
-
-    def kkt_met(kkt, tol_feasibility=opts.tol_feasibility) -> bool:
-        """The one optimality verdict, on the (stationarity, violation,
-        complementarity) residuals of _nlp_kkt."""
-        return (kkt[1] <= tol_feasibility
-                and kkt[0] <= opts.tol_stationarity
-                and kkt[2] <= opts.tol_complementarity)
-
     penalty = opts.penalty_init
     total_ip = 0
     status = STATUS_MAX_ITER
     sqp_iters = 0
-    xs, rows, obj = evaluate(us, gamma)
+    xs, rows, obj = _timed(phase_s, "evaluate", _evaluate, nlp, layout, us, gamma)
     final_kkt = (float("inf"), float("inf"), float("inf"))
     polish_streak = 0
     z_step = None     # row duals of the QP whose step gave the iterate
@@ -784,7 +786,7 @@ def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport
             # multiplier certificate: the last QP's duals as the NLP's
             # multiplier estimate at the iterate its step reached
             final_kkt = _nlp_kkt(sub, z_step)
-            if kkt_met(final_kkt):
+            if _kkt_met(final_kkt, opts, opts.tol_feasibility):
                 status = STATUS_OPTIMAL
                 break
         z_step = None
@@ -794,94 +796,73 @@ def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport
 
         final_kkt = _nlp_kkt(sub, sub.z)
 
-        if kkt_met(final_kkt):
+        if _kkt_met(final_kkt, opts, opts.tol_feasibility):
             status = STATUS_OPTIMAL
             break
 
         step_norm = max(float(np.max(np.abs(du))) if du.size else 0.0,
                         float(np.max(np.abs(dgamma))) if dgamma.size else 0.0)
         model_viol = float(np.sum(np.maximum(sub.t, 0.0)))
+        # a bounded polish streak keeps stalled-but-feasible runs from cycling
+        polish = viol_inf <= opts.tol_feasibility and step_norm <= 1e-3
+        if step_norm > TOL_STEP and not (polish and polish_streak >= 3):
+            # predicted merit reduction of the QP model (includes
+            # curvature); nonpositive by construction since (0, current
+            # violation) is feasible
+            d_obj = (float(np.sum(sub.g_stage * sub.w)) + float(sub.g_term @ sub.wM)
+                     + (float(sub.g_gamma @ dgamma) if nlp.n_gamma else 0.0))
+            curv = float(np.einsum("ni,nij,nj->", sub.w, nlp.cost_W, sub.w))
+            curv += float(sub.wM @ nlp.cost_P @ sub.wM)
+            if nlp.n_gamma:
+                curv += float(dgamma @ nlp.gamma_weight @ dgamma)
+            descent = min((d_obj + 0.5 * curv)
+                          - penalty * max(viol1 - model_viol, 0.0), -1e-16)
 
-        def stalled_verdict():
-            """True to stop; sets status. May escalate the penalty instead."""
-            nonlocal penalty, status
-            if viol_inf > INFEASIBILITY_TOL:
-                if penalty < opts.penalty_max:
-                    # violation the subproblem itself cannot remove warrants
-                    # the aggressive escalation
-                    factor = 100.0 if model_viol >= 0.99 * viol1 else 10.0
-                    penalty = min(penalty * factor, opts.penalty_max)
-                    return False
-                status = STATUS_INFEASIBLE
-                return True
-            # a stalled iterate within INFEASIBILITY_TOL is as feasible as
-            # the penalty can make it
-            if kkt_met(final_kkt, INFEASIBILITY_TOL):
-                status = STATUS_OPTIMAL
-            return True
-
-        if step_norm <= TOL_STEP:
-            if stalled_verdict():
-                break
-            continue
-
-        # predicted merit reduction of the QP model (includes curvature);
-        # nonpositive by construction since (0, current violation) is feasible
-        d_obj = (float(np.sum(sub.g_stage * sub.w)) + float(sub.g_term @ sub.wM)
-                 + (float(sub.g_gamma @ dgamma) if nlp.n_gamma else 0.0))
-        curv = float(np.einsum("ni,nij,nj->", sub.w, nlp.cost_W, sub.w))
-        curv += float(sub.wM @ nlp.cost_P @ sub.wM)
-        if nlp.n_gamma:
-            curv += float(dgamma @ nlp.gamma_weight @ dgamma)
-        descent = (d_obj + 0.5 * curv) - penalty * max(viol1 - model_viol, 0.0)
-
-        if viol_inf <= opts.tol_feasibility and step_norm <= 1e-3:
-            # watchdog acceptance: small feasible polish steps may raise the
-            # merit within noise (Maratos effect) while tightening the KKT.
-            # a bounded streak keeps stalled-but-feasible runs from cycling
-            if polish_streak >= 3:
-                break
-            us_try = us + du
-            gamma_try = gamma + dgamma if nlp.n_gamma else gamma
-            xs_try, rows_try, obj_try = evaluate(us_try, gamma_try)
-            merit_try = obj_try + penalty * rows_try.violation_l1()
-            if merit_try <= merit + 1e-6 * (1.0 + abs(merit)):
-                us, gamma, xs, rows, obj = us_try, gamma_try, xs_try, rows_try, obj_try
-                z_step = sub.z
-                polish_streak += 1
+            # the watchdog's noise bound is at least the merit and the Armijo
+            # bound at most, so a full step the watchdog rejects fails the
+            # Armijo test too
+            alpha = 1.0
+            accepted = False
+            while alpha >= MIN_STEP:
+                us_new = us + alpha * du
+                gamma_new = gamma + alpha * dgamma if nlp.n_gamma else gamma
+                xs_new, rows_new, obj_new = _timed(phase_s, "evaluate", _evaluate,
+                                                   nlp, layout, us_new, gamma_new)
+                merit_new = obj_new + penalty * rows_new.violation_l1()
+                if polish and alpha == 1.0:
+                    bound = merit + 1e-6 * (1.0 + abs(merit))
+                else:
+                    bound = merit + ARMIJO_C1 * alpha * descent
+                if merit_new <= bound:
+                    us, gamma, xs, rows, obj = us_new, gamma_new, xs_new, rows_new, obj_new
+                    z_step = sub.z
+                    accepted = True
+                    break
+                alpha *= 0.5
+            polish_streak = (polish_streak + 1
+                             if polish and accepted and alpha == 1.0 else 0)
+            # a step accepted in float terms but too small to count makes no
+            # progress; nor does a converged restoration, where the
+            # subproblem cannot reduce the violation from here
+            if (accepted and alpha * step_norm > TOL_STEP
+                    and not (viol_inf > INFEASIBILITY_TOL
+                             and model_viol >= 0.999 * viol1)):
                 continue
-        polish_streak = 0
-        descent = min(descent, -1e-16)
 
-        alpha = 1.0
-        accepted = False
-        while alpha >= MIN_STEP:
-            us_new = us + alpha * du
-            gamma_new = gamma + alpha * dgamma if nlp.n_gamma else gamma
-            xs_new, rows_new, obj_new = evaluate(us_new, gamma_new)
-            merit_new = obj_new + penalty * rows_new.violation_l1()
-            if merit_new <= merit + ARMIJO_C1 * alpha * descent:
-                us, gamma, xs, rows, obj = us_new, gamma_new, xs_new, rows_new, obj_new
-                z_step = sub.z
-                accepted = True
-                break
-            alpha *= 0.5
-        if accepted and alpha * step_norm <= TOL_STEP:
-            # accepted in float terms but no real progress
-            if stalled_verdict():
-                break
-            continue
-        if not accepted:
-            if stalled_verdict():
-                break
-            continue
-        if (viol_inf > INFEASIBILITY_TOL
-                and model_viol >= 0.999 * viol1):
-            # restoration converged: the subproblem cannot reduce the
-            # violation from here; escalate or declare infeasibility
-            if stalled_verdict():
-                break
-            continue
+        # the no-progress verdict
+        if viol_inf > INFEASIBILITY_TOL:
+            if penalty < opts.penalty_max:
+                # violation the subproblem itself cannot remove warrants the
+                # aggressive escalation
+                factor = 100.0 if model_viol >= 0.99 * viol1 else 10.0
+                penalty = min(penalty * factor, opts.penalty_max)
+                continue
+            status = STATUS_INFEASIBLE
+        elif _kkt_met(final_kkt, opts, INFEASIBILITY_TOL):
+            # an iterate within INFEASIBILITY_TOL that makes no progress is
+            # as feasible as the penalty can make it
+            status = STATUS_OPTIMAL
+        break
 
     return SolveReport(
         status=status,

@@ -12,7 +12,7 @@ from softmpc.controller import (BRANCH_FAILURE, BRANCH_NOMINAL, HARD_ROW_TOL,
 from softmpc.dynamics import VehicleParams
 from softmpc.environment import (DisturbanceProfile, NO_BOUND, RoadUserState,
                                  build_profile, nominal_profile)
-from softmpc.oracle import LonSampler, ScenarioTemplate, generate_dataset
+from softmpc.oracle import ScenarioTemplate, generate_dataset
 from softmpc.path import straight_path
 from softmpc.sqp import PHASES, STATUS_INFEASIBLE, STATUS_OPTIMAL, SolveReport
 from softmpc.surrogate import LipschitzBudget, train_mode_model
@@ -21,7 +21,6 @@ PARAMS = VehicleParams()
 PATH = straight_path(600.0)
 HORIZON = ocp.HorizonConfig(n_cost=8, n_constraint=40, t_s=0.1)
 STACK = ocp.ConstraintStack(params=PARAMS)
-TERMINAL = ocp.TerminalSets()
 V_REF = 7.0
 WEIGHTS = ocp.terminal_weights(PATH, PARAMS, HORIZON.t_s, V_REF)
 
@@ -32,15 +31,15 @@ MODE_E2 = ocp.RelaxationMode(
     relax={"g_follow": "delta_g", "a_req_comfort_lb": "delta_a"},
     ceilings={"delta_g": 30.0, "delta_a": 6.0})
 LON_TEMPLATE = ScenarioTemplate(kind="lon", horizon=HORIZON, params=PARAMS,
-                                stack=STACK, terminal=TERMINAL, v_ref=V_REF)
+                                stack=STACK, v_ref=V_REF)
 
 
 def _controller(modes=None, **kw):
     if modes is None:
         modes = [ModeRuntime(mode=MODE_E1, template=LON_TEMPLATE),
                  ModeRuntime(mode=MODE_E2, template=LON_TEMPLATE)]
-    return PriorityController(PATH, PARAMS, WEIGHTS, HORIZON, STACK, TERMINAL,
-                              modes, v_ref=V_REF, use_oracle=True, **kw)
+    return PriorityController(PATH, PARAMS, WEIGHTS, HORIZON, STACK, modes,
+                              v_ref=V_REF, use_oracle=True, **kw)
 
 
 def _profile_from_ru(ru, ego_lane="right"):
@@ -74,7 +73,7 @@ def test_duplicate_priorities_rejected():
 
 def test_model_required_without_oracle():
     with pytest.raises(ValueError, match="trained model"):
-        PriorityController(PATH, PARAMS, WEIGHTS, HORIZON, STACK, TERMINAL,
+        PriorityController(PATH, PARAMS, WEIGHTS, HORIZON, STACK,
                            [ModeRuntime(mode=MODE_E1, template=LON_TEMPLATE)],
                            v_ref=V_REF, use_oracle=False)
 
@@ -271,7 +270,7 @@ def test_surrogate_backed_controller_runs():
     model = train_mode_model("E1", MODE_E1.channels, MODE_E1.ceiling_vector(),
                              thetas, feas, slacks, budget, epochs=300, seed=1)
     ctrl = PriorityController(
-        PATH, PARAMS, WEIGHTS, HORIZON, STACK, TERMINAL,
+        PATH, PARAMS, WEIGHTS, HORIZON, STACK,
         [ModeRuntime(mode=MODE_E1, template=LON_TEMPLATE, model=model)],
         v_ref=V_REF, use_oracle=False)
     x = dyn.state(s=0.0, v=V_REF)

@@ -18,7 +18,6 @@ PARAMS = VehicleParams()
 PATH = straight_path(600.0)
 HORIZON = ocp.HorizonConfig(n_cost=8, n_constraint=40, t_s=0.1)
 STACK = ocp.ConstraintStack(params=PARAMS)
-TERMINAL = ocp.TerminalSets()
 
 MODE_E1 = ocp.RelaxationMode(
     name="E1", priority=1, relax={"g_follow": "delta_g"},
@@ -208,8 +207,7 @@ def test_nominal_problem_reduces_to_tracking_without_ru():
     x0 = dyn.state(s=5.0, e_y=0.3, v=7.0)
     x_refs, u_refs = _refs(5.0)
     nlp = ocp.build_nominal(x0, PATH, PARAMS, weights, HORIZON, STACK,
-                            _free_profile(), TERMINAL, x_refs, u_refs,
-                            u_init=u_refs)
+                            _free_profile(), x_refs, u_refs, u_init=u_refs)
     rep = solve(nlp)
     assert rep.status == STATUS_OPTIMAL
     # lateral error regulated toward the reference
@@ -222,7 +220,7 @@ def test_variable_count_is_inputs_times_horizon():
     weights = _weights()
     x_refs, u_refs = _refs(0.0)
     nlp = ocp.build_nominal(dyn.state(v=7.0), PATH, PARAMS, weights, HORIZON,
-                            STACK, _free_profile(), TERMINAL, x_refs, u_refs)
+                            STACK, _free_profile(), x_refs, u_refs)
     assert nlp.horizon * nlp.nu == 2 * HORIZON.n_constraint
     assert nlp.n_gamma == 0
 
@@ -270,15 +268,14 @@ def test_relaxed_lifts_only_selected_rows():
                                  corridor_hi=np.full(M + 1, 1.75),
                                  window=(0, M))
     nom = ocp.build_nominal(x0, PATH, PARAMS, weights, HORIZON, STACK, profile,
-                            TERMINAL, x_refs, u_refs, u_init=u_refs)
+                            x_refs, u_refs, u_init=u_refs)
     rep_nom = solve(nom)
     # headway violated at stage 0 (8 < 0 + 1.5*7) and not relaxable
     assert rep_nom.status == STATUS_INFEASIBLE
 
     slack = np.array([8.0])  # lifts g_follow enough at the initial state
     rel = ocp.build_relaxed(x0, PATH, PARAMS, weights, HORIZON, STACK, profile,
-                            TERMINAL, MODE_E1, slack, x_refs, u_refs,
-                            u_init=u_refs)
+                            MODE_E1, slack, x_refs, u_refs, u_init=u_refs)
     rep_rel = solve(rel)
     assert rep_rel.status == STATUS_OPTIMAL
     res = ocp.eval_constraints(rep_rel.xs, rep_rel.us, STACK, profile)
@@ -301,7 +298,7 @@ def test_row_layout_follows_profile_mode_and_tube():
                                  window=(20, M))
     x_refs, u_refs = _refs(0.0)
     args = (dyn.state(v=7.0), PATH, PARAMS, _weights(), HORIZON, STACK,
-            profile, TERMINAL)
+            profile)
     nom = ocp.build_nominal(*args, x_refs, u_refs)
     counts = nom.stage_row_mask.sum(axis=1)
     assert list(counts[:8]) == [21] * 8
@@ -349,7 +346,7 @@ def test_zero_lift_builds_the_nominal_rows_bit_for_bit(case, x):
                                  corridor_lo=np.full(M + 1, -1.75),
                                  corridor_hi=np.full(M + 1, 1.75), window=None)
     x_refs, u_refs = _refs(float(x0[dyn.IDX_S]))
-    args = (x0, PATH, PARAMS, _weights(), HORIZON, STACK, profile, TERMINAL)
+    args = (x0, PATH, PARAMS, _weights(), HORIZON, STACK, profile)
     nominal = _rows_bytes(ocp.build_nominal(*args, x_refs, u_refs), xs, us)
     for mode in (MODE_E1, MODE_E2):
         rel = ocp.build_relaxed(*args, mode, np.zeros(mode.n_channels),
@@ -365,8 +362,8 @@ def test_relaxed_rejects_slack_beyond_ceiling():
     x_refs, u_refs = _refs(0.0)
     with pytest.raises(ValueError, match="ceiling"):
         ocp.build_relaxed(dyn.state(v=15.0), PATH, PARAMS, weights, HORIZON,
-                          STACK, _free_profile(), TERMINAL, MODE_E1,
-                          np.array([31.0]), x_refs, u_refs)
+                          STACK, _free_profile(), MODE_E1, np.array([31.0]),
+                          x_refs, u_refs)
 
 
 def test_mode_e3_drops_longitudinal_rows():
@@ -380,10 +377,10 @@ def test_mode_e3_drops_longitudinal_rows():
                                  corridor_hi=np.full(M + 1, 1.75),
                                  window=(0, M))
     nom = ocp.build_nominal(x0, PATH, PARAMS, weights, HORIZON, STACK, profile,
-                            TERMINAL, x_refs, u_refs, u_init=u_refs)
+                            x_refs, u_refs, u_init=u_refs)
     assert solve(nom).status == STATUS_INFEASIBLE
     rel = ocp.build_relaxed(x0, PATH, PARAMS, weights, HORIZON, STACK, profile,
-                            TERMINAL, MODE_E3, np.zeros(4), x_refs, u_refs,
+                            MODE_E3, np.zeros(4), x_refs, u_refs,
                             u_init=u_refs)
     assert solve(rel).status == STATUS_OPTIMAL
 
@@ -393,7 +390,7 @@ def _oracle_slack_in_relaxed_problem(kind, mode, x0, profile, v_ref):
     lift of the relaxed problem on the full model with the same profile.
     Returns the number of hard rows the solution was checked on."""
     template = ScenarioTemplate(kind=kind, horizon=HORIZON, params=PARAMS,
-                                stack=STACK, terminal=TERMINAL, v_ref=v_ref)
+                                stack=STACK, v_ref=v_ref)
     feasible, slack, _ = oracle_solve(template, mode,
                                       build_theta(template, x0, profile))
     assert feasible
@@ -402,7 +399,7 @@ def _oracle_slack_in_relaxed_problem(kind, mode, x0, profile, v_ref):
     x_refs, u_refs = ocp.build_reference(x0[dyn.IDX_S], v_ref, center,
                                          HORIZON)
     rel = ocp.build_relaxed(x0, PATH, PARAMS, _weights(v_ref), HORIZON, STACK,
-                            profile, TERMINAL, mode, slack, x_refs, u_refs,
+                            profile, mode, slack, x_refs, u_refs,
                             u_init=u_refs)
     rep = solve(rel)
     assert PriorityController._solve_usable(rep)

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softmpc import sqp
-from softmpc.sqp import (CONTROL_REG, STATUS_INFEASIBLE, STATUS_OPTIMAL,
-                         NlpDescription, SolverOptions, solve)
+from softmpc.sqp import (CONTROL_REG, STATUS_INFEASIBLE, STATUS_MAX_ITER,
+                         STATUS_OPTIMAL, NlpDescription, SolverOptions, solve)
 
 
 def _linear_nlp(A, B, Q, R, P, x0, M, rows=None, terminal_rows=None, **kw):
@@ -343,7 +343,7 @@ def test_terminal_rows_enforced():
     assert abs(rep.xs[-1, 1]) < 1e-6
 
 
-def _pendulum_nlp():
+def _pendulum_nlp(theta0=0.6):
     # damped pendulum regulation, no rows
     dt = 0.05
 
@@ -362,7 +362,7 @@ def _pendulum_nlp():
     M = 40
     W = np.zeros((M, 3, 3))
     W[:] = np.diag([5.0, 0.5, 0.05])
-    return NlpDescription(nx=2, nu=1, horizon=M, x0=np.array([0.6, 0.0]),
+    return NlpDescription(nx=2, nu=1, horizon=M, x0=np.array([theta0, 0.0]),
                           dyn_f=f, dyn_jac=jac,
                           cost_W=W, cost_ref=np.zeros((M, 3)),
                           cost_P=np.diag([20.0, 2.0]), cost_ref_M=np.zeros(2))
@@ -374,6 +374,36 @@ def test_nonlinear_dynamics_pendulum_swing():
     assert rep.status == STATUS_OPTIMAL
     assert abs(rep.xs[-1, 0]) < 0.05
     assert rep.stationarity <= 1e-6
+
+
+def test_polish_streak_meets_the_no_progress_verdict(monkeypatch):
+    # no iterate meets a stationarity target of 1e-15. The Gauss-Newton
+    # steps of the pendulum swung out to 1.5 rad shrink only linearly, so
+    # three full polish steps (feasible, at most 1e-3) are accepted in a
+    # row, and the fourth, still above TOL_STEP, ends the streak: the
+    # no-progress verdict returns max-iter without trying it
+    steps, points = [], []
+    ip_solve, rollout = sqp._ip_solve, sqp._rollout
+
+    def ip_spy(sub, phase_s):
+        iters = ip_solve(sub, phase_s)
+        steps.append(float(np.max(np.abs(sub.w[:, sub.nlp.nx:]))))
+        return iters
+
+    def rollout_spy(nlp, us):
+        points.append(us)
+        return rollout(nlp, us)
+    monkeypatch.setattr(sqp, "_ip_solve", ip_spy)
+    monkeypatch.setattr(sqp, "_rollout", rollout_spy)
+    rep = solve(_pendulum_nlp(theta0=1.5), SolverOptions(tol_stationarity=1e-15))
+    assert rep.status == STATUS_MAX_ITER
+    assert rep.sqp_iterations == len(steps) < SolverOptions().max_sqp_iter
+    assert all(sqp.TOL_STEP < s <= 1e-3 for s in steps[-4:])
+    assert steps[-5] > 1e-3
+    # the starting point, then one full step per iteration but the last
+    assert len(points) == rep.sqp_iterations
+    moved = [float(np.max(np.abs(b - a))) for a, b in zip(points, points[1:])]
+    np.testing.assert_allclose(moved[-3:], steps[-4:-1], rtol=1e-6)
 
 
 # the exits without the multiplier certificate and with the 25-iteration
@@ -678,6 +708,14 @@ def test_riccati_sweeps_equal_the_plain_loops_bit_for_bit(nx, nu, q, M,
     rng = np.random.default_rng(seed)
     sub = _random_subproblem(rng, nx, nu, q, M, terminal)
     _assert_sweeps_match_reference(sub, rng)
+
+
+@pytest.mark.parametrize("nu", [0, 3])
+def test_only_one_or_two_inputs_are_accepted(nu):
+    # the Riccati sweep inverts the control Hessian in closed form
+    with pytest.raises(ValueError, match="nu must be 1 or 2"):
+        _linear_nlp(np.eye(2), np.ones((2, nu)), np.eye(2), np.eye(nu),
+                    np.eye(2), np.zeros(2), 5)
 
 
 @pytest.mark.parametrize("q", [0, 4])
