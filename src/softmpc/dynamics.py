@@ -23,9 +23,9 @@ Continuous model:
     a'     = t_acc (a_req - a)
 
 where the e_psi' path term uses the kinematic reference steering
-tan(delta_ref) = l * kappa(s). Discretization is one RK4 step, taken one
-point at a time (the rollout is sequential); its Jacobians are propagated
-analytically through the RK4 stages for a whole horizon of points at once.
+tan(delta_ref) = l * kappa(s). Discretization is one RK4 step, which
+rollout takes one point at a time over a horizon; its Jacobians are
+propagated analytically through the RK4 stages for a whole horizon at once.
 """
 from __future__ import annotations
 
@@ -181,6 +181,16 @@ def f_discrete(x: np.ndarray, u: np.ndarray, path: PathGeometry,
         x_next = x_next.copy()
         x_next[IDX_V] = 0.0
     return x_next
+
+
+def rollout(x0: np.ndarray, us: np.ndarray, path: PathGeometry,
+            params: VehicleParams, t_s: float) -> np.ndarray:
+    """States (M+1, NX) from x0, one f_discrete step per input of us."""
+    xs = np.empty((len(us) + 1, NX))
+    xs[0] = x0
+    for n, u in enumerate(us):
+        xs[n + 1] = f_discrete(xs[n], u, path, params, t_s)
+    return xs
 
 
 def jacobians(xs: np.ndarray, us: np.ndarray, path: PathGeometry,

@@ -12,7 +12,7 @@ evaluator, ConstraintStack.evaluate over (xs, us, profile), gives the rows
 of a whole horizon; the solver's stage rows and the controller's hard-row
 gate (eval_constraints) both run it. Each problem fixes its row layout when
 it is built, from the profile, the mode's dropped rows and the tube. The
-same stage and terminal row providers also serve the oracle: with the
+same stage row provider and terminal rows also serve the oracle: with the
 mode's channels as a global decision block and the rows restricted to
 LON_ROW_LABELS or LAT_ROW_LABELS, they give the rows of its decoupled slack
 problems, which it cuts down to the subsystem's states (see oracle.py).
@@ -384,9 +384,10 @@ def _make_stage_rows(stack: ConstraintStack, profile: DisturbanceProfile,
     return rows, mask
 
 
-def _make_terminal_rows(profile: DisturbanceProfile, mode: RelaxationMode,
-                        labels: tuple = ROW_LABELS):
-    """Terminal row provider; rows read sign * x[col] - offset.
+def _terminal_rows(profile: DisturbanceProfile, mode: RelaxationMode,
+                   labels: tuple = ROW_LABELS):
+    """Terminal rows C x_M - offset <= 0 as (C (k, NX), offset (k,)); each
+    row of C reads one state, with its sign.
 
     A row is kept when its label is in labels, the mode does not drop it and
     its offset is finite. A mode that drops the longitudinal stack rows
@@ -403,29 +404,9 @@ def _make_terminal_rows(profile: DisturbanceProfile, mode: RelaxationMode,
     cols = np.array([dyn.IDX_V, dyn.IDX_V, dyn.IDX_A, dyn.IDX_A,
                      dyn.IDX_EY, dyn.IDX_EY, dyn.IDX_S])[keep]
     sign = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0])[keep]
-    offset = offset[keep]
-    Cx = np.zeros((len(keep), NX))
-    Cx[np.arange(len(keep)), cols] = sign
-
-    def rows(x):
-        return sign * x[cols] - offset, Cx, None
-
-    return rows
-
-
-def _base_nlp(x_k, path: PathGeometry, params: VehicleParams,
-              weights: CostWeights, horizon: HorizonConfig,
-              x_refs, u_refs, stage_rows, stage_row_mask, terminal_rows,
-              u_init=None) -> NlpDescription:
-    t_s = horizon.t_s
-    W, ref, P_M = _stage_cost_arrays(weights, horizon, x_refs, u_refs)
-    return NlpDescription(
-        nx=NX, nu=NU, horizon=horizon.n_constraint, x0=np.asarray(x_k, dtype=float),
-        dyn_f=lambda n, x, u: dyn.f_discrete(x, u, path, params, t_s),
-        dyn_jac=lambda xs, us: dyn.jacobians(xs, us, path, params, t_s),
-        cost_W=W, cost_ref=ref, cost_P=P_M, cost_ref_M=x_refs[horizon.n_constraint],
-        stage_rows=stage_rows, stage_row_mask=stage_row_mask,
-        terminal_rows=terminal_rows, u_init=u_init)
+    C = np.zeros((len(keep), NX))
+    C[np.arange(len(keep)), cols] = sign
+    return C, offset[keep]
 
 
 def build_nominal(x_k, path, params, weights, horizon, stack: ConstraintStack,
@@ -450,9 +431,17 @@ def build_relaxed(x_k, path, params, weights, horizon, stack, profile,
         raise ValueError("slack outside [0, ceiling] for mode " + mode.name)
     rows, mask = _make_stage_rows(stack, profile, mode, slack,
                                   horizon, x_refs, TUBE)
-    term = _make_terminal_rows(profile, mode)
-    return _base_nlp(x_k, path, params, weights, horizon, x_refs, u_refs,
-                     rows, mask, term, u_init=u_init)
+    terminal_C, terminal_offset = _terminal_rows(profile, mode)
+    W, ref, P_M = _stage_cost_arrays(weights, horizon, x_refs, u_refs)
+    x_k = np.array(x_k, dtype=float)
+    t_s = horizon.t_s
+    return NlpDescription(
+        nx=NX, nu=NU, horizon=horizon.n_constraint,
+        dyn_f=lambda us: dyn.rollout(x_k, us, path, params, t_s),
+        dyn_jac=lambda xs, us: dyn.jacobians(xs, us, path, params, t_s),
+        cost_W=W, cost_ref=ref, cost_P=P_M, cost_ref_M=x_refs[horizon.n_constraint],
+        stage_rows=rows, stage_row_mask=mask, terminal_C=terminal_C,
+        terminal_offset=terminal_offset, u_init=u_init)
 
 
 def _check_profile(profile: DisturbanceProfile, horizon: HorizonConfig):

@@ -17,12 +17,14 @@ snap_tol to an exact zero so feasible instances report a zero slack.
 The subproblems are derived, not written out: theta becomes a disturbance
 profile (the yield bound, or the corridor plus the stabilizing tube on the
 lateral states), and the controller's own stage and terminal rows
-(ocp._make_stage_rows / _make_terminal_rows, restricted to the subsystem's
-row labels, with the row layout they fix) are evaluated on the iterate
-embedded into the full state, whole horizon at once, then cut down to the
-subsystem's columns. The lateral chain steps the full vehicle model on a
-straight path at constant speed; the longitudinal chain is linear, and its
-RK4 step is taken in closed form (_lon_discrete).
+(ocp._make_stage_rows / _terminal_rows, restricted to the subsystem's
+row labels, with the row layout they fix) give the subproblem's rows: the
+stage rows are evaluated on the iterate embedded into the full state, whole
+horizon at once, and cut down to the subsystem's columns; the terminal
+rows' columns are cut once. The lateral chain is the lateral block of a
+full vehicle-model rollout on a straight path at constant speed; the
+longitudinal chain is linear, and its RK4 step is taken in closed form
+(_lon_discrete).
 """
 from __future__ import annotations
 
@@ -162,8 +164,9 @@ def _lon_discrete(params: VehicleParams, t_s: float):
 # model, with the stack rows it keeps
 _SUBSYSTEMS = {"lon": (np.array(dyn.LON_IDX), 1, ocp.LON_ROW_LABELS),
                "lat": (np.array(dyn.LAT_IDX), 0, ocp.LAT_ROW_LABELS)}
-# the lateral chain runs at constant speed on a straight path; its position
-# restarts at 0 on every step, so the path only covers one step's travel
+# the lateral chain runs at constant speed on a straight path: with zero
+# curvature the position never feeds back into the lateral states, and the
+# path covers the horizon's travel at any sampled speed
 _STRAIGHT = PathGeometry(s=np.array([-1e4, 1e4]),
                          xy=np.array([[-1e4, 0.0], [1e4, 0.0]]),
                          heading=np.zeros(2), curvature=np.zeros(2))
@@ -205,7 +208,13 @@ def _subproblem_nlp(template: ScenarioTemplate, theta: np.ndarray,
         x0 = theta[nw:nw + 3].copy()
         s0, e_y_ref = x0[0], 0.0
         A_d, B_d = _lon_discrete(p, h.t_s)
-        dyn_f = lambda n, x, u: A_d @ x + B_d @ u
+
+        def dyn_f(us):
+            xs = [x0]
+            for u in us:
+                xs.append(A_d @ xs[-1] + B_d @ u)
+            return np.array(xs)
+
         dyn_jac = lambda xs, us: (np.broadcast_to(A_d, (M,) + A_d.shape),
                                   np.broadcast_to(B_d, (M,) + B_d.shape))
     else:
@@ -218,9 +227,14 @@ def _subproblem_nlp(template: ScenarioTemplate, theta: np.ndarray,
         e_y_ref = template.lane_width if np.any(profile.corridor_lo > 0.0) else 0.0
         tube[x_idx] = ocp.TUBE[x_idx]
 
-        def dyn_f(n, x, u):
-            return dyn.f_discrete(_embed(x, x_idx, x_rest), _embed(u, u_idx, u_rest),
-                                  _STRAIGHT, p, h.t_s)[x_idx]
+        # the full model's rollout, cut to the lateral states: zero
+        # curvature keeps s out of them and a = a_req = 0 keeps v constant,
+        # so it equals stepping the embedded lateral state alone
+        x0_full = _embed(x0, x_idx, x_rest)
+
+        def dyn_f(us):
+            return dyn.rollout(x0_full, _embed(us, u_idx, u_rest), _STRAIGHT,
+                               p, h.t_s)[:, x_idx]
 
         def dyn_jac(xs, us):
             A, B = dyn.jacobians(_embed(xs, x_idx, x_rest),
@@ -230,16 +244,12 @@ def _subproblem_nlp(template: ScenarioTemplate, theta: np.ndarray,
     x_refs, u_refs = build_reference(s0, template.v_ref, e_y_ref, h)
     stage, mask = ocp._make_stage_rows(template.stack, profile, mode, None, h,
                                        x_refs, tube, labels)
-    terminal = ocp._make_terminal_rows(profile, mode, labels)
+    terminal_C, terminal_offset = ocp._terminal_rows(profile, mode, labels)
     cols = np.append(x_idx, NX + u_col)     # subsystem columns of (x, u)
 
     def stage_rows(xs, us):
         vals, C, G = stage(_embed(xs, x_idx, x_rest), _embed(us, u_idx, u_rest))
         return vals, C[:, :, cols], G
-
-    def terminal_rows(x):
-        vals, Cx, Cg = terminal(_embed(x, x_idx, x_rest))
-        return vals, Cx.take(x_idx, axis=1), Cg
 
     nx = x_idx.size
     W = np.zeros((M, nx + 1, nx + 1))
@@ -261,11 +271,11 @@ def _subproblem_nlp(template: ScenarioTemplate, theta: np.ndarray,
                   gamma_linear=np.full(q, 0.5),
                   gamma_lo=np.zeros(q), gamma_hi=mode.ceiling_vector())
     return NlpDescription(
-        nx=nx, nu=1, horizon=M, x0=x0, dyn_f=dyn_f, dyn_jac=dyn_jac,
+        nx=nx, nu=1, horizon=M, dyn_f=dyn_f, dyn_jac=dyn_jac,
         cost_W=W, cost_ref=ref, cost_P=np.zeros((nx, nx)),
         cost_ref_M=x_refs[M].take(x_idx), stage_rows=stage_rows,
-        stage_row_mask=mask, terminal_rows=terminal_rows,
-        u_init=u_refs[:, [u_col]], **kw)
+        stage_row_mask=mask, terminal_C=terminal_C.take(x_idx, axis=1),
+        terminal_offset=terminal_offset, u_init=u_refs[:, [u_col]], **kw)
 
 
 def oracle_solve(template: ScenarioTemplate, mode: RelaxationMode,

@@ -95,6 +95,12 @@ class CsvTrajectory:
         if len(rows) < 2:
             raise ValueError("trajectory CSV needs at least two rows")
         arr = np.asarray(rows)
+        # np.interp reads t as sorted and passes NaN and inf through
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{filename}: trajectory CSV has a non-finite value")
+        if not np.all(np.diff(arr[:, 0]) > 0.0):
+            raise ValueError(f"{filename}: trajectory CSV needs a strictly "
+                             "increasing t column")
         self.t = arr[:, 0]
         self.lon = arr[:, 1]
         self.lat = arr[:, 2]
@@ -112,7 +118,8 @@ class CsvTrajectory:
 class ScenarioConfig:
     """Closed-loop scenario. `duration` must be a multiple of `t_s`; the
     cut-in needs `cut_start >= 0` and `cut_duration > 0` but may end after
-    `duration` (see `CutInSpec`)."""
+    `duration` (see `CutInSpec`); the growth rates must be >= 0 and d_safe
+    > 0."""
     name: str = "scenario"
     duration: float = 15.0
     v_ref: float = 20.0
@@ -136,13 +143,19 @@ class ScenarioConfig:
         n = self.duration / self.horizon.t_s
         if abs(n - round(n)) > 1e-9:
             raise ValueError("duration must be a multiple of the sampling time")
-        # the negated comparisons also reject NaN
-        if not self.cut_in.cut_start >= 0.0:
-            raise ValueError(f"cut_in.cut_start (ru_cut_start) must be >= 0, "
-                             f"got {self.cut_in.cut_start}")
-        if not self.cut_in.cut_duration > 0.0:
-            raise ValueError(f"cut_in.cut_duration (ru_cut_duration) must be > 0, "
-                             f"got {self.cut_in.cut_duration}")
+        d_safe = self.stack_kw.get("d_safe", ocp.ConstraintStack.d_safe)
+        # (field, its INI key, value, zero allowed); the negated comparisons
+        # also reject NaN
+        for name, key, value, closed in (
+                ("cut_in.cut_start", "ru_cut_start", self.cut_in.cut_start, True),
+                ("cut_in.cut_duration", "ru_cut_duration",
+                 self.cut_in.cut_duration, False),
+                ("growth eps0", "[prediction] eps0", self.growth[0], True),
+                ("growth eps1", "[prediction] eps1", self.growth[1], True),
+                ("d_safe", "[prediction] d_safe", d_safe, False)):
+            if not (value >= 0.0 if closed else value > 0.0):
+                raise ValueError(f"{name} ({key}) must be "
+                                 f"{'>=' if closed else '>'} 0, got {value}")
 
     @property
     def n_steps(self) -> int:

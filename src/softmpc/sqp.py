@@ -5,11 +5,11 @@ smooth stage inequality rows, and optionally a small global variable block
 (shared slack channels) entering rows linearly and the objective
 quadratically.
 
-The problem is described by whole-horizon callbacks: stage rows and
-dynamics Jacobians come for every stage in one call, and the stage row
-layout is fixed when the problem is built (see NlpDescription), so the
-solver groups the rows once per solve. Only the one-stage step dyn_f is
-called per stage, by the sequential rollout.
+What is fixed for a problem is data, and what depends on the point is one
+whole-horizon call each (see NlpDescription): the rollout, the stage rows
+and the dynamics Jacobians. The stage row layout and the affine terminal
+rows are fixed when the problem is built, so the solver groups the rows
+once per solve.
 
 The iterate stores the input trajectory; states follow by forward rollout,
 so dynamics hold exactly at every iterate. Each point is evaluated once
@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -169,15 +169,13 @@ class SolveReport:
         }
 
 
-# Row providers, vals <= 0 meaning satisfied. Stage rows come for the whole
-# horizon in one call: stage_rows(xs (M, nx), us (M, nu)) returns
-# (vals (M, m), C (M, m, nx+nu), G (M, m, n_gamma) or None), with C the
-# Jacobian wrt (x, u) and G the one wrt the global block. Which of the m rows
-# exist at each stage is fixed for the problem by stage_row_mask (M, m); the
-# values of the other rows are ignored.
-# terminal_rows(x_M) returns (vals, Cx, Cg), Cg None without a global block.
+# Stage rows, vals <= 0 meaning satisfied, come for the whole horizon in
+# one call: stage_rows(xs (M, nx), us (M, nu)) returns (vals (M, m),
+# C (M, m, nx+nu), G (M, m, n_gamma) or None), with C the Jacobian wrt
+# (x, u) and G the one wrt the global block. Which of the m rows exist at
+# each stage is fixed for the problem by stage_row_mask (M, m); the values of
+# the other rows are ignored.
 StageRowFn = Callable[[np.ndarray, np.ndarray], tuple]
-TerminalRowFn = Callable[[np.ndarray], Optional[tuple]]
 
 
 @dataclass
@@ -186,18 +184,19 @@ class NlpDescription:
 
     cost_W[n] is the (nx+nu)^2 quadratic weight at stage n around
     cost_ref[n]; cost_P / cost_ref_M the terminal state quadratic. The
-    global block gamma enters rows via their G columns, the objective via
-    gamma_weight, starts at zero and is boxed by [gamma_lo, gamma_hi].
-    dyn_f(n, x, u) steps one stage, as the rollout is sequential;
-    dyn_jac(xs, us) returns the Jacobians (A (M, nx, nx), B (M, nx, nu))
-    of every stage at once. nu is 1 or 2: the Riccati sweep inverts the
-    control Hessian in closed form (_inv_pd).
+    global block gamma enters the stage rows via their G columns, the
+    objective via gamma_weight, starts at zero and is boxed by
+    [gamma_lo, gamma_hi]. dyn_f(us (M, nu)) returns the rollout xs
+    (M+1, nx) from the problem's fixed start state; dyn_jac(xs, us) the
+    Jacobians (A (M, nx, nx), B (M, nx, nu)) of every stage. The k terminal
+    rows are data, terminal_C (k, nx) x_M - terminal_offset (k,) <= 0;
+    k = 0 means none. nu is 1 or 2: the Riccati sweep inverts the control
+    Hessian in closed form (_inv_pd).
     """
     nx: int
     nu: int
     horizon: int
-    x0: np.ndarray
-    dyn_f: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
+    dyn_f: Callable[[np.ndarray], np.ndarray]
     dyn_jac: Callable[[np.ndarray, np.ndarray], tuple]
     cost_W: np.ndarray
     cost_ref: np.ndarray
@@ -205,7 +204,8 @@ class NlpDescription:
     cost_ref_M: np.ndarray
     stage_rows: StageRowFn | None = None
     stage_row_mask: np.ndarray | None = None
-    terminal_rows: TerminalRowFn | None = None
+    terminal_C: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    terminal_offset: np.ndarray = field(default_factory=lambda: np.zeros(0))
     n_gamma: int = 0
     gamma_weight: np.ndarray | None = None
     gamma_linear: np.ndarray | None = None
@@ -216,11 +216,13 @@ class NlpDescription:
     def __post_init__(self):
         if self.nu not in (1, 2):
             raise ValueError(f"nu must be 1 or 2, got {self.nu}")
-        self.x0 = np.asarray(self.x0, dtype=float)
         self.cost_W = np.asarray(self.cost_W, dtype=float)
         self.cost_ref = np.asarray(self.cost_ref, dtype=float)
         self.cost_P = np.asarray(self.cost_P, dtype=float)
         self.cost_ref_M = np.asarray(self.cost_ref_M, dtype=float)
+        self.terminal_offset = np.asarray(self.terminal_offset, dtype=float)
+        self.terminal_C = np.asarray(self.terminal_C, dtype=float).reshape(
+            self.terminal_offset.size, self.nx)
         if self.n_gamma:
             self.gamma_weight = np.asarray(self.gamma_weight, dtype=float)
             if self.gamma_linear is None:
@@ -282,22 +284,12 @@ class _Rows:
                 self.groups.append((stages, ridx, C[sel], G[sel] if q else None))
         pos = layout.n_rows
 
-        self.term = None      # (slice, Cx (m, nx), G)
-        if nlp.terminal_rows is not None:
-            out = nlp.terminal_rows(xs[-1])
-            if out is not None:
-                v, Cx, Cg = out
-                v = np.asarray(v, dtype=float)
-                if v.size:
-                    G = None
-                    if q:
-                        G = (np.zeros((v.size, q)) if Cg is None
-                             else np.asarray(Cg, dtype=float))
-                        v = v + G @ gamma
-                    vals.append(v)
-                    self.term = (slice(pos, pos + v.size),
-                                 np.asarray(Cx, dtype=float), G)
-                    pos += v.size
+        self.term = None      # (slice, Cx (k, nx))
+        k = nlp.terminal_offset.size
+        if k:
+            vals.append(nlp.terminal_C @ xs[-1] - nlp.terminal_offset)
+            self.term = (slice(pos, pos + k), nlp.terminal_C)
+            pos += k
         self.glob = None      # (slice, G)
         if q:
             G = np.concatenate([-np.eye(q), np.eye(q)], axis=0)
@@ -328,10 +320,8 @@ class _Rows:
                 prod = prod + G @ dgamma
             out[ridx] = prod
         if self.term is not None:
-            sl, Cx, G = self.term
+            sl, Cx = self.term
             out[sl] = Cx @ wM
-            if G is not None:
-                out[sl] += G @ dgamma
         if self.glob is not None:
             sl, G = self.glob
             out[sl] = G @ dgamma
@@ -346,19 +336,16 @@ class _Rows:
             if G is not None:
                 F_g += np.einsum("kmj,km->j", G, yr)
         if self.term is not None:
-            sl, Cx, G = self.term
-            yr = y[sl]
-            F_M += Cx.T @ yr
-            if G is not None:
-                F_g += G.T @ yr
+            sl, Cx = self.term
+            F_M += Cx.T @ y[sl]
         if self.glob is not None:
             sl, G = self.glob
             F_g += G.T @ y[sl]
 
-    def add_gram(self, D, H, U, P_M, U_M, Gamma) -> None:
+    def add_gram(self, D, H, U, P_M, Gamma) -> None:
         """Row curvature with weights D, in place: C'DC into the stage
-        Hessians H and the terminal P_M, C'DG into U and U_M, G'DG into
-        Gamma (U, U_M and Gamma are None without a global block)."""
+        Hessians H and the terminal P_M, C'DG into U and G'DG into Gamma
+        (U and Gamma are None without a global block)."""
         for stages, ridx, C, G in self.groups:
             Dr = D[ridx]
             H[stages] += np.einsum("kmi,km,kmj->kij", C, Dr, C)
@@ -366,24 +353,12 @@ class _Rows:
                 U[stages] += np.einsum("kmi,km,kmj->kij", C, Dr, G)
                 Gamma += np.einsum("kmi,km,kmj->ij", G, Dr, G)
         if self.term is not None:
-            sl, Cx, G = self.term
-            Dr = D[sl]
-            P_M += Cx.T @ (Dr[:, None] * Cx)
-            if G is not None:
-                U_M += Cx.T @ (Dr[:, None] * G)
-                Gamma += G.T @ (Dr[:, None] * G)
+            sl, Cx = self.term
+            P_M += Cx.T @ (D[sl][:, None] * Cx)
         if self.glob is not None:
             sl, G = self.glob
             Dr = D[sl]
             Gamma += G.T @ (Dr[:, None] * G)
-
-
-def _rollout(nlp: NlpDescription, us: np.ndarray) -> np.ndarray:
-    xs = np.empty((nlp.horizon + 1, nlp.nx))
-    xs[0] = nlp.x0
-    for n in range(nlp.horizon):
-        xs[n + 1] = nlp.dyn_f(n, xs[n], us[n])
-    return xs
 
 
 def _objective(nlp: NlpDescription, xs, us, gamma) -> float:
@@ -476,9 +451,8 @@ def _factorize(sub: _Subproblem, D: np.ndarray) -> dict:
     H = nlp.cost_W.copy()
     U = np.zeros((M, nx + nu, q)) if q else None
     P_M = nlp.cost_P.copy()
-    U_M = np.zeros((nx, q)) if q else None
     Gamma = nlp.gamma_weight.copy() if q else None
-    sub.rows.add_gram(D, H, U, P_M, U_M, Gamma)
+    sub.rows.add_gram(D, H, U, P_M, Gamma)
 
     F, FT = sub.F, sub.FT
     Qzzs = np.empty((M, nx + nu, nx + nu))
@@ -491,7 +465,7 @@ def _factorize(sub: _Subproblem, D: np.ndarray) -> dict:
         Qzgs = np.empty((M, nx + nu, q))
         Kgs = np.empty((M, nu, q))
         Lams = np.empty((M + 1, nx, q))
-        Lams[M] = Lam = U_M
+        Lams[M] = Lam = np.zeros((nx, q))   # no terminal row reads gamma
     for n in range(M - 1, -1, -1):
         Qzz = np.add(H[n], FT[n] @ (P @ F[n]), out=Qzzs[n])
         Qxu = Qzz[:nx, nx:]
@@ -741,8 +715,9 @@ def _ip_solve(sub: _Subproblem, phase_s: dict):
 
 
 def _evaluate(nlp: NlpDescription, layout: _Layout, us, gamma):
-    """Rollout, rows and objective of one point."""
-    xs = _rollout(nlp, us)
+    """Rollout, rows and objective of one point: one dyn_f and one
+    stage_rows call."""
+    xs = nlp.dyn_f(us)
     return xs, _Rows(nlp, layout, xs, us, gamma), _objective(nlp, xs, us, gamma)
 
 

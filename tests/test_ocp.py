@@ -235,10 +235,7 @@ def test_zero_slack_relaxed_equals_nominal_feasible_set():
     for _ in range(100):
         us = np.stack([rng.uniform(-0.05, 0.05, HORIZON.n_constraint),
                        rng.uniform(-4.0, 2.0, HORIZON.n_constraint)], axis=1)
-        xs = [x0]
-        for n in range(HORIZON.n_constraint):
-            xs.append(dyn.f_discrete(xs[-1], us[n], PATH, PARAMS, HORIZON.t_s))
-        xs = np.array(xs)
+        xs = dyn.rollout(x0, us, PATH, PARAMS, HORIZON.t_s)
         res_nom = ocp.eval_constraints(xs, us, STACK, profile)
         E = MODE_E2.selector()
         lift = E @ np.zeros(MODE_E2.n_channels)
@@ -313,10 +310,9 @@ def _rows_bytes(nlp, xs, us):
     """Every row value, Jacobian and the row layout of a problem at one
     trajectory, as raw bytes."""
     vals, C, G = nlp.stage_rows(xs[:-1], us)
-    t_vals, t_C, t_G = nlp.terminal_rows(xs[-1])
     return (vals.tobytes(), C.tobytes(), G is None,
-            nlp.stage_row_mask.tobytes(), t_vals.tobytes(), t_C.tobytes(),
-            t_G is None)
+            nlp.stage_row_mask.tobytes(), nlp.terminal_C.tobytes(),
+            nlp.terminal_offset.tobytes())
 
 
 @st.composite

@@ -112,12 +112,12 @@ def test_lat_slack_monotone_in_invasion_onset(monkeypatch):
     # full polish step that the watchdog rejects; the line search goes on
     # from half the step, so no point is evaluated twice
     points = []
-    rollout = sqp._rollout
+    evaluate = sqp._evaluate
 
-    def rollout_spy(nlp, us):
+    def evaluate_spy(nlp, layout, us, gamma):
         points.append(us.tobytes())
-        return rollout(nlp, us)
-    monkeypatch.setattr(sqp, "_rollout", rollout_spy)
+        return evaluate(nlp, layout, us, gamma)
+    monkeypatch.setattr(sqp, "_evaluate", evaluate_spy)
 
     def slack_for(onset):
         points.clear()
@@ -132,6 +132,35 @@ def test_lat_slack_monotone_in_invasion_onset(monkeypatch):
     late = slack_for(35.0)
     assert early > late - 1e-9
     assert early > 0.05
+
+
+def _embedded_lateral_rollout(theta, us):
+    """The lateral chain stepped one embedded state at a time: each step
+    puts the lateral states into a full state at s = 0, a = 0 and theta's
+    speed, takes one full-model RK4 step on the straight path and keeps the
+    lateral states."""
+    nw = LAT_TEMPLATE.n_window
+    lat = np.array(dyn.LAT_IDX)
+    xs = [theta[2 * nw + 1:]]
+    for u in us:
+        x = dyn.state(v=theta[2 * nw])
+        x[lat] = xs[-1]
+        xs.append(dyn.f_discrete(x, np.array([u[0], 0.0]), oracle._STRAIGHT,
+                                 PARAMS, HORIZON.t_s)[lat])
+    return np.array(xs)
+
+
+def test_lat_rollout_equals_the_embedded_step_bit_for_bit():
+    # the subproblem rolls the full model out once and keeps the lateral
+    # states: with zero curvature the position never feeds back, and the
+    # speed stays at theta's, so it must equal the embedded step exactly
+    rng = np.random.default_rng(4)
+    M = HORIZON.n_constraint
+    for theta in sample_thetas(LAT_TEMPLATE, 200, seed=9):
+        us = rng.normal(scale=0.3, size=(M, 1))
+        nlp = oracle._subproblem_nlp(LAT_TEMPLATE, theta, MODE_E3)
+        assert np.array_equal(nlp.dyn_f(us),
+                              _embedded_lateral_rollout(theta, us))
 
 
 def test_lat_abrupt_invasion_needs_comfort_slack():

@@ -87,6 +87,25 @@ def test_bad_cut_in_ini_key_reaches_the_cli_config_error(tmp_path, capsys):
     assert err.startswith("[config]") and "ru_cut_duration" in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("eps0", "-0.1"), ("eps1", "-1"), ("eps1", "nan"),
+    ("d_safe", "0"), ("d_safe", "-2.0"), ("d_safe", "nan"),
+])
+def test_bad_prediction_ini_key_reaches_the_cli_config_error(
+        tmp_path, capsys, key, value):
+    # these values used to pass the loader and fail the first cycle's
+    # reachable set or collision window with a traceback
+    from softmpc import cli
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[scenario]\nduration = 2.0\n\n[prediction]\n{key} = {value}\n")
+    code = cli.main(["simulate", "--config", str(ini), "--oracle",
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("[config]") and f"[prediction] {key}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_ini_section_reaches_the_cli_config_error(tmp_path, capsys):
     from softmpc import cli
     ini = tmp_path / "bad.ini"
@@ -250,6 +269,21 @@ def test_csv_trajectory_loader(tmp_path):
     st2 = traj.state_at(1.5, ego_s0=0.0)
     assert st2.lat == pytest.approx(1.75)
     assert st2.v_lat < 0.0
+
+
+@pytest.mark.parametrize("rows, match", [
+    ("0.0,50.0,3.5\n2.0,70.0,0.0\n1.0,60.0,3.5\n", "increasing"),
+    ("0.0,50.0,3.5\n0.0,60.0,3.5\n", "increasing"),
+    ("0.0,50.0,3.5\n1.0,nan,3.5\n", "non-finite"),
+    ("0.0,50.0,3.5\ninf,60.0,3.5\n", "non-finite"),
+])
+def test_csv_trajectory_rejects_unsorted_or_non_finite_rows(tmp_path, rows,
+                                                            match):
+    # np.interp would silently return wrong road-user states for these
+    fname = tmp_path / "ru.csv"
+    fname.write_text("t,w_lon,w_lat\n" + rows)
+    with pytest.raises(ValueError, match=match):
+        simkit.CsvTrajectory(str(fname))
 
 
 def test_load_scenario_ini(tmp_path):

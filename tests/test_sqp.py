@@ -10,7 +10,20 @@ from softmpc.sqp import (CONTROL_REG, STATUS_INFEASIBLE, STATUS_MAX_ITER,
                          STATUS_OPTIMAL, NlpDescription, SolverOptions, solve)
 
 
-def _linear_nlp(A, B, Q, R, P, x0, M, rows=None, terminal_rows=None, **kw):
+def _stepper(step, x0):
+    """Whole-horizon dyn_f from x0 for a one-stage step(n, x, u)."""
+    x0 = np.array(x0, dtype=float)
+
+    def dyn_f(us):
+        xs = np.empty((len(us) + 1, x0.size))
+        xs[0] = x0
+        for n, u in enumerate(us):
+            xs[n + 1] = step(n, xs[n], u)
+        return xs
+    return dyn_f
+
+
+def _linear_nlp(A, B, Q, R, P, x0, M, rows=None, **kw):
     """rows = (stage_rows, rows per stage), every row present at every stage."""
     nx, nu = B.shape
     W = np.zeros((M, nx + nu, nx + nu))
@@ -21,14 +34,13 @@ def _linear_nlp(A, B, Q, R, P, x0, M, rows=None, terminal_rows=None, **kw):
         stage_rows, m = rows
         mask = np.ones((M, m), dtype=bool)
     return NlpDescription(
-        nx=nx, nu=nu, horizon=M, x0=x0,
-        dyn_f=lambda n, x, u: A @ x + B @ u,
+        nx=nx, nu=nu, horizon=M,
+        dyn_f=_stepper(lambda n, x, u: A @ x + B @ u, x0),
         dyn_jac=lambda xs, us: (np.broadcast_to(A, (M, nx, nx)),
                                 np.broadcast_to(B, (M, nx, nu))),
         cost_W=W, cost_ref=np.zeros((M, nx + nu)),
         cost_P=P, cost_ref_M=np.zeros(nx),
-        stage_rows=stage_rows, stage_row_mask=mask,
-        terminal_rows=terminal_rows, **kw)
+        stage_rows=stage_rows, stage_row_mask=mask, **kw)
 
 
 def _constant_rows(offset, C, G=None):
@@ -322,25 +334,48 @@ def test_global_slack_block_analytic_toy():
     assert rep2.status == STATUS_INFEASIBLE
 
 
-def _terminal_standstill_nlp():
+def _terminal_standstill_nlp(rows=None):
     A = np.array([[1.0, 0.1], [0.0, 1.0]])
     B = np.array([[0.005], [0.1]])
     Q, R, P = np.diag([0.0, 0.0]), np.array([[1.0]]), np.zeros((2, 2))
     x0 = np.array([0.0, 1.0])
-
-    def terminal(x):
-        # v_M <= 0 and -v_M <= 0: standstill at the end
-        vals = np.array([x[1], -x[1]])
-        Cx = np.array([[0.0, 1.0], [0.0, -1.0]])
-        return vals, Cx, None
-
-    return _linear_nlp(A, B, Q, R, P, x0, 10, terminal_rows=terminal)
+    # v_M <= 0 and -v_M <= 0: standstill at the end
+    return _linear_nlp(A, B, Q, R, P, x0, 10, rows=rows,
+                       terminal_C=np.array([[0.0, 1.0], [0.0, -1.0]]),
+                       terminal_offset=np.zeros(2))
 
 
 def test_terminal_rows_enforced():
     rep = solve(_terminal_standstill_nlp())
     assert rep.status == STATUS_OPTIMAL
     assert abs(rep.xs[-1, 1]) < 1e-6
+
+
+def test_each_point_is_one_rollout_and_one_row_call(monkeypatch):
+    # what depends on the point comes in one whole-horizon call each, and
+    # the terminal rows are data: a point costs one dyn_f and one
+    # stage_rows call, whatever the horizon
+    calls = {"dyn_f": 0, "stage_rows": 0}
+    points = []
+    evaluate = sqp._evaluate
+
+    def evaluate_spy(nlp, layout, us, gamma):
+        points.append(us)
+        return evaluate(nlp, layout, us, gamma)
+    monkeypatch.setattr(sqp, "_evaluate", evaluate_spy)
+    nlp = _terminal_standstill_nlp(rows=_box_rows(
+        np.array([-3.0]), np.array([3.0]), np.full(2, -50.0), np.full(2, 50.0)))
+    for name in calls:
+        fn = getattr(nlp, name)
+
+        def counted(*args, fn=fn, name=name):
+            calls[name] += 1
+            return fn(*args)
+        setattr(nlp, name, counted)
+    rep = solve(nlp)
+    assert rep.status == STATUS_OPTIMAL
+    assert len(points) > 1
+    assert calls == {"dyn_f": len(points), "stage_rows": len(points)}
 
 
 def _pendulum_nlp(theta0=0.6):
@@ -362,8 +397,8 @@ def _pendulum_nlp(theta0=0.6):
     M = 40
     W = np.zeros((M, 3, 3))
     W[:] = np.diag([5.0, 0.5, 0.05])
-    return NlpDescription(nx=2, nu=1, horizon=M, x0=np.array([theta0, 0.0]),
-                          dyn_f=f, dyn_jac=jac,
+    return NlpDescription(nx=2, nu=1, horizon=M,
+                          dyn_f=_stepper(f, [theta0, 0.0]), dyn_jac=jac,
                           cost_W=W, cost_ref=np.zeros((M, 3)),
                           cost_P=np.diag([20.0, 2.0]), cost_ref_M=np.zeros(2))
 
@@ -383,18 +418,18 @@ def test_polish_streak_meets_the_no_progress_verdict(monkeypatch):
     # row, and the fourth, still above TOL_STEP, ends the streak: the
     # no-progress verdict returns max-iter without trying it
     steps, points = [], []
-    ip_solve, rollout = sqp._ip_solve, sqp._rollout
+    ip_solve, evaluate = sqp._ip_solve, sqp._evaluate
 
     def ip_spy(sub, phase_s):
         iters = ip_solve(sub, phase_s)
         steps.append(float(np.max(np.abs(sub.w[:, sub.nlp.nx:]))))
         return iters
 
-    def rollout_spy(nlp, us):
+    def evaluate_spy(nlp, layout, us, gamma):
         points.append(us)
-        return rollout(nlp, us)
+        return evaluate(nlp, layout, us, gamma)
     monkeypatch.setattr(sqp, "_ip_solve", ip_spy)
-    monkeypatch.setattr(sqp, "_rollout", rollout_spy)
+    monkeypatch.setattr(sqp, "_evaluate", evaluate_spy)
     rep = solve(_pendulum_nlp(theta0=1.5), SolverOptions(tol_stationarity=1e-15))
     assert rep.status == STATUS_MAX_ITER
     assert rep.sqp_iterations == len(steps) < SolverOptions().max_sqp_iter
@@ -511,9 +546,8 @@ def _reference_factorize(sub, D):
     H = nlp.cost_W.copy()
     U = np.zeros((M, nx + nu, q)) if q else None
     P_M = nlp.cost_P.copy()
-    U_M = np.zeros((nx, q)) if q else None
     Gamma = nlp.gamma_weight.copy() if q else None
-    sub.rows.add_gram(D, H, U, P_M, U_M, Gamma)
+    sub.rows.add_gram(D, H, U, P_M, Gamma)
 
     Ks = np.empty((M, nu, nx))
     Kgs = np.empty((M, nu, q)) if q else None
@@ -523,10 +557,10 @@ def _reference_factorize(sub, D):
     Ps = np.empty((M + 1, nx, nx))
     Lams = np.empty((M + 1, nx, q)) if q else None
     Ps[M] = P_M
+    Lam = np.zeros((nx, q)) if q else None
     if q:
-        Lams[M] = U_M
+        Lams[M] = Lam
     P = P_M
-    Lam = U_M
     for n in range(M - 1, -1, -1):
         F = sub.F[n]
         FT = sub.FT[n]
@@ -655,26 +689,22 @@ def _random_subproblem(rng, nx, nu, q, M, terminal, uu_shift=0.0):
         vals = np.einsum("nmi,ni->nm", C, np.concatenate([xs, us], axis=1))
         return vals - 1.0, C, G
 
-    Cx = rng.normal(size=(2, nx))
-    Cg = rng.normal(size=(2, q)) if q else None
-
-    def terminal_rows(x):
-        return Cx @ x - 1.0, Cx, Cg
-
+    k = 2 if terminal else 0
     Lg = rng.normal(size=(q, q))
     kw = dict(n_gamma=q, gamma_weight=Lg @ Lg.T + np.eye(q),
               gamma_lo=-np.ones(q), gamma_hi=np.ones(q)) if q else {}
     nlp = NlpDescription(
-        nx=nx, nu=nu, horizon=M, x0=rng.normal(size=nx),
-        dyn_f=lambda n, x, u: A[n] @ x + B[n] @ u,
+        nx=nx, nu=nu, horizon=M,
+        dyn_f=_stepper(lambda n, x, u: A[n] @ x + B[n] @ u,
+                       rng.normal(size=nx)),
         dyn_jac=lambda xs, us: (A, B),
         cost_W=W, cost_ref=rng.normal(size=(M, nz)),
         cost_P=np.eye(nx), cost_ref_M=rng.normal(size=nx),
         stage_rows=stage_rows, stage_row_mask=rng.random((M, m)) < 0.7,
-        terminal_rows=terminal_rows if terminal else None, **kw)
+        terminal_C=rng.normal(size=(k, nx)), terminal_offset=np.ones(k), **kw)
     us = rng.normal(size=(M, nu))
     gamma = rng.uniform(-0.5, 0.5, q)
-    xs = sqp._rollout(nlp, us)
+    xs = nlp.dyn_f(us)
     rows = sqp._Rows(nlp, sqp._Layout(nlp), xs, us, gamma)
     return sqp._Subproblem(nlp, xs, us, gamma, rows, 1e2, SolverOptions())
 
