@@ -23,9 +23,13 @@ Continuous model:
     a'     = t_acc (a_req - a)
 
 where the e_psi' path term uses the kinematic reference steering
-tan(delta_ref) = l * kappa(s). Discretization is one RK4 step, which
-rollout takes one point at a time over a horizon; its Jacobians are
-propagated analytically through the RK4 stages for a whole horizon at once.
+tan(delta_ref) = l * kappa(s). Discretization is one RK4 step. The step
+and the rollout over a horizon run on Python floats, one state at a time:
+at 7 states, numpy's per-call overhead would outweigh the arithmetic. Each
+element takes the same IEEE operations in the same order as the array
+expressions of the step, so the results are those of the array form bit
+for bit. The Jacobians are propagated analytically through the RK4 stages
+for a whole horizon at once, on arrays.
 """
 from __future__ import annotations
 
@@ -78,19 +82,17 @@ def state(s=0.0, e_y=0.0, e_psi=0.0, delta=0.0, alpha=0.0, v=0.0, a=0.0) -> np.n
     return np.array([s, e_y, e_psi, delta, alpha, v, a], dtype=float)
 
 
-def f_continuous(x: np.ndarray, u: np.ndarray, path: PathGeometry,
-                 params: VehicleParams) -> np.ndarray:
-    """Continuous-time state derivative."""
-    # unpacked as Python floats: the same IEEE arithmetic as on numpy
-    # scalars, at a fraction of the overhead
-    s, e_y, e_psi, delta, alpha, v, a = x.tolist()
+def _derivative(x: list, u, path: PathGeometry, params: VehicleParams) -> list:
+    """Continuous-time state derivative at one state, on Python floats: x
+    holds the NX state floats and u the NU input floats."""
+    s, e_y, e_psi, delta, alpha, v, a = x
     u0, u1 = u
     kappa = path.curvature_at(s)
     den = 1.0 - kappa * e_y
     if abs(den) < 1e-9:
         raise FrenetSingularity(f"kappa*e_y = {kappa * e_y:.6g} at s = {s:.6g}")
     s_dot = v * math.cos(e_psi) / den
-    return np.array([
+    return [
         s_dot,
         v * math.sin(e_psi),
         v * math.tan(delta) / params.wheelbase - s_dot * kappa,
@@ -98,7 +100,34 @@ def f_continuous(x: np.ndarray, u: np.ndarray, path: PathGeometry,
         params.steer_w0 ** 2 * (u0 - delta) - 2.0 * params.steer_w0 * params.steer_w1 * alpha,
         a,
         params.accel_tc * (u1 - a),
-    ])
+    ]
+
+
+def _rk4_step(x: list, u, path: PathGeometry, params: VehicleParams,
+              t_s: float) -> list:
+    """One RK4 step on Python floats, x and the result lists of NX floats.
+
+    Each element takes the operations, in the order, that the array
+    expressions x + (0.5 t_s) k1, ..., x + (t_s / 6) (((k1 + 2 k2) + 2 k3) + k4)
+    apply to it, so the step equals the array form bit for bit.
+    """
+    if t_s <= 0.0:
+        raise ValueError("t_s must be positive")
+    h2 = 0.5 * t_s
+    k1 = _derivative(x, u, path, params)
+    k2 = _derivative([xi + h2 * ki for xi, ki in zip(x, k1)], u, path, params)
+    k3 = _derivative([xi + h2 * ki for xi, ki in zip(x, k2)], u, path, params)
+    k4 = _derivative([xi + t_s * ki for xi, ki in zip(x, k3)], u, path, params)
+    h6 = t_s / 6.0
+    return [xi + h6 * (((d1 + 2.0 * d2) + 2.0 * d3) + d4)
+            for xi, d1, d2, d3, d4 in zip(x, k1, k2, k3, k4)]
+
+
+def f_continuous(x: np.ndarray, u: np.ndarray, path: PathGeometry,
+                 params: VehicleParams) -> np.ndarray:
+    """Continuous-time state derivative."""
+    return np.array(_derivative(np.asarray(x, dtype=float).tolist(),
+                                np.asarray(u, dtype=float).tolist(), path, params))
 
 
 def _derivatives(xs, us, path, params):
@@ -169,28 +198,23 @@ def f_discrete(x: np.ndarray, u: np.ndarray, path: PathGeometry,
     simulated plant so standstill never turns into reverse driving. The
     prediction model used by the solver keeps the raw (smooth) step.
     """
-    if t_s <= 0.0:
-        raise ValueError("t_s must be positive")
-    u = np.asarray(u, dtype=float)
-    k1 = f_continuous(x, u, path, params)
-    k2 = f_continuous(x + 0.5 * t_s * k1, u, path, params)
-    k3 = f_continuous(x + 0.5 * t_s * k2, u, path, params)
-    k4 = f_continuous(x + t_s * k3, u, path, params)
-    x_next = x + (t_s / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    x_next = _rk4_step(np.asarray(x, dtype=float).tolist(),
+                       np.asarray(u, dtype=float).tolist(), path, params, t_s)
     if project_speed and x_next[IDX_V] < 0.0:
-        x_next = x_next.copy()
         x_next[IDX_V] = 0.0
-    return x_next
+    return np.array(x_next)
 
 
 def rollout(x0: np.ndarray, us: np.ndarray, path: PathGeometry,
             params: VehicleParams, t_s: float) -> np.ndarray:
-    """States (M+1, NX) from x0, one f_discrete step per input of us."""
-    xs = np.empty((len(us) + 1, NX))
-    xs[0] = x0
-    for n, u in enumerate(us):
-        xs[n + 1] = f_discrete(xs[n], u, path, params, t_s)
-    return xs
+    """States (M+1, NX) from x0, one RK4 step per input of us, stepped on
+    Python lists and converted to an array once."""
+    x = np.asarray(x0, dtype=float).tolist()
+    xs = [x]
+    for u in np.asarray(us, dtype=float).tolist():
+        x = _rk4_step(x, u, path, params, t_s)
+        xs.append(x)
+    return np.array(xs)
 
 
 def jacobians(xs: np.ndarray, us: np.ndarray, path: PathGeometry,

@@ -212,7 +212,7 @@ def _subproblem_nlp(template: ScenarioTemplate, theta: np.ndarray,
         def dyn_f(us):
             xs = [x0]
             for u in us:
-                xs.append(A_d @ xs[-1] + B_d @ u)
+                xs.append(A_d.dot(xs[-1]) + B_d.dot(u))
             return np.array(xs)
 
         dyn_jac = lambda xs, us: (np.broadcast_to(A_d, (M,) + A_d.shape),

@@ -6,6 +6,7 @@ positive offsets point to the left of the direction of travel.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -46,6 +47,9 @@ class PathGeometry:
         # unwrapped copy keeps heading interpolation safe across +-pi
         object.__setattr__(self, "_heading_cont", np.unwrap(self.heading))
         object.__setattr__(self, "_span", (float(s[0]), float(s[-1])))
+        # Python-float copies for the one-point curvature lookup
+        object.__setattr__(self, "_s_list", s.tolist())
+        object.__setattr__(self, "_curvature_list", self.curvature.tolist())
 
     @property
     def s_min(self) -> float:
@@ -66,9 +70,23 @@ class PathGeometry:
         return min(max(s, lo), hi)
 
     def curvature_at(self, s: float) -> float:
-        """Piecewise-linear interpolation of the sampled curvature."""
+        """Piecewise-linear interpolation of the sampled curvature.
+
+        np.interp's arithmetic on the cached Python lists: bisect for the
+        interval, the stored value at an exact sample and at the last one,
+        slope * (s - s_j) + kappa_j between samples, and NaN for a NaN s.
+        The result is np.interp's bit for bit (for finite curvatures),
+        without its per-call array overhead.
+        """
         s = self._check_range(s)
-        return float(np.interp(s, self.s, self.curvature))
+        if s != s:
+            return s
+        xp, fp = self._s_list, self._curvature_list
+        j = bisect.bisect_right(xp, s) - 1      # xp[0] <= s, so j >= 0
+        if j == len(xp) - 1 or xp[j] == s:
+            return fp[j]
+        slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+        return slope * (s - xp[j]) + fp[j]
 
     def curvature_and_slope_at(self, s: np.ndarray
                                ) -> tuple[np.ndarray, np.ndarray]:

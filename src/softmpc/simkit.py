@@ -91,7 +91,13 @@ class CsvTrajectory:
             if reader.fieldnames is None or not need.issubset(reader.fieldnames):
                 raise ValueError("trajectory CSV needs header t,w_lon,w_lat")
             for rec in reader:
-                rows.append((float(rec["t"]), float(rec["w_lon"]), float(rec["w_lat"])))
+                try:
+                    rows.append((float(rec["t"]), float(rec["w_lon"]),
+                                 float(rec["w_lat"])))
+                except (TypeError, ValueError):     # a short row reads None
+                    raise ValueError(f"{filename}: trajectory CSV line "
+                                     f"{reader.line_num} needs a number in "
+                                     "each of t,w_lon,w_lat") from None
         if len(rows) < 2:
             raise ValueError("trajectory CSV needs at least two rows")
         arr = np.asarray(rows)
@@ -235,7 +241,9 @@ def load_scenario(filename: str) -> ScenarioConfig:
 
     Keys set dataclass fields by name, each value parsed as the type of the
     field's default; any other key raises ValueError. [scenario]: ru_<f>
-    sets CutInSpec.f, the other keys the scalar fields of ScenarioConfig.
+    sets CutInSpec.f, the other keys the scalar fields of ScenarioConfig;
+    the ru_file trajectory CSV, relative to the INI's folder, is read and
+    checked here.
     [vehicle], [horizon]: the fields of VehicleParams, ocp.HorizonConfig.
     [prediction]: eps0, eps1 (the growth) and d_safe. [stack]: the other
     fields of ocp.ConstraintStack. [surrogate]: SURROGATE_DEFAULTS. [data]:
@@ -288,6 +296,13 @@ def load_scenario(filename: str) -> ScenarioConfig:
     sc, pred = got["scenario"], got["prediction"]
     sc.setdefault("name", os.path.splitext(os.path.basename(filename))[0])
     sc["ru_file"] = path_in_base(sc.get("ru_file", "")) or None
+    if sc["ru_file"]:
+        # read once here so that a bad file is a config error, not a
+        # traceback from the first step of the run
+        try:
+            CsvTrajectory(sc["ru_file"])
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"{filename}: [scenario] ru_file: {exc}") from None
     stack_kw = got["stack"]
     if "d_safe" in pred:
         stack_kw["d_safe"] = pred["d_safe"]

@@ -30,7 +30,9 @@ on the previous stage runs as one batched np.matmul before or after them,
 with the same operands in the same order, so the sweeps return what plain
 per-stage loops return, bit for bit. Batched matmul runs the BLAS kernel
 that `@` runs on each stage; np.einsum does not, and its sums would move
-the results in the last bits. The row blocks (stage
+the results in the last bits. The products left inside the loops are
+ndarray.dot calls: the same BLAS call as `@`, with less dispatch per
+product, which at these sizes is most of its cost. The row blocks (stage
 groups, terminal block, global box) and their products with the Newton
 system live in one place, _Rows.
 
@@ -443,7 +445,8 @@ def _factorize(sub: _Subproblem, D: np.ndarray) -> dict:
     terms Qug' Kg do not feed back into it: they are one batched np.matmul
     after the loop, subtracted from Gamma in the loop's stage order (see
     _subtract_in_order). np.einsum is not used for them: its sums would
-    differ from the per-stage products in the last bits.
+    differ from the per-stage products in the last bits. The loop's own
+    products use ndarray.dot, the BLAS call of `@` with less dispatch.
     """
     nlp = sub.nlp
     M, nx, nu, q = nlp.horizon, nlp.nx, nlp.nu, nlp.n_gamma
@@ -467,15 +470,15 @@ def _factorize(sub: _Subproblem, D: np.ndarray) -> dict:
         Lams = np.empty((M + 1, nx, q))
         Lams[M] = Lam = np.zeros((nx, q))   # no terminal row reads gamma
     for n in range(M - 1, -1, -1):
-        Qzz = np.add(H[n], FT[n] @ (P @ F[n]), out=Qzzs[n])
+        Qzz = np.add(H[n], FT[n].dot(P.dot(F[n])), out=Qzzs[n])
         Qxu = Qzz[:nx, nx:]
         Quu_invs[n] = Quu_inv = _inv_pd(Qzz[nx:, nx:])
-        Ks[n] = K = Quu_inv @ Qxu.T
+        Ks[n] = K = Quu_inv.dot(Qxu.T)
         if q:
-            Qzg = np.add(U[n], FT[n] @ Lam, out=Qzgs[n])
-            Kgs[n] = Kg = Quu_inv @ Qzg[nx:]
-            Lams[n] = Lam = Qzg[:nx] - Qxu @ Kg
-        P = Qzz[:nx, :nx] - Qxu @ K
+            Qzg = np.add(U[n], FT[n].dot(Lam), out=Qzgs[n])
+            Kgs[n] = Kg = Quu_inv.dot(Qzg[nx:])
+            Lams[n] = Lam = Qzg[:nx] - Qxu.dot(Kg)
+        P = Qzz[:nx, :nx] - Qxu.dot(K)
         Ps[n] = P = 0.5 * (P + P.T)
     if q:
         Qugs = Qzgs[:, nx:]
@@ -536,7 +539,8 @@ def _backsolve(sub: _Subproblem, fac: dict, F, F_M, F_g, e: np.ndarray):
     the loops with np.matmul (not np.einsum, whose sums would move the last
     bits): the global-block right-hand side after the backward sweep
     (subtracted in stage order), Kg dgamma before the forward sweep and the
-    multiplier steps after it.
+    multiplier steps after it. The loops' own products use ndarray.dot, the
+    BLAS call of `@` with less dispatch.
     """
     nlp = sub.nlp
     M, nx, nu, q = nlp.horizon, nlp.nx, nlp.nu, nlp.n_gamma
@@ -553,9 +557,9 @@ def _backsolve(sub: _Subproblem, fac: dict, F, F_M, F_g, e: np.ndarray):
     ps = np.empty((M + 1, nx))
     ps[M] = p = -r_M
     for n in range(M - 1, -1, -1):
-        qz = neg_r[n] + FT[n] @ p
-        ks[n] = k = Quu_invs[n] @ qz[nx:]
-        ps[n] = p = qz[:nx] - Qxus[n] @ k
+        qz = neg_r[n] + FT[n].dot(p)
+        ks[n] = k = Quu_invs[n].dot(qz[nx:])
+        ps[n] = p = qz[:nx] - Qxus[n].dot(k)
 
     dgamma = np.zeros(0)
     if q:
@@ -571,11 +575,11 @@ def _backsolve(sub: _Subproblem, fac: dict, F, F_M, F_g, e: np.ndarray):
     dxs = np.empty((M + 1, nx))
     dxs[0] = dx = np.zeros(nx)
     for n in range(M):
-        du = neg_ks[n] - Ks[n] @ dx
+        du = neg_ks[n] - Ks[n].dot(dx)
         if q:
             du = du - Kg_dgamma[n]
         dus[n] = du
-        dxs[n + 1] = dx = A[n] @ dx + B[n] @ du
+        dxs[n + 1] = dx = A[n].dot(dx) + B[n].dot(du)
     lam_next = np.matmul(fac["Ps"][1:], dxs[1:, :, None])[:, :, 0] + ps[1:]
     if q:
         lam_next = lam_next + np.matmul(fac["Lams"][1:], dgamma)
@@ -870,10 +874,10 @@ def _nlp_kkt(sub: _Subproblem, z: np.ndarray):
     lam = grad_M
     stat = float(np.max(np.abs(grad_g))) if q else 0.0
     for n in range(M - 1, -1, -1):
-        su = grad_u[n] + sub.B[n].T @ lam
+        su = grad_u[n] + sub.B[n].T.dot(lam)
         stat = max(stat, float(np.max(np.abs(su))))
         if n > 0:
-            lam = grad_x[n] + sub.A[n].T @ lam
+            lam = grad_x[n] + sub.A[n].T.dot(lam)
     if rows.n_rows:
         dual_scale = 1.0 + float(np.max(z))
         compl = float(np.max(np.abs(z * np.minimum(rows.vals, 0.0)))) / dual_scale

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from softmpc import dynamics as dyn
 from softmpc.dynamics import VehicleParams, comfort_quantities, f_continuous, f_discrete, jacobians, state
@@ -204,3 +208,110 @@ def test_comfort_jacobians_match_fd():
             ay_m, jy_m = comfort_quantities(x - dx, PARAMS)
             assert g_ay[j] == pytest.approx((ay_p - ay_m) / (2 * h), abs=1e-5)
             assert g_jy[j] == pytest.approx((jy_p - jy_m) / (2 * h), abs=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# The float RK4 step against the array form, bit for bit
+# ---------------------------------------------------------------------------
+# The model steps one state at a time on Python floats. The functions below
+# are the array-form step it replaced, kept verbatim (the curvature lookup
+# with them): rollout and f_discrete must return exactly what they return,
+# and raise the same error, since decisions and oracle labels are compared
+# bit for bit downstream.
+
+
+def _reference_curvature_at(path, s):
+    s = path._check_range(s)
+    return float(np.interp(s, path.s, path.curvature))
+
+
+def _reference_f_continuous(x, u, path, params):
+    s, e_y, e_psi, delta, alpha, v, a = x.tolist()
+    u0, u1 = u
+    kappa = _reference_curvature_at(path, s)
+    den = 1.0 - kappa * e_y
+    if abs(den) < 1e-9:
+        raise dyn.FrenetSingularity(f"kappa*e_y = {kappa * e_y:.6g} at s = {s:.6g}")
+    s_dot = v * math.cos(e_psi) / den
+    return np.array([
+        s_dot,
+        v * math.sin(e_psi),
+        v * math.tan(delta) / params.wheelbase - s_dot * kappa,
+        alpha,
+        params.steer_w0 ** 2 * (u0 - delta) - 2.0 * params.steer_w0 * params.steer_w1 * alpha,
+        a,
+        params.accel_tc * (u1 - a),
+    ])
+
+
+def reference_f_discrete(x, u, path, params, t_s, project_speed=False):
+    if t_s <= 0.0:
+        raise ValueError("t_s must be positive")
+    u = np.asarray(u, dtype=float)
+    k1 = _reference_f_continuous(x, u, path, params)
+    k2 = _reference_f_continuous(x + 0.5 * t_s * k1, u, path, params)
+    k3 = _reference_f_continuous(x + 0.5 * t_s * k2, u, path, params)
+    k4 = _reference_f_continuous(x + t_s * k3, u, path, params)
+    x_next = x + (t_s / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if project_speed and x_next[dyn.IDX_V] < 0.0:
+        x_next = x_next.copy()
+        x_next[dyn.IDX_V] = 0.0
+    return x_next
+
+
+def _reference_rollout(x0, us, path, params, t_s):
+    xs = np.empty((len(us) + 1, dyn.NX))
+    xs[0] = x0
+    for n, u in enumerate(us):
+        xs[n + 1] = reference_f_discrete(xs[n], u, path, params, t_s)
+    return xs
+
+
+# the circle's radius is reachable by e_y: kappa * e_y = 1 is the singularity
+_RADIUS = 12.0
+_PATHS = {"straight": straight_path(150.0),
+          "circle": circular_path(radius=_RADIUS, arc=150.0),
+          "clothoid": clothoid_path(150.0, 2e-3, spacing=0.37)}
+
+
+def _outcome(fn, *args, **kw):
+    """fn's array, or the type and message of the model error it raised."""
+    try:
+        return fn(*args, **kw)
+    except (dyn.FrenetSingularity, PathRangeError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+
+
+@given(path_name=st.sampled_from(sorted(_PATHS)),
+       x0=st.tuples(*(st.floats(lo, hi) for lo, hi in (
+           (0.0, 140.0), (-14.0, 14.0), (-0.4, 0.4), (-0.5, 0.5), (-0.6, 0.6),
+           (-5.0, 36.0), (-9.0, 3.0)))),
+       M=st.integers(1, 40), project_speed=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(path_name="circle", x0=(20.0, _RADIUS, 0.0, 0.0, 0.0, 10.0, 0.0),
+         M=3, project_speed=False, seed=0)       # FrenetSingularity at k1
+@example(path_name="straight", x0=(149.0, 0.0, 0.0, 0.0, 0.0, 30.0, 0.0),
+         M=3, project_speed=False, seed=0)       # PathRangeError at k2
+@example(path_name="straight", x0=(5.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0),
+         M=5, project_speed=True, seed=1)        # projected standstill
+@settings(max_examples=150, deadline=None)
+def test_rollout_and_step_equal_the_array_form_bit_for_bit(path_name, x0, M,
+                                                           project_speed, seed):
+    path = _PATHS[path_name]
+    rng = np.random.default_rng(seed)
+    x0 = np.array(x0)
+    us = np.column_stack([rng.uniform(-0.5, 0.5, M), rng.uniform(-9.0, 3.0, M)])
+    _assert_same_outcome(_outcome(dyn.rollout, x0, us, path, PARAMS, 0.1),
+                         _outcome(_reference_rollout, x0, us, path, PARAMS, 0.1))
+    _assert_same_outcome(
+        _outcome(f_discrete, x0, us[0], path, PARAMS, 0.1, project_speed),
+        _outcome(reference_f_discrete, x0, us[0], path, PARAMS, 0.1, project_speed))
+    _assert_same_outcome(_outcome(f_continuous, x0, us[0], path, PARAMS),
+                         _outcome(_reference_f_continuous, x0, us[0], path, PARAMS))

@@ -10,6 +10,7 @@ from softmpc.ocp import STOP_MARGIN, ConstraintStack, HorizonConfig, RelaxationM
 from softmpc.oracle import (ScenarioTemplate, generate_dataset, load_dataset,
                             oracle_solve, sample_thetas, save_dataset)
 from softmpc.path import straight_path
+from test_dynamics import reference_f_discrete
 
 PARAMS = VehicleParams()
 HORIZON = HorizonConfig(n_cost=10, n_constraint=40, t_s=0.1)
@@ -137,16 +138,17 @@ def test_lat_slack_monotone_in_invasion_onset(monkeypatch):
 def _embedded_lateral_rollout(theta, us):
     """The lateral chain stepped one embedded state at a time: each step
     puts the lateral states into a full state at s = 0, a = 0 and theta's
-    speed, takes one full-model RK4 step on the straight path and keeps the
-    lateral states."""
+    speed, takes one full-model RK4 step on the straight path (the array-form
+    reference step of test_dynamics, which shares no code with the rollout)
+    and keeps the lateral states."""
     nw = LAT_TEMPLATE.n_window
     lat = np.array(dyn.LAT_IDX)
     xs = [theta[2 * nw + 1:]]
     for u in us:
         x = dyn.state(v=theta[2 * nw])
         x[lat] = xs[-1]
-        xs.append(dyn.f_discrete(x, np.array([u[0], 0.0]), oracle._STRAIGHT,
-                                 PARAMS, HORIZON.t_s)[lat])
+        xs.append(reference_f_discrete(x, np.array([u[0], 0.0]), oracle._STRAIGHT,
+                                       PARAMS, HORIZON.t_s)[lat])
     return np.array(xs)
 
 

@@ -35,6 +35,31 @@ def test_curvature_out_of_range_names_interval():
         path.curvature_at(-1.0)
 
 
+@pytest.mark.parametrize("path", [
+    straight_path(50.0),
+    circular_path(radius=30.0, arc=60.0),
+    clothoid_path(length=80.0, curv_rate=1e-3, spacing=0.37),
+    PathGeometry(s=np.array([0.0, 0.3, 1.7, 2.0, 5.5]), xy=np.zeros((5, 2)),
+                 heading=np.zeros(5),
+                 curvature=np.array([0.02, -0.013, 0.0, 1.0 / 3.0, -0.1])),
+], ids=["straight", "circle", "clothoid", "uneven"])
+def test_curvature_at_equals_np_interp_bit_for_bit(path):
+    # the lookup runs np.interp's arithmetic on Python floats
+    rng = np.random.default_rng(3)
+    lo, hi = path.s_min, path.s_max
+    points = np.concatenate([
+        rng.uniform(lo, hi, 2000), path.s,
+        path.s[:-1] + 0.5 * np.diff(path.s),
+        [lo, hi, np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf)],
+        lo - rng.uniform(0.0, 1e-9, 20), hi + rng.uniform(0.0, 1e-9, 20)])
+    for s in points:
+        want = float(np.interp(s, path.s, path.curvature))
+        got = path.curvature_at(s)
+        assert type(got) is float and got.hex() == want.hex(), s
+    assert math.isnan(path.curvature_at(math.nan))
+    assert math.isnan(np.interp(math.nan, path.s, path.curvature))
+
+
 def test_to_global_on_straight_path():
     path = straight_path(100.0)
     x, y = path.to_global_arr(np.array([10.0, 10.0]), np.array([0.0, 2.0]))

@@ -106,6 +106,31 @@ def test_bad_prediction_ini_key_reaches_the_cli_config_error(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("csv_text, match", [
+    ("t,w_lon,w_lat\n0.0,50.0,3.5\n2.0,70.0,0.0\n1.0,60.0,3.5\n", "increasing"),
+    (None, "No such file"),
+    ("time,lon,lat\n0.0,50.0,3.5\n1.0,60.0,3.5\n", "header"),
+    ("t,w_lon,w_lat\n0.0,50.0,3.5\n1.0,60.0\n", "line 3"),
+    ("t,w_lon,w_lat\n0.0,50.0,3.5\n1.0,abc,3.5\n", "line 3"),
+])
+def test_bad_ru_file_reaches_the_cli_config_error(tmp_path, capsys, csv_text,
+                                                  match):
+    # the trajectory used to be read only when the run started, so these
+    # files ended the simulation with a traceback
+    from softmpc import cli
+    if csv_text is not None:
+        (tmp_path / "ru.csv").write_text(csv_text)
+    ini = tmp_path / "bad.ini"
+    ini.write_text("[scenario]\nduration = 2.0\nru_file = ru.csv\n")
+    code = cli.main(["simulate", "--config", str(ini), "--oracle",
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("[config]") and "[scenario] ru_file" in err
+    assert match in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_ini_section_reaches_the_cli_config_error(tmp_path, capsys):
     from softmpc import cli
     ini = tmp_path / "bad.ini"

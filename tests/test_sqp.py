@@ -2,7 +2,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from softmpc import sqp
@@ -533,9 +533,11 @@ def test_factorization_time_scales_linearly_in_horizon():
 # Riccati sweeps against the plain per-stage loops, bit for bit
 # ---------------------------------------------------------------------------
 # The solver's sweeps batch every product that does not depend on the
-# previous stage. The functions below are the plain loops they replaced,
-# kept verbatim: every array the sweeps return must equal theirs exactly,
-# since decisions and oracle labels are compared bit for bit downstream.
+# previous stage and make the per-stage ones with ndarray.dot. The functions
+# below are the plain loops they replaced, kept verbatim with `@` (the KKT
+# residual loop too): every array the sweeps return must equal theirs
+# exactly, since decisions and oracle labels are compared bit for bit
+# downstream.
 
 
 def _reference_factorize(sub, D):
@@ -671,6 +673,31 @@ def _reference_backsolve(sub, fac, F, F_M, F_g, e):
     return dw, dx, dgamma, dlam
 
 
+def _reference_nlp_kkt(sub, z):
+    nlp, rows = sub.nlp, sub.rows
+    M, nx, q = nlp.horizon, nlp.nx, nlp.n_gamma
+
+    grad = sub.g_stage.copy()
+    grad_M = sub.g_term.copy()
+    grad_g = sub.g_gamma.copy()
+    rows.add_transpose(z, grad, grad_M, grad_g)
+    grad_x, grad_u = grad[:, :nx], grad[:, nx:]
+
+    lam = grad_M
+    stat = float(np.max(np.abs(grad_g))) if q else 0.0
+    for n in range(M - 1, -1, -1):
+        su = grad_u[n] + sub.B[n].T @ lam
+        stat = max(stat, float(np.max(np.abs(su))))
+        if n > 0:
+            lam = grad_x[n] + sub.A[n].T @ lam
+    if rows.n_rows:
+        dual_scale = 1.0 + float(np.max(z))
+        compl = float(np.max(np.abs(z * np.minimum(rows.vals, 0.0)))) / dual_scale
+    else:
+        compl = 0.0
+    return stat, rows.violation_inf(), compl
+
+
 def _random_subproblem(rng, nx, nu, q, M, terminal, uu_shift=0.0):
     """A Gauss-Newton subproblem with random time-varying dynamics, stage
     rows on a random layout, optional terminal rows and a global block of q
@@ -727,11 +754,20 @@ def _assert_sweeps_match_reference(sub, rng, D_max=1e2):
     want = _reference_backsolve(sub, ref, F, F_M, F_g, e)
     for name, g, w in zip(("dw", "dx", "dgamma", "dlam"), got, want):
         assert np.array_equal(g, w), name
+    z = rng.uniform(0.0, D_max, m)
+    assert sqp._nlp_kkt(sub, z) == _reference_nlp_kkt(sub, z)
 
 
 @given(nx=st.integers(1, 7), nu=st.sampled_from([1, 2]),
        q=st.sampled_from([0, 1, 4]), M=st.integers(1, 40),
        terminal=st.booleans(), seed=st.integers(0, 2**32 - 1))
+# the shapes the solves run at: the controller's nominal and relaxed
+# problems, the oracle's longitudinal E1/E2 and lateral E3 problems
+@example(nx=7, nu=2, q=0, M=100, terminal=True, seed=1)
+@example(nx=7, nu=2, q=2, M=100, terminal=True, seed=2)
+@example(nx=3, nu=1, q=1, M=100, terminal=True, seed=3)
+@example(nx=3, nu=1, q=2, M=100, terminal=True, seed=4)
+@example(nx=4, nu=1, q=4, M=100, terminal=False, seed=5)
 @settings(max_examples=80, deadline=None)
 def test_riccati_sweeps_equal_the_plain_loops_bit_for_bit(nx, nu, q, M,
                                                           terminal, seed):
