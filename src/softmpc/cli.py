@@ -84,8 +84,7 @@ def cmd_train(args) -> int:
     t0 = time.perf_counter()
     model = train_mode_model(
         mode.name, mode.channels, mode.ceiling_vector(), thetas, feasible,
-        slacks_f, budget, hidden=kw["hidden"], epochs=kw["epochs"],
-        seed=args.seed)
+        slacks_f, budget, epochs=kw["epochs"], seed=args.seed)
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     save_model(model, args.out)
     hist = model.train_history

@@ -34,7 +34,7 @@ for a whole horizon at once, on arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -76,6 +76,23 @@ class VehicleParams:
     accel_max: float = 3.0          # physical [m/s^2]
     lat_accel_max: float = 2.5      # comfort |a_y| [m/s^2]
     lat_jerk_max: float = 2.5       # comfort |j_y| [m/s^3]
+
+    def __post_init__(self):
+        """Reject values the model cannot run on; each message names the
+        field, which is also its [vehicle] INI key. accel_min < 0 < accel_max
+        because the standstill terminal rows need a = 0 to be feasible and
+        the fallback brakes at accel_min."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "steer_w1":
+                ok, need = value >= 0.0, ">= 0"
+            elif f.name == "accel_min":
+                ok, need = value < 0.0, "< 0"
+            else:
+                ok, need = value > 0.0, "> 0"
+            if not (ok and math.isfinite(value)):
+                raise ValueError(f"[vehicle] {f.name} must be finite and "
+                                 f"{need}, got {value}")
 
 
 def state(s=0.0, e_y=0.0, e_psi=0.0, delta=0.0, alpha=0.0, v=0.0, a=0.0) -> np.ndarray:

@@ -128,7 +128,9 @@ def _box_distance(path: PathGeometry, s, lon_lo, lon_hi, lat_lo, lat_hi):
 
     The closest box point is taken in path coordinates (clamp of (s, 0) into
     the box), exact on straight segments and a tight approximation for the
-    gentle curvatures this model is valid for. Accepts scalars or arrays.
+    gentle curvatures this model is valid for. Accepts scalars or arrays;
+    the box bounds broadcast against s, so one call can measure many points
+    against many boxes.
     """
     s = np.asarray(s, dtype=float)
     w_lon = np.clip(s, lon_lo, lon_hi)
@@ -146,62 +148,62 @@ def collision_window(path: PathGeometry, reach: ReachableSet, d_safe: float
     anchored at the path start so repeated calls with nested boxes produce
     monotone bounds; a bisection pass refines the entry point below
     WINDOW_TOL, returning the conservative (lower) end.
+
+    All steps are handled at once. Each step scans the slice of the grid
+    within its box's longitudinal reach, and the slices are padded to one
+    2-D array; the first grid point within d_safe is the step's hit. A step
+    whose hit already has the previous grid point within d_safe (or before
+    the path start) takes that point; the others bisect between the two.
     """
     if d_safe <= 0.0:
         raise ValueError("d_safe must be positive")
-    n_steps = len(reach)
-    bounds = np.full(n_steps, NO_BOUND)
+    bounds = np.full(len(reach), NO_BOUND)
     grid = np.arange(path.s_min, path.s_max + SCAN_STEP, SCAN_STEP)
     grid = grid[grid <= path.s_max]
 
-    lo_ref = np.empty(n_steps)
-    hi_ref = np.empty(n_steps)
-    active = []
-    for k in range(n_steps):
-        lon_lo, lon_hi = reach.lon_lo[k], reach.lon_hi[k]
-        lat_lo, lat_hi = reach.lat_lo[k], reach.lat_hi[k]
-        lat_gap = 0.0 if lat_lo <= 0.0 <= lat_hi else min(abs(lat_lo), abs(lat_hi))
-        if lat_gap > d_safe:
-            continue
-        lo_s = max(path.s_min, lon_lo - d_safe - SCAN_STEP)
-        hi_s = min(path.s_max, lon_hi + d_safe + SCAN_STEP)
-        if lo_s > hi_s:
-            continue
-        sub = grid[(grid >= lo_s - SCAN_STEP) & (grid <= hi_s + SCAN_STEP)]
-        if sub.size == 0:
-            continue
-        inside = _box_distance(path, sub, lon_lo, lon_hi, lat_lo, lat_hi) <= d_safe
-        idx = np.argmax(inside)
-        if not inside[idx]:
-            continue
-        hit = float(sub[idx])
-        lo = hit - SCAN_STEP
-        if lo < path.s_min or float(
-                _box_distance(path, lo, lon_lo, lon_hi, lat_lo, lat_hi)) <= d_safe:
-            bounds[k] = max(lo, path.s_min)
-            continue
-        lo_ref[k], hi_ref[k] = lo, hit
-        active.append(k)
+    # steps whose box comes within d_safe of the path laterally and whose
+    # longitudinal reach overlaps the path; the others keep an empty slice
+    lat_lo, lat_hi = reach.lat_lo, reach.lat_hi
+    lat_gap = np.where((lat_lo <= 0.0) & (0.0 <= lat_hi), 0.0,
+                       np.minimum(np.abs(lat_lo), np.abs(lat_hi)))
+    lo_s = np.maximum(path.s_min, reach.lon_lo - d_safe - SCAN_STEP)
+    hi_s = np.minimum(path.s_max, reach.lon_hi + d_safe + SCAN_STEP)
+    # grid[first:stop] holds the grid points in [lo_s - step, hi_s + step]
+    first = np.searchsorted(grid, lo_s - SCAN_STEP, side="left")
+    stop = np.searchsorted(grid, hi_s + SCAN_STEP, side="right")
+    stop = np.where((lat_gap <= d_safe) & (lo_s <= hi_s), stop, first)
 
-    if active:
-        # refine all entry points at once by bisection on the crossing
-        act = np.asarray(active)
-        lo = lo_ref[act]
-        hi = hi_ref[act]
-        lon_lo_a, lon_hi_a = reach.lon_lo[act], reach.lon_hi[act]
-        lat_w = np.clip(0.0, reach.lat_lo[act], reach.lat_hi[act])
-        n_iter = int(math.ceil(math.log2(SCAN_STEP / WINDOW_TOL))) + 1
-        for _ in range(n_iter):
-            mid = 0.5 * (lo + hi)
-            w_lon = np.clip(mid, lon_lo_a, lon_hi_a)
-            px, py = path.to_global_arr(mid, np.zeros_like(mid))
-            qx, qy = path.to_global_arr(w_lon, lat_w)
-            inside = np.hypot(qx - px, qy - py) <= d_safe
-            hi = np.where(inside, mid, hi)
-            lo = np.where(inside, lo, mid)
-        bounds[act] = lo
+    k = np.flatnonzero(stop > first)
+    if k.size == 0:
+        return bounds, None
+    box = (reach.lon_lo[k, None], reach.lon_hi[k, None],
+           lat_lo[k, None], lat_hi[k, None])
+    idx = first[k, None] + np.arange(np.max(stop[k] - first[k]))
+    in_slice = idx < stop[k, None]
+    sub = grid[np.where(in_slice, idx, first[k, None])]
+    inside = in_slice & (_box_distance(path, sub, *box) <= d_safe)
+    j = np.argmax(inside, axis=1)
+    rows = np.arange(k.size)
+    met = inside[rows, j]
+    k, j, box = k[met], j[met], tuple(b[met, 0] for b in box)
+    hi = sub[rows[met], j]
+    lo = hi - SCAN_STEP
 
-    finite = np.where(np.isfinite(bounds))[0]
+    near = (lo < path.s_min) | (_box_distance(path, lo, *box) <= d_safe)
+    bounds[k[near]] = np.maximum(lo[near], path.s_min)
+
+    # refine the other entry points by bisection on the crossing
+    far = ~near
+    lo, hi, box = lo[far], hi[far], tuple(b[far] for b in box)
+    n_iter = int(math.ceil(math.log2(SCAN_STEP / WINDOW_TOL))) + 1
+    for _ in range(n_iter):
+        mid = 0.5 * (lo + hi)
+        inside = _box_distance(path, mid, *box) <= d_safe
+        hi = np.where(inside, mid, hi)
+        lo = np.where(inside, lo, mid)
+    bounds[k[far]] = lo
+
+    finite = np.flatnonzero(np.isfinite(bounds))
     window = (int(finite[0]), int(finite[-1])) if finite.size else None
     return bounds, window
 
@@ -219,21 +221,12 @@ def lane_corridor(reach: ReachableSet, ego_lane: str, lane_width: float
     # adjacent-lane corridor on the opposite side of the ego lane
     ev_lo, ev_hi = lane_bounds("left" if ego_lane == "right" else "right",
                                lane_width)
-
-    n = len(reach)
-    lo = np.full(n, ego_lo)
-    hi = np.full(n, ego_hi)
-    blocked = np.zeros(n, dtype=bool)
-    for k in range(n):
-        invades_ego = reach.lat_lo[k] < ego_hi and reach.lat_hi[k] > ego_lo
-        if not invades_ego:
-            continue
-        invades_other = reach.lat_lo[k] < ev_hi and reach.lat_hi[k] > ev_lo
-        if invades_other:
-            blocked[k] = True
-            continue
-        lo[k], hi[k] = ev_lo, ev_hi
-    return lo, hi, blocked
+    invades_ego = (reach.lat_lo < ego_hi) & (reach.lat_hi > ego_lo)
+    invades_other = (reach.lat_lo < ev_hi) & (reach.lat_hi > ev_lo)
+    blocked = invades_ego & invades_other
+    switch = invades_ego & ~blocked
+    return (np.where(switch, ev_lo, ego_lo), np.where(switch, ev_hi, ego_hi),
+            blocked)
 
 
 def consistency_delta(prev: DisturbanceProfile, curr: DisturbanceProfile

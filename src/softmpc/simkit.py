@@ -28,7 +28,7 @@ from .dynamics import VehicleParams
 from .environment import RoadUserState, build_profile
 from .oracle import TEMPLATE_KINDS, ScenarioTemplate
 from .path import straight_path
-from .surrogate import DEFAULT_EPOCHS, DEFAULT_HIDDEN, load_model
+from .surrogate import DEFAULT_EPOCHS, load_model
 
 
 @dataclass
@@ -186,13 +186,11 @@ def _defaults(cls) -> dict:
 
 def _parse(text: str, like):
     """An INI value as the type of the default `like`: a bool, an int, a
-    float, a comma-separated tuple of ints, or else the text itself."""
+    float, or else the text itself."""
     if isinstance(like, bool):
         return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
     if isinstance(like, (int, float)):
         return type(like)(text)
-    if isinstance(like, tuple):
-        return tuple(int(v) for v in text.split(","))
     return text
 
 
@@ -214,8 +212,7 @@ def _read(cp, filename: str, section: str, schema: dict) -> dict:
 
 # [surrogate] keys, read by `softmpc train`, with their defaults
 SURROGATE_DEFAULTS = {"max_disturbance_lon": 40.0, "max_disturbance_lat": 40.0,
-                      "max_state_step": 0.0, "hidden": DEFAULT_HIDDEN,
-                      "epochs": DEFAULT_EPOCHS}
+                      "max_state_step": 0.0, "epochs": DEFAULT_EPOCHS}
 _RU_KEYS = {f"ru_{k}": v for k, v in _defaults(CutInSpec).items()}
 _SCALARS = {k: v for k, v in _defaults(ScenarioConfig).items()
             if not isinstance(v, tuple)}

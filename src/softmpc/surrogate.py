@@ -189,10 +189,6 @@ class SurrogateModel:
     def normalize(self, theta: np.ndarray) -> np.ndarray:
         return (theta - self.input_shift) / self.input_scale
 
-    def out_of_domain(self, theta: np.ndarray, margin: float = 4.0) -> bool:
-        zed = np.abs(self.normalize(theta))
-        return bool(np.any(zed > margin))
-
     def infer(self, theta: np.ndarray):
         """(clamped slack, infeasibility flag, classifier score) for one
         input; the flag is score >= threshold."""

@@ -1,14 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from softmpc.environment import (NO_BOUND, ConsistencyDelta, DisturbanceProfile,
-                                 ReachableSet, RoadUserState, build_profile,
-                                 collision_window, consistency_delta,
-                                 lane_corridor, nominal_profile,
-                                 predict_reachable)
-from softmpc.path import circular_path, straight_path
+from softmpc.environment import (NO_BOUND, SCAN_STEP, WINDOW_TOL,
+                                 ConsistencyDelta, DisturbanceProfile,
+                                 ReachableSet, RoadUserState, _box_distance,
+                                 build_profile, collision_window,
+                                 consistency_delta, lane_bounds, lane_corridor,
+                                 nominal_profile, predict_reachable)
+from softmpc.path import circular_path, clothoid_path, straight_path
 
 
 def test_static_obstacle_zero_growth_boxes_are_points():
@@ -65,7 +68,6 @@ def test_collision_window_point_obstacle_analytic():
 
 
 def _brute_force_sigma(path, box, d_safe, grid_step=0.01):
-    from softmpc.environment import _box_distance
     s_grid = np.arange(path.s_min, path.s_max, grid_step)
     hits = np.where(_box_distance(path, s_grid, *box) <= d_safe)[0]
     return float(s_grid[hits[0]]) if hits.size else NO_BOUND
@@ -162,6 +164,133 @@ def test_lane_corridor_invasion_right_lane_free():
     reach_wide = ReachableSet(lon_lo=[50.0], lon_hi=[55.0], lat_lo=[-6.0], lat_hi=[6.0])
     lo, hi, blocked = lane_corridor(reach_wide, "right", lane_width=3.5)
     assert blocked[0]
+
+
+def _loop_collision_window(path, reach, d_safe):
+    """collision_window as a loop over the steps: the reference the
+    whole-horizon version must match bit for bit."""
+    if d_safe <= 0.0:
+        raise ValueError("d_safe must be positive")
+    n_steps = len(reach)
+    bounds = np.full(n_steps, NO_BOUND)
+    grid = np.arange(path.s_min, path.s_max + SCAN_STEP, SCAN_STEP)
+    grid = grid[grid <= path.s_max]
+
+    lo_ref = np.empty(n_steps)
+    hi_ref = np.empty(n_steps)
+    active = []
+    for k in range(n_steps):
+        lon_lo, lon_hi = reach.lon_lo[k], reach.lon_hi[k]
+        lat_lo, lat_hi = reach.lat_lo[k], reach.lat_hi[k]
+        lat_gap = 0.0 if lat_lo <= 0.0 <= lat_hi else min(abs(lat_lo), abs(lat_hi))
+        if lat_gap > d_safe:
+            continue
+        lo_s = max(path.s_min, lon_lo - d_safe - SCAN_STEP)
+        hi_s = min(path.s_max, lon_hi + d_safe + SCAN_STEP)
+        if lo_s > hi_s:
+            continue
+        sub = grid[(grid >= lo_s - SCAN_STEP) & (grid <= hi_s + SCAN_STEP)]
+        if sub.size == 0:
+            continue
+        inside = _box_distance(path, sub, lon_lo, lon_hi, lat_lo, lat_hi) <= d_safe
+        idx = np.argmax(inside)
+        if not inside[idx]:
+            continue
+        hit = float(sub[idx])
+        lo = hit - SCAN_STEP
+        if lo < path.s_min or float(
+                _box_distance(path, lo, lon_lo, lon_hi, lat_lo, lat_hi)) <= d_safe:
+            bounds[k] = max(lo, path.s_min)
+            continue
+        lo_ref[k], hi_ref[k] = lo, hit
+        active.append(k)
+
+    if active:
+        # refine all entry points at once by bisection on the crossing
+        act = np.asarray(active)
+        lo = lo_ref[act]
+        hi = hi_ref[act]
+        lon_lo_a, lon_hi_a = reach.lon_lo[act], reach.lon_hi[act]
+        lat_w = np.clip(0.0, reach.lat_lo[act], reach.lat_hi[act])
+        n_iter = int(math.ceil(math.log2(SCAN_STEP / WINDOW_TOL))) + 1
+        for _ in range(n_iter):
+            mid = 0.5 * (lo + hi)
+            w_lon = np.clip(mid, lon_lo_a, lon_hi_a)
+            px, py = path.to_global_arr(mid, np.zeros_like(mid))
+            qx, qy = path.to_global_arr(w_lon, lat_w)
+            inside = np.hypot(qx - px, qy - py) <= d_safe
+            hi = np.where(inside, mid, hi)
+            lo = np.where(inside, lo, mid)
+        bounds[act] = lo
+
+    finite = np.where(np.isfinite(bounds))[0]
+    window = (int(finite[0]), int(finite[-1])) if finite.size else None
+    return bounds, window
+
+
+def _loop_lane_corridor(reach, ego_lane, lane_width):
+    """lane_corridor as a loop over the steps (reference, as above)."""
+    ego_lo, ego_hi = lane_bounds(ego_lane, lane_width)
+    # adjacent-lane corridor on the opposite side of the ego lane
+    ev_lo, ev_hi = lane_bounds("left" if ego_lane == "right" else "right",
+                               lane_width)
+
+    n = len(reach)
+    lo = np.full(n, ego_lo)
+    hi = np.full(n, ego_hi)
+    blocked = np.zeros(n, dtype=bool)
+    for k in range(n):
+        invades_ego = reach.lat_lo[k] < ego_hi and reach.lat_hi[k] > ego_lo
+        if not invades_ego:
+            continue
+        invades_other = reach.lat_lo[k] < ev_hi and reach.lat_hi[k] > ev_lo
+        if invades_other:
+            blocked[k] = True
+            continue
+        lo[k], hi[k] = ev_lo, ev_hi
+    return lo, hi, blocked
+
+
+# the paths of the comparison: a straight road, a circle of radius 60 m and
+# a clothoid reaching a 50 m radius, each 200 m long
+_PATHS = {"straight": straight_path(200.0),
+          "circular": circular_path(60.0, 200.0),
+          "clothoid": clothoid_path(200.0, 1e-4)}
+_T_S = 0.1
+
+
+@given(kind=st.sampled_from(sorted(_PATHS)),
+       ru=st.builds(RoadUserState, lon=st.floats(-40.0, 240.0),
+                    lat=st.floats(-8.0, 8.0), v_lon=st.floats(-10.0, 25.0),
+                    v_lat=st.floats(-3.0, 3.0)),
+       growth=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 3.0)),
+       d_safe=st.floats(0.5, 8.0), horizon=st.integers(0, 100),
+       ego_lane=st.sampled_from(["right", "left"]))
+# a box before the path start that never reaches it, and one past its end
+@example("straight", RoadUserState(-30.0, 0.0), (0.5, 0.0), 4.0, 20, "right")
+@example("circular", RoadUserState(230.0, 0.0), (0.5, 0.5), 4.0, 20, "right")
+# hits on the first grid point, whose previous point lies before s_min
+@example("straight", RoadUserState(2.0, 0.0), (0.0, 0.0), 4.0, 10, "right")
+@example("clothoid", RoadUserState(-30.0, 0.5, 10.0), (0.5, 0.2), 4.0, 60, "right")
+# zero-growth point boxes on a curve, entering the lane
+@example("circular", RoadUserState(50.0, 1.0, 5.0, -0.5), (0.0, 0.0), 3.0, 50, "right")
+# an empty window: the box stays laterally clear
+@example("straight", RoadUserState(50.0, 10.0), (0.2, 0.0), 3.0, 30, "right")
+# both lanes invaded (blocked), and the left ego lane
+@example("straight", RoadUserState(40.0, 1.75, 5.0), (3.0, 0.5), 5.0, 40, "right")
+@example("clothoid", RoadUserState(40.0, 3.5, 5.0, -1.0), (0.3, 0.3), 5.0, 40, "left")
+@settings(max_examples=150, deadline=None)
+def test_whole_horizon_profile_matches_the_step_loops(kind, ru, growth, d_safe,
+                                                      horizon, ego_lane):
+    path = _PATHS[kind]
+    reach = predict_reachable(ru, horizon, _T_S, growth)
+    bounds, window = collision_window(path, reach, d_safe)
+    ref_bounds, ref_window = _loop_collision_window(path, reach, d_safe)
+    assert np.array_equal(bounds, ref_bounds)
+    assert window == ref_window
+    for got, ref in zip(lane_corridor(reach, ego_lane, path.lane_width),
+                        _loop_lane_corridor(reach, ego_lane, path.lane_width)):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
 @st.composite

@@ -106,6 +106,26 @@ def test_bad_prediction_ini_key_reaches_the_cli_config_error(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("wheelbase", "0"), ("accel_tc", "0"), ("steer_w0", "-1"),
+    ("steer_w1", "-0.5"), ("v_max", "nan"), ("delta_max", "inf"),
+    ("accel_min", "5"), ("accel_min", "0"), ("accel_max", "0"),
+])
+def test_bad_vehicle_ini_key_reaches_the_cli_config_error(
+        tmp_path, capsys, key, value):
+    # wheelbase = 0 and accel_tc = 0 used to end the run with a traceback
+    # from the terminal weights; the others used to be accepted
+    from softmpc import cli
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[scenario]\nduration = 2.0\n\n[vehicle]\n{key} = {value}\n")
+    code = cli.main(["simulate", "--config", str(ini), "--oracle",
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("[config]") and f"[vehicle] {key}" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("csv_text, match", [
     ("t,w_lon,w_lat\n0.0,50.0,3.5\n2.0,70.0,0.0\n1.0,60.0,3.5\n", "increasing"),
     (None, "No such file"),
@@ -425,6 +445,8 @@ def _with_line(section, line):
     ("prediction", "esp0 = 0.1"),
     ("stack", "t_gpa = 9.9"),
     ("surrogate", "epoch = 10"),
+    # the layer widths are surrogate.DEFAULT_HIDDEN, not a setting
+    ("surrogate", "hidden = 32,32"),
     ("data", "e3 = 10"),
     ("mode.E1", "tempalte = lat"),
     ("mode.E1", "dorp = g_follow"),
