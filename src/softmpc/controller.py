@@ -171,16 +171,21 @@ class PriorityController:
         """The ladder, gated only as far as it is climbed: (mode, gate
         record, commanded slack or None where the gate rejects) per rung.
         Rung 0 is on it when its record nominal is not None; each
-        relaxation mode's record goes into gates, with the surrogate's
-        classifier score and margin eps on the learned route."""
+        relaxation mode's record goes into gates, with the oracle's status
+        and SQP iteration count on the oracle route (0 iterations: its
+        infeasibility certificate decided) and the surrogate's classifier
+        score and margin eps on the learned route."""
         if nominal is not None:
             yield ocp.NOMINAL_MODE, nominal, np.zeros(0)
         for rt in self.modes:
             name, ceil = rt.mode.name, rt.mode.ceiling_vector()
             theta = build_theta(rt.template, x_k, profile)
             if self.use_oracle:
-                feasible, slack_star, _ = oracle_solve(rt.template, rt.mode, theta)
-                gates[name] = {"budget_ok": True, "predicted_feasible": feasible}
+                feasible, slack_star, rep = oracle_solve(rt.template, rt.mode,
+                                                         theta)
+                gates[name] = {"budget_ok": True, "predicted_feasible": feasible,
+                               "oracle_status": rep.status,
+                               "oracle_sqp_iterations": rep.sqp_iterations}
                 yield (rt.mode, gates[name],
                        np.clip(slack_star, 0.0, ceil) if feasible else None)
                 continue

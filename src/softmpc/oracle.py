@@ -25,12 +25,29 @@ rows' columns are cut once. The lateral chain is the lateral block of a
 full vehicle-model rollout on a straight path at constant speed; the
 longitudinal chain is linear, and its RK4 step is taken in closed form
 (_lon_discrete).
+
+Longitudinal samples meet an infeasibility certificate before the SQP. Their
+subproblem is affine: the linear chain, the LON_ROW_LABELS rows (all linear
+in the state, input and slack), the terminal rows (data) and the slack box.
+Its rollout, dynamics Jacobians and rows at u_init therefore define it
+exactly, and with every row loosened by LP_MARGIN (1e-4) it becomes a
+feasibility LP, solved by HiGHS (scipy.optimize.linprog) in a few
+milliseconds. When HiGHS proves that LP infeasible, the sample is labeled
+infeasible without running the SQP, whose infeasible verdicts cost two SQP
+iterations and some 35 interior-point ones. The certificate cannot move a
+label: oracle_solve labels a sample feasible only at a point whose largest
+row violation is at most 1e-6, and such a point satisfies every row of the
+LP with room to spare, so an LP that no point satisfies proves the SQP's
+label infeasible too. Any other LP outcome runs the SQP as before. Lateral
+samples keep the SQP alone: their dynamics and comfort rows are nonlinear,
+so an LP of their linearization proves nothing about them.
 """
 from __future__ import annotations
 
 import csv
 import json
 import os
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +58,8 @@ from .dynamics import NU, NX, VehicleParams
 from .environment import NO_BOUND, DisturbanceProfile, lane_bounds
 from .ocp import ConstraintStack, HorizonConfig, RelaxationMode, build_reference
 from .path import PathGeometry
-from .sqp import (STATUS_INFEASIBLE, STATUS_OPTIMAL, NlpDescription,
-                  SolverOptions, SolveReport, solve)
+from .sqp import (PHASES, STATUS_INFEASIBLE, STATUS_OPTIMAL, NlpDescription,
+                  SolverOptions, SolveReport, _evaluate, _Layout, _timed, solve)
 
 SNAP_TOL = 1e-3     # below the dataset's brute-force grid resolution
 SIGMA_CAP = 250.0   # relative yield bound treated as unconstrained
@@ -62,6 +79,11 @@ ORACLE_SOLVER_OPTS = SolverOptions(penalty_init=1e4, penalty_max=1e4,
                                    tol_complementarity=1e-6,
                                    multiplier_certificate=False)
 
+
+# how far the longitudinal certificate's LP loosens every row: a hundred
+# times the 1e-6 violation a feasible label may keep, and far above HiGHS's
+# 1e-7 feasibility tolerance and the rounding of rows of size 1e2 to 1e3
+LP_MARGIN = 1e-4
 
 # the decoupled subsystems a slack problem can run on
 TEMPLATE_KINDS = ("lon", "lat")
@@ -278,6 +300,83 @@ def _subproblem_nlp(template: ScenarioTemplate, theta: np.ndarray,
         terminal_offset=terminal_offset, u_init=u_refs[:, [u_col]], **kw)
 
 
+def _sparse_rows(coef: np.ndarray, cols: np.ndarray, n_var: int):
+    """Sparse (R, n_var) matrix whose row r holds coef[r] in the columns
+    cols[r], zeros left out."""
+    from scipy.sparse import coo_array
+    r, i = np.nonzero(coef)
+    return coo_array((coef[r, i], (r, cols[r, i])), shape=(coef.shape[0], n_var))
+
+
+def _lp_certifies_infeasible(nlp: NlpDescription) -> bool:
+    """Whether HiGHS proves that no point satisfies every row of nlp
+    loosened by LP_MARGIN. Sound for affine problems only, which the
+    rollout, dyn_jac and stage_rows at u_init define exactly.
+
+    The LP's variables are the offsets from that point: the states dx_0..dx_M
+    (dx_0 fixed at zero), the inputs du and the slack block gamma. The
+    dynamics are its equality rows; a row that reads one variable becomes a
+    bound on it. Non-finite data certify nothing.
+    """
+    from scipy.optimize import linprog
+    M, nx, nu, q = nlp.horizon, nlp.nx, nlp.nu, nlp.n_gamma
+    us = nlp.u_init.reshape(M, nu)
+    xs = nlp.dyn_f(us)
+    A, B = nlp.dyn_jac(xs[:-1], us)
+    vals, C, G = nlp.stage_rows(xs[:-1], us)
+    n_var = (M + 1) * nx + M * nu + q
+    # the columns of (x_n, u_n, gamma) at each stage n
+    n = np.arange(M)[:, None]
+    cols = np.concatenate([n * nx + np.arange(nx),
+                           (M + 1) * nx + n * nu + np.arange(nu),
+                           np.broadcast_to(n_var - q + np.arange(q), (M, q))],
+                          axis=1)
+
+    # rows coef . z <= rhs: the stage rows, then the terminal rows, which
+    # read x_M: the columns of the last stage with its state moved on by one
+    stage, row = np.nonzero(nlp.stage_row_mask)
+    k = nlp.terminal_offset.size
+    coef = np.concatenate([
+        (np.concatenate([C, G], axis=2) if q else C)[stage, row],
+        np.pad(nlp.terminal_C, ((0, 0), (0, nu + q)))])
+    x_M = cols[-1] + nx * (np.arange(cols.shape[1]) < nx)
+    coef_cols = np.concatenate([cols[stage],
+                                np.broadcast_to(x_M, (k, x_M.size))])
+    rhs = LP_MARGIN - np.concatenate(
+        [vals[stage, row], nlp.terminal_C @ xs[-1] - nlp.terminal_offset])
+    if not (np.all(np.isfinite(coef)) and np.all(np.isfinite(rhs))):
+        return False
+
+    lo = np.full(n_var, -np.inf)
+    hi = np.full(n_var, np.inf)
+    lo[:nx] = hi[:nx] = 0.0
+    if q:
+        lo[-q:] = nlp.gamma_lo - LP_MARGIN
+        hi[-q:] = nlp.gamma_hi + LP_MARGIN
+    nonzero = coef != 0.0
+    single = nonzero.sum(axis=1) == 1
+    j = np.argmax(nonzero[single], axis=1)
+    c = coef[single, j]
+    var = coef_cols[single, j]
+    bound = rhs[single] / c
+    np.minimum.at(hi, var[c > 0.0], bound[c > 0.0])
+    np.maximum.at(lo, var[c < 0.0], bound[c < 0.0])
+
+    # dx_{n+1} - A_n dx_n - B_n du_n = 0
+    dyn_coef = np.concatenate([np.ones((M, nx, 1)), -A, -B], axis=2)
+    dyn_cols = np.concatenate(
+        [(cols[:, :nx] + nx)[:, :, None],
+         np.broadcast_to(cols[:, None, :nx + nu], (M, nx, nx + nu))], axis=2)
+    res = linprog(np.zeros(n_var),
+                  A_ub=_sparse_rows(coef[~single], coef_cols[~single], n_var),
+                  b_ub=rhs[~single],
+                  A_eq=_sparse_rows(dyn_coef.reshape(M * nx, -1),
+                                    dyn_cols.reshape(M * nx, -1), n_var),
+                  b_eq=np.zeros(M * nx), bounds=np.column_stack([lo, hi]),
+                  method="highs")
+    return res.status == 2      # linprog's code for a proven infeasible LP
+
+
 def oracle_solve(template: ScenarioTemplate, mode: RelaxationMode,
                  theta: np.ndarray) -> tuple[bool, np.ndarray | None, SolveReport]:
     """Minimal slack for one surrogate input; (feasible, slack, report).
@@ -286,12 +385,36 @@ def oracle_solve(template: ScenarioTemplate, mode: RelaxationMode,
     nominal instances report a zero slack vector. A run that ends at the
     iteration cap but with a feasible point still counts as feasible with
     the slack it found; everything else is conservatively infeasible.
+
+    A lon sample goes first to the infeasibility certificate: the
+    feasibility LP of its affine subproblem with every row loosened by
+    LP_MARGIN. When HiGHS proves that LP infeasible, the SQP does not run,
+    and the report is the one of a solve that ran no iteration: status
+    infeasible, 0 SQP and 0 interior-point iterations, the point u_init
+    with its largest row violation as infeasibility_measure. The label is
+    the SQP's: it labels feasible only a point within 1e-6 of every row,
+    which the LP would admit. A lat sample runs the SQP alone, as its
+    subproblem is nonlinear.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (template.theta_dim,):
         raise ValueError(
             f"theta has shape {theta.shape}, expected ({template.theta_dim},)")
-    rep = solve(_subproblem_nlp(template, theta, mode), ORACLE_SOLVER_OPTS)
+    nlp = _subproblem_nlp(template, theta, mode)
+    t_start = time.perf_counter()
+    if template.kind == "lon" and _lp_certifies_infeasible(nlp):
+        phase_s = dict.fromkeys(PHASES, 0.0)
+        us, gamma = nlp.u_init, np.zeros(nlp.n_gamma)
+        xs, rows, obj = _timed(phase_s, "evaluate", _evaluate, nlp,
+                               _Layout(nlp), us, gamma)
+        inf = float("inf")      # no linearization point, no KKT residuals
+        return False, None, SolveReport(
+            status=STATUS_INFEASIBLE, us=us, xs=xs, gamma=gamma,
+            objective=obj, stationarity=inf, primal_infeasibility=inf,
+            complementarity=inf, sqp_iterations=0, ip_iterations=0,
+            wall_time=time.perf_counter() - t_start,
+            infeasibility_measure=rows.violation_inf(), phase_s=phase_s)
+    rep = solve(nlp, ORACLE_SOLVER_OPTS)
     feasible = rep.status == STATUS_OPTIMAL or (
         rep.status != STATUS_INFEASIBLE
         and rep.infeasibility_measure <= 1e-6)
@@ -405,6 +528,10 @@ def generate_dataset(template: ScenarioTemplate, mode: RelaxationMode,
 
     if workers is None:
         workers = os.cpu_count() or 1
+    if template.kind == "lon":
+        # the certificate's LP solver, imported once here rather than in
+        # every labeling worker
+        import scipy.optimize  # noqa: F401
     results = [None] * count
     if workers > 1 and count > 8:
         import multiprocessing as mp

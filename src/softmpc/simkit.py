@@ -125,7 +125,8 @@ class ScenarioConfig:
     """Closed-loop scenario. `duration` must be a multiple of `t_s`; the
     cut-in needs `cut_start >= 0` and `cut_duration > 0` but may end after
     `duration` (see `CutInSpec`); the growth rates must be >= 0 and d_safe
-    > 0."""
+    > 0; `v_ref` must be finite and > 0, `ego_v0` finite and >= 0, and
+    `lane_width` and `path_length` > 0."""
     name: str = "scenario"
     duration: float = 15.0
     v_ref: float = 20.0
@@ -150,17 +151,26 @@ class ScenarioConfig:
         if abs(n - round(n)) > 1e-9:
             raise ValueError("duration must be a multiple of the sampling time")
         d_safe = self.stack_kw.get("d_safe", ocp.ConstraintStack.d_safe)
-        # (field, its INI key, value, zero allowed); the negated comparisons
-        # also reject NaN
-        for name, key, value, closed in (
-                ("cut_in.cut_start", "ru_cut_start", self.cut_in.cut_start, True),
+        # (field, its INI key, value, zero allowed, finite required); the
+        # negated comparisons also reject NaN
+        for name, key, value, closed, finite in (
+                ("cut_in.cut_start", "ru_cut_start", self.cut_in.cut_start,
+                 True, False),
                 ("cut_in.cut_duration", "ru_cut_duration",
-                 self.cut_in.cut_duration, False),
-                ("growth eps0", "[prediction] eps0", self.growth[0], True),
-                ("growth eps1", "[prediction] eps1", self.growth[1], True),
-                ("d_safe", "[prediction] d_safe", d_safe, False)):
-            if not (value >= 0.0 if closed else value > 0.0):
+                 self.cut_in.cut_duration, False, False),
+                ("growth eps0", "[prediction] eps0", self.growth[0], True, False),
+                ("growth eps1", "[prediction] eps1", self.growth[1], True, False),
+                ("d_safe", "[prediction] d_safe", d_safe, False, False),
+                ("v_ref", "[scenario] v_ref", self.v_ref, False, True),
+                ("ego_v0", "[scenario] ego_v0", self.ego_v0, True, True),
+                ("lane_width", "[scenario] lane_width", self.lane_width,
+                 False, False),
+                ("path_length", "[scenario] path_length", self.path_length,
+                 False, False)):
+            if (not (value >= 0.0 if closed else value > 0.0)
+                    or finite and not math.isfinite(value)):
                 raise ValueError(f"{name} ({key}) must be "
+                                 f"{'finite and ' if finite else ''}"
                                  f"{'>=' if closed else '>'} 0, got {value}")
 
     @property

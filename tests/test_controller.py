@@ -1,3 +1,4 @@
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -105,6 +106,29 @@ def test_failure_when_no_mode_feasible():
     assert decision.mode_gates["E1"]["predicted_feasible"] is False
 
 
+def test_oracle_gates_show_which_verdicts_the_certificate_settled():
+    # an evasive cycle: a road user stopped 8 m ahead of the ego at 20 m/s,
+    # with the lane switch armed. No braking clears it, so the longitudinal
+    # certificate settles E1 and E2 without an SQP iteration; the lateral
+    # mode E3 has no certificate and runs the SQP
+    lat_template = ScenarioTemplate(kind="lat", horizon=HORIZON, params=PARAMS,
+                                    stack=STACK, v_ref=V_REF)
+    ctrl = _controller(modes=[ModeRuntime(mode=MODE_E1, template=LON_TEMPLATE),
+                              ModeRuntime(mode=MODE_E2, template=LON_TEMPLATE),
+                              ModeRuntime(mode=MODE_E3, template=lat_template)])
+    profile = build_profile(PATH, RoadUserState(lon=8.0, lat=0.0, v_lon=0.0),
+                            HORIZON.n_constraint, HORIZON.t_s,
+                            growth=(0.25, 0.3), d_safe=6.0, evasive=True)
+    decision = ctrl.step(dyn.state(s=0.0, v=20.0), profile)
+    gates = decision.log_record()["gates"]
+    for name in ("E1", "E2"):
+        assert gates[name]["predicted_feasible"] is False
+        assert gates[name]["oracle_status"] == STATUS_INFEASIBLE
+        assert gates[name]["oracle_sqp_iterations"] == 0
+    assert gates["E3"]["oracle_sqp_iterations"] > 0
+    assert "wall_time" not in json.dumps(gates)
+
+
 def _report(status, xs, us):
     return SolveReport(status=status, us=us, xs=xs, gamma=np.zeros(0),
                        objective=0.0, stationarity=0.0,
@@ -139,7 +163,7 @@ def test_hard_row_gate_fails_nan_and_inf_residuals(monkeypatch):
     monkeypatch.setattr(controller, "solve",
                         lambda nlp: _report(STATUS_OPTIMAL, bad, us))
     monkeypatch.setattr(controller, "oracle_solve", lambda template, mode, theta: (
-        True, np.ones(mode.n_channels), None))
+        True, np.ones(mode.n_channels), _report(STATUS_OPTIMAL, None, None)))
     decision = ctrl.step(xs[0], profile)
     assert decision.branch == BRANCH_FAILURE
     assert decision.nominal_gate["solve_status"] == "hard-row-violation"
@@ -175,7 +199,7 @@ def test_ladder_solves_each_distinct_problem_once(monkeypatch, modes, slacks,
                        np.zeros((M, dyn.NU)))
     monkeypatch.setattr(controller, "solve", failing_solve)
     monkeypatch.setattr(controller, "oracle_solve", lambda template, mode, theta: (
-        True, np.array(slacks[mode.name]), None))
+        True, np.array(slacks[mode.name]), _report(STATUS_OPTIMAL, None, None)))
     ctrl = _controller(modes=[ModeRuntime(mode=m, template=LON_TEMPLATE)
                               for m in modes])
     decision = ctrl.step(dyn.state(v=5.0), profile)

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from softmpc import dynamics as dyn
-from softmpc import oracle, sqp
+from softmpc import oracle, simkit, sqp
 from softmpc.dynamics import VehicleParams
 from softmpc.ocp import STOP_MARGIN, ConstraintStack, HorizonConfig, RelaxationMode
 from softmpc.oracle import (ScenarioTemplate, generate_dataset, load_dataset,
@@ -79,10 +85,13 @@ def test_impossible_stop_is_infeasible_for_lon_modes():
     # yield bound closing in faster than the physical braking limit allows:
     # stopping distance v^2 / (2*9) plus margin exceeds the gap
     theta = _lon_theta(gap0=8.0, lead_speed=0.0, v0=20.0)
-    feas1, _, _ = oracle_solve(LON_TEMPLATE, MODE_E1, theta)
-    feas2, _, _ = oracle_solve(LON_TEMPLATE, MODE_E2, theta)
-    assert not feas1
-    assert not feas2
+    for mode in (MODE_E1, MODE_E2):
+        feasible, slack, rep = oracle_solve(LON_TEMPLATE, mode, theta)
+        assert not feasible and slack is None
+        # the certificate decided: the SQP did not run
+        assert rep.status == sqp.STATUS_INFEASIBLE
+        assert rep.sqp_iterations == rep.ip_iterations == 0
+        assert rep.infeasibility_measure > 1e-6
 
 
 def test_oracle_monotone_in_ceiling():
@@ -327,3 +336,92 @@ def test_oracle_matches_bruteforce_grid():
             assert abs(slack[0] - ref) <= 1e-3 + 1e-9
         checked += 1
     assert checked == 25
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+MODE_E1_NO_COMFORT = RelaxationMode(
+    name="E1c", priority=1, relax={"g_follow": "delta_g"},
+    ceilings={"delta_g": 30.0}, drop=("a_req_comfort_lb",))
+
+
+def _sqp_only():
+    """The oracle with the infeasibility certificate never firing."""
+    return mock.patch.object(oracle, "_lp_certifies_infeasible",
+                             lambda nlp: False)
+
+
+@pytest.mark.parametrize("mode_name", ["E1", "E2"])
+def test_certificate_leaves_the_dataset_files_byte_identical(
+        tmp_path, mode_name):
+    config = simkit.load_scenario(os.path.join(CONFIGS, "scenario1.ini"))
+    mode = next(m for m, _, _ in config.mode_specs if m.name == mode_name)
+    template = simkit.scenario_template(config, "lon")
+    certificate = oracle._lp_certifies_infeasible
+    fired = []
+
+    def spy(nlp):
+        fired.append(certificate(nlp))
+        return fired[-1]
+
+    # in-process with the spy, so that its record is this process's; the
+    # other run on two labeling workers
+    with mock.patch.object(oracle, "_lp_certifies_infeasible", spy):
+        rows, balance = generate_dataset(template, mode, count=24, seed=3,
+                                         workers=1)
+    save_dataset(rows, str(tmp_path / "certified.csv"), template, mode,
+                 seed=3, balance=balance)
+    assert 0.0 < balance < 1.0 and any(fired)
+    with _sqp_only():
+        rows, balance = generate_dataset(template, mode, count=24, seed=3,
+                                         workers=2)
+    save_dataset(rows, str(tmp_path / "sqp.csv"), template, mode,
+                 seed=3, balance=balance)
+    for ext in (".csv", ".json"):
+        assert ((tmp_path / f"certified{ext}").read_bytes()
+                == (tmp_path / f"sqp{ext}").read_bytes())
+
+
+@settings(max_examples=30, deadline=None)
+@given(params=st.fixed_dictionaries(
+           {name: st.floats(lo, hi)
+            for name, (lo, hi) in oracle.SAMPLE_RANGES["lon"].items()}),
+       mode=st.sampled_from([MODE_E1, MODE_E2, MODE_E1_NO_COMFORT]))
+@example(params={"v0": 28.0, "a0": 0.0, "gap0": 2.0, "lead_speed": 0.0,
+                 "drop": 0.0, "drop_start": 0.0, "drop_len": 1.0,
+                 "lead_speed_after": 0.0}, mode=MODE_E2)
+def test_certificate_fires_only_where_the_sqp_labels_infeasible(params, mode):
+    theta = oracle._lon_theta_from_params(LON_TEMPLATE, params)
+    feasible, slack, rep = oracle_solve(LON_TEMPLATE, mode, theta)
+    with _sqp_only():
+        sqp_feasible, sqp_slack, _ = oracle_solve(LON_TEMPLATE, mode, theta)
+    if rep.sqp_iterations == 0:     # the certificate decided
+        assert not sqp_feasible
+    assert feasible == sqp_feasible
+    assert (slack is None and sqp_slack is None
+            or slack.tobytes() == sqp_slack.tobytes())
+
+
+def test_non_finite_theta_is_left_to_the_sqp():
+    # linprog rejects NaN data; the SQP labels such a sample infeasible
+    theta = _lon_theta(gap0=8.0, lead_speed=0.0, v0=20.0)
+    theta[-2] = np.nan
+    assert not oracle._lp_certifies_infeasible(
+        oracle._subproblem_nlp(LON_TEMPLATE, theta, MODE_E1))
+    feasible, slack, rep = oracle_solve(LON_TEMPLATE, MODE_E1, theta)
+    assert not feasible and slack is None and rep.sqp_iterations > 0
+
+
+def test_building_the_oracle_route_controller_leaves_scipy_optimize_unimported():
+    # the certificate imports scipy.optimize on first use: imported with the
+    # package it would add about a quarter to the controller's set-up time
+    code = ("import sys\n"
+            "from softmpc import simkit\n"
+            "simkit.build_controller(simkit.load_scenario(sys.argv[1]),"
+            " use_oracle=True)\n"
+            "sys.exit('scipy.optimize' in sys.modules)\n")
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(oracle.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, os.path.join(CONFIGS, "scenario1.ini")],
+        env=env, timeout=120)
+    assert proc.returncode == 0

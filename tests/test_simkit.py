@@ -88,6 +88,27 @@ def test_bad_cut_in_ini_key_reaches_the_cli_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value", [
+    ("lane_width", "0"), ("lane_width", "-3.5"), ("lane_width", "nan"),
+    ("v_ref", "0"), ("v_ref", "-20"), ("v_ref", "nan"), ("v_ref", "inf"),
+    ("ego_v0", "-5"), ("ego_v0", "nan"), ("ego_v0", "inf"),
+    ("path_length", "0"), ("path_length", "-800"), ("path_length", "nan"),
+])
+def test_bad_scenario_ini_key_reaches_the_cli_config_error(
+        tmp_path, capsys, key, value):
+    # lane_width = 0 used to run to the end; the others used to end the run
+    # with a PathRangeError or a NaN error from the first cycle
+    from softmpc import cli
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[scenario]\nduration = 2.0\n{key} = {value}\n")
+    code = cli.main(["simulate", "--config", str(ini), "--oracle",
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("[config]") and f"[scenario] {key}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [
     ("eps0", "-0.1"), ("eps1", "-1"), ("eps1", "nan"),
     ("d_safe", "0"), ("d_safe", "-2.0"), ("d_safe", "nan"),
 ])
