@@ -72,11 +72,9 @@ def cmd_train(args) -> int:
     mode, kind, _ = _mode_by_name(config, args.mode)
     thetas, feasible, slacks = load_dataset(args.data)
     kw = {**SURROGATE_DEFAULTS, **config.surrogate_kw}
-    step_bound = kw["max_state_step"]
-    if step_bound <= 0.0:
-        step_bound = max_state_step(config.params, config.horizon,
-                                    config.params.v_max,
-                                    n_samples=20_000, seed=args.seed)
+    step_bound = max_state_step(config.params, config.horizon,
+                                config.params.v_max, n_samples=20_000,
+                                seed=args.seed)
     budget = LipschitzBudget(max_disturbance=kw[f"max_disturbance_{kind}"],
                              max_state_step=step_bound,
                              ceilings=mode.ceiling_vector())
@@ -139,43 +137,28 @@ def cmd_pipeline(args) -> int:
     config = _load_config(args.config)
     out = args.out
     os.makedirs(out, exist_ok=True)
-    data_dir = os.path.join(out, "data")
-    model_dir = os.path.join(out, "models")
-    os.makedirs(data_dir, exist_ok=True)
-    os.makedirs(model_dir, exist_ok=True)
+    modes = [mode.name for mode, _, _ in config.mode_specs]
+    data = {m: os.path.join(out, "data", f"{m.lower()}.csv") for m in modes}
+    models = {m: os.path.join(out, "models", f"{m.lower()}.json") for m in modes}
 
     try:
-        for mode, kind, _ in config.mode_specs:
-            data_file = os.path.join(data_dir, f"{mode.name.lower()}.csv")
-            rc = cmd_gen_data(SimpleNamespace(
-                config=args.config, mode=mode.name, out=data_file,
-                count=args.count, seed=args.seed, workers=args.workers))
-            if rc != EXIT_OK:
-                raise StageError("gen-data", f"mode {mode.name}", rc)
-        model_files = {}
-        for mode, kind, _ in config.mode_specs:
-            data_file = os.path.join(data_dir, f"{mode.name.lower()}.csv")
-            model_file = os.path.join(model_dir, f"{mode.name.lower()}.json")
-            rc = cmd_train(SimpleNamespace(
-                config=args.config, mode=mode.name, data=data_file,
-                out=model_file, seed=args.seed))
-            if rc != EXIT_OK:
-                raise StageError("train", f"mode {mode.name}", rc)
-            model_files[mode.name] = model_file
-        for mode, kind, _ in config.mode_specs:
-            rc = cmd_certify(SimpleNamespace(
-                model=model_files[mode.name], pairs=args.pairs, seed=args.seed))
-            if rc != EXIT_OK:
-                raise StageError("certify", f"mode {mode.name}",
-                                 EXIT_CERTIFICATION)
+        for m in modes:
+            cmd_gen_data(SimpleNamespace(
+                config=args.config, mode=m, out=data[m], count=args.count,
+                seed=args.seed, workers=args.workers))
+        for m in modes:
+            cmd_train(SimpleNamespace(config=args.config, mode=m, data=data[m],
+                                      out=models[m], seed=args.seed))
+        for m in modes:
+            if cmd_certify(SimpleNamespace(model=models[m], pairs=args.pairs,
+                                           seed=args.seed)) != EXIT_OK:
+                raise StageError("certify", f"mode {m}", EXIT_CERTIFICATION)
         # simulate with the freshly trained models
-        config2 = _load_config(args.config)
-        config2.mode_specs = [
-            (mode, kind, model_files[mode.name])
-            for mode, kind, _ in config2.mode_specs]
+        config.mode_specs = [(mode, kind, models[mode.name])
+                             for mode, kind, _ in config.mode_specs]
         from .simkit import run
-        log = run(config2, use_oracle=False)
-        _write_outputs(log, out, config2)
+        log = run(config, use_oracle=False)
+        _write_outputs(log, out, config)
         if log.failed:
             raise StageError("simulate", "controller reported failure",
                              EXIT_CONTROLLER)

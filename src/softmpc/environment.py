@@ -78,7 +78,6 @@ class DisturbanceProfile:
     yield_bound: np.ndarray      # sigma per step [m]
     corridor_lo: np.ndarray      # lateral lower bound per step [m]
     corridor_hi: np.ndarray      # lateral upper bound per step [m]
-    window: tuple[int, int] | None   # (first, last) step with finite yield bound
     blocked: np.ndarray | None = None  # per-step flag: both lanes unusable
 
     def __post_init__(self):
@@ -141,7 +140,7 @@ def _box_distance(path: PathGeometry, s, lon_lo, lon_hi, lat_lo, lat_hi):
 
 
 def collision_window(path: PathGeometry, reach: ReachableSet, d_safe: float
-                     ) -> tuple[np.ndarray, tuple[int, int] | None]:
+                     ) -> np.ndarray:
     """Per-step yield bound: smallest path coordinate within d_safe of the box.
 
     Steps whose box stays clear of the path carry NO_BOUND. The scan grid is
@@ -175,7 +174,7 @@ def collision_window(path: PathGeometry, reach: ReachableSet, d_safe: float
 
     k = np.flatnonzero(stop > first)
     if k.size == 0:
-        return bounds, None
+        return bounds
     box = (reach.lon_lo[k, None], reach.lon_hi[k, None],
            lat_lo[k, None], lat_hi[k, None])
     idx = first[k, None] + np.arange(np.max(stop[k] - first[k]))
@@ -202,10 +201,7 @@ def collision_window(path: PathGeometry, reach: ReachableSet, d_safe: float
         hi = np.where(inside, mid, hi)
         lo = np.where(inside, lo, mid)
     bounds[k[far]] = lo
-
-    finite = np.flatnonzero(np.isfinite(bounds))
-    window = (int(finite[0]), int(finite[-1])) if finite.size else None
-    return bounds, window
+    return bounds
 
 
 def lane_corridor(reach: ReachableSet, ego_lane: str, lane_width: float
@@ -270,7 +266,6 @@ def nominal_profile(horizon: int, lane_width: float, ego_lane: str = "right"
         yield_bound=np.full(n, NO_BOUND),
         corridor_lo=np.full(n, lo),
         corridor_hi=np.full(n, hi),
-        window=None,
     )
 
 
@@ -286,10 +281,10 @@ def build_profile(path: PathGeometry, ru: RoadUserState | None, horizon: int,
     if ru is None:
         return nominal_profile(horizon, path.lane_width, ego_lane)
     reach = predict_reachable(ru, horizon, t_s, growth)
-    bounds, window = collision_window(path, reach, d_safe)
+    bounds = collision_window(path, reach, d_safe)
     if evasive:
         lo, hi, blocked = lane_corridor(reach, ego_lane, path.lane_width)
         return DisturbanceProfile(yield_bound=bounds, corridor_lo=lo,
-                                  corridor_hi=hi, window=window, blocked=blocked)
+                                  corridor_hi=hi, blocked=blocked)
     return replace(nominal_profile(horizon, path.lane_width, ego_lane),
-                   yield_bound=bounds, window=window)
+                   yield_bound=bounds)

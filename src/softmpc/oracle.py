@@ -45,6 +45,7 @@ so an LP of their linearization proves nothing about them.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 import time
@@ -226,7 +227,7 @@ def _subproblem_nlp(template: ScenarioTemplate, theta: np.ndarray,
     if template.kind == "lon":
         profile = DisturbanceProfile(
             yield_bound=theta[:nw], corridor_lo=np.full(nw, -np.inf),
-            corridor_hi=np.full(nw, np.inf), window=None)
+            corridor_hi=np.full(nw, np.inf))
         x0 = theta[nw:nw + 3].copy()
         s0, e_y_ref = x0[0], 0.0
         A_d, B_d = _lon_discrete(p, h.t_s)
@@ -242,7 +243,7 @@ def _subproblem_nlp(template: ScenarioTemplate, theta: np.ndarray,
     else:
         profile = DisturbanceProfile(
             yield_bound=np.full(nw, NO_BOUND), corridor_lo=theta[:nw],
-            corridor_hi=theta[nw:2 * nw], window=None)
+            corridor_hi=theta[nw:2 * nw])
         x_rest[dyn.IDX_V] = theta[2 * nw]
         x0 = theta[2 * nw + 1:].copy()
         s0 = 0.0
@@ -499,19 +500,9 @@ def sample_thetas(template: ScenarioTemplate, count: int,
     return thetas
 
 
-_WORKER_CTX = {}
-
-
-def _dataset_worker_init(template, mode):
-    _WORKER_CTX["template"] = template
-    _WORKER_CTX["mode"] = mode
-
-
-def _dataset_worker(args):
-    i, theta = args
-    feasible, slack, _ = oracle_solve(_WORKER_CTX["template"],
-                                      _WORKER_CTX["mode"], theta)
-    return i, bool(feasible), slack
+def _label(template, mode, theta):
+    feasible, slack, _ = oracle_solve(template, mode, theta)
+    return bool(feasible), slack
 
 
 def generate_dataset(template: ScenarioTemplate, mode: RelaxationMode,
@@ -519,8 +510,8 @@ def generate_dataset(template: ScenarioTemplate, mode: RelaxationMode,
     """Labeled samples (theta, feasible, slack) for one relaxation mode.
 
     Samples are independent, so labeling fans out over worker processes;
-    results are reassembled by sample index, keeping the dataset identical
-    regardless of worker count.
+    `Pool.map` returns the labels in sample order, keeping the dataset
+    identical regardless of worker count.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -532,29 +523,16 @@ def generate_dataset(template: ScenarioTemplate, mode: RelaxationMode,
         # the certificate's LP solver, imported once here rather than in
         # every labeling worker
         import scipy.optimize  # noqa: F401
-    results = [None] * count
+    label = functools.partial(_label, template, mode)
     if workers > 1 and count > 8:
         import multiprocessing as mp
-        ctx = mp.get_context("fork")
-        with ctx.Pool(workers, initializer=_dataset_worker_init,
-                      initargs=(template, mode)) as pool:
-            for i, feasible, slack in pool.imap_unordered(
-                    _dataset_worker, list(enumerate(thetas)), chunksize=4):
-                results[i] = (feasible, slack)
+        with mp.get_context("fork").Pool(workers) as pool:
+            labels = pool.map(label, thetas, chunksize=4)
     else:
-        _dataset_worker_init(template, mode)
-        for i in range(count):
-            _, feasible, slack = _dataset_worker((i, thetas[i]))
-            results[i] = (feasible, slack)
-
-    rows = []
-    n_feasible = 0
-    for i in range(count):
-        feasible, slack = results[i]
-        n_feasible += int(feasible)
-        rows.append((thetas[i], feasible, slack))
-    balance = n_feasible / count
-    return rows, balance
+        labels = [label(theta) for theta in thetas]
+    rows = [(theta, feasible, slack)
+            for theta, (feasible, slack) in zip(thetas, labels)]
+    return rows, sum(feasible for feasible, _ in labels) / count
 
 
 def save_dataset(rows, filename: str, template: ScenarioTemplate,

@@ -54,7 +54,6 @@ class CutInSpec:
         # longitudinal: constant speed until the cut starts, then a ramp
         # down to the post-cut speed at the configured deceleration
         t_brake = max(self.speed - self.post_cut_speed, 0.0) / max(self.post_cut_decel, 1e-9)
-        tb = min(max(t - self.cut_start, 0.0), t_brake)
         lon = lon0 + self.speed * min(t, self.cut_start)
         if t > self.cut_start:
             t2 = t - self.cut_start
@@ -125,8 +124,10 @@ class ScenarioConfig:
     """Closed-loop scenario. `duration` must be a multiple of `t_s`; the
     cut-in needs `cut_start >= 0` and `cut_duration > 0` but may end after
     `duration` (see `CutInSpec`); the growth rates must be >= 0 and d_safe
-    > 0; `v_ref` must be finite and > 0, `ego_v0` finite and >= 0, and
-    `lane_width` and `path_length` > 0."""
+    > 0; `v_ref` must be finite and > 0, `ego_v0` finite and >= 0,
+    `lane_width` and `path_length` > 0, and `ego_s0` in [0, `path_length`].
+    A `path_length` shorter than the run's travel is not checked: the
+    travel is known only once the run has been simulated."""
     name: str = "scenario"
     duration: float = 15.0
     v_ref: float = 20.0
@@ -172,6 +173,9 @@ class ScenarioConfig:
                 raise ValueError(f"{name} ({key}) must be "
                                  f"{'finite and ' if finite else ''}"
                                  f"{'>=' if closed else '>'} 0, got {value}")
+        if not 0.0 <= self.ego_s0 <= self.path_length:     # and not NaN
+            raise ValueError(f"ego_s0 ([scenario] ego_s0) must be in "
+                             f"[0, {self.path_length}], got {self.ego_s0}")
 
     @property
     def n_steps(self) -> int:
@@ -222,7 +226,7 @@ def _read(cp, filename: str, section: str, schema: dict) -> dict:
 
 # [surrogate] keys, read by `softmpc train`, with their defaults
 SURROGATE_DEFAULTS = {"max_disturbance_lon": 40.0, "max_disturbance_lat": 40.0,
-                      "max_state_step": 0.0, "epochs": DEFAULT_EPOCHS}
+                      "epochs": DEFAULT_EPOCHS}
 _RU_KEYS = {f"ru_{k}": v for k, v in _defaults(CutInSpec).items()}
 _SCALARS = {k: v for k, v in _defaults(ScenarioConfig).items()
             if not isinstance(v, tuple)}

@@ -53,15 +53,11 @@ class DenseNet:
         return len(self.weights)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        h = x
-        last = self.n_layers - 1
-        for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ W.T + b
-            if i < last:
-                h = np.maximum(h, 0.0)
-        return h
+        return self.forward_cached(x)[0][-1]
 
     def forward_cached(self, x):
+        """(activations, pre-activations) of every layer; the activations
+        start with the input and end with the output."""
         acts = [x]
         h = x
         last = self.n_layers - 1
@@ -91,17 +87,14 @@ class DenseNet:
 
         Rectifiers are 1-Lipschitz, so the product of spectral norms bounds
         the composition; the first layer absorbs the normalization diagonal
-        and the last layer is taken row-wise for per-output bounds.
+        and the last layer is taken row-wise for per-output bounds (a net
+        of one layer has no hidden layers, and their product is 1.0).
         """
-        if self.n_layers == 1:
-            W = self.weights[0] / input_scale[None, :]
-            return np.linalg.norm(W, axis=1)
-        W0 = self.weights[0] / input_scale[None, :]
-        prod = float(np.linalg.svd(W0, compute_uv=False)[0])
-        for W in self.weights[1:-1]:
+        weights = [self.weights[0] / input_scale[None, :], *self.weights[1:]]
+        prod = 1.0
+        for W in weights[:-1]:
             prod *= float(np.linalg.svd(W, compute_uv=False)[0])
-        last_rows = np.linalg.norm(self.weights[-1], axis=1)
-        return last_rows * prod
+        return np.linalg.norm(weights[-1], axis=1) * prod
 
     def rescale_uniform(self, factor: float) -> None:
         """Scale the realized function by `factor` keeping layer balance.
@@ -118,8 +111,11 @@ class DenseNet:
             self.biases[i] = self.biases[i] * cum
 
 
-def _train(net: DenseNet, x, y, grad_fn, epochs):
-    """Full-batch gradient descent with momentum and exponential lr decay."""
+def _fit(x, y, grad_fn, hidden, epochs, seed):
+    """A rectifier net from `x` to `y`: He-initialized from `seed`, then
+    full-batch gradient descent with momentum and exponential lr decay."""
+    net = DenseNet.init(np.random.default_rng(seed),
+                        (x.shape[1], *hidden, y.shape[1]))
     vel_W = [np.zeros_like(W) for W in net.weights]
     vel_b = [np.zeros_like(b) for b in net.biases]
     n = x.shape[0]
@@ -214,13 +210,24 @@ def _sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
+def _standardize(x):
+    """Per-input (shift, scale) to zero mean, unit deviation (1 if constant)."""
+    scale = x.std(axis=0)
+    return x.mean(axis=0), np.where(scale < 1e-9, 1.0, scale)
+
+
 def _splits(n: int, seed: int):
+    """Seeded 80/10/10 (train, validation, test) index split. A set too
+    small for a validation share validates on the first tenth (at least
+    one) of the training samples."""
     rng = np.random.default_rng(seed + 101)
     order = rng.permutation(n)
     n_train = int(round(0.8 * n))
     n_val = int(round(0.1 * n))
-    return (order[:n_train], order[n_train:n_train + n_val],
-            order[n_train + n_val:])
+    i_tr, i_va = order[:n_train], order[n_train:n_train + n_val]
+    if i_va.size == 0:
+        i_va = i_tr[: max(1, i_tr.size // 10)]
+    return i_tr, i_va, order[n_train + n_val:]
 
 
 def train_regressor(thetas, slacks, feasible, budget: LipschitzBudget,
@@ -239,16 +246,9 @@ def train_regressor(thetas, slacks, feasible, budget: LipschitzBudget,
     if np.any(caps <= 0.0):
         raise ValueError("Lipschitz caps must be positive")
 
-    shift = x.mean(axis=0)
-    scale = x.std(axis=0)
-    scale[scale < 1e-9] = 1.0
+    shift, scale = _standardize(x)
     xn = (x - shift) / scale
-
     i_tr, i_va, i_te = _splits(x.shape[0], seed)
-    if i_va.size == 0:
-        i_va = i_tr[: max(1, i_tr.size // 10)]
-    rng = np.random.default_rng(seed)
-    net = DenseNet.init(rng, (x.shape[1], *hidden, y.shape[1]))
 
     # standardized targets condition the fit; folded back into the last
     # layer afterwards so the network maps to physical units
@@ -259,7 +259,7 @@ def train_regressor(thetas, slacks, feasible, budget: LipschitzBudget,
     def grad_mse(out, target):
         return 2.0 * (out - target)
 
-    _train(net, xn[i_tr], yn[i_tr], grad_mse, epochs)
+    net = _fit(xn[i_tr], yn[i_tr], grad_mse, hidden, epochs, seed)
     net.weights[-1] = net.weights[-1] * y_scale[:, None]
     net.biases[-1] = net.biases[-1] * y_scale + y_shift
 
@@ -275,7 +275,7 @@ def train_regressor(thetas, slacks, feasible, budget: LipschitzBudget,
         lip = net.lipschitz_per_output(scale)
 
     val_pred = np.clip(net.forward(xn[i_va]), 0.0, budget.ceilings)
-    eps = float(np.max(np.abs(val_pred - y[i_va]))) if i_va.size else 0.0
+    eps = float(np.max(np.abs(val_pred - y[i_va])))
     test_exceed = 0.0
     if i_te.size:
         te_pred = np.clip(net.forward(xn[i_te]), 0.0, budget.ceilings)
@@ -302,21 +302,15 @@ def train_classifier(thetas, feasible, hidden=DEFAULT_HIDDEN,
     if labels.min() == labels.max():
         raise ValueError("classifier needs both classes present")
     if shift is None:
-        shift = x.mean(axis=0)
-        scale = x.std(axis=0)
-        scale = np.where(scale < 1e-9, 1.0, scale)
+        shift, scale = _standardize(x)
     xn = (x - shift) / scale
-
-    i_tr, i_va, i_te = _splits(x.shape[0], seed + 7)
-    if i_va.size == 0:
-        i_va = i_tr[: max(1, i_tr.size // 10)]
-    rng = np.random.default_rng(seed + 7)
-    net = DenseNet.init(rng, (x.shape[1], *hidden, 1))
+    seed += 7       # a split and an initialization apart from the regressor's
+    i_tr, i_va, i_te = _splits(x.shape[0], seed)
 
     def grad_bce(out, target):
         return _sigmoid(out) - target
 
-    _train(net, xn[i_tr], labels[i_tr][:, None], grad_bce, epochs)
+    net = _fit(xn[i_tr], labels[i_tr][:, None], grad_bce, hidden, epochs, seed)
 
     score_va = _sigmoid(net.forward(xn[i_va])[:, 0])
     infeas_va = labels[i_va] > 0.5
@@ -332,9 +326,8 @@ def train_classifier(thetas, feasible, hidden=DEFAULT_HIDDEN,
         "true_infeasible_pred_feasible": int(np.sum(infeas_va & ~pred_va)),
         "true_infeasible_pred_infeasible": int(np.sum(infeas_va & pred_va)),
     }
-    acc = float(np.mean(pred_va == infeas_va)) if i_va.size else 1.0
     stats = {"threshold": threshold, "confusion_val": confusion,
-             "accuracy_val": acc,
+             "accuracy_val": float(np.mean(pred_va == infeas_va)),
              "n_train": int(i_tr.size), "n_val": int(i_va.size),
              "n_test": int(i_te.size)}
     return net, shift, scale, threshold, stats
@@ -368,15 +361,14 @@ def certify(model: SurrogateModel, n_pairs: int = 0, seed: int = 0) -> dict:
     """
     lip = model.regressor.lipschitz_per_output(model.input_scale)
     caps = model.budget.caps()
-    ok = bool(np.all(lip <= caps * (1.0 + 1e-9)))
+    within = lip <= caps * (1.0 + 1e-9)
     report = {
         "mode": model.mode_name,
         "lipschitz": [float(v) for v in lip],
         "caps": [float(v) for v in caps],
-        "certified": ok,
+        "certified": bool(np.all(within)),
         "eps": model.eps,
-        "violations": [model.channels[j] for j in range(lip.size)
-                       if lip[j] > caps[j] * (1.0 + 1e-9)],
+        "violations": [ch for ch, ok in zip(model.channels, within) if not ok],
     }
     if n_pairs > 0:
         rng = np.random.default_rng(seed)
@@ -441,6 +433,16 @@ def _dec(blob: dict) -> np.ndarray:
     return np.frombuffer(data, dtype="<f8").reshape(blob["shape"]).copy()
 
 
+def _enc_net(net: DenseNet) -> dict:
+    return {"weights": [_enc(W) for W in net.weights],
+            "biases": [_enc(b) for b in net.biases]}
+
+
+def _dec_net(blob: dict) -> DenseNet:
+    return DenseNet([_dec(W) for W in blob["weights"]],
+                    [_dec(b) for b in blob["biases"]])
+
+
 def save_model(model: SurrogateModel, filename: str) -> None:
     lipschitz = model.regressor.lipschitz_per_output(model.input_scale)
     doc = {
@@ -453,14 +455,8 @@ def save_model(model: SurrogateModel, filename: str) -> None:
         "seed": model.seed,
         "input_shift": _enc(model.input_shift),
         "input_scale": _enc(model.input_scale),
-        "regressor": {
-            "weights": [_enc(W) for W in model.regressor.weights],
-            "biases": [_enc(b) for b in model.regressor.biases],
-        },
-        "classifier": {
-            "weights": [_enc(W) for W in model.classifier.weights],
-            "biases": [_enc(b) for b in model.classifier.biases],
-        },
+        "regressor": _enc_net(model.regressor),
+        "classifier": _enc_net(model.classifier),
         "certificate": {
             "lipschitz": [float(v) for v in lipschitz],
             "caps": [float(v) for v in model.budget.caps()],
@@ -478,17 +474,14 @@ def load_model(filename: str) -> SurrogateModel:
         doc = json.load(fh)
     if doc.get("format") != "softmpc-surrogate-v1":
         raise ValueError(f"unrecognized model file {filename}")
-    reg = DenseNet([_dec(W) for W in doc["regressor"]["weights"]],
-                   [_dec(b) for b in doc["regressor"]["biases"]])
-    clf = DenseNet([_dec(W) for W in doc["classifier"]["weights"]],
-                   [_dec(b) for b in doc["classifier"]["biases"]])
     cert = doc["certificate"]
     budget = LipschitzBudget(max_disturbance=cert["max_disturbance"],
                              max_state_step=cert["max_state_step"],
                              ceilings=doc["ceilings"])
     return SurrogateModel(
         mode_name=doc["mode"], channels=tuple(doc["channels"]),
-        regressor=reg, classifier=clf,
+        regressor=_dec_net(doc["regressor"]),
+        classifier=_dec_net(doc["classifier"]),
         input_shift=_dec(doc["input_shift"]),
         input_scale=_dec(doc["input_scale"]), budget=budget,
         eps=float(doc["eps"]), threshold=float(doc["threshold"]),

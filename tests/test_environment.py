@@ -54,17 +54,15 @@ def test_growth_must_be_nonnegative():
 def test_collision_window_empty_when_laterally_clear():
     path = straight_path(200.0)
     reach = ReachableSet(lon_lo=[50.0], lon_hi=[52.0], lat_lo=[8.0], lat_hi=[9.0])
-    bounds, window = collision_window(path, reach, d_safe=5.0)
+    bounds = collision_window(path, reach, d_safe=5.0)
     assert bounds[0] == NO_BOUND
-    assert window is None
 
 
 def test_collision_window_point_obstacle_analytic():
     path = straight_path(200.0)
     reach = ReachableSet(lon_lo=[50.0], lon_hi=[50.0], lat_lo=[0.0], lat_hi=[0.0])
-    bounds, window = collision_window(path, reach, d_safe=5.0)
+    bounds = collision_window(path, reach, d_safe=5.0)
     assert bounds[0] == pytest.approx(45.0, abs=1e-5)
-    assert window == (0, 0)
 
 
 def _brute_force_sigma(path, box, d_safe, grid_step=0.01):
@@ -84,7 +82,7 @@ def test_collision_window_matches_grid_oracle_on_random_boxes():
         d_safe = rng.uniform(1.0, 7.0)
         reach = ReachableSet(lon_lo=[lon_lo], lon_hi=[lon_hi],
                              lat_lo=[lat_lo], lat_hi=[lat_hi])
-        bounds, _ = collision_window(path, reach, d_safe)
+        bounds = collision_window(path, reach, d_safe)
         oracle = _brute_force_sigma(path, (lon_lo, lon_hi, lat_lo, lat_hi), d_safe)
         if oracle == NO_BOUND:
             assert bounds[0] == NO_BOUND
@@ -96,7 +94,7 @@ def test_collision_window_on_curved_path():
     path = circular_path(radius=200.0, arc=300.0, spacing=0.25)
     # obstacle sitting on the path half way along the arc
     reach = ReachableSet(lon_lo=[150.0], lon_hi=[150.0], lat_lo=[0.0], lat_hi=[0.0])
-    bounds, _ = collision_window(path, reach, d_safe=4.0)
+    bounds = collision_window(path, reach, d_safe=4.0)
     oracle = _brute_force_sigma(path, (150.0, 150.0, 0.0, 0.0), 4.0)
     assert abs(bounds[0] - oracle) <= 0.01 + 1e-9
 
@@ -130,8 +128,8 @@ def test_collision_window_monotone_under_box_nesting(boxes):
     # of a box it contains, and it has a bound wherever that box has one
     base, grown, d_safe = boxes
     path = straight_path(200.0)
-    b0, _ = collision_window(path, base, d_safe)
-    b1, _ = collision_window(path, grown, d_safe)
+    b0 = collision_window(path, base, d_safe)
+    b1 = collision_window(path, grown, d_safe)
     assert np.all(b1 <= b0 + 1e-9)
 
 
@@ -222,10 +220,7 @@ def _loop_collision_window(path, reach, d_safe):
             hi = np.where(inside, mid, hi)
             lo = np.where(inside, lo, mid)
         bounds[act] = lo
-
-    finite = np.where(np.isfinite(bounds))[0]
-    window = (int(finite[0]), int(finite[-1])) if finite.size else None
-    return bounds, window
+    return bounds
 
 
 def _loop_lane_corridor(reach, ego_lane, lane_width):
@@ -284,10 +279,8 @@ def test_whole_horizon_profile_matches_the_step_loops(kind, ru, growth, d_safe,
                                                       horizon, ego_lane):
     path = _PATHS[kind]
     reach = predict_reachable(ru, horizon, _T_S, growth)
-    bounds, window = collision_window(path, reach, d_safe)
-    ref_bounds, ref_window = _loop_collision_window(path, reach, d_safe)
-    assert np.array_equal(bounds, ref_bounds)
-    assert window == ref_window
+    bounds = collision_window(path, reach, d_safe)
+    assert np.array_equal(bounds, _loop_collision_window(path, reach, d_safe))
     for got, ref in zip(lane_corridor(reach, ego_lane, path.lane_width),
                         _loop_lane_corridor(reach, ego_lane, path.lane_width)):
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
@@ -305,9 +298,9 @@ def shifted_profiles(draw):
     lo = values(st.floats(-6.0, 4.0), n + 1)
     hi = lo + values(st.floats(0.0, 4.0), n + 1)
     prev = DisturbanceProfile(yield_bound=sigma[:n], corridor_lo=lo[:n],
-                              corridor_hi=hi[:n], window=None)
+                              corridor_hi=hi[:n])
     curr = DisturbanceProfile(yield_bound=sigma[1:], corridor_lo=lo[1:],
-                              corridor_hi=hi[1:], window=None)
+                              corridor_hi=hi[1:])
     return prev, curr
 
 
@@ -326,7 +319,7 @@ def test_consistency_detects_yield_bound_shrink():
     base = np.linspace(60.0, 80.0, n)
     prev = DisturbanceProfile(yield_bound=base.copy(),
                               corridor_lo=np.full(n, -1.75),
-                              corridor_hi=np.full(n, 1.75), window=(0, n - 1))
+                              corridor_hi=np.full(n, 1.75))
     curr_bound = base.copy()
     # current cycle's step j sees the bound the previous cycle had at j+1,
     # except one entry that tightened by 2 m
@@ -334,7 +327,7 @@ def test_consistency_detects_yield_bound_shrink():
     curr_bound[4] -= 2.0
     curr = DisturbanceProfile(yield_bound=curr_bound,
                               corridor_lo=np.full(n, -1.75),
-                              corridor_hi=np.full(n, 1.75), window=(0, n - 1))
+                              corridor_hi=np.full(n, 1.75))
     delta = consistency_delta(prev, curr)
     assert not delta.consistent
     assert delta.max_delta == pytest.approx(2.0)
@@ -346,12 +339,12 @@ def test_consistency_receding_obstacle_holds():
     base = np.linspace(60.0, 80.0, n)
     prev = DisturbanceProfile(yield_bound=base.copy(),
                               corridor_lo=np.full(n, -1.75),
-                              corridor_hi=np.full(n, 1.75), window=(0, n - 1))
+                              corridor_hi=np.full(n, 1.75))
     curr_bound = base.copy()
     curr_bound[:-1] = base[1:] + 0.5  # everything grew
     curr = DisturbanceProfile(yield_bound=curr_bound,
                               corridor_lo=np.full(n, -1.75),
-                              corridor_hi=np.full(n, 1.75), window=(0, n - 1))
+                              corridor_hi=np.full(n, 1.75))
     delta = consistency_delta(prev, curr)
     assert delta.consistent
     assert delta.max_delta <= 0.0
@@ -365,7 +358,7 @@ def test_consistency_corridor_switch_is_violation():
     curr_hi = np.full(n, 1.75)
     curr_hi[5:] = 5.25
     curr = DisturbanceProfile(yield_bound=np.full(n, NO_BOUND),
-                              corridor_lo=curr_lo, corridor_hi=curr_hi, window=None)
+                              corridor_lo=curr_lo, corridor_hi=curr_hi)
     delta = consistency_delta(prev, curr)
     assert not delta.consistent
     # lower bound rose by 3.5 on invaded steps
@@ -383,7 +376,6 @@ def test_build_profile_without_ru_is_nominal():
     path = straight_path(300.0)
     prof = build_profile(path, None, horizon=20, t_s=0.1, growth=(0.5, 0.5),
                          d_safe=6.0)
-    assert prof.window is None
     assert np.all(prof.yield_bound == NO_BOUND)
     np.testing.assert_allclose(prof.corridor_lo, -1.75)
 
@@ -393,7 +385,6 @@ def test_build_profile_with_ru_ahead():
     ru = RoadUserState(lon=80.0, lat=0.0, v_lon=5.0)
     prof = build_profile(path, ru, horizon=20, t_s=0.1, growth=(0.25, 0.5),
                          d_safe=6.0)
-    assert prof.window is not None
     assert np.isfinite(prof.yield_bound[0])
     assert prof.yield_bound[0] < 80.0
     # receding obstacle: bounds grow along the horizon despite inflation

@@ -79,7 +79,7 @@ def test_mode_requires_known_labels_and_ceilings():
 
 def _one_step_profile(sigma, beta_lo=-1.75, beta_hi=1.75):
     return DisturbanceProfile(yield_bound=[sigma], corridor_lo=[beta_lo],
-                              corridor_hi=[beta_hi], window=None)
+                              corridor_hi=[beta_hi])
 
 
 def test_eval_constraint_examples():
@@ -135,7 +135,7 @@ def test_stack_rows_match_the_scalar_formulas():
     sigma = np.where(rng.random(n) < 0.3, NO_BOUND, rng.uniform(0, 80, n))
     lo = rng.uniform(-3, 1, n)
     profile = DisturbanceProfile(yield_bound=sigma, corridor_lo=lo,
-                                 corridor_hi=lo + 3.5, window=None)
+                                 corridor_hi=lo + 3.5)
     vals, _ = STACK.evaluate(xs, us, profile)
     ref = np.array([_scalar_rows(xs[k], us[k], sigma[k], lo[k], lo[k] + 3.5)
                     for k in range(n)])
@@ -153,7 +153,7 @@ def test_stack_linearization_matches_finite_differences():
     us = np.stack([rng.uniform(-0.3, 0.3, n), rng.uniform(-5, 2, n)], axis=1)
     profile = DisturbanceProfile(yield_bound=np.full(n, 60.0),
                                  corridor_lo=np.full(n, -1.75),
-                                 corridor_hi=np.full(n, 1.75), window=None)
+                                 corridor_hi=np.full(n, 1.75))
     _, C = STACK.evaluate(xs, us, profile)
     h = 1e-7
     z = np.concatenate([xs, us], axis=1)
@@ -262,8 +262,7 @@ def test_relaxed_lifts_only_selected_rows():
     sigma = 8.0 + 5.0 * HORIZON.t_s * np.arange(M + 1)
     profile = DisturbanceProfile(yield_bound=sigma,
                                  corridor_lo=np.full(M + 1, -1.75),
-                                 corridor_hi=np.full(M + 1, 1.75),
-                                 window=(0, M))
+                                 corridor_hi=np.full(M + 1, 1.75))
     nom = ocp.build_nominal(x0, PATH, PARAMS, weights, HORIZON, STACK, profile,
                             x_refs, u_refs, u_init=u_refs)
     rep_nom = solve(nom)
@@ -291,8 +290,7 @@ def test_row_layout_follows_profile_mode_and_tube():
     sigma = np.where(np.arange(M + 1) >= 20, 300.0, NO_BOUND)
     profile = DisturbanceProfile(yield_bound=sigma,
                                  corridor_lo=np.full(M + 1, -1.75),
-                                 corridor_hi=np.full(M + 1, 1.75),
-                                 window=(20, M))
+                                 corridor_hi=np.full(M + 1, 1.75))
     x_refs, u_refs = _refs(0.0)
     args = (dyn.state(v=7.0), PATH, PARAMS, _weights(), HORIZON, STACK,
             profile)
@@ -340,7 +338,7 @@ def test_zero_lift_builds_the_nominal_rows_bit_for_bit(case, x):
     M = HORIZON.n_constraint
     profile = DisturbanceProfile(yield_bound=sigma,
                                  corridor_lo=np.full(M + 1, -1.75),
-                                 corridor_hi=np.full(M + 1, 1.75), window=None)
+                                 corridor_hi=np.full(M + 1, 1.75))
     x_refs, u_refs = _refs(float(x0[dyn.IDX_S]))
     args = (x0, PATH, PARAMS, _weights(), HORIZON, STACK, profile)
     nominal = _rows_bytes(ocp.build_nominal(*args, x_refs, u_refs), xs, us)
@@ -370,8 +368,7 @@ def test_mode_e3_drops_longitudinal_rows():
     # yield bound behind the vehicle: impossible unless the rows are dropped
     profile = DisturbanceProfile(yield_bound=np.full(M + 1, 10.0),
                                  corridor_lo=np.full(M + 1, -1.75),
-                                 corridor_hi=np.full(M + 1, 1.75),
-                                 window=(0, M))
+                                 corridor_hi=np.full(M + 1, 1.75))
     nom = ocp.build_nominal(x0, PATH, PARAMS, weights, HORIZON, STACK, profile,
                             x_refs, u_refs, u_init=u_refs)
     assert solve(nom).status == STATUS_INFEASIBLE
@@ -413,8 +410,7 @@ def test_lon_oracle_slack_solves_the_relaxed_problem():
     sigma = 8.0 + 5.0 * HORIZON.t_s * np.arange(M + 1)
     profile = DisturbanceProfile(yield_bound=sigma,
                                  corridor_lo=np.full(M + 1, -1.75),
-                                 corridor_hi=np.full(M + 1, 1.75),
-                                 window=(0, M))
+                                 corridor_hi=np.full(M + 1, 1.75))
     # every row but the lifted g_follow is hard
     assert _oracle_slack_in_relaxed_problem(
         "lon", MODE_E1, dyn.state(s=0.0, v=7.0), profile, v_ref=7.0) == 22
@@ -427,8 +423,7 @@ def test_lat_oracle_slack_solves_the_relaxed_problem():
     invaded = np.arange(M + 1) >= 20
     profile = DisturbanceProfile(yield_bound=np.full(M + 1, NO_BOUND),
                                  corridor_lo=np.where(invaded, 1.75, -1.75),
-                                 corridor_hi=np.where(invaded, 5.25, 1.75),
-                                 window=None)
+                                 corridor_hi=np.where(invaded, 5.25, 1.75))
     # E3 drops two rows and every one of its four lateral lifts is used
     assert _oracle_slack_in_relaxed_problem(
         "lat", MODE_E3, dyn.state(s=10.0, v=8.0), profile, v_ref=8.0) == 17

@@ -92,6 +92,7 @@ def test_bad_cut_in_ini_key_reaches_the_cli_config_error(tmp_path, capsys):
     ("v_ref", "0"), ("v_ref", "-20"), ("v_ref", "nan"), ("v_ref", "inf"),
     ("ego_v0", "-5"), ("ego_v0", "nan"), ("ego_v0", "inf"),
     ("path_length", "0"), ("path_length", "-800"), ("path_length", "nan"),
+    ("ego_s0", "-5"), ("ego_s0", "900"), ("ego_s0", "nan"),
 ])
 def test_bad_scenario_ini_key_reaches_the_cli_config_error(
         tmp_path, capsys, key, value):
@@ -468,6 +469,8 @@ def _with_line(section, line):
     ("surrogate", "epoch = 10"),
     # the layer widths are surrogate.DEFAULT_HIDDEN, not a setting
     ("surrogate", "hidden = 32,32"),
+    # `softmpc train` always samples the one-step state motion bound
+    ("surrogate", "max_state_step = 4.0"),
     ("data", "e3 = 10"),
     ("mode.E1", "tempalte = lat"),
     ("mode.E1", "dorp = g_follow"),

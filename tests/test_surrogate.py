@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softmpc.surrogate import (DenseNet, LipschitzBudget, SurrogateModel,
                                certify, load_model, save_model,
@@ -77,6 +79,33 @@ def test_two_layer_product_rule():
     s1 = np.linalg.svd(W1, compute_uv=False)[0]
     rows = np.linalg.norm(W2, axis=1)
     np.testing.assert_allclose(lip, rows * s1, rtol=1e-12)
+
+
+@given(depth=st.integers(1, 3), d_in=st.integers(1, 5), d_out=st.integers(1, 3),
+       width=st.integers(1, 8),
+       log_scale=st.lists(st.floats(-2.0, 2.0), min_size=5, max_size=5),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_lipschitz_bound_holds_for_every_depth(depth, d_in, d_out, width,
+                                               log_scale, seed):
+    # one formula for every depth: a one-layer net has no hidden layers, so
+    # its spectral product is 1.0 and the bound is the row norms
+    rng = np.random.default_rng(seed)
+    net = DenseNet.init(rng, (d_in, *[width] * (depth - 1), d_out))
+    net.biases = [rng.normal(0.0, 1.0, b.shape) for b in net.biases]
+    scale = 10.0 ** np.array(log_scale[:d_in])
+    lip = net.lipschitz_per_output(scale)
+    if depth == 1:
+        assert np.array_equal(
+            lip, np.linalg.norm(net.weights[0] / scale[None, :], axis=1))
+    # far pairs and near pairs, in raw input units
+    a = scale * rng.normal(0.0, 2.0, (400, d_in))
+    b = np.concatenate([scale * rng.normal(0.0, 2.0, (200, d_in)),
+                        a[200:] + scale * rng.normal(0.0, 1e-3, (200, d_in))])
+    dist = np.linalg.norm(a - b, axis=1)
+    quot = (np.abs(net.forward(a / scale) - net.forward(b / scale))
+            / dist[:, None])
+    assert np.all(quot <= lip * (1.0 + 1e-9))
 
 
 def test_rescale_uniform_scales_function():
