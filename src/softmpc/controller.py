@@ -172,8 +172,9 @@ class PriorityController:
         record, commanded slack or None where the gate rejects) per rung.
         Rung 0 is on it when its record nominal is not None; each
         relaxation mode's record goes into gates, with the oracle's status
-        and SQP iteration count on the oracle route (0 iterations: its
-        infeasibility certificate decided) and the surrogate's classifier
+        and SQP iteration count on the oracle route (0 iterations: settled
+        infeasible before a QP, by the longitudinal LP certificate or the
+        SQP's pinned-row exit) and the surrogate's classifier
         score and margin eps on the learned route."""
         if nominal is not None:
             yield ocp.NOMINAL_MODE, nominal, np.zeros(0)

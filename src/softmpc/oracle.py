@@ -39,8 +39,12 @@ label: oracle_solve labels a sample feasible only at a point whose largest
 row violation is at most 1e-6, and such a point satisfies every row of the
 LP with room to spare, so an LP that no point satisfies proves the SQP's
 label infeasible too. Any other LP outcome runs the SQP as before. Lateral
-samples keep the SQP alone: their dynamics and comfort rows are nonlinear,
-so an LP of their linearization proves nothing about them.
+samples have no LP: their dynamics and comfort rows are nonlinear, so an LP
+of their linearization proves nothing about them. The SQP's pinned-row exit
+settles those whose start state already breaks a row that neither the input
+nor the slack moves (the corridor at step 0) in the same way: infeasible
+after 0 iterations, the label the full SQP run gives, as such a row keeps
+its violation at every point.
 """
 from __future__ import annotations
 
@@ -59,8 +63,8 @@ from .dynamics import NU, NX, VehicleParams
 from .environment import NO_BOUND, DisturbanceProfile, lane_bounds
 from .ocp import ConstraintStack, HorizonConfig, RelaxationMode, build_reference
 from .path import PathGeometry
-from .sqp import (PHASES, STATUS_INFEASIBLE, STATUS_OPTIMAL, NlpDescription,
-                  SolverOptions, SolveReport, _evaluate, _Layout, _timed, solve)
+from .sqp import (STATUS_INFEASIBLE, STATUS_OPTIMAL, NlpDescription,
+                  SolverOptions, SolveReport, settled_infeasible, solve)
 
 SNAP_TOL = 1e-3     # below the dataset's brute-force grid resolution
 SIGMA_CAP = 250.0   # relative yield bound treated as unconstrained
@@ -390,12 +394,13 @@ def oracle_solve(template: ScenarioTemplate, mode: RelaxationMode,
     A lon sample goes first to the infeasibility certificate: the
     feasibility LP of its affine subproblem with every row loosened by
     LP_MARGIN. When HiGHS proves that LP infeasible, the SQP does not run,
-    and the report is the one of a solve that ran no iteration: status
-    infeasible, 0 SQP and 0 interior-point iterations, the point u_init
-    with its largest row violation as infeasibility_measure. The label is
-    the SQP's: it labels feasible only a point within 1e-6 of every row,
-    which the LP would admit. A lat sample runs the SQP alone, as its
-    subproblem is nonlinear.
+    and the report is sqp.settled_infeasible's: status infeasible, 0 SQP
+    and 0 interior-point iterations, the point u_init with its largest row
+    violation as infeasibility_measure. The label is the SQP's: it labels
+    feasible only a point within 1e-6 of every row, which the LP would
+    admit. A lat sample, whose subproblem is nonlinear, has no LP; the SQP's
+    pinned-row exit gives the same report when its start state breaks a
+    step-0 row that no input or slack moves.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (template.theta_dim,):
@@ -404,17 +409,7 @@ def oracle_solve(template: ScenarioTemplate, mode: RelaxationMode,
     nlp = _subproblem_nlp(template, theta, mode)
     t_start = time.perf_counter()
     if template.kind == "lon" and _lp_certifies_infeasible(nlp):
-        phase_s = dict.fromkeys(PHASES, 0.0)
-        us, gamma = nlp.u_init, np.zeros(nlp.n_gamma)
-        xs, rows, obj = _timed(phase_s, "evaluate", _evaluate, nlp,
-                               _Layout(nlp), us, gamma)
-        inf = float("inf")      # no linearization point, no KKT residuals
-        return False, None, SolveReport(
-            status=STATUS_INFEASIBLE, us=us, xs=xs, gamma=gamma,
-            objective=obj, stationarity=inf, primal_infeasibility=inf,
-            complementarity=inf, sqp_iterations=0, ip_iterations=0,
-            wall_time=time.perf_counter() - t_start,
-            infeasibility_measure=rows.violation_inf(), phase_s=phase_s)
+        return False, None, settled_infeasible(nlp, t_start)
     rep = solve(nlp, ORACLE_SOLVER_OPTS)
     feasible = rep.status == STATUS_OPTIMAL or (
         rep.status != STATUS_INFEASIBLE

@@ -41,6 +41,16 @@ from the full step down to MIN_STEP. Every trial needs the Armijo decrease
 but one: the full step of a small step at a feasible iterate (a polish
 step) passes within merit noise, a watchdog against the Maratos effect.
 
+Before the loop, one exit ends a solve at its start point: the pinned-row
+exit. A stage-0 row that reads neither the input nor the global block (its
+Jacobian columns for them are zero, which NlpDescription's affine contract
+makes exact) reads x_0 alone, and dyn_f fixes x_0, so the row has the same
+value at every point. When the largest such value exceeds
+max(INFEASIBILITY_TOL, tol_feasibility), the largest violation any exit
+accepts, no point can end optimal, and the solve returns infeasible at the
+start point without a QP (settled_infeasible). A disturbance that leaves the
+first state outside its own corridor ends so.
+
 The loop has three exits that end a solve or a QP early, all judged by one
 KKT verdict (_kkt_met, on the residuals of _nlp_kkt):
 - KKT after the QP: the QP's own row duals, taken as the NLP multipliers at
@@ -136,7 +146,9 @@ class SolveReport:
     when constraint forces are large. sqp_iterations counts linearization
     points, so an exit by the certificate counts as an iteration that ran
     no QP; ip_iterations counts the interior-point iterations of the QPs
-    that ran.
+    that ran. sqp_iterations = 0 marks a solve settled infeasible before its
+    first QP (settled_infeasible): the point returned is the start point,
+    and with no linearization point the KKT residuals are inf.
 
     phase_s sums the solve's seconds in each of PHASES: the Riccati
     factorizations, the Newton back-solves, and the evaluation (rollout,
@@ -194,6 +206,12 @@ class NlpDescription:
     rows are data, terminal_C (k, nx) x_M - terminal_offset (k,) <= 0;
     k = 0 means none. nu is 1 or 2: the Riccati sweep inverts the control
     Hessian in closed form (_inv_pd).
+
+    The stage rows are affine in the inputs and in the global block: their
+    Jacobian columns for u and their G do not depend on the point. (ocp's
+    rows that read an input are the ocp._LINEAR box rows, and its G is the
+    constant -E.) A row whose columns for them are zero at one point thus
+    reads the state alone at every point; the pinned-row exit relies on it.
     """
     nx: int
     nu: int
@@ -307,6 +325,18 @@ class _Rows:
 
     def violation_inf(self) -> float:
         return float(np.max(np.maximum(self.vals, 0.0))) if self.n_rows else 0.0
+
+    def pinned_violation(self, nx: int) -> float:
+        """Largest value (at least 0) of the stage-0 rows whose Jacobian
+        columns for the input and the global block are all zero: rows of
+        x_0 alone, the same at every point (see NlpDescription)."""
+        if not self.groups or self.groups[0][0][0] != 0:
+            return 0.0        # stage 0 has no rows
+        _, ridx, C, G = self.groups[0]
+        pinned = ~np.any(C[0, :, nx:], axis=1)
+        if G is not None:
+            pinned &= ~np.any(G[0], axis=1)
+        return float(np.max(self.vals[ridx[0][pinned]], initial=0.0))
 
     # Each block keeps its own reduction (einsum for the stage groups,
     # matmul for the terminal block and the global box): folding one block
@@ -725,6 +755,35 @@ def _evaluate(nlp: NlpDescription, layout: _Layout, us, gamma):
     return xs, _Rows(nlp, layout, xs, us, gamma), _objective(nlp, xs, us, gamma)
 
 
+def _start(nlp: NlpDescription):
+    """A solve's start point, u_init (zeros without one) and gamma = 0,
+    evaluated: (us, gamma, xs, rows, obj, layout, phase_s), with the
+    evaluation's seconds in the fresh phase_s."""
+    us = (np.array(nlp.u_init, dtype=float).reshape(nlp.horizon, nlp.nu)
+          if nlp.u_init is not None else np.zeros((nlp.horizon, nlp.nu)))
+    gamma = np.zeros(nlp.n_gamma)
+    layout = _Layout(nlp)
+    phase_s = dict.fromkeys(PHASES, 0.0)
+    xs, rows, obj = _timed(phase_s, "evaluate", _evaluate, nlp, layout, us, gamma)
+    return us, gamma, xs, rows, obj, layout, phase_s
+
+
+def settled_infeasible(nlp: NlpDescription, t_start: float,
+                       start=None) -> SolveReport:
+    """The report of a solve settled infeasible before its first QP: the
+    start point (evaluated here unless _start gave it) with its largest row
+    violation, 0 SQP and 0 interior-point iterations, and inf KKT residuals,
+    as no point was linearized. wall_time counts from t_start."""
+    us, gamma, xs, rows, obj, _, phase_s = start or _start(nlp)
+    inf = float("inf")
+    return SolveReport(
+        status=STATUS_INFEASIBLE, us=us, xs=xs, gamma=gamma, objective=obj,
+        stationarity=inf, primal_infeasibility=inf, complementarity=inf,
+        sqp_iterations=0, ip_iterations=0,
+        wall_time=time.perf_counter() - t_start,
+        infeasibility_measure=rows.violation_inf(), phase_s=phase_s)
+
+
 def _kkt_met(kkt, opts: SolverOptions, tol_feasibility: float) -> bool:
     """The one optimality verdict, on the (stationarity, violation,
     complementarity) residuals of _nlp_kkt."""
@@ -737,19 +796,18 @@ def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport
     """Run the SQP loop on the given problem and report the outcome."""
     opts = opts or SolverOptions()
     t_start = time.perf_counter()
-    M, nu = nlp.horizon, nlp.nu
-
-    us = (np.array(nlp.u_init, dtype=float).reshape(M, nu)
-          if nlp.u_init is not None else np.zeros((M, nu)))
-    gamma = np.zeros(nlp.n_gamma)
-    layout = _Layout(nlp)
-    phase_s = dict.fromkeys(PHASES, 0.0)
+    start = _start(nlp)
+    us, gamma, xs, rows, obj, layout, phase_s = start
+    # the pinned-row exit: no point brings these rows within the violation
+    # any exit accepts
+    if rows.pinned_violation(nlp.nx) > max(INFEASIBILITY_TOL,
+                                           opts.tol_feasibility):
+        return settled_infeasible(nlp, t_start, start)
 
     penalty = opts.penalty_init
     total_ip = 0
     status = STATUS_MAX_ITER
     sqp_iters = 0
-    xs, rows, obj = _timed(phase_s, "evaluate", _evaluate, nlp, layout, us, gamma)
     final_kkt = (float("inf"), float("inf"), float("inf"))
     polish_streak = 0
     z_step = None     # row duals of the QP whose step gave the iterate

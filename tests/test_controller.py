@@ -13,7 +13,8 @@ from softmpc.controller import (BRANCH_FAILURE, BRANCH_NOMINAL, HARD_ROW_TOL,
 from softmpc.dynamics import VehicleParams
 from softmpc.environment import (DisturbanceProfile, NO_BOUND, RoadUserState,
                                  build_profile, nominal_profile)
-from softmpc.oracle import ScenarioTemplate, generate_dataset
+from softmpc.oracle import (ScenarioTemplate, build_theta, generate_dataset,
+                            oracle_solve)
 from softmpc.path import straight_path
 from softmpc.sqp import PHASES, STATUS_INFEASIBLE, STATUS_OPTIMAL, SolveReport
 from softmpc.surrogate import LipschitzBudget, train_mode_model
@@ -109,24 +110,41 @@ def test_failure_when_no_mode_feasible():
 def test_oracle_gates_show_which_verdicts_the_certificate_settled():
     # an evasive cycle: a road user stopped 8 m ahead of the ego at 20 m/s,
     # with the lane switch armed. No braking clears it, so the longitudinal
-    # certificate settles E1 and E2 without an SQP iteration; the lateral
-    # mode E3 has no certificate and runs the SQP
+    # certificate settles E1 and E2 without an SQP iteration. The corridor
+    # is the left lane from step 0, which excludes the ego's e_y = 0: the
+    # lateral mode E3 has no certificate, but its SQP ends at the pinned-row
+    # exit, also without an iteration
     lat_template = ScenarioTemplate(kind="lat", horizon=HORIZON, params=PARAMS,
                                     stack=STACK, v_ref=V_REF)
-    ctrl = _controller(modes=[ModeRuntime(mode=MODE_E1, template=LON_TEMPLATE),
-                              ModeRuntime(mode=MODE_E2, template=LON_TEMPLATE),
-                              ModeRuntime(mode=MODE_E3, template=lat_template)])
+    modes = [ModeRuntime(mode=MODE_E1, template=LON_TEMPLATE),
+             ModeRuntime(mode=MODE_E2, template=LON_TEMPLATE),
+             ModeRuntime(mode=MODE_E3, template=lat_template)]
     profile = build_profile(PATH, RoadUserState(lon=8.0, lat=0.0, v_lon=0.0),
                             HORIZON.n_constraint, HORIZON.t_s,
                             growth=(0.25, 0.3), d_safe=6.0, evasive=True)
-    decision = ctrl.step(dyn.state(s=0.0, v=20.0), profile)
+    x = dyn.state(s=0.0, v=20.0)
+    decision = _controller(modes=modes).step(x, profile)
     gates = decision.log_record()["gates"]
-    for name in ("E1", "E2"):
+    for name in ("E1", "E2", "E3"):
         assert gates[name]["predicted_feasible"] is False
         assert gates[name]["oracle_status"] == STATUS_INFEASIBLE
         assert gates[name]["oracle_sqp_iterations"] == 0
-    assert gates["E3"]["oracle_sqp_iterations"] > 0
     assert "wall_time" not in json.dumps(gates)
+    # E3's reason: its start point breaks the step-0 corridor row, which
+    # reads e_y alone, by the corridor's distance to the ego
+    step0_miss = profile.corridor_lo[0] - x[dyn.IDX_EY]
+    assert step0_miss == 1.75
+    _, _, rep = oracle_solve(lat_template, MODE_E3,
+                             build_theta(lat_template, x, profile))
+    assert (rep.sqp_iterations, rep.ip_iterations) == (0, 0)
+    assert rep.infeasibility_measure == step0_miss
+
+    # the same cycle with the ego already at e_y = 2 inside the left lane:
+    # step 0 is clean, so E3's oracle runs the SQP
+    x = dyn.state(s=0.0, v=20.0, e_y=2.0)
+    assert profile.corridor_lo[0] < x[dyn.IDX_EY] < profile.corridor_hi[0]
+    gates = _controller(modes=modes).step(x, profile).log_record()["gates"]
+    assert gates["E3"]["oracle_sqp_iterations"] > 0
 
 
 def _report(status, xs, us):

@@ -401,6 +401,34 @@ def test_certificate_fires_only_where_the_sqp_labels_infeasible(params, mode):
             or slack.tobytes() == sqp_slack.tobytes())
 
 
+def test_pinned_row_exit_leaves_the_lateral_labels_unchanged():
+    # lateral samples drawn with e_y beyond the right lane's edge break the
+    # step-0 corridor row, which reads e_y alone: the SQP's pinned-row exit
+    # settles them, and every label is the one of the full SQP run
+    pinned = sqp._Rows.pinned_violation
+    fired = []
+
+    def spy(rows, nx):
+        fired.append(pinned(rows, nx) > sqp.INFEASIBILITY_TOL)
+        return pinned(rows, nx)
+
+    with mock.patch.object(sqp._Rows, "pinned_violation", spy):
+        rows, balance = generate_dataset(LAT_TEMPLATE, MODE_E3, count=12,
+                                         seed=5, workers=1)
+    with mock.patch.object(sqp._Rows, "pinned_violation",
+                           lambda rows, nx: 0.0):
+        full, full_balance = generate_dataset(LAT_TEMPLATE, MODE_E3,
+                                              count=12, seed=5, workers=1)
+    assert 0 < sum(fired) < len(fired) == 12
+    assert balance == full_balance
+    for (theta, feasible, slack), (theta_f, feasible_f, slack_f) in zip(rows,
+                                                                      full):
+        assert theta.tobytes() == theta_f.tobytes()
+        assert feasible == feasible_f
+        assert (slack is None and slack_f is None
+                or slack.tobytes() == slack_f.tobytes())
+
+
 def test_non_finite_theta_is_left_to_the_sqp():
     # linprog rejects NaN data; the SQP labels such a sample infeasible
     theta = _lon_theta(gap0=8.0, lead_speed=0.0, v0=20.0)

@@ -332,6 +332,8 @@ def test_global_slack_block_analytic_toy():
                             gamma_hi=np.array([0.5 * (x0 - b)]))
     rep2 = solve(nlp_tight)
     assert rep2.status == STATUS_INFEASIBLE
+    # the slack moves the violated rows, so the penalty ladder decides
+    assert rep2.sqp_iterations > 0
 
 
 def _terminal_standstill_nlp(rows=None):
@@ -351,11 +353,24 @@ def test_terminal_rows_enforced():
     assert abs(rep.xs[-1, 1]) < 1e-6
 
 
+def _count_point_calls(nlp) -> dict:
+    """Wraps nlp's dyn_f and stage_rows to count their calls in the dict
+    returned."""
+    calls = {"dyn_f": 0, "stage_rows": 0}
+    for name in calls:
+        fn = getattr(nlp, name)
+
+        def counted(*args, fn=fn, name=name):
+            calls[name] += 1
+            return fn(*args)
+        setattr(nlp, name, counted)
+    return calls
+
+
 def test_each_point_is_one_rollout_and_one_row_call(monkeypatch):
     # what depends on the point comes in one whole-horizon call each, and
     # the terminal rows are data: a point costs one dyn_f and one
     # stage_rows call, whatever the horizon
-    calls = {"dyn_f": 0, "stage_rows": 0}
     points = []
     evaluate = sqp._evaluate
 
@@ -365,17 +380,81 @@ def test_each_point_is_one_rollout_and_one_row_call(monkeypatch):
     monkeypatch.setattr(sqp, "_evaluate", evaluate_spy)
     nlp = _terminal_standstill_nlp(rows=_box_rows(
         np.array([-3.0]), np.array([3.0]), np.full(2, -50.0), np.full(2, 50.0)))
-    for name in calls:
-        fn = getattr(nlp, name)
-
-        def counted(*args, fn=fn, name=name):
-            calls[name] += 1
-            return fn(*args)
-        setattr(nlp, name, counted)
+    calls = _count_point_calls(nlp)
     rep = solve(nlp)
     assert rep.status == STATUS_OPTIMAL
     assert len(points) > 1
     assert calls == {"dyn_f": len(points), "stage_rows": len(points)}
+
+
+def _pinned_row_nlp(x0, c_u=0.0, c_gamma=0.0, M=10):
+    """The double integrator from x0 = (p, v) with the stage rows
+    p + c_u u - c_gamma gamma <= 1, -p <= 1 and |u| <= 5. With c_u = c_gamma
+    = 0 the first two read the position alone: at stage 0, x0 pins them."""
+    C = np.array([[1.0, 0.0, c_u], [-1.0, 0.0, 0.0],
+                  [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    kw, G = {}, None
+    if c_gamma:
+        G = np.array([[-c_gamma], [0.0], [0.0], [0.0]])
+        kw = dict(n_gamma=1, gamma_weight=np.eye(1), gamma_lo=np.zeros(1),
+                  gamma_hi=np.full(1, 10.0))
+    rows = _constant_rows(np.array([-1.0, -1.0, -5.0, -5.0]), C, G)
+    return _linear_nlp(*_DI, np.array(x0, dtype=float), M, rows=rows, **kw)
+
+
+def test_pinned_row_exit_settles_at_the_start_point():
+    # p0 = 2 breaks p <= 1 at stage 0 by 1, whatever the inputs: the solve
+    # ends infeasible at the start point after its one evaluation
+    nlp = _pinned_row_nlp([2.0, 0.0])
+    calls = _count_point_calls(nlp)
+    rep = solve(nlp)
+    assert rep.status == STATUS_INFEASIBLE
+    assert (rep.sqp_iterations, rep.ip_iterations) == (0, 0)
+    assert rep.infeasibility_measure == 1.0
+    assert calls == {"dyn_f": 1, "stage_rows": 1}
+    assert np.array_equal(rep.us, np.zeros((nlp.horizon, 1)))
+    assert rep.stationarity == rep.primal_infeasibility == np.inf
+    assert rep.complementarity == np.inf
+    assert rep.phase_s["factorize"] == rep.phase_s["backsolve"] == 0.0
+
+
+@pytest.mark.parametrize("x0, kw, opts", [
+    ([2.0, 0.0], dict(c_u=1.0), None),
+    ([2.0, 0.0], dict(c_gamma=1.0), None),
+    ([1.0 + 1e-6, 0.0], {}, None),
+    ([1.0 + 1e-4, 0.0], {}, SolverOptions(tol_feasibility=1e-3)),
+], ids=["row-reads-the-input", "row-reads-the-global-block",
+        "within-infeasibility-tol", "within-tol-feasibility"])
+def test_pinned_row_exit_needs_a_row_no_variable_moves(x0, kw, opts):
+    # a step-0 row the input or the global block can move, or a violation
+    # that some exit accepts, leaves the solve to the SQP loop
+    rep = solve(_pinned_row_nlp(x0, **kw), opts)
+    assert rep.sqp_iterations > 0
+    if kw:
+        assert rep.status == STATUS_OPTIMAL
+
+
+@example(p0=1.0 + 2e-6, v0=0.0)
+@example(p0=-3.0, v0=2.0)
+@given(p0=st.floats(-3.0, 3.0), v0=st.floats(-2.0, 2.0))
+@settings(max_examples=25, deadline=None)
+def test_solves_the_pinned_row_exit_settles_end_unusable(p0, v0):
+    # the same problem with the exit switched off: where it would settle the
+    # solve, the SQP loop ends neither optimal nor within the 1e-6 violation
+    # any caller accepts; elsewhere the exit changes nothing
+    nlp = _pinned_row_nlp([p0, v0])
+    rep = solve(nlp)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sqp._Rows, "pinned_violation", lambda rows, nx: 0.0)
+        full = solve(nlp)
+    if rep.sqp_iterations == 0:
+        assert full.sqp_iterations > 0
+        assert full.status != STATUS_OPTIMAL
+        assert full.infeasibility_measure > 1e-6
+    else:
+        assert (full.status, full.sqp_iterations) == (rep.status,
+                                                       rep.sqp_iterations)
+        assert np.array_equal(full.us, rep.us)
 
 
 def _pendulum_nlp(theta0=0.6):
