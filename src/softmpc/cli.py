@@ -120,9 +120,13 @@ def _write_outputs(log, out: str, config) -> dict:
 
 
 def cmd_simulate(args) -> int:
+    from .controller import ModelError
     from .simkit import run
     config = _load_config(args.config)
-    log = run(config, use_oracle=args.oracle)
+    try:
+        log = run(config, use_oracle=args.oracle)
+    except ModelError as exc:    # raised before the first cycle
+        raise StageError("config", str(exc), EXIT_CONFIG)
     os.makedirs(args.out, exist_ok=True)
     m = _write_outputs(log, args.out, config)
     print(json.dumps(m, indent=1, sort_keys=True))
@@ -170,6 +174,13 @@ def cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
+def positive_int(text: str) -> int:
+    """A --count value: an integer of at least 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="softmpc",
@@ -179,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="label slack samples with the oracle")
     p.add_argument("--config", required=True)
     p.add_argument("--mode", required=True)
-    p.add_argument("--count", type=int, default=None)
+    p.add_argument("--count", type=positive_int, default=None)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", required=True)
@@ -210,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="gen-data, train, certify, simulate")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--count", type=int, default=None)
+    p.add_argument("--count", type=positive_int, default=None)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--pairs", type=int, default=20_000)
     p.add_argument("--workers", type=int, default=None)

@@ -8,11 +8,16 @@ the minimal slack) or by the certified drift budget and the classifier (the
 regressor's slack plus the model's margin, clamped to the ceilings). Each
 rung that passes its gate is built and solved, and is accepted when the
 solve is usable and holds the hard rows; else the next rung is tried, and
-exhaustion reports failure. A rung's dropped rows and the lift its slack
-puts on each stack row fix its problem and hard-row gate within a cycle, so
-a rung repeating a problem that already failed (a zero oracle slack repeats
-the nominal one) is not solved again: its gate reads solve_status
+exhaustion reports failure. The rows a rung's mode keeps and the lift its
+slack puts on each stack row (the mode's kept and lift, which also split
+the rows into hard and soft for the gate) fix its problem within a cycle,
+so a rung repeating a problem that already failed (a zero oracle slack
+repeats the nominal one) is not solved again: its gate reads solve_status
 "duplicate" and names the rung it repeats.
+
+The controller derives its terminal weights (ocp.terminal_weights) and one
+scenario template per subsystem kind, with the path's lane width, from its
+own settings, and checks each mode's surrogate when it is built.
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ import numpy as np
 from . import dynamics as dyn
 from . import ocp
 from .environment import ConsistencyDelta, DisturbanceProfile, consistency_delta
-from .oracle import ScenarioTemplate, build_theta, oracle_solve
+from .oracle import TEMPLATE_KINDS, ScenarioTemplate, build_theta, oracle_solve
 from .path import PathGeometry
 from .sqp import STATUS_MAX_ITER, STATUS_OPTIMAL, solve
 from .surrogate import SurrogateModel
@@ -36,18 +41,22 @@ BRANCH_NOMINAL = ocp.NOMINAL_MODE.name    # rung 0 names its branch
 BRANCH_FAILURE = "failure"
 
 
+class ModelError(ValueError):
+    """A surrogate that cannot gate its mode (mode, the mode's name):
+    missing, unreadable, or not fitting the mode."""
+
+    def __init__(self, mode: str, reason: str):
+        super().__init__(f"mode {mode}: {reason}")
+        self.mode, self.reason = mode, reason
+
+
 @dataclass(frozen=True)
 class ModeRuntime:
-    """A relaxation mode wired to its surrogate and scenario template."""
+    """A relaxation mode, the subsystem kind (a key of ocp.SUBSYSTEMS) whose
+    template its gate reads and, on the learned route, its surrogate."""
     mode: ocp.RelaxationMode
-    template: ScenarioTemplate
+    kind: str
     model: SurrogateModel | None = None
-
-    def __post_init__(self):
-        if self.model is not None and not np.allclose(
-                self.model.ceilings, self.mode.ceiling_vector()):
-            raise ValueError(
-                f"model ceilings disagree with mode {self.mode.name}")
 
 
 @dataclass
@@ -104,29 +113,47 @@ class PriorityController:
     previous input plan kept only as a warm start.
     """
 
-    def __init__(self, path: PathGeometry, params, weights: ocp.CostWeights,
-                 horizon: ocp.HorizonConfig, stack: ocp.ConstraintStack,
-                 modes: list, v_ref: float = 20.0, use_oracle: bool = False):
+    def __init__(self, path: PathGeometry, params, horizon: ocp.HorizonConfig,
+                 stack: ocp.ConstraintStack, modes: list, v_ref: float,
+                 use_oracle: bool = False):
         self.path = path
         self.params = params
-        self.weights = weights
         self.horizon = horizon
         self.stack = stack
         self.modes = sorted(modes, key=lambda m: m.mode.priority)
         priorities = [m.mode.priority for m in self.modes]
         if len(set(priorities)) != len(priorities):
             raise ValueError("mode priorities must be unique")
-        if not use_oracle:
-            for m in self.modes:
-                if m.model is None:
-                    raise ValueError(f"mode {m.mode.name} needs a trained model")
         self.v_ref = v_ref
         self.use_oracle = use_oracle
+        self.weights = ocp.terminal_weights(path, params, horizon.t_s, v_ref)
+        self.templates = {kind: ScenarioTemplate(kind, horizon, params, stack,
+                                                 v_ref, path.lane_width)
+                          for kind in TEMPLATE_KINDS}
+        for m in self.modes:
+            self._check_model(m)
         self._warm_us = None
         self._prev_profile = None
         self._prev_x = None
 
     # -- helpers -----------------------------------------------------------
+    def _check_model(self, rt: ModeRuntime):
+        """Raise ModelError unless the mode's surrogate, which the learned
+        route needs, has its channels and ceilings and reads its input."""
+        model, dim = rt.model, self.templates[rt.kind].theta_dim
+        if model is None:
+            if not self.use_oracle:
+                raise ModelError(rt.mode.name, "needs a trained model")
+        elif (tuple(model.channels) != rt.mode.channels
+              or not np.allclose(model.ceilings, rt.mode.ceiling_vector())):
+            got = dict(zip(model.channels, model.ceilings.tolist()))
+            raise ModelError(rt.mode.name, f"model ceilings {got} disagree "
+                             f"with the mode's {rt.mode.ceilings}")
+        elif model.input_shift.size != dim:
+            raise ModelError(rt.mode.name, "the model reads "
+                             f"{model.input_shift.size} inputs; the "
+                             f"{rt.kind} input has {dim}")
+
     def _references(self, x_k, profile):
         # lateral target follows the corridor at the end of the horizon, so
         # an armed evasive corridor pulls the reference into the target lane
@@ -158,11 +185,9 @@ class PriorityController:
         # rows without a finite bound read -inf; NaN and +inf residuals
         # propagate through the max and fail the gate
         res = ocp.eval_constraints(rep.xs, rep.us, self.stack, profile)
-        lift = mode.selector() @ slack_cmd
-        soft_rows = lift > 0.0
-        hard_mask = ~soft_rows
-        hard_mask[[ocp.ROW_LABELS.index(lbl) for lbl in mode.drop]] = False
-        hard = float(np.max(res[hard_mask], initial=-np.inf))
+        lift = mode.lift(slack_cmd)
+        hard_rows, soft_rows = mode.split(slack_cmd)
+        hard = float(np.max(res[hard_rows], initial=-np.inf))
         soft = float(np.max(res[soft_rows] - lift[soft_rows, None],
                             initial=-np.inf))
         return hard, soft
@@ -180,9 +205,10 @@ class PriorityController:
             yield ocp.NOMINAL_MODE, nominal, np.zeros(0)
         for rt in self.modes:
             name, ceil = rt.mode.name, rt.mode.ceiling_vector()
-            theta = build_theta(rt.template, x_k, profile)
+            template = self.templates[rt.kind]
+            theta = build_theta(template, x_k, profile)
             if self.use_oracle:
-                feasible, slack_star, rep = oracle_solve(rt.template, rt.mode,
+                feasible, slack_star, rep = oracle_solve(template, rt.mode,
                                                          theta)
                 gates[name] = {"budget_ok": True, "predicted_feasible": feasible,
                                "oracle_status": rep.status,
@@ -223,7 +249,7 @@ class PriorityController:
                 state_step, gates):
             if slack_cmd is None:
                 continue
-            key = (mode.drop, (mode.selector() @ slack_cmd).tobytes())
+            key = (mode.kept.tobytes(), mode.lift(slack_cmd).tobytes())
             if key in failed:
                 gate.update(solve_status="duplicate", duplicate_of=failed[key])
                 continue

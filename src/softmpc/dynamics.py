@@ -234,18 +234,30 @@ def rollout(x0: np.ndarray, us: np.ndarray, path: PathGeometry,
     return np.array(xs)
 
 
+def _rk4_stages(xs, us, path, params, h):
+    """(derivative, its Jacobians) of each RK4 stage at M points."""
+    stages = [_derivatives(xs, us, path, params)]
+    for c in (0.5 * h, 0.5 * h, h):
+        stages.append(_derivatives(xs + c * stages[-1][0], us, path, params))
+    return stages
+
+
+def rk4_steps(xs: np.ndarray, us: np.ndarray, path: PathGeometry,
+              params: VehicleParams, t_s: float) -> np.ndarray:
+    """The RK4 step from each of M states xs (M, NX) with its input us
+    (M, NU), on arrays; vectorized sin, cos and tan may differ from the
+    scalar ones in the last bit."""
+    f1, f2, f3, f4 = (f for f, _, _ in _rk4_stages(xs, us, path, params, t_s))
+    return xs + (t_s / 6.0) * (((f1 + 2.0 * f2) + 2.0 * f3) + f4)
+
+
 def jacobians(xs: np.ndarray, us: np.ndarray, path: PathGeometry,
               params: VehicleParams, t_s: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact Jacobians (A (M, NX, NX), B (M, NX, NU)) of the RK4 step at M
     points xs (M, NX), us (M, NU), chained through all stages."""
     h = t_s
-    f1, J1x, J1u = _derivatives(xs, us, path, params)
-    x2 = xs + 0.5 * h * f1
-    f2, J2x, J2u = _derivatives(x2, us, path, params)
-    x3 = xs + 0.5 * h * f2
-    f3, J3x, J3u = _derivatives(x3, us, path, params)
-    x4 = xs + h * f3
-    f4, J4x, J4u = _derivatives(x4, us, path, params)
+    (_, J1x, J1u), (_, J2x, J2u), (_, J3x, J3u), (_, J4x, J4u) = _rk4_stages(
+        xs, us, path, params, h)
 
     I = _EYE
     K1x = J1x

@@ -13,8 +13,8 @@ of a whole horizon; the solver's stage rows and the controller's hard-row
 gate (eval_constraints) both run it. Each problem fixes its row layout when
 it is built, from the profile, the mode's dropped rows and the tube. The
 same stage row provider and terminal rows also serve the oracle: with the
-mode's channels as a global decision block and the rows restricted to
-LON_ROW_LABELS or LAT_ROW_LABELS, they give the rows of its decoupled slack
+mode's channels as a global decision block and the rows restricted to a
+subsystem's rows (SUBSYSTEMS), they give the rows of its decoupled slack
 problems, which it cuts down to the subsystem's states (see oracle.py).
 """
 from __future__ import annotations
@@ -84,11 +84,10 @@ def terminal_weights(path: PathGeometry, params: VehicleParams, t_s: float,
     A, B = (J[0] for J in dyn.jacobians(x_ref[None], np.zeros((1, NU)),
                                          path, params, t_s))
 
-    lon = list(dyn.LON_IDX)
-    lat = list(dyn.LAT_IDX)
     P = np.zeros((NX, NX))
     K = np.zeros((NU, NX))
-    for idx, u_col in ((lon, 1), (lat, 0)):
+    for idx, u_col, _ in SUBSYSTEMS.values():
+        idx = list(idx)
         A_b = A[np.ix_(idx, idx)]
         B_b = B[np.ix_(idx, [u_col])]
         Q_b = Q[np.ix_(idx, idx)] + DETECT_REG * np.eye(len(idx))
@@ -127,14 +126,19 @@ ROW_LABELS = H_ROW_LABELS + G_ROW_LABELS
 # on v and a, the corridor, and the stop-behind margin on the yield bound
 TERMINAL_ROW_LABELS = ("v_ub", "v_lb", "a_ub", "a_lb",
                        "g_lat_ub", "g_lat_lb", "g_lon_safe")
-# rows of the decoupled subsystems (state blocks dyn.LON_IDX / dyn.LAT_IDX);
-# the oracle's slack problems keep exactly these rows of the stack
-LON_ROW_LABELS = ("v_ub", "v_lb", "a_ub", "a_lb", "a_req_ub", "a_req_lb",
-                  "a_req_comfort_lb", "g_lon_safe", "g_follow")
-LAT_ROW_LABELS = ("e_psi_ub", "e_psi_lb", "delta_ub", "delta_lb",
-                  "delta_sp_ub", "delta_sp_lb", "alpha_ub", "alpha_lb",
-                  "a_y_ub", "a_y_lb", "j_y_ub", "j_y_lb",
-                  "g_lat_ub", "g_lat_lb")
+# the decoupled subsystems of the model on a straight path, by kind: (state
+# block, input column, the stack rows that read only them). The terminal
+# weights solve one Riccati equation per subsystem; an oracle slack problem
+# runs on one and keeps exactly its rows of the stack
+SUBSYSTEMS = {
+    "lon": (dyn.LON_IDX, 1,
+            ("v_ub", "v_lb", "a_ub", "a_lb", "a_req_ub", "a_req_lb",
+             "a_req_comfort_lb", "g_lon_safe", "g_follow")),
+    "lat": (dyn.LAT_IDX, 0,
+            ("e_psi_ub", "e_psi_lb", "delta_ub", "delta_lb", "delta_sp_ub",
+             "delta_sp_lb", "alpha_ub", "alpha_lb", "a_y_ub", "a_y_lb",
+             "j_y_ub", "j_y_lb", "g_lat_ub", "g_lat_lb")),
+}
 _ROW = {label: k for k, label in enumerate(ROW_LABELS)}
 NZ = NX + NU
 # rows that read one entry of z = (x, u), with its sign
@@ -219,7 +223,9 @@ class RelaxationMode:
     """Selector of relaxable rows with priority rank and slack ceilings.
 
     relax maps row labels to slack channel names; drop lists rows removed
-    entirely. Channel order fixes the slack vector layout.
+    entirely. Channel order fixes the slack vector layout. The mode owns
+    each stack row's role, which the problem builders and the controller's
+    hard-row gate read: kept or dropped, lifted by how much, hard or soft.
     """
     name: str
     priority: int
@@ -228,10 +234,7 @@ class RelaxationMode:
     drop: tuple = ()
 
     def __post_init__(self):
-        for label in self.relax:
-            if label not in ROW_LABELS:
-                raise ValueError(f"unknown row label {label!r}")
-        for label in self.drop:
+        for label in (*self.relax, *self.drop):
             if label not in ROW_LABELS:
                 raise ValueError(f"unknown row label {label!r}")
         for ch in self.relax.values():
@@ -248,11 +251,7 @@ class RelaxationMode:
 
     @property
     def channels(self) -> tuple:
-        seen = []
-        for ch in self.relax.values():
-            if ch not in seen:
-                seen.append(ch)
-        return tuple(seen)
+        return tuple(dict.fromkeys(self.relax.values()))
 
     @property
     def n_channels(self) -> int:
@@ -261,13 +260,28 @@ class RelaxationMode:
     def ceiling_vector(self) -> np.ndarray:
         return np.array([self.ceilings[ch] for ch in self.channels], dtype=float)
 
+    @cached_property
     def selector(self) -> np.ndarray:
-        """E matrix over the full row stack: one slack channel per relaxed row."""
+        """E (n_rows, n_channels): one slack channel per relaxed row."""
         E = np.zeros((len(ROW_LABELS), self.n_channels))
-        chan_idx = {ch: j for j, ch in enumerate(self.channels)}
         for label, ch in self.relax.items():
-            E[ROW_LABELS.index(label), chan_idx[ch]] = 1.0
+            E[_ROW[label], self.channels.index(ch)] = 1.0
         return E
+
+    @cached_property
+    def kept(self) -> np.ndarray:
+        """Mask (n_rows,) of the stack rows the mode does not drop."""
+        return np.array([label not in self.drop for label in ROW_LABELS])
+
+    def lift(self, slack: np.ndarray) -> np.ndarray:
+        """What the slack adds to each stack row's bound, (n_rows,)."""
+        return self.selector @ slack
+
+    def split(self, slack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(hard, soft) row masks under a slack: soft rows are lifted by a
+        positive amount, hard rows are the other kept rows."""
+        soft = self.lift(slack) > 0.0
+        return self.kept & ~soft, soft
 
 
 NOMINAL_MODE = RelaxationMode(name="nominal", priority=0, relax={}, ceilings={})
@@ -317,25 +331,16 @@ _TAIL_INPUT_REG = 1e-6
 def _stage_cost_arrays(weights: CostWeights, horizon: HorizonConfig,
                        x_refs: np.ndarray, u_refs: np.ndarray):
     M, N = horizon.n_constraint, horizon.n_cost
-    nz = NX + NU
-    W = np.zeros((M, nz, nz))
-    ref = np.zeros((M, nz))
-    Wfull = np.zeros((nz, nz))
-    Wfull[:NX, :NX] = weights.Q
-    Wfull[NX:, NX:] = weights.R
-    Wtail = np.zeros((nz, nz))
-    Wtail[NX:, NX:] = _TAIL_INPUT_REG * np.eye(NU)
-    for n in range(M):
-        W[n] = Wtail if n >= N else Wfull
-        ref[n, :NX] = x_refs[n]
-        ref[n, NX:] = u_refs[n]
+    W = np.zeros((M, NZ, NZ))
+    W[:N, :NX, :NX] = weights.Q
+    W[:N, NX:, NX:] = weights.R
+    W[N:, NX:, NX:] = _TAIL_INPUT_REG * np.eye(NU)
+    ref = np.concatenate([x_refs[:M], u_refs], axis=1)
     # the mid-horizon terminal cost lands on the state block of stage N
     if N < M:
-        W[N][:NX, :NX] += weights.P
-        P_M = np.zeros((NX, NX))
-    else:
-        P_M = weights.P.copy()
-    return W, ref, P_M
+        W[N, :NX, :NX] += weights.P
+        return W, ref, np.zeros((NX, NX))
+    return W, ref, weights.P.copy()
 
 
 def _make_stage_rows(stack: ConstraintStack, profile: DisturbanceProfile,
@@ -354,8 +359,7 @@ def _make_stage_rows(stack: ConstraintStack, profile: DisturbanceProfile,
     horizon, the tube rows of the finite tube widths.
     """
     M, N = horizon.n_constraint, horizon.n_cost
-    allowed = np.array([lbl in labels and lbl not in mode.drop
-                        for lbl in ROW_LABELS])
+    allowed = mode.kept & np.isin(ROW_LABELS, labels)
     tube_idx = np.flatnonzero(np.isfinite(tube))
     tube_w = tube[tube_idx]
     k = tube_idx.size
@@ -368,9 +372,10 @@ def _make_stage_rows(stack: ConstraintStack, profile: DisturbanceProfile,
     tube_C[:, np.arange(k, 2 * k), tube_idx] = -1.0
     ref = x_refs[:M, tube_idx]
 
-    E = np.concatenate([mode.selector(), np.zeros((2 * k, mode.n_channels))])
-    lift = None if slack is None else E @ slack
+    E = np.concatenate([mode.selector, np.zeros((2 * k, mode.n_channels))])
     G = None if slack is not None else np.broadcast_to(-E, (M,) + E.shape)
+    lift = (None if slack is None
+            else np.concatenate([mode.lift(slack), np.zeros(2 * k)]))
 
     def rows(xs, us):
         vals, C = stack.evaluate(xs, us, profile)
@@ -399,7 +404,7 @@ def _terminal_rows(profile: DisturbanceProfile, mode: RelaxationMode,
                        profile.corridor_hi[M], -profile.corridor_lo[M],
                        profile.yield_bound[M] - STOP_MARGIN])
     keep = [k for k, lbl in enumerate(TERMINAL_ROW_LABELS)
-            if lbl in labels and lbl not in mode.drop
+            if lbl in labels and mode.kept[_ROW[lbl]]
             and math.isfinite(offset[k])]
     cols = np.array([dyn.IDX_V, dyn.IDX_V, dyn.IDX_A, dyn.IDX_A,
                      dyn.IDX_EY, dyn.IDX_EY, dyn.IDX_S])[keep]
@@ -422,7 +427,9 @@ def build_relaxed(x_k, path, params, weights, horizon, stack, profile,
                   mode: RelaxationMode, slack: np.ndarray,
                   x_refs, u_refs, u_init=None) -> NlpDescription:
     """Problem with the mode's rows lifted by a fixed slack vector."""
-    _check_profile(profile, horizon)
+    if len(profile) != horizon.n_constraint + 1:
+        raise ValueError(f"profile covers {len(profile)} steps, expected "
+                         f"{horizon.n_constraint + 1}")
     slack = np.asarray(slack, dtype=float)
     if slack.shape != (mode.n_channels,):
         raise ValueError(f"slack must have shape ({mode.n_channels},)")
@@ -442,12 +449,6 @@ def build_relaxed(x_k, path, params, weights, horizon, stack, profile,
         cost_W=W, cost_ref=ref, cost_P=P_M, cost_ref_M=x_refs[horizon.n_constraint],
         stage_rows=rows, stage_row_mask=mask, terminal_C=terminal_C,
         terminal_offset=terminal_offset, u_init=u_init)
-
-
-def _check_profile(profile: DisturbanceProfile, horizon: HorizonConfig):
-    if len(profile) != horizon.n_constraint + 1:
-        raise ValueError(
-            f"profile covers {len(profile)} steps, expected {horizon.n_constraint + 1}")
 
 
 def eval_constraints(xs: np.ndarray, us: np.ndarray, stack: ConstraintStack,

@@ -18,7 +18,7 @@ The subproblems are derived, not written out: theta becomes a disturbance
 profile (the yield bound, or the corridor plus the stabilizing tube on the
 lateral states), and the controller's own stage and terminal rows
 (ocp._make_stage_rows / _terminal_rows, restricted to the subsystem's
-row labels, with the row layout they fix) give the subproblem's rows: the
+rows of ocp.SUBSYSTEMS, with the row layout they fix) give the subproblem's rows: the
 stage rows are evaluated on the iterate embedded into the full state, whole
 horizon at once, and cut down to the subsystem's columns; the terminal
 rows' columns are cut once. The lateral chain is the lateral block of a
@@ -27,11 +27,11 @@ longitudinal chain is linear, and its RK4 step is taken in closed form
 (_lon_discrete).
 
 Longitudinal samples meet an infeasibility certificate before the SQP. Their
-subproblem is affine: the linear chain, the LON_ROW_LABELS rows (all linear
-in the state, input and slack), the terminal rows (data) and the slack box.
-Its rollout, dynamics Jacobians and rows at u_init therefore define it
-exactly, and with every row loosened by LP_MARGIN (1e-4) it becomes a
-feasibility LP, solved by HiGHS (scipy.optimize.linprog) in a few
+subproblem is affine: the linear chain, the lon rows of ocp.SUBSYSTEMS (all
+linear in the state, input and slack), the terminal rows (data) and the
+slack box. Its rollout, dynamics Jacobians and rows at u_init therefore
+define it exactly, and with every row loosened by LP_MARGIN (1e-4) it
+becomes a feasibility LP, solved by HiGHS (scipy.optimize.linprog) in a few
 milliseconds. When HiGHS proves that LP infeasible, the sample is labeled
 infeasible without running the SQP, whose infeasible verdicts cost two SQP
 iterations and some 35 interior-point ones. The certificate cannot move a
@@ -91,7 +91,7 @@ ORACLE_SOLVER_OPTS = SolverOptions(penalty_init=1e4, penalty_max=1e4,
 LP_MARGIN = 1e-4
 
 # the decoupled subsystems a slack problem can run on
-TEMPLATE_KINDS = ("lon", "lat")
+TEMPLATE_KINDS = tuple(ocp.SUBSYSTEMS)
 
 
 @dataclass(frozen=True)
@@ -187,10 +187,6 @@ def _lon_discrete(params: VehicleParams, t_s: float):
     return A, B
 
 
-# state columns and input column of each decoupled subsystem in the full
-# model, with the stack rows it keeps
-_SUBSYSTEMS = {"lon": (np.array(dyn.LON_IDX), 1, ocp.LON_ROW_LABELS),
-               "lat": (np.array(dyn.LAT_IDX), 0, ocp.LAT_ROW_LABELS)}
 # the lateral chain runs at constant speed on a straight path: with zero
 # curvature the position never feeds back into the lateral states, and the
 # path covers the horizon's travel at any sampled speed
@@ -210,20 +206,16 @@ def _embed(sub: np.ndarray, idx, rest: np.ndarray) -> np.ndarray:
 
 def _subproblem_nlp(template: ScenarioTemplate, theta: np.ndarray,
                     mode: RelaxationMode) -> NlpDescription:
-    """Minimal-slack problem of the template's subsystem for one theta.
-
-    The profile implied by theta feeds the controller's own stage and
-    terminal rows, restricted to the subsystem's labels; the 3- or 4-state
-    iterate is embedded into full states (other states at rest, or at the
-    constant speed for the lateral chain), for the whole horizon at once,
-    and the row Jacobians are cut down to the subsystem's columns.
-    """
+    """Minimal-slack problem of the template's subsystem (ocp.SUBSYSTEMS)
+    for one theta, derived as the module docstring says; the states outside
+    the subsystem stay at rest, or at the constant speed for the lateral
+    chain."""
     h = template.horizon
     p = template.params
     M = h.n_constraint
     nw = M + 1
-    x_idx, u_col, labels = _SUBSYSTEMS[template.kind]
-    u_idx = [u_col]
+    x_idx, u_col, labels = ocp.SUBSYSTEMS[template.kind]
+    x_idx, u_idx = np.array(x_idx), [u_col]
     x_rest = np.zeros(NX)
     u_rest = np.zeros(NU)
     tube = np.full(NX, np.inf)
@@ -391,16 +383,11 @@ def oracle_solve(template: ScenarioTemplate, mode: RelaxationMode,
     iteration cap but with a feasible point still counts as feasible with
     the slack it found; everything else is conservatively infeasible.
 
-    A lon sample goes first to the infeasibility certificate: the
-    feasibility LP of its affine subproblem with every row loosened by
-    LP_MARGIN. When HiGHS proves that LP infeasible, the SQP does not run,
-    and the report is sqp.settled_infeasible's: status infeasible, 0 SQP
-    and 0 interior-point iterations, the point u_init with its largest row
-    violation as infeasibility_measure. The label is the SQP's: it labels
-    feasible only a point within 1e-6 of every row, which the LP would
-    admit. A lat sample, whose subproblem is nonlinear, has no LP; the SQP's
-    pinned-row exit gives the same report when its start state breaks a
-    step-0 row that no input or slack moves.
+    A lon sample that the infeasibility certificate settles (see the
+    module docstring), and a lat sample that the SQP's pinned-row exit
+    settles, report sqp.settled_infeasible's: status infeasible, 0 SQP and
+    0 interior-point iterations, the point u_init with its largest row
+    violation as infeasibility_measure.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (template.theta_dim,):
@@ -484,15 +471,12 @@ def sample_thetas(template: ScenarioTemplate, count: int,
     rng = np.random.default_rng(seed)
     ranges = list(SAMPLE_RANGES[template.kind].items())
     unit = _latin_hypercube(rng, count, len(ranges))
-    thetas = np.empty((count, template.theta_dim))
-    for i in range(count):
-        p = {name: lo + unit[i, j] * (hi - lo)
-             for j, (name, (lo, hi)) in enumerate(ranges)}
-        if template.kind == "lon":
-            thetas[i] = _lon_theta_from_params(template, p)
-        else:
-            thetas[i] = _lat_theta_from_params(template, p)
-    return thetas
+    theta_of = (_lon_theta_from_params if template.kind == "lon"
+                else _lat_theta_from_params)
+    return np.array([
+        theta_of(template, {name: lo + u[j] * (hi - lo)
+                            for j, (name, (lo, hi)) in enumerate(ranges)})
+        for u in unit])
 
 
 def _label(template, mode, theta):
@@ -578,9 +562,6 @@ def load_dataset(filename: str):
         for rec in reader:
             thetas.append([float(v) for v in rec[:d]])
             feas.append(bool(int(rec[d])))
-            tail = rec[d + 1:d + 1 + n_ch]
-            if tail and tail[0] != "":
-                slacks.append([float(v) for v in tail])
-            else:
-                slacks.append([np.nan] * n_ch)
+            slacks.append([float(v) if v else np.nan
+                           for v in rec[d + 1:d + 1 + n_ch]])
     return np.asarray(thetas), np.asarray(feas, dtype=bool), np.asarray(slacks)

@@ -10,9 +10,11 @@ discretization the predictions use.
 """
 from __future__ import annotations
 
+import collections
 import configparser
 import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -22,8 +24,8 @@ import numpy as np
 
 from . import dynamics as dyn
 from . import ocp, plots
-from .controller import (BRANCH_FAILURE, BRANCH_NOMINAL, ModeRuntime,
-                         PriorityController)
+from .controller import (BRANCH_FAILURE, BRANCH_NOMINAL, ModelError,
+                         ModeRuntime, PriorityController)
 from .dynamics import VehicleParams
 from .environment import RoadUserState, build_profile
 from .oracle import TEMPLATE_KINDS, ScenarioTemplate
@@ -121,11 +123,12 @@ class CsvTrajectory:
 
 @dataclass
 class ScenarioConfig:
-    """Closed-loop scenario. `duration` must be a multiple of `t_s`; the
-    cut-in needs `cut_start >= 0` and `cut_duration > 0` but may end after
-    `duration` (see `CutInSpec`); the growth rates must be >= 0 and d_safe
-    > 0; `v_ref` must be finite and > 0, `ego_v0` finite and >= 0,
-    `lane_width` and `path_length` > 0, and `ego_s0` in [0, `path_length`].
+    """Closed-loop scenario. `duration` must be finite, > 0 and a multiple
+    of `t_s`; the cut-in needs `cut_start >= 0` and `cut_duration > 0` but
+    may end after `duration` (see `CutInSpec`); the growth rates must be
+    >= 0 and d_safe > 0; `v_ref` must be finite and > 0, `ego_v0` finite
+    and >= 0, `lane_width` and `path_length` > 0, and `ego_s0` in [0,
+    `path_length`].
     A `path_length` shorter than the run's travel is not checked: the
     travel is known only once the run has been simulated."""
     name: str = "scenario"
@@ -148,13 +151,11 @@ class ScenarioConfig:
     mode_specs: list = field(default_factory=list)   # (RelaxationMode, kind, model file)
 
     def __post_init__(self):
-        n = self.duration / self.horizon.t_s
-        if abs(n - round(n)) > 1e-9:
-            raise ValueError("duration must be a multiple of the sampling time")
         d_safe = self.stack_kw.get("d_safe", ocp.ConstraintStack.d_safe)
         # (field, its INI key, value, zero allowed, finite required); the
         # negated comparisons also reject NaN
         for name, key, value, closed, finite in (
+                ("duration", "[scenario] duration", self.duration, False, True),
                 ("cut_in.cut_start", "ru_cut_start", self.cut_in.cut_start,
                  True, False),
                 ("cut_in.cut_duration", "ru_cut_duration",
@@ -176,6 +177,9 @@ class ScenarioConfig:
         if not 0.0 <= self.ego_s0 <= self.path_length:     # and not NaN
             raise ValueError(f"ego_s0 ([scenario] ego_s0) must be in "
                              f"[0, {self.path_length}], got {self.ego_s0}")
+        n = self.duration / self.horizon.t_s
+        if abs(n - round(n)) > 1e-9:
+            raise ValueError("duration must be a multiple of the sampling time")
 
     @property
     def n_steps(self) -> int:
@@ -183,14 +187,9 @@ class ScenarioConfig:
 
 
 def _parse_kv_list(text: str) -> dict:
-    out = {}
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        key, val = item.split(":")
-        out[key.strip()] = val.strip()
-    return out
+    """`k: v, k: v` as a dict of stripped strings."""
+    pairs = (item.split(":") for item in text.split(",") if item.strip())
+    return {key.strip(): val.strip() for key, val in pairs}
 
 
 def _defaults(cls) -> dict:
@@ -258,8 +257,9 @@ def load_scenario(filename: str) -> ScenarioConfig:
     [vehicle], [horizon]: the fields of VehicleParams, ocp.HorizonConfig.
     [prediction]: eps0, eps1 (the growth) and d_safe. [stack]: the other
     fields of ocp.ConstraintStack. [surrogate]: SURROGATE_DEFAULTS. [data]:
-    one dataset size per mode name. [mode.<name>]: priority (required),
-    template (lon or lat), relax and ceilings (k:v lists), drop, model.
+    one dataset size (at least 1) per mode name. [mode.<name>]: priority
+    (required), template (lon or lat), relax and ceilings (k:v lists),
+    drop, model (read when the learned-route controller is built).
     """
     cp = configparser.ConfigParser()
     if not cp.read(filename):
@@ -303,6 +303,10 @@ def load_scenario(filename: str) -> ScenarioConfig:
             raise ValueError(f"{filename}: [{section}] {exc}") from None
         mode_specs.append((mode, ms["template"], path_in_base(ms["model"])))
     data = read("data", {m.name.lower(): 0 for m, _, _ in mode_specs})
+    for key, count in data.items():
+        if count < 1:
+            raise ValueError(f"{filename}: [data] {key} = {count} must be "
+                             "at least 1")
 
     sc, pred = got["scenario"], got["prediction"]
     sc.setdefault("name", os.path.splitext(os.path.basename(filename))[0])
@@ -340,24 +344,28 @@ def scenario_template(config: ScenarioConfig, kind: str) -> ScenarioTemplate:
 
 def build_controller(config: ScenarioConfig,
                      use_oracle: bool = False) -> PriorityController:
-    path = straight_path(config.path_length, lane_width=config.lane_width)
-    stack = scenario_stack(config)
-    weights = ocp.terminal_weights(path, config.params, config.horizon.t_s,
-                                   config.v_ref)
+    """The scenario's controller. On the learned route each mode's model
+    file is loaded and checked against its mode; a file that is missing or
+    unreadable, or a model that does not fit its mode, raises ModelError
+    naming the mode and the file."""
     runtimes = []
     for mode, kind, model_file in config.mode_specs:
-        model = None
-        if not use_oracle:
-            if model_file:
-                model = load_model(model_file)
-            else:
-                raise FileNotFoundError(f"no model for mode {mode.name}")
-        runtimes.append(ModeRuntime(mode=mode,
-                                    template=scenario_template(config, kind),
-                                    model=model))
-    return PriorityController(path, config.params, weights, config.horizon,
-                              stack, runtimes, v_ref=config.v_ref,
-                              use_oracle=use_oracle)
+        try:
+            model = None if use_oracle else load_model(model_file)
+        except (OSError, ValueError, KeyError) as exc:
+            raise ModelError(mode.name, f"model file {model_file!r}: "
+                             f"{exc}") from None
+        runtimes.append(ModeRuntime(mode=mode, kind=kind, model=model))
+    path = straight_path(config.path_length, lane_width=config.lane_width)
+    try:
+        return PriorityController(path, config.params, config.horizon,
+                                  scenario_stack(config), runtimes,
+                                  config.v_ref, use_oracle)
+    except ModelError as exc:
+        model_file = next(f for m, _, f in config.mode_specs
+                          if m.name == exc.mode)
+        raise ModelError(exc.mode, f"model file {model_file!r}: "
+                         f"{exc.reason}") from None
 
 
 @dataclass
@@ -440,9 +448,7 @@ def metrics(log: SimLog) -> dict:
     gaps = _gaps(log)
     finite = np.isfinite(gaps)
     branches = log.branches
-    occupancy = {}
-    for b in branches:
-        occupancy[b] = occupancy.get(b, 0) + 1
+    occupancy = collections.Counter(branches)
     hard = np.array([d.hard_residual for d in log.decisions])
     soft = np.array([d.soft_residual for d in log.decisions])
     a_y, j_y = dyn.comfort_quantities(log.states, log.params)
@@ -466,15 +472,12 @@ def metrics(log: SimLog) -> dict:
 
 def _branch_bands(log: SimLog):
     """Contiguous activation intervals per non-nominal branch."""
-    bands = []
-    start = None
-    current = None
-    for k, b in enumerate(log.branches + [BRANCH_NOMINAL]):
-        if b != current:
-            if current not in (None, BRANCH_NOMINAL):
-                bands.append((current, start, k * log.t_s))
-            current = b
-            start = k * log.t_s
+    bands, k = [], 0
+    for branch, run in itertools.groupby(log.branches):
+        n = len(list(run))
+        if branch != BRANCH_NOMINAL:
+            bands.append((branch, k * log.t_s, (k + n) * log.t_s))
+        k += n
     return bands
 
 
@@ -521,55 +524,43 @@ def write_decision_log(log: SimLog, filename: str) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+def _panel(title: str, ylabel: str, t, ys, *hlines) -> plots.Panel:
+    """A panel of the series ys over t, with the horizontal lines hlines."""
+    panel = plots.Panel(title, ylabel)
+    panel.add_series(t, ys)
+    for y in hlines:
+        panel.add_hline(y)
+    return panel
+
+
 def emit_plots(log: SimLog, out_dir: str, name: str, config: ScenarioConfig) -> list:
     """Longitudinal and lateral triptychs with mode activation bands."""
     os.makedirs(out_dir, exist_ok=True)
+    t, x, p = log.t, log.states, config.params
+    gaps = _gaps(log)
+    a_y, j_y = dyn.comfort_quantities(x, log.params)
+    lane = _panel("lateral position", "e_y [m]", t, x[:, dyn.IDX_EY])
+    lane.add_series(t, np.array([pr.corridor_lo[0] for pr in log.profiles]),
+                    color="#999999", label="corridor")
+    lane.add_series(t, np.array([pr.corridor_hi[0] for pr in log.profiles]),
+                    color="#999999")
+    figures = {
+        "lon": [_panel("speed", "v [m/s]", t, x[:, dyn.IDX_V]),
+                _panel("gap to yield bound", "gap [m]", t,
+                       np.where(np.isfinite(gaps), gaps, np.nan), 0.0),
+                _panel("acceleration", "a [m/s^2]", t, x[:, dyn.IDX_A],
+                       p.accel_min)],
+        "lat": [lane,
+                _panel("lateral acceleration", "a_y [m/s^2]", t, a_y,
+                       p.lat_accel_max, -p.lat_accel_max),
+                _panel("lateral jerk", "j_y [m/s^3]", t, j_y,
+                       p.lat_jerk_max, -p.lat_jerk_max)]}
     bands = _branch_bands(log)
     files = []
-
-    lon = []
-    p = plots.Panel("speed", "v [m/s]")
-    p.add_series(log.t, log.states[:, dyn.IDX_V])
-    lon.append(p)
-    p = plots.Panel("gap to yield bound", "gap [m]")
-    gaps = _gaps(log)
-    p.add_series(log.t, np.where(np.isfinite(gaps), gaps, np.nan))
-    p.add_hline(0.0)
-    lon.append(p)
-    p = plots.Panel("acceleration", "a [m/s^2]")
-    p.add_series(log.t, log.states[:, dyn.IDX_A])
-    p.add_hline(config.params.accel_min)
-    lon.append(p)
-    for panel in lon:
-        for bname, b0, b1 in bands:
-            panel.add_band(b0, b1, _BAND_COLORS.get(bname, "#cccccc"), bname)
-    f = os.path.join(out_dir, f"{name}_lon.svg")
-    plots.write_figure(f, lon)
-    files.append(f)
-
-    lat = []
-    p = plots.Panel("lateral position", "e_y [m]")
-    p.add_series(log.t, log.states[:, dyn.IDX_EY])
-    p.add_series(log.t, np.array([pr.corridor_lo[0] for pr in log.profiles]),
-                 color="#999999", label="corridor")
-    p.add_series(log.t, np.array([pr.corridor_hi[0] for pr in log.profiles]),
-                 color="#999999")
-    lat.append(p)
-    a_y, j_y = dyn.comfort_quantities(log.states, log.params)
-    p = plots.Panel("lateral acceleration", "a_y [m/s^2]")
-    p.add_series(log.t, a_y)
-    p.add_hline(config.params.lat_accel_max)
-    p.add_hline(-config.params.lat_accel_max)
-    lat.append(p)
-    p = plots.Panel("lateral jerk", "j_y [m/s^3]")
-    p.add_series(log.t, j_y)
-    p.add_hline(config.params.lat_jerk_max)
-    p.add_hline(-config.params.lat_jerk_max)
-    lat.append(p)
-    for panel in lat:
-        for bname, b0, b1 in bands:
-            panel.add_band(b0, b1, _BAND_COLORS.get(bname, "#cccccc"), bname)
-    f = os.path.join(out_dir, f"{name}_lat.svg")
-    plots.write_figure(f, lat)
-    files.append(f)
+    for figure, panels in figures.items():
+        for panel in panels:
+            for bname, b0, b1 in bands:
+                panel.add_band(b0, b1, _BAND_COLORS.get(bname, "#cccccc"), bname)
+        files.append(os.path.join(out_dir, f"{name}_{figure}.svg"))
+        plots.write_figure(files[-1], panels)
     return files

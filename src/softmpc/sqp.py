@@ -74,7 +74,7 @@ violation bound, and max-iter otherwise.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -169,18 +169,10 @@ class SolveReport:
     phase_s: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "objective": self.objective,
-            "stationarity": self.stationarity,
-            "primal_infeasibility": self.primal_infeasibility,
-            "complementarity": self.complementarity,
-            "sqp_iterations": self.sqp_iterations,
-            "ip_iterations": self.ip_iterations,
-            "wall_time": self.wall_time,
-            "infeasibility_measure": self.infeasibility_measure,
-            "phase_s": dict(self.phase_s),
-        }
+        """Every field but the point (us, xs, gamma); phase_s copied."""
+        return {**{f.name: getattr(self, f.name) for f in fields(self)
+                   if f.name not in ("us", "xs", "gamma")},
+                "phase_s": dict(self.phase_s)}
 
 
 # Stage rows, vals <= 0 meaning satisfied, come for the whole horizon in

@@ -388,33 +388,28 @@ def certify(model: SurrogateModel, n_pairs: int = 0, seed: int = 0) -> dict:
 
 def max_state_step(params, horizon, v_max: float, n_samples: int = 100_000,
                    seed: int = 0) -> float:
-    """Sampled bound on the one-step state motion norm inside the box.
+    """Sampled bound on the one-step state motion norm inside the box: the
+    largest |x+ - x| over n_samples uniform draws of a state and an input,
+    each stepped once with the model's RK4 step.
 
-    Used for the budget denominator; a sampled maximum under-approximates
-    the true supremum, which the certificate report notes.
+    Each draw takes its nine values in the order (s, e_y, e_psi, delta,
+    alpha, v, a, delta_sp, a_req), from one generator call for all draws;
+    the stream is that of one rng.uniform call per value. Used for the
+    budget denominator; a sampled maximum under-approximates the true
+    supremum, which the certificate report notes.
     """
     from . import dynamics as dyn
     from .path import straight_path
-    rng = np.random.default_rng(seed)
-    path = straight_path(2.0 * v_max * horizon.t_s + 100.0)
-    worst = 0.0
-    batch = min(n_samples, 2000)
     p = params
-    for _ in range(max(1, n_samples // batch)):
-        for _ in range(batch // 100):
-            x = dyn.state(
-                s=rng.uniform(1.0, 50.0),
-                e_y=rng.uniform(-p.e_y_max, p.e_y_max),
-                e_psi=rng.uniform(-p.e_psi_max, p.e_psi_max),
-                delta=rng.uniform(-p.delta_max, p.delta_max),
-                alpha=rng.uniform(-p.alpha_max, p.alpha_max),
-                v=rng.uniform(0.0, v_max),
-                a=rng.uniform(p.accel_min, p.accel_max))
-            u = np.array([rng.uniform(-p.delta_max, p.delta_max),
-                          rng.uniform(p.accel_min, p.accel_max)])
-            x_next = dyn.f_discrete(x, u, path, p, horizon.t_s)
-            worst = max(worst, float(np.linalg.norm(x_next - x)))
-    return worst
+    lo = (1.0, -p.e_y_max, -p.e_psi_max, -p.delta_max, -p.alpha_max, 0.0,
+          p.accel_min, -p.delta_max, p.accel_min)
+    hi = (50.0, p.e_y_max, p.e_psi_max, p.delta_max, p.alpha_max, v_max,
+          p.accel_max, p.delta_max, p.accel_max)
+    draws = np.random.default_rng(seed).uniform(lo, hi, (n_samples, len(lo)))
+    xs, us = draws[:, :dyn.NX], draws[:, dyn.NX:]
+    path = straight_path(2.0 * v_max * horizon.t_s + 100.0)
+    x_next = dyn.rk4_steps(xs, us, path, p, horizon.t_s)
+    return float(np.max(np.linalg.norm(x_next - xs, axis=1)))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ PATH = straight_path(600.0)
 HORIZON = ocp.HorizonConfig(n_cost=8, n_constraint=40, t_s=0.1)
 STACK = ocp.ConstraintStack(params=PARAMS)
 V_REF = 7.0
-WEIGHTS = ocp.terminal_weights(PATH, PARAMS, HORIZON.t_s, V_REF)
 
 MODE_E1 = ocp.RelaxationMode(name="E1", priority=1, relax={"g_follow": "delta_g"},
                              ceilings={"delta_g": 30.0})
@@ -34,14 +33,16 @@ MODE_E2 = ocp.RelaxationMode(
     ceilings={"delta_g": 30.0, "delta_a": 6.0})
 LON_TEMPLATE = ScenarioTemplate(kind="lon", horizon=HORIZON, params=PARAMS,
                                 stack=STACK, v_ref=V_REF)
+LAT_TEMPLATE = ScenarioTemplate(kind="lat", horizon=HORIZON, params=PARAMS,
+                                stack=STACK, v_ref=V_REF)
 
 
 def _controller(modes=None, **kw):
     if modes is None:
-        modes = [ModeRuntime(mode=MODE_E1, template=LON_TEMPLATE),
-                 ModeRuntime(mode=MODE_E2, template=LON_TEMPLATE)]
-    return PriorityController(PATH, PARAMS, WEIGHTS, HORIZON, STACK, modes,
-                              v_ref=V_REF, use_oracle=True, **kw)
+        modes = [ModeRuntime(mode=MODE_E1, kind="lon"),
+                 ModeRuntime(mode=MODE_E2, kind="lon")]
+    return PriorityController(PATH, PARAMS, HORIZON, STACK, modes, V_REF,
+                              use_oracle=True, **kw)
 
 
 def _profile_from_ru(ru, ego_lane="right"):
@@ -65,19 +66,19 @@ def test_consistent_cycles_take_nominal_branch():
 
 
 def test_duplicate_priorities_rejected():
-    modes = [ModeRuntime(mode=MODE_E1, template=LON_TEMPLATE),
+    modes = [ModeRuntime(mode=MODE_E1, kind="lon"),
              ModeRuntime(mode=ocp.RelaxationMode(
                  name="X", priority=1, relax={"g_follow": "c"},
-                 ceilings={"c": 5.0}), template=LON_TEMPLATE)]
+                 ceilings={"c": 5.0}), kind="lon")]
     with pytest.raises(ValueError, match="unique"):
         _controller(modes=modes)
 
 
 def test_model_required_without_oracle():
     with pytest.raises(ValueError, match="trained model"):
-        PriorityController(PATH, PARAMS, WEIGHTS, HORIZON, STACK,
-                           [ModeRuntime(mode=MODE_E1, template=LON_TEMPLATE)],
-                           v_ref=V_REF, use_oracle=False)
+        PriorityController(PATH, PARAMS, HORIZON, STACK,
+                           [ModeRuntime(mode=MODE_E1, kind="lon")],
+                           V_REF, use_oracle=False)
 
 
 def test_cut_in_escalates_and_respects_hard_rows():
@@ -98,7 +99,7 @@ def test_cut_in_escalates_and_respects_hard_rows():
 
 
 def test_failure_when_no_mode_feasible():
-    ctrl = _controller(modes=[ModeRuntime(mode=MODE_E1, template=LON_TEMPLATE)])
+    ctrl = _controller(modes=[ModeRuntime(mode=MODE_E1, kind="lon")])
     x = dyn.state(s=0.0, v=20.0)  # fast approach, tiny gap, short horizon
     ctrl.step(x, _profile_from_ru(RoadUserState(lon=100.0, lat=0.0, v_lon=20.0)))
     decision = ctrl.step(x, _profile_from_ru(RoadUserState(lon=6.0, lat=0.0, v_lon=0.0)))
@@ -114,11 +115,9 @@ def test_oracle_gates_show_which_verdicts_the_certificate_settled():
     # is the left lane from step 0, which excludes the ego's e_y = 0: the
     # lateral mode E3 has no certificate, but its SQP ends at the pinned-row
     # exit, also without an iteration
-    lat_template = ScenarioTemplate(kind="lat", horizon=HORIZON, params=PARAMS,
-                                    stack=STACK, v_ref=V_REF)
-    modes = [ModeRuntime(mode=MODE_E1, template=LON_TEMPLATE),
-             ModeRuntime(mode=MODE_E2, template=LON_TEMPLATE),
-             ModeRuntime(mode=MODE_E3, template=lat_template)]
+    modes = [ModeRuntime(mode=MODE_E1, kind="lon"),
+             ModeRuntime(mode=MODE_E2, kind="lon"),
+             ModeRuntime(mode=MODE_E3, kind="lat")]
     profile = build_profile(PATH, RoadUserState(lon=8.0, lat=0.0, v_lon=0.0),
                             HORIZON.n_constraint, HORIZON.t_s,
                             growth=(0.25, 0.3), d_safe=6.0, evasive=True)
@@ -134,8 +133,8 @@ def test_oracle_gates_show_which_verdicts_the_certificate_settled():
     # reads e_y alone, by the corridor's distance to the ego
     step0_miss = profile.corridor_lo[0] - x[dyn.IDX_EY]
     assert step0_miss == 1.75
-    _, _, rep = oracle_solve(lat_template, MODE_E3,
-                             build_theta(lat_template, x, profile))
+    _, _, rep = oracle_solve(LAT_TEMPLATE, MODE_E3,
+                             build_theta(LAT_TEMPLATE, x, profile))
     assert (rep.sqp_iterations, rep.ip_iterations) == (0, 0)
     assert rep.infeasibility_measure == step0_miss
 
@@ -218,7 +217,7 @@ def test_ladder_solves_each_distinct_problem_once(monkeypatch, modes, slacks,
     monkeypatch.setattr(controller, "solve", failing_solve)
     monkeypatch.setattr(controller, "oracle_solve", lambda template, mode, theta: (
         True, np.array(slacks[mode.name]), _report(STATUS_OPTIMAL, None, None)))
-    ctrl = _controller(modes=[ModeRuntime(mode=m, template=LON_TEMPLATE)
+    ctrl = _controller(modes=[ModeRuntime(mode=m, kind="lon")
                               for m in modes])
     decision = ctrl.step(dyn.state(v=5.0), profile)
     assert decision.branch == BRANCH_FAILURE
@@ -312,9 +311,9 @@ def test_surrogate_backed_controller_runs():
     model = train_mode_model("E1", MODE_E1.channels, MODE_E1.ceiling_vector(),
                              thetas, feas, slacks, budget, epochs=300, seed=1)
     ctrl = PriorityController(
-        PATH, PARAMS, WEIGHTS, HORIZON, STACK,
-        [ModeRuntime(mode=MODE_E1, template=LON_TEMPLATE, model=model)],
-        v_ref=V_REF, use_oracle=False)
+        PATH, PARAMS, HORIZON, STACK,
+        [ModeRuntime(mode=MODE_E1, kind="lon", model=model)], V_REF,
+        use_oracle=False)
     x = dyn.state(s=0.0, v=V_REF)
     d0 = ctrl.step(x, _profile_from_ru(RoadUserState(lon=50.0, lat=0.0, v_lon=7.0)))
     assert d0.branch == BRANCH_NOMINAL
@@ -338,4 +337,6 @@ def test_model_ceiling_mismatch_rejected():
     model = train_mode_model("E1", ("delta_g",), np.array([12.0]), thetas,
                              feas, slacks, budget, epochs=50, seed=1)
     with pytest.raises(ValueError, match="ceilings"):
-        ModeRuntime(mode=MODE_E1, template=LON_TEMPLATE, model=model)
+        PriorityController(
+            PATH, PARAMS, HORIZON, STACK,
+            [ModeRuntime(mode=MODE_E1, kind="lon", model=model)], V_REF)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ def test_horizon_config_validation():
 
 def test_mode_selector_row_sums():
     for mode in (MODE_E1, MODE_E2, MODE_E3):
-        E = mode.selector()
+        E = mode.selector
         relaxed_rows = [ocp.ROW_LABELS.index(lbl) for lbl in mode.relax]
         sums = E.sum(axis=1)
         for k in range(len(ocp.ROW_LABELS)):
@@ -237,19 +238,10 @@ def test_zero_slack_relaxed_equals_nominal_feasible_set():
                        rng.uniform(-4.0, 2.0, HORIZON.n_constraint)], axis=1)
         xs = dyn.rollout(x0, us, PATH, PARAMS, HORIZON.t_s)
         res_nom = ocp.eval_constraints(xs, us, STACK, profile)
-        E = MODE_E2.selector()
+        E = MODE_E2.selector
         lift = E @ np.zeros(MODE_E2.n_channels)
         res_rel = res_nom - lift[:, None]
         assert np.array_equal(res_nom <= 1e-9, res_rel <= 1e-9)
-
-
-def _hard_rows(mode, slack):
-    """The rows the controller's hard-row gate checks (see
-    PriorityController._residuals): neither lifted by a positive commanded
-    slack nor dropped by the mode."""
-    hard = ~(mode.selector() @ slack > 0.0)
-    hard[[ocp.ROW_LABELS.index(lbl) for lbl in mode.drop]] = False
-    return hard
 
 
 def test_relaxed_lifts_only_selected_rows():
@@ -275,7 +267,7 @@ def test_relaxed_lifts_only_selected_rows():
     rep_rel = solve(rel)
     assert rep_rel.status == STATUS_OPTIMAL
     res = ocp.eval_constraints(rep_rel.xs, rep_rel.us, STACK, profile)
-    hard = _hard_rows(MODE_E1, slack)
+    hard, _ = MODE_E1.split(slack)
     assert hard.sum() == 22
     assert np.max(res[hard]) <= 1e-6
     follow = ocp.ROW_LABELS.index("g_follow")
@@ -351,6 +343,49 @@ def test_zero_lift_builds_the_nominal_rows_bit_for_bit(case, x):
     assert _rows_bytes(e1, xs, us) == _rows_bytes(e2, xs, us)
 
 
+@given(case=states_and_yield_bounds(),
+       mode=st.sampled_from([ocp.NOMINAL_MODE, MODE_E1, MODE_E2, MODE_E3]),
+       data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_row_roles_are_the_modes_own(case, mode, data):
+    # the mode answers which stack rows it keeps and how far a slack lifts
+    # each; the relaxed problem's stage rows and the controller's hard-row
+    # gate both read those answers
+    x0, sigma, xs, us = case
+    slack = np.array([data.draw(st.one_of(st.just(0.0), st.floats(0.0, c)))
+                      for c in mode.ceiling_vector()])
+    kept = np.array([lbl not in mode.drop for lbl in ocp.ROW_LABELS])
+    lift = np.zeros(len(ocp.ROW_LABELS))
+    for label, ch in mode.relax.items():
+        lift[ocp.ROW_LABELS.index(label)] = slack[mode.channels.index(ch)]
+    assert np.array_equal(mode.kept, kept)
+    assert np.array_equal(mode.lift(slack), lift)
+    hard, soft = mode.split(slack)
+    assert np.array_equal(soft, lift > 0.0)
+    assert np.array_equal(hard, kept & (lift <= 0.0))
+
+    M = HORIZON.n_constraint
+    profile = DisturbanceProfile(yield_bound=sigma,
+                                 corridor_lo=np.full(M + 1, -1.75),
+                                 corridor_hi=np.full(M + 1, 1.75))
+    x_refs, u_refs = _refs(float(x0[dyn.IDX_S]))
+    nlp = ocp.build_relaxed(x0, PATH, PARAMS, _weights(), HORIZON, STACK,
+                            profile, mode, slack, x_refs, u_refs)
+    n_rows = len(ocp.ROW_LABELS)
+    finite = np.isfinite(STACK.bounds(profile)[:M])
+    assert np.array_equal(nlp.stage_row_mask[:, :n_rows], finite & kept)
+    res = ocp.eval_constraints(xs, us, STACK, profile)
+    vals, _, G = nlp.stage_rows(xs[:-1], us)
+    assert G is None
+    assert np.array_equal(vals[:, :n_rows], res.T - lift)
+
+    ctrl = PriorityController(PATH, PARAMS, HORIZON, STACK, [], 7.0,
+                              use_oracle=True)
+    gate = ctrl._residuals(SimpleNamespace(xs=xs, us=us), profile, mode, slack)
+    assert gate == (np.max(res[hard], initial=-np.inf),
+                    np.max(res[soft] - lift[soft, None], initial=-np.inf))
+
+
 def test_relaxed_rejects_slack_beyond_ceiling():
     weights = _weights()
     x_refs, u_refs = _refs(0.0)
@@ -398,7 +433,7 @@ def _oracle_slack_in_relaxed_problem(kind, mode, x0, profile, v_ref):
     assert PriorityController._solve_usable(rep)
     res = ocp.eval_constraints(rep.xs, rep.us, STACK, profile)
     res = np.where(np.isfinite(res), res, -np.inf)
-    hard = _hard_rows(mode, slack)
+    hard, _ = mode.split(slack)
     assert np.max(res[hard]) <= HARD_ROW_TOL
     return int(hard.sum())
 

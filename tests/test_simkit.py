@@ -16,6 +16,8 @@ from softmpc.environment import RoadUserState, nominal_profile
 from softmpc.oracle import ScenarioTemplate
 from softmpc.simkit import (CutInSpec, ScenarioConfig, SimLog, emit_plots,
                             load_scenario, metrics, run, write_log_csv)
+from softmpc.surrogate import (DenseNet, LipschitzBudget, SurrogateModel,
+                               save_model)
 
 
 def _small_config(**kw):
@@ -93,14 +95,18 @@ def test_bad_cut_in_ini_key_reaches_the_cli_config_error(tmp_path, capsys):
     ("ego_v0", "-5"), ("ego_v0", "nan"), ("ego_v0", "inf"),
     ("path_length", "0"), ("path_length", "-800"), ("path_length", "nan"),
     ("ego_s0", "-5"), ("ego_s0", "900"), ("ego_s0", "nan"),
+    ("duration", "0"), ("duration", "-1"), ("duration", "nan"),
 ])
 def test_bad_scenario_ini_key_reaches_the_cli_config_error(
         tmp_path, capsys, key, value):
     # lane_width = 0 used to run to the end; the others used to end the run
-    # with a PathRangeError or a NaN error from the first cycle
+    # with a PathRangeError or a NaN error from the first cycle, or (the
+    # durations) with a traceback from metrics' empty log or np.empty
     from softmpc import cli
     ini = tmp_path / "bad.ini"
-    ini.write_text(f"[scenario]\nduration = 2.0\n{key} = {value}\n")
+    values = {"duration": "2.0", key: value}
+    ini.write_text("[scenario]\n" + "".join(f"{k} = {v}\n"
+                                            for k, v in values.items()))
     code = cli.main(["simulate", "--config", str(ini), "--oracle",
                      "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_CONFIG
@@ -446,10 +452,11 @@ def _write_ini(tmp_path, text) -> str:
     return str(ini)
 
 
-def _simulate_ini(tmp_path, text):
+def _simulate_ini(tmp_path, text, oracle=True):
     from softmpc import cli
     return cli.main(["simulate", "--config", _write_ini(tmp_path, text),
-                     "--oracle", "--out", str(tmp_path / "out")])
+                     "--out", str(tmp_path / "out")]
+                    + (["--oracle"] if oracle else []))
 
 
 def _with_line(section, line):
@@ -486,18 +493,64 @@ def test_misspelled_key_is_a_config_error(tmp_path, capsys, section, line):
     assert f"[{section}]" in err and repr(key) in err
 
 
+def _write_model(filename, n_inputs, ceilings):
+    """An untrained surrogate file that reads n_inputs values."""
+    rng = np.random.default_rng(0)
+    budget = LipschitzBudget(40.0, 4.0, np.array(list(ceilings.values())))
+    save_model(SurrogateModel(
+        mode_name="E1", channels=tuple(ceilings),
+        regressor=DenseNet.init(rng, (n_inputs, 4, len(ceilings))),
+        classifier=DenseNet.init(rng, (n_inputs, 4, 1)),
+        input_shift=np.zeros(n_inputs), input_scale=np.ones(n_inputs),
+        budget=budget), str(filename))
+
+
 @pytest.mark.parametrize("section, line, words", [
     ("mode.E1", "template = lateral", ["[mode.E1]", "'lateral'", "lon"]),
     ("stack", "d_safe = 5.0", ["d_safe", "[prediction]"]),
     ("scenario", "evasive = maybe", ["[scenario]", "evasive"]),
     ("horizon", "n_cost = 2.5", ["[horizon]", "n_cost"]),
+    # the learned route's models are read when the controller is built: a
+    # missing file used to end the run with a FileNotFoundError traceback,
+    # and a model of the wrong input size with a numpy broadcast error at
+    # the first escalating cycle (the lon input is 104 values at M = 100)
+    ("mode.E1", "model = missing.json", ["mode E1", "missing.json"]),
+    ("mode.E1", "model = inputs44.json",
+     ["mode E1", "inputs44.json", "44 inputs", "104"]),
 ])
 def test_bad_value_is_a_config_error(tmp_path, capsys, section, line, words):
     from softmpc import cli
-    assert _simulate_ini(tmp_path, _with_line(section, line)) == cli.EXIT_CONFIG
+    _write_model(tmp_path / "inputs44.json", 44, {"delta_g": 25.0})
+    assert _simulate_ini(tmp_path, _with_line(section, line),
+                         oracle=False) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("[config]")
     assert all(w in err for w in words), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_data_count_below_one_is_a_config_error(tmp_path, capsys):
+    # gen-data used to pass a [data] count of 0 to the labeler, which
+    # raised a ValueError traceback
+    from softmpc import cli
+    text = _VALID_INI.replace("e1 = 10", "e1 = 0")
+    assert _simulate_ini(tmp_path, text) == cli.EXIT_CONFIG
+    assert "[data] e1 = 0 must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gen-data", "pipeline"])
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_count_below_one_is_a_usage_error(tmp_path, capsys, command, count):
+    # --count 0 used to label the [data] count instead, and --count -3 to
+    # end in a ValueError traceback
+    from softmpc import cli
+    args = [command, "--config", _write_ini(tmp_path, _VALID_INI),
+            "--count", count, "--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(args + (["--mode", "E1"] if command == "gen-data" else []))
+    assert exit_.value.code == cli.EXIT_CONFIG
+    assert "--count: must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_negative_ceiling_is_a_config_error(tmp_path, capsys):

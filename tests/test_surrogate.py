@@ -3,9 +3,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from softmpc import dynamics as dyn
+from softmpc.dynamics import VehicleParams
+from softmpc.ocp import HorizonConfig
+from softmpc.path import straight_path
 from softmpc.surrogate import (DenseNet, LipschitzBudget, SurrogateModel,
-                               certify, load_model, save_model,
-                               train_classifier, train_mode_model,
+                               certify, load_model, max_state_step,
+                               save_model, train_classifier, train_mode_model,
                                train_regressor)
 
 
@@ -259,3 +263,30 @@ def test_admissible_disturbance_budget():
     got = model.admissible_disturbance(state_step_norm=2.0)
     expected = min((30.0 - 0.5) / caps[0], (6.0 - 0.5) / caps[1]) - 2.0
     assert got == pytest.approx(expected)
+
+
+def test_max_state_step_takes_every_draw():
+    # the bound is the largest one-step motion over all n_samples draws,
+    # drawn in the order of one state and one input at a time (it used to
+    # take n_samples // 100 of them: 3 here)
+    p, horizon, n = VehicleParams(), HorizonConfig(), 300
+    rng = np.random.default_rng(11)
+    path = straight_path(2.0 * p.v_max * horizon.t_s + 100.0)
+    steps = []
+    for _ in range(n):
+        x = dyn.state(s=rng.uniform(1.0, 50.0),
+                      e_y=rng.uniform(-p.e_y_max, p.e_y_max),
+                      e_psi=rng.uniform(-p.e_psi_max, p.e_psi_max),
+                      delta=rng.uniform(-p.delta_max, p.delta_max),
+                      alpha=rng.uniform(-p.alpha_max, p.alpha_max),
+                      v=rng.uniform(0.0, p.v_max),
+                      a=rng.uniform(p.accel_min, p.accel_max))
+        u = np.array([rng.uniform(-p.delta_max, p.delta_max),
+                      rng.uniform(p.accel_min, p.accel_max)])
+        x_next = dyn.f_discrete(x, u, path, p, horizon.t_s)
+        steps.append(np.linalg.norm(x_next - x))
+    # the vectorized sin, cos and tan may differ from the scalar ones in
+    # the last bit
+    assert max_state_step(p, horizon, p.v_max, n_samples=n, seed=11) == \
+        pytest.approx(max(steps), rel=1e-12)
+    assert max(steps) > max(steps[:3])
