@@ -36,6 +36,16 @@ def _load_config(path: str):
         raise StageError("config", str(exc), EXIT_CONFIG)
 
 
+def _read_file(kind: str, filename: str, load):
+    """load(filename); a file that cannot be read is a [config] error."""
+    try:
+        return load(filename)
+    except (OSError, ValueError, KeyError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise StageError("config", f"{kind} file {filename!r}: {detail}",
+                         EXIT_CONFIG) from None
+
+
 def _mode_by_name(config, name: str):
     for mode, kind, model_file in config.mode_specs:
         if mode.name.upper() == name.upper():
@@ -70,7 +80,7 @@ def cmd_train(args) -> int:
     from .surrogate import LipschitzBudget, max_state_step, save_model, train_mode_model
     config = _load_config(args.config)
     mode, kind, _ = _mode_by_name(config, args.mode)
-    thetas, feasible, slacks = load_dataset(args.data)
+    thetas, feasible, slacks = _read_file("data", args.data, load_dataset)
     kw = {**SURROGATE_DEFAULTS, **config.surrogate_kw}
     step_bound = max_state_step(config.params, config.horizon,
                                 config.params.v_max, n_samples=20_000,
@@ -95,10 +105,7 @@ def cmd_train(args) -> int:
 
 def cmd_certify(args) -> int:
     from .surrogate import certify, load_model
-    try:
-        model = load_model(args.model)
-    except (FileNotFoundError, ValueError) as exc:
-        raise StageError("certify", str(exc), EXIT_CONFIG)
+    model = _read_file("model", args.model, load_model)
     report = certify(model, n_pairs=args.pairs, seed=args.seed)
     print(json.dumps(report, indent=1, sort_keys=True))
     if not report["certified"] or not report.get("sampled_within_bound", True):
@@ -175,7 +182,7 @@ def cmd_pipeline(args) -> int:
 
 
 def positive_int(text: str) -> int:
-    """A --count value: an integer of at least 1."""
+    """A --count or --workers value: an integer of at least 1."""
     if int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
     return int(text)
@@ -192,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True)
     p.add_argument("--count", type=positive_int, default=None)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=positive_int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_data)
 
@@ -224,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=positive_int, default=None)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--pairs", type=int, default=20_000)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=positive_int, default=None)
     p.set_defaults(func=cmd_pipeline)
     return parser
 

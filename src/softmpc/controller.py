@@ -15,9 +15,11 @@ so a rung repeating a problem that already failed (a zero oracle slack
 repeats the nominal one) is not solved again: its gate reads solve_status
 "duplicate" and names the rung it repeats.
 
-The controller derives its terminal weights (ocp.terminal_weights) and one
-scenario template per subsystem kind, with the path's lane width, from its
-own settings, and checks each mode's surrogate when it is built.
+The one vehicle model is the stack's params: its problems and the oracle's
+roll it out, and the stack's rows bound it. The controller derives its
+terminal cost matrix (ocp.terminal_weights) and one scenario template per
+subsystem kind, with the path's lane width, from its own settings, and
+checks each mode's surrogate when it is built.
 """
 from __future__ import annotations
 
@@ -113,11 +115,10 @@ class PriorityController:
     previous input plan kept only as a warm start.
     """
 
-    def __init__(self, path: PathGeometry, params, horizon: ocp.HorizonConfig,
+    def __init__(self, path: PathGeometry, horizon: ocp.HorizonConfig,
                  stack: ocp.ConstraintStack, modes: list, v_ref: float,
                  use_oracle: bool = False):
         self.path = path
-        self.params = params
         self.horizon = horizon
         self.stack = stack
         self.modes = sorted(modes, key=lambda m: m.mode.priority)
@@ -126,9 +127,10 @@ class PriorityController:
             raise ValueError("mode priorities must be unique")
         self.v_ref = v_ref
         self.use_oracle = use_oracle
-        self.weights = ocp.terminal_weights(path, params, horizon.t_s, v_ref)
-        self.templates = {kind: ScenarioTemplate(kind, horizon, params, stack,
-                                                 v_ref, path.lane_width)
+        self.terminal_P = ocp.terminal_weights(path, stack.params,
+                                               horizon.t_s, v_ref)
+        self.templates = {kind: ScenarioTemplate(kind, horizon, stack, v_ref,
+                                                 path.lane_width)
                           for kind in TEMPLATE_KINDS}
         for m in self.modes:
             self._check_model(m)
@@ -213,8 +215,8 @@ class PriorityController:
                 gates[name] = {"budget_ok": True, "predicted_feasible": feasible,
                                "oracle_status": rep.status,
                                "oracle_sqp_iterations": rep.sqp_iterations}
-                yield (rt.mode, gates[name],
-                       np.clip(slack_star, 0.0, ceil) if feasible else None)
+                # oracle_solve clips the slack to [0, ceiling]
+                yield rt.mode, gates[name], slack_star if feasible else None
                 continue
             budget = rt.model.admissible_disturbance(state_step)
             slack_pred, infeasible, score = rt.model.infer(theta)
@@ -239,8 +241,8 @@ class PriorityController:
 
         x_refs, u_refs = self._references(x_k, profile)
         warm = self._warm_start(u_refs)
-        args = (x_k, self.path, self.params, self.weights, self.horizon,
-                self.stack, profile)
+        args = (x_k, self.path, self.terminal_P, self.horizon, self.stack,
+                profile)
         nominal = {} if delta is None or delta.consistent else None
         gates = {}
         failed = {}        # problem key -> the rung whose solve of it failed

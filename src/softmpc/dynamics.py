@@ -140,13 +140,6 @@ def _rk4_step(x: list, u, path: PathGeometry, params: VehicleParams,
             for xi, d1, d2, d3, d4 in zip(x, k1, k2, k3, k4)]
 
 
-def f_continuous(x: np.ndarray, u: np.ndarray, path: PathGeometry,
-                 params: VehicleParams) -> np.ndarray:
-    """Continuous-time state derivative."""
-    return np.array(_derivative(np.asarray(x, dtype=float).tolist(),
-                                np.asarray(u, dtype=float).tolist(), path, params))
-
-
 def _derivatives(xs, us, path, params):
     """Derivatives (M, NX) plus their Jacobians wrt x (M, NX, NX) and u
     (NX, NU, constant) at M points."""

@@ -58,45 +58,30 @@ COST_R = (10.0, 5.0)
 DETECT_REG = 1e-6
 
 
-@dataclass(frozen=True)
-class CostWeights:
-    """Quadratic tracking weights; terminal matrix from decoupled LQR."""
-    Q: np.ndarray
-    R: np.ndarray
-    P: np.ndarray
-    K: np.ndarray        # terminal LQR gain (u = -K (x - ref)), for analysis
-
-
 def terminal_weights(path: PathGeometry, params: VehicleParams, t_s: float,
-                     v_ref: float) -> CostWeights:
-    """Terminal cost from two decoupled discrete Riccati solutions.
+                     v_ref: float) -> np.ndarray:
+    """Terminal cost matrix P (NX, NX) from two decoupled discrete Riccati
+    solutions; the stage weights are diag(COST_Q) and diag(COST_R).
 
     The model linearized at the straight-path reference decouples into a
     longitudinal chain (s, v, a) and a lateral chain (e_y, e_psi, delta,
     alpha). Each block gets its own discrete-time Riccati solution; a small
     diagonal regularization keeps the (possibly zero-weighted) position mode
-    detectable, which preserves the Lyapunov decrease for the original Q.
+    detectable, which preserves the Lyapunov decrease for the original Q
+    under the block's LQR gain.
     """
-    Q = np.diag(COST_Q)
-    R = np.diag(COST_R)
-
     x_ref = dyn.state(s=max(path.s_min + 1.0, 1.0), v=v_ref)
     A, B = (J[0] for J in dyn.jacobians(x_ref[None], np.zeros((1, NU)),
                                          path, params, t_s))
 
     P = np.zeros((NX, NX))
-    K = np.zeros((NU, NX))
     for idx, u_col, _ in SUBSYSTEMS.values():
         idx = list(idx)
-        A_b = A[np.ix_(idx, idx)]
-        B_b = B[np.ix_(idx, [u_col])]
-        Q_b = Q[np.ix_(idx, idx)] + DETECT_REG * np.eye(len(idx))
-        R_b = R[u_col:u_col + 1, u_col:u_col + 1]
-        P_b = scipy.linalg.solve_discrete_are(A_b, B_b, Q_b, R_b)
-        K_b = np.linalg.solve(R_b + B_b.T @ P_b @ B_b, B_b.T @ P_b @ A_b)
-        P[np.ix_(idx, idx)] = P_b
-        K[np.ix_([u_col], idx)] = K_b
-    return CostWeights(Q=Q, R=R, P=P, K=K)
+        Q_b = np.diag(np.take(COST_Q, idx)) + DETECT_REG * np.eye(len(idx))
+        P[np.ix_(idx, idx)] = scipy.linalg.solve_discrete_are(
+            A[np.ix_(idx, idx)], B[np.ix_(idx, [u_col])], Q_b,
+            np.array([[COST_R[u_col]]]))
+    return P
 
 
 # stabilizing tube: widths of the box on x - ref on the steps beyond the cost
@@ -162,7 +147,9 @@ class ConstraintStack:
     Row k at step n reads g_k(x_n, u_n) <= b_k(n). The bounds b come from
     the vehicle parameters and the disturbance profile; a row whose bound
     is not finite (an empty collision window, an open corridor side) is
-    not a row of the problem.
+    not a row of the problem. params is the one vehicle model of every
+    problem built on the stack: the problem builders, the controller and
+    the oracle's slack problems roll out and linearize it.
     """
     params: VehicleParams
     t_gap: float = 1.5
@@ -328,19 +315,19 @@ def build_reference(x0_s: float, v_ref: float, e_y_ref: float,
 _TAIL_INPUT_REG = 1e-6
 
 
-def _stage_cost_arrays(weights: CostWeights, horizon: HorizonConfig,
+def _stage_cost_arrays(P: np.ndarray, horizon: HorizonConfig,
                        x_refs: np.ndarray, u_refs: np.ndarray):
     M, N = horizon.n_constraint, horizon.n_cost
     W = np.zeros((M, NZ, NZ))
-    W[:N, :NX, :NX] = weights.Q
-    W[:N, NX:, NX:] = weights.R
+    W[:N, :NX, :NX] = np.diag(COST_Q)
+    W[:N, NX:, NX:] = np.diag(COST_R)
     W[N:, NX:, NX:] = _TAIL_INPUT_REG * np.eye(NU)
     ref = np.concatenate([x_refs[:M], u_refs], axis=1)
     # the mid-horizon terminal cost lands on the state block of stage N
     if N < M:
-        W[N, :NX, :NX] += weights.P
+        W[N, :NX, :NX] += P
         return W, ref, np.zeros((NX, NX))
-    return W, ref, weights.P.copy()
+    return W, ref, P.copy()
 
 
 def _make_stage_rows(stack: ConstraintStack, profile: DisturbanceProfile,
@@ -414,19 +401,21 @@ def _terminal_rows(profile: DisturbanceProfile, mode: RelaxationMode,
     return C, offset[keep]
 
 
-def build_nominal(x_k, path, params, weights, horizon, stack: ConstraintStack,
+def build_nominal(x_k, path, terminal_P, horizon, stack: ConstraintStack,
                   profile: DisturbanceProfile, x_refs, u_refs,
                   u_init=None) -> NlpDescription:
     """The relaxed problem of NOMINAL_MODE: every row of the stack hard."""
-    return build_relaxed(x_k, path, params, weights, horizon, stack, profile,
+    return build_relaxed(x_k, path, terminal_P, horizon, stack, profile,
                          NOMINAL_MODE, np.zeros(0), x_refs, u_refs,
                          u_init=u_init)
 
 
-def build_relaxed(x_k, path, params, weights, horizon, stack, profile,
+def build_relaxed(x_k, path, terminal_P, horizon, stack, profile,
                   mode: RelaxationMode, slack: np.ndarray,
                   x_refs, u_refs, u_init=None) -> NlpDescription:
-    """Problem with the mode's rows lifted by a fixed slack vector."""
+    """Problem with the mode's rows lifted by a fixed slack vector, on the
+    vehicle model of the stack's params; terminal_P is the terminal cost
+    matrix (terminal_weights)."""
     if len(profile) != horizon.n_constraint + 1:
         raise ValueError(f"profile covers {len(profile)} steps, expected "
                          f"{horizon.n_constraint + 1}")
@@ -439,9 +428,9 @@ def build_relaxed(x_k, path, params, weights, horizon, stack, profile,
     rows, mask = _make_stage_rows(stack, profile, mode, slack,
                                   horizon, x_refs, TUBE)
     terminal_C, terminal_offset = _terminal_rows(profile, mode)
-    W, ref, P_M = _stage_cost_arrays(weights, horizon, x_refs, u_refs)
+    W, ref, P_M = _stage_cost_arrays(terminal_P, horizon, x_refs, u_refs)
     x_k = np.array(x_k, dtype=float)
-    t_s = horizon.t_s
+    params, t_s = stack.params, horizon.t_s
     return NlpDescription(
         nx=NX, nu=NU, horizon=horizon.n_constraint,
         dyn_f=lambda us: dyn.rollout(x_k, us, path, params, t_s),

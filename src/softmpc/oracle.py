@@ -99,16 +99,16 @@ class ScenarioTemplate:
     """Canonical placement of the collision window for one scenario family.
 
     kind selects the decoupled subsystem the slack problem runs on; stack
-    serves both kinds, as the subproblem keeps the subsystem's rows of it.
-    v_ref is the cruise reference the subproblem tracks; lane geometry
-    serves the lateral corridor rows.
+    serves both kinds, as the subproblem keeps the subsystem's rows of it,
+    and its params are the vehicle model the subproblem rolls out. v_ref is
+    the cruise reference the subproblem tracks; the lane width places the
+    lateral corridors and the lateral reference.
     """
     kind: str                      # "lon" | "lat"
     horizon: HorizonConfig
-    params: VehicleParams
     stack: ConstraintStack
-    v_ref: float = 20.0
-    lane_width: float = 3.5
+    v_ref: float
+    lane_width: float
 
     def __post_init__(self):
         if self.kind not in TEMPLATE_KINDS:
@@ -211,7 +211,7 @@ def _subproblem_nlp(template: ScenarioTemplate, theta: np.ndarray,
     the subsystem stay at rest, or at the constant speed for the lateral
     chain."""
     h = template.horizon
-    p = template.params
+    p = template.stack.params
     M = h.n_constraint
     nw = M + 1
     x_idx, u_col, labels = ocp.SUBSYSTEMS[template.kind]
@@ -555,11 +555,16 @@ def load_dataset(filename: str):
     """Returns (thetas (n, d), feasible (n,), slacks (n, c) with NaN rows)."""
     with open(filename, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("no header row")
         d = sum(1 for h in header if h.startswith("theta_"))
         n_ch = sum(1 for h in header if h.startswith("delta_"))
         thetas, feas, slacks = [], [], []
         for rec in reader:
+            if len(rec) != len(header):
+                raise ValueError(f"line {reader.line_num} has {len(rec)} "
+                                 f"fields, the header {len(header)}")
             thetas.append([float(v) for v in rec[:d]])
             feas.append(bool(int(rec[d])))
             slacks.append([float(v) if v else np.nan

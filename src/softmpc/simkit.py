@@ -338,8 +338,8 @@ def scenario_stack(config: ScenarioConfig) -> ocp.ConstraintStack:
 
 def scenario_template(config: ScenarioConfig, kind: str) -> ScenarioTemplate:
     return ScenarioTemplate(kind=kind, horizon=config.horizon,
-                            params=config.params, stack=scenario_stack(config),
-                            v_ref=config.v_ref, lane_width=config.lane_width)
+                            stack=scenario_stack(config), v_ref=config.v_ref,
+                            lane_width=config.lane_width)
 
 
 def build_controller(config: ScenarioConfig,
@@ -358,9 +358,8 @@ def build_controller(config: ScenarioConfig,
         runtimes.append(ModeRuntime(mode=mode, kind=kind, model=model))
     path = straight_path(config.path_length, lane_width=config.lane_width)
     try:
-        return PriorityController(path, config.params, config.horizon,
-                                  scenario_stack(config), runtimes,
-                                  config.v_ref, use_oracle)
+        return PriorityController(path, config.horizon, scenario_stack(config),
+                                  runtimes, config.v_ref, use_oracle)
     except ModelError as exc:
         model_file = next(f for m, _, f in config.mode_specs
                           if m.name == exc.mode)

@@ -293,16 +293,17 @@ def train_regressor(thetas, slacks, feasible, budget: LipschitzBudget,
     return net, shift, scale, eps, stats
 
 
-def train_classifier(thetas, feasible, hidden=DEFAULT_HIDDEN,
-                     epochs=DEFAULT_EPOCHS, seed=0, shift=None, scale=None):
-    """Fit the infeasibility classifier; calibrate the score threshold so
-    no validation sample is predicted feasible while actually infeasible."""
+def train_classifier(thetas, feasible, shift, scale, hidden=DEFAULT_HIDDEN,
+                     epochs=DEFAULT_EPOCHS, seed=0):
+    """Fit the infeasibility classifier on inputs standardized by (shift,
+    scale), the regressor's; calibrate the score threshold so no validation
+    sample is predicted feasible while actually infeasible.
+
+    Returns (net, threshold, stats)."""
     x = np.asarray(thetas, dtype=float)
     labels = (~np.asarray(feasible, dtype=bool)).astype(float)  # 1 = infeasible
     if labels.min() == labels.max():
         raise ValueError("classifier needs both classes present")
-    if shift is None:
-        shift, scale = _standardize(x)
     xn = (x - shift) / scale
     seed += 7       # a split and an initialization apart from the regressor's
     i_tr, i_va, i_te = _splits(x.shape[0], seed)
@@ -330,7 +331,7 @@ def train_classifier(thetas, feasible, hidden=DEFAULT_HIDDEN,
              "accuracy_val": float(np.mean(pred_va == infeas_va)),
              "n_train": int(i_tr.size), "n_val": int(i_va.size),
              "n_test": int(i_te.size)}
-    return net, shift, scale, threshold, stats
+    return net, threshold, stats
 
 
 def train_mode_model(mode_name, channels, ceilings, thetas, feasible, slacks,
@@ -343,8 +344,8 @@ def train_mode_model(mode_name, channels, ceilings, thetas, feasible, slacks,
                          f"budget's {list(budget.ceilings)}")
     reg, shift, scale, eps, reg_stats = train_regressor(
         thetas, slacks, feasible, budget, hidden, epochs, seed)
-    clf, _, _, threshold, clf_stats = train_classifier(
-        thetas, feasible, hidden, epochs, seed, shift=shift, scale=scale)
+    clf, threshold, clf_stats = train_classifier(
+        thetas, feasible, shift, scale, hidden, epochs, seed)
     return SurrogateModel(
         mode_name=mode_name, channels=tuple(channels),
         regressor=reg, classifier=clf,

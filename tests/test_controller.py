@@ -31,17 +31,17 @@ MODE_E2 = ocp.RelaxationMode(
     name="E2", priority=2,
     relax={"g_follow": "delta_g", "a_req_comfort_lb": "delta_a"},
     ceilings={"delta_g": 30.0, "delta_a": 6.0})
-LON_TEMPLATE = ScenarioTemplate(kind="lon", horizon=HORIZON, params=PARAMS,
-                                stack=STACK, v_ref=V_REF)
-LAT_TEMPLATE = ScenarioTemplate(kind="lat", horizon=HORIZON, params=PARAMS,
-                                stack=STACK, v_ref=V_REF)
+LON_TEMPLATE = ScenarioTemplate(kind="lon", horizon=HORIZON, stack=STACK,
+                                v_ref=V_REF, lane_width=PATH.lane_width)
+LAT_TEMPLATE = ScenarioTemplate(kind="lat", horizon=HORIZON, stack=STACK,
+                                v_ref=V_REF, lane_width=PATH.lane_width)
 
 
 def _controller(modes=None, **kw):
     if modes is None:
         modes = [ModeRuntime(mode=MODE_E1, kind="lon"),
                  ModeRuntime(mode=MODE_E2, kind="lon")]
-    return PriorityController(PATH, PARAMS, HORIZON, STACK, modes, V_REF,
+    return PriorityController(PATH, HORIZON, STACK, modes, V_REF,
                               use_oracle=True, **kw)
 
 
@@ -76,7 +76,7 @@ def test_duplicate_priorities_rejected():
 
 def test_model_required_without_oracle():
     with pytest.raises(ValueError, match="trained model"):
-        PriorityController(PATH, PARAMS, HORIZON, STACK,
+        PriorityController(PATH, HORIZON, STACK,
                            [ModeRuntime(mode=MODE_E1, kind="lon")],
                            V_REF, use_oracle=False)
 
@@ -311,7 +311,7 @@ def test_surrogate_backed_controller_runs():
     model = train_mode_model("E1", MODE_E1.channels, MODE_E1.ceiling_vector(),
                              thetas, feas, slacks, budget, epochs=300, seed=1)
     ctrl = PriorityController(
-        PATH, PARAMS, HORIZON, STACK,
+        PATH, HORIZON, STACK,
         [ModeRuntime(mode=MODE_E1, kind="lon", model=model)], V_REF,
         use_oracle=False)
     x = dyn.state(s=0.0, v=V_REF)
@@ -338,5 +338,5 @@ def test_model_ceiling_mismatch_rejected():
                              feas, slacks, budget, epochs=50, seed=1)
     with pytest.raises(ValueError, match="ceilings"):
         PriorityController(
-            PATH, PARAMS, HORIZON, STACK,
+            PATH, HORIZON, STACK,
             [ModeRuntime(mode=MODE_E1, kind="lon", model=model)], V_REF)

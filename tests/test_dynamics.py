@@ -6,21 +6,28 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from softmpc import dynamics as dyn
-from softmpc.dynamics import VehicleParams, comfort_quantities, f_continuous, f_discrete, jacobians, state
+from softmpc.dynamics import VehicleParams, comfort_quantities, f_discrete, jacobians, state
 from softmpc.path import PathRangeError, circular_path, clothoid_path, straight_path
 
 PARAMS = VehicleParams()
 
 
+def _xdot(x, u, path, params=PARAMS):
+    """The continuous-time derivative dynamics._derivative, on arrays."""
+    return np.array(dyn._derivative(np.asarray(x, dtype=float).tolist(),
+                                    np.asarray(u, dtype=float).tolist(),
+                                    path, params))
+
+
 def test_steady_straight_driving():
     path = straight_path(300.0)
-    xdot = f_continuous(state(v=10.0), np.zeros(2), path, PARAMS)
+    xdot = _xdot(state(v=10.0), np.zeros(2), path)
     np.testing.assert_allclose(xdot, [10.0, 0, 0, 0, 0, 0, 0], atol=1e-14)
 
 
 def test_accel_filter_at_equilibrium():
     path = straight_path(300.0)
-    xdot = f_continuous(state(v=10.0, a=2.0), np.array([0.0, 2.0]), path, PARAMS)
+    xdot = _xdot(state(v=10.0, a=2.0), np.array([0.0, 2.0]), path)
     assert xdot[dyn.IDX_S] == pytest.approx(10.0)
     assert xdot[dyn.IDX_V] == pytest.approx(2.0)
     assert xdot[dyn.IDX_A] == pytest.approx(0.0)  # a_req == a
@@ -32,7 +39,7 @@ def test_continuous_model_against_symbolic_evaluation():
     path = circular_path(radius=100.0, arc=200.0)
     x = state(s=0.0, e_y=0.5, e_psi=0.02, delta=0.01, alpha=0.0, v=15.0, a=0.0)
     u = np.array([0.01, 0.0])
-    xdot = f_continuous(x, u, path, PARAMS)
+    xdot = _xdot(x, u, path)
     expected = [15.072361909546399, 0.2999800003999962, -0.09899775695753016,
                 0.0, 0.0, 0.0, 0.0]
     np.testing.assert_allclose(xdot, expected, rtol=1e-12, atol=1e-13)
@@ -41,7 +48,7 @@ def test_continuous_model_against_symbolic_evaluation():
 def test_singularity_raises():
     path = circular_path(radius=10.0, arc=50.0)
     with pytest.raises(dyn.FrenetSingularity):
-        f_continuous(state(e_y=10.0, v=5.0), np.zeros(2), path, PARAMS)
+        _xdot(state(e_y=10.0, v=5.0), np.zeros(2), path)
 
 
 def test_discrete_zero_step_limit():
@@ -62,7 +69,7 @@ def test_discrete_matches_fine_step_euler():
     x_euler = x.copy()
     n_sub = 20_000  # first-order oracle needs h ~ 5e-7 to sit below the 1e-6 bar
     for _ in range(n_sub):
-        x_euler = x_euler + (t_s / n_sub) * f_continuous(x_euler, u, path, PARAMS)
+        x_euler = x_euler + (t_s / n_sub) * _xdot(x_euler, u, path)
     np.testing.assert_allclose(x_rk4, x_euler, atol=1e-6)
 
 
@@ -313,5 +320,5 @@ def test_rollout_and_step_equal_the_array_form_bit_for_bit(path_name, x0, M,
     _assert_same_outcome(
         _outcome(f_discrete, x0, us[0], path, PARAMS, 0.1, project_speed),
         _outcome(reference_f_discrete, x0, us[0], path, PARAMS, 0.1, project_speed))
-    _assert_same_outcome(_outcome(f_continuous, x0, us[0], path, PARAMS),
+    _assert_same_outcome(_outcome(_xdot, x0, us[0], path, PARAMS),
                          _outcome(_reference_f_continuous, x0, us[0], path, PARAMS))

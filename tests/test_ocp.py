@@ -35,7 +35,7 @@ MODE_E3 = ocp.RelaxationMode(
     drop=("g_lon_safe", "g_follow"))
 
 
-def _weights(v_ref=7.0):
+def _terminal_P(v_ref=7.0):
     return ocp.terminal_weights(PATH, PARAMS, HORIZON.t_s, v_ref)
 
 
@@ -177,8 +177,7 @@ def test_reference_is_kinematically_consistent():
 
 
 def test_terminal_weights_block_structure():
-    w = _weights()
-    P = w.P
+    P = _terminal_P()
     lon, lat = list(dyn.LON_IDX), list(dyn.LAT_IDX)
     # no coupling between the chains
     assert np.max(np.abs(P[np.ix_(lon, lat)])) == 0.0
@@ -186,28 +185,31 @@ def test_terminal_weights_block_structure():
 
 
 def test_terminal_cost_lyapunov_decrease():
-    # p(x+) - p(x) <= -q(x, Kx) on the linearized model, 1000 tube samples
-    w = _weights()
+    # p(x+) - p(x) <= -q(x, Kx) on the linearized model, 1000 tube samples,
+    # under the LQR gain K = (R + B'PB)^-1 B'PA of the terminal matrix P
+    P = _terminal_P()
+    Q, R = np.diag(ocp.COST_Q), np.diag(ocp.COST_R)
     x_ref = dyn.state(s=1.0, v=7.0)  # same operating point the weights use
     A, B = (J[0] for J in dyn.jacobians(x_ref[None], np.zeros((1, 2)), PATH,
                                          PARAMS, HORIZON.t_s))
+    K = np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
     rng = np.random.default_rng(4)
     scale = np.array([1.0, 0.5, 0.1, 0.1, 0.2, 1.0, 0.5])
     for _ in range(1000):
         e = rng.uniform(-1.0, 1.0, dyn.NX) * scale
-        u = -w.K @ e
+        u = -K @ e
         e_next = A @ e + B @ u
-        p_now = e @ w.P @ e
-        p_next = e_next @ w.P @ e_next
-        q_now = e @ w.Q @ e + u @ w.R @ u
+        p_now = e @ P @ e
+        p_next = e_next @ P @ e_next
+        q_now = e @ Q @ e + u @ R @ u
         assert p_next - p_now <= -q_now + 1e-8
 
 
 def test_nominal_problem_reduces_to_tracking_without_ru():
-    weights = _weights()
+    P = _terminal_P()
     x0 = dyn.state(s=5.0, e_y=0.3, v=7.0)
     x_refs, u_refs = _refs(5.0)
-    nlp = ocp.build_nominal(x0, PATH, PARAMS, weights, HORIZON, STACK,
+    nlp = ocp.build_nominal(x0, PATH, P, HORIZON, STACK,
                             _free_profile(), x_refs, u_refs, u_init=u_refs)
     rep = solve(nlp)
     assert rep.status == STATUS_OPTIMAL
@@ -218,9 +220,9 @@ def test_nominal_problem_reduces_to_tracking_without_ru():
 
 
 def test_variable_count_is_inputs_times_horizon():
-    weights = _weights()
+    P = _terminal_P()
     x_refs, u_refs = _refs(0.0)
-    nlp = ocp.build_nominal(dyn.state(v=7.0), PATH, PARAMS, weights, HORIZON,
+    nlp = ocp.build_nominal(dyn.state(v=7.0), PATH, P, HORIZON,
                             STACK, _free_profile(), x_refs, u_refs)
     assert nlp.horizon * nlp.nu == 2 * HORIZON.n_constraint
     assert nlp.n_gamma == 0
@@ -228,7 +230,7 @@ def test_variable_count_is_inputs_times_horizon():
 
 def test_zero_slack_relaxed_equals_nominal_feasible_set():
     # identical accept/reject verdicts on random candidate trajectories
-    weights = _weights()
+    P = _terminal_P()
     rng = np.random.default_rng(9)
     profile = _free_profile()
     x_refs, u_refs = _refs(0.0)
@@ -245,7 +247,7 @@ def test_zero_slack_relaxed_equals_nominal_feasible_set():
 
 
 def test_relaxed_lifts_only_selected_rows():
-    weights = _weights()
+    P = _terminal_P()
     x0 = dyn.state(s=0.0, v=7.0)
     x_refs, u_refs = _refs(0.0)
     # lead vehicle at 5 m/s whose yield bound starts inside the desired
@@ -255,14 +257,14 @@ def test_relaxed_lifts_only_selected_rows():
     profile = DisturbanceProfile(yield_bound=sigma,
                                  corridor_lo=np.full(M + 1, -1.75),
                                  corridor_hi=np.full(M + 1, 1.75))
-    nom = ocp.build_nominal(x0, PATH, PARAMS, weights, HORIZON, STACK, profile,
+    nom = ocp.build_nominal(x0, PATH, P, HORIZON, STACK, profile,
                             x_refs, u_refs, u_init=u_refs)
     rep_nom = solve(nom)
     # headway violated at stage 0 (8 < 0 + 1.5*7) and not relaxable
     assert rep_nom.status == STATUS_INFEASIBLE
 
     slack = np.array([8.0])  # lifts g_follow enough at the initial state
-    rel = ocp.build_relaxed(x0, PATH, PARAMS, weights, HORIZON, STACK, profile,
+    rel = ocp.build_relaxed(x0, PATH, P, HORIZON, STACK, profile,
                             MODE_E1, slack, x_refs, u_refs, u_init=u_refs)
     rep_rel = solve(rel)
     assert rep_rel.status == STATUS_OPTIMAL
@@ -284,7 +286,7 @@ def test_row_layout_follows_profile_mode_and_tube():
                                  corridor_lo=np.full(M + 1, -1.75),
                                  corridor_hi=np.full(M + 1, 1.75))
     x_refs, u_refs = _refs(0.0)
-    args = (dyn.state(v=7.0), PATH, PARAMS, _weights(), HORIZON, STACK,
+    args = (dyn.state(v=7.0), PATH, _terminal_P(), HORIZON, STACK,
             profile)
     nom = ocp.build_nominal(*args, x_refs, u_refs)
     counts = nom.stage_row_mask.sum(axis=1)
@@ -332,7 +334,7 @@ def test_zero_lift_builds_the_nominal_rows_bit_for_bit(case, x):
                                  corridor_lo=np.full(M + 1, -1.75),
                                  corridor_hi=np.full(M + 1, 1.75))
     x_refs, u_refs = _refs(float(x0[dyn.IDX_S]))
-    args = (x0, PATH, PARAMS, _weights(), HORIZON, STACK, profile)
+    args = (x0, PATH, _terminal_P(), HORIZON, STACK, profile)
     nominal = _rows_bytes(ocp.build_nominal(*args, x_refs, u_refs), xs, us)
     for mode in (MODE_E1, MODE_E2):
         rel = ocp.build_relaxed(*args, mode, np.zeros(mode.n_channels),
@@ -369,7 +371,7 @@ def test_row_roles_are_the_modes_own(case, mode, data):
                                  corridor_lo=np.full(M + 1, -1.75),
                                  corridor_hi=np.full(M + 1, 1.75))
     x_refs, u_refs = _refs(float(x0[dyn.IDX_S]))
-    nlp = ocp.build_relaxed(x0, PATH, PARAMS, _weights(), HORIZON, STACK,
+    nlp = ocp.build_relaxed(x0, PATH, _terminal_P(), HORIZON, STACK,
                             profile, mode, slack, x_refs, u_refs)
     n_rows = len(ocp.ROW_LABELS)
     finite = np.isfinite(STACK.bounds(profile)[:M])
@@ -379,24 +381,23 @@ def test_row_roles_are_the_modes_own(case, mode, data):
     assert G is None
     assert np.array_equal(vals[:, :n_rows], res.T - lift)
 
-    ctrl = PriorityController(PATH, PARAMS, HORIZON, STACK, [], 7.0,
-                              use_oracle=True)
+    ctrl = PriorityController(PATH, HORIZON, STACK, [], 7.0, use_oracle=True)
     gate = ctrl._residuals(SimpleNamespace(xs=xs, us=us), profile, mode, slack)
     assert gate == (np.max(res[hard], initial=-np.inf),
                     np.max(res[soft] - lift[soft, None], initial=-np.inf))
 
 
 def test_relaxed_rejects_slack_beyond_ceiling():
-    weights = _weights()
+    P = _terminal_P()
     x_refs, u_refs = _refs(0.0)
     with pytest.raises(ValueError, match="ceiling"):
-        ocp.build_relaxed(dyn.state(v=15.0), PATH, PARAMS, weights, HORIZON,
+        ocp.build_relaxed(dyn.state(v=15.0), PATH, P, HORIZON,
                           STACK, _free_profile(), MODE_E1, np.array([31.0]),
                           x_refs, u_refs)
 
 
 def test_mode_e3_drops_longitudinal_rows():
-    weights = _weights()
+    P = _terminal_P()
     x0 = dyn.state(s=50.0, v=7.0)
     x_refs, u_refs = _refs(50.0)
     M = HORIZON.n_constraint
@@ -404,10 +405,10 @@ def test_mode_e3_drops_longitudinal_rows():
     profile = DisturbanceProfile(yield_bound=np.full(M + 1, 10.0),
                                  corridor_lo=np.full(M + 1, -1.75),
                                  corridor_hi=np.full(M + 1, 1.75))
-    nom = ocp.build_nominal(x0, PATH, PARAMS, weights, HORIZON, STACK, profile,
+    nom = ocp.build_nominal(x0, PATH, P, HORIZON, STACK, profile,
                             x_refs, u_refs, u_init=u_refs)
     assert solve(nom).status == STATUS_INFEASIBLE
-    rel = ocp.build_relaxed(x0, PATH, PARAMS, weights, HORIZON, STACK, profile,
+    rel = ocp.build_relaxed(x0, PATH, P, HORIZON, STACK, profile,
                             MODE_E3, np.zeros(4), x_refs, u_refs,
                             u_init=u_refs)
     assert solve(rel).status == STATUS_OPTIMAL
@@ -417,8 +418,8 @@ def _oracle_slack_in_relaxed_problem(kind, mode, x0, profile, v_ref):
     """Minimal slack of the oracle's decoupled subproblem, used as the fixed
     lift of the relaxed problem on the full model with the same profile.
     Returns the number of hard rows the solution was checked on."""
-    template = ScenarioTemplate(kind=kind, horizon=HORIZON, params=PARAMS,
-                                stack=STACK, v_ref=v_ref)
+    template = ScenarioTemplate(kind=kind, horizon=HORIZON, stack=STACK,
+                                v_ref=v_ref, lane_width=PATH.lane_width)
     feasible, slack, _ = oracle_solve(template, mode,
                                       build_theta(template, x0, profile))
     assert feasible
@@ -426,7 +427,7 @@ def _oracle_slack_in_relaxed_problem(kind, mode, x0, profile, v_ref):
     center = 0.5 * (profile.corridor_lo[-1] + profile.corridor_hi[-1])
     x_refs, u_refs = ocp.build_reference(x0[dyn.IDX_S], v_ref, center,
                                          HORIZON)
-    rel = ocp.build_relaxed(x0, PATH, PARAMS, _weights(v_ref), HORIZON, STACK,
+    rel = ocp.build_relaxed(x0, PATH, _terminal_P(v_ref), HORIZON, STACK,
                             profile, mode, slack, x_refs, u_refs,
                             u_init=u_refs)
     rep = solve(rel)

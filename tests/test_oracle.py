@@ -21,11 +21,12 @@ from test_dynamics import reference_f_discrete
 PARAMS = VehicleParams()
 HORIZON = HorizonConfig(n_cost=10, n_constraint=40, t_s=0.1)
 STACK = ConstraintStack(params=PARAMS)
+LANE_WIDTH = 3.5
 
-LON_TEMPLATE = ScenarioTemplate(kind="lon", horizon=HORIZON, params=PARAMS,
-                                stack=STACK, v_ref=8.0)
-LAT_TEMPLATE = ScenarioTemplate(kind="lat", horizon=HORIZON, params=PARAMS,
-                                stack=STACK, v_ref=8.0)
+LON_TEMPLATE = ScenarioTemplate(kind="lon", horizon=HORIZON, stack=STACK,
+                                v_ref=8.0, lane_width=LANE_WIDTH)
+LAT_TEMPLATE = ScenarioTemplate(kind="lat", horizon=HORIZON, stack=STACK,
+                                v_ref=8.0, lane_width=LANE_WIDTH)
 
 MODE_E1 = RelaxationMode(name="E1", priority=1, relax={"g_follow": "delta_g"},
                          ceilings={"delta_g": 30.0})
@@ -278,7 +279,7 @@ def _toy_min_slack_bruteforce(gap0, lead_speed, v0, template, mode,
     lifted row somewhere, delta is insufficient.
     """
     h = template.horizon
-    p = template.params
+    p = template.stack.params
     st = template.stack
     M = h.n_constraint
     t_s = h.t_s
@@ -314,9 +315,9 @@ def test_oracle_matches_bruteforce_grid():
     mode = RelaxationMode(name="E1p", priority=1, relax={"g_follow": "delta_g"},
                           ceilings={"delta_g": 30.0})
     template = ScenarioTemplate(
-        kind="lon", horizon=HORIZON, params=PARAMS,
+        kind="lon", horizon=HORIZON,
         stack=ConstraintStack(params=PARAMS, a_req_comfort_min=PARAMS.accel_min),
-        v_ref=8.0)
+        v_ref=8.0, lane_width=LANE_WIDTH)
     rng = np.random.default_rng(23)
     checked = 0
     for _ in range(25):

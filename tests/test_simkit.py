@@ -517,12 +517,37 @@ def _write_model(filename, n_inputs, ceilings):
     ("mode.E1", "model = missing.json", ["mode E1", "missing.json"]),
     ("mode.E1", "model = inputs44.json",
      ["mode E1", "inputs44.json", "44 inputs", "104"]),
+    # the offline commands' own files, given as `section` for the command:
+    # these used to end in a FileNotFoundError, a StopIteration, an
+    # IndexError and a KeyError traceback
+    ("train", "--data missing.csv", ["data file", "missing.csv",
+                                     "No such file"]),
+    ("train", "--data empty.csv", ["data file", "empty.csv", "header"]),
+    ("train", "--data short.csv", ["data file", "short.csv", "line 2",
+                                   "2 fields", "header 4"]),
+    ("certify", "--model nocert.json", ["model file", "nocert.json",
+                                        "'certificate'"]),
 ])
-def test_bad_value_is_a_config_error(tmp_path, capsys, section, line, words):
+def test_bad_value_is_a_config_error(tmp_path, capsys, monkeypatch, section,
+                                     line, words):
     from softmpc import cli
+    monkeypatch.chdir(tmp_path)
     _write_model(tmp_path / "inputs44.json", 44, {"delta_g": 25.0})
-    assert _simulate_ini(tmp_path, _with_line(section, line),
-                         oracle=False) == cli.EXIT_CONFIG
+    doc = json.loads((tmp_path / "inputs44.json").read_text())
+    del doc["certificate"]
+    (tmp_path / "nocert.json").write_text(json.dumps(doc))
+    (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "short.csv").write_text(
+        "theta_0,theta_1,feasible,delta_delta_g\n0.5,1.5\n")
+    if section == "train":
+        code = cli.main(["train", "--config", _write_ini(tmp_path, _VALID_INI),
+                         "--mode", "E1", "--out", str(tmp_path / "out" / "m.json"),
+                         *line.split()])
+    elif section == "certify":
+        code = cli.main(["certify", *line.split()])
+    else:
+        code = _simulate_ini(tmp_path, _with_line(section, line), oracle=False)
+    assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("[config]")
     assert all(w in err for w in words), err
@@ -539,17 +564,21 @@ def test_data_count_below_one_is_a_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["gen-data", "pipeline"])
-@pytest.mark.parametrize("count", ["0", "-3"])
-def test_count_below_one_is_a_usage_error(tmp_path, capsys, command, count):
+@pytest.mark.parametrize("flag, count", [
+    ("--count", "0"), ("--count", "-3"),
+    ("--workers", "0"), ("--workers", "-3"),
+], ids=["0", "-3", "workers-0", "workers--3"])
+def test_count_below_one_is_a_usage_error(tmp_path, capsys, command, flag,
+                                          count):
     # --count 0 used to label the [data] count instead, and --count -3 to
-    # end in a ValueError traceback
+    # end in a ValueError traceback; --workers 0 and -3 labeled serially
     from softmpc import cli
     args = [command, "--config", _write_ini(tmp_path, _VALID_INI),
-            "--count", count, "--out", str(tmp_path / "out")]
+            flag, count, "--out", str(tmp_path / "out")]
     with pytest.raises(SystemExit) as exit_:
         cli.main(args + (["--mode", "E1"] if command == "gen-data" else []))
     assert exit_.value.code == cli.EXIT_CONFIG
-    assert "--count: must be at least 1" in capsys.readouterr().err
+    assert f"{flag}: must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -587,10 +590,10 @@ def test_phase_times_are_part_of_the_wall_time():
         assert rep.to_dict()["phase_s"] == rep.phase_s
 
 
-def test_factorization_time_scales_linearly_in_horizon():
-    # runtime per iteration should roughly double when the horizon doubles.
-    # The two horizons alternate and their fastest runs are compared, so a
-    # slow stretch of a shared host cannot land on one horizon only
+def _time_per_iteration_ratio() -> float:
+    """Best CPU time per IP iteration at M=100 over the one at M=50. The two
+    horizons alternate and their fastest runs are compared, so a slow
+    stretch of a shared host cannot land on one horizon only."""
     rng = np.random.default_rng(5)
     A, B, Q, R, P, x0 = _random_lqr_instance(rng, 4, 2, 1)
     rows = _box_rows(np.full(2, -0.5), np.full(2, 0.5),
@@ -606,7 +609,25 @@ def test_factorization_time_scales_linearly_in_horizon():
             per_iter = (time.process_time() - t0) / max(rep.ip_iterations, 1)
             if repeat:      # the first round warms up
                 best[M] = min(best[M], per_iter)
-    assert best[100] / best[50] <= 2.5
+    return best[100] / best[50]
+
+
+def test_factorization_time_scales_linearly_in_horizon():
+    # runtime per iteration should roughly double when the horizon doubles.
+    # process_time counts every thread of the process, BLAS threads too, so
+    # the loop runs in a child process that imports perfbench/run.py first:
+    # it sets the variables of its BLAS_THREAD_VARS to 1 before numpy loads
+    here = os.path.dirname(os.path.abspath(__file__))
+    root = os.path.dirname(here)
+    paths = [os.path.join(root, "perfbench"), os.path.join(root, "src"), here]
+    code = (f"import sys; sys.path[:0] = {paths!r}\n"
+            "import run\n"
+            "import test_sqp\n"
+            "print(test_sqp._time_per_iteration_ratio())")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=300)
+    ratio = float(out.stdout.split()[-1])
+    assert ratio <= 2.5, f"M=100 over M=50 per iteration: {ratio:.3f}"
 
 # ---------------------------------------------------------------------------
 # Riccati sweeps against the plain per-stage loops, bit for bit

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from softmpc import dynamics as dyn
+from softmpc import surrogate
 from softmpc.dynamics import VehicleParams
 from softmpc.ocp import HorizonConfig
 from softmpc.path import straight_path
@@ -148,8 +149,9 @@ def test_rescale_uniform_scales_function():
 def test_classifier_separable_and_calibrated():
     rng = np.random.default_rng(9)
     thetas, feasible, slacks = _toy_dataset(rng, n=600)
-    net, shift, scale, threshold, stats = train_classifier(
-        thetas, feasible, seed=10)
+    shift, scale = surrogate._standardize(thetas)
+    net, threshold, stats = train_classifier(thetas, feasible, shift, scale,
+                                             seed=10)
     assert stats["accuracy_val"] >= 0.9
     assert stats["confusion_val"]["true_infeasible_pred_feasible"] == 0
 
@@ -157,16 +159,18 @@ def test_classifier_separable_and_calibrated():
 def test_classifier_requires_both_classes():
     thetas = np.zeros((10, 3))
     with pytest.raises(ValueError, match="both classes"):
-        train_classifier(thetas, np.ones(10, dtype=bool))
+        train_classifier(thetas, np.ones(10, dtype=bool),
+                         *surrogate._standardize(thetas))
 
 
 def test_label_flip_flips_predictions():
     rng = np.random.default_rng(11)
     thetas, feasible, _ = _toy_dataset(rng, n=500)
-    net_a, shift, scale, thr_a, _ = train_classifier(thetas, feasible,
-                                                     epochs=500, seed=12)
-    net_b, _, _, thr_b, _ = train_classifier(thetas, ~feasible, epochs=500,
-                                             seed=12, shift=shift, scale=scale)
+    shift, scale = surrogate._standardize(thetas)
+    net_a, thr_a, _ = train_classifier(thetas, feasible, shift, scale,
+                                       epochs=500, seed=12)
+    net_b, thr_b, _ = train_classifier(thetas, ~feasible, shift, scale,
+                                       epochs=500, seed=12)
     xn = (thetas - shift) / scale
     score_a = net_a.forward(xn)[:, 0]
     score_b = net_b.forward(xn)[:, 0]
