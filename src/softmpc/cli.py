@@ -90,9 +90,13 @@ def cmd_train(args) -> int:
                              ceilings=mode.ceiling_vector())
     slacks_f = np.where(np.isnan(slacks), 0.0, slacks)
     t0 = time.perf_counter()
-    model = train_mode_model(
-        mode.name, mode.channels, mode.ceiling_vector(), thetas, feasible,
-        slacks_f, budget, epochs=kw["epochs"], seed=args.seed)
+    try:
+        model = train_mode_model(
+            mode.name, mode.channels, mode.ceiling_vector(), thetas, feasible,
+            slacks_f, budget, epochs=kw["epochs"], seed=args.seed)
+    except ValueError as exc:    # a dataset the surrogates cannot learn
+        raise StageError("config", f"data file {args.data!r}: {exc}",
+                         EXIT_CONFIG) from None
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     save_model(model, args.out)
     hist = model.train_history
@@ -182,7 +186,7 @@ def cmd_pipeline(args) -> int:
 
 
 def positive_int(text: str) -> int:
-    """A --count or --workers value: an integer of at least 1."""
+    """A --count, --workers or --pairs value: an integer of at least 1."""
     if int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
     return int(text)
@@ -213,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="check the Lipschitz certificate")
     p.add_argument("--model", required=True)
-    p.add_argument("--pairs", type=int, default=100_000)
+    p.add_argument("--pairs", type=positive_int, default=100_000)
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=cmd_certify)
 
@@ -230,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--count", type=positive_int, default=None)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--pairs", type=int, default=20_000)
+    p.add_argument("--pairs", type=positive_int, default=20_000)
     p.add_argument("--workers", type=positive_int, default=None)
     p.set_defaults(func=cmd_pipeline)
     return parser

@@ -15,6 +15,18 @@ so a rung repeating a problem that already failed (a zero oracle slack
 repeats the nominal one) is not solved again: its gate reads solve_status
 "duplicate" and names the rung it repeats.
 
+On the oracle route, before a relaxation mode's gate (an SQP), the
+pinned-row screen builds the mode's problem at its slack ceiling and
+applies the SQP's pinned-row rule (sqp.pinned_row_exit) at its start. When
+the start breaks a stage-0 row that no input moves even with the ceiling's
+lift, the problem at any slack the gate could return (oracle_solve clips it
+to [0, ceiling], and a lift only lowers a row) would end infeasible before
+its first QP. The gate and the solve are then skipped, and the gate record
+is {"solve_status": "pinned-row", "pinned_violation": the rule's violation
+at the ceiling}. Branches and inputs are those of the ladder without the
+screen. The learned route has no screen: its gate is a surrogate inference
+that costs less than the screen's build, rollout and row evaluation.
+
 The one vehicle model is the stack's params: its problems and the oracle's
 roll it out, and the stack's rows bound it. The controller derives its
 terminal cost matrix (ocp.terminal_weights) and one scenario template per
@@ -33,8 +45,8 @@ from . import dynamics as dyn
 from . import ocp
 from .environment import ConsistencyDelta, DisturbanceProfile, consistency_delta
 from .oracle import TEMPLATE_KINDS, ScenarioTemplate, build_theta, oracle_solve
-from .path import PathGeometry
-from .sqp import STATUS_MAX_ITER, STATUS_OPTIMAL, solve
+from .path import PathGeometry, PathRangeError
+from .sqp import STATUS_MAX_ITER, STATUS_OPTIMAL, pinned_row_exit, solve
 from .surrogate import SurrogateModel
 
 HARD_ROW_TOL = 1e-6
@@ -194,7 +206,7 @@ class PriorityController:
                             initial=-np.inf))
         return hard, soft
 
-    def _rungs(self, x_k, profile, nominal, drift, state_step, gates):
+    def _rungs(self, x_k, profile, nominal, drift, state_step, gates, build):
         """The ladder, gated only as far as it is climbed: (mode, gate
         record, commanded slack or None where the gate rejects) per rung.
         Rung 0 is on it when its record nominal is not None; each
@@ -202,11 +214,33 @@ class PriorityController:
         and SQP iteration count on the oracle route (0 iterations: settled
         infeasible before a QP, by the longitudinal LP certificate or the
         SQP's pinned-row exit) and the surrogate's classifier
-        score and margin eps on the learned route."""
+        score and margin eps on the learned route.
+
+        On the oracle route the pinned-row screen (see the module
+        docstring) runs on build(mode, ceiling) before each mode's gate.
+        Every rung's start is the warm plan, rolled out from x_k, so the
+        cycle rolls it out once. When that rollout leaves the path or meets
+        the Frenet singularity, the gates decide as without the screen (a
+        passing gate's solve raises the rollout's error)."""
         if nominal is not None:
             yield ocp.NOMINAL_MODE, nominal, np.zeros(0)
+        screen, xs = self.use_oracle, None
         for rt in self.modes:
             name, ceil = rt.mode.name, rt.mode.ceiling_vector()
+            pinned = None
+            if screen:
+                nlp = build(rt.mode, ceil)
+                try:
+                    xs = nlp.dyn_f(nlp.u_init) if xs is None else xs
+                except (PathRangeError, dyn.FrenetSingularity):
+                    screen = False
+                else:
+                    pinned = pinned_row_exit(nlp, xs)
+            if pinned is not None:
+                gates[name] = {"solve_status": "pinned-row",
+                               "pinned_violation": pinned}
+                yield rt.mode, gates[name], None
+                continue
             template = self.templates[rt.kind]
             theta = build_theta(template, x_k, profile)
             if self.use_oracle:
@@ -243,24 +277,25 @@ class PriorityController:
         warm = self._warm_start(u_refs)
         args = (x_k, self.path, self.terminal_P, self.horizon, self.stack,
                 profile)
+
+        def build(mode, slack):
+            if mode is ocp.NOMINAL_MODE:
+                return ocp.build_nominal(*args, x_refs, u_refs, u_init=warm)
+            return ocp.build_relaxed(*args, mode, slack, x_refs, u_refs,
+                                     u_init=warm)
         nominal = {} if delta is None or delta.consistent else None
         gates = {}
         failed = {}        # problem key -> the rung whose solve of it failed
         for mode, gate, slack_cmd in self._rungs(
                 x_k, profile, nominal, 0.0 if delta is None else delta.norm,
-                state_step, gates):
+                state_step, gates, build):
             if slack_cmd is None:
                 continue
             key = (mode.kept.tobytes(), mode.lift(slack_cmd).tobytes())
             if key in failed:
                 gate.update(solve_status="duplicate", duplicate_of=failed[key])
                 continue
-            if mode is ocp.NOMINAL_MODE:
-                nlp = ocp.build_nominal(*args, x_refs, u_refs, u_init=warm)
-            else:
-                nlp = ocp.build_relaxed(*args, mode, slack_cmd, x_refs, u_refs,
-                                        u_init=warm)
-            rep = solve(nlp)
+            rep = solve(build(mode, slack_cmd))
             gate["solve"] = rep.to_dict()
             gate["solve_status"] = rep.status
             if self._solve_usable(rep):

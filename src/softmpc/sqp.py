@@ -49,7 +49,10 @@ value at every point. When the largest such value exceeds
 max(INFEASIBILITY_TOL, tol_feasibility), the largest violation any exit
 accepts, no point can end optimal, and the solve returns infeasible at the
 start point without a QP (settled_infeasible). A disturbance that leaves the
-first state outside its own corridor ends so.
+first state outside its own corridor ends so. The rule is one function,
+_pinned_exit; pinned_row_exit asks it of a problem's start point without a
+solve, on a rollout the caller gives: the controller asks it before a
+relaxation rung's oracle gate, on the rung's problem at the slack ceiling.
 
 The loop has three exits that end a solve or a QP early, all judged by one
 KKT verdict (_kkt_met, on the residuals of _nlp_kkt):
@@ -747,13 +750,19 @@ def _evaluate(nlp: NlpDescription, layout: _Layout, us, gamma):
     return xs, _Rows(nlp, layout, xs, us, gamma), _objective(nlp, xs, us, gamma)
 
 
+def _start_point(nlp: NlpDescription):
+    """A solve's start point (us, gamma): u_init (zeros without one) and
+    gamma = 0."""
+    us = (np.array(nlp.u_init, dtype=float).reshape(nlp.horizon, nlp.nu)
+          if nlp.u_init is not None else np.zeros((nlp.horizon, nlp.nu)))
+    return us, np.zeros(nlp.n_gamma)
+
+
 def _start(nlp: NlpDescription):
     """A solve's start point, u_init (zeros without one) and gamma = 0,
     evaluated: (us, gamma, xs, rows, obj, layout, phase_s), with the
     evaluation's seconds in the fresh phase_s."""
-    us = (np.array(nlp.u_init, dtype=float).reshape(nlp.horizon, nlp.nu)
-          if nlp.u_init is not None else np.zeros((nlp.horizon, nlp.nu)))
-    gamma = np.zeros(nlp.n_gamma)
+    us, gamma = _start_point(nlp)
     layout = _Layout(nlp)
     phase_s = dict.fromkeys(PHASES, 0.0)
     xs, rows, obj = _timed(phase_s, "evaluate", _evaluate, nlp, layout, us, gamma)
@@ -776,6 +785,29 @@ def settled_infeasible(nlp: NlpDescription, t_start: float,
         infeasibility_measure=rows.violation_inf(), phase_s=phase_s)
 
 
+def _pinned_exit(rows: _Rows, nx: int, opts: SolverOptions) -> float | None:
+    """The pinned-row rule: the largest value of the stage-0 rows that read
+    x_0 alone (_Rows.pinned_violation) when it exceeds
+    max(INFEASIBILITY_TOL, tol_feasibility), the largest violation any exit
+    accepts, else None."""
+    violation = rows.pinned_violation(nx)
+    if violation > max(INFEASIBILITY_TOL, opts.tol_feasibility):
+        return violation
+    return None
+
+
+def pinned_row_exit(nlp: NlpDescription, xs: np.ndarray,
+                    opts: SolverOptions | None = None) -> float | None:
+    """The pinned-row rule at nlp's start point, whose rollout xs
+    (nlp.dyn_f of u_init) the caller gives: problems that share their start
+    state and u_init share it. A value means that solve ends infeasible at
+    the start, before its first QP. The rows are evaluated, the objective
+    is not."""
+    us, gamma = _start_point(nlp)
+    return _pinned_exit(_Rows(nlp, _Layout(nlp), xs, us, gamma), nlp.nx,
+                        opts or SolverOptions())
+
+
 def _kkt_met(kkt, opts: SolverOptions, tol_feasibility: float) -> bool:
     """The one optimality verdict, on the (stationarity, violation,
     complementarity) residuals of _nlp_kkt."""
@@ -792,8 +824,7 @@ def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport
     us, gamma, xs, rows, obj, layout, phase_s = start
     # the pinned-row exit: no point brings these rows within the violation
     # any exit accepts
-    if rows.pinned_violation(nlp.nx) > max(INFEASIBILITY_TOL,
-                                           opts.tol_feasibility):
+    if _pinned_exit(rows, nlp.nx, opts) is not None:
         return settled_infeasible(nlp, t_start, start)
 
     penalty = opts.penalty_init

@@ -1,12 +1,15 @@
 import json
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from softmpc import controller
 from softmpc import dynamics as dyn
-from softmpc import ocp
+from softmpc import ocp, sqp
 from softmpc.controller import (BRANCH_FAILURE, BRANCH_NOMINAL, HARD_ROW_TOL,
                                 ControlDecision, ModeRuntime,
                                 PriorityController)
@@ -15,7 +18,7 @@ from softmpc.environment import (DisturbanceProfile, NO_BOUND, RoadUserState,
                                  build_profile, nominal_profile)
 from softmpc.oracle import (ScenarioTemplate, build_theta, generate_dataset,
                             oracle_solve)
-from softmpc.path import straight_path
+from softmpc.path import PathRangeError, circular_path, straight_path
 from softmpc.sqp import PHASES, STATUS_INFEASIBLE, STATUS_OPTIMAL, SolveReport
 from softmpc.surrogate import LipschitzBudget, train_mode_model
 
@@ -31,6 +34,9 @@ MODE_E2 = ocp.RelaxationMode(
     name="E2", priority=2,
     relax={"g_follow": "delta_g", "a_req_comfort_lb": "delta_a"},
     ceilings={"delta_g": 30.0, "delta_a": 6.0})
+MODE_E3 = ocp.RelaxationMode(name="E3", priority=3, relax={"a_y_ub": "d_ay"},
+                             ceilings={"d_ay": 4.0},
+                             drop=("g_lon_safe", "g_follow"))
 LON_TEMPLATE = ScenarioTemplate(kind="lon", horizon=HORIZON, stack=STACK,
                                 v_ref=V_REF, lane_width=PATH.lane_width)
 LAT_TEMPLATE = ScenarioTemplate(kind="lat", horizon=HORIZON, stack=STACK,
@@ -108,42 +114,227 @@ def test_failure_when_no_mode_feasible():
     assert decision.mode_gates["E1"]["predicted_feasible"] is False
 
 
-def test_oracle_gates_show_which_verdicts_the_certificate_settled():
-    # an evasive cycle: a road user stopped 8 m ahead of the ego at 20 m/s,
-    # with the lane switch armed. No braking clears it, so the longitudinal
-    # certificate settles E1 and E2 without an SQP iteration. The corridor
-    # is the left lane from step 0, which excludes the ego's e_y = 0: the
-    # lateral mode E3 has no certificate, but its SQP ends at the pinned-row
-    # exit, also without an iteration
-    modes = [ModeRuntime(mode=MODE_E1, kind="lon"),
-             ModeRuntime(mode=MODE_E2, kind="lon"),
-             ModeRuntime(mode=MODE_E3, kind="lat")]
-    profile = build_profile(PATH, RoadUserState(lon=8.0, lat=0.0, v_lon=0.0),
-                            HORIZON.n_constraint, HORIZON.t_s,
-                            growth=(0.25, 0.3), d_safe=6.0, evasive=True)
+def _evasive_profile():
+    # a road user stopped 8 m ahead of the ego, with the lane switch armed:
+    # the corridor is the left lane from step 0
+    return build_profile(PATH, RoadUserState(lon=8.0, lat=0.0, v_lon=0.0),
+                         HORIZON.n_constraint, HORIZON.t_s,
+                         growth=(0.25, 0.3), d_safe=6.0, evasive=True)
+
+
+_ALL_MODES = [ModeRuntime(mode=MODE_E1, kind="lon"),
+              ModeRuntime(mode=MODE_E2, kind="lon"),
+              ModeRuntime(mode=MODE_E3, kind="lat")]
+
+
+def test_oracle_gates_show_which_verdicts_the_certificate_settled(monkeypatch):
+    # the evasive cycle with the ego at 20 m/s and e_y = 0, outside the
+    # step-0 corridor. That row reads e_y alone and no mode lifts or drops
+    # it, so the pinned-row screen skips every gate and records by how much
+    # the start breaks the row: the corridor's distance to the ego
+    profile = _evasive_profile()
     x = dyn.state(s=0.0, v=20.0)
-    decision = _controller(modes=modes).step(x, profile)
-    gates = decision.log_record()["gates"]
-    for name in ("E1", "E2", "E3"):
-        assert gates[name]["predicted_feasible"] is False
-        assert gates[name]["oracle_status"] == STATUS_INFEASIBLE
-        assert gates[name]["oracle_sqp_iterations"] == 0
-    assert "wall_time" not in json.dumps(gates)
-    # E3's reason: its start point breaks the step-0 corridor row, which
-    # reads e_y alone, by the corridor's distance to the ego
     step0_miss = profile.corridor_lo[0] - x[dyn.IDX_EY]
     assert step0_miss == 1.75
-    _, _, rep = oracle_solve(LAT_TEMPLATE, MODE_E3,
-                             build_theta(LAT_TEMPLATE, x, profile))
+    gated = []
+    real_oracle = controller.oracle_solve
+    monkeypatch.setattr(controller, "oracle_solve", lambda template, mode, theta: (
+        gated.append(mode.name) or real_oracle(template, mode, theta)))
+    gates = _controller(modes=_ALL_MODES).step(x, profile).log_record()["gates"]
+    assert gates == {name: {"solve_status": "pinned-row",
+                            "pinned_violation": step0_miss}
+                     for name in ("E1", "E2", "E3")}
+    assert gated == []
+    # E3's own gate would have settled it the same way: the lateral mode has
+    # no certificate, but its SQP ends at the pinned-row exit, without an
+    # iteration, with the same violation
+    feasible, _, rep = oracle_solve(LAT_TEMPLATE, MODE_E3,
+                                    build_theta(LAT_TEMPLATE, x, profile))
+    assert feasible is False and rep.status == STATUS_INFEASIBLE
     assert (rep.sqp_iterations, rep.ip_iterations) == (0, 0)
     assert rep.infeasibility_measure == step0_miss
 
     # the same cycle with the ego already at e_y = 2 inside the left lane:
-    # step 0 is clean, so E3's oracle runs the SQP
+    # step 0 is clean, so every gate runs. No braking clears the stopped road
+    # user, so the longitudinal certificate settles E1 and E2 without an SQP
+    # iteration, and E3's oracle runs the SQP
     x = dyn.state(s=0.0, v=20.0, e_y=2.0)
     assert profile.corridor_lo[0] < x[dyn.IDX_EY] < profile.corridor_hi[0]
-    gates = _controller(modes=modes).step(x, profile).log_record()["gates"]
+    gates = _controller(modes=_ALL_MODES).step(x, profile).log_record()["gates"]
+    assert gated == ["E1", "E2", "E3"]
+    for name in ("E1", "E2"):
+        assert gates[name]["predicted_feasible"] is False
+        assert gates[name]["oracle_status"] == STATUS_INFEASIBLE
+        assert gates[name]["oracle_sqp_iterations"] == 0
     assert gates["E3"]["oracle_sqp_iterations"] > 0
+    assert "wall_time" not in json.dumps(gates)
+
+
+_SLACK_FRACTION = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(e_y=st.floats(-1.0, 4.0), v=st.floats(0.0, 20.0),
+       lead=st.floats(6.0, 40.0),
+       fractions=st.lists(_SLACK_FRACTION, min_size=2, max_size=2))
+@example(e_y=0.0, v=20.0, lead=8.0, fractions=[0.0, 1.0])
+@example(e_y=4.0, v=0.0, lead=8.0, fractions=[1.0, 0.0])
+def test_a_screened_rung_settles_at_every_slack_its_gate_could_return(
+        e_y, v, lead, fractions):
+    # whenever the screen skips a rung, the rung's problem at any slack in
+    # [0, ceiling] ends infeasible at the SQP's pinned-row exit, before its
+    # first QP, and breaks its rows by at least the recorded violation. An
+    # ego outside the step-0 corridor, a row no mode lifts or drops, has
+    # every rung skipped, unless the warm start's rollout leaves the path
+    # (a slow ego that the references brake into reverse past s = 0)
+    profile = build_profile(PATH, RoadUserState(lon=lead, lat=0.0, v_lon=0.0),
+                            HORIZON.n_constraint, HORIZON.t_s,
+                            growth=(0.25, 0.3), d_safe=6.0, evasive=True)
+    x = dyn.state(s=0.0, v=v, e_y=e_y)
+    ctrl = _controller(modes=_ALL_MODES)
+    M = HORIZON.n_constraint
+    # the gates and the nominal solve fail at once: the screen runs first
+    rejected = _report(STATUS_INFEASIBLE, np.zeros((M + 1, dyn.NX)),
+                       np.zeros((M, dyn.NU)))
+    with mock.patch.object(controller, "solve", lambda nlp: rejected), \
+            mock.patch.object(controller, "oracle_solve",
+                              lambda template, mode, theta: (False, None,
+                                                             rejected)):
+        decision = ctrl.step(x, profile)
+    miss = max(profile.corridor_lo[0] - e_y, e_y - profile.corridor_hi[0])
+    x_refs, u_refs = ctrl._references(x, profile)
+    try:
+        dyn.rollout(x, u_refs, PATH, PARAMS, HORIZON.t_s)
+        on_path = True
+    except PathRangeError:
+        on_path = False
+    for rt in ctrl.modes:
+        gate = decision.mode_gates[rt.mode.name]
+        if gate.get("solve_status") != "pinned-row":
+            assert not on_path or miss <= sqp.INFEASIBILITY_TOL
+            continue
+        assert on_path and gate["pinned_violation"] >= miss
+        slack = np.array(fractions[:rt.mode.n_channels]) * rt.mode.ceiling_vector()
+        rep = sqp.solve(ocp.build_relaxed(
+            x, PATH, ctrl.terminal_P, HORIZON, STACK, profile, rt.mode, slack,
+            x_refs, u_refs, u_init=u_refs))
+        assert rep.status == STATUS_INFEASIBLE
+        assert (rep.sqp_iterations, rep.ip_iterations) == (0, 0)
+        assert rep.infeasibility_measure >= gate["pinned_violation"]
+
+
+def test_the_screen_moves_no_decision_and_skips_only_gates(monkeypatch):
+    # a consistent cycle, a cut-in that a longitudinal mode takes and the
+    # evasive cycle with the ego outside the step-0 corridor, run with the
+    # screen and with it patched off: the same branches and inputs, bit for
+    # bit, and the screen spares exactly the gates of the rungs it skips
+    x = dyn.state(s=0.0, v=V_REF)
+    cycles = [(x, _profile_from_ru(RoadUserState(lon=50.0, lat=0.0, v_lon=7.0))),
+              (x, _profile_from_ru(RoadUserState(lon=14.0, lat=0.0, v_lon=6.5))),
+              (dyn.state(s=0.0, v=20.0), _evasive_profile())]
+    real_oracle = controller.oracle_solve
+
+    def run():
+        gated = []
+        ctrl = _controller(modes=_ALL_MODES)
+        with monkeypatch.context() as mp:
+            mp.setattr(controller, "oracle_solve", lambda template, mode, theta: (
+                gated[-1].append(mode.name)
+                or real_oracle(template, mode, theta)))
+            decisions = []
+            for x_k, profile in cycles:
+                gated.append([])
+                decisions.append(ctrl.step(x_k, profile))
+        return decisions, gated
+
+    screened, screened_gates = run()
+    monkeypatch.setattr(controller, "pinned_row_exit", lambda nlp, xs: None)
+    plain, plain_gates = run()
+    assert [d.branch for d in screened] == [d.branch for d in plain] == \
+        [BRANCH_NOMINAL, screened[1].branch, BRANCH_FAILURE]
+    assert screened[1].branch in ("E1", "E2")
+    for a, b in zip(screened, plain):
+        assert (a.u is None and b.u is None) or a.u.tobytes() == b.u.tobytes()
+    for decision, ran, ran_plain in zip(screened, screened_gates, plain_gates):
+        skipped = [name for name, g in decision.mode_gates.items()
+                   if g.get("solve_status") == "pinned-row"]
+        assert ran == [name for name in ran_plain if name not in skipped]
+    assert screened_gates[2] == [] and plain_gates[2] == ["E1", "E2", "E3"]
+
+
+@pytest.mark.parametrize("path, x, error", [
+    # the warm plan brakes the near-stopped ego into reverse past s = 0
+    (PATH, dyn.state(s=0.5, v=1.0), PathRangeError),
+    # on a circle of radius 8 m the ego at e_y = 8 sits on the Frenet
+    # singularity, 1 - kappa e_y = 0, from step 0
+    (circular_path(8.0, 300.0), dyn.state(s=10.0, v=1.0, e_y=8.0),
+     dyn.FrenetSingularity),
+], ids=["leaves-path", "frenet-singularity"])
+@pytest.mark.parametrize("verdict", [False, True], ids=["reject", "pass"])
+def test_a_start_that_leaves_the_path_leaves_the_gates_to_decide(
+        monkeypatch, verdict, path, x, error):
+    # the evasive cycle with the ego outside the step-0 corridor, which the
+    # screen would skip; but every rung's start rolls the warm plan out of
+    # the path's range. The screen then stands aside and the gates decide
+    # as before: rejecting gates end the cycle in failure, and a passing
+    # gate's solve raises the rollout's error
+    M = HORIZON.n_constraint
+    ctrl = PriorityController(path, HORIZON, STACK, _ALL_MODES, V_REF,
+                              use_oracle=True)
+    # a previous, looser profile: the cycle is inconsistent, no nominal rung
+    ctrl._prev_profile = _profile_from_ru(RoadUserState(lon=50.0, lat=0.0,
+                                                        v_lon=7.0))
+    ctrl._warm_us = np.tile([0.0, -5.0], (M, 1))
+    gated = []
+    monkeypatch.setattr(controller, "oracle_solve", lambda template, mode, theta: (
+        gated.append(mode.name)
+        or (verdict, mode.ceiling_vector() if verdict else None,
+            _report(STATUS_OPTIMAL if verdict else STATUS_INFEASIBLE,
+                    None, None))))
+    profile = _evasive_profile()
+    assert not profile.corridor_lo[0] <= x[dyn.IDX_EY] <= profile.corridor_hi[0]
+    if verdict:
+        with pytest.raises(error):
+            ctrl.step(x, profile)
+        assert gated == ["E1"]
+    else:
+        decision = ctrl.step(x, profile)
+        assert decision.branch == BRANCH_FAILURE
+        assert decision.nominal_gate is None
+        assert gated == ["E1", "E2", "E3"]
+        assert all(g["predicted_feasible"] is False
+                   for g in decision.mode_gates.values())
+
+
+def test_the_learned_route_has_no_screen(monkeypatch):
+    # the evasive cycle with the ego outside the step-0 corridor, which the
+    # oracle route screens. On the learned route each gate is a surrogate
+    # inference, cheaper than the screen, so every gate runs: here each
+    # passes, and each rung's solve ends at the SQP's pinned-row exit
+    screened = []
+    monkeypatch.setattr(controller, "pinned_row_exit", lambda nlp, xs: (
+        screened.append(nlp) or 1.0))
+    modes = []
+    for rt in _ALL_MODES:
+        ceil = rt.mode.ceiling_vector()
+        model = SimpleNamespace(
+            channels=rt.mode.channels, ceilings=ceil, eps=0.0,
+            input_shift=np.zeros((LAT_TEMPLATE if rt.kind == "lat"
+                                  else LON_TEMPLATE).theta_dim),
+            admissible_disturbance=lambda step: np.inf,
+            infer=lambda theta, ceil=ceil: (0.5 * ceil, False, 0.9))
+        modes.append(ModeRuntime(mode=rt.mode, kind=rt.kind, model=model))
+    ctrl = PriorityController(PATH, HORIZON, STACK, modes, V_REF,
+                              use_oracle=False)
+    ctrl._prev_profile = _profile_from_ru(RoadUserState(lon=50.0, lat=0.0,
+                                                        v_lon=7.0))
+    decision = ctrl.step(dyn.state(s=0.0, v=20.0), _evasive_profile())
+    assert screened == []
+    assert decision.branch == BRANCH_FAILURE
+    for gate in decision.mode_gates.values():
+        assert gate["predicted_feasible"] is True and gate["score"] == 0.9
+        assert gate["solve_status"] == STATUS_INFEASIBLE
+        assert gate["solve"]["sqp_iterations"] == 0
 
 
 def _report(status, xs, us):
@@ -186,11 +377,6 @@ def test_hard_row_gate_fails_nan_and_inf_residuals(monkeypatch):
     assert decision.nominal_gate["solve_status"] == "hard-row-violation"
     assert [g["solve_status"] for g in decision.mode_gates.values()] == \
         ["hard-row-violation"] * 2
-
-
-MODE_E3 = ocp.RelaxationMode(name="E3", priority=3, relax={"a_y_ub": "d_ay"},
-                             ceilings={"d_ay": 4.0},
-                             drop=("g_lon_safe", "g_follow"))
 
 
 @pytest.mark.parametrize("modes, slacks, solved, duplicate_of", [

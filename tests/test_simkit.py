@@ -527,6 +527,12 @@ def _write_model(filename, n_inputs, ceilings):
                                    "2 fields", "header 4"]),
     ("certify", "--model nocert.json", ["model file", "nocert.json",
                                         "'certificate'"]),
+    # readable datasets the surrogates cannot learn: these used to end in a
+    # ValueError traceback from the regressor and the classifier
+    ("train", "--data header_only.csv", ["data file", "header_only.csv",
+                                         "at least one feasible sample"]),
+    ("train", "--data all_feasible.csv", ["data file", "all_feasible.csv",
+                                          "both classes"]),
 ])
 def test_bad_value_is_a_config_error(tmp_path, capsys, monkeypatch, section,
                                      line, words):
@@ -539,6 +545,11 @@ def test_bad_value_is_a_config_error(tmp_path, capsys, monkeypatch, section,
     (tmp_path / "empty.csv").write_text("")
     (tmp_path / "short.csv").write_text(
         "theta_0,theta_1,feasible,delta_delta_g\n0.5,1.5\n")
+    (tmp_path / "header_only.csv").write_text(
+        "theta_0,theta_1,feasible,delta_delta_g\n")
+    (tmp_path / "all_feasible.csv").write_text(
+        "theta_0,theta_1,feasible,delta_delta_g\n"
+        "0.5,1.5,1,2.0\n0.7,1.1,1,3.0\n0.2,1.9,1,0.5\n")
     if section == "train":
         code = cli.main(["train", "--config", _write_ini(tmp_path, _VALID_INI),
                          "--mode", "E1", "--out", str(tmp_path / "out" / "m.json"),
@@ -563,20 +574,30 @@ def test_data_count_below_one_is_a_config_error(tmp_path, capsys):
     assert "[data] e1 = 0 must be at least 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["gen-data", "pipeline"])
-@pytest.mark.parametrize("flag, count", [
-    ("--count", "0"), ("--count", "-3"),
-    ("--workers", "0"), ("--workers", "-3"),
-], ids=["0", "-3", "workers-0", "workers--3"])
+_COUNT_CASES = [
+    pytest.param(flag, count, command, id=f"{name}-{command}")
+    for command in ("gen-data", "pipeline")
+    for flag, count, name in (("--count", "0", "0"), ("--count", "-3", "-3"),
+                              ("--workers", "0", "workers-0"),
+                              ("--workers", "-3", "workers--3"))]
+_COUNT_CASES += [
+    pytest.param("--pairs", "-5", "certify", id="pairs--5-certify"),
+    pytest.param("--pairs", "0", "pipeline", id="pairs-0-pipeline")]
+
+
+@pytest.mark.parametrize("flag, count, command", _COUNT_CASES)
 def test_count_below_one_is_a_usage_error(tmp_path, capsys, command, flag,
                                           count):
     # --count 0 used to label the [data] count instead, and --count -3 to
-    # end in a ValueError traceback; --workers 0 and -3 labeled serially
+    # end in a ValueError traceback; --workers 0 and -3 labeled serially;
+    # certify --pairs -5 exited 0 without the sampled check
     from softmpc import cli
-    args = [command, "--config", _write_ini(tmp_path, _VALID_INI),
-            flag, count, "--out", str(tmp_path / "out")]
+    where = (["--model", str(tmp_path / "m.json")] if command == "certify"
+             else ["--config", _write_ini(tmp_path, _VALID_INI),
+                   "--out", str(tmp_path / "out")])
     with pytest.raises(SystemExit) as exit_:
-        cli.main(args + (["--mode", "E1"] if command == "gen-data" else []))
+        cli.main([command, *where, flag, count]
+                 + (["--mode", "E1"] if command == "gen-data" else []))
     assert exit_.value.code == cli.EXIT_CONFIG
     assert f"{flag}: must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
