@@ -55,8 +55,13 @@ def _mode_by_name(config, name: str):
 
 
 def cmd_gen_data(args) -> int:
-    from .oracle import generate_dataset, save_dataset
+    from .oracle import generate_dataset, save_dataset, sidecar_path
     from .simkit import scenario_template
+    if os.path.abspath(sidecar_path(args.out)) == os.path.abspath(args.out):
+        raise StageError("config", f"--out {args.out!r}: the dataset's .json "
+                         "metadata sidecar would overwrite it; give the "
+                         "dataset another extension, such as .csv",
+                         EXIT_CONFIG)
     config = _load_config(args.config)
     mode, kind, _ = _mode_by_name(config, args.mode)
     template = scenario_template(config, kind)

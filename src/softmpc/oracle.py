@@ -514,9 +514,16 @@ def generate_dataset(template: ScenarioTemplate, mode: RelaxationMode,
     return rows, sum(feasible for feasible, _ in labels) / count
 
 
+def sidecar_path(filename: str) -> str:
+    """The JSON metadata sidecar of the dataset CSV filename, next to it:
+    its extension, if any, replaced by .json."""
+    return os.path.splitext(filename)[0] + ".json"
+
+
 def save_dataset(rows, filename: str, template: ScenarioTemplate,
                  mode: RelaxationMode, seed: int, balance: float) -> None:
-    """CSV with theta/label/slack columns plus a JSON metadata sidecar."""
+    """CSV with theta/label/slack columns plus a JSON metadata sidecar
+    (sidecar_path)."""
     d = len(rows[0][0])
     n_ch = mode.n_channels
     with open(filename, "w", newline="") as fh:
@@ -547,7 +554,7 @@ def save_dataset(rows, filename: str, template: ScenarioTemplate,
         "sampler": {name: list(r)
                     for name, r in SAMPLE_RANGES[template.kind].items()},
     }
-    with open(filename.rsplit(".", 1)[0] + ".json", "w") as fh:
+    with open(sidecar_path(filename), "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
 
 

@@ -34,7 +34,12 @@ the results in the last bits. The products left inside the loops are
 ndarray.dot calls: the same BLAS call as `@`, with less dispatch per
 product, which at these sizes is most of its cost. The row blocks (stage
 groups, terminal block, global box) and their products with the Newton
-system live in one place, _Rows.
+system live in one place, _Rows. Over the stage groups, the row products
+C w and C'y stay np.einsum calls; the Gram C'DC that every factorization
+adds sums only the terms of each group's row pattern (the column pairs a
+row reads, mostly one column per row), planned once per point, in the
+einsum's own order, so it equals the einsum bit for bit (_Rows.add_gram
+says why).
 
 Step acceptance is one backtracking line search on the l1 merit function,
 from the full step down to MIN_STEP. Every trial needs the Armijo decrease
@@ -314,6 +319,7 @@ class _Rows:
             pos += 2 * q
         self.n_rows = pos
         self.vals = np.concatenate(vals) if vals else np.zeros(0)
+        self.gram_plans = None   # per group, made by the first add_gram
 
     def violation_l1(self) -> float:
         return float(np.sum(np.maximum(self.vals, 0.0)))
@@ -333,10 +339,13 @@ class _Rows:
             pinned &= ~np.any(G[0], axis=1)
         return float(np.max(self.vals[ridx[0][pinned]], initial=0.0))
 
-    # Each block keeps its own reduction (einsum for the stage groups,
-    # matmul for the terminal block and the global box): folding one block
-    # into another would reorder the sums and move the results in the last
-    # bits.
+    # Each block keeps its own reduction (einsum for the stage groups in
+    # product and add_transpose, the row pattern's terms for their Gram in
+    # add_gram, matmul for the terminal block and the global box): folding
+    # one block into another would reorder the sums and move the results in
+    # the last bits. product and add_transpose sum along the contiguous
+    # column axis, where numpy's SIMD einsum does not add in column order,
+    # so they stay einsums.
     def product(self, w, wM, dgamma) -> np.ndarray:
         """C w + G dgamma per row, w (M, nz) the stage steps, wM the
         terminal state step."""
@@ -372,13 +381,38 @@ class _Rows:
     def add_gram(self, D, H, U, P_M, Gamma) -> None:
         """Row curvature with weights D, in place: C'DC into the stage
         Hessians H and the terminal P_M, C'DG into U and G'DG into Gamma
-        (U and Gamma are None without a global block)."""
-        for stages, ridx, C, G in self.groups:
+        (U and Gamma are None without a global block).
+
+        A stage group's sums run over the terms of its row pattern
+        (_gram_plan): the (row, column, column) triples whose two Jacobian
+        entries are nonzero at some stage of the group. At the controller's
+        linearization points most rows read one column, so a stage of
+        80 x 35 x 9 has 38 terms instead of 2835. The sums equal
+        np.einsum("kmi,km,kmj->kij", C, D, C) (and the C'DG and G'DG forms,
+        "->ij" for G'DG) bit for bit. That einsum forms each term as
+        (C_mi D_m) C_mj and adds it to a sum that starts at +0.0, the rows
+        in ascending order, per stage for H and U and stage-major for
+        Gamma; _gram does the same with the planned terms. A skipped term
+        is an exact zero (0 D c, with D and c finite). Adding a zero changes
+        no sum but a zero one's sign, and neither sum is ever -0.0 (it
+        starts at +0.0, and x + y is -0.0 only when both are), so skipping
+        changes nothing. A group whose block, or a call whose D, holds a
+        non-finite entry sums every term, so that its NaNs land where the
+        einsum's do. The plans depend on the point alone: they are made at
+        the first call and kept for the IP iterations that follow.
+        """
+        if self.gram_plans is None:
+            self.gram_plans = [_group_plans(C, G, False)
+                               for _, _, C, G in self.groups]
+        plans = self.gram_plans
+        if not np.all(np.isfinite(D)):
+            plans = [_group_plans(C, G, True) for _, _, C, G in self.groups]
+        for (stages, ridx, C, G), plan in zip(self.groups, plans):
             Dr = D[ridx]
-            H[stages] += np.einsum("kmi,km,kmj->kij", C, Dr, C)
+            H[stages] += _gram(C, Dr, C, plan[0], per_stage=True)
             if G is not None:
-                U[stages] += np.einsum("kmi,km,kmj->kij", C, Dr, G)
-                Gamma += np.einsum("kmi,km,kmj->ij", G, Dr, G)
+                U[stages] += _gram(C, Dr, G, plan[1], per_stage=True)
+                Gamma += _gram(G, Dr, G, plan[2], per_stage=False)
         if self.term is not None:
             sl, Cx = self.term
             P_M += Cx.T @ (D[sl][:, None] * Cx)
@@ -386,6 +420,70 @@ class _Rows:
             sl, G = self.glob
             Dr = D[sl]
             Gamma += G.T @ (Dr[:, None] * G)
+
+
+def _gram_plan(A, B, full: bool):
+    """The terms of the Gram sum over rows m of A[k, m, a] D[k, m] B[k, m, b]
+    for one stage group's blocks A (k, m, na) and B (k, m, nb): every
+    (m, a, b) with full, else those whose A and B entries are both nonzero
+    at some stage k. Returns (rows, ia, ib, pad, entries): each term's row
+    and its flat indices m * na + a into A and m * nb + b into B, the flat
+    entries a * nb + b that have terms, and pad (L, entries) indexing each
+    entry's terms in ascending row order behind one leading zero term,
+    padded with that zero term (index rows.size) to a common length L."""
+    na, nb = A.shape[2], B.shape[2]
+    nz_a = np.ones(A.shape[1:], bool) if full else np.any(A != 0.0, axis=0)
+    nz_b = np.ones(B.shape[1:], bool) if full else np.any(B != 0.0, axis=0)
+    rows, a, b = np.nonzero(nz_a[:, :, None] & nz_b[:, None, :])
+    flat = a * nb + b
+    order = np.argsort(flat, kind="stable")   # by entry, rows ascending
+    rows, a, b = rows[order], a[order], b[order]
+    counts = np.bincount(flat, minlength=na * nb)
+    entries = np.flatnonzero(counts)
+    counts = counts[entries]
+    pad = np.full((counts.max(initial=0) + 1, entries.size), rows.size)
+    term = np.arange(rows.size)
+    pad[term - np.repeat(np.cumsum(counts) - counts, counts) + 1,
+        np.repeat(np.arange(entries.size), counts)] = term
+    return rows, rows * na + a, rows * nb + b, pad, entries
+
+
+def _group_plans(C, G, full: bool) -> list:
+    """The _gram_plan of C'DC and, with a global block, of C'DG and G'DG
+    for one stage group; every term where C or G is not finite."""
+    full = full or not (np.all(np.isfinite(C))
+                        and (G is None or np.all(np.isfinite(G))))
+    plans = [_gram_plan(C, C, full)]
+    if G is not None:
+        plans += [_gram_plan(C, G, full), _gram_plan(G, G, full)]
+    return plans
+
+
+def _gram(A, Dr, B, plan, per_stage: bool) -> np.ndarray:
+    """The sums of plan's terms (A_ma Dr_m) B_mb: per stage, in ascending
+    row order (k, na, nb), or with per_stage False over the whole group,
+    stage-major and then by row (na, nb). Each sum starts at +0.0 and adds
+    one term at a time: per stage, one vector add per rank of term across
+    every entry and stage; over the group, np.add.accumulate along each
+    entry's sequence, which folds in order."""
+    rows, ia, ib, pad, entries = plan
+    k, na, nb = A.shape[0], A.shape[2], B.shape[2]
+    terms = np.zeros((rows.size + 1, k))      # the last term is the zero
+    np.multiply(A.reshape(k, -1).T[ia] * Dr.T[rows],
+                B.reshape(k, -1).T[ib], out=terms[:-1])
+    seq = terms[pad]                           # (L, entries, k)
+    if per_stage:
+        out = np.zeros((na * nb, k))
+        acc = seq[0]
+        for term in seq[1:]:
+            acc += term
+        out[entries] = acc
+        return out.T.reshape(k, na, nb)
+    out = np.zeros(na * nb)
+    out[entries] = np.add.accumulate(
+        seq.transpose(1, 2, 0).reshape(entries.size, k * pad.shape[0]),
+        axis=1)[:, -1]
+    return out.reshape(na, nb)
 
 
 def _objective(nlp: NlpDescription, xs, us, gamma) -> float:
@@ -942,7 +1040,12 @@ def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport
 def _nlp_kkt(sub: _Subproblem, z: np.ndarray):
     """KKT residuals (stationarity, violation, complementarity) of the NLP at
     the subproblem's linearization point with row multipliers z, recomputed
-    from primal/dual values alone."""
+    from primal/dual values alone.
+
+    The loop keeps only the costate recursion; the input-gradient
+    residuals grad_u + B'lam of every stage are one batched np.matmul after
+    it, the products the per-stage B[n].T.dot would give, and their
+    maximum does not depend on the order it is taken in."""
     nlp, rows = sub.nlp, sub.rows
     M, nx, q = nlp.horizon, nlp.nx, nlp.n_gamma
 
@@ -952,13 +1055,13 @@ def _nlp_kkt(sub: _Subproblem, z: np.ndarray):
     rows.add_transpose(z, grad, grad_M, grad_g)
     grad_x, grad_u = grad[:, :nx], grad[:, nx:]
 
-    lam = grad_M
+    lams = np.empty((M, nx))     # lams[n] multiplies stage n's dynamics
+    lams[M - 1] = lam = grad_M
+    for n in range(M - 1, 0, -1):
+        lams[n - 1] = lam = grad_x[n] + sub.A[n].T.dot(lam)
+    su = grad_u + np.matmul(sub.B.transpose(0, 2, 1), lams[:, :, None])[:, :, 0]
     stat = float(np.max(np.abs(grad_g))) if q else 0.0
-    for n in range(M - 1, -1, -1):
-        su = grad_u[n] + sub.B[n].T.dot(lam)
-        stat = max(stat, float(np.max(np.abs(su))))
-        if n > 0:
-            lam = grad_x[n] + sub.A[n].T.dot(lam)
+    stat = max(stat, float(np.max(np.abs(su))))
     if rows.n_rows:
         dual_scale = 1.0 + float(np.max(z))
         compl = float(np.max(np.abs(z * np.minimum(rows.vals, 0.0)))) / dual_scale

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -106,6 +107,28 @@ def test_oracle_monotone_in_ceiling():
     assert feas_big
     assert slack_big[0] > 2.0  # explains why the small ceiling fails
     assert not feas_small
+
+
+def _doubled(mode):
+    return dataclasses.replace(
+        mode, ceilings={ch: 2.0 * c for ch, c in mode.ceilings.items()})
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       case=st.sampled_from([(LON_TEMPLATE, MODE_E1), (LON_TEMPLATE, MODE_E2),
+                             (LAT_TEMPLATE, MODE_E3)]))
+# seeds whose draws hold feasible samples of each mode
+@example(seed=1, case=(LON_TEMPLATE, MODE_E1))
+@example(seed=2, case=(LON_TEMPLATE, MODE_E2))
+@example(seed=1, case=(LAT_TEMPLATE, MODE_E3))
+def test_a_feasible_label_stays_feasible_under_doubled_ceilings(seed, case):
+    # only feasibility is asserted: the minimal slack itself can move when
+    # a ceiling is raised, since channels share the work of lifting rows
+    template, mode = case
+    for theta in sample_thetas(template, 6, seed):
+        if oracle_solve(template, mode, theta)[0]:
+            assert oracle_solve(template, _doubled(mode), theta)[0]
 
 
 def test_lat_nominal_corridor_zero_slack():

@@ -603,6 +603,41 @@ def test_count_below_one_is_a_usage_error(tmp_path, capsys, command, flag,
     assert not (tmp_path / "out").exists()
 
 
+def test_gen_data_writes_its_sidecar_next_to_the_dataset(tmp_path, capsys):
+    # the sidecar used to be named by cutting the path at its last dot, so
+    # --out runs.v2/e1 wrote runs.json into the parent directory
+    from softmpc import cli
+    from softmpc.oracle import load_dataset
+    out = tmp_path / "runs.v2" / "e1"
+    code = cli.main(["gen-data", "--config", _write_ini(tmp_path, _VALID_INI),
+                     "--mode", "E1", "--count", "2", "--workers", "1",
+                     "--seed", "3", "--out", str(out)])
+    assert code == cli.EXIT_OK, capsys.readouterr().err
+    assert sorted(p.name for p in out.parent.iterdir()) == ["e1", "e1.json"]
+    assert not (tmp_path / "runs.json").exists()
+    assert json.loads((out.parent / "e1.json").read_text())["count"] == 2
+    assert len(load_dataset(str(out))[0]) == 2
+
+
+def test_gen_data_out_that_is_its_own_sidecar_is_a_config_error(
+        tmp_path, capsys, monkeypatch):
+    # --out e1.json used to write the CSV, overwrite it with its own sidecar
+    # and report success; the next train --data e1.json then failed
+    from softmpc import cli, oracle
+
+    def no_labeling(*args, **kwargs):
+        raise AssertionError("labeled before the --out check")
+
+    monkeypatch.setattr(oracle, "generate_dataset", no_labeling)
+    out = tmp_path / "data" / "e1.json"
+    code = cli.main(["gen-data", "--config", _write_ini(tmp_path, _VALID_INI),
+                     "--mode", "E1", "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("[config]") and "e1.json" in err and "sidecar" in err
+    assert not out.parent.exists()
+
+
 def test_negative_ceiling_is_a_config_error(tmp_path, capsys):
     # the controller would clip the commanded slack to -30 and tighten the
     # row it is meant to lift

@@ -900,3 +900,249 @@ def test_riccati_sweeps_equal_the_plain_loops_on_an_indefinite_input_block(
     sub = _random_subproblem(rng, 3, 2, q, 12, True, uu_shift=-50.0)
     _assert_sweeps_match_reference(sub, rng, D_max=1e-6)
     assert min(inverted) < 0.0
+
+
+# _Rows.add_gram sums only the terms of each stage group's row pattern. The
+# einsum it replaced is the reference: the sums must equal it bit for bit.
+
+
+def _reference_add_gram(rows, D, H, U, P_M, Gamma):
+    for stages, ridx, C, G in rows.groups:
+        Dr = D[ridx]
+        H[stages] += np.einsum("kmi,km,kmj->kij", C, Dr, C)
+        if G is not None:
+            U[stages] += np.einsum("kmi,km,kmj->kij", C, Dr, G)
+            Gamma += np.einsum("kmi,km,kmj->ij", G, Dr, G)
+    if rows.term is not None:
+        sl, Cx = rows.term
+        P_M += Cx.T @ (D[sl][:, None] * Cx)
+    if rows.glob is not None:
+        sl, G = rows.glob
+        Gamma += G.T @ (D[sl][:, None] * G)
+
+
+def _same_bits(got, want) -> bool:
+    return (got is None) == (want is None) and (
+        got is None or (got.shape == want.shape
+                        and got.tobytes() == want.tobytes()))
+
+
+def _gram_targets(rng, nlp):
+    """Targets H, U, P_M, Gamma of the shapes _factorize passes, holding
+    nonzero, +0.0 and -0.0 entries."""
+    M, nz, q = nlp.horizon, nlp.nx + nlp.nu, nlp.n_gamma
+    H = rng.normal(size=(M, nz, nz))
+    H[rng.random(H.shape) < 0.4] = 0.0
+    H[rng.random(H.shape) < 0.1] = -0.0
+    U = np.zeros((M, nz, q)) if q else None
+    if q:
+        U[rng.random(U.shape) < 0.1] = -0.0
+    Gamma = np.where(rng.random((q, q)) < 0.3, 0.0, 1e-3) if q else None
+    return H, U, rng.normal(size=(nlp.nx, nlp.nx)), Gamma
+
+
+def _assert_gram_matches_reference(rows, D, targets):
+    got = [None if t is None else t.copy() for t in targets]
+    want = [None if t is None else t.copy() for t in targets]
+    rows.add_gram(D, *got)
+    _reference_add_gram(rows, D, *want)
+    for name, g, w in zip(("H", "U", "P_M", "Gamma"), got, want):
+        assert _same_bits(g, w), name
+
+
+def _patterned_rows_nlp(rng, nx, nu, q, M, m, patterns, terminal):
+    """A problem whose stage rows have a row pattern: each row reads 1-4
+    columns, each zero at a random share of the stages, with exact 0.0 and
+    -0.0 entries; each row reads at most one slack channel, and the stages
+    fall into up to `patterns` groups that all add into one Gamma."""
+    nz = nx + nu
+    C = np.zeros((M, m, nz))
+    for r in range(m):
+        cols = rng.choice(nz, size=min(nz, int(rng.integers(1, 5))),
+                          replace=False)
+        vals = rng.normal(size=(M, cols.size)) * 10.0 ** rng.integers(
+            -4, 5, size=(M, cols.size))
+        vals[rng.random(vals.shape) < rng.random(cols.size)] = 0.0
+        vals[rng.random(vals.shape) < 0.1] = -0.0
+        C[:, r, cols] = vals
+    G = None
+    if q:
+        G = np.zeros((M, m, q))
+        for r in np.flatnonzero(rng.random(m) < 0.7):
+            G[:, r, rng.integers(q)] = rng.choice([-1.0, 1.0, 2.5, -0.0, 0.0])
+    masks = rng.random((patterns, m)) < 0.7
+    mask = masks[rng.integers(patterns, size=M)]
+
+    def stage_rows(xs, us):
+        return np.zeros((M, m)), C, G
+
+    k = 2 if terminal else 0
+    kw = dict(n_gamma=q, gamma_weight=np.eye(q), gamma_lo=-np.ones(q),
+              gamma_hi=np.ones(q)) if q else {}
+    return NlpDescription(
+        nx=nx, nu=nu, horizon=M, dyn_f=lambda us: np.zeros((M + 1, nx)),
+        dyn_jac=None, cost_W=np.zeros((M, nz, nz)),
+        cost_ref=np.zeros((M, nz)), cost_P=np.eye(nx),
+        cost_ref_M=np.zeros(nx), stage_rows=stage_rows, stage_row_mask=mask,
+        terminal_C=rng.normal(size=(k, nx)), terminal_offset=np.ones(k), **kw)
+
+
+def _rows_at_start(nlp):
+    us, gamma = sqp._start_point(nlp)
+    return sqp._Rows(nlp, sqp._Layout(nlp), nlp.dyn_f(us), us, gamma)
+
+
+@given(nx=st.integers(1, 7), nu=st.sampled_from([1, 2]),
+       q=st.integers(0, 4), M=st.integers(1, 30), m=st.integers(1, 9),
+       patterns=st.integers(1, 3), terminal=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+# the controller's stage groups (80 x 35 x 9 and 20 x 23 x 9 at M = 100)
+# and the oracle's longitudinal and lateral ones, with their slack blocks
+@example(nx=7, nu=2, q=0, M=100, m=35, patterns=2, terminal=True, seed=1)
+@example(nx=3, nu=1, q=2, M=100, m=9, patterns=1, terminal=True, seed=2)
+@example(nx=4, nu=1, q=4, M=100, m=22, patterns=2, terminal=False, seed=3)
+@settings(max_examples=80, deadline=None)
+def test_sparse_gram_equals_the_einsum_bit_for_bit(nx, nu, q, M, m, patterns,
+                                                   terminal, seed):
+    rng = np.random.default_rng(seed)
+    nlp = _patterned_rows_nlp(rng, nx, nu, q, M, m, patterns, terminal)
+    rows = _rows_at_start(nlp)
+    targets = _gram_targets(rng, nlp)
+    # the first call makes the plans, the second reuses them
+    for _ in range(2):
+        D = 10.0 ** rng.uniform(-12.0, 10.0, rows.n_rows)
+        _assert_gram_matches_reference(rows, D, targets)
+
+
+@pytest.mark.parametrize("where", ["C", "G", "D"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_entry_puts_nan_where_the_einsum_does(where, bad):
+    # an inf meets the zeros of the other factor as NaN: such a block or
+    # D sums every term, not only the row pattern's
+    rng = np.random.default_rng(5)
+    nlp = _patterned_rows_nlp(rng, 4, 1, 2, 12, 6, 2, False)
+    rows = _rows_at_start(nlp)
+    D = 10.0 ** rng.uniform(-3.0, 3.0, rows.n_rows)
+    _, ridx, C, G = rows.groups[0]
+    k, m = ridx.shape[0] - 1, ridx.shape[1] - 1
+    if where == "D":
+        D[ridx[k, m]] = bad
+    else:
+        (C if where == "C" else G)[k, m, 0] = bad
+    got = list(_gram_targets(rng, nlp))
+    want = [None if t is None else t.copy() for t in got]
+    with np.errstate(invalid="ignore"):
+        rows.add_gram(D, *got)
+        _reference_add_gram(rows, D, *want)
+    assert any(np.isnan(w).any() for w in want if w is not None)
+    for name, g, w in zip(("H", "U", "P_M", "Gamma"), got, want):
+        assert np.array_equal(np.isnan(g), np.isnan(w)), name
+        assert np.array_equal(g, w, equal_nan=True), name
+
+
+def test_a_sum_of_signed_zeros_is_the_einsums_plus_zero():
+    # at stage 0 the one row reads -0.0 and 1.0, so its C'DC off-diagonal
+    # term is -0.0; the einsum's sum starts at +0.0 and stays +0.0, and
+    # adding it turns a -0.0 target into +0.0 (a -0.0 sum would keep it)
+    C = np.array([[[-0.0, 1.0]], [[2.0, 3.0]]])
+    nlp = NlpDescription(
+        nx=1, nu=1, horizon=2, dyn_f=lambda us: np.zeros((3, 1)),
+        dyn_jac=None, cost_W=np.zeros((2, 2, 2)), cost_ref=np.zeros((2, 2)),
+        cost_P=np.eye(1), cost_ref_M=np.zeros(1),
+        stage_rows=lambda xs, us: (np.zeros((2, 1)), C, None),
+        stage_row_mask=np.ones((2, 1), dtype=bool))
+    rows = _rows_at_start(nlp)
+    H = np.full((2, 2, 2), -0.0)
+    _assert_gram_matches_reference(rows, np.ones(2), (H, None, np.eye(1), None))
+    want = H.copy()
+    _reference_add_gram(rows, np.ones(2), want, None, np.eye(1), None)
+    assert not np.signbit(want[0, 0, 1])
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+def test_sparse_gram_equals_the_einsum_on_recorded_problems(monkeypatch):
+    # every add_gram call of short closed loops of the shipped configs and
+    # of a few oracle labels, against the einsum on the same targets
+    import dataclasses
+    from softmpc import dynamics as dyn
+    from softmpc import simkit
+    from softmpc.environment import build_profile
+    from softmpc.oracle import generate_dataset
+    checked = []
+    add_gram = sqp._Rows.add_gram
+
+    def compared(rows, D, H, U, P_M, Gamma):
+        want = [None if t is None else t.copy() for t in (H, U, P_M, Gamma)]
+        _reference_add_gram(rows, D, *want)
+        add_gram(rows, D, H, U, P_M, Gamma)
+        checked.append((max(int(np.max(np.sum(np.any(C != 0.0, axis=0), axis=1)))
+                            for _, _, C, _ in rows.groups),
+                        Gamma is not None,
+                        all(_same_bits(g, w) for g, w
+                            in zip((H, U, P_M, Gamma), want))))
+
+    monkeypatch.setattr(sqp._Rows, "add_gram", compared)
+    configs = {name: simkit.load_scenario(os.path.join(CONFIGS, name + ".ini"))
+               for name in ("scenario1", "scenario2")}
+    for config in configs.values():
+        t_s = config.horizon.t_s
+        simkit.run(dataclasses.replace(config, duration=3 * t_s),
+                   use_oracle=True)
+    # scenario2's controller at a steering state, where its comfort rows
+    # read three columns; the cycle escalates to E3
+    config = configs["scenario2"]
+    ctrl = simkit.build_controller(config, use_oracle=True)
+    ctrl.step(dyn.state(s=config.ego_s0, v=config.ego_v0, delta=0.02,
+                        e_psi=0.02),
+              build_profile(ctrl.path, None, config.horizon.n_constraint,
+                            config.horizon.t_s, config.growth,
+                            ctrl.stack.d_safe, evasive=config.evasive))
+    for name, mode_name in (("scenario1", "E2"), ("scenario2", "E3")):
+        config = configs[name]
+        mode, kind, _ = next(s for s in config.mode_specs
+                             if s[0].name == mode_name)
+        generate_dataset(simkit.scenario_template(config, kind), mode, 3,
+                         seed=1000, workers=1)
+    assert len(checked) > 300
+    assert all(ok for _, _, ok in checked)
+    assert {cols for cols, _, _ in checked} >= {2, 3}
+    assert {glob for _, glob, _ in checked} == {False, True}
+
+
+def test_the_gram_plans_are_made_once_per_point(monkeypatch):
+    made = []
+    group_plans = sqp._group_plans
+
+    def counted(C, G, full):
+        made.append(full)
+        return group_plans(C, G, full)
+
+    monkeypatch.setattr(sqp, "_group_plans", counted)
+    rng = np.random.default_rng(3)
+    nlp = _patterned_rows_nlp(rng, 4, 1, 2, 20, 6, 3, True)
+    rows = _rows_at_start(nlp)
+    targets = _gram_targets(rng, nlp)
+    for _ in range(5):
+        _assert_gram_matches_reference(
+            rows, 10.0 ** rng.uniform(-6.0, 6.0, rows.n_rows), targets)
+    assert made == [False] * len(rows.groups)
+
+    # in a solve: one set of plans per linearization point, however many
+    # IP iterations factorize there
+    points = {}
+    add_gram = sqp._Rows.add_gram
+
+    def spied(rows, *args):
+        add_gram(rows, *args)
+        points.setdefault(id(rows), (rows, []))[1].append(rows.gram_plans)
+
+    monkeypatch.setattr(sqp._Rows, "add_gram", spied)
+    made.clear()
+    report = solve(next(_box_double_integrators())[0])
+    assert report.status == STATUS_OPTIMAL
+    assert sum(len(p) for _, p in points.values()) > len(points) >= 1
+    assert made == [False] * sum(len(r.groups) for r, _ in points.values())
+    for _, plans in points.values():
+        assert all(p is plans[0] for p in plans)
