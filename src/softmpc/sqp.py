@@ -22,24 +22,39 @@ keeps the subproblem feasible and turns infeasibility detection into penalty
 escalation: if the elastics refuse to vanish at the penalty ceiling, the
 problem is declared infeasible. The elastics and the inequality slack/dual
 pairs are eliminated analytically, reducing each Newton system to the
-block-tridiagonal (banded) horizon KKT form, factorized stage-by-stage in a
-Riccati sweep with the global block handled through its Schur complement;
-cost per iteration is linear in the horizon length. The Python loops of the
-sweeps keep only the stage recursion; every product that does not depend
-on the previous stage runs as one batched np.matmul before or after them,
-with the same operands in the same order, so the sweeps return what plain
-per-stage loops return, bit for bit. Batched matmul runs the BLAS kernel
-that `@` runs on each stage; np.einsum does not, and its sums would move
-the results in the last bits. The products left inside the loops are
-ndarray.dot calls: the same BLAS call as `@`, with less dispatch per
-product, which at these sizes is most of its cost. The row blocks (stage
-groups, terminal block, global box) and their products with the Newton
-system live in one place, _Rows. Over the stage groups, the row products
-C w and C'y stay np.einsum calls; the Gram C'DC that every factorization
-adds sums only the terms of each group's row pattern (the column pairs a
-row reads, mostly one column per row), planned once per point, in the
-einsum's own order, so it equals the einsum bit for bit (_Rows.add_gram
-says why).
+stage-ordered horizon KKT form, whose cost per iteration is linear in the
+horizon length. It is solved on one of two paths, chosen by the global
+block alone (_ip_solve):
+- Without a global block (every controller solve), by one banded LU
+  (_band_factorize, _band_backsolve): the unknowns are ordered stage by
+  stage as (x_n, u_n, mu_n), then x_M, so the KKT matrix is banded with
+  kl = ku = 2 nx + nu - 1. Its index pattern is made once per solve
+  (_Band, on _Layout) and its values are scattered into LAPACK band storage
+  once per IP iteration; scipy's dgbtrf factors it and one dgbtrs solves
+  each right-hand side. It solves the same regularized system as the
+  Riccati sweep below, in another order of operations, so its directions
+  agree with the sweep's to rounding, not bit for bit.
+- With a global block (every oracle solve), by a Riccati sweep factorized
+  stage by stage with the global block handled through its Schur
+  complement (_factorize, _backsolve). The oracle's labels are pinned bit
+  for bit (the labeling benchmark checks its dataset's SHA-256), and the
+  bordered banded form that would serve the block is not built yet, so
+  these solves keep the sweep and its bits. The Python loops of the
+  sweeps keep only the stage recursion; every product that does not
+  depend on the previous stage runs as one batched np.matmul before or
+  after them, with the same operands in the same order, so the sweeps
+  return what plain per-stage loops return, bit for bit. Batched matmul
+  runs the BLAS kernel that `@` runs on each stage; np.einsum does not,
+  and its sums would move the results in the last bits. The products left
+  inside the loops are ndarray.dot calls: the same BLAS call as `@`, with
+  less dispatch per product, which at these sizes is most of its cost.
+The row blocks (stage groups, terminal block, global box) and their
+products with the Newton system live in one place, _Rows. Over the stage
+groups, the row products C w and C'y stay np.einsum calls; the Gram C'DC
+that every factorization adds sums only the terms of each group's row
+pattern (the column pairs a row reads, mostly one column per row), planned
+once per point, in the einsum's own order, so it equals the einsum bit for
+bit (_Rows.add_gram says why).
 
 Step acceptance is one backtracking line search on the l1 merit function,
 from the full step down to MIN_STEP. Every trial needs the Armijo decrease
@@ -83,9 +98,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import lapack
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -94,7 +111,7 @@ STATUS_MAX_ITER = "max-iter"
 
 TOL_STEP = 1e-8            # step norm below which a step makes no progress
 ELASTIC_REG = 1e-8         # quadratic term on elastic variables
-CONTROL_REG = 1e-9         # Riccati Quu regularization
+CONTROL_REG = 1e-9         # added to the input block of every Newton system
 IP_TAU = 0.995             # fraction-to-boundary
 ARMIJO_C1 = 1e-4
 MIN_STEP = 1e-10           # smallest line-search step tried
@@ -158,7 +175,7 @@ class SolveReport:
     first QP (settled_infeasible): the point returned is the start point,
     and with no linearization point the KKT residuals are inf.
 
-    phase_s sums the solve's seconds in each of PHASES: the Riccati
+    phase_s sums the solve's seconds in each of PHASES: the Newton-system
     factorizations, the Newton back-solves, and the evaluation (rollout,
     rows and objective) of every iterate and trial point. Like wall_time
     it varies from run to run."""
@@ -204,8 +221,9 @@ class NlpDescription:
     (M+1, nx) from the problem's fixed start state; dyn_jac(xs, us) the
     Jacobians (A (M, nx, nx), B (M, nx, nu)) of every stage. The k terminal
     rows are data, terminal_C (k, nx) x_M - terminal_offset (k,) <= 0;
-    k = 0 means none. nu is 1 or 2: the Riccati sweep inverts the control
-    Hessian in closed form (_inv_pd).
+    k = 0 means none. nu is 1 or 2: the Riccati sweep, which serves the
+    problems with a global block, inverts the control Hessian in closed form
+    (_inv_pd).
 
     The stage rows are affine in the inputs and in the global block: their
     Jacobian columns for u and their G do not depend on the point. (ocp's
@@ -259,10 +277,12 @@ class _Layout:
 
     Rows are numbered stage by stage. Stages with the same row pattern form
     one group, in the order of their first stage, so the hot row operations
-    run as batched tensor products over C-contiguous (k, m, nz) blocks.
+    run as batched tensor products over C-contiguous (k, m, nz) blocks. The
+    banded Newton system's index pattern (band) is made at its first use.
     """
 
     def __init__(self, nlp: NlpDescription):
+        self.shape = (nlp.horizon, nlp.nx, nlp.nu)
         self.mask = (np.zeros((nlp.horizon, 0), dtype=bool)
                      if nlp.stage_rows is None
                      else np.asarray(nlp.stage_row_mask, dtype=bool))
@@ -279,6 +299,46 @@ class _Layout:
             self.groups.append((stages, cols,
                                 starts[stages][:, None] + np.arange(cols.size)))
 
+    @cached_property
+    def band(self) -> "_Band":
+        return _Band(*self.shape)
+
+
+class _Band:
+    """Index pattern of the banded Newton system of a problem without a
+    global block (see _band_factorize).
+
+    The unknowns are ordered stage by stage as (x_n, u_n, mu_n), s = 2 nx + nu
+    of them, then x_M: n = M s + nx unknowns, and every coupling lies within
+    kl = ku = s - 1 of the diagonal. The matrix is kept in LAPACK's band
+    storage for dgbtrf, a Fortran-ordered (2 kl + ku + 1, n) array holding
+    entry (i, j) at row kl + ku + i - j of column j. index holds the flat
+    memory position in that array of each value _band_factorize scatters,
+    in the values' order: the stage Hessians H (M, nz, nz), the terminal
+    P_M (nx, nx), the dynamics blocks F_n = [A_n B_n] in the mu_n rows and
+    their transposes in the mu_n columns (M, nx, nz each), and the -I that
+    couples mu_n with x_{n+1} in both directions (M, nx each)."""
+
+    def __init__(self, M: int, nx: int, nu: int):
+        nz = nx + nu
+        s = nz + nx
+        self.kl = self.ku = s - 1
+        self.ldab = 2 * self.kl + self.ku + 1
+        self.n = M * s + nx
+        base = np.arange(M)[:, None, None] * s
+        z, i = np.arange(nz), np.arange(nx)
+        stage = base[:, 0]
+        blocks = [(base + z[:, None], base + z),         # H
+                  (M * s + i[:, None], M * s + i),       # P_M
+                  (base + nz + i[:, None], base + z),    # F_n
+                  (base + z, base + nz + i[:, None]),    # F_n'
+                  (stage + nz + i, stage + s + i),       # -I, mu_n row
+                  (stage + s + i, stage + nz + i)]       # -I, x_{n+1} row
+        pairs = [np.broadcast_arrays(r, c) for r, c in blocks]
+        rows = np.concatenate([r.ravel() for r, _ in pairs])
+        cols = np.concatenate([c.ravel() for _, c in pairs])
+        self.index = cols * self.ldab + (self.kl + self.ku + rows - cols)
+
 
 class _Rows:
     """Linearized inequality rows at one point, flattened across the horizon,
@@ -290,6 +350,7 @@ class _Rows:
     """
 
     def __init__(self, nlp: NlpDescription, layout: _Layout, xs, us, gamma):
+        self.layout = layout
         q = nlp.n_gamma
         vals = []
         self.groups = []      # (stage_idx (k,), row_idx (k, m), C (k,m,nz), G)
@@ -519,7 +580,6 @@ class _Subproblem:
         self.A = np.ascontiguousarray(A, dtype=float)
         self.B = np.ascontiguousarray(B, dtype=float)
         self.F = np.concatenate([self.A, self.B], axis=2)       # (M, nx, nz)
-        self.FT = np.ascontiguousarray(self.F.transpose(0, 2, 1))
         self.g_stage, self.g_term, self.g_gamma = _cost_gradients(nlp, xs, us, gamma)
 
         m = rows.n_rows
@@ -539,6 +599,17 @@ class _Subproblem:
         else:
             self.t = self.s = self.z = np.zeros(0)
 
+    @cached_property
+    def band_values(self) -> np.ndarray:
+        """The values of the banded Newton system that stay fixed across the
+        IP iterations, in _Band's order after H and P_M: F_n, F_n' and the
+        -I couplings. F_0's columns for x_0 are zero: x_0 is fixed, so its
+        rows and columns hold the identity alone."""
+        F = self.F.copy()
+        F[0, :, :self.nlp.nx] = 0.0
+        return np.concatenate([F.ravel(), F.ravel(),
+                               np.full(2 * F.shape[0] * F.shape[1], -1.0)])
+
     def stationarity(self):
         """Residuals of the QP stationarity equations at the current point."""
         nlp = self.nlp
@@ -555,8 +626,66 @@ class _Subproblem:
         return F, F_M, F_g
 
 
+def _band_factorize(sub: _Subproblem, D: np.ndarray):
+    """LU factors of the Newton system of a problem without a global block,
+    as one banded matrix (_Band has its layout): (band, lu, ipiv).
+
+    With the Lagrangian term mu_n'(A_n dx_n + B_n du_n - dx_{n+1}), the rows
+    of (x_n, u_n) are stationarity, H_n w_n + F_n' mu_n - mu_{n-1} (x rows
+    only), with the stage Hessian H_n = cost_W + C'DC (_Rows.add_gram) and
+    CONTROL_REG on its input diagonal: in exact arithmetic the Riccati
+    sweep's regularized Q_uu. The rows of mu_n are the linearized dynamics,
+    and x_M's rows are P_M dx_M - mu_{M-1}. x_0 is fixed: its rows and
+    columns hold the identity alone, so its step is an exact zero. The
+    values go into a zeroed Fortran-ordered band with one scatter, which
+    the LAPACK wrapper factors in place. Raises np.linalg.LinAlgError for a
+    non-finite band or a singular one (dgbtrf info > 0).
+    """
+    nlp = sub.nlp
+    nx = nlp.nx
+    H = nlp.cost_W.copy()
+    P_M = nlp.cost_P.copy()
+    sub.rows.add_gram(D, H, None, P_M, None)
+    H[:, nx:, nx:] += CONTROL_REG * np.eye(nlp.nu)
+    H[0, :nx] = H[0, :, :nx] = 0.0
+    H[0, :nx, :nx] = np.eye(nx)
+    vals = np.concatenate([H.ravel(), P_M.ravel(), sub.band_values])
+    if not np.all(np.isfinite(vals)):
+        raise np.linalg.LinAlgError("non-finite banded Newton system")
+    band = sub.rows.layout.band
+    ab = np.zeros(band.n * band.ldab)
+    ab[band.index] = vals
+    lu, ipiv, info = lapack.dgbtrf(ab.reshape(band.n, band.ldab).T,
+                                   band.kl, band.ku, overwrite_ab=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular banded Newton system (dgbtrf info {info})")
+    return band, lu, ipiv
+
+
+def _band_backsolve(sub: _Subproblem, fac, F, F_M, F_g, e: np.ndarray):
+    """Solve one Newton system with _band_factorize's factors, one dgbtrs.
+
+    The right-hand side is _backsolve's, e the eliminated-row offsets.
+    Returns (dw (M, nz), dwM, dgamma, dlam (M, nx)) in _backsolve's sign
+    convention: dgamma is empty and dlam = -mu. F_g is empty and unused."""
+    band, lu, ipiv = fac
+    nlp = sub.nlp
+    M, nx, nz = nlp.horizon, nlp.nx, nlp.nx + nlp.nu
+    r, r_M = -F, -F_M
+    sub.rows.add_transpose(-e, r, r_M, np.zeros(0))
+    b = np.zeros(band.n)
+    b[:-nx].reshape(M, nz + nx)[:, :nz] = r
+    b[:nx] = 0.0          # x_0 is fixed
+    b[-nx:] = r_M
+    x, _ = lapack.dgbtrs(lu, band.kl, band.ku, b, ipiv, overwrite_b=1)
+    stages = x[:-nx].reshape(M, nz + nx)
+    return stages[:, :nz], x[-nx:], np.zeros(0), -stages[:, nz:]
+
+
 def _factorize(sub: _Subproblem, D: np.ndarray) -> dict:
-    """Backward Riccati factorization of the reduced Newton system.
+    """Backward Riccati factorization of the reduced Newton system of a
+    problem with a global block (q >= 1).
 
     Stage Hessians pick up the barrier-weighted row curvature C'DC; the
     global block couples through C'DG and its Schur complement is
@@ -575,39 +704,36 @@ def _factorize(sub: _Subproblem, D: np.ndarray) -> dict:
     M, nx, nu, q = nlp.horizon, nlp.nx, nlp.nu, nlp.n_gamma
 
     H = nlp.cost_W.copy()
-    U = np.zeros((M, nx + nu, q)) if q else None
+    U = np.zeros((M, nx + nu, q))
     P_M = nlp.cost_P.copy()
-    Gamma = nlp.gamma_weight.copy() if q else None
+    Gamma = nlp.gamma_weight.copy()
     sub.rows.add_gram(D, H, U, P_M, Gamma)
 
-    F, FT = sub.F, sub.FT
+    F = sub.F
+    FT = np.ascontiguousarray(F.transpose(0, 2, 1))
     Qzzs = np.empty((M, nx + nu, nx + nu))
     Quu_invs = np.empty((M, nu, nu))
     Ks = np.empty((M, nu, nx))
     Ps = np.empty((M + 1, nx, nx))
     Ps[M] = P = P_M
-    Qzgs = Qugs = Kgs = Lams = None
-    if q:
-        Qzgs = np.empty((M, nx + nu, q))
-        Kgs = np.empty((M, nu, q))
-        Lams = np.empty((M + 1, nx, q))
-        Lams[M] = Lam = np.zeros((nx, q))   # no terminal row reads gamma
+    Qzgs = np.empty((M, nx + nu, q))
+    Kgs = np.empty((M, nu, q))
+    Lams = np.empty((M + 1, nx, q))
+    Lams[M] = Lam = np.zeros((nx, q))   # no terminal row reads gamma
     for n in range(M - 1, -1, -1):
         Qzz = np.add(H[n], FT[n].dot(P.dot(F[n])), out=Qzzs[n])
         Qxu = Qzz[:nx, nx:]
         Quu_invs[n] = Quu_inv = _inv_pd(Qzz[nx:, nx:])
         Ks[n] = K = Quu_inv.dot(Qxu.T)
-        if q:
-            Qzg = np.add(U[n], FT[n].dot(Lam), out=Qzgs[n])
-            Kgs[n] = Kg = Quu_inv.dot(Qzg[nx:])
-            Lams[n] = Lam = Qzg[:nx] - Qxu.dot(Kg)
+        Qzg = np.add(U[n], FT[n].dot(Lam), out=Qzgs[n])
+        Kgs[n] = Kg = Quu_inv.dot(Qzg[nx:])
+        Lams[n] = Lam = Qzg[:nx] - Qxu.dot(Kg)
         P = Qzz[:nx, :nx] - Qxu.dot(K)
         Ps[n] = P = 0.5 * (P + P.T)
-    if q:
-        Qugs = Qzgs[:, nx:]
-        Gamma = _subtract_in_order(Gamma, np.matmul(Qugs.transpose(0, 2, 1), Kgs))
-        Gamma = 0.5 * (Gamma + Gamma.T)
-    return {"Ks": Ks, "Kgs": Kgs, "Quu_invs": Quu_invs,
+    Qugs = Qzgs[:, nx:]
+    Gamma = _subtract_in_order(Gamma, np.matmul(Qugs.transpose(0, 2, 1), Kgs))
+    Gamma = 0.5 * (Gamma + Gamma.T)
+    return {"FT": FT, "Ks": Ks, "Kgs": Kgs, "Quu_invs": Quu_invs,
             "Qxus": np.ascontiguousarray(Qzzs[:, :nx, nx:]),
             "Qugs": Qugs, "Ps": Ps, "Lams": Lams, "Gamma": Gamma}
 
@@ -651,7 +777,7 @@ def _inv_pd(Q):
 
 
 def _backsolve(sub: _Subproblem, fac: dict, F, F_M, F_g, e: np.ndarray):
-    """Solve one Newton system given the shared factorization.
+    """Solve one Newton system given the shared Riccati factorization.
 
     e are the eliminated-row offsets entering the right-hand side. Returns
     the directions (dw (M,nz), dwM, dgamma, dlam (M,nx)).
@@ -666,15 +792,15 @@ def _backsolve(sub: _Subproblem, fac: dict, F, F_M, F_g, e: np.ndarray):
     BLAS call of `@` with less dispatch.
     """
     nlp = sub.nlp
-    M, nx, nu, q = nlp.horizon, nlp.nx, nlp.nu, nlp.n_gamma
+    M, nx, nu = nlp.horizon, nlp.nx, nlp.nu
 
     r = -F
     r_M = -F_M
-    r_g = -F_g if q else np.zeros(0)
+    r_g = -F_g
     sub.rows.add_transpose(-e, r, r_M, r_g)
 
     # backward linear sweep; p_n stores the value-function linear term
-    FT, Quu_invs, Qxus = sub.FT, fac["Quu_invs"], fac["Qxus"]
+    FT, Quu_invs, Qxus = fac["FT"], fac["Quu_invs"], fac["Qxus"]
     neg_r = -r
     ks = np.empty((M, nu))
     ps = np.empty((M + 1, nx))
@@ -684,28 +810,23 @@ def _backsolve(sub: _Subproblem, fac: dict, F, F_M, F_g, e: np.ndarray):
         ks[n] = k = Quu_invs[n].dot(qz[nx:])
         ps[n] = p = qz[:nx] - Qxus[n].dot(k)
 
-    dgamma = np.zeros(0)
-    if q:
-        Qug_k = np.matmul(fac["Qugs"].transpose(0, 2, 1), ks[:, :, None])[:, :, 0]
-        dgamma = -np.linalg.solve(fac["Gamma"], _subtract_in_order(-r_g, Qug_k))
+    Qug_k = np.matmul(fac["Qugs"].transpose(0, 2, 1), ks[:, :, None])[:, :, 0]
+    dgamma = -np.linalg.solve(fac["Gamma"], _subtract_in_order(-r_g, Qug_k))
 
     # forward sweep; -k - K dx is -(K dx) - k bit for bit (negation is
     # exact and rounding symmetric)
     Ks, A, B = fac["Ks"], sub.A, sub.B
     neg_ks = -ks
-    Kg_dgamma = np.matmul(fac["Kgs"], dgamma) if q else None
+    Kg_dgamma = np.matmul(fac["Kgs"], dgamma)
     dus = np.empty((M, nu))
     dxs = np.empty((M + 1, nx))
     dxs[0] = dx = np.zeros(nx)
     for n in range(M):
         du = neg_ks[n] - Ks[n].dot(dx)
-        if q:
-            du = du - Kg_dgamma[n]
-        dus[n] = du
+        dus[n] = du = du - Kg_dgamma[n]
         dxs[n + 1] = dx = A[n].dot(dx) + B[n].dot(du)
     lam_next = np.matmul(fac["Ps"][1:], dxs[1:, :, None])[:, :, 0] + ps[1:]
-    if q:
-        lam_next = lam_next + np.matmul(fac["Lams"][1:], dgamma)
+    lam_next = lam_next + np.matmul(fac["Lams"][1:], dgamma)
     return np.concatenate([dxs[:-1], dus], axis=1), dx, dgamma, -lam_next
 
 
@@ -730,16 +851,21 @@ def _max_step(pairs, tau):
 
 def _ip_solve(sub: _Subproblem, phase_s: dict):
     """Mehrotra predictor-corrector on the elastic Gauss-Newton QP; adds its
-    factorize and backsolve seconds to phase_s."""
+    factorize and backsolve seconds to phase_s.
+
+    The Newton systems are solved by the Riccati sweep when the problem has
+    a global block and by one banded LU when it has none: this is the one
+    place that chooses."""
     nlp, opts = sub.nlp, sub.opts
-    M, nx = nlp.horizon, nlp.nx
     m = sub.m
     rho, eps = sub.penalty, ELASTIC_REG
+    factorize, backsolve = ((_factorize, _backsolve) if nlp.n_gamma
+                            else (_band_factorize, _band_backsolve))
 
     if m == 0:
         F, F_M, F_g = sub.stationarity()
-        fac = _timed(phase_s, "factorize", _factorize, sub, np.zeros(0))
-        dw, dxM, dgamma, dlam = _timed(phase_s, "backsolve", _backsolve,
+        fac = _timed(phase_s, "factorize", factorize, sub, np.zeros(0))
+        dw, dxM, dgamma, dlam = _timed(phase_s, "backsolve", backsolve,
                                        sub, fac, F, F_M, F_g, np.zeros(0))
         sub.w += dw
         sub.wM += dxM
@@ -793,11 +919,11 @@ def _ip_solve(sub: _Subproblem, phase_s: dict):
         zcap = z0 + eps * t                       # z0 + eps t > 0 throughout
         # effective row weight of the dual-bounded l1 penalty
         D = np.clip(1.0 / (t / zcap + s / z), 1e-12, 1e10)
-        fac = _timed(phase_s, "factorize", _factorize, sub, D)
+        fac = _timed(phase_s, "factorize", factorize, sub, D)
 
         def newton(r2, r4):
             e = -D * (r1 + r4 / zcap - r2 / z)
-            dw, dxM, dgamma, dlam = _timed(phase_s, "backsolve", _backsolve,
+            dw, dxM, dgamma, dlam = _timed(phase_s, "backsolve", backsolve,
                                            sub, fac, F, F_M, F_g, e)
             cdw = sub.rows.product(dw, dxM, dgamma)
             dz = D * cdw + e

@@ -129,12 +129,14 @@ def test_lqr_matches_batch_least_squares():
     assert np.max(np.abs(rep.us - u_dense)) < 1e-6
 
 
-def _box_rows(umin, umax, xmin, xmax):
+def _box_rows(umin, umax, xmin, xmax, G=None):
+    """Rows u <= umax, -u <= -umin, x <= xmax, -x <= -xmin, in this order,
+    with G their global-block columns."""
     nxv, nuv = xmin.size, umin.size
     Cx = np.vstack([np.zeros((2 * nuv, nxv)), np.eye(nxv), -np.eye(nxv)])
     Cu = np.vstack([np.eye(nuv), -np.eye(nuv), np.zeros((2 * nxv, nuv))])
     return _constant_rows(np.concatenate([-umax, umin, -xmax, xmin]),
-                          np.hstack([Cx, Cu]))
+                          np.hstack([Cx, Cu]), G)
 
 
 def _enumerate_active_sets(H, g, Cin, din, tol=1e-9):
@@ -590,15 +592,24 @@ def test_phase_times_are_part_of_the_wall_time():
         assert rep.to_dict()["phase_s"] == rep.phase_s
 
 
-def _time_per_iteration_ratio() -> float:
-    """Best CPU time per IP iteration at M=100 over the one at M=50. The two
-    horizons alternate and their fastest runs are compared, so a slow
+def _time_per_iteration_ratio(q: int) -> float:
+    """Best CPU time per IP iteration at M=100 over the one at M=50, for a
+    box-constrained LQR without a global block (q = 0, the banded LU) or
+    with one slack channel on its state box (q = 1, the Riccati sweep). The
+    two horizons alternate and their fastest runs are compared, so a slow
     stretch of a shared host cannot land on one horizon only."""
     rng = np.random.default_rng(5)
     A, B, Q, R, P, x0 = _random_lqr_instance(rng, 4, 2, 1)
+    kw, G = {}, None
+    if q:
+        # the slack loosens the state box
+        G = np.concatenate([np.zeros((4, 1)), -np.ones((8, 1))])
+        kw = dict(n_gamma=1, gamma_weight=np.eye(1), gamma_lo=np.zeros(1),
+                  gamma_hi=np.ones(1))
     rows = _box_rows(np.full(2, -0.5), np.full(2, 0.5),
-                     np.full(4, -100.0), np.full(4, 100.0))
-    nlps = {M: _linear_nlp(A, B, Q, R, P, x0, M, rows=rows) for M in (50, 100)}
+                     np.full(4, -100.0), np.full(4, 100.0), G)
+    nlps = {M: _linear_nlp(A, B, Q, R, P, x0, M, rows=rows, **kw)
+            for M in (50, 100)}
     best = {M: np.inf for M in nlps}
     for repeat in range(11):
         for M, nlp in nlps.items():
@@ -612,7 +623,7 @@ def _time_per_iteration_ratio() -> float:
     return best[100] / best[50]
 
 
-def test_factorization_time_scales_linearly_in_horizon():
+def _assert_time_per_iteration_scales_linearly(q: int) -> None:
     # runtime per iteration should roughly double when the horizon doubles.
     # process_time counts every thread of the process, BLAS threads too, so
     # the loop runs in a child process that imports perfbench/run.py first:
@@ -623,11 +634,21 @@ def test_factorization_time_scales_linearly_in_horizon():
     code = (f"import sys; sys.path[:0] = {paths!r}\n"
             "import run\n"
             "import test_sqp\n"
-            "print(test_sqp._time_per_iteration_ratio())")
+            f"print(test_sqp._time_per_iteration_ratio({q}))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=300)
     ratio = float(out.stdout.split()[-1])
     assert ratio <= 2.5, f"M=100 over M=50 per iteration: {ratio:.3f}"
+
+
+def test_factorization_time_scales_linearly_in_horizon():
+    # no global block: the banded LU
+    _assert_time_per_iteration_scales_linearly(0)
+
+
+def test_riccati_factorization_time_scales_linearly_in_horizon():
+    # a global block: the Riccati sweep and its Schur complement
+    _assert_time_per_iteration_scales_linearly(1)
 
 # ---------------------------------------------------------------------------
 # Riccati sweeps against the plain per-stage loops, bit for bit
@@ -636,8 +657,9 @@ def test_factorization_time_scales_linearly_in_horizon():
 # previous stage and make the per-stage ones with ndarray.dot. The functions
 # below are the plain loops they replaced, kept verbatim with `@` (the KKT
 # residual loop too): every array the sweeps return must equal theirs
-# exactly, since decisions and oracle labels are compared bit for bit
-# downstream.
+# exactly, since oracle labels are compared bit for bit downstream. The
+# sweeps serve the problems with a global block (q >= 1); the plain loops
+# also take q = 0, where they are the reference of the banded LU below.
 
 
 def _reference_factorize(sub, D):
@@ -651,6 +673,7 @@ def _reference_factorize(sub, D):
     Gamma = nlp.gamma_weight.copy() if q else None
     sub.rows.add_gram(D, H, U, P_M, Gamma)
 
+    FTs = np.ascontiguousarray(sub.F.transpose(0, 2, 1))
     Ks = np.empty((M, nu, nx))
     Kgs = np.empty((M, nu, q)) if q else None
     Quu_invs = np.empty((M, nu, nu))
@@ -665,7 +688,7 @@ def _reference_factorize(sub, D):
     P = P_M
     for n in range(M - 1, -1, -1):
         F = sub.F[n]
-        FT = sub.FT[n]
+        FT = FTs[n]
         Qzz = H[n] + FT @ (P @ F)
         Qxx = Qzz[:nx, :nx]
         Qxu = Qzz[:nx, nx:]
@@ -689,8 +712,8 @@ def _reference_factorize(sub, D):
         Ps[n] = P
     if q:
         Gamma = 0.5 * (Gamma + Gamma.T)
-    return {"Ks": Ks, "Kgs": Kgs, "Quu_invs": Quu_invs, "Qxus": Qxus,
-            "Qugs": Qugs, "Ps": Ps, "Lams": Lams, "Gamma": Gamma}
+    return {"FT": FTs, "Ks": Ks, "Kgs": Kgs, "Quu_invs": Quu_invs,
+            "Qxus": Qxus, "Qugs": Qugs, "Ps": Ps, "Lams": Lams, "Gamma": Gamma}
 
 
 def _reference_inv_pd(Q):
@@ -742,7 +765,7 @@ def _reference_backsolve(sub, fac, F, F_M, F_g, e):
     Quu_invs = fac["Quu_invs"]
     Qxus = fac["Qxus"]
     for n in range(M - 1, -1, -1):
-        qz = -r[n] + sub.FT[n] @ p
+        qz = -r[n] + fac["FT"][n] @ p
         qx, qu = qz[:nx], qz[nx:]
         k = Quu_invs[n] @ qu
         ks[n] = k
@@ -859,11 +882,10 @@ def _assert_sweeps_match_reference(sub, rng, D_max=1e2):
 
 
 @given(nx=st.integers(1, 7), nu=st.sampled_from([1, 2]),
-       q=st.sampled_from([0, 1, 4]), M=st.integers(1, 40),
+       q=st.sampled_from([1, 2, 4]), M=st.integers(1, 40),
        terminal=st.booleans(), seed=st.integers(0, 2**32 - 1))
-# the shapes the solves run at: the controller's nominal and relaxed
-# problems, the oracle's longitudinal E1/E2 and lateral E3 problems
-@example(nx=7, nu=2, q=0, M=100, terminal=True, seed=1)
+# the shapes the sweeps run at: the oracle's longitudinal E1/E2 and lateral
+# E3 problems, and a controller-sized one with a global block
 @example(nx=7, nu=2, q=2, M=100, terminal=True, seed=2)
 @example(nx=3, nu=1, q=1, M=100, terminal=True, seed=3)
 @example(nx=3, nu=1, q=2, M=100, terminal=True, seed=4)
@@ -884,7 +906,7 @@ def test_only_one_or_two_inputs_are_accepted(nu):
                     np.eye(2), np.zeros(2), 5)
 
 
-@pytest.mark.parametrize("q", [0, 4])
+@pytest.mark.parametrize("q", [1, 4])
 def test_riccati_sweeps_equal_the_plain_loops_on_an_indefinite_input_block(
         q, monkeypatch):
     # a negative input weight and tiny row weights leave Quu indefinite, so
@@ -900,6 +922,202 @@ def test_riccati_sweeps_equal_the_plain_loops_on_an_indefinite_input_block(
     sub = _random_subproblem(rng, 3, 2, q, 12, True, uu_shift=-50.0)
     _assert_sweeps_match_reference(sub, rng, D_max=1e-6)
     assert min(inverted) < 0.0
+
+
+# ---------------------------------------------------------------------------
+# The banded Newton step against its definition and the Riccati loops
+# ---------------------------------------------------------------------------
+# A problem without a global block solves its Newton systems with one banded
+# LU. It solves the system the Riccati sweep solves in another order of
+# operations, so the two agree to within rounding and the system's
+# conditioning, not bit for bit. _newton_system assembles that system
+# densely from its definition, with the Riccati loops' sign convention
+# (mu_n = -dlam_n).
+
+BAND_RESIDUAL = 1e-12    # a banded step's residual, relative to |K| |x| + |b|
+RECORDED_RTOL = 1e-7     # banded against Riccati steps of controller systems
+
+
+def _newton_system(sub, D, F, F_M, e):
+    """(K, b) of the Newton system of sub (no global block), unknowns
+    ordered per stage as (dx_n, du_n, mu_n), then dx_M: stationarity
+    H_n w_n + [A_n B_n]' mu_n - (mu_{n-1}, 0) = r_n with H_n = cost_W +
+    C'DC + CONTROL_REG on the input diagonal, the linearized dynamics
+    A_n dx_n + B_n du_n - dx_{n+1} = 0, P_M dx_M - mu_{M-1} = r_M, and
+    dx_0 = 0 in place of x_0's stationarity rows."""
+    nlp = sub.nlp
+    M, nx, nu = nlp.horizon, nlp.nx, nlp.nu
+    nz, s = nx + nu, 2 * nx + nu
+    H, P_M = nlp.cost_W.copy(), nlp.cost_P.copy()
+    _reference_add_gram(sub.rows, D, H, None, P_M, None)
+    r, r_M = -F, -F_M
+    sub.rows.add_transpose(-e, r, r_M, np.zeros(0))
+    K = np.zeros((M * s + nx, M * s + nx))
+    b = np.zeros(M * s + nx)
+    for n in range(M):
+        w = slice(n * s, n * s + nz)
+        mu = slice(n * s + nz, (n + 1) * s)
+        nxt = slice((n + 1) * s, (n + 1) * s + nx)
+        K[w, w] = H[n] + np.diag(np.r_[np.zeros(nx), np.full(nu, CONTROL_REG)])
+        K[mu, w] = sub.F[n]
+        K[w, mu] = sub.F[n].T
+        K[mu, nxt] = K[nxt, mu] = -np.eye(nx)
+        b[w] = r[n]
+    K[M * s:, M * s:] = P_M
+    b[M * s:] = r_M
+    K[:nx] = 0.0
+    K[:nx, :nx] = np.eye(nx)
+    b[:nx] = 0.0
+    return K, b
+
+
+def _as_vector(step):
+    """A step (dw, dwM, dgamma, dlam) in _newton_system's unknowns."""
+    dw, dwM, _, dlam = step
+    return np.concatenate([np.concatenate([dw, -dlam], axis=1).ravel(), dwM])
+
+
+def _band_step(sub, D, F, F_M, e):
+    """The banded step of one Newton system as a vector, and the system
+    (K, b). The step must meet the system to BAND_RESIDUAL, with dx_0 an
+    exact zero."""
+    K, b = _newton_system(sub, D, F, F_M, e)
+    fac = sqp._band_factorize(sub, D)
+    step = sqp._band_backsolve(sub, fac, F, F_M, np.zeros(0), e)
+    assert step[2].size == 0
+    assert not np.any(step[0][0, :sub.nlp.nx])
+    band = _as_vector(step)
+    scale = (np.max(np.sum(np.abs(K), axis=1)) * np.max(np.abs(band))
+             + np.max(np.abs(b)))
+    assert np.max(np.abs(K @ band - b)) <= BAND_RESIDUAL * scale
+    return band, K, b
+
+
+def _reference_step(sub, D, F, F_M, e):
+    """The Riccati loops' step of the same system, as a vector."""
+    return _as_vector(_reference_backsolve(
+        sub, _reference_factorize(sub, D), F, F_M, np.zeros(0), e))
+
+
+@given(nx=st.integers(1, 7), nu=st.sampled_from([1, 2]), M=st.integers(1, 40),
+       terminal=st.booleans(), seed=st.integers(0, 2**32 - 1))
+# the controller's nominal and relaxed problems
+@example(nx=7, nu=2, M=100, terminal=True, seed=1)
+@settings(max_examples=40, deadline=None)
+def test_banded_step_meets_the_newton_system_and_the_riccati_loops(
+        nx, nu, M, terminal, seed):
+    # the random problems' dynamics are unstable and D spans 22 decades, so
+    # the system is ill-conditioned and the Riccati loops lose digits that
+    # the banded LU keeps: the two steps may differ by as much as their
+    # residuals allow, band - ref = K^-1 (residual_band - residual_ref),
+    # with a factor 2 for the rounding of those terms. On some systems the
+    # loops lose so much that the bumps of their input-block inverse run
+    # out; the banded step must still meet the system there
+    rng = np.random.default_rng(seed)
+    sub = _random_subproblem(rng, nx, nu, 0, M, terminal)
+    D = 10.0 ** rng.uniform(-12.0, 10.0, sub.rows.n_rows)
+    F = rng.normal(size=(M, nx + nu))
+    F[0, :nx] = 0.0          # as _Subproblem.stationarity leaves it
+    rhs = (F, rng.normal(size=nx), rng.normal(size=sub.rows.n_rows))
+    band, K, b = _band_step(sub, D, *rhs)
+    try:
+        ref = _reference_step(sub, D, *rhs)
+    except np.linalg.LinAlgError:
+        ref = None
+    if ref is not None:
+        residuals = np.max(np.abs(K @ band - b)) + np.max(np.abs(K @ ref - b))
+        K_inv = np.max(np.sum(np.abs(np.linalg.inv(K)), axis=1))
+        assert np.max(np.abs(band - ref)) <= (2.0 * K_inv * residuals
+                                              + 1e-15 * np.max(np.abs(ref)))
+    # the KKT residual loop serves both paths
+    z = rng.uniform(0.0, 1e2, sub.rows.n_rows)
+    assert sqp._nlp_kkt(sub, z) == _reference_nlp_kkt(sub, z)
+
+
+def test_banded_steps_match_the_riccati_loops_on_recorded_cutin_systems(
+        monkeypatch):
+    # the first 40 Newton systems the controller solves in the cut-in
+    # benchmark's cycle k = 67 (scenario1, oracle route, from the plant
+    # state the full closed loop reaches there)
+    import json
+    from softmpc import simkit
+    from softmpc.environment import build_profile
+    config = simkit.load_scenario(os.path.join(CONFIGS, "scenario1.ini"))
+    with open(os.path.join(os.path.dirname(CONFIGS), "perfbench",
+                           "reference", "cutin.json")) as f:
+        k, x = next((w["start"], np.array(w["x0"]))
+                    for w in json.load(f)["windows"] if w["start"] == 67)
+    recorded, last_D = [], {}
+    band_factorize, band_backsolve = sqp._band_factorize, sqp._band_backsolve
+
+    def factorize_spy(sub, D):
+        last_D[id(sub)] = D.copy()
+        return band_factorize(sub, D)
+
+    def backsolve_spy(sub, fac, F, F_M, F_g, e):
+        if len(recorded) < 40:
+            recorded.append((sub, last_D[id(sub)], F.copy(), F_M.copy(),
+                             e.copy()))
+        return band_backsolve(sub, fac, F, F_M, F_g, e)
+    monkeypatch.setattr(sqp, "_band_factorize", factorize_spy)
+    monkeypatch.setattr(sqp, "_band_backsolve", backsolve_spy)
+    ctrl = simkit.build_controller(config, use_oracle=True)
+    t_s = config.horizon.t_s
+    ctrl.step(x, build_profile(
+        ctrl.path, config.cut_in.state_at(k * t_s, config.ego_s0),
+        config.horizon.n_constraint, t_s, config.growth, ctrl.stack.d_safe,
+        evasive=config.evasive))
+    assert len(recorded) == 40
+    assert max(float(np.max(D)) for _, D, _, _, _ in recorded) >= 1e8
+    for sub, D, F, F_M, e in recorded:
+        band, _, _ = _band_step(sub, D, F, F_M, e)
+        ref = _reference_step(sub, D, F, F_M, e)
+        assert np.max(np.abs(band - ref)) <= RECORDED_RTOL * np.max(np.abs(ref))
+
+
+def test_a_non_finite_band_raises():
+    rng = np.random.default_rng(4)
+    sub = _random_subproblem(rng, 3, 2, 0, 6, True)
+    D = np.ones(sub.rows.n_rows)
+    D[-1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+        sqp._band_factorize(sub, D)
+
+
+def test_a_singular_band_raises():
+    # no rows, no state cost and an input weight that cancels CONTROL_REG
+    # exactly: the Newton system has no curvature, and dgbtrf meets a zero
+    # pivot
+    one = np.eye(1)
+    nlp = _linear_nlp(one, one, 0.0 * one, -CONTROL_REG * one, 0.0 * one,
+                      np.ones(1), 4)
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        solve(nlp)
+
+
+@pytest.mark.parametrize("kw, path", [
+    (dict(), "band"),
+    (dict(rows=True), "band"),
+    (dict(rows=True, q=1), "riccati"),
+], ids=["no-rows", "rows", "rows-and-global-block"])
+def test_the_global_block_alone_chooses_the_newton_path(kw, path,
+                                                         monkeypatch):
+    calls = dict.fromkeys(("_factorize", "_backsolve", "_band_factorize",
+                           "_band_backsolve"), 0)
+    for name in calls:
+        def counted(*args, fn=getattr(sqp, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(sqp, name, counted)
+    nlp = (_pinned_row_nlp([0.5, 0.0], c_gamma=float(kw.get("q", 0)))
+           if kw else _linear_nlp(*_DI, np.array([0.5, 0.0]), 10))
+    assert nlp.n_gamma == kw.get("q", 0)
+    rep = solve(nlp)
+    assert rep.status == STATUS_OPTIMAL
+    used = {"band": ("_band_factorize", "_band_backsolve"),
+            "riccati": ("_factorize", "_backsolve")}[path]
+    assert all(calls[name] > 0 for name in used)
+    assert all(calls[name] == 0 for name in calls if name not in used)
 
 
 # _Rows.add_gram sums only the terms of each stage group's row pattern. The
