@@ -50,11 +50,10 @@ block alone (_ip_solve):
   less dispatch per product, which at these sizes is most of its cost.
 The row blocks (stage groups, terminal block, global box) and their
 products with the Newton system live in one place, _Rows. Over the stage
-groups, the row products C w and C'y stay np.einsum calls; the Gram C'DC
-that every factorization adds sums only the terms of each group's row
-pattern (the column pairs a row reads, mostly one column per row), planned
-once per point, in the einsum's own order, so it equals the einsum bit for
-bit (_Rows.add_gram says why).
+groups, the row products C w and C'y are np.einsum calls, and so is the Gram
+C'DC (with C'DG and G'DG) that the Riccati path adds, which keeps the
+oracle's labels bit for bit; the banded path, which matches the sweep only
+to rounding anyway, adds each group's C'DC with one batched np.matmul.
 
 Step acceptance is one backtracking line search on the l1 merit function,
 from the full step down to MIN_STEP. Every trial needs the Armijo decrease
@@ -380,7 +379,6 @@ class _Rows:
             pos += 2 * q
         self.n_rows = pos
         self.vals = np.concatenate(vals) if vals else np.zeros(0)
-        self.gram_plans = None   # per group, made by the first add_gram
 
     def violation_l1(self) -> float:
         return float(np.sum(np.maximum(self.vals, 0.0)))
@@ -400,13 +398,11 @@ class _Rows:
             pinned &= ~np.any(G[0], axis=1)
         return float(np.max(self.vals[ridx[0][pinned]], initial=0.0))
 
-    # Each block keeps its own reduction (einsum for the stage groups in
-    # product and add_transpose, the row pattern's terms for their Gram in
-    # add_gram, matmul for the terminal block and the global box): folding
-    # one block into another would reorder the sums and move the results in
-    # the last bits. product and add_transpose sum along the contiguous
-    # column axis, where numpy's SIMD einsum does not add in column order,
-    # so they stay einsums.
+    # Each block keeps its own reduction (einsum for the stage groups,
+    # matmul for the terminal block and the global box): folding one block
+    # into another would reorder the sums and move the results in the last
+    # bits. The one exception is the stage groups' Gram on the banded path
+    # (add_gram), whose solves match the Riccati sweep only to rounding.
     def product(self, w, wM, dgamma) -> np.ndarray:
         """C w + G dgamma per row, w (M, nz) the stage steps, wM the
         terminal state step."""
@@ -444,107 +440,28 @@ class _Rows:
         Hessians H and the terminal P_M, C'DG into U and G'DG into Gamma
         (U and Gamma are None without a global block).
 
-        A stage group's sums run over the terms of its row pattern
-        (_gram_plan): the (row, column, column) triples whose two Jacobian
-        entries are nonzero at some stage of the group. At the controller's
-        linearization points most rows read one column, so a stage of
-        80 x 35 x 9 has 38 terms instead of 2835. The sums equal
-        np.einsum("kmi,km,kmj->kij", C, D, C) (and the C'DG and G'DG forms,
-        "->ij" for G'DG) bit for bit. That einsum forms each term as
-        (C_mi D_m) C_mj and adds it to a sum that starts at +0.0, the rows
-        in ascending order, per stage for H and U and stage-major for
-        Gamma; _gram does the same with the planned terms. A skipped term
-        is an exact zero (0 D c, with D and c finite). Adding a zero changes
-        no sum but a zero one's sign, and neither sum is ever -0.0 (it
-        starts at +0.0, and x + y is -0.0 only when both are), so skipping
-        changes nothing. A group whose block, or a call whose D, holds a
-        non-finite entry sums every term, so that its NaNs land where the
-        einsum's do. The plans depend on the point alone: they are made at
-        the first call and kept for the IP iterations that follow.
+        Without a global block (the banded path, every controller solve) a
+        stage group's C'DC is one batched matmul; it sums in BLAS's order,
+        not the einsum's, and the banded steps match the sweep's only to
+        rounding anyway. With one (the Riccati path, every oracle solve)
+        the group's sums stay the np.einsum forms the labels were recorded
+        with: offline_label checks its dataset's SHA-256.
         """
-        if self.gram_plans is None:
-            self.gram_plans = [_group_plans(C, G, False)
-                               for _, _, C, G in self.groups]
-        plans = self.gram_plans
-        if not np.all(np.isfinite(D)):
-            plans = [_group_plans(C, G, True) for _, _, C, G in self.groups]
-        for (stages, ridx, C, G), plan in zip(self.groups, plans):
+        for stages, ridx, C, G in self.groups:
             Dr = D[ridx]
-            H[stages] += _gram(C, Dr, C, plan[0], per_stage=True)
-            if G is not None:
-                U[stages] += _gram(C, Dr, G, plan[1], per_stage=True)
-                Gamma += _gram(G, Dr, G, plan[2], per_stage=False)
+            if G is None:
+                H[stages] += np.matmul(C.transpose(0, 2, 1),
+                                       Dr[:, :, None] * C)
+            else:
+                H[stages] += np.einsum("kmi,km,kmj->kij", C, Dr, C)
+                U[stages] += np.einsum("kmi,km,kmj->kij", C, Dr, G)
+                Gamma += np.einsum("kmi,km,kmj->ij", G, Dr, G)
         if self.term is not None:
             sl, Cx = self.term
             P_M += Cx.T @ (D[sl][:, None] * Cx)
         if self.glob is not None:
             sl, G = self.glob
-            Dr = D[sl]
-            Gamma += G.T @ (Dr[:, None] * G)
-
-
-def _gram_plan(A, B, full: bool):
-    """The terms of the Gram sum over rows m of A[k, m, a] D[k, m] B[k, m, b]
-    for one stage group's blocks A (k, m, na) and B (k, m, nb): every
-    (m, a, b) with full, else those whose A and B entries are both nonzero
-    at some stage k. Returns (rows, ia, ib, pad, entries): each term's row
-    and its flat indices m * na + a into A and m * nb + b into B, the flat
-    entries a * nb + b that have terms, and pad (L, entries) indexing each
-    entry's terms in ascending row order behind one leading zero term,
-    padded with that zero term (index rows.size) to a common length L."""
-    na, nb = A.shape[2], B.shape[2]
-    nz_a = np.ones(A.shape[1:], bool) if full else np.any(A != 0.0, axis=0)
-    nz_b = np.ones(B.shape[1:], bool) if full else np.any(B != 0.0, axis=0)
-    rows, a, b = np.nonzero(nz_a[:, :, None] & nz_b[:, None, :])
-    flat = a * nb + b
-    order = np.argsort(flat, kind="stable")   # by entry, rows ascending
-    rows, a, b = rows[order], a[order], b[order]
-    counts = np.bincount(flat, minlength=na * nb)
-    entries = np.flatnonzero(counts)
-    counts = counts[entries]
-    pad = np.full((counts.max(initial=0) + 1, entries.size), rows.size)
-    term = np.arange(rows.size)
-    pad[term - np.repeat(np.cumsum(counts) - counts, counts) + 1,
-        np.repeat(np.arange(entries.size), counts)] = term
-    return rows, rows * na + a, rows * nb + b, pad, entries
-
-
-def _group_plans(C, G, full: bool) -> list:
-    """The _gram_plan of C'DC and, with a global block, of C'DG and G'DG
-    for one stage group; every term where C or G is not finite."""
-    full = full or not (np.all(np.isfinite(C))
-                        and (G is None or np.all(np.isfinite(G))))
-    plans = [_gram_plan(C, C, full)]
-    if G is not None:
-        plans += [_gram_plan(C, G, full), _gram_plan(G, G, full)]
-    return plans
-
-
-def _gram(A, Dr, B, plan, per_stage: bool) -> np.ndarray:
-    """The sums of plan's terms (A_ma Dr_m) B_mb: per stage, in ascending
-    row order (k, na, nb), or with per_stage False over the whole group,
-    stage-major and then by row (na, nb). Each sum starts at +0.0 and adds
-    one term at a time: per stage, one vector add per rank of term across
-    every entry and stage; over the group, np.add.accumulate along each
-    entry's sequence, which folds in order."""
-    rows, ia, ib, pad, entries = plan
-    k, na, nb = A.shape[0], A.shape[2], B.shape[2]
-    terms = np.zeros((rows.size + 1, k))      # the last term is the zero
-    np.multiply(A.reshape(k, -1).T[ia] * Dr.T[rows],
-                B.reshape(k, -1).T[ib], out=terms[:-1])
-    seq = terms[pad]                           # (L, entries, k)
-    if per_stage:
-        out = np.zeros((na * nb, k))
-        acc = seq[0]
-        for term in seq[1:]:
-            acc += term
-        out[entries] = acc
-        return out.T.reshape(k, na, nb)
-    out = np.zeros(na * nb)
-    out[entries] = np.add.accumulate(
-        seq.transpose(1, 2, 0).reshape(entries.size, k * pad.shape[0]),
-        axis=1)[:, -1]
-    return out.reshape(na, nb)
+            Gamma += G.T @ (D[sl][:, None] * G)
 
 
 def _objective(nlp: NlpDescription, xs, us, gamma) -> float:
