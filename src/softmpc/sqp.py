@@ -89,9 +89,11 @@ An iteration that makes no progress meets the one no-progress verdict: its
 QP gave no step, the line search accepted no trial or only one too small to
 count, the restoration cannot reduce the violation any more, or the fourth
 polish step in a row would be tried. Above INFEASIBILITY_TOL the verdict
-raises the penalty, or at the penalty ceiling ends the solve infeasible;
-within it the solve ends optimal if the KKT check passes with that looser
-violation bound, and max-iter otherwise.
+raises the penalty, or at the penalty ceiling ends the solve infeasible,
+unless a step the iteration accepted brought the point within
+INFEASIBILITY_TOL, which ends it max-iter; within it the solve ends optimal
+if the KKT check passes with that looser violation bound, and max-iter
+otherwise.
 """
 from __future__ import annotations
 
@@ -1058,7 +1060,10 @@ def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport
                 factor = 100.0 if model_viol >= 0.99 * viol1 else 10.0
                 penalty = min(penalty * factor, opts.penalty_max)
                 continue
-            status = STATUS_INFEASIBLE
+            # a step this iteration accepted can have brought the point
+            # within the tolerance: such a point is not shown infeasible
+            if rows.violation_inf() > INFEASIBILITY_TOL:
+                status = STATUS_INFEASIBLE
         elif _kkt_met(final_kkt, opts, INFEASIBILITY_TOL):
             # an iterate within INFEASIBILITY_TOL that makes no progress is
             # as feasible as the penalty can make it
