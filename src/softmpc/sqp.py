@@ -25,7 +25,7 @@ pairs are eliminated analytically, reducing each Newton system to the
 stage-ordered horizon KKT form, whose cost per iteration is linear in the
 horizon length. It is solved on one of two paths, chosen by the global
 block alone (_ip_solve):
-- Without a global block (every controller solve), by one banded LU
+- Without a global block (every controller solve; any nu), by one banded LU
   (_band_factorize, _band_backsolve): the unknowns are ordered stage by
   stage as (x_n, u_n, mu_n), then x_M, so the KKT matrix is banded with
   kl = ku = 2 nx + nu - 1. Its index pattern is made once per solve
@@ -34,9 +34,11 @@ block alone (_ip_solve):
   each right-hand side. It solves the same regularized system as the
   Riccati sweep below, in another order of operations, so its directions
   agree with the sweep's to rounding, not bit for bit.
-- With a global block (every oracle solve), by a Riccati sweep factorized
-  stage by stage with the global block handled through its Schur
-  complement (_factorize, _backsolve). The oracle's labels are pinned bit
+- With a global block (every oracle solve, one input: NlpDescription
+  accepts no other shape with one), by a Riccati sweep factorized stage by
+  stage with the global block handled through its Schur complement
+  (_factorize, _backsolve), which inverts the 1x1 control Hessian in
+  closed form. The oracle's labels are pinned bit
   for bit (the labeling benchmark checks its dataset's SHA-256), and the
   bordered banded form that would serve the block is not built yet, so
   these solves keep the sweep and its bits. The Python loops of the
@@ -203,8 +205,9 @@ class SolveReport:
 
 # Stage rows, vals <= 0 meaning satisfied, come for the whole horizon in
 # one call: stage_rows(xs (M, nx), us (M, nu)) returns (vals (M, m),
-# C (M, m, nx+nu), G (M, m, n_gamma) or None), with C the Jacobian wrt
-# (x, u) and G the one wrt the global block. Which of the m rows exist at
+# C (M, m, nx+nu), G), with C the Jacobian wrt (x, u) and G the one wrt the
+# global block: (M, m, n_gamma) whenever n_gamma > 0, and read only then
+# (None will do without a global block). Which of the m rows exist at
 # each stage is fixed for the problem by stage_row_mask (M, m); the values of
 # the other rows are ignored.
 StageRowFn = Callable[[np.ndarray, np.ndarray], tuple]
@@ -222,9 +225,11 @@ class NlpDescription:
     (M+1, nx) from the problem's fixed start state; dyn_jac(xs, us) the
     Jacobians (A (M, nx, nx), B (M, nx, nu)) of every stage. The k terminal
     rows are data, terminal_C (k, nx) x_M - terminal_offset (k,) <= 0;
-    k = 0 means none. nu is 1 or 2: the Riccati sweep, which serves the
-    problems with a global block, inverts the control Hessian in closed form
-    (_inv_pd).
+    k = 0 means none. nu >= 1, and nu = 1 whenever n_gamma > 0: a problem
+    without a global block (the controller's, nu = 2) takes the banded LU,
+    which serves any nu; one with a global block (the oracle's, nu = 1)
+    takes the Riccati sweep, which inverts its 1x1 control Hessian in closed
+    form.
 
     The stage rows are affine in the inputs and in the global block: their
     Jacobian columns for u and their G do not depend on the point. (ocp's
@@ -253,8 +258,9 @@ class NlpDescription:
     u_init: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.nu not in (1, 2):
-            raise ValueError(f"nu must be 1 or 2, got {self.nu}")
+        if self.nu < 1 or (self.n_gamma and self.nu != 1):
+            raise ValueError("nu must be at least 1, and 1 with a global "
+                             f"block; got nu={self.nu}, n_gamma={self.n_gamma}")
         self.cost_W = np.asarray(self.cost_W, dtype=float)
         self.cost_ref = np.asarray(self.cost_ref, dtype=float)
         self.cost_P = np.asarray(self.cost_P, dtype=float)
@@ -358,7 +364,6 @@ class _Rows:
         if nlp.stage_rows is not None:
             v, C, G = nlp.stage_rows(xs[:-1], us)
             if q:
-                G = np.zeros(v.shape + (q,)) if G is None else G
                 v = v + G @ gamma     # rows are affine in the global block
             vals.append(v[layout.mask])
             for stages, cols, ridx in layout.groups:
@@ -604,7 +609,7 @@ def _band_backsolve(sub: _Subproblem, fac, F, F_M, F_g, e: np.ndarray):
 
 def _factorize(sub: _Subproblem, D: np.ndarray) -> dict:
     """Backward Riccati factorization of the reduced Newton system of a
-    problem with a global block (q >= 1).
+    problem with a global block (q >= 1) and one input (nu = 1).
 
     Stage Hessians pick up the barrier-weighted row curvature C'DC; the
     global block couples through C'DG and its Schur complement is
@@ -642,7 +647,13 @@ def _factorize(sub: _Subproblem, D: np.ndarray) -> dict:
     for n in range(M - 1, -1, -1):
         Qzz = np.add(H[n], FT[n].dot(P.dot(F[n])), out=Qzzs[n])
         Qxu = Qzz[:nx, nx:]
-        Quu_invs[n] = Quu_inv = _inv_pd(Qzz[nx:, nx:])
+        # the 1x1 control Hessian 0.5 (Q + Q') + CONTROL_REG, floored at
+        # 1e-300, inverted in Python floats with the operations numpy would
+        # apply to the array: its bits at a fraction of the overhead
+        v = Qzz.item(nx, nx)
+        v = 0.5 * (v + v) + CONTROL_REG
+        Quu_inv = Quu_invs[n]
+        Quu_inv[0, 0] = 1.0 / (v if v > 1e-300 else 1e-300)
         Ks[n] = K = Quu_inv.dot(Qxu.T)
         Qzg = np.add(U[n], FT[n].dot(Lam), out=Qzgs[n])
         Kgs[n] = Kg = Quu_inv.dot(Qzg[nx:])
@@ -663,36 +674,6 @@ def _subtract_in_order(x, terms):
     subtract reduction folds left in order (only add reductions are summed
     pairwise), so the result is the loop's bit for bit."""
     return np.subtract.reduce(np.concatenate([x[None], terms[::-1]]), axis=0)
-
-
-def _inv_pd(Q):
-    """Inverse of the control Hessian 0.5 (Q + Q') + CONTROL_REG I of the
-    raw block Q (1x1 or 2x2, see NlpDescription.nu), with a bump fallback
-    where it is not positive definite.
-
-    The block is symmetrized and inverted in Python floats, with the
-    operations numpy would apply elementwise, so the result is the one of
-    the array expression bit for bit at a fraction of its overhead.
-    """
-    if Q.shape[0] == 1:
-        v = Q.item()
-        v = 0.5 * (v + v) + CONTROL_REG
-        return np.array([[1.0 / (v if v > 1e-300 else 1e-300)]])
-    (a, b), (c, d) = Q.tolist()
-    a = 0.5 * (a + a) + CONTROL_REG
-    d = 0.5 * (d + d) + CONTROL_REG
-    b = c = 0.5 * (b + c) + 0.0     # the identity's zero: -0.0 -> 0.0
-    det = a * d - b * c
-    if det > 1e-300 and a > 0.0:
-        return np.array([[d / det, -b / det], [-c / det, a / det]])
-    bump = 1e-12 * max(a + d, 1.0)
-    for _ in range(40):
-        a2, d2 = a + bump, d + bump
-        det = a2 * d2 - b * c
-        if det > 1e-300 and a2 > 0.0:
-            return np.array([[d2 / det, -b / det], [-c / det, a2 / det]])
-        bump *= 10.0
-    raise np.linalg.LinAlgError("could not regularize control Hessian")
 
 
 def _backsolve(sub: _Subproblem, fac: dict, F, F_M, F_g, e: np.ndarray):
@@ -760,8 +741,6 @@ def _timed(phase_s, phase, fn, *args):
 def _max_step(pairs, tau):
     alpha = 1.0
     for v, dv in pairs:
-        if v.size == 0:
-            continue
         neg = dv < 0.0
         if np.any(neg):
             alpha = min(alpha, float(np.min(-tau * v[neg] / dv[neg])))
@@ -939,16 +918,15 @@ def _pinned_exit(rows: _Rows, nx: int, opts: SolverOptions) -> float | None:
     return None
 
 
-def pinned_row_exit(nlp: NlpDescription, xs: np.ndarray,
-                    opts: SolverOptions | None = None) -> float | None:
+def pinned_row_exit(nlp: NlpDescription, xs: np.ndarray) -> float | None:
     """The pinned-row rule at nlp's start point, whose rollout xs
     (nlp.dyn_f of u_init) the caller gives: problems that share their start
-    state and u_init share it. A value means that solve ends infeasible at
-    the start, before its first QP. The rows are evaluated, the objective
-    is not."""
+    state and u_init share it. A value means that a solve with the default
+    SolverOptions, the controller's, ends infeasible at the start, before
+    its first QP. The rows are evaluated, the objective is not."""
     us, gamma = _start_point(nlp)
     return _pinned_exit(_Rows(nlp, _Layout(nlp), xs, us, gamma), nlp.nx,
-                        opts or SolverOptions())
+                        SolverOptions())
 
 
 def _kkt_met(kkt, opts: SolverOptions, tol_feasibility: float) -> bool:

@@ -371,6 +371,23 @@ MODE_E1_NO_COMFORT = RelaxationMode(
     ceilings={"delta_g": 30.0}, drop=("a_req_comfort_lb",))
 
 
+def test_every_shipped_mode_builds_one_input_and_its_channels():
+    # the oracle's problems are the only ones with a global block, so they
+    # are the Riccati sweep's whole traffic: one input, one slack channel
+    # per relaxed channel of the mode
+    seen = set()
+    for name in ("baseline", "scenario1", "scenario2"):
+        config = simkit.load_scenario(os.path.join(CONFIGS, name + ".ini"))
+        for mode, kind, _ in config.mode_specs:
+            template = simkit.scenario_template(config, kind)
+            theta = sample_thetas(template, 1, seed=3)[0]
+            nlp = oracle._subproblem_nlp(template, theta, mode)
+            assert nlp.nu == 1 and nlp.n_gamma == mode.n_channels > 0
+            seen.add((name, mode.name))
+    assert {("scenario1", "E1"), ("scenario1", "E2"),
+            ("scenario2", "E3")} <= seen
+
+
 def _sqp_only():
     """The oracle with the infeasibility certificate never firing."""
     return mock.patch.object(oracle, "_lp_certifies_infeasible",

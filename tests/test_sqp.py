@@ -594,19 +594,21 @@ def test_phase_times_are_part_of_the_wall_time():
 
 def _time_per_iteration_ratio(q: int) -> float:
     """Best CPU time per IP iteration at M=100 over the one at M=50, for a
-    box-constrained LQR without a global block (q = 0, the banded LU) or
-    with one slack channel on its state box (q = 1, the Riccati sweep). The
-    two horizons alternate and their fastest runs are compared, so a slow
-    stretch of a shared host cannot land on one horizon only."""
+    box-constrained LQR: with two inputs and no global block (q = 0, the
+    banded LU), or with one input and one slack channel on its state box
+    (q = 1, the Riccati sweep). The two horizons alternate and their
+    fastest runs are compared, so a slow stretch of a shared host cannot
+    land on one horizon only."""
     rng = np.random.default_rng(5)
-    A, B, Q, R, P, x0 = _random_lqr_instance(rng, 4, 2, 1)
+    nu = 1 if q else 2
+    A, B, Q, R, P, x0 = _random_lqr_instance(rng, 4, nu, 1)
     kw, G = {}, None
     if q:
         # the slack loosens the state box
-        G = np.concatenate([np.zeros((4, 1)), -np.ones((8, 1))])
+        G = np.concatenate([np.zeros((2 * nu, 1)), -np.ones((8, 1))])
         kw = dict(n_gamma=1, gamma_weight=np.eye(1), gamma_lo=np.zeros(1),
                   gamma_hi=np.ones(1))
-    rows = _box_rows(np.full(2, -0.5), np.full(2, 0.5),
+    rows = _box_rows(np.full(nu, -0.5), np.full(nu, 0.5),
                      np.full(4, -100.0), np.full(4, 100.0), G)
     nlps = {M: _linear_nlp(A, B, Q, R, P, x0, M, rows=rows, **kw)
             for M in (50, 100)}
@@ -647,7 +649,8 @@ def test_factorization_time_scales_linearly_in_horizon():
 
 
 def test_riccati_factorization_time_scales_linearly_in_horizon():
-    # a global block: the Riccati sweep and its Schur complement
+    # a global block and one input: the Riccati sweep and its Schur
+    # complement
     _assert_time_per_iteration_scales_linearly(1)
 
 # ---------------------------------------------------------------------------
@@ -657,9 +660,9 @@ def test_riccati_factorization_time_scales_linearly_in_horizon():
 # previous stage and make the per-stage ones with ndarray.dot. The functions
 # below are the plain loops they replaced, kept verbatim with `@` (the KKT
 # residual loop too): every array the sweeps return must equal theirs
-# exactly, since oracle labels are compared bit for bit downstream. The
-# sweeps serve the problems with a global block (q >= 1); the plain loops
-# also take q = 0, where they are the reference of the banded LU below.
+# exactly, since oracle labels are compared bit for bit downstream. Like
+# the sweeps, they take the problems with a global block, which have one
+# input (q >= 1, nu = 1; NlpDescription accepts no other shape with one).
 
 
 def _reference_factorize(sub, D):
@@ -668,23 +671,21 @@ def _reference_factorize(sub, D):
     reg_eye = CONTROL_REG * np.eye(nu)
 
     H = nlp.cost_W.copy()
-    U = np.zeros((M, nx + nu, q)) if q else None
+    U = np.zeros((M, nx + nu, q))
     P_M = nlp.cost_P.copy()
-    Gamma = nlp.gamma_weight.copy() if q else None
+    Gamma = nlp.gamma_weight.copy()
     sub.rows.add_gram(D, H, U, P_M, Gamma)
 
     FTs = np.ascontiguousarray(sub.F.transpose(0, 2, 1))
     Ks = np.empty((M, nu, nx))
-    Kgs = np.empty((M, nu, q)) if q else None
+    Kgs = np.empty((M, nu, q))
     Quu_invs = np.empty((M, nu, nu))
     Qxus = np.empty((M, nx, nu))
-    Qugs = np.empty((M, nu, q)) if q else None
+    Qugs = np.empty((M, nu, q))
     Ps = np.empty((M + 1, nx, nx))
-    Lams = np.empty((M + 1, nx, q)) if q else None
+    Lams = np.empty((M + 1, nx, q))
     Ps[M] = P_M
-    Lam = np.zeros((nx, q)) if q else None
-    if q:
-        Lams[M] = Lam
+    Lams[M] = Lam = np.zeros((nx, q))
     P = P_M
     for n in range(M - 1, -1, -1):
         F = sub.F[n]
@@ -698,62 +699,34 @@ def _reference_factorize(sub, D):
         Quu_invs[n] = Quu_inv
         Ks[n] = K
         Qxus[n] = Qxu
-        if q:
-            Qzg = U[n] + FT @ Lam
-            Qxg, Qug = Qzg[:nx], Qzg[nx:]
-            Kg = Quu_inv @ Qug
-            Kgs[n] = Kg
-            Qugs[n] = Qug
-            Gamma = Gamma - Qug.T @ Kg
-            Lam = Qxg - Qxu @ Kg
-            Lams[n] = Lam
+        Qzg = U[n] + FT @ Lam
+        Qxg, Qug = Qzg[:nx], Qzg[nx:]
+        Kg = Quu_inv @ Qug
+        Kgs[n] = Kg
+        Qugs[n] = Qug
+        Gamma = Gamma - Qug.T @ Kg
+        Lam = Qxg - Qxu @ Kg
+        Lams[n] = Lam
         P = Qxx - Qxu @ K
         P = 0.5 * (P + P.T)
         Ps[n] = P
-    if q:
-        Gamma = 0.5 * (Gamma + Gamma.T)
+    Gamma = 0.5 * (Gamma + Gamma.T)
     return {"FT": FTs, "Ks": Ks, "Kgs": Kgs, "Quu_invs": Quu_invs,
             "Qxus": Qxus, "Qugs": Qugs, "Ps": Ps, "Lams": Lams, "Gamma": Gamma}
 
 
 def _reference_inv_pd(Q):
-    n = Q.shape[0]
-    if n == 1:
-        v = Q[0, 0]
-        return np.array([[1.0 / (v if v > 1e-300 else 1e-300)]])
-    if n == 2:
-        a, b = Q[0, 0], Q[0, 1]
-        c, d = Q[1, 0], Q[1, 1]
-        det = a * d - b * c
-        if det > 1e-300 and a > 0.0:
-            return np.array([[d, -b], [-c, a]]) / det
-        bump = 1e-12 * max(a + d, 1.0)
-        for _ in range(40):
-            a2, d2 = a + bump, d + bump
-            det = a2 * d2 - b * c
-            if det > 1e-300 and a2 > 0.0:
-                return np.array([[d2, -b], [-c, a2]]) / det
-            bump *= 10.0
-        raise np.linalg.LinAlgError("could not regularize control Hessian")
-    scale = max(float(np.max(np.abs(Q))), 1.0)
-    bump = 0.0
-    for _ in range(14):
-        try:
-            cho = np.linalg.cholesky(Q + bump * np.eye(n))
-            inv_l = np.linalg.inv(cho)
-            return inv_l.T @ inv_l
-        except np.linalg.LinAlgError:
-            bump = max(2.0 * bump, 1e-12 * scale)
-    raise np.linalg.LinAlgError("could not regularize control Hessian")
+    v = Q[0, 0]
+    return np.array([[1.0 / (v if v > 1e-300 else 1e-300)]])
 
 
 def _reference_backsolve(sub, fac, F, F_M, F_g, e):
     nlp = sub.nlp
-    M, nx, nu, q = nlp.horizon, nlp.nx, nlp.nu, nlp.n_gamma
+    M, nx, nu = nlp.horizon, nlp.nx, nlp.nu
 
     r = -F.copy()
     r_M = -F_M.copy()
-    r_g = -F_g.copy() if q else np.zeros(0)
+    r_g = -F_g.copy()
     sub.rows.add_transpose(-e, r, r_M, r_g)
 
     # backward linear sweep
@@ -761,7 +734,7 @@ def _reference_backsolve(sub, fac, F, F_M, F_g, e):
     ps = np.empty((M + 1, nx))
     ps[M] = -r_M
     p = -r_M          # p_n stores the value-function linear term (= -r at M)
-    qg = -r_g if q else None
+    qg = -r_g
     Quu_invs = fac["Quu_invs"]
     Qxus = fac["Qxus"]
     for n in range(M - 1, -1, -1):
@@ -769,29 +742,23 @@ def _reference_backsolve(sub, fac, F, F_M, F_g, e):
         qx, qu = qz[:nx], qz[nx:]
         k = Quu_invs[n] @ qu
         ks[n] = k
-        if q:
-            qg = qg - fac["Qugs"][n].T @ k
+        qg = qg - fac["Qugs"][n].T @ k
         p = qx - Qxus[n] @ k
         ps[n] = p
 
-    if q:
-        dgamma = -np.linalg.solve(fac["Gamma"], qg)
-    else:
-        dgamma = np.zeros(0)
+    dgamma = -np.linalg.solve(fac["Gamma"], qg)
 
     dw = np.zeros((M, nx + nu))
     dlam = np.empty((M, nx))
     dx = np.zeros(nx)
     for n in range(M):
         du = -(fac["Ks"][n] @ dx) - ks[n]
-        if q:
-            du = du - fac["Kgs"][n] @ dgamma
+        du = du - fac["Kgs"][n] @ dgamma
         dw[n, :nx] = dx
         dw[n, nx:] = du
         dx = sub.A[n] @ dx + sub.B[n] @ du
         lam_next = fac["Ps"][n + 1] @ dx + ps[n + 1]
-        if q:
-            lam_next = lam_next + fac["Lams"][n + 1] @ dgamma
+        lam_next = lam_next + fac["Lams"][n + 1] @ dgamma
         dlam[n] = -lam_next
     return dw, dx, dgamma, dlam
 
@@ -879,63 +846,70 @@ def _assert_sweeps_match_reference(sub, rng, D_max=1e2):
         assert np.array_equal(g, w), name
     z = rng.uniform(0.0, D_max, m)
     assert sqp._nlp_kkt(sub, z) == _reference_nlp_kkt(sub, z)
+    return fac
 
 
-@given(nx=st.integers(1, 7), nu=st.sampled_from([1, 2]),
-       q=st.sampled_from([1, 2, 4]), M=st.integers(1, 40),
-       terminal=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@given(nx=st.integers(1, 7), q=st.sampled_from([1, 2, 4]),
+       M=st.integers(1, 40), terminal=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
 # the shapes the sweeps run at: the oracle's longitudinal E1/E2 and lateral
-# E3 problems, and a controller-sized one with a global block
-@example(nx=7, nu=2, q=2, M=100, terminal=True, seed=2)
-@example(nx=3, nu=1, q=1, M=100, terminal=True, seed=3)
-@example(nx=3, nu=1, q=2, M=100, terminal=True, seed=4)
-@example(nx=4, nu=1, q=4, M=100, terminal=False, seed=5)
+# E3 problems
+@example(nx=3, q=1, M=100, terminal=True, seed=3)
+@example(nx=3, q=2, M=100, terminal=True, seed=4)
+@example(nx=4, q=4, M=100, terminal=False, seed=5)
 @settings(max_examples=80, deadline=None)
-def test_riccati_sweeps_equal_the_plain_loops_bit_for_bit(nx, nu, q, M,
-                                                          terminal, seed):
+def test_riccati_sweeps_equal_the_plain_loops_bit_for_bit(nx, q, M, terminal,
+                                                          seed):
     rng = np.random.default_rng(seed)
-    sub = _random_subproblem(rng, nx, nu, q, M, terminal)
+    sub = _random_subproblem(rng, nx, 1, q, M, terminal)
     _assert_sweeps_match_reference(sub, rng)
 
 
-@pytest.mark.parametrize("nu", [0, 3])
-def test_only_one_or_two_inputs_are_accepted(nu):
-    # the Riccati sweep inverts the control Hessian in closed form
-    with pytest.raises(ValueError, match="nu must be 1 or 2"):
-        _linear_nlp(np.eye(2), np.ones((2, nu)), np.eye(2), np.eye(nu),
-                    np.eye(2), np.zeros(2), 5)
+@pytest.mark.parametrize("nu, q, accepted", [
+    (0, 0, False),
+    (2, 1, False),
+    (2, 0, True),
+    (1, 1, True),
+], ids=["no-input", "two-inputs-and-a-global-block", "two-inputs",
+        "one-input-and-a-global-block"])
+def test_a_global_block_needs_one_input(nu, q, accepted):
+    # the banded LU takes any number of inputs; the Riccati sweep, which
+    # serves the problems with a global block, inverts a 1x1 control Hessian
+    args = (np.eye(2), np.ones((2, nu)), np.eye(2), np.eye(nu), np.eye(2),
+            np.zeros(2), 5)
+    kw = dict(n_gamma=q, gamma_weight=np.eye(q), gamma_lo=np.zeros(q),
+              gamma_hi=np.ones(q)) if q else {}
+    if not accepted:
+        with pytest.raises(ValueError, match="nu must be at least 1, and 1 "
+                                             "with a global block"):
+            _linear_nlp(*args, **kw)
+        return
+    nlp = _linear_nlp(*args, **kw)
+    assert (nlp.nu, nlp.n_gamma) == (nu, q)
 
 
 @pytest.mark.parametrize("q", [1, 4])
-def test_riccati_sweeps_equal_the_plain_loops_on_an_indefinite_input_block(
-        q, monkeypatch):
-    # a negative input weight and tiny row weights leave Quu indefinite, so
-    # the 2x2 inverse takes its bump fallback
-    inverted = []
-    inv_pd = sqp._inv_pd
-
-    def spy(Q):
-        inverted.append(np.min(np.linalg.eigvalsh(0.5 * (Q + Q.T))))
-        return inv_pd(Q)
-    monkeypatch.setattr(sqp, "_inv_pd", spy)
+def test_riccati_sweeps_equal_the_plain_loops_on_an_indefinite_input_block(q):
+    # a negative input weight and tiny row weights leave the 1x1 Quu
+    # negative, so its inverse takes the 1e-300 floor. One stage: past a
+    # floored stage the next value function overflows
     rng = np.random.default_rng(11)
-    sub = _random_subproblem(rng, 3, 2, q, 12, True, uu_shift=-50.0)
-    _assert_sweeps_match_reference(sub, rng, D_max=1e-6)
-    assert min(inverted) < 0.0
+    sub = _random_subproblem(rng, 3, 1, q, 1, True, uu_shift=-50.0)
+    fac = _assert_sweeps_match_reference(sub, rng, D_max=1e-6)
+    assert fac["Quu_invs"].item() == 1.0 / 1e-300
 
 
 # ---------------------------------------------------------------------------
-# The banded Newton step against its definition and the Riccati loops
+# The banded Newton step against the same system assembled densely
 # ---------------------------------------------------------------------------
 # A problem without a global block solves its Newton systems with one banded
-# LU. It solves the system the Riccati sweep solves in another order of
-# operations, so the two agree to within rounding and the system's
-# conditioning, not bit for bit. _newton_system assembles that system
-# densely from its definition, with the Riccati loops' sign convention
-# (mu_n = -dlam_n).
+# LU. _newton_system assembles that system densely from its definition, with
+# the solver's sign convention (mu_n = -dlam_n), and np.linalg.solve (a dense
+# LU) solves it in another order of operations, so the two steps agree to
+# within rounding and the system's conditioning, not bit for bit.
 
 BAND_RESIDUAL = 1e-12    # a banded step's residual, relative to |K| |x| + |b|
-RECORDED_RTOL = 1e-7     # banded against Riccati steps of controller systems
+RECORDED_RTOL = 1e-10    # banded against dense steps of controller systems
 
 
 def _newton_system(sub, D, F, F_M, e):
@@ -993,26 +967,17 @@ def _band_step(sub, D, F, F_M, e):
     return band, K, b
 
 
-def _reference_step(sub, D, F, F_M, e):
-    """The Riccati loops' step of the same system, as a vector."""
-    return _as_vector(_reference_backsolve(
-        sub, _reference_factorize(sub, D), F, F_M, np.zeros(0), e))
-
-
-@given(nx=st.integers(1, 7), nu=st.sampled_from([1, 2]), M=st.integers(1, 40),
+@given(nx=st.integers(1, 7), nu=st.integers(1, 3), M=st.integers(1, 40),
        terminal=st.booleans(), seed=st.integers(0, 2**32 - 1))
 # the controller's nominal and relaxed problems
 @example(nx=7, nu=2, M=100, terminal=True, seed=1)
 @settings(max_examples=40, deadline=None)
-def test_banded_step_meets_the_newton_system_and_the_riccati_loops(
-        nx, nu, M, terminal, seed):
+def test_banded_step_meets_the_dense_newton_solve(nx, nu, M, terminal, seed):
     # the random problems' dynamics are unstable and D spans 22 decades, so
-    # the system is ill-conditioned and the Riccati loops lose digits that
-    # the banded LU keeps: the two steps may differ by as much as their
-    # residuals allow, band - ref = K^-1 (residual_band - residual_ref),
-    # with a factor 2 for the rounding of those terms. On some systems the
-    # loops lose so much that the bumps of their input-block inverse run
-    # out; the banded step must still meet the system there
+    # the system is ill-conditioned: the banded and the dense step may
+    # differ by as much as their residuals allow, band - dense =
+    # K^-1 (residual_band - residual_dense), with a factor 2 for the
+    # rounding of those terms. The banded path takes any number of inputs
     rng = np.random.default_rng(seed)
     sub = _random_subproblem(rng, nx, nu, 0, M, terminal)
     D = 10.0 ** rng.uniform(-12.0, 10.0, sub.rows.n_rows)
@@ -1020,21 +985,17 @@ def test_banded_step_meets_the_newton_system_and_the_riccati_loops(
     F[0, :nx] = 0.0          # as _Subproblem.stationarity leaves it
     rhs = (F, rng.normal(size=nx), rng.normal(size=sub.rows.n_rows))
     band, K, b = _band_step(sub, D, *rhs)
-    try:
-        ref = _reference_step(sub, D, *rhs)
-    except np.linalg.LinAlgError:
-        ref = None
-    if ref is not None:
-        residuals = np.max(np.abs(K @ band - b)) + np.max(np.abs(K @ ref - b))
-        K_inv = np.max(np.sum(np.abs(np.linalg.inv(K)), axis=1))
-        assert np.max(np.abs(band - ref)) <= (2.0 * K_inv * residuals
-                                              + 1e-15 * np.max(np.abs(ref)))
+    dense = np.linalg.solve(K, b)
+    residuals = np.max(np.abs(K @ band - b)) + np.max(np.abs(K @ dense - b))
+    K_inv = np.max(np.sum(np.abs(np.linalg.inv(K)), axis=1))
+    assert np.max(np.abs(band - dense)) <= (2.0 * K_inv * residuals
+                                            + 1e-15 * np.max(np.abs(dense)))
     # the KKT residual loop serves both paths
     z = rng.uniform(0.0, 1e2, sub.rows.n_rows)
     assert sqp._nlp_kkt(sub, z) == _reference_nlp_kkt(sub, z)
 
 
-def test_banded_steps_match_the_riccati_loops_on_recorded_cutin_systems(
+def test_banded_steps_match_the_dense_solve_on_recorded_cutin_systems(
         monkeypatch):
     # the first 40 Newton systems the controller solves in the cut-in
     # benchmark's cycle k = 67 (scenario1, oracle route, from the plant
@@ -1070,9 +1031,10 @@ def test_banded_steps_match_the_riccati_loops_on_recorded_cutin_systems(
     assert len(recorded) == 40
     assert max(float(np.max(D)) for _, D, _, _, _ in recorded) >= 1e8
     for sub, D, F, F_M, e in recorded:
-        band, _, _ = _band_step(sub, D, F, F_M, e)
-        ref = _reference_step(sub, D, F, F_M, e)
-        assert np.max(np.abs(band - ref)) <= RECORDED_RTOL * np.max(np.abs(ref))
+        band, K, b = _band_step(sub, D, F, F_M, e)
+        dense = np.linalg.solve(K, b)
+        assert (np.max(np.abs(band - dense))
+                <= RECORDED_RTOL * np.max(np.abs(dense)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -1259,6 +1221,7 @@ def _rows_at_start(nlp):
 @settings(max_examples=80, deadline=None)
 def test_row_gram_matches_the_einsum(nx, nu, q, M, m, patterns, terminal,
                                      seed):
+    nu = 1 if q else nu     # a global block comes with one input
     rng = np.random.default_rng(seed)
     nlp = _patterned_rows_nlp(rng, nx, nu, q, M, m, patterns, terminal)
     rows = _rows_at_start(nlp)
