@@ -190,11 +190,20 @@ def cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
+def _int_at_least(text: str, low: int) -> int:
+    if int(text) < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+    return int(text)
+
+
 def positive_int(text: str) -> int:
     """A --count, --workers or --pairs value: an integer of at least 1."""
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return int(text)
+    return _int_at_least(text, 1)
+
+
+def seed_int(text: str) -> int:
+    """A --seed value: an integer of at least 0, as numpy's generators take."""
+    return _int_at_least(text, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -207,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--mode", required=True)
     p.add_argument("--count", type=positive_int, default=None)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=seed_int, default=7)
     p.add_argument("--workers", type=positive_int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_data)
@@ -216,14 +225,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--mode", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=seed_int, default=7)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("certify", help="check the Lipschitz certificate")
     p.add_argument("--model", required=True)
     p.add_argument("--pairs", type=positive_int, default=100_000)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=seed_int, default=7)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("simulate", help="closed-loop scenario run")
@@ -238,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--count", type=positive_int, default=None)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=seed_int, default=7)
     p.add_argument("--pairs", type=positive_int, default=20_000)
     p.add_argument("--workers", type=positive_int, default=None)
     p.set_defaults(func=cmd_pipeline)

@@ -488,9 +488,9 @@ def generate_dataset(template: ScenarioTemplate, mode: RelaxationMode,
                      count: int, seed: int, workers: int | None = None):
     """Labeled samples (theta, feasible, slack) for one relaxation mode.
 
-    Samples are independent, so labeling fans out over worker processes;
-    `Pool.map` returns the labels in sample order, keeping the dataset
-    identical regardless of worker count.
+    Samples are independent, so labeling fans out over worker processes,
+    at most one per sample; `Pool.map` returns the labels in sample order,
+    keeping the dataset identical regardless of worker count.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -505,7 +505,7 @@ def generate_dataset(template: ScenarioTemplate, mode: RelaxationMode,
     label = functools.partial(_label, template, mode)
     if workers > 1 and count > 8:
         import multiprocessing as mp
-        with mp.get_context("fork").Pool(workers) as pool:
+        with mp.get_context("fork").Pool(min(workers, count)) as pool:
             labels = pool.map(label, thetas, chunksize=4)
     else:
         labels = [label(theta) for theta in thetas]

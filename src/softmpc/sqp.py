@@ -29,9 +29,11 @@ block alone (_ip_solve):
   (_band_factorize, _band_backsolve): the unknowns are ordered stage by
   stage as (x_n, u_n, mu_n), then x_M, so the KKT matrix is banded with
   kl = ku = 2 nx + nu - 1. Its index pattern is made once per solve
-  (_Band, on _Layout) and its values are scattered into LAPACK band storage
-  once per IP iteration; scipy's dgbtrf factors it and one dgbtrs solves
-  each right-hand side. It solves the same regularized system as the
+  (_Band, on _Layout). The entries fixed for a QP (the dynamics blocks and
+  the -I couplings) are scattered into LAPACK band storage once per QP
+  (_Subproblem.band_template), and each IP iteration scatters the Hessian
+  blocks into a copy of it; scipy's dgbtrf factors the copy and one dgbtrs
+  solves each right-hand side. It solves the same regularized system as the
   Riccati sweep below, in another order of operations, so its directions
   agree with the sweep's to rounding, not bit for bit.
 - With a global block (every oracle solve, one input: NlpDescription
@@ -48,8 +50,11 @@ block alone (_ip_solve):
   return what plain per-stage loops return, bit for bit. Batched matmul
   runs the BLAS kernel that `@` runs on each stage; np.einsum does not,
   and its sums would move the results in the last bits. The products left
-  inside the loops are ndarray.dot calls: the same BLAS call as `@`, with
-  less dispatch per product, which at these sizes is most of its cost.
+  inside the loops that sum two or more terms are ndarray.dot calls: the
+  same BLAS call as `@`, with less dispatch per product, which at these
+  sizes is most of its cost. The back-solve's products of one term are one
+  IEEE multiplication whatever BLAS does, so they run elementwise, on
+  Python floats where they are scalars.
 The row blocks (stage groups, terminal block, global box) and their
 products with the Newton system live in one place, _Rows. Over the stage
 groups, the row products C w and C'y are np.einsum calls, and so is the Gram
@@ -321,10 +326,12 @@ class _Band:
     storage for dgbtrf, a Fortran-ordered (2 kl + ku + 1, n) array holding
     entry (i, j) at row kl + ku + i - j of column j. index holds the flat
     memory position in that array of each value _band_factorize scatters,
-    in the values' order: the stage Hessians H (M, nz, nz), the terminal
-    P_M (nx, nx), the dynamics blocks F_n = [A_n B_n] in the mu_n rows and
-    their transposes in the mu_n columns (M, nx, nz each), and the -I that
-    couples mu_n with x_{n+1} in both directions (M, nx each)."""
+    in the values' order: the stage Hessians H (M, nz, nz) and the terminal
+    P_M (nx, nx). fixed_index holds those of the entries that stay fixed
+    for a QP (_Subproblem.band_template): the dynamics blocks F_n =
+    [A_n B_n] in the mu_n rows and their transposes in the mu_n columns
+    (M, nx, nz each), and the -I that couples mu_n with x_{n+1} in both
+    directions (M, nx each). No two entries share a position."""
 
     def __init__(self, M: int, nx: int, nu: int):
         nz = nx + nu
@@ -341,10 +348,15 @@ class _Band:
                   (base + z, base + nz + i[:, None]),    # F_n'
                   (stage + nz + i, stage + s + i),       # -I, mu_n row
                   (stage + s + i, stage + nz + i)]       # -I, x_{n+1} row
+        self.index = self._positions(blocks[:2])
+        self.fixed_index = self._positions(blocks[2:])
+
+    def _positions(self, blocks) -> np.ndarray:
+        """Flat band-storage positions of the (rows, cols) index blocks."""
         pairs = [np.broadcast_arrays(r, c) for r, c in blocks]
         rows = np.concatenate([r.ravel() for r, _ in pairs])
         cols = np.concatenate([c.ravel() for _, c in pairs])
-        self.index = cols * self.ldab + (self.kl + self.ku + rows - cols)
+        return cols * self.ldab + (self.kl + self.ku + rows - cols)
 
 
 class _Rows:
@@ -524,15 +536,22 @@ class _Subproblem:
             self.t = self.s = self.z = np.zeros(0)
 
     @cached_property
-    def band_values(self) -> np.ndarray:
-        """The values of the banded Newton system that stay fixed across the
-        IP iterations, in _Band's order after H and P_M: F_n, F_n' and the
-        -I couplings. F_0's columns for x_0 are zero: x_0 is fixed, so its
-        rows and columns hold the identity alone."""
+    def band_template(self) -> np.ndarray:
+        """The banded Newton system with only its entries that stay fixed
+        across the IP iterations, F_n, F_n' and the -I couplings, scattered
+        into zeroed band storage (flat; _Band has the layout). Each IP
+        iteration factors a copy with H and P_M added. F_0's columns for
+        x_0 are zero: x_0 is fixed, so its rows and columns hold the
+        identity alone. Raises np.linalg.LinAlgError for a non-finite F."""
         F = self.F.copy()
         F[0, :, :self.nlp.nx] = 0.0
-        return np.concatenate([F.ravel(), F.ravel(),
-                               np.full(2 * F.shape[0] * F.shape[1], -1.0)])
+        if not np.all(np.isfinite(F)):
+            raise np.linalg.LinAlgError("non-finite banded Newton system")
+        band = self.rows.layout.band
+        ab = np.zeros(band.n * band.ldab)
+        ab[band.fixed_index] = np.concatenate(
+            [F.ravel(), F.ravel(), np.full(2 * F.shape[0] * F.shape[1], -1.0)])
+        return ab
 
     def stationarity(self):
         """Residuals of the QP stationarity equations at the current point."""
@@ -560,10 +579,11 @@ def _band_factorize(sub: _Subproblem, D: np.ndarray):
     CONTROL_REG on its input diagonal: in exact arithmetic the Riccati
     sweep's regularized Q_uu. The rows of mu_n are the linearized dynamics,
     and x_M's rows are P_M dx_M - mu_{M-1}. x_0 is fixed: its rows and
-    columns hold the identity alone, so its step is an exact zero. The
-    values go into a zeroed Fortran-ordered band with one scatter, which
-    the LAPACK wrapper factors in place. Raises np.linalg.LinAlgError for a
-    non-finite band or a singular one (dgbtrf info > 0).
+    columns hold the identity alone, so its step is an exact zero. H and
+    P_M go with one scatter into a copy of the QP's band_template, which
+    holds the rest, and the LAPACK wrapper factors the copy in place.
+    Raises np.linalg.LinAlgError for a non-finite band or a singular one
+    (dgbtrf info > 0).
     """
     nlp = sub.nlp
     nx = nlp.nx
@@ -573,11 +593,11 @@ def _band_factorize(sub: _Subproblem, D: np.ndarray):
     H[:, nx:, nx:] += CONTROL_REG * np.eye(nlp.nu)
     H[0, :nx] = H[0, :, :nx] = 0.0
     H[0, :nx, :nx] = np.eye(nx)
-    vals = np.concatenate([H.ravel(), P_M.ravel(), sub.band_values])
+    vals = np.concatenate([H.ravel(), P_M.ravel()])
     if not np.all(np.isfinite(vals)):
         raise np.linalg.LinAlgError("non-finite banded Newton system")
     band = sub.rows.layout.band
-    ab = np.zeros(band.n * band.ldab)
+    ab = sub.band_template.copy()
     ab[band.index] = vals
     lu, ipiv, info = lapack.dgbtrf(ab.reshape(band.n, band.ldab).T,
                                    band.kl, band.ku, overwrite_ab=1)
@@ -623,6 +643,12 @@ def _factorize(sub: _Subproblem, D: np.ndarray) -> dict:
     _subtract_in_order). np.einsum is not used for them: its sums would
     differ from the per-stage products in the last bits. The loop's own
     products use ndarray.dot, the BLAS call of `@` with less dispatch.
+
+    Besides the arrays, it hands _backsolve the per-stage operands of its
+    loops, split once per factorization and reused by every right-hand
+    side: "backward" holds (FT_n, Quu_n^-1 as a float, Qxu_n (nx,)) from
+    stage M-1 down to 0, "forward" holds (K_n (nx,), A_n, B_n (nx,)) from
+    stage 0 up.
     """
     nlp = sub.nlp
     M, nx, nu, q = nlp.horizon, nlp.nx, nlp.nu, nlp.n_gamma
@@ -644,6 +670,7 @@ def _factorize(sub: _Subproblem, D: np.ndarray) -> dict:
     Kgs = np.empty((M, nu, q))
     Lams = np.empty((M + 1, nx, q))
     Lams[M] = Lam = np.zeros((nx, q))   # no terminal row reads gamma
+    inverses = []     # Quu_n^-1 from stage M-1 down
     for n in range(M - 1, -1, -1):
         Qzz = np.add(H[n], FT[n].dot(P.dot(F[n])), out=Qzzs[n])
         Qxu = Qzz[:nx, nx:]
@@ -652,8 +679,9 @@ def _factorize(sub: _Subproblem, D: np.ndarray) -> dict:
         # apply to the array: its bits at a fraction of the overhead
         v = Qzz.item(nx, nx)
         v = 0.5 * (v + v) + CONTROL_REG
+        inverses.append(1.0 / (v if v > 1e-300 else 1e-300))
         Quu_inv = Quu_invs[n]
-        Quu_inv[0, 0] = 1.0 / (v if v > 1e-300 else 1e-300)
+        Quu_inv[0, 0] = inverses[-1]
         Ks[n] = K = Quu_inv.dot(Qxu.T)
         Qzg = np.add(U[n], FT[n].dot(Lam), out=Qzgs[n])
         Kgs[n] = Kg = Quu_inv.dot(Qzg[nx:])
@@ -663,9 +691,11 @@ def _factorize(sub: _Subproblem, D: np.ndarray) -> dict:
     Qugs = Qzgs[:, nx:]
     Gamma = _subtract_in_order(Gamma, np.matmul(Qugs.transpose(0, 2, 1), Kgs))
     Gamma = 0.5 * (Gamma + Gamma.T)
+    Qxus = np.ascontiguousarray(Qzzs[:, :nx, nx:])
     return {"FT": FT, "Ks": Ks, "Kgs": Kgs, "Quu_invs": Quu_invs,
-            "Qxus": np.ascontiguousarray(Qzzs[:, :nx, nx:]),
-            "Qugs": Qugs, "Ps": Ps, "Lams": Lams, "Gamma": Gamma}
+            "Qxus": Qxus, "Qugs": Qugs, "Ps": Ps, "Lams": Lams, "Gamma": Gamma,
+            "backward": list(zip(FT[::-1], inverses, Qxus[::-1, :, 0])),
+            "forward": list(zip(Ks[:, 0], sub.A, sub.B[:, :, 0]))}
 
 
 def _subtract_in_order(x, terms):
@@ -688,11 +718,20 @@ def _backsolve(sub: _Subproblem, fac: dict, F, F_M, F_g, e: np.ndarray):
     the loops with np.matmul (not np.einsum, whose sums would move the last
     bits): the global-block right-hand side after the backward sweep
     (subtracted in stage order), Kg dgamma before the forward sweep and the
-    multiplier steps after it. The loops' own products use ndarray.dot, the
-    BLAS call of `@` with less dispatch.
+    multiplier steps after it.
+
+    With one input, the loops' products of one term, Quu^-1 q_u, Qxu k and
+    B_n du, are one IEEE multiplication whatever BLAS does, so they run on
+    Python floats and elementwise. Only the sign of a zero product can
+    differ from the dot's, which sums from +0.0: for two one-element
+    operands (Quu^-1 q_u) numpy's dot multiplies without a sum, and qz and
+    A_n dx, which Qxu k and B_n du enter, are never -0.0 (each adds a
+    dot's sum), so the results keep their bits. The products that sum two
+    or more terms, FT_n p, K_n dx and A_n dx, stay on ndarray.dot, the
+    BLAS call of `@` with less dispatch: BLAS may fuse their multiply-adds,
+    which Python floats would not.
     """
-    nlp = sub.nlp
-    M, nx, nu = nlp.horizon, nlp.nx, nlp.nu
+    nx = sub.nlp.nx
 
     r = -F
     r_M = -F_M
@@ -700,34 +739,34 @@ def _backsolve(sub: _Subproblem, fac: dict, F, F_M, F_g, e: np.ndarray):
     sub.rows.add_transpose(-e, r, r_M, r_g)
 
     # backward linear sweep; p_n stores the value-function linear term
-    FT, Quu_invs, Qxus = fac["FT"], fac["Quu_invs"], fac["Qxus"]
-    neg_r = -r
-    ks = np.empty((M, nu))
-    ps = np.empty((M + 1, nx))
-    ps[M] = p = -r_M
-    for n in range(M - 1, -1, -1):
-        qz = neg_r[n] + FT[n].dot(p)
-        ks[n] = k = Quu_invs[n].dot(qz[nx:])
-        ps[n] = p = qz[:nx] - Qxus[n].dot(k)
+    ks = []           # from stage M-1 down
+    ps = [-r_M]
+    p = ps[0]
+    for (FT, Quu_inv, Qxu), neg_r in zip(fac["backward"], (-r)[::-1]):
+        qz = neg_r + FT.dot(p)
+        ks.append(k := Quu_inv * qz.item(nx))
+        ps.append(p := qz[:nx] - Qxu * k)
+    ks.reverse()
+    ps = np.array(ps[::-1])
 
-    Qug_k = np.matmul(fac["Qugs"].transpose(0, 2, 1), ks[:, :, None])[:, :, 0]
+    Qug_k = np.matmul(fac["Qugs"].transpose(0, 2, 1),
+                      np.array(ks)[:, None, None])[:, :, 0]
     dgamma = -np.linalg.solve(fac["Gamma"], _subtract_in_order(-r_g, Qug_k))
 
     # forward sweep; -k - K dx is -(K dx) - k bit for bit (negation is
     # exact and rounding symmetric)
-    Ks, A, B = fac["Ks"], sub.A, sub.B
-    neg_ks = -ks
-    Kg_dgamma = np.matmul(fac["Kgs"], dgamma)
-    dus = np.empty((M, nu))
-    dxs = np.empty((M + 1, nx))
-    dxs[0] = dx = np.zeros(nx)
-    for n in range(M):
-        du = neg_ks[n] - Ks[n].dot(dx)
-        dus[n] = du = du - Kg_dgamma[n]
-        dxs[n + 1] = dx = A[n].dot(dx) + B[n].dot(du)
+    Kg_dgamma = np.matmul(fac["Kgs"], dgamma)[:, 0].tolist()
+    dus = []
+    dxs = [np.zeros(nx)]
+    dx = dxs[0]
+    for (K, A, B), k, kg in zip(fac["forward"], ks, Kg_dgamma):
+        dus.append(du := -k - K.dot(dx) - kg)
+        dxs.append(dx := A.dot(dx) + B * du)
+    dxs = np.array(dxs)
     lam_next = np.matmul(fac["Ps"][1:], dxs[1:, :, None])[:, :, 0] + ps[1:]
     lam_next = lam_next + np.matmul(fac["Lams"][1:], dgamma)
-    return np.concatenate([dxs[:-1], dus], axis=1), dx, dgamma, -lam_next
+    return (np.concatenate([dxs[:-1], np.array(dus)[:, None]], axis=1), dx,
+            dgamma, -lam_next)
 
 
 def _timed(phase_s, phase, fn, *args):
@@ -738,13 +777,14 @@ def _timed(phase_s, phase, fn, *args):
     return out
 
 
-def _max_step(pairs, tau):
-    alpha = 1.0
-    for v, dv in pairs:
-        neg = dv < 0.0
-        if np.any(neg):
-            alpha = min(alpha, float(np.min(-tau * v[neg] / dv[neg])))
-    return min(alpha, 1.0)
+def _max_step(v, dv, tau):
+    """The largest step in [0, 1] that keeps v + step dv at least (1 - tau) v
+    wherever dv < 0: the fraction-to-boundary rule over the interior-point
+    pairs (s, t, z, z0), stacked into v and their directions into dv, in one
+    pass. The minimum of the ratios does not depend on how they are
+    grouped, so for finite values it is the per-pair rule's bit for bit."""
+    neg = dv < 0.0
+    return float(np.min(-tau * v[neg] / dv[neg], initial=1.0))
 
 
 def _ip_solve(sub: _Subproblem, phase_s: dict):
@@ -784,7 +824,9 @@ def _ip_solve(sub: _Subproblem, phase_s: dict):
     for it in range(opts.max_ip_iter):
         iters = it + 1
         s, z, t = sub.s, sub.z, sub.t
-        z0 = rho + eps * t - z
+        eps_t = eps * t
+        z0 = rho + eps_t - z
+        sz, tz0 = s * z, t * z0
         mu = (s @ z + t @ z0) / (2.0 * m)
 
         cw = sub.rows.product(sub.w, sub.wM, sub.dgamma)
@@ -797,8 +839,8 @@ def _ip_solve(sub: _Subproblem, phase_s: dict):
         # row complementarity is measured against the outward-facing duals z;
         # the elastic pair (t, z0) only needs penalty-level tightness
         compl_inf = max(
-            float(np.max(s * z)) / (1.0 + float(np.max(z))),
-            float(np.max(t * z0)) / (1.0 + rho))
+            float(np.max(sz)) / (1.0 + float(np.max(z))),
+            float(np.max(tz0)) / (1.0 + rho))
         err = max(stat_inf / thr_stat, prim_inf / thr_prim, compl_inf / thr_compl)
         if err < 0.97 * best_err:
             stalled = 0
@@ -813,13 +855,16 @@ def _ip_solve(sub: _Subproblem, phase_s: dict):
         if stalled >= opts.ip_stall_limit:
             break
 
-        s_safe = np.maximum(s, 1e-300)
-        zcap = z0 + eps * t                       # z0 + eps t > 0 throughout
+        zcap = z0 + eps_t                         # z0 + eps t > 0 throughout
         # effective row weight of the dual-bounded l1 penalty
         D = np.clip(1.0 / (t / zcap + s / z), 1e-12, 1e10)
         fac = _timed(phase_s, "factorize", factorize, sub, D)
+        values = np.concatenate([s, t, z, z0])     # as _max_step takes them
 
         def newton(r2, r4):
+            """The Newton step for the complementarity right-hand sides r2
+            (of s z) and r4 (of t z0); its last item stacks (ds, dt, dz,
+            dz0) as _max_step takes them."""
             e = -D * (r1 + r4 / zcap - r2 / z)
             dw, dxM, dgamma, dlam = _timed(phase_s, "backsolve", backsolve,
                                            sub, fac, F, F_M, F_g, e)
@@ -828,11 +873,12 @@ def _ip_solve(sub: _Subproblem, phase_s: dict):
             dt = (r4 + t * dz) / zcap
             ds = (r2 - s * dz) / z
             dz0 = eps * dt - dz
-            return dw, dxM, dgamma, dlam, dt, dz, ds, dz0
+            return dw, dxM, dgamma, dlam, dt, dz, ds, dz0, np.concatenate(
+                [ds, dt, dz, dz0])
 
-        # predictor
-        aff = newton(-s * z, -t * z0)
-        a_aff = _max_step([(s, aff[6]), (t, aff[4]), (z, aff[5]), (z0, aff[7])], 1.0)
+        # predictor; (-s) z is -(s z) bit for bit
+        aff = newton(-sz, -tz0)
+        a_aff = _max_step(values, aff[8], 1.0)
         mu_aff = ((s + a_aff * aff[6]) @ (z + a_aff * aff[5])
                   + (t + a_aff * aff[4]) @ (z0 + a_aff * aff[7])) / (2.0 * m)
         sigma = min(max(mu_aff / max(mu, 1e-300), 0.0), 1.0) ** 3
@@ -841,15 +887,15 @@ def _ip_solve(sub: _Subproblem, phase_s: dict):
             sigma = max(sigma, 0.5)
 
         # corrector, falling back to plain centering when blocked
-        r2 = sigma * mu - s * z - aff[6] * aff[5]
-        r4 = sigma * mu - t * z0 - aff[4] * aff[7]
-        dw, dxM, dgamma, dlam, dt, dz, ds, dz0 = newton(r2, r4)
-        a = _max_step([(s, ds), (t, dt), (z, dz), (z0, dz0)], IP_TAU)
+        r2 = sigma * mu - sz - aff[6] * aff[5]
+        r4 = sigma * mu - tz0 - aff[4] * aff[7]
+        dw, dxM, dgamma, dlam, dt, dz, ds, dz0, dv = newton(r2, r4)
+        a = _max_step(values, dv, IP_TAU)
         if a < 0.05 and a < 0.25 * a_aff:
             sigma_c = max(sigma, 0.5)
-            dw, dxM, dgamma, dlam, dt, dz, ds, dz0 = newton(
-                sigma_c * mu - s * z, sigma_c * mu - t * z0)
-            a = _max_step([(s, ds), (t, dt), (z, dz), (z0, dz0)], IP_TAU)
+            dw, dxM, dgamma, dlam, dt, dz, ds, dz0, dv = newton(
+                sigma_c * mu - sz, sigma_c * mu - tz0)
+            a = _max_step(values, dv, IP_TAU)
 
         sub.w += a * dw
         sub.wM += a * dxM

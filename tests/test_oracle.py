@@ -263,6 +263,38 @@ def test_dataset_round_trip(tmp_path):
     assert meta["channels"] == ["delta_g", "delta_a"]
 
 
+@pytest.mark.parametrize("workers, count, started", [(64, 9, 9), (2, 9, 2)])
+def test_labeling_starts_at_most_one_worker_per_sample(monkeypatch, workers,
+                                                       count, started):
+    # 64 workers for 9 samples used to start 64 processes. The spy pool
+    # labels in this process and the labels are stubs: nothing is forked
+    import multiprocessing
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return [fn(item) for item in items]
+
+    class Context:
+        Pool = SerialPool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context)
+    monkeypatch.setattr(oracle, "_label", lambda template, mode, theta: (True, None))
+    rows, balance = generate_dataset(LON_TEMPLATE, MODE_E1, count=count,
+                                     seed=3, workers=workers)
+    assert sizes == [started]
+    assert len(rows) == count and balance == 1.0
+
+
 def test_class_balance_strictly_mixed():
     rows, balance = generate_dataset(LON_TEMPLATE, MODE_E2, count=40, seed=7)
     assert 0.0 < balance < 1.0

@@ -603,6 +603,28 @@ def test_count_below_one_is_a_usage_error(tmp_path, capsys, command, flag,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["gen-data", "train", "certify",
+                                     "pipeline"])
+def test_a_negative_seed_is_a_usage_error(tmp_path, capsys, command):
+    # --seed -1 used to reach numpy's default_rng and end in its ValueError
+    # traceback (exit 1); seed 0 stays a seed
+    from softmpc import cli
+    config = ["--config", _write_ini(tmp_path, _VALID_INI)]
+    out = ["--out", str(tmp_path / "out")]
+    where = {"gen-data": config + out + ["--mode", "E1"],
+             "train": config + out + ["--mode", "E1",
+                                      "--data", str(tmp_path / "e1.csv")],
+             "certify": ["--model", str(tmp_path / "m.json")],
+             "pipeline": config + out}[command]
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, *where, "--seed", "-1"])
+    assert exit_.value.code == cli.EXIT_CONFIG
+    assert "--seed: must be at least 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert cli.build_parser().parse_args(
+        [command, *where, "--seed", "0"]).seed == 0
+
+
 def test_gen_data_writes_its_sidecar_next_to_the_dataset(tmp_path, capsys):
     # the sidecar used to be named by cutting the path at its last dot, so
     # --out runs.v2/e1 wrote runs.json into the parent directory

@@ -899,6 +899,49 @@ def test_riccati_sweeps_equal_the_plain_loops_on_an_indefinite_input_block(q):
     assert fac["Quu_invs"].item() == 1.0 / 1e-300
 
 
+def _reference_max_step(pairs, tau):
+    """The fraction-to-boundary rule pair by pair, as the interior-point
+    loop applied it before it stacked the pairs into one pass."""
+    alpha = 1.0
+    for v, dv in pairs:
+        neg = dv < 0.0
+        if np.any(neg):
+            alpha = min(alpha, float(np.min(-tau * v[neg] / dv[neg])))
+    return min(alpha, 1.0)
+
+
+@st.composite
+def _ip_pairs(draw):
+    """Four (value, direction) pairs of one length, as the interior-point
+    loop holds (s, t, z, z0): values nonnegative, directions of any sign,
+    some exactly zero."""
+    size = draw(st.integers(1, 12))
+    value = st.floats(0.0, 1e6)
+    direction = st.one_of(st.floats(-1e6, 1e6), st.just(0.0),
+                          st.floats(-1e-8, 1e-8))
+    pair = st.tuples(st.lists(value, min_size=size, max_size=size),
+                     st.lists(direction, min_size=size, max_size=size))
+    return draw(st.lists(pair, min_size=4, max_size=4))
+
+
+_NO_DESCENT = [([1.0, 0.0, 2.0], [0.0, 0.5, 0.0])] * 4   # and zero directions
+
+
+@given(pairs=_ip_pairs(), tau=st.sampled_from([1.0, sqp.IP_TAU]))
+@example(pairs=_NO_DESCENT, tau=1.0)
+@example(pairs=_NO_DESCENT, tau=sqp.IP_TAU)
+@settings(max_examples=200, deadline=None)
+def test_max_step_in_one_pass_is_the_per_pair_rule(pairs, tau):
+    pairs = [(np.array(v), np.array(dv)) for v, dv in pairs]
+    # a ratio over a subnormal direction overflows to inf: no bound
+    with np.errstate(over="ignore"):
+        got = sqp._max_step(np.concatenate([v for v, _ in pairs]),
+                            np.concatenate([dv for _, dv in pairs]), tau)
+        want = _reference_max_step(pairs, tau)
+    assert type(got) is float
+    assert got.hex() == want.hex()
+
+
 # ---------------------------------------------------------------------------
 # The banded Newton step against the same system assembled densely
 # ---------------------------------------------------------------------------
@@ -1038,12 +1081,15 @@ def test_banded_steps_match_the_dense_solve_on_recorded_cutin_systems(
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("where", ["terminal-D", "stage-D", "stage-C"])
+@pytest.mark.parametrize("where", ["terminal-D", "stage-D", "stage-C",
+                                   "stage-A"])
 def test_a_non_finite_band_raises(where, bad):
     # D[-1] weighs a terminal row; the stage row and the state Jacobian
     # entry sit at the last row and stage of the first stage group, past
     # stage 0 (whose state rows the band replaces by the identity), so the
-    # banded path's stage-group Gram, one matmul, carries them into H
+    # banded path's stage-group Gram, one matmul, carries them into H. The
+    # dynamics entry sits in A_5, the last stage's, which the QP's band
+    # template holds in F_5 = [A_5 B_5] and F_5'
     rng = np.random.default_rng(4)
     sub = _random_subproblem(rng, 3, 2, 0, 6, True)
     D = np.ones(sub.rows.n_rows)
@@ -1053,11 +1099,36 @@ def test_a_non_finite_band_raises(where, bad):
         D[-1] = bad
     elif where == "stage-D":
         D[ridx[-1, -1]] = bad
-    else:
+    elif where == "stage-C":
         C[-1, -1, 0] = bad
+    else:
+        sub.A[5, 1, 0] = sub.F[5, 1, 0] = bad
     with np.errstate(invalid="ignore"), \
             pytest.raises(np.linalg.LinAlgError, match="non-finite"):
         sqp._band_factorize(sub, D)
+
+
+def test_a_band_template_survives_the_factorizations_of_its_qp():
+    # each IP iteration factors a copy of the QP's band template in place
+    # (dgbtrf overwrites its input): factoring one subproblem with two D in
+    # turn gives the LU and steps of two fresh subproblems, bit for bit,
+    # and leaves the template as it was made
+    sub = _random_subproblem(np.random.default_rng(8), 3, 2, 0, 7, True)
+    rng = np.random.default_rng(9)
+    template = sub.band_template.copy()
+    for _ in range(2):
+        D = 10.0 ** rng.uniform(-6.0, 6.0, sub.rows.n_rows)
+        F = rng.normal(size=(7, 5))
+        F[0, :3] = 0.0
+        rhs = (F, rng.normal(size=3), np.zeros(0),
+               rng.normal(size=sub.rows.n_rows))
+        fresh = _random_subproblem(np.random.default_rng(8), 3, 2, 0, 7, True)
+        got, want = sqp._band_factorize(sub, D), sqp._band_factorize(fresh, D)
+        assert all(_same_bits(g, w) for g, w in zip(got[1:], want[1:]))
+        steps = zip(sqp._band_backsolve(sub, got, *rhs),
+                    sqp._band_backsolve(fresh, want, *rhs))
+        assert all(_same_bits(g, w) for g, w in steps)
+        assert _same_bits(sub.band_template, template)
 
 
 def test_a_singular_band_raises():
