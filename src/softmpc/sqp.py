@@ -782,9 +782,13 @@ def _max_step(v, dv, tau):
     wherever dv < 0: the fraction-to-boundary rule over the interior-point
     pairs (s, t, z, z0), stacked into v and their directions into dv, in one
     pass. The minimum of the ratios does not depend on how they are
-    grouped, so for finite values it is the per-pair rule's bit for bit."""
-    neg = dv < 0.0
-    return float(np.min(-tau * v[neg] / dv[neg], initial=1.0))
+    grouped, so for finite values it is the per-pair rule's bit for bit.
+    The ratios are taken over the whole stack and masked, not gathered: a
+    boolean gather branches on the directions' signs and costs more than
+    the division. A ratio that overflows is inf: no bound."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = -tau * v / dv
+    return float(np.min(np.where(dv < 0.0, ratio, 1.0), initial=1.0))
 
 
 def _ip_solve(sub: _Subproblem, phase_s: dict):

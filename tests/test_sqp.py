@@ -933,10 +933,10 @@ _NO_DESCENT = [([1.0, 0.0, 2.0], [0.0, 0.5, 0.0])] * 4   # and zero directions
 @settings(max_examples=200, deadline=None)
 def test_max_step_in_one_pass_is_the_per_pair_rule(pairs, tau):
     pairs = [(np.array(v), np.array(dv)) for v, dv in pairs]
+    got = sqp._max_step(np.concatenate([v for v, _ in pairs]),
+                        np.concatenate([dv for _, dv in pairs]), tau)
     # a ratio over a subnormal direction overflows to inf: no bound
     with np.errstate(over="ignore"):
-        got = sqp._max_step(np.concatenate([v for v, _ in pairs]),
-                            np.concatenate([dv for _, dv in pairs]), tau)
         want = _reference_max_step(pairs, tau)
     assert type(got) is float
     assert got.hex() == want.hex()
