@@ -46,7 +46,8 @@ from . import ocp
 from .environment import ConsistencyDelta, DisturbanceProfile, consistency_delta
 from .oracle import TEMPLATE_KINDS, ScenarioTemplate, build_theta, oracle_solve
 from .path import PathGeometry, PathRangeError
-from .sqp import STATUS_MAX_ITER, STATUS_OPTIMAL, pinned_row_exit, solve
+from .sqp import (STATUS_MAX_ITER, STATUS_OPTIMAL, SolverOptions,
+                  pinned_row_exit, solve)
 from .surrogate import SurrogateModel
 
 HARD_ROW_TOL = 1e-6
@@ -189,7 +190,7 @@ class PriorityController:
         if rep.status == STATUS_OPTIMAL:
             return True
         return (rep.status == STATUS_MAX_ITER
-                and rep.infeasibility_measure <= 1e-8
+                and rep.infeasibility_measure <= SolverOptions.tol_feasibility
                 and rep.stationarity <= 1e-3)
 
     def _residuals(self, rep, profile, mode: ocp.RelaxationMode,

@@ -45,10 +45,14 @@ class HorizonConfig:
     t_s: float = 0.1
 
     def __post_init__(self):
+        """Each message names the field's [horizon] INI key."""
         if not (self.n_constraint >= self.n_cost >= 1):
-            raise ValueError("need n_constraint >= n_cost >= 1")
-        if self.t_s <= 0.0:
-            raise ValueError("t_s must be positive")
+            raise ValueError("[horizon] n_cost and n_constraint need "
+                             "n_constraint >= n_cost >= 1, got "
+                             f"{self.n_cost} and {self.n_constraint}")
+        if not (self.t_s > 0.0 and math.isfinite(self.t_s)):
+            raise ValueError(f"[horizon] t_s must be finite and > 0, "
+                             f"got {self.t_s}")
 
 
 # stage weights on the state and on the input
@@ -136,8 +140,16 @@ _LINEAR = [(_ROW[name + side], col, sign)
 _LINEAR += [(_ROW["a_req_comfort_lb"], NX + 1, -1.0),
             (_ROW["g_lon_safe"], dyn.IDX_S, 1.0)]
 _LIN_ROW, _LIN_COL, _LIN_SIGN = (np.array(v) for v in zip(*_LINEAR))
+# Jacobian (n_rows, NZ) of every row wrt z where it does not depend on the
+# point or the stack: one +-1.0 per _LINEAR row and g_follow's s. The stack
+# adds g_follow's t_gap; the terminal rows read their state and sign here
+_LINEAR_JACOBIAN = np.zeros((len(ROW_LABELS), NZ))
+_LINEAR_JACOBIAN[_LIN_ROW, _LIN_COL] = _LIN_SIGN
+_LINEAR_JACOBIAN[_ROW["g_follow"], dyn.IDX_S] = 1.0
+_LINEAR_JACOBIAN.flags.writeable = False
 # a_y_ub, a_y_lb, j_y_ub, j_y_lb: the rows whose Jacobian depends on the point
 _COMFORT_ROWS = slice(_ROW["a_y_ub"], _ROW["j_y_lb"] + 1)
+_TERMINAL_ROWS = np.array([_ROW[label] for label in TERMINAL_ROW_LABELS])
 
 
 @dataclass(frozen=True)
@@ -155,6 +167,17 @@ class ConstraintStack:
     t_gap: float = 1.5
     d_safe: float = 6.0
     a_req_comfort_min: float = -3.0
+
+    def __post_init__(self):
+        """Reject values the rows cannot run on; each message names the INI
+        key ([prediction] d_safe, [stack] the others)."""
+        for key, value, ok, need in (
+                ("[stack] t_gap", self.t_gap, self.t_gap >= 0.0, ">= 0"),
+                ("[stack] a_req_comfort_min", self.a_req_comfort_min,
+                 self.a_req_comfort_min < 0.0, "< 0"),
+                ("[prediction] d_safe", self.d_safe, self.d_safe > 0.0, "> 0")):
+            if not (ok and math.isfinite(value)):
+                raise ValueError(f"{key} must be finite and {need}, got {value}")
 
     def bounds(self, profile: DisturbanceProfile) -> np.ndarray:
         """Bounds b (len(profile), n_rows) of every row at every step."""
@@ -175,9 +198,7 @@ class ConstraintStack:
     @cached_property
     def _linear_jacobian(self) -> np.ndarray:
         """Jacobian (n_rows, NZ) of every row wrt z, comfort rows left at zero."""
-        C = np.zeros((len(ROW_LABELS), NZ))
-        C[_LIN_ROW, _LIN_COL] = _LIN_SIGN
-        C[_ROW["g_follow"], dyn.IDX_S] = 1.0
+        C = _LINEAR_JACOBIAN.copy()
         C[_ROW["g_follow"], dyn.IDX_V] = self.t_gap
         return C
 
@@ -379,7 +400,8 @@ def _make_stage_rows(stack: ConstraintStack, profile: DisturbanceProfile,
 def _terminal_rows(profile: DisturbanceProfile, mode: RelaxationMode,
                    labels: tuple = ROW_LABELS):
     """Terminal rows C x_M - offset <= 0 as (C (k, NX), offset (k,)); each
-    row of C reads one state, with its sign.
+    row of C is its stage row's state columns in _LINEAR_JACOBIAN, one
+    state with its sign.
 
     A row is kept when its label is in labels, the mode does not drop it and
     its offset is finite. A mode that drops the longitudinal stack rows
@@ -393,17 +415,12 @@ def _terminal_rows(profile: DisturbanceProfile, mode: RelaxationMode,
     keep = [k for k, lbl in enumerate(TERMINAL_ROW_LABELS)
             if lbl in labels and mode.kept[_ROW[lbl]]
             and math.isfinite(offset[k])]
-    cols = np.array([dyn.IDX_V, dyn.IDX_V, dyn.IDX_A, dyn.IDX_A,
-                     dyn.IDX_EY, dyn.IDX_EY, dyn.IDX_S])[keep]
-    sign = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0])[keep]
-    C = np.zeros((len(keep), NX))
-    C[np.arange(len(keep)), cols] = sign
-    return C, offset[keep]
+    return _LINEAR_JACOBIAN[_TERMINAL_ROWS[keep], :NX], offset[keep]
 
 
 def build_nominal(x_k, path, terminal_P, horizon, stack: ConstraintStack,
                   profile: DisturbanceProfile, x_refs, u_refs,
-                  u_init=None) -> NlpDescription:
+                  u_init) -> NlpDescription:
     """The relaxed problem of NOMINAL_MODE: every row of the stack hard."""
     return build_relaxed(x_k, path, terminal_P, horizon, stack, profile,
                          NOMINAL_MODE, np.zeros(0), x_refs, u_refs,
@@ -412,10 +429,10 @@ def build_nominal(x_k, path, terminal_P, horizon, stack: ConstraintStack,
 
 def build_relaxed(x_k, path, terminal_P, horizon, stack, profile,
                   mode: RelaxationMode, slack: np.ndarray,
-                  x_refs, u_refs, u_init=None) -> NlpDescription:
+                  x_refs, u_refs, u_init) -> NlpDescription:
     """Problem with the mode's rows lifted by a fixed slack vector, on the
-    vehicle model of the stack's params; terminal_P is the terminal cost
-    matrix (terminal_weights)."""
+    vehicle model of the stack's params, started at the plan u_init (M, NU);
+    terminal_P is the terminal cost matrix (terminal_weights)."""
     if len(profile) != horizon.n_constraint + 1:
         raise ValueError(f"profile covers {len(profile)} steps, expected "
                          f"{horizon.n_constraint + 1}")

@@ -63,8 +63,9 @@ from .dynamics import NU, NX, VehicleParams
 from .environment import NO_BOUND, DisturbanceProfile, lane_bounds
 from .ocp import ConstraintStack, HorizonConfig, RelaxationMode, build_reference
 from .path import PathGeometry
-from .sqp import (STATUS_INFEASIBLE, STATUS_OPTIMAL, NlpDescription,
-                  SolverOptions, SolveReport, settled_infeasible, solve)
+from .sqp import (INFEASIBILITY_TOL, STATUS_INFEASIBLE, STATUS_OPTIMAL,
+                  NlpDescription, SolverOptions, SolveReport,
+                  settled_infeasible, solve)
 
 SNAP_TOL = 1e-3     # below the dataset's brute-force grid resolution
 SIGMA_CAP = 250.0   # relative yield bound treated as unconstrained
@@ -317,7 +318,7 @@ def _lp_certifies_infeasible(nlp: NlpDescription) -> bool:
     """
     from scipy.optimize import linprog
     M, nx, nu, q = nlp.horizon, nlp.nx, nlp.nu, nlp.n_gamma
-    us = nlp.u_init.reshape(M, nu)
+    us = nlp.u_init
     xs = nlp.dyn_f(us)
     A, B = nlp.dyn_jac(xs[:-1], us)
     vals, C, G = nlp.stage_rows(xs[:-1], us)
@@ -400,7 +401,7 @@ def oracle_solve(template: ScenarioTemplate, mode: RelaxationMode,
     rep = solve(nlp, ORACLE_SOLVER_OPTS)
     feasible = rep.status == STATUS_OPTIMAL or (
         rep.status != STATUS_INFEASIBLE
-        and rep.infeasibility_measure <= 1e-6)
+        and rep.infeasibility_measure <= INFEASIBILITY_TOL)
     if not feasible:
         return False, None, rep
     slack = rep.gamma.copy()

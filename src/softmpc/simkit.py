@@ -24,8 +24,8 @@ import numpy as np
 
 from . import dynamics as dyn
 from . import ocp, plots
-from .controller import (BRANCH_FAILURE, BRANCH_NOMINAL, ModelError,
-                         ModeRuntime, PriorityController)
+from .controller import (BRANCH_FAILURE, BRANCH_NOMINAL, HARD_ROW_TOL,
+                         ModelError, ModeRuntime, PriorityController)
 from .dynamics import VehicleParams
 from .environment import RoadUserState, build_profile
 from .oracle import TEMPLATE_KINDS, ScenarioTemplate
@@ -126,9 +126,9 @@ class ScenarioConfig:
     """Closed-loop scenario. `duration` must be finite, > 0 and a multiple
     of `t_s`; the cut-in needs `cut_start >= 0` and `cut_duration > 0` but
     may end after `duration` (see `CutInSpec`); the growth rates must be
-    >= 0 and d_safe > 0; `v_ref` must be finite and > 0, `ego_v0` finite
-    and >= 0, `lane_width` and `path_length` > 0, and `ego_s0` in [0,
-    `path_length`].
+    finite and >= 0, and the stack_kw values pass ocp.ConstraintStack's
+    checks; `v_ref` must be finite and > 0, `ego_v0` finite and >= 0,
+    `lane_width` and `path_length` > 0, and `ego_s0` in [0, `path_length`].
     A `path_length` shorter than the run's travel is not checked: the
     travel is known only once the run has been simulated."""
     name: str = "scenario"
@@ -151,7 +151,9 @@ class ScenarioConfig:
     mode_specs: list = field(default_factory=list)   # (RelaxationMode, kind, model file)
 
     def __post_init__(self):
-        d_safe = self.stack_kw.get("d_safe", ocp.ConstraintStack.d_safe)
+        # the stack checks its own values ([stack] keys and [prediction]
+        # d_safe)
+        ocp.ConstraintStack(params=self.params, **self.stack_kw)
         # (field, its INI key, value, zero allowed, finite required); the
         # negated comparisons also reject NaN
         for name, key, value, closed, finite in (
@@ -160,9 +162,8 @@ class ScenarioConfig:
                  True, False),
                 ("cut_in.cut_duration", "ru_cut_duration",
                  self.cut_in.cut_duration, False, False),
-                ("growth eps0", "[prediction] eps0", self.growth[0], True, False),
-                ("growth eps1", "[prediction] eps1", self.growth[1], True, False),
-                ("d_safe", "[prediction] d_safe", d_safe, False, False),
+                ("growth eps0", "[prediction] eps0", self.growth[0], True, True),
+                ("growth eps1", "[prediction] eps1", self.growth[1], True, True),
                 ("v_ref", "[scenario] v_ref", self.v_ref, False, True),
                 ("ego_v0", "[scenario] ego_v0", self.ego_v0, True, True),
                 ("lane_width", "[scenario] lane_width", self.lane_width,
@@ -458,8 +459,8 @@ def metrics(log: SimLog) -> dict:
         "max_abs_lat_accel": float(np.max(np.abs(a_y))),
         "max_abs_lat_jerk": float(np.max(np.abs(j_y))),
         "mode_occupancy": {k: v / len(log) for k, v in sorted(occupancy.items())},
-        "hard_violations": int(np.sum(hard[np.isfinite(hard)] > 1e-6)),
-        "soft_violations": int(np.sum(soft[np.isfinite(soft)] > 1e-6)),
+        "hard_violations": int(np.sum(hard[np.isfinite(hard)] > HARD_ROW_TOL)),
+        "soft_violations": int(np.sum(soft[np.isfinite(soft)] > HARD_ROW_TOL)),
         "failed": log.failed,
         "mean_controller_time": float(np.mean(times)),
         "p95_controller_time": float(np.percentile(times, 95)),

@@ -222,19 +222,22 @@ StageRowFn = Callable[[np.ndarray, np.ndarray], tuple]
 class NlpDescription:
     """Horizon-structured NLP with an optional shared slack block.
 
+    Every problem brings its stage rows (stage_rows and its stage_row_mask,
+    (M, 0) for none) and its start plan u_init (M, nu), copied here into a
+    float array. A solve starts at u_init with gamma = 0.
+
     cost_W[n] is the (nx+nu)^2 quadratic weight at stage n around
     cost_ref[n]; cost_P / cost_ref_M the terminal state quadratic. The
     global block gamma enters the stage rows via their G columns, the
-    objective via gamma_weight, starts at zero and is boxed by
-    [gamma_lo, gamma_hi]. dyn_f(us (M, nu)) returns the rollout xs
-    (M+1, nx) from the problem's fixed start state; dyn_jac(xs, us) the
-    Jacobians (A (M, nx, nx), B (M, nx, nu)) of every stage. The k terminal
-    rows are data, terminal_C (k, nx) x_M - terminal_offset (k,) <= 0;
-    k = 0 means none. nu >= 1, and nu = 1 whenever n_gamma > 0: a problem
-    without a global block (the controller's, nu = 2) takes the banded LU,
-    which serves any nu; one with a global block (the oracle's, nu = 1)
-    takes the Riccati sweep, which inverts its 1x1 control Hessian in closed
-    form.
+    objective via gamma_weight and is boxed by [gamma_lo, gamma_hi].
+    dyn_f(us (M, nu)) returns the rollout xs (M+1, nx) from the problem's
+    fixed start state; dyn_jac(xs, us) the Jacobians (A (M, nx, nx),
+    B (M, nx, nu)) of every stage. The k terminal rows are data,
+    terminal_C (k, nx) x_M - terminal_offset (k,) <= 0; k = 0 means none.
+    nu >= 1, and nu = 1 whenever n_gamma > 0: a problem without a global
+    block (the controller's, nu = 2) takes the banded LU, which serves any
+    nu; one with a global block (the oracle's, nu = 1) takes the Riccati
+    sweep, which inverts its 1x1 control Hessian in closed form.
 
     The stage rows are affine in the inputs and in the global block: their
     Jacobian columns for u and their G do not depend on the point. (ocp's
@@ -251,8 +254,9 @@ class NlpDescription:
     cost_ref: np.ndarray
     cost_P: np.ndarray
     cost_ref_M: np.ndarray
-    stage_rows: StageRowFn | None = None
-    stage_row_mask: np.ndarray | None = None
+    stage_rows: StageRowFn
+    stage_row_mask: np.ndarray
+    u_init: np.ndarray
     terminal_C: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     terminal_offset: np.ndarray = field(default_factory=lambda: np.zeros(0))
     n_gamma: int = 0
@@ -260,7 +264,6 @@ class NlpDescription:
     gamma_linear: np.ndarray | None = None
     gamma_lo: np.ndarray | None = None
     gamma_hi: np.ndarray | None = None
-    u_init: np.ndarray | None = None
 
     def __post_init__(self):
         if self.nu < 1 or (self.n_gamma and self.nu != 1):
@@ -270,6 +273,8 @@ class NlpDescription:
         self.cost_ref = np.asarray(self.cost_ref, dtype=float)
         self.cost_P = np.asarray(self.cost_P, dtype=float)
         self.cost_ref_M = np.asarray(self.cost_ref_M, dtype=float)
+        self.u_init = np.array(self.u_init, dtype=float).reshape(
+            self.horizon, self.nu)
         self.terminal_offset = np.asarray(self.terminal_offset, dtype=float)
         self.terminal_C = np.asarray(self.terminal_C, dtype=float).reshape(
             self.terminal_offset.size, self.nx)
@@ -280,8 +285,6 @@ class NlpDescription:
             self.gamma_linear = np.asarray(self.gamma_linear, dtype=float)
             self.gamma_lo = np.asarray(self.gamma_lo, dtype=float)
             self.gamma_hi = np.asarray(self.gamma_hi, dtype=float)
-        if self.stage_rows is not None and self.stage_row_mask is None:
-            raise ValueError("stage_rows needs its stage_row_mask")
 
 
 class _Layout:
@@ -295,9 +298,7 @@ class _Layout:
 
     def __init__(self, nlp: NlpDescription):
         self.shape = (nlp.horizon, nlp.nx, nlp.nu)
-        self.mask = (np.zeros((nlp.horizon, 0), dtype=bool)
-                     if nlp.stage_rows is None
-                     else np.asarray(nlp.stage_row_mask, dtype=bool))
+        self.mask = np.asarray(nlp.stage_row_mask, dtype=bool)
         counts = self.mask.sum(axis=1)
         starts = np.concatenate([[0], np.cumsum(counts)])
         self.n_rows = int(starts[-1])
@@ -371,16 +372,14 @@ class _Rows:
     def __init__(self, nlp: NlpDescription, layout: _Layout, xs, us, gamma):
         self.layout = layout
         q = nlp.n_gamma
-        vals = []
+        v, C, G = nlp.stage_rows(xs[:-1], us)
+        if q:
+            v = v + G @ gamma         # rows are affine in the global block
+        vals = [v[layout.mask]]
         self.groups = []      # (stage_idx (k,), row_idx (k, m), C (k,m,nz), G)
-        if nlp.stage_rows is not None:
-            v, C, G = nlp.stage_rows(xs[:-1], us)
-            if q:
-                v = v + G @ gamma     # rows are affine in the global block
-            vals.append(v[layout.mask])
-            for stages, cols, ridx in layout.groups:
-                sel = (stages[:, None], cols)
-                self.groups.append((stages, ridx, C[sel], G[sel] if q else None))
+        for stages, cols, ridx in layout.groups:
+            sel = (stages[:, None], cols)
+            self.groups.append((stages, ridx, C[sel], G[sel] if q else None))
         pos = layout.n_rows
 
         self.term = None      # (slice, Cx (k, nx))
@@ -397,7 +396,7 @@ class _Rows:
             self.glob = (slice(pos, pos + 2 * q), G)
             pos += 2 * q
         self.n_rows = pos
-        self.vals = np.concatenate(vals) if vals else np.zeros(0)
+        self.vals = np.concatenate(vals)
 
     def violation_l1(self) -> float:
         return float(np.sum(np.maximum(self.vals, 0.0)))
@@ -518,22 +517,17 @@ class _Subproblem:
         self.F = np.concatenate([self.A, self.B], axis=2)       # (M, nx, nz)
         self.g_stage, self.g_term, self.g_gamma = _cost_gradients(nlp, xs, us, gamma)
 
-        m = rows.n_rows
-        self.m = m
+        self.m = m = rows.n_rows
         self.w = np.zeros((M, nx + nu))   # (dx_n, du_n)
         self.wM = np.zeros(nx)
         self.dgamma = np.zeros(nlp.n_gamma)
         self.lam = np.zeros((M, nx))
-        if m:
-            viol = np.maximum(rows.vals, 0.0)
-            self.t = viol + 0.01
-            self.s = self.t - rows.vals       # = -vals + t >= 0.01
-            # row dual z lives in (0, penalty + eps*t); the cap's dual
-            # z0 = penalty + eps*t - z is derived, never stored independently.
-            # a low dual start matches the mostly-inactive row prior
-            self.z = np.full(m, min(1.0, 0.5 * penalty))
-        else:
-            self.t = self.s = self.z = np.zeros(0)
+        self.t = np.maximum(rows.vals, 0.0) + 0.01
+        self.s = self.t - rows.vals           # = -vals + t >= 0.01
+        # row dual z lives in (0, penalty + eps*t); the cap's dual
+        # z0 = penalty + eps*t - z is derived, never stored independently.
+        # a low dual start matches the mostly-inactive row prior
+        self.z = np.full(m, min(1.0, 0.5 * penalty))
 
     @cached_property
     def band_template(self) -> np.ndarray:
@@ -793,27 +787,19 @@ def _max_step(v, dv, tau):
 
 def _ip_solve(sub: _Subproblem, phase_s: dict):
     """Mehrotra predictor-corrector on the elastic Gauss-Newton QP; adds its
-    factorize and backsolve seconds to phase_s.
+    factorize and backsolve seconds to phase_s. The Newton systems are
+    solved by the Riccati sweep when the problem has a global block and by
+    one banded LU when it has none: this is the one place that chooses.
 
-    The Newton systems are solved by the Riccati sweep when the problem has
-    a global block and by one banded LU when it has none: this is the one
-    place that chooses."""
+    One loop serves every row count m: its row reductions start from 0.0
+    and its duality measures divide by 2 max(m, 1), the plain forms' floats
+    for m >= 1 (every term is nonnegative). With m = 0 it takes Newton
+    steps, and a QP whose start is stationary ends before any factorization."""
     nlp, opts = sub.nlp, sub.opts
-    m = sub.m
+    pairs = 2.0 * max(sub.m, 1)
     rho, eps = sub.penalty, ELASTIC_REG
     factorize, backsolve = ((_factorize, _backsolve) if nlp.n_gamma
                             else (_band_factorize, _band_backsolve))
-
-    if m == 0:
-        F, F_M, F_g = sub.stationarity()
-        fac = _timed(phase_s, "factorize", factorize, sub, np.zeros(0))
-        dw, dxM, dgamma, dlam = _timed(phase_s, "backsolve", backsolve,
-                                       sub, fac, F, F_M, F_g, np.zeros(0))
-        sub.w += dw
-        sub.wM += dxM
-        sub.dgamma += dgamma
-        sub.lam += dlam
-        return 1
 
     # converge directly against the report-level KKT targets; the internal
     # linearized-row residual only needs direction-quality accuracy
@@ -831,7 +817,7 @@ def _ip_solve(sub: _Subproblem, phase_s: dict):
         eps_t = eps * t
         z0 = rho + eps_t - z
         sz, tz0 = s * z, t * z0
-        mu = (s @ z + t @ z0) / (2.0 * m)
+        mu = (s @ z + t @ z0) / pairs
 
         cw = sub.rows.product(sub.w, sub.wM, sub.dgamma)
         r1 = (-sub.rows.vals) - cw + t - s
@@ -839,12 +825,12 @@ def _ip_solve(sub: _Subproblem, phase_s: dict):
         stat_inf = max(float(np.max(np.abs(F))),
                        float(np.max(np.abs(F_M))),
                        float(np.max(np.abs(F_g))) if F_g.size else 0.0)
-        prim_inf = float(np.max(np.abs(r1)))
+        prim_inf = float(np.max(np.abs(r1), initial=0.0))
         # row complementarity is measured against the outward-facing duals z;
         # the elastic pair (t, z0) only needs penalty-level tightness
-        compl_inf = max(
-            float(np.max(sz)) / (1.0 + float(np.max(z))),
-            float(np.max(tz0)) / (1.0 + rho))
+        compl_inf = max(float(np.max(sz, initial=0.0))
+                        / (1.0 + float(np.max(z, initial=0.0))),
+                        float(np.max(tz0, initial=0.0)) / (1.0 + rho))
         err = max(stat_inf / thr_stat, prim_inf / thr_prim, compl_inf / thr_compl)
         if err < 0.97 * best_err:
             stalled = 0
@@ -884,7 +870,7 @@ def _ip_solve(sub: _Subproblem, phase_s: dict):
         aff = newton(-sz, -tz0)
         a_aff = _max_step(values, aff[8], 1.0)
         mu_aff = ((s + a_aff * aff[6]) @ (z + a_aff * aff[5])
-                  + (t + a_aff * aff[4]) @ (z0 + a_aff * aff[7])) / (2.0 * m)
+                  + (t + a_aff * aff[4]) @ (z0 + a_aff * aff[7])) / pairs
         sigma = min(max(mu_aff / max(mu, 1e-300), 0.0), 1.0) ** 3
         if stalled >= 3:
             # cycling near degeneracy: force a centering step
@@ -922,19 +908,11 @@ def _evaluate(nlp: NlpDescription, layout: _Layout, us, gamma):
     return xs, _Rows(nlp, layout, xs, us, gamma), _objective(nlp, xs, us, gamma)
 
 
-def _start_point(nlp: NlpDescription):
-    """A solve's start point (us, gamma): u_init (zeros without one) and
-    gamma = 0."""
-    us = (np.array(nlp.u_init, dtype=float).reshape(nlp.horizon, nlp.nu)
-          if nlp.u_init is not None else np.zeros((nlp.horizon, nlp.nu)))
-    return us, np.zeros(nlp.n_gamma)
-
-
 def _start(nlp: NlpDescription):
-    """A solve's start point, u_init (zeros without one) and gamma = 0,
+    """A solve's start point, nlp.u_init (never written to) and gamma = 0,
     evaluated: (us, gamma, xs, rows, obj, layout, phase_s), with the
     evaluation's seconds in the fresh phase_s."""
-    us, gamma = _start_point(nlp)
+    us, gamma = nlp.u_init, np.zeros(nlp.n_gamma)
     layout = _Layout(nlp)
     phase_s = dict.fromkeys(PHASES, 0.0)
     xs, rows, obj = _timed(phase_s, "evaluate", _evaluate, nlp, layout, us, gamma)
@@ -974,9 +952,8 @@ def pinned_row_exit(nlp: NlpDescription, xs: np.ndarray) -> float | None:
     state and u_init share it. A value means that a solve with the default
     SolverOptions, the controller's, ends infeasible at the start, before
     its first QP. The rows are evaluated, the objective is not."""
-    us, gamma = _start_point(nlp)
-    return _pinned_exit(_Rows(nlp, _Layout(nlp), xs, us, gamma), nlp.nx,
-                        SolverOptions())
+    rows = _Rows(nlp, _Layout(nlp), xs, nlp.u_init, np.zeros(nlp.n_gamma))
+    return _pinned_exit(rows, nlp.nx, SolverOptions())
 
 
 def _kkt_met(kkt, opts: SolverOptions, tol_feasibility: float) -> bool:
@@ -1138,9 +1115,8 @@ def _nlp_kkt(sub: _Subproblem, z: np.ndarray):
     su = grad_u + np.matmul(sub.B.transpose(0, 2, 1), lams[:, :, None])[:, :, 0]
     stat = float(np.max(np.abs(grad_g))) if q else 0.0
     stat = max(stat, float(np.max(np.abs(su))))
-    if rows.n_rows:
-        dual_scale = 1.0 + float(np.max(z))
-        compl = float(np.max(np.abs(z * np.minimum(rows.vals, 0.0)))) / dual_scale
-    else:
-        compl = 0.0
+    # z >= 0 (interior-point duals), so the reductions from 0.0 are the
+    # plain ones whenever there are rows
+    compl = (float(np.max(np.abs(z * np.minimum(rows.vals, 0.0)), initial=0.0))
+             / (1.0 + float(np.max(z, initial=0.0))))
     return stat, rows.violation_inf(), compl

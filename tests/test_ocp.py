@@ -19,6 +19,8 @@ PARAMS = VehicleParams()
 PATH = straight_path(600.0)
 HORIZON = ocp.HorizonConfig(n_cost=8, n_constraint=40, t_s=0.1)
 STACK = ocp.ConstraintStack(params=PARAMS)
+# the start plan of the problems built here without a warm plan
+U_ZERO = np.zeros((HORIZON.n_constraint, dyn.NU))
 
 MODE_E1 = ocp.RelaxationMode(
     name="E1", priority=1, relax={"g_follow": "delta_g"},
@@ -223,7 +225,8 @@ def test_variable_count_is_inputs_times_horizon():
     P = _terminal_P()
     x_refs, u_refs = _refs(0.0)
     nlp = ocp.build_nominal(dyn.state(v=7.0), PATH, P, HORIZON,
-                            STACK, _free_profile(), x_refs, u_refs)
+                            STACK, _free_profile(), x_refs, u_refs,
+                            u_init=U_ZERO)
     assert nlp.horizon * nlp.nu == 2 * HORIZON.n_constraint
     assert nlp.n_gamma == 0
 
@@ -288,13 +291,14 @@ def test_row_layout_follows_profile_mode_and_tube():
     x_refs, u_refs = _refs(0.0)
     args = (dyn.state(v=7.0), PATH, _terminal_P(), HORIZON, STACK,
             profile)
-    nom = ocp.build_nominal(*args, x_refs, u_refs)
+    nom = ocp.build_nominal(*args, x_refs, u_refs, u_init=U_ZERO)
     counts = nom.stage_row_mask.sum(axis=1)
     assert list(counts[:8]) == [21] * 8
     assert list(counts[8:20]) == [33] * 12
     assert list(counts[20:]) == [35] * 20
     # E3 drops both yield rows wherever they are
-    rel = ocp.build_relaxed(*args, MODE_E3, np.zeros(4), x_refs, u_refs)
+    rel = ocp.build_relaxed(*args, MODE_E3, np.zeros(4), x_refs, u_refs,
+                            u_init=U_ZERO)
     assert list(rel.stage_row_mask.sum(axis=1)) == [21] * 8 + [33] * 32
 
 
@@ -335,13 +339,16 @@ def test_zero_lift_builds_the_nominal_rows_bit_for_bit(case, x):
                                  corridor_hi=np.full(M + 1, 1.75))
     x_refs, u_refs = _refs(float(x0[dyn.IDX_S]))
     args = (x0, PATH, _terminal_P(), HORIZON, STACK, profile)
-    nominal = _rows_bytes(ocp.build_nominal(*args, x_refs, u_refs), xs, us)
+    nominal = _rows_bytes(ocp.build_nominal(*args, x_refs, u_refs,
+                                            u_init=U_ZERO), xs, us)
     for mode in (MODE_E1, MODE_E2):
         rel = ocp.build_relaxed(*args, mode, np.zeros(mode.n_channels),
-                                x_refs, u_refs)
+                                x_refs, u_refs, u_init=U_ZERO)
         assert _rows_bytes(rel, xs, us) == nominal
-    e1 = ocp.build_relaxed(*args, MODE_E1, np.array([x]), x_refs, u_refs)
-    e2 = ocp.build_relaxed(*args, MODE_E2, np.array([x, 0.0]), x_refs, u_refs)
+    e1 = ocp.build_relaxed(*args, MODE_E1, np.array([x]), x_refs, u_refs,
+                           u_init=U_ZERO)
+    e2 = ocp.build_relaxed(*args, MODE_E2, np.array([x, 0.0]), x_refs, u_refs,
+                           u_init=U_ZERO)
     assert _rows_bytes(e1, xs, us) == _rows_bytes(e2, xs, us)
 
 
@@ -372,7 +379,8 @@ def test_row_roles_are_the_modes_own(case, mode, data):
                                  corridor_hi=np.full(M + 1, 1.75))
     x_refs, u_refs = _refs(float(x0[dyn.IDX_S]))
     nlp = ocp.build_relaxed(x0, PATH, _terminal_P(), HORIZON, STACK,
-                            profile, mode, slack, x_refs, u_refs)
+                            profile, mode, slack, x_refs, u_refs,
+                            u_init=U_ZERO)
     n_rows = len(ocp.ROW_LABELS)
     finite = np.isfinite(STACK.bounds(profile)[:M])
     assert np.array_equal(nlp.stage_row_mask[:, :n_rows], finite & kept)
@@ -393,7 +401,7 @@ def test_relaxed_rejects_slack_beyond_ceiling():
     with pytest.raises(ValueError, match="ceiling"):
         ocp.build_relaxed(dyn.state(v=15.0), PATH, P, HORIZON,
                           STACK, _free_profile(), MODE_E1, np.array([31.0]),
-                          x_refs, u_refs)
+                          x_refs, u_refs, u_init=U_ZERO)
 
 
 def test_mode_e3_drops_longitudinal_rows():

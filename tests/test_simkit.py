@@ -116,13 +116,15 @@ def test_bad_scenario_ini_key_reaches_the_cli_config_error(
 
 
 @pytest.mark.parametrize("key, value", [
-    ("eps0", "-0.1"), ("eps1", "-1"), ("eps1", "nan"),
-    ("d_safe", "0"), ("d_safe", "-2.0"), ("d_safe", "nan"),
+    ("eps0", "-0.1"), ("eps0", "inf"), ("eps1", "-1"), ("eps1", "nan"),
+    ("eps1", "inf"), ("d_safe", "0"), ("d_safe", "-2.0"), ("d_safe", "nan"),
+    ("d_safe", "inf"),
 ])
 def test_bad_prediction_ini_key_reaches_the_cli_config_error(
         tmp_path, capsys, key, value):
     # these values used to pass the loader and fail the first cycle's
-    # reachable set or collision window with a traceback
+    # reachable set or collision window with a traceback, or (the inf
+    # values) to be accepted
     from softmpc import cli
     ini = tmp_path / "bad.ini"
     ini.write_text(f"[scenario]\nduration = 2.0\n\n[prediction]\n{key} = {value}\n")
@@ -151,6 +153,33 @@ def test_bad_vehicle_ini_key_reaches_the_cli_config_error(
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("[config]") and f"[vehicle] {key}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("horizon", "t_s", "inf"), ("horizon", "t_s", "nan"),
+    ("horizon", "t_s", "0"), ("horizon", "t_s", "-0.1"),
+    ("horizon", "n_cost", "0"),
+    ("stack", "t_gap", "nan"), ("stack", "t_gap", "-1.5"),
+    ("stack", "t_gap", "inf"),
+    ("stack", "a_req_comfort_min", "3.0"), ("stack", "a_req_comfort_min", "0"),
+    ("stack", "a_req_comfort_min", "-inf"),
+    ("stack", "a_req_comfort_min", "nan"),
+])
+def test_bad_horizon_or_stack_ini_key_reaches_the_cli_config_error(
+        tmp_path, capsys, section, key, value):
+    # t_s = inf and t_gap = nan used to end the run with a traceback, t_s =
+    # nan with an unrelated message; t_gap = -1.5 and a_req_comfort_min =
+    # 3.0 used to be accepted
+    from softmpc import cli
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[scenario]\nduration = 2.0\n\n[{section}]\n"
+                   f"{key} = {value}\n")
+    code = cli.main(["simulate", "--config", str(ini), "--oracle",
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("[config]") and f"[{section}] {key}" in err
     assert not (tmp_path / "out").exists()
 
 

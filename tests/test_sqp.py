@@ -26,24 +26,35 @@ def _stepper(step, x0):
     return dyn_f
 
 
+def _no_rows(M, nz):
+    """The stage_rows and stage_row_mask of a problem without stage rows:
+    a provider of m = 0 rows and an (M, 0) mask."""
+    def rows(xs, us):
+        return np.zeros((M, 0)), np.zeros((M, 0, nz)), None
+    return dict(stage_rows=rows, stage_row_mask=np.zeros((M, 0), dtype=bool))
+
+
 def _linear_nlp(A, B, Q, R, P, x0, M, rows=None, **kw):
-    """rows = (stage_rows, rows per stage), every row present at every stage."""
+    """rows = (stage_rows, rows per stage), every row present at every stage;
+    without rows, none. u_init defaults to zeros."""
     nx, nu = B.shape
     W = np.zeros((M, nx + nu, nx + nu))
     W[:, :nx, :nx] = Q
     W[:, nx:, nx:] = R
-    stage_rows, mask = None, None
-    if rows is not None:
+    if rows is None:
+        kw.update(_no_rows(M, nx + nu))
+    else:
         stage_rows, m = rows
-        mask = np.ones((M, m), dtype=bool)
+        kw.update(stage_rows=stage_rows,
+                  stage_row_mask=np.ones((M, m), dtype=bool))
+    kw.setdefault("u_init", np.zeros((M, nu)))
     return NlpDescription(
         nx=nx, nu=nu, horizon=M,
         dyn_f=_stepper(lambda n, x, u: A @ x + B @ u, x0),
         dyn_jac=lambda xs, us: (np.broadcast_to(A, (M, nx, nx)),
                                 np.broadcast_to(B, (M, nx, nu))),
         cost_W=W, cost_ref=np.zeros((M, nx + nu)),
-        cost_P=P, cost_ref_M=np.zeros(nx),
-        stage_rows=stage_rows, stage_row_mask=mask, **kw)
+        cost_P=P, cost_ref_M=np.zeros(nx), **kw)
 
 
 def _constant_rows(offset, C, G=None):
@@ -484,7 +495,8 @@ def _pendulum_nlp(theta0=0.6):
     return NlpDescription(nx=2, nu=1, horizon=M,
                           dyn_f=_stepper(f, [theta0, 0.0]), dyn_jac=jac,
                           cost_W=W, cost_ref=np.zeros((M, 3)),
-                          cost_P=np.diag([20.0, 2.0]), cost_ref_M=np.zeros(2))
+                          cost_P=np.diag([20.0, 2.0]), cost_ref_M=np.zeros(2),
+                          u_init=np.zeros((M, 1)), **_no_rows(M, 3))
 
 
 def test_nonlinear_dynamics_pendulum_swing():
@@ -582,7 +594,7 @@ def test_phase_times_are_part_of_the_wall_time():
     A, B, Q, R, P, x0 = _random_lqr_instance(rng, 4, 2, 1)
     rows = _box_rows(np.full(2, -0.5), np.full(2, 0.5),
                      np.full(4, -100.0), np.full(4, 100.0))
-    # with rows (interior point) and without (one Newton step)
+    # with rows and without, both on the one interior-point loop
     for nlp in (_linear_nlp(A, B, Q, R, P, x0, 30, rows=rows),
                 _linear_nlp(A, B, Q, R, P, x0, 30)):
         rep = solve(nlp)
@@ -818,7 +830,8 @@ def _random_subproblem(rng, nx, nu, q, M, terminal, uu_shift=0.0):
         cost_W=W, cost_ref=rng.normal(size=(M, nz)),
         cost_P=np.eye(nx), cost_ref_M=rng.normal(size=nx),
         stage_rows=stage_rows, stage_row_mask=rng.random((M, m)) < 0.7,
-        terminal_C=rng.normal(size=(k, nx)), terminal_offset=np.ones(k), **kw)
+        u_init=np.zeros((M, nu)), terminal_C=rng.normal(size=(k, nx)),
+        terminal_offset=np.ones(k), **kw)
     us = rng.normal(size=(M, nu))
     gamma = rng.uniform(-0.5, 0.5, q)
     xs = nlp.dyn_f(us)
@@ -1132,14 +1145,30 @@ def test_a_band_template_survives_the_factorizations_of_its_qp():
 
 
 def test_a_singular_band_raises():
-    # no rows, no state cost and an input weight that cancels CONTROL_REG
-    # exactly: the Newton system has no curvature, and dgbtrf meets a zero
-    # pivot
+    # no state cost and an input weight that cancels CONTROL_REG exactly:
+    # the last input moves only x_M, which nothing weighs, so the Newton
+    # system has no curvature in it, and dgbtrf meets a zero pivot. The one
+    # row, x <= 10, reads the state alone and keeps the start from being a
+    # stationary point (without rows the QP would end before factorizing)
     one = np.eye(1)
+    rows = _constant_rows(np.array([-10.0]), np.array([[1.0, 0.0]]))
     nlp = _linear_nlp(one, one, 0.0 * one, -CONTROL_REG * one, 0.0 * one,
-                      np.ones(1), 4)
+                      np.ones(1), 4, rows=rows)
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
         solve(nlp)
+
+
+def test_a_row_free_qp_that_starts_at_its_optimum_ends_unfactorized():
+    # the one interior-point loop with no rows: at x0 = 0 the zero plan is
+    # the LQR optimum, so the first iterate meets every target and the
+    # solve ends optimal without a factorization or a back-solve
+    nlp = _linear_nlp(*_DI, np.zeros(2), 10)
+    assert nlp.stage_row_mask.shape == (10, 0)
+    rep = solve(nlp)
+    assert rep.status == STATUS_OPTIMAL
+    assert (rep.sqp_iterations, rep.ip_iterations) == (1, 1)
+    assert rep.phase_s["factorize"] == rep.phase_s["backsolve"] == 0.0
+    assert not np.any(rep.us)
 
 
 @pytest.mark.parametrize("kw, path", [
@@ -1272,11 +1301,12 @@ def _patterned_rows_nlp(rng, nx, nu, q, M, m, patterns, terminal):
         dyn_jac=None, cost_W=np.zeros((M, nz, nz)),
         cost_ref=np.zeros((M, nz)), cost_P=np.eye(nx),
         cost_ref_M=np.zeros(nx), stage_rows=stage_rows, stage_row_mask=mask,
-        terminal_C=rng.normal(size=(k, nx)), terminal_offset=np.ones(k), **kw)
+        u_init=np.zeros((M, nu)), terminal_C=rng.normal(size=(k, nx)),
+        terminal_offset=np.ones(k), **kw)
 
 
 def _rows_at_start(nlp):
-    us, gamma = sqp._start_point(nlp)
+    us, gamma = nlp.u_init, np.zeros(nlp.n_gamma)
     return sqp._Rows(nlp, sqp._Layout(nlp), nlp.dyn_f(us), us, gamma)
 
 
