@@ -211,11 +211,14 @@ class PriorityController:
         """The ladder, gated only as far as it is climbed: (mode, gate
         record, commanded slack or None where the gate rejects) per rung.
         Rung 0 is on it when its record nominal is not None; each
-        relaxation mode's record goes into gates, with the oracle's status
-        and SQP iteration count on the oracle route (0 iterations: settled
-        infeasible before a QP, by the longitudinal LP certificate or the
-        SQP's pinned-row exit) and the surrogate's classifier
-        score and margin eps on the learned route.
+        relaxation mode's record goes into gates, with the oracle's status,
+        SQP iteration count and proof on the oracle route and the
+        surrogate's classifier score and margin eps on the learned route.
+        The proof (oracle.OracleReport) names what settled the label: "lp",
+        infeasible by the longitudinal LP certificate (0 iterations);
+        "zero-slack", a zero slack by the longitudinal zero-slack
+        certificate (the iterations of its slack-free solve); or "sqp", the
+        SQP on the slack problem (0 iterations at its pinned-row exit).
 
         On the oracle route the pinned-row screen (see the module
         docstring) runs on build(mode, ceiling) before each mode's gate.
@@ -249,7 +252,8 @@ class PriorityController:
                                                          theta)
                 gates[name] = {"budget_ok": True, "predicted_feasible": feasible,
                                "oracle_status": rep.status,
-                               "oracle_sqp_iterations": rep.sqp_iterations}
+                               "oracle_sqp_iterations": rep.sqp_iterations,
+                               "oracle_proof": rep.proof}
                 # oracle_solve clips the slack to [0, ceiling]
                 yield rt.mode, gates[name], slack_star if feasible else None
                 continue

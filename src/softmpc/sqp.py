@@ -25,7 +25,8 @@ pairs are eliminated analytically, reducing each Newton system to the
 stage-ordered horizon KKT form, whose cost per iteration is linear in the
 horizon length. It is solved on one of two paths, chosen by the global
 block alone (_ip_solve):
-- Without a global block (every controller solve; any nu), by one banded LU
+- Without a global block (every controller solve and the oracle's
+  slack-free solves; any nu), by one banded LU
   (_band_factorize, _band_backsolve): the unknowns are ordered stage by
   stage as (x_n, u_n, mu_n), then x_M, so the KKT matrix is banded with
   kl = ku = 2 nx + nu - 1. Its index pattern is made once per solve
@@ -36,7 +37,7 @@ block alone (_ip_solve):
   solves each right-hand side. It solves the same regularized system as the
   Riccati sweep below, in another order of operations, so its directions
   agree with the sweep's to rounding, not bit for bit.
-- With a global block (every oracle solve, one input: NlpDescription
+- With a global block (every oracle slack problem, one input: NlpDescription
   accepts no other shape with one), by a Riccati sweep factorized stage by
   stage with the global block handled through its Schur complement
   (_factorize, _backsolve), which inverts the 1x1 control Hessian in
@@ -183,6 +184,12 @@ class SolveReport:
     first QP (settled_infeasible): the point returned is the start point,
     and with no linearization point the KKT residuals are inf.
 
+    duals holds the row multipliers of that last KKT check, one per row in
+    the solver's order: the stage rows in stage_row_mask order (stage by
+    stage, row by row), then the terminal rows, then the global block's box,
+    its lower bounds before its upper ones. It is None when no KKT check
+    ran (a settled solve).
+
     phase_s sums the solve's seconds in each of PHASES: the Newton-system
     factorizations, the Newton back-solves, and the evaluation (rollout,
     rows and objective) of every iterate and trial point. Like wall_time
@@ -200,11 +207,13 @@ class SolveReport:
     wall_time: float
     infeasibility_measure: float
     phase_s: dict = field(default_factory=dict)
+    duals: np.ndarray | None = None
 
     def to_dict(self) -> dict:
-        """Every field but the point (us, xs, gamma); phase_s copied."""
+        """Every field but the point (us, xs, gamma) and the duals; phase_s
+        copied."""
         return {**{f.name: getattr(self, f.name) for f in fields(self)
-                   if f.name not in ("us", "xs", "gamma")},
+                   if f.name not in ("us", "xs", "gamma", "duals")},
                 "phase_s": dict(self.phase_s)}
 
 
@@ -235,9 +244,10 @@ class NlpDescription:
     B (M, nx, nu)) of every stage. The k terminal rows are data,
     terminal_C (k, nx) x_M - terminal_offset (k,) <= 0; k = 0 means none.
     nu >= 1, and nu = 1 whenever n_gamma > 0: a problem without a global
-    block (the controller's, nu = 2) takes the banded LU, which serves any
-    nu; one with a global block (the oracle's, nu = 1) takes the Riccati
-    sweep, which inverts its 1x1 control Hessian in closed form.
+    block (the controller's, nu = 2, and the oracle's slack-free ones,
+    nu = 1) takes the banded LU, which serves any nu; one with a global
+    block (the oracle's slack problems, nu = 1) takes the Riccati sweep,
+    which inverts its 1x1 control Hessian in closed form.
 
     The stage rows are affine in the inputs and in the global block: their
     Jacobian columns for u and their G do not depend on the point. (ocp's
@@ -458,10 +468,10 @@ class _Rows:
         Hessians H and the terminal P_M, C'DG into U and G'DG into Gamma
         (U and Gamma are None without a global block).
 
-        Without a global block (the banded path, every controller solve) a
+        Without a global block (the banded path) a
         stage group's C'DC is one batched matmul; it sums in BLAS's order,
         not the einsum's, and the banded steps match the sweep's only to
-        rounding anyway. With one (the Riccati path, every oracle solve)
+        rounding anyway. With one (the Riccati path, every slack problem)
         the group's sums stay the np.einsum forms the labels were recorded
         with: offline_label checks its dataset's SHA-256.
         """
@@ -643,6 +653,12 @@ def _factorize(sub: _Subproblem, D: np.ndarray) -> dict:
     side: "backward" holds (FT_n, Quu_n^-1 as a float, Qxu_n (nx,)) from
     stage M-1 down to 0, "forward" holds (K_n (nx,), A_n, B_n (nx,)) from
     stage 0 up.
+
+    Raises np.linalg.LinAlgError for a control Hessian that is not positive
+    (at most 0), as _band_factorize does for a singular band: its inverse
+    would carry the sweep to inf and NaN. A NaN Hessian, which only
+    non-finite data give, inverts to NaN, and the solve ends without a
+    feasible point.
     """
     nlp = sub.nlp
     M, nx, nu, q = nlp.horizon, nlp.nx, nlp.nu, nlp.n_gamma
@@ -668,12 +684,15 @@ def _factorize(sub: _Subproblem, D: np.ndarray) -> dict:
     for n in range(M - 1, -1, -1):
         Qzz = np.add(H[n], FT[n].dot(P.dot(F[n])), out=Qzzs[n])
         Qxu = Qzz[:nx, nx:]
-        # the 1x1 control Hessian 0.5 (Q + Q') + CONTROL_REG, floored at
-        # 1e-300, inverted in Python floats with the operations numpy would
-        # apply to the array: its bits at a fraction of the overhead
+        # the 1x1 control Hessian 0.5 (Q + Q') + CONTROL_REG, inverted in
+        # Python floats with the operations numpy would apply to the array:
+        # its bits at a fraction of the overhead
         v = Qzz.item(nx, nx)
         v = 0.5 * (v + v) + CONTROL_REG
-        inverses.append(1.0 / (v if v > 1e-300 else 1e-300))
+        if v <= 0.0:
+            raise np.linalg.LinAlgError(
+                f"non-positive control Hessian {v!r} at stage {n}")
+        inverses.append(1.0 / v)
         Quu_inv = Quu_invs[n]
         Quu_inv[0, 0] = inverses[-1]
         Ks[n] = K = Quu_inv.dot(Qxu.T)
@@ -980,6 +999,7 @@ def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport
     status = STATUS_MAX_ITER
     sqp_iters = 0
     final_kkt = (float("inf"), float("inf"), float("inf"))
+    final_z = None    # the row duals final_kkt was checked with
     polish_streak = 0
     z_step = None     # row duals of the QP whose step gave the iterate
 
@@ -993,7 +1013,7 @@ def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport
         if z_step is not None and opts.multiplier_certificate:
             # multiplier certificate: the last QP's duals as the NLP's
             # multiplier estimate at the iterate its step reached
-            final_kkt = _nlp_kkt(sub, z_step)
+            final_kkt, final_z = _nlp_kkt(sub, z_step), z_step
             if _kkt_met(final_kkt, opts, opts.tol_feasibility):
                 status = STATUS_OPTIMAL
                 break
@@ -1002,7 +1022,7 @@ def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport
         du = sub.w[:, nlp.nx:].copy()
         dgamma = sub.dgamma.copy()
 
-        final_kkt = _nlp_kkt(sub, sub.z)
+        final_kkt, final_z = _nlp_kkt(sub, sub.z), sub.z
 
         if _kkt_met(final_kkt, opts, opts.tol_feasibility):
             status = STATUS_OPTIMAL
@@ -1087,6 +1107,7 @@ def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport
         wall_time=time.perf_counter() - t_start,
         infeasibility_measure=rows.violation_inf(),
         phase_s=phase_s,
+        duals=final_z,
     )
 
 

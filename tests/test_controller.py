@@ -16,8 +16,8 @@ from softmpc.controller import (BRANCH_FAILURE, BRANCH_NOMINAL, HARD_ROW_TOL,
 from softmpc.dynamics import VehicleParams
 from softmpc.environment import (DisturbanceProfile, NO_BOUND, RoadUserState,
                                  build_profile, nominal_profile)
-from softmpc.oracle import (ScenarioTemplate, build_theta, generate_dataset,
-                            oracle_solve)
+from softmpc.oracle import (OracleReport, ScenarioTemplate, build_theta,
+                            generate_dataset, oracle_solve)
 from softmpc.path import PathRangeError, circular_path, straight_path
 from softmpc.sqp import PHASES, STATUS_INFEASIBLE, STATUS_OPTIMAL, SolveReport
 from softmpc.surrogate import LipschitzBudget, train_mode_model
@@ -156,8 +156,8 @@ def test_oracle_gates_show_which_verdicts_the_certificate_settled(monkeypatch):
 
     # the same cycle with the ego already at e_y = 2 inside the left lane:
     # step 0 is clean, so every gate runs. No braking clears the stopped road
-    # user, so the longitudinal certificate settles E1 and E2 without an SQP
-    # iteration, and E3's oracle runs the SQP
+    # user, so the longitudinal LP certificate settles E1 and E2 without an
+    # SQP iteration, and E3's oracle runs the SQP
     x = dyn.state(s=0.0, v=20.0, e_y=2.0)
     assert profile.corridor_lo[0] < x[dyn.IDX_EY] < profile.corridor_hi[0]
     gates = _controller(modes=_ALL_MODES).step(x, profile).log_record()["gates"]
@@ -166,8 +166,28 @@ def test_oracle_gates_show_which_verdicts_the_certificate_settled(monkeypatch):
         assert gates[name]["predicted_feasible"] is False
         assert gates[name]["oracle_status"] == STATUS_INFEASIBLE
         assert gates[name]["oracle_sqp_iterations"] == 0
+        assert gates[name]["oracle_proof"] == "lp"
     assert gates["E3"]["oracle_sqp_iterations"] > 0
+    assert gates["E3"]["oracle_proof"] == "sqp"
     assert "wall_time" not in json.dumps(gates)
+
+    # a road user that cuts in 40 m ahead at the ego's speed: the profile
+    # tightens, so the nominal rung is skipped, but the gap needs no slack.
+    # The zero-slack certificate settles E1's gate with the iterations of
+    # its slack-free solve, and the rung takes that zero slack
+    ctrl = _controller()
+    x = dyn.state(s=0.0, v=V_REF)
+    ctrl.step(x, _profile_from_ru(RoadUserState(lon=100.0, lat=0.0, v_lon=7.0)))
+    gated.clear()
+    record = ctrl.step(x, _profile_from_ru(
+        RoadUserState(lon=40.0, lat=0.0, v_lon=7.0))).log_record()
+    assert gated == ["E1"] and record["nominal"] is None
+    assert record["branch"] == "E1" and record["slack"] == {"delta_g": 0.0}
+    gate = record["gates"]["E1"]
+    assert gate["predicted_feasible"] is True
+    assert gate["oracle_status"] == STATUS_OPTIMAL
+    assert gate["oracle_sqp_iterations"] > 0
+    assert gate["oracle_proof"] == "zero-slack"
 
 
 _SLACK_FRACTION = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
@@ -198,8 +218,8 @@ def test_a_screened_rung_settles_at_every_slack_its_gate_could_return(
                        np.zeros((M, dyn.NU)))
     with mock.patch.object(controller, "solve", lambda nlp: rejected), \
             mock.patch.object(controller, "oracle_solve",
-                              lambda template, mode, theta: (False, None,
-                                                             rejected)):
+                              lambda template, mode, theta: (
+                                  False, None, _oracle_report(rejected))):
         decision = ctrl.step(x, profile)
     miss = max(profile.corridor_lo[0] - e_y, e_y - profile.corridor_hi[0])
     x_refs, u_refs = ctrl._references(x, profile)
@@ -289,8 +309,8 @@ def test_a_start_that_leaves_the_path_leaves_the_gates_to_decide(
     monkeypatch.setattr(controller, "oracle_solve", lambda template, mode, theta: (
         gated.append(mode.name)
         or (verdict, mode.ceiling_vector() if verdict else None,
-            _report(STATUS_OPTIMAL if verdict else STATUS_INFEASIBLE,
-                    None, None))))
+            _oracle_report(_report(STATUS_OPTIMAL if verdict
+                                   else STATUS_INFEASIBLE, None, None)))))
     profile = _evasive_profile()
     assert not profile.corridor_lo[0] <= x[dyn.IDX_EY] <= profile.corridor_hi[0]
     if verdict:
@@ -345,6 +365,11 @@ def _report(status, xs, us):
                        infeasibility_measure=0.0)
 
 
+def _oracle_report(rep):
+    """oracle_solve's report of a solve rep that the SQP settled."""
+    return OracleReport(**vars(rep), proof="sqp")
+
+
 def test_hard_row_gate_fails_nan_and_inf_residuals(monkeypatch):
     # a predicted trajectory that holds every row, then the same one with a
     # NaN lateral error at step 5 and an infinite speed at step 7
@@ -371,7 +396,8 @@ def test_hard_row_gate_fails_nan_and_inf_residuals(monkeypatch):
     monkeypatch.setattr(controller, "solve",
                         lambda nlp: _report(STATUS_OPTIMAL, bad, us))
     monkeypatch.setattr(controller, "oracle_solve", lambda template, mode, theta: (
-        True, np.ones(mode.n_channels), _report(STATUS_OPTIMAL, None, None)))
+        True, np.ones(mode.n_channels),
+        _oracle_report(_report(STATUS_OPTIMAL, None, None))))
     decision = ctrl.step(xs[0], profile)
     assert decision.branch == BRANCH_FAILURE
     assert decision.nominal_gate["solve_status"] == "hard-row-violation"
@@ -402,7 +428,8 @@ def test_ladder_solves_each_distinct_problem_once(monkeypatch, modes, slacks,
                        np.zeros((M, dyn.NU)))
     monkeypatch.setattr(controller, "solve", failing_solve)
     monkeypatch.setattr(controller, "oracle_solve", lambda template, mode, theta: (
-        True, np.array(slacks[mode.name]), _report(STATUS_OPTIMAL, None, None)))
+        True, np.array(slacks[mode.name]),
+        _oracle_report(_report(STATUS_OPTIMAL, None, None))))
     ctrl = _controller(modes=[ModeRuntime(mode=m, kind="lon")
                               for m in modes])
     decision = ctrl.step(dyn.state(v=5.0), profile)

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import os
@@ -420,10 +421,14 @@ def test_every_shipped_mode_builds_one_input_and_its_channels():
             ("scenario2", "E3")} <= seen
 
 
+@contextlib.contextmanager
 def _sqp_only():
-    """The oracle with the infeasibility certificate never firing."""
-    return mock.patch.object(oracle, "_lp_certifies_infeasible",
-                             lambda nlp: False)
+    """The oracle with neither certificate firing: every label the SQP's."""
+    with mock.patch.object(oracle, "_lp_certifies_infeasible",
+                           lambda nlp: False), \
+            mock.patch.object(oracle, "_zero_slack_certified",
+                              lambda nlp: None):
+        yield
 
 
 @pytest.mark.parametrize("mode_name", ["E1", "E2"])
@@ -470,7 +475,7 @@ def test_certificate_fires_only_where_the_sqp_labels_infeasible(params, mode):
     feasible, slack, rep = oracle_solve(LON_TEMPLATE, mode, theta)
     with _sqp_only():
         sqp_feasible, sqp_slack, _ = oracle_solve(LON_TEMPLATE, mode, theta)
-    if rep.sqp_iterations == 0:     # the certificate decided
+    if rep.proof == "lp":     # the infeasibility certificate decided
         assert not sqp_feasible
     assert feasible == sqp_feasible
     assert (slack is None and sqp_slack is None
@@ -529,3 +534,109 @@ def test_building_the_oracle_route_controller_leaves_scipy_optimize_unimported()
         [sys.executable, "-c", code, os.path.join(CONFIGS, "scenario1.ini")],
         env=env, timeout=120)
     assert proc.returncode == 0
+
+
+# the zero-slack certificate
+
+_ZERO_SLACK_PARAMS = {"gap0": 80.0, "lead_speed": 8.0, "v0": 8.0, "a0": 0.0,
+                      "drop": 0.0, "drop_start": 0.0, "drop_len": 1.0,
+                      "lead_speed_after": 8.0}
+
+
+@settings(max_examples=30, deadline=None)
+@given(params=st.fixed_dictionaries(
+           {name: st.floats(lo, hi)
+            for name, (lo, hi) in oracle.SAMPLE_RANGES["lon"].items()}),
+       mode=st.sampled_from([MODE_E1, MODE_E2]))
+@example(params=_ZERO_SLACK_PARAMS, mode=MODE_E2)
+def test_a_zero_slack_certified_sample_is_labeled_zero_by_the_sqp(params,
+                                                                  mode):
+    theta = oracle._lon_theta_from_params(LON_TEMPLATE, params)
+    nlp = oracle._subproblem_nlp(LON_TEMPLATE, theta, mode)
+    rep = oracle._zero_slack_certified(nlp)
+    if rep is None:
+        return
+    # the proof's witness: the point (u*, 0) with a slack box multiplier of
+    # at least half the linear slack cost at the lower bound, 0 at the upper
+    q = mode.n_channels
+    assert rep.proof == "zero-slack" and rep.status == sqp.STATUS_OPTIMAL
+    assert rep.gamma.tobytes() == np.zeros(q).tobytes()
+    assert np.all(rep.duals[-2 * q:-q] >= 0.5 * nlp.gamma_linear)
+    assert not rep.duals[-q:].any()
+    with _sqp_only():
+        feasible, slack, sqp_rep = oracle_solve(LON_TEMPLATE, mode, theta)
+    assert feasible and slack.tobytes() == np.zeros(q).tobytes()
+    assert sqp_rep.proof == "sqp"
+
+
+def test_a_sample_that_needs_slack_is_not_zero_slack_certified():
+    # the headway broken at the start: no input repairs it, so the
+    # slack-free problem ends infeasible
+    theta = _lon_theta(gap0=6.0, lead_speed=6.0, v0=8.0)
+    nlp = oracle._subproblem_nlp(LON_TEMPLATE, theta, MODE_E1)
+    assert oracle._zero_slack_certified(nlp) is None
+    feasible, slack, rep = oracle_solve(LON_TEMPLATE, MODE_E1, theta)
+    assert feasible and slack[0] > 0.0 and rep.proof == "sqp"
+
+    # braking for a road user stopped 30 m ahead: the slack-free problem
+    # ends optimal, its comfort rows' duals summing to about 4e-3. Below
+    # that linear cost, a positive delta_a lowers the objective, and the
+    # multiplier test refuses the zero
+    theta = _lon_theta(gap0=30.0, lead_speed=0.0, v0=10.0)
+    nlp = oracle._subproblem_nlp(LON_TEMPLATE, theta, MODE_E2)
+    assert oracle._zero_slack_certified(nlp) is not None
+    i_da = MODE_E2.channels.index("delta_a")
+    linear = nlp.gamma_linear.copy()
+    linear[i_da] = 1e-3
+    cheap = dataclasses.replace(nlp, gamma_linear=linear)
+    assert oracle._zero_slack_certified(cheap) is None
+    assert sqp.solve(cheap, oracle.ORACLE_SOLVER_OPTS).gamma[i_da] > 0.0
+
+
+def test_lat_and_non_finite_samples_are_never_zero_slack_certified(
+        monkeypatch):
+    certified = oracle._zero_slack_certified
+    calls = []
+    monkeypatch.setattr(oracle, "_zero_slack_certified",
+                        lambda nlp: calls.append(nlp) or certified(nlp))
+    # a lateral zero label: the lateral problem is nonlinear, so a KKT
+    # point of its slack-free problem proves nothing, and the SQP labels it
+    theta = oracle._lat_theta_from_params(
+        LAT_TEMPLATE, {"v": 15.0, "e_y": 0.0, "e_psi": 0.0, "delta": 0.0,
+                       "alpha": 0.0, "invade_start": 200.0})
+    feasible, slack, rep = oracle_solve(LAT_TEMPLATE, MODE_E3, theta)
+    assert feasible and not slack.any() and rep.proof == "sqp"
+    assert calls == []
+    # a sample certified as it stands, with a NaN speed: the banded LU
+    # raises on the non-finite Newton system, and the SQP labels it
+    theta = oracle._lon_theta_from_params(LON_TEMPLATE, _ZERO_SLACK_PARAMS)
+    assert oracle_solve(LON_TEMPLATE, MODE_E1, theta)[2].proof == "zero-slack"
+    theta[-2] = np.nan
+    calls.clear()
+    feasible, slack, rep = oracle_solve(LON_TEMPLATE, MODE_E1, theta)
+    assert len(calls) == 1 and certified(calls[0]) is None
+    assert not feasible and slack is None and rep.proof == "sqp"
+
+
+def test_the_recorded_closed_loop_gates_are_zero_slack_certified():
+    # every oracle gate that the benchmark's cutin (k=21-32) and evasive
+    # (k=37-40) windows pass feasible, recorded with its theta
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        "oracle_gate_thetas.json")
+    with open(path) as fh:
+        recorded = json.load(fh)
+    for workload, cycles in (("cutin", range(21, 33)),
+                             ("evasive", range(37, 41))):
+        config = simkit.load_scenario(
+            os.path.join(CONFIGS, recorded[workload]["config"]))
+        template = simkit.scenario_template(config, "lon")
+        modes = {mode.name: mode for mode, _, _ in config.mode_specs}
+        gates = recorded[workload]["gates"]
+        assert [gate["k"] for gate in gates] == list(cycles)
+        for gate in gates:
+            mode = modes[gate["mode"]]
+            theta = np.array([float.fromhex(v) for v in gate["theta"]])
+            feasible, slack, rep = oracle_solve(template, mode, theta)
+            assert rep.proof == "zero-slack", (workload, gate["k"])
+            assert feasible
+            assert slack.tobytes() == np.zeros(mode.n_channels).tobytes()
