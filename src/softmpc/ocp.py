@@ -449,7 +449,6 @@ def build_relaxed(x_k, path, terminal_P, horizon, stack, profile,
     x_k = np.array(x_k, dtype=float)
     params, t_s = stack.params, horizon.t_s
     return NlpDescription(
-        nx=NX, nu=NU, horizon=horizon.n_constraint,
         dyn_f=lambda us: dyn.rollout(x_k, us, path, params, t_s),
         dyn_jac=lambda xs, us: dyn.jacobians(xs, us, path, params, t_s),
         cost_W=W, cost_ref=ref, cost_P=P_M, cost_ref_M=x_refs[horizon.n_constraint],

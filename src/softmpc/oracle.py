@@ -45,22 +45,22 @@ Longitudinal samples the LP leaves open meet a zero-slack certificate
 The lon slack problem is a convex QP: a linear chain, affine rows, a
 positive semidefinite input weight and gamma_weight positive definite. The
 certificate solves the same problem with the slack block fixed at 0: the
-same rows, rollout, cost and u_init, and no global block, so it takes the
-banded path. Let z be that solve's row duals (SolveReport.duals). When it
-ends optimal and every channel's lifted-row dual sum (E'z)_i is at most
-gamma_linear_i / 2, the point (u*, gamma = 0) meets the full problem's KKT
-conditions: the rows, their duals and the stationarity in u carry over, and
-the stationarity in gamma holds with the slack box's lower multiplier
-gamma_linear - E'z, which is then positive (Boyd & Vandenberghe 2004,
-5.5.3). A KKT point of a convex problem is a minimum, and strict convexity
-in gamma makes 0 the unique minimal slack; the SQP would find it to within
-its tolerances, and the label snaps anything below SNAP_TOL to 0. So the
-certificate returns the SQP's label, feasible with a zero slack, without
-the SQP, which spends some 75 to 120 ms to find that zero. The factor 1/2
-absorbs the duals' error at the solve's KKT tolerances: over 2000 sampled
-E1 and E2 labels E'z reaches 0.026 at most, against 0.25. Any other
-outcome, and non-finite data (the banded LU raises on them), runs the SQP
-as before.
+same rows, rollout, cost and u_init, and an empty slack block (q = 0), so
+it takes the banded path. Let z be that solve's row duals
+(SolveReport.duals). When it ends optimal and every channel's lifted-row
+dual sum (E'z)_i is at most gamma_linear_i / 2, the point (u*, gamma = 0)
+meets the full problem's KKT conditions: the rows, their duals and the
+stationarity in u carry over, and the stationarity in gamma holds with the
+slack box's lower multiplier gamma_linear - E'z, which is then positive
+(Boyd & Vandenberghe 2004, 5.5.3). A KKT point of a convex problem is a
+minimum, and strict convexity in gamma makes 0 the unique minimal slack;
+the SQP would find it to within its tolerances, and the label snaps
+anything below SNAP_TOL to 0. So the certificate returns the SQP's label,
+feasible with a zero slack, without the SQP, which spends some 75 to 120 ms
+to find that zero. The factor 1/2 absorbs the duals' error at the solve's
+KKT tolerances: over 2000 sampled E1 and E2 labels E'z reaches 0.026 at
+most, against 0.25. Any other outcome, and non-finite data (the banded LU
+raises on them), runs the SQP as before.
 
 Lateral samples have neither certificate: their dynamics and comfort rows
 are nonlinear, so an LP of their linearization proves nothing about them,
@@ -304,23 +304,20 @@ def _subproblem_nlp(template: ScenarioTemplate, theta: np.ndarray,
     ref = np.concatenate([x_refs[:M].take(x_idx, axis=1),
                           u_refs[:, [u_col]]], axis=1)
     q = mode.n_channels
-    kw = {}
-    if q:
-        # constant move blocking holds each channel at one value across the
-        # horizon, so the squared-norm objective is the vector scaled by the
-        # cost-horizon length. The linear bias keeps at-zero bounds strictly
-        # complementary and pins unused channels to zero; constraint-pinned
-        # channels are unaffected and flat directions shift by far less than
-        # the oracle tolerance
-        kw = dict(n_gamma=q, gamma_weight=2.0 * h.n_cost * np.eye(q),
-                  gamma_linear=np.full(q, 0.5),
-                  gamma_lo=np.zeros(q), gamma_hi=mode.ceiling_vector())
+    # constant move blocking holds each channel at one value across the
+    # horizon, so the squared-norm objective is the vector scaled by the
+    # cost-horizon length. The linear bias keeps at-zero bounds strictly
+    # complementary and pins unused channels to zero; constraint-pinned
+    # channels are unaffected and flat directions shift by far less than
+    # the oracle tolerance
     return NlpDescription(
-        nx=nx, nu=1, horizon=M, dyn_f=dyn_f, dyn_jac=dyn_jac,
+        dyn_f=dyn_f, dyn_jac=dyn_jac,
         cost_W=W, cost_ref=ref, cost_P=np.zeros((nx, nx)),
         cost_ref_M=x_refs[M].take(x_idx), stage_rows=stage_rows,
         stage_row_mask=mask, terminal_C=terminal_C.take(x_idx, axis=1),
-        terminal_offset=terminal_offset, u_init=u_refs[:, [u_col]], **kw)
+        terminal_offset=terminal_offset, u_init=u_refs[:, [u_col]],
+        gamma_weight=2.0 * h.n_cost * np.eye(q), gamma_linear=np.full(q, 0.5),
+        gamma_lo=np.zeros(q), gamma_hi=mode.ceiling_vector())
 
 
 @dataclass
@@ -369,7 +366,7 @@ def _lp_certifies_infeasible(nlp: NlpDescription) -> bool:
     stage, row = np.nonzero(nlp.stage_row_mask)
     k = nlp.terminal_offset.size
     coef = np.concatenate([
-        (np.concatenate([C, G], axis=2) if q else C)[stage, row],
+        np.concatenate([C, G], axis=2)[stage, row],
         np.pad(nlp.terminal_C, ((0, 0), (0, nu + q)))])
     x_M = cols[-1] + nx * (np.arange(cols.shape[1]) < nx)
     coef_cols = np.concatenate([cols[stage],
@@ -382,9 +379,8 @@ def _lp_certifies_infeasible(nlp: NlpDescription) -> bool:
     lo = np.full(n_var, -np.inf)
     hi = np.full(n_var, np.inf)
     lo[:nx] = hi[:nx] = 0.0
-    if q:
-        lo[-q:] = nlp.gamma_lo - LP_MARGIN
-        hi[-q:] = nlp.gamma_hi + LP_MARGIN
+    lo[n_var - q:] = nlp.gamma_lo - LP_MARGIN
+    hi[n_var - q:] = nlp.gamma_hi + LP_MARGIN
     nonzero = coef != 0.0
     single = nonzero.sum(axis=1) == 1
     j = np.argmax(nonzero[single], axis=1)
@@ -414,16 +410,16 @@ def _zero_slack_certified(nlp: NlpDescription) -> OracleReport | None:
     docstring), or None when the proof fails. Sound for the lon slack
     problems only, which are convex QPs.
 
-    It is the report of nlp solved with its slack block fixed at 0 (no
-    global block, so the banded path), extended to the point (u*, gamma =
-    0) of nlp: gamma is zeros, and the duals gain the slack box's
-    multipliers, gamma_linear + G'z at its lower bound and 0 at its upper
+    It is the report of nlp solved with its slack block fixed at 0 (its
+    four slack arrays empty, so the banded path), extended to the point
+    (u*, gamma = 0) of nlp: gamma is zeros, and the duals gain the slack
+    box's multipliers, gamma_linear + G'z at its lower bound and 0 at its upper
     one. The KKT residuals are the slack-free solve's. Non-finite data
     certify nothing: the banded LU raises on them.
     """
-    fixed = dataclasses.replace(nlp, n_gamma=0, gamma_weight=None,
-                                gamma_linear=None, gamma_lo=None,
-                                gamma_hi=None)
+    fixed = dataclasses.replace(nlp, gamma_weight=np.zeros((0, 0)),
+                                gamma_linear=np.zeros(0), gamma_lo=np.zeros(0),
+                                gamma_hi=np.zeros(0))
     try:
         rep = solve(fixed, ORACLE_SOLVER_OPTS)
     except np.linalg.LinAlgError:

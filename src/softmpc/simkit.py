@@ -259,8 +259,9 @@ def load_scenario(filename: str) -> ScenarioConfig:
     [prediction]: eps0, eps1 (the growth) and d_safe. [stack]: the other
     fields of ocp.ConstraintStack. [surrogate]: SURROGATE_DEFAULTS. [data]:
     one dataset size (at least 1) per mode name. [mode.<name>]: priority
-    (required), template (lon or lat), relax and ceilings (k:v lists),
-    drop, model (read when the learned-route controller is built).
+    (required, unique across the modes), template (lon or lat), relax
+    (rows of the template's subsystem, ocp.SUBSYSTEMS) and ceilings (k:v
+    lists), drop, model (read when the learned-route controller is built).
     """
     cp = configparser.ConfigParser()
     if not cp.read(filename):
@@ -283,6 +284,7 @@ def load_scenario(filename: str) -> ScenarioConfig:
         return os.path.join(base, name) if name else name
 
     mode_specs = []
+    sections = {}       # priority -> the mode section that holds it
     for section in cp.sections():
         if not section.startswith("mode."):
             continue
@@ -302,6 +304,19 @@ def load_scenario(filename: str) -> ScenarioConfig:
                 drop=tuple(v.strip() for v in ms["drop"].split(",") if v.strip()))
         except ValueError as exc:
             raise ValueError(f"{filename}: [{section}] {exc}") from None
+        # the oracle's slack problem holds only the rows of the template's
+        # subsystem, so it could never relax a row outside them
+        rows = ocp.SUBSYSTEMS[ms["template"]][2]
+        outside = [label for label in mode.relax if label not in rows]
+        if outside:
+            raise ValueError(f"{filename}: [{section}] relax: {outside} are "
+                             f"not rows of template {ms['template']}, whose "
+                             f"rows are {', '.join(rows)}")
+        other = sections.setdefault(mode.priority, section)
+        if other != section:
+            raise ValueError(f"{filename}: [{other}] and [{section}] both "
+                             f"have priority {mode.priority}; it must be "
+                             "unique")
         mode_specs.append((mode, ms["template"], path_in_base(ms["model"])))
     data = read("data", {m.name.lower(): 0 for m, _, _ in mode_specs})
     for key, count in data.items():

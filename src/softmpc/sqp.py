@@ -1,15 +1,17 @@
 """Structure-exploiting SQP solver for horizon-shaped nonlinear programs.
 
 Problem class: discrete-time optimal control with quadratic tracking costs,
-smooth stage inequality rows, and optionally a small global variable block
-(shared slack channels) entering rows linearly and the objective
-quadratically.
+smooth stage inequality rows, affine terminal rows, and a small global
+variable block (shared slack channels) entering rows linearly and the
+objective quadratically.
 
-What is fixed for a problem is data, and what depends on the point is one
-whole-horizon call each (see NlpDescription): the rollout, the stage rows
-and the dynamics Jacobians. The stage row layout and the affine terminal
-rows are fixed when the problem is built, so the solver groups the rows
-once per solve.
+A problem is its arrays (see NlpDescription): every size is read off their
+shapes, and a block a problem does not have (no terminal rows, no global
+block) is empty, so the solver runs one shape of problem. What depends on
+the point is one whole-horizon call each: the rollout, the stage rows and
+the dynamics Jacobians. The stage row layout and the affine terminal rows
+are fixed when the problem is built, so the solver groups the rows once per
+solve.
 
 The iterate stores the input trajectory; states follow by forward rollout,
 so dynamics hold exactly at every iterate. Each point is evaluated once
@@ -24,8 +26,8 @@ problem is declared infeasible. The elastics and the inequality slack/dual
 pairs are eliminated analytically, reducing each Newton system to the
 stage-ordered horizon KKT form, whose cost per iteration is linear in the
 horizon length. It is solved on one of two paths, chosen by the global
-block alone (_ip_solve):
-- Without a global block (every controller solve and the oracle's
+block's size q alone (_ip_solve):
+- Without a global block (q = 0: every controller solve and the oracle's
   slack-free solves; any nu), by one banded LU
   (_band_factorize, _band_backsolve): the unknowns are ordered stage by
   stage as (x_n, u_n, mu_n), then x_M, so the KKT matrix is banded with
@@ -37,12 +39,12 @@ block alone (_ip_solve):
   solves each right-hand side. It solves the same regularized system as the
   Riccati sweep below, in another order of operations, so its directions
   agree with the sweep's to rounding, not bit for bit.
-- With a global block (every oracle slack problem, one input: NlpDescription
-  accepts no other shape with one), by a Riccati sweep factorized stage by
-  stage with the global block handled through its Schur complement
-  (_factorize, _backsolve), which inverts the 1x1 control Hessian in
-  closed form. The oracle's labels are pinned bit
-  for bit (the labeling benchmark checks its dataset's SHA-256), and the
+- With a global block (q >= 1: every oracle slack problem, one input:
+  NlpDescription accepts no other shape with one), by a Riccati sweep
+  factorized stage by stage with the global block handled through its Schur
+  complement (_factorize, _backsolve), which inverts the 1x1 control
+  Hessian in closed form. The oracle's labels are pinned bit for bit (the
+  labeling benchmark checks its dataset's SHA-256), and the
   bordered banded form that would serve the block is not built yet, so
   these solves keep the sweep and its bits. The Python loops of the
   sweeps keep only the stage recursion; every product that does not
@@ -56,8 +58,9 @@ block alone (_ip_solve):
   sizes is most of its cost. The back-solve's products of one term are one
   IEEE multiplication whatever BLAS does, so they run elementwise, on
   Python floats where they are scalars.
-The row blocks (stage groups, terminal block, global box) and their
-products with the Newton system live in one place, _Rows. Over the stage
+The row blocks (stage groups, terminal block, global box; the last two
+present in every problem, possibly empty) and their products with the
+Newton system live in one place, _Rows. Over the stage
 groups, the row products C w and C'y are np.einsum calls, and so is the Gram
 C'DC (with C'DG and G'DG) that the Riccati path adds, which keeps the
 oracle's labels bit for bit; the banded path, which matches the sweep only
@@ -220,16 +223,23 @@ class SolveReport:
 # Stage rows, vals <= 0 meaning satisfied, come for the whole horizon in
 # one call: stage_rows(xs (M, nx), us (M, nu)) returns (vals (M, m),
 # C (M, m, nx+nu), G), with C the Jacobian wrt (x, u) and G the one wrt the
-# global block: (M, m, n_gamma) whenever n_gamma > 0, and read only then
-# (None will do without a global block). Which of the m rows exist at
-# each stage is fixed for the problem by stage_row_mask (M, m); the values of
-# the other rows are ignored.
+# global block, (M, m, q). The sizes are the problem's shapes
+# (NlpDescription); G is read only when q >= 1, so without a global block
+# None will do. Which of the m rows exist at each stage is fixed for the
+# problem by stage_row_mask (M, m); the values of the other rows are ignored.
 StageRowFn = Callable[[np.ndarray, np.ndarray], tuple]
 
 
 @dataclass
 class NlpDescription:
-    """Horizon-structured NLP with an optional shared slack block.
+    """Horizon-structured NLP with a shared slack block, given by its arrays.
+
+    Every size is read off the arrays: nx off cost_P (nx, nx), the horizon
+    M and nz = nx + nu off cost_W (M, nz, nz), and the global block's size
+    q off gamma_weight (q, q), when the problem is made; nx, nu, horizon and
+    n_gamma hold those reads.
+    A block a problem does not have is empty, never None: no terminal rows
+    (k = 0) or no global block (q = 0, the default).
 
     Every problem brings its stage rows (stage_rows and its stage_row_mask,
     (M, 0) for none) and its start plan u_init (M, nu), copied here into a
@@ -238,12 +248,12 @@ class NlpDescription:
     cost_W[n] is the (nx+nu)^2 quadratic weight at stage n around
     cost_ref[n]; cost_P / cost_ref_M the terminal state quadratic. The
     global block gamma enters the stage rows via their G columns, the
-    objective via gamma_weight and is boxed by [gamma_lo, gamma_hi].
-    dyn_f(us (M, nu)) returns the rollout xs (M+1, nx) from the problem's
-    fixed start state; dyn_jac(xs, us) the Jacobians (A (M, nx, nx),
-    B (M, nx, nu)) of every stage. The k terminal rows are data,
-    terminal_C (k, nx) x_M - terminal_offset (k,) <= 0; k = 0 means none.
-    nu >= 1, and nu = 1 whenever n_gamma > 0: a problem without a global
+    objective via gamma_weight (q, q) and gamma_linear (q,), and is boxed by
+    [gamma_lo, gamma_hi] (q,). dyn_f(us (M, nu)) returns the rollout
+    xs (M+1, nx) from the problem's fixed start state; dyn_jac(xs, us) the
+    Jacobians (A (M, nx, nx), B (M, nx, nu)) of every stage. The k terminal
+    rows are data, terminal_C (k, nx) x_M - terminal_offset (k,) <= 0.
+    nu >= 1, and nu = 1 whenever q >= 1: a problem without a global
     block (the controller's, nu = 2, and the oracle's slack-free ones,
     nu = 1) takes the banded LU, which serves any nu; one with a global
     block (the oracle's slack problems, nu = 1) takes the Riccati sweep,
@@ -255,9 +265,6 @@ class NlpDescription:
     constant -E.) A row whose columns for them are zero at one point thus
     reads the state alone at every point; the pinned-row exit relies on it.
     """
-    nx: int
-    nu: int
-    horizon: int
     dyn_f: Callable[[np.ndarray], np.ndarray]
     dyn_jac: Callable[[np.ndarray, np.ndarray], tuple]
     cost_W: np.ndarray
@@ -269,32 +276,33 @@ class NlpDescription:
     u_init: np.ndarray
     terminal_C: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     terminal_offset: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    n_gamma: int = 0
-    gamma_weight: np.ndarray | None = None
-    gamma_linear: np.ndarray | None = None
-    gamma_lo: np.ndarray | None = None
-    gamma_hi: np.ndarray | None = None
+    gamma_weight: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    gamma_linear: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    gamma_lo: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    gamma_hi: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
+        self.cost_W = np.asarray(self.cost_W, dtype=float)
+        self.cost_P = np.asarray(self.cost_P, dtype=float)
+        self.gamma_weight = np.asarray(self.gamma_weight, dtype=float)
+        self.horizon, nz, _ = self.cost_W.shape
+        self.nx = self.cost_P.shape[0]
+        self.nu = nz - self.nx
+        self.n_gamma = self.gamma_weight.shape[0]
         if self.nu < 1 or (self.n_gamma and self.nu != 1):
             raise ValueError("nu must be at least 1, and 1 with a global "
                              f"block; got nu={self.nu}, n_gamma={self.n_gamma}")
-        self.cost_W = np.asarray(self.cost_W, dtype=float)
         self.cost_ref = np.asarray(self.cost_ref, dtype=float)
-        self.cost_P = np.asarray(self.cost_P, dtype=float)
         self.cost_ref_M = np.asarray(self.cost_ref_M, dtype=float)
         self.u_init = np.array(self.u_init, dtype=float).reshape(
             self.horizon, self.nu)
         self.terminal_offset = np.asarray(self.terminal_offset, dtype=float)
         self.terminal_C = np.asarray(self.terminal_C, dtype=float).reshape(
             self.terminal_offset.size, self.nx)
-        if self.n_gamma:
-            self.gamma_weight = np.asarray(self.gamma_weight, dtype=float)
-            if self.gamma_linear is None:
-                self.gamma_linear = np.zeros(self.n_gamma)
-            self.gamma_linear = np.asarray(self.gamma_linear, dtype=float)
-            self.gamma_lo = np.asarray(self.gamma_lo, dtype=float)
-            self.gamma_hi = np.asarray(self.gamma_hi, dtype=float)
+        q = self.n_gamma
+        self.gamma_linear = np.asarray(self.gamma_linear, float).reshape(q)
+        self.gamma_lo = np.asarray(self.gamma_lo, float).reshape(q)
+        self.gamma_hi = np.asarray(self.gamma_hi, float).reshape(q)
 
 
 class _Layout:
@@ -376,7 +384,10 @@ class _Rows:
 
     Stage blocks come grouped as the layout groups them, so the hot row
     operations run as batched tensor products; the terminal block and the
-    global box keep their own slices into the flat value/dual arrays.
+    global box keep their own slices into the flat value/dual arrays, in
+    every problem, empty without terminal rows or without a global block.
+    A stage group's G is None without a global block: the stage rows need
+    not give one then (StageRowFn).
     """
 
     def __init__(self, nlp: NlpDescription, layout: _Layout, xs, us, gamma):
@@ -385,34 +396,26 @@ class _Rows:
         v, C, G = nlp.stage_rows(xs[:-1], us)
         if q:
             v = v + G @ gamma         # rows are affine in the global block
-        vals = [v[layout.mask]]
         self.groups = []      # (stage_idx (k,), row_idx (k, m), C (k,m,nz), G)
         for stages, cols, ridx in layout.groups:
             sel = (stages[:, None], cols)
             self.groups.append((stages, ridx, C[sel], G[sel] if q else None))
         pos = layout.n_rows
-
-        self.term = None      # (slice, Cx (k, nx))
         k = nlp.terminal_offset.size
-        if k:
-            vals.append(nlp.terminal_C @ xs[-1] - nlp.terminal_offset)
-            self.term = (slice(pos, pos + k), nlp.terminal_C)
-            pos += k
-        self.glob = None      # (slice, G)
-        if q:
-            G = np.concatenate([-np.eye(q), np.eye(q)], axis=0)
-            v = np.concatenate([nlp.gamma_lo - gamma, gamma - nlp.gamma_hi])
-            vals.append(v)
-            self.glob = (slice(pos, pos + 2 * q), G)
-            pos += 2 * q
-        self.n_rows = pos
-        self.vals = np.concatenate(vals)
+        # (slice, Cx (k, nx)) and (slice, G (2q, q))
+        self.term = (slice(pos, pos + k), nlp.terminal_C)
+        self.glob = (slice(pos + k, pos + k + 2 * q),
+                     np.concatenate([-np.eye(q), np.eye(q)], axis=0))
+        self.n_rows = pos + k + 2 * q
+        self.vals = np.concatenate([
+            v[layout.mask], nlp.terminal_C @ xs[-1] - nlp.terminal_offset,
+            nlp.gamma_lo - gamma, gamma - nlp.gamma_hi])
 
     def violation_l1(self) -> float:
         return float(np.sum(np.maximum(self.vals, 0.0)))
 
     def violation_inf(self) -> float:
-        return float(np.max(np.maximum(self.vals, 0.0))) if self.n_rows else 0.0
+        return float(np.max(self.vals, initial=0.0))
 
     def pinned_violation(self, nx: int) -> float:
         """Largest value (at least 0) of the stage-0 rows whose Jacobian
@@ -440,12 +443,10 @@ class _Rows:
             if G is not None:
                 prod = prod + G @ dgamma
             out[ridx] = prod
-        if self.term is not None:
-            sl, Cx = self.term
-            out[sl] = Cx @ wM
-        if self.glob is not None:
-            sl, G = self.glob
-            out[sl] = G @ dgamma
+        sl, Cx = self.term
+        out[sl] = Cx @ wM
+        sl, G = self.glob
+        out[sl] = G @ dgamma
         return out
 
     def add_transpose(self, y, F, F_M, F_g) -> None:
@@ -456,17 +457,15 @@ class _Rows:
             F[stages] += np.einsum("kmi,km->ki", C, yr)
             if G is not None:
                 F_g += np.einsum("kmj,km->j", G, yr)
-        if self.term is not None:
-            sl, Cx = self.term
-            F_M += Cx.T @ y[sl]
-        if self.glob is not None:
-            sl, G = self.glob
-            F_g += G.T @ y[sl]
+        sl, Cx = self.term
+        F_M += Cx.T @ y[sl]
+        sl, G = self.glob
+        F_g += G.T @ y[sl]
 
     def add_gram(self, D, H, U, P_M, Gamma) -> None:
         """Row curvature with weights D, in place: C'DC into the stage
         Hessians H and the terminal P_M, C'DG into U and G'DG into Gamma
-        (U and Gamma are None without a global block).
+        (U is None and Gamma (0, 0) without a global block).
 
         Without a global block (the banded path) a
         stage group's C'DC is one batched matmul; it sums in BLAS's order,
@@ -484,12 +483,10 @@ class _Rows:
                 H[stages] += np.einsum("kmi,km,kmj->kij", C, Dr, C)
                 U[stages] += np.einsum("kmi,km,kmj->kij", C, Dr, G)
                 Gamma += np.einsum("kmi,km,kmj->ij", G, Dr, G)
-        if self.term is not None:
-            sl, Cx = self.term
-            P_M += Cx.T @ (D[sl][:, None] * Cx)
-        if self.glob is not None:
-            sl, G = self.glob
-            Gamma += G.T @ (D[sl][:, None] * G)
+        sl, Cx = self.term
+        P_M += Cx.T @ (D[sl][:, None] * Cx)
+        sl, G = self.glob
+        Gamma += G.T @ (D[sl][:, None] * G)
 
 
 def _objective(nlp: NlpDescription, xs, us, gamma) -> float:
@@ -497,9 +494,8 @@ def _objective(nlp: NlpDescription, xs, us, gamma) -> float:
     total = 0.5 * float(np.einsum("ni,nij,nj->", z, nlp.cost_W, z))
     e = xs[nlp.horizon] - nlp.cost_ref_M
     total += 0.5 * float(e @ nlp.cost_P @ e)
-    if nlp.n_gamma:
-        total += 0.5 * float(gamma @ nlp.gamma_weight @ gamma)
-        total += float(nlp.gamma_linear @ gamma)
+    total += 0.5 * float(gamma @ nlp.gamma_weight @ gamma)
+    total += float(nlp.gamma_linear @ gamma)
     return total
 
 
@@ -507,9 +503,7 @@ def _cost_gradients(nlp: NlpDescription, xs, us, gamma):
     z = np.concatenate([xs[:-1], us], axis=1) - nlp.cost_ref
     g = np.einsum("nij,nj->ni", nlp.cost_W, z)
     g_M = nlp.cost_P @ (xs[nlp.horizon] - nlp.cost_ref_M)
-    g_gamma = (nlp.gamma_weight @ gamma + nlp.gamma_linear) if nlp.n_gamma \
-        else np.zeros(0)
-    return g, g_M, g_gamma
+    return g, g_M, nlp.gamma_weight @ gamma + nlp.gamma_linear
 
 
 class _Subproblem:
@@ -560,10 +554,10 @@ class _Subproblem:
     def stationarity(self):
         """Residuals of the QP stationarity equations at the current point."""
         nlp = self.nlp
-        M, nx, q = nlp.horizon, nlp.nx, nlp.n_gamma
+        M, nx = nlp.horizon, nlp.nx
         F = np.einsum("nij,nj->ni", nlp.cost_W, self.w) + self.g_stage
         F_M = nlp.cost_P @ self.wM + self.g_term
-        F_g = (nlp.gamma_weight @ self.dgamma + self.g_gamma) if q else np.zeros(0)
+        F_g = nlp.gamma_weight @ self.dgamma + self.g_gamma
         self.rows.add_transpose(self.z, F, F_M, F_g)
         # dynamics dual terms
         F[:, nx:] -= np.einsum("nji,nj->ni", self.B, self.lam)
@@ -593,7 +587,7 @@ def _band_factorize(sub: _Subproblem, D: np.ndarray):
     nx = nlp.nx
     H = nlp.cost_W.copy()
     P_M = nlp.cost_P.copy()
-    sub.rows.add_gram(D, H, None, P_M, None)
+    sub.rows.add_gram(D, H, None, P_M, np.zeros((0, 0)))
     H[:, nx:, nx:] += CONTROL_REG * np.eye(nlp.nu)
     H[0, :nx] = H[0, :, :nx] = 0.0
     H[0, :nx, :nx] = np.eye(nx)
@@ -843,7 +837,7 @@ def _ip_solve(sub: _Subproblem, phase_s: dict):
         F, F_M, F_g = sub.stationarity()
         stat_inf = max(float(np.max(np.abs(F))),
                        float(np.max(np.abs(F_M))),
-                       float(np.max(np.abs(F_g))) if F_g.size else 0.0)
+                       float(np.max(np.abs(F_g), initial=0.0)))
         prim_inf = float(np.max(np.abs(r1), initial=0.0))
         # row complementarity is measured against the outward-facing duals z;
         # the elastic pair (t, z0) only needs penalty-level tightness
@@ -1028,8 +1022,8 @@ def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport
             status = STATUS_OPTIMAL
             break
 
-        step_norm = max(float(np.max(np.abs(du))) if du.size else 0.0,
-                        float(np.max(np.abs(dgamma))) if dgamma.size else 0.0)
+        step_norm = max(float(np.max(np.abs(du))),
+                        float(np.max(np.abs(dgamma), initial=0.0)))
         model_viol = float(np.sum(np.maximum(sub.t, 0.0)))
         # a bounded polish streak keeps stalled-but-feasible runs from cycling
         polish = viol_inf <= opts.tol_feasibility and step_norm <= 1e-3
@@ -1038,11 +1032,10 @@ def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport
             # curvature); nonpositive by construction since (0, current
             # violation) is feasible
             d_obj = (float(np.sum(sub.g_stage * sub.w)) + float(sub.g_term @ sub.wM)
-                     + (float(sub.g_gamma @ dgamma) if nlp.n_gamma else 0.0))
+                     + float(sub.g_gamma @ dgamma))
             curv = float(np.einsum("ni,nij,nj->", sub.w, nlp.cost_W, sub.w))
             curv += float(sub.wM @ nlp.cost_P @ sub.wM)
-            if nlp.n_gamma:
-                curv += float(dgamma @ nlp.gamma_weight @ dgamma)
+            curv += float(dgamma @ nlp.gamma_weight @ dgamma)
             descent = min((d_obj + 0.5 * curv)
                           - penalty * max(viol1 - model_viol, 0.0), -1e-16)
 
@@ -1053,7 +1046,7 @@ def solve(nlp: NlpDescription, opts: SolverOptions | None = None) -> SolveReport
             accepted = False
             while alpha >= MIN_STEP:
                 us_new = us + alpha * du
-                gamma_new = gamma + alpha * dgamma if nlp.n_gamma else gamma
+                gamma_new = gamma + alpha * dgamma
                 xs_new, rows_new, obj_new = _timed(phase_s, "evaluate", _evaluate,
                                                    nlp, layout, us_new, gamma_new)
                 merit_new = obj_new + penalty * rows_new.violation_l1()
@@ -1121,7 +1114,7 @@ def _nlp_kkt(sub: _Subproblem, z: np.ndarray):
     it, the products the per-stage B[n].T.dot would give, and their
     maximum does not depend on the order it is taken in."""
     nlp, rows = sub.nlp, sub.rows
-    M, nx, q = nlp.horizon, nlp.nx, nlp.n_gamma
+    M, nx = nlp.horizon, nlp.nx
 
     grad = sub.g_stage.copy()
     grad_M = sub.g_term.copy()
@@ -1134,8 +1127,8 @@ def _nlp_kkt(sub: _Subproblem, z: np.ndarray):
     for n in range(M - 1, 0, -1):
         lams[n - 1] = lam = grad_x[n] + sub.A[n].T.dot(lam)
     su = grad_u + np.matmul(sub.B.transpose(0, 2, 1), lams[:, :, None])[:, :, 0]
-    stat = float(np.max(np.abs(grad_g))) if q else 0.0
-    stat = max(stat, float(np.max(np.abs(su))))
+    stat = max(float(np.max(np.abs(grad_g), initial=0.0)),
+               float(np.max(np.abs(su))))
     # z >= 0 (interior-point duals), so the reductions from 0.0 are the
     # plain ones whenever there are rows
     compl = (float(np.max(np.abs(z * np.minimum(rows.vals, 0.0)), initial=0.0))

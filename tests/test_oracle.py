@@ -407,15 +407,35 @@ MODE_E1_NO_COMFORT = RelaxationMode(
 def test_every_shipped_mode_builds_one_input_and_its_channels():
     # the oracle's problems are the only ones with a global block, so they
     # are the Riccati sweep's whole traffic: one input, one slack channel
-    # per relaxed channel of the mode
+    # per relaxed channel of the mode, on the subsystem's states. The
+    # controller's problems of the same modes lift their rows by a fixed
+    # slack: the full model's states and inputs and no global block. Every
+    # size is read off the problem's arrays
+    from softmpc import ocp
+    from softmpc.environment import build_profile
     seen = set()
     for name in ("baseline", "scenario1", "scenario2"):
         config = simkit.load_scenario(os.path.join(CONFIGS, name + ".ini"))
+        h = config.horizon
+        ctrl = simkit.build_controller(config, use_oracle=True)
+        x = dyn.state(s=config.ego_s0, v=config.ego_v0)
+        profile = build_profile(ctrl.path, None, h.n_constraint, h.t_s,
+                                config.growth, ctrl.stack.d_safe,
+                                evasive=config.evasive)
+        x_refs, u_refs = ctrl._references(x, profile)
         for mode, kind, _ in config.mode_specs:
             template = simkit.scenario_template(config, kind)
             theta = sample_thetas(template, 1, seed=3)[0]
             nlp = oracle._subproblem_nlp(template, theta, mode)
             assert nlp.nu == 1 and nlp.n_gamma == mode.n_channels > 0
+            assert nlp.nx == {"lon": 3, "lat": 4}[kind]
+            assert nlp.horizon == h.n_constraint
+            rel = ocp.build_relaxed(x, ctrl.path, ctrl.terminal_P, h,
+                                    ctrl.stack, profile, mode,
+                                    mode.ceiling_vector(), x_refs, u_refs,
+                                    u_init=u_refs)
+            assert (rel.nx, rel.nu, rel.n_gamma, rel.horizon) == (
+                7, 2, 0, h.n_constraint)
             seen.add((name, mode.name))
     assert {("scenario1", "E1"), ("scenario1", "E2"),
             ("scenario2", "E3")} <= seen

@@ -603,6 +603,35 @@ def test_data_count_below_one_is_a_config_error(tmp_path, capsys):
     assert "[data] e1 = 0 must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, words", [
+    # a second mode at E1's priority: simulate --oracle used to end in a
+    # ValueError traceback from the controller, and gen-data to label
+    (_VALID_INI + "\n[mode.E2]\npriority = 1\nrelax = g_follow:delta_g\n"
+     "ceilings = delta_g:25\n",
+     ["[mode.E1]", "[mode.E2]", "priority 1", "unique"]),
+    # the lat slack problem never holds g_follow: gen-data used to label
+    # every sample infeasible with an empty slack
+    (_with_line("mode.E1", "template = lat"),
+     ["[mode.E1] relax", "g_follow", "template lat", "g_lat_ub"]),
+], ids=["duplicate-priority", "relax-outside-the-template"])
+@pytest.mark.parametrize("command", ["gen-data", "simulate"])
+def test_a_mode_the_oracle_cannot_serve_is_a_config_error(tmp_path, capsys,
+                                                          text, words,
+                                                          command):
+    from softmpc import cli
+    if command == "simulate":
+        code = _simulate_ini(tmp_path, text)
+    else:
+        code = cli.main(["gen-data", "--config", _write_ini(tmp_path, text),
+                         "--mode", "E1", "--count", "2", "--workers", "1",
+                         "--out", str(tmp_path / "out" / "e1.csv")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("[config]")
+    assert all(w in err for w in words), err
+    assert not (tmp_path / "out").exists()
+
+
 _COUNT_CASES = [
     pytest.param(flag, count, command, id=f"{name}-{command}")
     for command in ("gen-data", "pipeline")

@@ -49,7 +49,6 @@ def _linear_nlp(A, B, Q, R, P, x0, M, rows=None, **kw):
                   stage_row_mask=np.ones((M, m), dtype=bool))
     kw.setdefault("u_init", np.zeros((M, nu)))
     return NlpDescription(
-        nx=nx, nu=nu, horizon=M,
         dyn_f=_stepper(lambda n, x, u: A @ x + B @ u, x0),
         dyn_jac=lambda xs, us: (np.broadcast_to(A, (M, nx, nx)),
                                 np.broadcast_to(B, (M, nx, nu))),
@@ -334,8 +333,9 @@ def test_global_slack_block_analytic_toy():
 
     nlp = _linear_nlp(A, B, np.zeros((1, 1)), np.eye(1), np.zeros((1, 1)),
                       np.array([x0]), M, rows=rows,
-                      n_gamma=1, gamma_weight=np.array([[2.0 * M]]),
-                      gamma_lo=np.array([0.0]), gamma_hi=np.array([10.0]))
+                      gamma_weight=np.array([[2.0 * M]]),
+                      gamma_linear=np.zeros(1), gamma_lo=np.array([0.0]),
+                      gamma_hi=np.array([10.0]))
     rep = solve(nlp)
     assert rep.status == STATUS_OPTIMAL
     assert rep.gamma[0] == pytest.approx(x0 - b, abs=1e-6)
@@ -343,8 +343,8 @@ def test_global_slack_block_analytic_toy():
     # ceiling below the required slack turns the problem infeasible
     nlp_tight = _linear_nlp(A, B, np.zeros((1, 1)), np.eye(1), np.zeros((1, 1)),
                             np.array([x0]), M, rows=rows,
-                            n_gamma=1, gamma_weight=np.array([[2.0 * M]]),
-                            gamma_lo=np.array([0.0]),
+                            gamma_weight=np.array([[2.0 * M]]),
+                            gamma_linear=np.zeros(1), gamma_lo=np.array([0.0]),
                             gamma_hi=np.array([0.5 * (x0 - b)]))
     rep2 = solve(nlp_tight)
     assert rep2.status == STATUS_INFEASIBLE
@@ -412,8 +412,8 @@ def _pinned_row_nlp(x0, c_u=0.0, c_gamma=0.0, M=10):
     kw, G = {}, None
     if c_gamma:
         G = np.array([[-c_gamma], [0.0], [0.0], [0.0]])
-        kw = dict(n_gamma=1, gamma_weight=np.eye(1), gamma_lo=np.zeros(1),
-                  gamma_hi=np.full(1, 10.0))
+        kw = dict(gamma_weight=np.eye(1), gamma_linear=np.zeros(1),
+                  gamma_lo=np.zeros(1), gamma_hi=np.full(1, 10.0))
     rows = _constant_rows(np.array([-1.0, -1.0, -5.0, -5.0]), C, G)
     return _linear_nlp(*_DI, np.array(x0, dtype=float), M, rows=rows, **kw)
 
@@ -492,8 +492,7 @@ def _pendulum_nlp(theta0=0.6):
     M = 40
     W = np.zeros((M, 3, 3))
     W[:] = np.diag([5.0, 0.5, 0.05])
-    return NlpDescription(nx=2, nu=1, horizon=M,
-                          dyn_f=_stepper(f, [theta0, 0.0]), dyn_jac=jac,
+    return NlpDescription(dyn_f=_stepper(f, [theta0, 0.0]), dyn_jac=jac,
                           cost_W=W, cost_ref=np.zeros((M, 3)),
                           cost_P=np.diag([20.0, 2.0]), cost_ref_M=np.zeros(2),
                           u_init=np.zeros((M, 1)), **_no_rows(M, 3))
@@ -619,8 +618,8 @@ def _time_per_iteration_ratio(q: int) -> float:
     if q:
         # the slack loosens the state box
         G = np.concatenate([np.zeros((2 * nu, 1)), -np.ones((8, 1))])
-        kw = dict(n_gamma=1, gamma_weight=np.eye(1), gamma_lo=np.zeros(1),
-                  gamma_hi=np.ones(1))
+        kw = dict(gamma_weight=np.eye(1), gamma_linear=np.zeros(1),
+                  gamma_lo=np.zeros(1), gamma_hi=np.ones(1))
     rows = _box_rows(np.full(nu, -0.5), np.full(nu, 0.5),
                      np.full(4, -100.0), np.full(4, 100.0), G)
     nlps = {M: _linear_nlp(A, B, Q, R, P, x0, M, rows=rows, **kw)
@@ -825,10 +824,7 @@ def _random_subproblem(rng, nx, nu, q, M, terminal, uu_shift=0.0):
 
     k = 2 if terminal else 0
     Lg = rng.normal(size=(q, q))
-    kw = dict(n_gamma=q, gamma_weight=Lg @ Lg.T + np.eye(q),
-              gamma_lo=-np.ones(q), gamma_hi=np.ones(q)) if q else {}
     nlp = NlpDescription(
-        nx=nx, nu=nu, horizon=M,
         dyn_f=_stepper(lambda n, x, u: A[n] @ x + B[n] @ u,
                        rng.normal(size=nx)),
         dyn_jac=lambda xs, us: (A, B),
@@ -836,7 +832,8 @@ def _random_subproblem(rng, nx, nu, q, M, terminal, uu_shift=0.0):
         cost_P=np.eye(nx), cost_ref_M=rng.normal(size=nx),
         stage_rows=stage_rows, stage_row_mask=rng.random((M, m)) < 0.7,
         u_init=np.zeros((M, nu)), terminal_C=rng.normal(size=(k, nx)),
-        terminal_offset=np.ones(k), **kw)
+        terminal_offset=np.ones(k), gamma_weight=Lg @ Lg.T + np.eye(q),
+        gamma_linear=np.zeros(q), gamma_lo=-np.ones(q), gamma_hi=np.ones(q))
     us = rng.normal(size=(M, nu))
     gamma = rng.uniform(-0.5, 0.5, q)
     xs = nlp.dyn_f(us)
@@ -892,11 +889,13 @@ def test_riccati_sweeps_equal_the_plain_loops_bit_for_bit(nx, q, M, terminal,
         "one-input-and-a-global-block"])
 def test_a_global_block_needs_one_input(nu, q, accepted):
     # the banded LU takes any number of inputs; the Riccati sweep, which
-    # serves the problems with a global block, inverts a 1x1 control Hessian
+    # serves the problems with a global block, inverts a 1x1 control Hessian.
+    # Both sizes are shapes: nu of B and the stage weights, q of the slack
+    # arrays, all four of size q
     args = (np.eye(2), np.ones((2, nu)), np.eye(2), np.eye(nu), np.eye(2),
             np.zeros(2), 5)
-    kw = dict(n_gamma=q, gamma_weight=np.eye(q), gamma_lo=np.zeros(q),
-              gamma_hi=np.ones(q)) if q else {}
+    kw = dict(gamma_weight=np.eye(q), gamma_linear=np.zeros(q),
+              gamma_lo=np.zeros(q), gamma_hi=np.ones(q))
     if not accepted:
         with pytest.raises(ValueError, match="nu must be at least 1, and 1 "
                                              "with a global block"):
@@ -1220,12 +1219,10 @@ def _reference_add_gram(rows, D, H, U, P_M, Gamma):
         if G is not None:
             U[stages] += np.einsum("kmi,km,kmj->kij", C, Dr, G)
             Gamma += np.einsum("kmi,km,kmj->ij", G, Dr, G)
-    if rows.term is not None:
-        sl, Cx = rows.term
-        P_M += Cx.T @ (D[sl][:, None] * Cx)
-    if rows.glob is not None:
-        sl, G = rows.glob
-        Gamma += G.T @ (D[sl][:, None] * G)
+    sl, Cx = rows.term
+    P_M += Cx.T @ (D[sl][:, None] * Cx)
+    sl, G = rows.glob
+    Gamma += G.T @ (D[sl][:, None] * G)
 
 
 def _same_bits(got, want) -> bool:
@@ -1235,8 +1232,9 @@ def _same_bits(got, want) -> bool:
 
 
 def _gram_targets(rng, nlp):
-    """Targets H, U, P_M, Gamma of the shapes _factorize passes, holding
-    nonzero, +0.0 and -0.0 entries."""
+    """Targets H, U, P_M, Gamma of the shapes _factorize passes (with a
+    global block) or _band_factorize passes (without one: U None, Gamma
+    empty), holding nonzero, +0.0 and -0.0 entries."""
     M, nz, q = nlp.horizon, nlp.nx + nlp.nu, nlp.n_gamma
     H = rng.normal(size=(M, nz, nz))
     H[rng.random(H.shape) < 0.4] = 0.0
@@ -1244,7 +1242,7 @@ def _gram_targets(rng, nlp):
     U = np.zeros((M, nz, q)) if q else None
     if q:
         U[rng.random(U.shape) < 0.1] = -0.0
-    Gamma = np.where(rng.random((q, q)) < 0.3, 0.0, 1e-3) if q else None
+    Gamma = np.where(rng.random((q, q)) < 0.3, 0.0, 1e-3)
     return H, U, rng.normal(size=(nlp.nx, nlp.nx)), Gamma
 
 
@@ -1262,7 +1260,7 @@ def _gram_mismatches(rows, D, targets, got) -> list:
     want = _copies(targets)
     _reference_add_gram(rows, D, *want)
     names = ("H", "U", "P_M", "Gamma")
-    if rows.glob is not None:
+    if targets[1] is not None:      # U: a global block
         return [n for n, g, w in zip(names, got, want) if not _same_bits(g, w)]
     H_0 = targets[0]
     bound = np.zeros_like(H_0)
@@ -1304,15 +1302,14 @@ def _patterned_rows_nlp(rng, nx, nu, q, M, m, patterns, terminal):
         return np.zeros((M, m)), C, G
 
     k = 2 if terminal else 0
-    kw = dict(n_gamma=q, gamma_weight=np.eye(q), gamma_lo=-np.ones(q),
-              gamma_hi=np.ones(q)) if q else {}
     return NlpDescription(
-        nx=nx, nu=nu, horizon=M, dyn_f=lambda us: np.zeros((M + 1, nx)),
+        dyn_f=lambda us: np.zeros((M + 1, nx)),
         dyn_jac=None, cost_W=np.zeros((M, nz, nz)),
         cost_ref=np.zeros((M, nz)), cost_P=np.eye(nx),
         cost_ref_M=np.zeros(nx), stage_rows=stage_rows, stage_row_mask=mask,
         u_init=np.zeros((M, nu)), terminal_C=rng.normal(size=(k, nx)),
-        terminal_offset=np.ones(k), **kw)
+        terminal_offset=np.ones(k), gamma_weight=np.eye(q),
+        gamma_linear=np.zeros(q), gamma_lo=-np.ones(q), gamma_hi=np.ones(q))
 
 
 def _rows_at_start(nlp):
@@ -1362,7 +1359,7 @@ def test_row_gram_matches_the_einsum_on_recorded_problems(monkeypatch):
         add_gram(rows, D, H, U, P_M, Gamma)
         checked.append((max(int(np.max(np.sum(np.any(C != 0.0, axis=0), axis=1)))
                             for _, _, C, _ in rows.groups),
-                        Gamma is not None,
+                        U is not None,
                         not _gram_mismatches(rows, D, targets,
                                              (H, U, P_M, Gamma))))
 
