@@ -54,6 +54,11 @@ HARD_ROW_TOL = 1e-6
 
 BRANCH_NOMINAL = ocp.NOMINAL_MODE.name    # rung 0 names its branch
 BRANCH_FAILURE = "failure"
+# a cycle whose step raised one of the model's own errors, MODEL_ERRORS: the
+# closed loop (simkit.run) records it as failed and applies the fallback
+BRANCH_RAISED = "raised"
+# a rollout that leaves the path or meets the Frenet singularity
+MODEL_ERRORS = (PathRangeError, dyn.FrenetSingularity)
 
 
 class ModelError(ValueError):
@@ -88,10 +93,11 @@ class ControlDecision:
     wall_time: float = 0.0
     nominal_gate: dict | None = None   # rung 0; None when not tried
     mode_gates: dict = field(default_factory=dict)  # per-mode gate diagnostics
+    error: str | None = None    # the model error of a raised cycle, by name
 
     @property
     def failed(self) -> bool:
-        return self.branch == BRANCH_FAILURE
+        return self.branch in (BRANCH_FAILURE, BRANCH_RAISED)
 
     def log_record(self) -> dict:
         """The record as plain JSON types, less every timing (the cycle's
@@ -99,6 +105,7 @@ class ControlDecision:
         logs the same record on every run."""
         return {
             "branch": self.branch,
+            "error": self.error,
             "u": None if self.u is None else [float(v) for v in self.u],
             "slack": {k: float(v) for k, v in self.slack.items()},
             "consistent": None if self.consistency is None
@@ -236,7 +243,7 @@ class PriorityController:
                 nlp = build(rt.mode, ceil)
                 try:
                     xs = nlp.dyn_f(nlp.u_init) if xs is None else xs
-                except (PathRangeError, dyn.FrenetSingularity):
+                except MODEL_ERRORS:
                     screen = False
                 else:
                     pinned = pinned_row_exit(nlp, xs)

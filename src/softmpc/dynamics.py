@@ -23,13 +23,19 @@ Continuous model:
     a'     = t_acc (a_req - a)
 
 where the e_psi' path term uses the kinematic reference steering
-tan(delta_ref) = l * kappa(s). Discretization is one RK4 step. The step
-and the rollout over a horizon run on Python floats, one state at a time:
-at 7 states, numpy's per-call overhead would outweigh the arithmetic. Each
-element takes the same IEEE operations in the same order as the array
-expressions of the step, so the results are those of the array form bit
-for bit. The Jacobians are propagated analytically through the RK4 stages
-for a whole horizon at once, on arrays.
+tan(delta_ref) = l * kappa(s). Discretization is one RK4 step. The
+derivative (f_continuous), the step (f_discrete) and the rollout over a
+horizon run on Python floats, one state at a time: at 7 states, numpy's
+per-call overhead would outweigh the arithmetic. A rollout binds what holds
+along its horizon once, the path's curvature lookup, l, w0^2, 2 w0 w1,
+t_acc, 0.5 t_s and t_s / 6, and runs the four RK4 stages inline on 7-float
+tuples. On a path whose sampled curvature is all zero the lookup returns
+0.0 without a bisect (PathGeometry.curvature_lookup). Each bound constant
+is a sub-expression that is evaluated first anyway, so each element still
+takes the same IEEE operations in the same order as the array expressions
+of the step, and the results are those of the array form bit for bit. The
+Jacobians are propagated analytically through the RK4 stages for a whole
+horizon at once, on arrays.
 """
 from __future__ import annotations
 
@@ -99,45 +105,70 @@ def state(s=0.0, e_y=0.0, e_psi=0.0, delta=0.0, alpha=0.0, v=0.0, a=0.0) -> np.n
     return np.array([s, e_y, e_psi, delta, alpha, v, a], dtype=float)
 
 
-def _derivative(x: list, u, path: PathGeometry, params: VehicleParams) -> list:
-    """Continuous-time state derivative at one state, on Python floats: x
-    holds the NX state floats and u the NU input floats."""
-    s, e_y, e_psi, delta, alpha, v, a = x
-    u0, u1 = u
-    kappa = path.curvature_at(s)
-    den = 1.0 - kappa * e_y
-    if abs(den) < 1e-9:
-        raise FrenetSingularity(f"kappa*e_y = {kappa * e_y:.6g} at s = {s:.6g}")
-    s_dot = v * math.cos(e_psi) / den
-    return [
-        s_dot,
-        v * math.sin(e_psi),
-        v * math.tan(delta) / params.wheelbase - s_dot * kappa,
-        alpha,
-        params.steer_w0 ** 2 * (u0 - delta) - 2.0 * params.steer_w0 * params.steer_w1 * alpha,
-        a,
-        params.accel_tc * (u1 - a),
-    ]
+def _derivative(path: PathGeometry, params: VehicleParams):
+    """The continuous-time state derivative at one state, on Python floats:
+    a function of the NX state floats and the NU input floats that returns
+    the NX derivative floats as a tuple.
+
+    The values that hold along a horizon are bound once: the path's
+    curvature lookup, the wheelbase, w0^2, 2 w0 w1 and t_acc. Each is a
+    sub-expression Python evaluates first in the model's expressions,
+    (w0^2) (delta_sp - delta), ((2 w0) w1) alpha and (v tan(delta)) / l, so
+    every element keeps its IEEE operations in their order.
+    """
+    kappa_at = path.curvature_lookup()
+    l, tc = params.wheelbase, params.accel_tc
+    w0_sq = params.steer_w0 ** 2
+    w0_w1 = 2.0 * params.steer_w0 * params.steer_w1
+    cos, sin, tan = math.cos, math.sin, math.tan
+
+    def derivative(s, e_y, e_psi, delta, alpha, v, a, u0, u1):
+        kappa = kappa_at(s)
+        den = 1.0 - kappa * e_y
+        if abs(den) < 1e-9:
+            raise FrenetSingularity(f"kappa*e_y = {kappa * e_y:.6g} at s = {s:.6g}")
+        s_dot = v * cos(e_psi) / den
+        return (s_dot, v * sin(e_psi), v * tan(delta) / l - s_dot * kappa,
+                alpha, w0_sq * (u0 - delta) - w0_w1 * alpha, a, tc * (u1 - a))
+    return derivative
 
 
-def _rk4_step(x: list, u, path: PathGeometry, params: VehicleParams,
-              t_s: float) -> list:
-    """One RK4 step on Python floats, x and the result lists of NX floats.
+def _rk4_step(path: PathGeometry, params: VehicleParams, t_s: float):
+    """One RK4 step on Python floats: a function of a state (NX floats) and
+    the two input floats that returns the next state as a tuple, with
+    _derivative's constants, 0.5 t_s and t_s / 6 bound once.
 
-    Each element takes the operations, in the order, that the array
-    expressions x + (0.5 t_s) k1, ..., x + (t_s / 6) (((k1 + 2 k2) + 2 k3) + k4)
+    The four stages run inline, one float per state element. Each element
+    takes the operations, in the order, that the array expressions
+    x + (0.5 t_s) k1, ..., x + (t_s / 6) (((k1 + 2 k2) + 2 k3) + k4)
     apply to it, so the step equals the array form bit for bit.
     """
     if t_s <= 0.0:
         raise ValueError("t_s must be positive")
-    h2 = 0.5 * t_s
-    k1 = _derivative(x, u, path, params)
-    k2 = _derivative([xi + h2 * ki for xi, ki in zip(x, k1)], u, path, params)
-    k3 = _derivative([xi + h2 * ki for xi, ki in zip(x, k2)], u, path, params)
-    k4 = _derivative([xi + t_s * ki for xi, ki in zip(x, k3)], u, path, params)
-    h6 = t_s / 6.0
-    return [xi + h6 * (((d1 + 2.0 * d2) + 2.0 * d3) + d4)
-            for xi, d1, d2, d3, d4 in zip(x, k1, k2, k3, k4)]
+    f = _derivative(path, params)
+    h2, h6 = 0.5 * t_s, t_s / 6.0
+
+    def step(x, u0, u1):
+        s, e_y, e_psi, delta, alpha, v, a = x
+        s1, y1, p1, d1, r1, v1, a1 = f(s, e_y, e_psi, delta, alpha, v, a,
+                                       u0, u1)
+        s2, y2, p2, d2, r2, v2, a2 = f(
+            s + h2 * s1, e_y + h2 * y1, e_psi + h2 * p1, delta + h2 * d1,
+            alpha + h2 * r1, v + h2 * v1, a + h2 * a1, u0, u1)
+        s3, y3, p3, d3, r3, v3, a3 = f(
+            s + h2 * s2, e_y + h2 * y2, e_psi + h2 * p2, delta + h2 * d2,
+            alpha + h2 * r2, v + h2 * v2, a + h2 * a2, u0, u1)
+        s4, y4, p4, d4, r4, v4, a4 = f(
+            s + t_s * s3, e_y + t_s * y3, e_psi + t_s * p3, delta + t_s * d3,
+            alpha + t_s * r3, v + t_s * v3, a + t_s * a3, u0, u1)
+        return (s + h6 * (((s1 + 2.0 * s2) + 2.0 * s3) + s4),
+                e_y + h6 * (((y1 + 2.0 * y2) + 2.0 * y3) + y4),
+                e_psi + h6 * (((p1 + 2.0 * p2) + 2.0 * p3) + p4),
+                delta + h6 * (((d1 + 2.0 * d2) + 2.0 * d3) + d4),
+                alpha + h6 * (((r1 + 2.0 * r2) + 2.0 * r3) + r4),
+                v + h6 * (((v1 + 2.0 * v2) + 2.0 * v3) + v4),
+                a + h6 * (((a1 + 2.0 * a2) + 2.0 * a3) + a4))
+    return step
 
 
 def _derivatives(xs, us, path, params):
@@ -200,6 +231,14 @@ def _derivatives(xs, us, path, params):
     return f, np.ascontiguousarray(A.transpose(2, 0, 1)), B
 
 
+def f_continuous(x: np.ndarray, u: np.ndarray, path: PathGeometry,
+                 params: VehicleParams) -> np.ndarray:
+    """The continuous-time state derivative (NX,) at one state and input."""
+    return np.array(_derivative(path, params)(
+        *np.asarray(x, dtype=float).tolist(),
+        *np.asarray(u, dtype=float).tolist()))
+
+
 def f_discrete(x: np.ndarray, u: np.ndarray, path: PathGeometry,
                params: VehicleParams, t_s: float, project_speed: bool = False) -> np.ndarray:
     """One RK4 step of the continuous model.
@@ -208,21 +247,24 @@ def f_discrete(x: np.ndarray, u: np.ndarray, path: PathGeometry,
     simulated plant so standstill never turns into reverse driving. The
     prediction model used by the solver keeps the raw (smooth) step.
     """
-    x_next = _rk4_step(np.asarray(x, dtype=float).tolist(),
-                       np.asarray(u, dtype=float).tolist(), path, params, t_s)
+    x_next = np.array(_rk4_step(path, params, t_s)(
+        np.asarray(x, dtype=float).tolist(),
+        *np.asarray(u, dtype=float).tolist()))
     if project_speed and x_next[IDX_V] < 0.0:
         x_next[IDX_V] = 0.0
-    return np.array(x_next)
+    return x_next
 
 
 def rollout(x0: np.ndarray, us: np.ndarray, path: PathGeometry,
             params: VehicleParams, t_s: float) -> np.ndarray:
     """States (M+1, NX) from x0, one RK4 step per input of us, stepped on
-    Python lists and converted to an array once."""
+    Python floats with the horizon's constants bound once (_rk4_step) and
+    converted to an array once."""
+    step = _rk4_step(path, params, t_s)
     x = np.asarray(x0, dtype=float).tolist()
     xs = [x]
-    for u in np.asarray(us, dtype=float).tolist():
-        x = _rk4_step(x, u, path, params, t_s)
+    for u0, u1 in np.asarray(us, dtype=float).tolist():
+        x = step(x, u0, u1)
         xs.append(x)
     return np.array(xs)
 

@@ -578,8 +578,11 @@ def generate_dataset(template: ScenarioTemplate, mode: RelaxationMode,
     label = functools.partial(_label, template, mode)
     if workers > 1 and count > 8:
         import multiprocessing as mp
+        # one sample per task: label costs are heavy-tailed (an LP-settled
+        # label against an SQP one), and a chunk of several can leave the
+        # other workers idle
         with mp.get_context("fork").Pool(min(workers, count)) as pool:
-            labels = pool.map(label, thetas, chunksize=4)
+            labels = pool.map(label, thetas, chunksize=1)
     else:
         labels = [label(theta) for theta in thetas]
     rows = [(theta, feasible, slack)

@@ -47,9 +47,16 @@ class PathGeometry:
         # unwrapped copy keeps heading interpolation safe across +-pi
         object.__setattr__(self, "_heading_cont", np.unwrap(self.heading))
         object.__setattr__(self, "_span", (float(s[0]), float(s[-1])))
+        # the interpolant's slope on each interval, as np.interp takes it
+        object.__setattr__(self, "_slope",
+                           np.diff(self.curvature) / np.diff(s))
         # Python-float copies for the one-point curvature lookup
         object.__setattr__(self, "_s_list", s.tolist())
         object.__setattr__(self, "_curvature_list", self.curvature.tolist())
+        object.__setattr__(self, "_slope_list", self._slope.tolist())
+        # every sample +0.0 (a -0.0 sample is np.interp's value at it)
+        object.__setattr__(self, "_flat", not (
+            np.any(self.curvature) or np.any(np.signbit(self.curvature))))
 
     @property
     def s_min(self) -> float:
@@ -69,24 +76,47 @@ class PathGeometry:
             )
         return min(max(s, lo), hi)
 
-    def curvature_at(self, s: float) -> float:
-        """Piecewise-linear interpolation of the sampled curvature.
+    def curvature_lookup(self):
+        """The one-point curvature lookup of this path: a function of a
+        Python float s, with the samples and the interval bound once, for
+        callers that look up many points (a rollout).
 
-        np.interp's arithmetic on the cached Python lists: bisect for the
-        interval, the stored value at an exact sample and at the last one,
-        slope * (s - s_j) + kappa_j between samples, and NaN for a NaN s.
-        The result is np.interp's bit for bit (for finite curvatures),
-        without its per-call array overhead.
+        It runs np.interp's arithmetic on the cached Python lists: bisect
+        for the interval, the stored value at an exact sample and at the
+        last one, slope * (s - s_j) + kappa_j between samples, and NaN for
+        a NaN s. An s within 1e-9 of the interval is clamped to it and one
+        beyond raises PathRangeError (_check_range). On a path whose samples
+        are all +0.0 each of those cases gives +0.0, so the lookup returns
+        +0.0 for every s in range without the bisect. The result is
+        np.interp's bit for bit (for finite curvatures), without its
+        per-call array overhead.
         """
-        s = self._check_range(s)
-        if s != s:
-            return s
-        xp, fp = self._s_list, self._curvature_list
-        j = bisect.bisect_right(xp, s) - 1      # xp[0] <= s, so j >= 0
-        if j == len(xp) - 1 or xp[j] == s:
-            return fp[j]
-        slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
-        return slope * (s - xp[j]) + fp[j]
+        lo, hi = self._span
+        lo_band, hi_band = lo - 1e-9, hi + 1e-9
+        check, flat = self._check_range, self._flat
+        xp, fp, slope = self._s_list, self._curvature_list, self._slope_list
+        last = len(xp) - 1
+        bisect_right = bisect.bisect_right
+
+        def lookup(s: float) -> float:
+            if s < lo_band or s > hi_band:
+                check(s)                      # raises, naming the interval
+            if s != s:
+                return s
+            if flat:
+                return 0.0
+            s = min(max(s, lo), hi)
+            j = bisect_right(xp, s) - 1       # xp[0] <= s, so j >= 0
+            if j == last or xp[j] == s:
+                return fp[j]
+            return slope[j] * (s - xp[j]) + fp[j]
+        return lookup
+
+    def curvature_at(self, s: float) -> float:
+        """The sampled curvature at one arc length, interpolated piecewise
+        linearly by the path's curvature_lookup: np.interp's value bit for
+        bit (for finite curvatures), PathRangeError beyond the interval."""
+        return self.curvature_lookup()(float(s))
 
     def curvature_and_slope_at(self, s: np.ndarray
                                ) -> tuple[np.ndarray, np.ndarray]:
@@ -104,9 +134,7 @@ class PathGeometry:
         s = np.clip(s, lo, hi)
         i = np.clip(np.searchsorted(self.s, s, side="right") - 1,
                     0, self.s.size - 2)
-        return (np.interp(s, self.s, self.curvature),
-                (self.curvature[i + 1] - self.curvature[i])
-                / (self.s[i + 1] - self.s[i]))
+        return np.interp(s, self.s, self.curvature), self._slope[i]
 
     def poses_at(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized pose interpolation; values clipped to the sampled range."""

@@ -18,13 +18,15 @@ import itertools
 import json
 import math
 import os
+import time
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from . import dynamics as dyn
 from . import ocp, plots
-from .controller import (BRANCH_FAILURE, BRANCH_NOMINAL, HARD_ROW_TOL,
+from .controller import (BRANCH_FAILURE, BRANCH_NOMINAL, BRANCH_RAISED,
+                         HARD_ROW_TOL, MODEL_ERRORS, ControlDecision,
                          ModelError, ModeRuntime, PriorityController)
 from .dynamics import VehicleParams
 from .environment import RoadUserState, build_profile
@@ -414,7 +416,13 @@ class SimLog:
 
 
 def run(config: ScenarioConfig, use_oracle: bool = False) -> SimLog:
-    """Closed-loop simulation of one scenario."""
+    """Closed-loop simulation of one scenario.
+
+    A cycle whose controller step raises one of the model's own errors
+    (controller.MODEL_ERRORS) is recorded with branch BRANCH_RAISED and the
+    error's name, fails as a failure cycle does, takes the full-brake
+    fallback input, and the loop goes on; any other exception propagates.
+    """
     controller = build_controller(config, use_oracle=use_oracle)
     path = controller.path
     if config.ru_file:
@@ -436,7 +444,13 @@ def run(config: ScenarioConfig, use_oracle: bool = False) -> SimLog:
         profile = build_profile(path, ru, config.horizon.n_constraint, t_s,
                                 config.growth, controller.stack.d_safe,
                                 ego_lane=ego_lane, evasive=config.evasive)
-        decision = controller.step(x, profile)
+        t0 = time.perf_counter()
+        try:
+            decision = controller.step(x, profile)
+        except MODEL_ERRORS as exc:
+            decision = ControlDecision(
+                branch=BRANCH_RAISED, consistency=None,
+                wall_time=time.perf_counter() - t0, error=type(exc).__name__)
         if decision.failed:
             u = np.array([x[dyn.IDX_DELTA], config.params.accel_min])
         else:
@@ -477,6 +491,7 @@ def metrics(log: SimLog) -> dict:
         "hard_violations": int(np.sum(hard[np.isfinite(hard)] > HARD_ROW_TOL)),
         "soft_violations": int(np.sum(soft[np.isfinite(soft)] > HARD_ROW_TOL)),
         "failed": log.failed,
+        "raised_cycles": sum(b == BRANCH_RAISED for b in branches),
         "mean_controller_time": float(np.mean(times)),
         "p95_controller_time": float(np.percentile(times, 95)),
         "max_controller_time": float(np.max(times)),

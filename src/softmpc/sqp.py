@@ -311,11 +311,14 @@ class _Layout:
     Rows are numbered stage by stage. Stages with the same row pattern form
     one group, in the order of their first stage, so the hot row operations
     run as batched tensor products over C-contiguous (k, m, nz) blocks. The
+    global box's Jacobian [-I; I] (2q, q) is the same at every point. The
     banded Newton system's index pattern (band) is made at its first use.
     """
 
     def __init__(self, nlp: NlpDescription):
         self.shape = (nlp.horizon, nlp.nx, nlp.nu)
+        q = nlp.n_gamma
+        self.box = np.concatenate([-np.eye(q), np.eye(q)], axis=0)
         self.mask = np.asarray(nlp.stage_row_mask, dtype=bool)
         counts = self.mask.sum(axis=1)
         starts = np.concatenate([[0], np.cumsum(counts)])
@@ -404,8 +407,7 @@ class _Rows:
         k = nlp.terminal_offset.size
         # (slice, Cx (k, nx)) and (slice, G (2q, q))
         self.term = (slice(pos, pos + k), nlp.terminal_C)
-        self.glob = (slice(pos + k, pos + k + 2 * q),
-                     np.concatenate([-np.eye(q), np.eye(q)], axis=0))
+        self.glob = (slice(pos + k, pos + k + 2 * q), layout.box)
         self.n_rows = pos + k + 2 * q
         self.vals = np.concatenate([
             v[layout.mask], nlp.terminal_C @ xs[-1] - nlp.terminal_offset,
@@ -851,8 +853,9 @@ def _ip_solve(sub: _Subproblem, phase_s: dict):
             stalled += 1
         if err < best_err:
             best_err = err
+            # s, t and z are rebound below, never written into
             best_state = (sub.w.copy(), sub.wM.copy(), sub.dgamma.copy(),
-                          sub.lam.copy(), s.copy(), t.copy(), z.copy())
+                          sub.lam.copy(), s, t, z)
         if err <= 1.0:
             break
         if stalled >= opts.ip_stall_limit:

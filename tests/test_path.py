@@ -42,9 +42,16 @@ def test_curvature_out_of_range_names_interval():
     PathGeometry(s=np.array([0.0, 0.3, 1.7, 2.0, 5.5]), xy=np.zeros((5, 2)),
                  heading=np.zeros(5),
                  curvature=np.array([0.02, -0.013, 0.0, 1.0 / 3.0, -0.1])),
-], ids=["straight", "circle", "clothoid", "uneven"])
+    # zero curvature, but np.interp gives -0.0 at each -0.0 sample: the
+    # bisect serves this path, not the flat lookup
+    PathGeometry(s=np.array([-1.0, 0.5, 2.0, 4.0]), xy=np.zeros((4, 2)),
+                 heading=np.zeros(4),
+                 curvature=np.array([0.0, -0.0, -0.0, 0.0])),
+], ids=["straight", "circle", "clothoid", "uneven", "signed-zero"])
 def test_curvature_at_equals_np_interp_bit_for_bit(path):
-    # the lookup runs np.interp's arithmetic on Python floats
+    # the lookup runs np.interp's arithmetic on Python floats; on the
+    # straight path, whose samples are all +0.0, it returns 0.0 without a
+    # bisect, at every s within 1e-9 of the interval
     rng = np.random.default_rng(3)
     lo, hi = path.s_min, path.s_max
     points = np.concatenate([
@@ -58,6 +65,11 @@ def test_curvature_at_equals_np_interp_bit_for_bit(path):
         assert type(got) is float and got.hex() == want.hex(), s
     assert math.isnan(path.curvature_at(math.nan))
     assert math.isnan(np.interp(math.nan, path.s, path.curvature))
+    # just beyond the 1e-9 band, at either end, the lookup raises
+    for s in (lo - 2e-9, hi + 2e-9, -math.inf, math.inf):
+        with pytest.raises(PathRangeError,
+                           match=r"outside sampled interval \[.*\]"):
+            path.curvature_at(s)
 
 
 def test_to_global_on_straight_path():

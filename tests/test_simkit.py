@@ -451,6 +451,32 @@ def test_shipped_config_loads_and_builds_an_oracle_controller(name):
         mode.name for mode, _, _ in config.mode_specs]
 
 
+def test_a_cycle_that_leaves_the_path_is_recorded_and_the_loop_goes_on(
+        tmp_path):
+    # scenario2's oracle route: the warm start of k=37-40 rolls out behind
+    # the path's start. Each of those cycles is recorded as raised, with
+    # the error's name and the full-brake input, and the run goes on
+    config = dataclasses.replace(
+        load_scenario(os.path.join(CONFIGS, "scenario2.ini")), duration=4.2)
+    log = run(config, use_oracle=True)
+    assert len(log) == 42
+    raised = [k for k, d in enumerate(log.decisions) if d.branch == "raised"]
+    assert raised == [37, 38, 39, 40]
+    for k in raised:
+        assert log.decisions[k].error == "PathRangeError"
+        assert log.decisions[k].failed
+        np.testing.assert_array_equal(
+            log.inputs[k], [log.states[k, dyn.IDX_DELTA],
+                            config.params.accel_min])
+    assert log.failed and log.decisions[41].branch != "raised"
+    assert metrics(log)["raised_cycles"] == 4
+    simkit.write_decision_log(log, str(tmp_path / "decisions.jsonl"))
+    records = [json.loads(line) for line in
+               (tmp_path / "decisions.jsonl").read_text().splitlines()]
+    assert [(r["k"], r["error"]) for r in records if r["branch"] == "raised"
+            ] == [(k, "PathRangeError") for k in raised]
+
+
 _VALID_INI = """
 [scenario]
 duration = 2.0
